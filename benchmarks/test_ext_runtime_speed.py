@@ -1,26 +1,23 @@
-"""Extension: hot-path execution-engine speedup (dequant weight cache).
+"""Extension: hot-path execution engine (dequant weight cache).
 
-Compares steady-state decode throughput of the thread-pipelined runtime
-with the budget-aware dequantized-weight cache enabled (auto budget)
-against the naive recompute-every-call baseline (``--dequant-cache-mb
-0``) on the tiny-8l model.  The speedup must come purely from avoided
-unpack/dequantize work: the generated token streams are asserted
-byte-identical, and the cache counters must be consistent with what the
-schedule implies (one build per resident layer when head-room exists,
-one build per layer per message when disabled).
+Serves the same batch on the thread-pipelined runtime with the
+budget-aware dequantized-weight cache enabled (auto budget) and with it
+disabled (``--dequant-cache-mb 0``: rebuild every layer on every
+message) on the tiny-8l model.  The cache may only change wall-clock
+and counters: the generated token streams are asserted byte-identical,
+and the cache counters must be consistent with what the schedule
+implies (one build per resident layer when head-room exists, one build
+per layer per message when disabled).
 
-Absolute tokens/s is machine-dependent, so the committed baseline
-(``benchmarks/results/ext_runtime_speed.json``) records the *ratio* of
-cached to uncached decode throughput; the CI smoke test guards that
-ratio against >20% regression.
+The cached/uncached throughput ratio is printed and recorded in
+``benchmarks/results/ext_runtime_speed.json`` as information only: it
+measures how slow the rebuild path is, so a faster codec lowers it.
+Speed is gated by the repo benchmark (``bench/run.py``), not here.
 """
 
-import json
-
 import numpy as np
-import pytest
 
-from repro.bench.tables import RESULTS_DIR, print_table, save_results
+from repro.bench.tables import print_table, save_results
 from repro.core.plan import ExecutionPlan, StagePlan
 from repro.hardware import Device, get_gpu
 from repro.models import TinyDecoderLM, make_corpus
@@ -83,8 +80,8 @@ def _rows(cold, warm):
 
 
 def test_ext_runtime_speed_headline():
-    """Headline number: >= 3x steady-state decode tokens/s with the cache
-    on, byte-identical tokens, and schedule-consistent counters."""
+    """Byte-identical tokens and schedule-consistent counters with the
+    cache on and off; the throughput table is recorded, not asserted."""
     cold, warm = _compare()
 
     # counter consistency: disabled -> one rebuild per layer per message,
@@ -96,31 +93,20 @@ def test_ext_runtime_speed_headline():
     assert warm.dequant_build_seconds < cold.dequant_build_seconds
 
     rows = _rows(cold, warm)
-    print_table(rows, title="Ext — hot-path dequant-cache speedup (tiny-8l)")
+    print_table(rows, title="Ext — hot-path dequant cache on/off (tiny-8l)")
     save_results(
         "ext_runtime_speed",
         {"scenario": "tiny-8l 2-stage 4/3-bit, batch 8, gen 48",
          "rows": rows, "decode_speedup": rows[1]["decode_speedup"]},
     )
-    assert rows[1]["decode_speedup"] >= 3.0
 
 
 def test_ext_runtime_speed_smoke():
-    """CI guard: the cached/uncached decode-throughput ratio must not
-    regress more than 20% below the committed baseline."""
+    """CI guard: same tokens with the cache on and off (asserted inside
+    ``_compare``), and counters that match the schedule."""
     wl = Workload(prompt_len=8, gen_len=24, global_batch=4)
     cold, warm = _compare(gen_len=24, workload=wl)
     assert cold.dequant_cache_hits == 0
+    assert cold.dequant_cache_misses >= 8 * 24
+    assert warm.dequant_cache_misses == 8
     assert warm.dequant_cache_hits > 0
-
-    ratio = warm.decode_tokens_per_s / max(cold.decode_tokens_per_s, 1e-9)
-    baseline_path = RESULTS_DIR / "ext_runtime_speed.json"
-    if not baseline_path.exists():
-        pytest.skip("no committed baseline to compare against")
-    committed = json.loads(baseline_path.read_text())["decode_speedup"]
-    # the smoke workload is smaller than the headline one, so guard
-    # against the committed ratio with 20% slack rather than equality
-    assert ratio >= 0.8 * committed, (
-        f"decode speedup {ratio:.2f}x regressed >20% below committed "
-        f"baseline {committed:.2f}x"
-    )

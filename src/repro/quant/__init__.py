@@ -30,9 +30,7 @@ from .indicator import (
 from .kernels import (
     QuantizedLinear,
     pack_codes,
-    pack_codes_reference,
     unpack_codes,
-    unpack_codes_reference,
 )
 from .smoothquant import (
     W8A8Result,
@@ -76,8 +74,6 @@ __all__ = [
     "QuantizedLinear",
     "pack_codes",
     "unpack_codes",
-    "pack_codes_reference",
-    "unpack_codes_reference",
     "awq_quantize_dequantize",
     "SpqrResult",
     "spqr_quantize",

@@ -7,12 +7,16 @@ dequantizes on the fly at matmul time.  The packed byte counts feed the
 memory bookkeeping; the dequantize-matmul path feeds the quality
 measurements.
 
-Packing is a single vectorized pass over a flat little-endian bitstream:
-``pack_codes`` explodes each biased code into its ``bits`` low-order bits
-with :func:`np.unpackbits` and folds the stream back into bytes with
-:func:`np.packbits`; ``unpack_codes`` is the exact inverse.  The original
-per-bit-offset loop implementations are kept as ``pack_codes_reference``
-/ ``unpack_codes_reference`` equality oracles.
+``pack_codes`` / ``unpack_codes`` are the one codec every packed tensor
+goes through (weight shards and the packed KV cache alike).  The format
+is a flat little-endian bitstream of biased codes (``code + qmax``),
+``bits`` bits each.  Both directions work on whole machine words, never
+single bits: ``8 // gcd(bits, 8)`` consecutive codes fill a whole
+number of bytes (2 nibbles -> 1 byte, 8 three-bit fields -> 3 bytes),
+so packing ORs neighbouring codes pairwise into ever wider words until
+the word is byte-aligned, and unpacking shifts-and-masks every code
+back out of its word.  The layout follows from ``bits`` alone; the
+per-bit loops that define it live in ``tests/quant/codec_spec.py``.
 
 Dequantization is the decode hot path's dominant cost when repeated, so
 ``dequantized()`` can be served from a
@@ -24,6 +28,7 @@ budget) every call re-unpacks, which is the naive baseline behavior.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 import numpy as np
 
@@ -32,90 +37,76 @@ from .quantizer import QuantizedTensor, qmax_for_bits
 __all__ = [
     "pack_codes",
     "unpack_codes",
-    "pack_codes_reference",
-    "unpack_codes_reference",
     "QuantizedLinear",
 ]
 
-
-def pack_codes_reference(codes: np.ndarray, bits: int) -> np.ndarray:
-    """Original per-bit-offset packing loop, kept as an equality oracle."""
-    if bits > 8:
-        raise ValueError("pack_codes handles bits <= 8")
-    qmax = qmax_for_bits(bits)
-    flat = (codes.astype(np.int32).ravel() + qmax).astype(np.uint32)
-    if np.any(flat >> bits):
-        raise ValueError("codes out of range for bitwidth")
-    n = flat.size
-    total_bits = n * bits
-    out = np.zeros((total_bits + 7) // 8, dtype=np.uint8)
-    positions = np.arange(n, dtype=np.int64) * bits
-    for offset in range(bits):
-        bitpos = positions + offset
-        byte_idx = bitpos >> 3
-        bit_in_byte = bitpos & 7
-        bit_vals = ((flat >> offset) & 1).astype(np.uint8)
-        np.bitwise_or.at(out, byte_idx, (bit_vals << bit_in_byte).astype(np.uint8))
-    return out
-
-
-def unpack_codes_reference(packed: np.ndarray, bits: int, size: int) -> np.ndarray:
-    """Original per-bit-offset unpacking loop, kept as an equality oracle."""
-    if bits > 8:
-        raise ValueError("unpack_codes handles bits <= 8")
-    qmax = qmax_for_bits(bits)
-    positions = np.arange(size, dtype=np.int64) * bits
-    vals = np.zeros(size, dtype=np.uint32)
-    for offset in range(bits):
-        bitpos = positions + offset
-        byte_idx = bitpos >> 3
-        bit_in_byte = bitpos & 7
-        bit = (packed[byte_idx] >> bit_in_byte) & 1
-        vals |= bit.astype(np.uint32) << offset
-    return (vals.astype(np.int32) - qmax).astype(np.int16)
+#: little-endian word types, narrowest first
+_WORDS = ("<u1", "<u2", "<u4", "<u8")
 
 
 def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
     """Bit-pack signed integer codes into a uint8 buffer.
 
     Codes are biased to unsigned (``code + qmax``) then written little-
-    endian into a flat bitstream.  Works for any ``bits <= 8``; 16-bit
-    tensors are stored as int16 directly and never hit this path.
-
-    Byte-identical to :func:`pack_codes_reference` but built from a
-    single ``unpackbits``/``packbits`` bit-matrix pass instead of a
-    Python loop over bit offsets.
+    endian into a flat bitstream of ``ceil(size * bits / 8)`` bytes.
+    Works for any ``bits <= 8`` and any input shape (flattened in C
+    order); 16-bit tensors are stored as int16 directly and never hit
+    this path.
     """
     if bits > 8:
         raise ValueError("pack_codes handles bits <= 8")
-    qmax = qmax_for_bits(bits)
-    flat = (codes.astype(np.int32).ravel() + qmax).astype(np.uint32)
-    if np.any(flat >> bits):
+    flat = np.asarray(codes).astype(np.int32).ravel() + qmax_for_bits(bits)
+    n = flat.size
+    # viewed unsigned, a negative biased code is huge: one reduction
+    # rejects both ends of the range
+    if n and int(flat.view(np.uint32).max()) >> bits:
         raise ValueError("codes out of range for bitwidth")
-    # each value becomes its `bits` low-order bits, little-endian, so the
-    # concatenated rows are exactly the flat bitstream the oracle writes
-    bit_rows = np.unpackbits(
-        flat.astype(np.uint8)[:, None], axis=1, bitorder="little"
-    )[:, :bits]
-    return np.packbits(bit_rows.ravel(), bitorder="little")
+    vals = np.zeros(n + -n % 8, dtype=np.uint8)
+    vals[:n] = flat
+    # OR neighbours pairwise into words twice as wide until the word is
+    # a whole number of bytes: its low ``width // 8`` bytes are the stream
+    width = bits
+    for word in _WORDS[1:]:
+        if width % 8 == 0:
+            break
+        vals = vals.astype(word)
+        vals = vals[0::2] | (vals[1::2] << width)
+        width *= 2
+    stream = vals.view(np.uint8).reshape(-1, vals.itemsize)[:, : width // 8]
+    return stream.ravel()[: (n * bits + 7) // 8]
 
 
 def unpack_codes(packed: np.ndarray, bits: int, size: int) -> np.ndarray:
-    """Inverse of :func:`pack_codes`; returns signed int16 codes.
+    """Inverse of :func:`pack_codes`; returns ``size`` signed int16 codes.
 
-    Single-pass: the packed bytes are exploded to the little-endian
-    bitstream, reshaped to one row of ``bits`` bits per value, and folded
-    back to bytes per row — no Python loop over bit offsets.
+    ``packed`` may be any shape (read flat, C order) and may be longer
+    than the ``ceil(size * bits / 8)`` bytes needed, never shorter.
     """
     if bits > 8:
         raise ValueError("unpack_codes handles bits <= 8")
-    qmax = qmax_for_bits(bits)
-    stream = np.unpackbits(np.ascontiguousarray(packed), bitorder="little")
-    bit_rows = stream[: size * bits].reshape(size, bits)
-    padded = np.zeros((size, 8), dtype=np.uint8)
-    padded[:, :bits] = bit_rows
-    vals = np.packbits(padded, axis=1, bitorder="little")[:, 0]
-    return (vals.astype(np.int32) - qmax).astype(np.int16)
+    packed = np.asarray(packed, dtype=np.uint8).ravel()
+    need = (size * bits + 7) // 8
+    if packed.size < need:
+        raise ValueError(
+            f"unpack_codes needs {need} bytes for {size} {bits}-bit codes, "
+            f"got {packed.size}"
+        )
+    # ``per`` codes fill ``nbytes`` whole bytes; read each such group as
+    # one little-endian word and shift-and-mask every code out of it
+    per = 8 // gcd(bits, 8)
+    nbytes = per * bits // 8
+    word = next(w for w in _WORDS if np.dtype(w).itemsize >= nbytes)
+    groups = -(-size // per)
+    stream = np.zeros(groups * nbytes, dtype=np.uint8)  # may end mid-group
+    stream[:need] = packed[:need]
+    buf = np.zeros((groups, np.dtype(word).itemsize), dtype=np.uint8)
+    buf[:, :nbytes] = stream.reshape(groups, nbytes)
+    # one row per position in the group, so every ufunc loop runs over
+    # all groups rather than over the (as short as 2) codes of one group
+    shifts = np.arange(per, dtype=word)[:, None] * bits
+    vals = (buf.view(word).ravel() >> shifts) & ((1 << bits) - 1)
+    codes = vals.T.astype(np.int16, order="C").ravel()[:size]
+    return codes - qmax_for_bits(bits)
 
 
 @dataclass

@@ -8,11 +8,14 @@ matches the analytical cost model.
 
 When a plan assigns a stage ``kv_bits`` below 16, the stage stores its
 keys/values *packed*: signed codes quantized with one scale per
-(token, head group), bit-packed into a uint8 stream via the same
-:func:`~repro.quant.kernels.pack_codes` machinery the weight shards use.
+(token, head group), bit-packed into a uint8 stream by the same
+:func:`~repro.quant.kernels.pack_codes` codec the weight shards use.
 Attention reads dequantize on the fly, so the resident footprint is the
 real ``hidden * kv_bits / 8`` bytes per token (plus one float64 scale
 per head) — the quantity the planner's admission ledger charges.
+:class:`QuantizedKVCache` and the fused-decode :class:`BatchedKVView`
+share one kernel pair, :func:`_quantize_packed` on append and
+:func:`_dequantize_packed` on read, each handling K and V together.
 
 Two reference paths pin the numerics:
 
@@ -114,6 +117,52 @@ def packed_kv_nbytes(
     return code_bytes + scale_bytes
 
 
+#: byte -> the float64 codes it holds, for the widths that put several
+#: whole codes in a byte: one lookup then replaces unpack + int-to-float
+_BYTE_CODES = {
+    bits: unpack_codes(np.arange(256, dtype=np.uint8), bits, 256 * 8 // bits)
+    .reshape(256, 8 // bits)
+    .astype(np.float64)
+    for bits in (2, 4)
+}
+
+
+def _quantize_packed(
+    k_new: np.ndarray, v_new: np.ndarray, kv_bits: int, num_heads: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fused append kernel: one quantize and one pack over K and V rows.
+
+    ``(B, q, hidden)`` inputs give packed bytes ``(2, B, q, row_bytes)``
+    and scales ``(2, B, q, heads)``, K at 0 and V at 1.  Both steps are
+    row-independent, so stacking changes no stored byte.
+    """
+    codes, scales = quantize_kv(np.stack((k_new, v_new)), kv_bits, num_heads)
+    packed = pack_codes(codes, kv_bits).reshape(*codes.shape[:-1], -1)
+    return packed, scales
+
+
+def _dequantize_packed(
+    packed: np.ndarray, scales: np.ndarray, kv_bits: int
+) -> np.ndarray:
+    """Fused read kernel: packed ``(..., row_bytes)`` rows and their
+    ``(..., heads)`` scales to dense float64 ``(..., hidden)``.
+
+    Bytes become float64 codes in one lookup (or unpack + convert) and
+    the scales are multiplied in place: ``float64(code) * scale`` is the
+    single multiply :func:`dequantize_kv` does, so the result is
+    bit-identical to :func:`kv_fake_quant` of what was appended.
+    """
+    table = _BYTE_CODES.get(kv_bits)
+    if table is not None:
+        vals = np.take(table, packed, axis=0)
+    else:
+        size = packed.size * 8 // kv_bits
+        vals = unpack_codes(packed, kv_bits, size).astype(np.float64)
+    vals = vals.reshape(*scales.shape, -1)
+    vals *= scales[..., None]
+    return vals.reshape(*packed.shape[:-1], -1)
+
+
 # ----------------------------------------------------------------------
 # Cache variants
 # ----------------------------------------------------------------------
@@ -164,17 +213,17 @@ class QuantizedKVCache:
     Codes are packed little-endian at ``kv_bits`` per value, so each
     token row occupies exactly ``hidden * kv_bits / 8`` bytes
     (``hidden * kv_bits`` must be byte-aligned — true for KV4/KV8 with
-    any even hidden size).  Implements the same protocol as
-    :class:`KVCache` (``append`` / ``read`` / ``max_len`` /
+    any even hidden size).  K and V share one array each for codes and
+    scales (leading axis: K at 0, V at 1), so every append, read, gather
+    and merge touches both in a single operation.  Implements the same
+    protocol as :class:`KVCache` (``append`` / ``read`` / ``max_len`` /
     ``kv_nbytes`` / ``length``), so attention and the stage manager use
     it interchangeably; ``read`` returns dense float64 arrays that are
     bit-exact equal to :func:`kv_fake_quant` of what was appended.
     """
 
-    k_codes: np.ndarray   #: (num_layers, batch, max_len, hidden*kv_bits//8) uint8
-    v_codes: np.ndarray
-    k_scales: np.ndarray  #: (num_layers, batch, max_len, num_heads) float64
-    v_scales: np.ndarray
+    codes: np.ndarray   #: (2, num_layers, batch, max_len, hidden*kv_bits//8) uint8
+    scales: np.ndarray  #: (2, num_layers, batch, max_len, num_heads) float64
     hidden_size: int
     kv_bits: int
     num_heads: int = 1
@@ -199,66 +248,50 @@ class QuantizedKVCache:
             )
         if num_heads <= 0 or hidden % num_heads:
             raise ValueError(f"hidden {hidden} not divisible into {num_heads} heads")
-        code_shape = (num_layers, batch, max_len, hidden * kv_bits // 8)
-        scale_shape = (num_layers, batch, max_len, num_heads)
+        slots = (2, num_layers, batch, max_len)
         return cls(
-            k_codes=np.zeros(code_shape, dtype=np.uint8),
-            v_codes=np.zeros(code_shape, dtype=np.uint8),
-            k_scales=np.ones(scale_shape),
-            v_scales=np.ones(scale_shape),
+            codes=np.zeros((*slots, hidden * kv_bits // 8), dtype=np.uint8),
+            scales=np.ones((*slots, num_heads)),
             hidden_size=hidden,
             kv_bits=kv_bits,
             num_heads=num_heads,
         )
 
     @property
+    def k_codes(self) -> np.ndarray:
+        """The K half of ``codes`` (a view)."""
+        return self.codes[0]
+
+    @property
+    def k_scales(self) -> np.ndarray:
+        """The K half of ``scales`` (a view)."""
+        return self.scales[0]
+
+    @property
     def max_len(self) -> int:
         """Reserved KV slots per sequence."""
-        return self.k_codes.shape[2]
+        return self.codes.shape[3]
 
     @property
     def kv_nbytes(self) -> float:
         """Resident bytes: packed codes plus scales, K and V."""
-        return float(
-            self.k_codes.nbytes + self.v_codes.nbytes
-            + self.k_scales.nbytes + self.v_scales.nbytes
-        )
-
-    def _pack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        codes, scales = quantize_kv(x, self.kv_bits, self.num_heads)
-        batch, q = codes.shape[0], codes.shape[1]
-        packed = pack_codes(codes, self.kv_bits).reshape(
-            batch, q, self.hidden_size * self.kv_bits // 8
-        )
-        return packed, scales
+        return float(self.codes.nbytes + self.scales.nbytes)
 
     def append(self, layer: int, k_new: np.ndarray, v_new: np.ndarray, start: int) -> None:
         """Quantize, pack and store new K/V rows at position ``start``."""
         q = k_new.shape[1]
         if start + q > self.max_len:
             raise ValueError("KV cache overflow: reserve s + n slots up front")
-        kp, ks = self._pack(k_new)
-        vp, vs = self._pack(v_new)
-        self.k_codes[layer, :, start : start + q] = kp
-        self.v_codes[layer, :, start : start + q] = vp
-        self.k_scales[layer, :, start : start + q] = ks
-        self.v_scales[layer, :, start : start + q] = vs
-
-    def _unpack(self, packed: np.ndarray, scales: np.ndarray) -> np.ndarray:
-        batch, total = packed.shape[0], packed.shape[1]
-        codes = unpack_codes(
-            np.ascontiguousarray(packed).ravel(),
-            self.kv_bits,
-            batch * total * self.hidden_size,
-        ).reshape(batch, total, self.hidden_size)
-        return dequantize_kv(codes, scales, self.num_heads)
+        packed, scales = _quantize_packed(k_new, v_new, self.kv_bits, self.num_heads)
+        self.codes[:, layer, :, start : start + q] = packed
+        self.scales[:, layer, :, start : start + q] = scales
 
     def read(self, layer: int, total: int) -> tuple[np.ndarray, np.ndarray]:
         """Dequantized K/V rows ``0 .. total`` as dense float64 arrays."""
-        return (
-            self._unpack(self.k_codes[layer, :, :total], self.k_scales[layer, :, :total]),
-            self._unpack(self.v_codes[layer, :, :total], self.v_scales[layer, :, :total]),
-        )
+        return tuple(_dequantize_packed(
+            self.codes[:, layer, :, :total], self.scales[:, layer, :, :total],
+            self.kv_bits,
+        ))
 
 
 # ----------------------------------------------------------------------
@@ -282,8 +315,8 @@ class BatchedKVView:
 
     * quantize+pack over the stacked rows is row-independent (per-token
       absmax scales; each token row is a whole number of packed bytes);
-    * one big ``unpack_codes``/``dequantize_kv`` call is elementwise,
-      so each request's slice equals its own small-call result;
+    * one big :func:`_dequantize_packed` call is elementwise, so each
+      request's slice equals its own small-call result;
     * padded slots hold code 0 / scale 1.0 (dense: literal zeros) and
       dequantize to exactly ``0.0`` — the ragged attention mask relies
       on that to keep padding out of the softmax.
@@ -302,17 +335,15 @@ class BatchedKVView:
         first = self.caches[0]
         self.packed = isinstance(first, QuantizedKVCache)
         if self.packed:
-            self.hidden_size = first.hidden_size
-            self.kv_bits = first.kv_bits
-            self.num_heads = first.num_heads
-        else:
-            self.hidden_size = first.k.shape[-1]
-            self.kv_bits = 16
-            self.num_heads = getattr(first, "num_heads", 1)
+            # the stream is biased (+qmax), so a zero code is not a zero
+            # byte: padding is whatever the codec packs a zero row to
+            self._pad_row = pack_codes(
+                np.zeros(first.hidden_size, dtype=np.int16), first.kv_bits
+            )
         for c, s in zip(self.caches, self.starts):
             if type(c) is not type(first):
                 raise ValueError("all cache units must share one storage type")
-            batch = (c.k_codes if self.packed else c.k).shape[1]
+            batch = c.codes.shape[2] if self.packed else c.k.shape[1]
             if batch != 1:
                 raise ValueError("batched view expects batch-1 cache units")
             if s + 1 > c.max_len:
@@ -327,14 +358,13 @@ class BatchedKVView:
             # one vectorized quantize+pack over the whole batch, then a
             # cheap per-unit byte scatter — row-independent, so each
             # unit's stored bytes equal its own batch-1 append
-            kp, ks = first._pack(k_new)
-            vp, vs = first._pack(v_new)
+            packed, scales = _quantize_packed(
+                k_new, v_new, first.kv_bits, first.num_heads
+            )
             for i, c in enumerate(self.caches):
                 s = self.starts[i]
-                c.k_codes[layer, 0, s] = kp[i, 0]
-                c.v_codes[layer, 0, s] = vp[i, 0]
-                c.k_scales[layer, 0, s] = ks[i, 0]
-                c.v_scales[layer, 0, s] = vs[i, 0]
+                c.codes[:, layer, 0, s] = packed[:, i, 0]
+                c.scales[:, layer, 0, s] = scales[:, i, 0]
         else:
             if isinstance(first, FakeQuantKVCache):
                 k_new = kv_fake_quant(k_new, first.kv_bits, first.num_heads)
@@ -344,36 +374,21 @@ class BatchedKVView:
                 c.k[layer, 0, s] = k_new[i, 0]
                 c.v[layer, 0, s] = v_new[i, 0]
 
-    def _gather_packed(self, layer: int, which: str) -> np.ndarray:
-        h, bits, nh = self.hidden_size, self.kv_bits, self.num_heads
-        row_bytes = h * bits // 8
-        batch, total = len(self.caches), self.total_max
-        # pad slots must decode to exactly 0.0: the packed bitstream is
-        # biased (+qmax), so the zero-code byte pattern repeats qmax in
-        # every bits-wide lane, and scale 1.0 maps code 0 -> value 0.0
-        qmax = (1 << (bits - 1)) - 1
-        fill = 0
-        for lane in range(8 // bits):
-            fill |= qmax << (lane * bits)
-        packed = np.full((batch, total, row_bytes), fill, dtype=np.uint8)
-        scales = np.ones((batch, total, nh))
-        codes_name, scales_name = which + "_codes", which + "_scales"
-        for i, c in enumerate(self.caches):
-            t = self.totals[i]
-            packed[i, :t] = getattr(c, codes_name)[layer, 0, :t]
-            scales[i, :t] = getattr(c, scales_name)[layer, 0, :t]
-        codes = unpack_codes(
-            packed.ravel(), bits, batch * total * h
-        ).reshape(batch, total, h)
-        return dequantize_kv(codes, scales, nh)
-
     def read_padded(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """K/V histories as ``(B, Tmax, h)``, zero-padded past each length."""
+        first, shape = self.caches[0], (len(self.caches), self.total_max)
         if self.packed:
-            return self._gather_packed(layer, "k"), self._gather_packed(layer, "v")
-        batch, total = len(self.caches), self.total_max
-        k = np.zeros((batch, total, self.hidden_size))
-        v = np.zeros((batch, total, self.hidden_size))
+            # gather the packed bytes (K at 0, V at 1), dequantize once;
+            # pad slots are code 0 at scale 1.0, i.e. exactly 0.0
+            packed = np.tile(self._pad_row, (2, *shape, 1))
+            scales = np.ones((2, *shape, first.num_heads))
+            for i, c in enumerate(self.caches):
+                t = self.totals[i]
+                packed[:, i, :t] = c.codes[:, layer, 0, :t]
+                scales[:, i, :t] = c.scales[:, layer, 0, :t]
+            return tuple(_dequantize_packed(packed, scales, first.kv_bits))
+        k = np.zeros((*shape, first.k.shape[-1]))
+        v = np.zeros((*shape, first.k.shape[-1]))
         for i, c in enumerate(self.caches):
             t = self.totals[i]
             k[i, :t] = c.k[layer, 0, :t]
@@ -479,10 +494,8 @@ class StageKVManager:
         first = members[0]
         if isinstance(first, QuantizedKVCache):
             merged: KVCache = QuantizedKVCache(
-                k_codes=np.concatenate([m.k_codes for m in members], axis=1),
-                v_codes=np.concatenate([m.v_codes for m in members], axis=1),
-                k_scales=np.concatenate([m.k_scales for m in members], axis=1),
-                v_scales=np.concatenate([m.v_scales for m in members], axis=1),
+                codes=np.concatenate([m.codes for m in members], axis=2),
+                scales=np.concatenate([m.scales for m in members], axis=2),
                 hidden_size=first.hidden_size,
                 kv_bits=first.kv_bits,
                 num_heads=first.num_heads,

@@ -9,62 +9,79 @@ from repro.quant import (
     QuantConfig,
     QuantizedLinear,
     pack_codes,
-    pack_codes_reference,
     qmax_for_bits,
     quantize,
     unpack_codes,
-    unpack_codes_reference,
 )
 
+from .codec_spec import pack_codes_reference, unpack_codes_reference
 
-@settings(max_examples=40, deadline=None)
+ALL_BITS = list(range(2, 9))
+#: empty, below / at / above one byte group, and odd sizes
+EDGE_SIZES = [0, 1, 7, 8, 9, 63, 64, 65, 255]
+
+
+def _assert_codec_matches_spec(codes, bits):
+    """Byte-identity with the spec both ways, plus the round trip."""
+    packed = pack_codes(codes, bits)
+    assert packed.dtype == np.uint8
+    np.testing.assert_array_equal(packed, pack_codes_reference(codes, bits))
+    recovered = unpack_codes(packed, bits, codes.size)
+    assert recovered.dtype == np.int16
+    np.testing.assert_array_equal(recovered, codes.ravel())
+    np.testing.assert_array_equal(
+        recovered, unpack_codes_reference(packed, bits, codes.size)
+    )
+
+
+@settings(max_examples=150, deadline=None)
 @given(
-    bits=st.sampled_from([3, 4, 8]),
-    n=st.integers(1, 200),
+    bits=st.sampled_from(ALL_BITS),
+    n=st.one_of(st.sampled_from(EDGE_SIZES), st.integers(0, 300)),
     seed=st.integers(0, 1000),
 )
-def test_pack_unpack_roundtrip(bits, n, seed):
+def test_codec_matches_spec(bits, n, seed):
+    """Every width 2..8 and any size: the word-level codec is the
+    per-bit spec, byte for byte, in both directions."""
     rng = np.random.default_rng(seed)
     qmax = qmax_for_bits(bits)
     codes = rng.integers(-qmax, qmax + 1, size=n).astype(np.int16)
-    packed = pack_codes(codes, bits)
-    recovered = unpack_codes(packed, bits, n)
-    np.testing.assert_array_equal(recovered, codes)
+    _assert_codec_matches_spec(codes, bits)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    bits=st.sampled_from([3, 4, 8]),
-    n=st.integers(1, 300),
+    bits=st.sampled_from(ALL_BITS),
+    shape=st.lists(st.integers(0, 7), min_size=2, max_size=4).map(tuple),
     seed=st.integers(0, 1000),
 )
-def test_vectorized_matches_reference_bytes(bits, n, seed):
-    """The single-pass pack/unpack must be byte-for-byte the slow oracle."""
+def test_codec_flattens_nd_inputs(bits, shape, seed):
+    """n-d codes pack as their C-order flattening (non-contiguous too),
+    and an n-d packed buffer unpacks as its flattening."""
     rng = np.random.default_rng(seed)
     qmax = qmax_for_bits(bits)
-    codes = rng.integers(-qmax, qmax + 1, size=n).astype(np.int16)
-    packed = pack_codes(codes, bits)
-    np.testing.assert_array_equal(packed, pack_codes_reference(codes, bits))
+    codes = rng.integers(-qmax, qmax + 1, size=shape).astype(np.int16)
+    _assert_codec_matches_spec(codes, bits)
     np.testing.assert_array_equal(
-        unpack_codes(packed, bits, n), unpack_codes_reference(packed, bits, n)
+        pack_codes(codes.T, bits), pack_codes(codes.T.copy().ravel(), bits)
     )
+    packed = pack_codes(codes, bits)
+    if packed.size % 2 == 0:
+        np.testing.assert_array_equal(
+            unpack_codes(packed.reshape(2, -1), bits, codes.size), codes.ravel()
+        )
 
 
-@pytest.mark.parametrize("bits", [3, 4, 8])
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 255])
-def test_roundtrip_odd_sizes_and_extremes(bits, n):
-    """Sizes straddling byte boundaries, with every code at an extreme."""
+@pytest.mark.parametrize("bits", ALL_BITS)
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_codec_extremes_at_edge_sizes(bits, n):
+    """Sizes straddling group boundaries, with every code at an extreme."""
     qmax = qmax_for_bits(bits)
     for fill in (-qmax, qmax, 0):
-        codes = np.full(n, fill, dtype=np.int16)
-        packed = pack_codes(codes, bits)
-        np.testing.assert_array_equal(unpack_codes(packed, bits, n), codes)
-        np.testing.assert_array_equal(packed, pack_codes_reference(codes, bits))
+        _assert_codec_matches_spec(np.full(n, fill, dtype=np.int16), bits)
     # alternating extremes exercises carry across bit boundaries
     codes = np.tile(np.array([-qmax, qmax], dtype=np.int16), (n + 1) // 2)[:n]
-    packed = pack_codes(codes, bits)
-    np.testing.assert_array_equal(unpack_codes(packed, bits, n), codes)
-    np.testing.assert_array_equal(packed, pack_codes_reference(codes, bits))
+    _assert_codec_matches_spec(codes, bits)
 
 
 def test_forward_bias_added_in_place_result():
@@ -91,8 +108,23 @@ def test_packed_density():
 def test_pack_rejects_wide_codes():
     with pytest.raises(ValueError, match="bits <= 8"):
         pack_codes(np.zeros(4, dtype=np.int16), 16)
-    with pytest.raises(ValueError, match="out of range"):
-        pack_codes(np.array([100], dtype=np.int16), 3)
+    with pytest.raises(ValueError, match="bits <= 8"):
+        unpack_codes(np.zeros(8, dtype=np.uint8), 16, 4)
+    for bad in (100, -100, 5, -5):  # 3-bit biased codes span 0..7
+        with pytest.raises(ValueError, match="out of range"):
+            pack_codes(np.array([0, bad, 0], dtype=np.int16), 3)
+
+
+@pytest.mark.parametrize("bits,size,need", [(3, 9, 4), (4, 5, 3), (8, 2, 2)])
+def test_unpack_rejects_short_buffer(bits, size, need):
+    """A buffer shorter than ``size * bits`` bits names both byte counts;
+    a longer one is read from the front."""
+    packed = pack_codes(np.zeros(size, dtype=np.int16), bits)
+    assert packed.size == need
+    with pytest.raises(ValueError, match=f"needs {need} bytes.*got {need - 1}"):
+        unpack_codes(packed[:-1], bits, size)
+    longer = np.concatenate([packed, np.full(3, 0xFF, dtype=np.uint8)])
+    np.testing.assert_array_equal(unpack_codes(longer, bits, size), np.zeros(size))
 
 
 def test_quantized_linear_matches_fake_quant():

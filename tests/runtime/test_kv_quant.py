@@ -24,6 +24,7 @@ from repro.models import TinyDecoderLM, generate, make_corpus
 from repro.models.transformer import KVCache
 from repro.runtime import PipelineRuntime
 from repro.runtime.kvcache import (
+    BatchedKVView,
     FakeQuantKVCache,
     QuantizedKVCache,
     StageKVManager,
@@ -123,6 +124,108 @@ def test_packed_overflow_guarded():
     c = QuantizedKVCache.allocate(1, 1, 4, 8, kv_bits=4, num_heads=2)
     with pytest.raises(ValueError, match="overflow"):
         c.append(0, np.zeros((1, 3, 8)), np.zeros((1, 3, 8)), 2)
+
+
+# ---------------------------------------------------------------------------
+# the fused read/append kernels behind both cache shapes
+# ---------------------------------------------------------------------------
+
+
+def _filled_units(rng, lens, hidden, kv_bits, heads, layers=2):
+    """One batch-1 packed unit per entry of ``lens``, each holding that
+    many tokens of its own history (returned as float K/V per unit)."""
+    units, hist = [], []
+    for n in lens:
+        unit = QuantizedKVCache.allocate(
+            layers, 1, n + 1, hidden, kv_bits=kv_bits, num_heads=heads
+        )
+        k = rng.normal(size=(1, n + 1, hidden)) * 10.0 ** rng.uniform(-2, 2)
+        v = rng.normal(size=(1, n + 1, hidden))
+        for li in range(layers):
+            unit.append(li, k[:, :n], v[:, :n], 0)
+        unit.length = n
+        units.append(unit)
+        hist.append((k, v))
+    return units, hist
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    heads=st.sampled_from([1, 2]),
+    # 4 and 8 are what plans assign; 2 shares the byte-table read with 4,
+    # 3 (codes straddle bytes) takes the plain unpack_codes read
+    kv_bits=st.sampled_from([2, 3, 4, 8]),
+    lens=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ragged_view_bitexact_and_zero_padded(heads, kv_bits, lens, seed):
+    """On ragged lengths the batched view and the per-unit read both
+    return exactly ``kv_fake_quant`` of the history, every pad slot is
+    exactly +0.0, and the batched append stores the very bytes B
+    batch-1 appends store."""
+    rng = np.random.default_rng(seed)
+    hidden, layers = 8 * heads, 2
+    units, hist = _filled_units(rng, lens, hidden, kv_bits, heads, layers)
+    solo, _ = _filled_units(
+        np.random.default_rng(seed), lens, hidden, kv_bits, heads, layers
+    )
+    view = BatchedKVView(units, np.array(lens, dtype=np.int64))
+    k_new = np.concatenate([k[:, n:] for (k, _), n in zip(hist, lens)])
+    v_new = np.concatenate([v[:, n:] for (_, v), n in zip(hist, lens)])
+    for li in range(layers):
+        view.append(li, k_new, v_new)
+        k_pad, v_pad = view.read_padded(li)
+        assert k_pad.shape == v_pad.shape == (len(lens), max(lens) + 1, hidden)
+        for i, n in enumerate(lens):
+            reads = units[i].read(li, n + 1)
+            for padded, full, one in zip((k_pad, v_pad), hist[i], reads):
+                want = kv_fake_quant(full, kv_bits, heads)
+                np.testing.assert_array_equal(padded[i, : n + 1], want[0])
+                np.testing.assert_array_equal(one, want)
+                pad = padded[i, n + 1 :]
+                assert not pad.any() and not np.signbit(pad).any()
+            solo[i].append(li, k_new[i : i + 1], v_new[i : i + 1], n)
+    for unit, alone in zip(units, solo):
+        np.testing.assert_array_equal(unit.codes, alone.codes)
+        np.testing.assert_array_equal(unit.scales, alone.scales)
+
+
+def test_kv3_padding_reads_exact_zero():
+    """Regression: a 3-bit zero code is not one repeated byte, so the
+    pad row has to come from the codec (the old lane-repeat fill decoded
+    KV3 padding to non-zero values)."""
+    rng = np.random.default_rng(0)
+    units, _ = _filled_units(rng, [1, 5], 8, 3, 2, layers=1)
+    view = BatchedKVView(units, np.array([1, 5], dtype=np.int64))
+    view.append(0, rng.normal(size=(2, 1, 8)), rng.normal(size=(2, 1, 8)))
+    k_pad, v_pad = view.read_padded(0)
+    np.testing.assert_array_equal(k_pad[0, 2:], np.zeros((4, 8)))
+    np.testing.assert_array_equal(v_pad[0, 2:], np.zeros((4, 8)))
+
+
+@pytest.mark.parametrize("kv_bits", [4, 8])
+def test_merge_keeps_packed_bytes(kv_bits):
+    """Merging concatenates stored bytes and scales untouched, K and V,
+    in ascending unit-id order."""
+    rng = np.random.default_rng(2)
+    m = StageKVManager(num_layers=2, hidden_size=8, kv_bits=kv_bits, num_heads=2)
+    members = [m.allocate(u, batch=1, max_len=5) for u in range(3)]
+    for unit in members:
+        for li in range(2):
+            unit.append(li, rng.normal(size=(1, 4, 8)), rng.normal(size=(1, 4, 8)), 0)
+        unit.length = 4
+    reads = [unit.read(1, 4) for unit in members]
+    merged = m.merge(7, (2, 0, 1))
+    np.testing.assert_array_equal(
+        merged.codes, np.concatenate([u.codes for u in members], axis=2)
+    )
+    np.testing.assert_array_equal(
+        merged.scales, np.concatenate([u.scales for u in members], axis=2)
+    )
+    for got, axis in zip(merged.read(1, 4), (0, 1)):
+        np.testing.assert_array_equal(
+            got, np.concatenate([r[axis] for r in reads])
+        )
 
 
 # ---------------------------------------------------------------------------
