@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ..hardware.cluster import Device
-from ..sim.pipeline import simulate_pipeline
+from ..sim.pipeline import PipelineResult, simulate_pipeline
 from .optimizer import LLMPQOptimizer, PlannerResult, CandidateRecord
 from .plan import ExecutionPlan, StagePlan
 
@@ -55,12 +55,19 @@ def adabits_plan(
     return optimizer.plan_from_solution(ordering, sol, ilp, mb_p, mb_d)
 
 
-def _objective(optimizer: LLMPQOptimizer, plan: ExecutionPlan) -> float:
+def _evaluate(
+    optimizer: LLMPQOptimizer, plan: ExecutionPlan
+) -> tuple[float, PipelineResult]:
+    """``plan``'s objective and the simulation it was read from."""
     pred = simulate_pipeline(plan, optimizer.cluster, latency_model=optimizer.latency_model)
     if not pred.feasible:
-        return float("inf")
+        return float("inf"), pred
     quality = _plan_quality(optimizer, plan)
-    return pred.total_latency + optimizer.config.theta * quality
+    return pred.total_latency + optimizer.config.theta * quality, pred
+
+
+def _objective(optimizer: LLMPQOptimizer, plan: ExecutionPlan) -> float:
+    return _evaluate(optimizer, plan)[0]
 
 
 def _plan_quality(optimizer: LLMPQOptimizer, plan: ExecutionPlan) -> float:
@@ -242,12 +249,8 @@ def bitwidth_transfer(
 ) -> ExecutionPlan:
     """Greedy best-improvement search from ``seed_plan`` (Algorithm 2)."""
     best = seed_plan
-    best_obj = _objective(optimizer, best)
-    bits_menu = optimizer.config.bits
+    best_obj, pred = _evaluate(optimizer, best)
     for _ in range(max_iters):
-        pred = simulate_pipeline(
-            best, optimizer.cluster, latency_model=optimizer.latency_model
-        )
         if not pred.feasible:
             # seed infeasible: try shedding memory via downgrades anywhere
             straggler = pred.oom_stages[0]
@@ -256,13 +259,12 @@ def bitwidth_transfer(
             straggler = int(np.argmax(busy))
         improved = False
         for cand in _neighbors(optimizer, best, straggler):
-            obj = _objective(optimizer, cand)
+            obj, cand_pred = _evaluate(optimizer, cand)
             if obj < best_obj - 1e-9:
-                best, best_obj = cand, obj
+                best, best_obj, pred = cand, obj, cand_pred
                 improved = True
         if not improved:
             break
-    del bits_menu
     return best
 
 

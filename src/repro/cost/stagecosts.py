@@ -14,10 +14,10 @@ produces every cost view the consumers need:
   offline pipeline's per-stage busy-time tables (embedding/logit work on
   the head/tail stages and boundary comm folded in), vectorized over the
   full ``s+1 .. s+n`` context sweep;
-* ``unit_prefill_times`` / ``unit_decode_times`` — the continuous
-  (iteration-level) scheduler's batch-1 prefill unit and fused decode
-  group, with a precomputed per-(stage, bits) constant table that turns
-  per-iteration pricing into a cheap lookup;
+* ``unit_prefill_times`` / ``unit_decode_times`` (and their ``_batch``
+  forms) — the continuous (iteration-level) scheduler's batch-1 prefill
+  unit and fused decode group, both evaluated as one vectorized roofline
+  against a precomputed per-(stage, bits) constant table;
 * ``stage_memory_views`` / ``batch_fits`` / ``max_admissible_batch`` /
   ``kv_headroom`` / ``request_kv_bytes`` — the planner's Sec.-4.1 memory
   accounting, shared verbatim by the online simulator and the real
@@ -38,6 +38,7 @@ workload-only users never pay the ``repro.sim`` import.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -84,10 +85,6 @@ class StageCostModel:
     cfg:
         Architecture override for plans whose ``model_name`` is not in
         the registry (the runtime's tiny test models).
-    cache:
-        ``False`` disables every memo — each query recomputes from
-        scratch, reproducing the pre-refactor per-call cost.  Used as the
-        baseline in ``benchmarks/test_ext_costview.py``.
     decode_batching:
         How decode iterations execute on the runtime being priced.
         ``"fused"`` (default, and the runtime's default) charges the
@@ -107,7 +104,6 @@ class StageCostModel:
         latency_model: LatencyModel | None = None,
         prediction_cache: PredictionCache | None = None,
         cfg: "ModelConfig | None" = None,
-        cache: bool = True,
         decode_batching: str = "fused",
     ) -> None:
         if decode_batching not in ("fused", "per-request"):
@@ -131,7 +127,6 @@ class StageCostModel:
         self.source = source
         self.model = latency_model
         self.prediction_cache = prediction_cache
-        self.cache_enabled = bool(cache)
         self.decode_batching = decode_batching
         self.kv_bits = int(plan.meta.get("kv_bits", 16))
         # Per-stage KV bitwidths.  ``StagePlan.kv_bits`` is the first-class
@@ -152,7 +147,6 @@ class StageCostModel:
         self._mem_memo: dict = {}
         self._pairs = None
         self._decode_extra_memo: dict = {}
-        self._batch_consts_memo = None
         # plan-workload-specific memos (never shared)
         self._fits_memo: dict = {}
         self._views = None
@@ -183,8 +177,7 @@ class StageCostModel:
             from ..sim.comm import stage_comm_time
 
             t = stage_comm_time(self._require_links()[j], self.cfg, microbatch, q)
-            if self.cache_enabled:
-                self._comm_memo[key] = t
+            self._comm_memo[key] = t
         return t
 
     def _emb_time(self, j: int, batch: int, q: int, with_logits: bool) -> float:
@@ -195,8 +188,7 @@ class StageCostModel:
             from ..sim.kernels import embedding_exec_time
 
             t = embedding_exec_time(gpu, self.cfg, batch, q, with_logits=with_logits)
-            if self.cache_enabled:
-                self._emb_memo[key] = t
+            self._emb_memo[key] = t
         return t
 
     def layer_time(
@@ -221,24 +213,12 @@ class StageCostModel:
         return layer_exec_time(gpu, self.cfg, bits, batch, q, context, kv_bits=kv_bits)
 
     def _stage_layers_prefill(self, j: int, batch: int, s: int) -> float:
-        stage = self.plan.stages[j]
         kv = self._time_kv[j]
-        if self.source == "model":
-            gpu = self._gpus[j]
-            return float(
-                sum(
-                    self.prediction_cache.layer_time(
-                        gpu.name, b, "prefill", batch, s, s, kv
-                    )
-                    for b in stage.layer_bits
-                )
+        return float(
+            sum(
+                self.layer_time(j, b, "prefill", batch, s, s, kv_bits=kv)
+                for b in self.plan.stages[j].layer_bits
             )
-        from ..sim.kernels import layer_exec_time
-
-        gpu = self._gpus[j]
-        return sum(
-            layer_exec_time(gpu, self.cfg, b, batch, s, s, kv_bits=kv)
-            for b in stage.layer_bits
         )
 
     def _decode_sweep(
@@ -262,8 +242,14 @@ class StageCostModel:
         the sender for every boundary but the last (the closed form's
         convention)."""
         plan = self.plan
-        mb, s = plan.prefill_microbatch, plan.workload.prompt_len
-        n = plan.num_stages
+        return self._prefill_row(
+            plan.prefill_microbatch, plan.workload.prompt_len, include_comm
+        )
+
+    def _prefill_row(self, mb: int, s: int, include_comm: bool = True) -> np.ndarray:
+        """Per-stage prefill busy time of one ``mb x s`` micro-batch,
+        layer by layer under the active source."""
+        n = self.plan.num_stages
         out = np.empty(n)
         for j in range(n):
             t = self._stage_layers_prefill(j, mb, s)
@@ -330,63 +316,107 @@ class StageCostModel:
     # ------------------------------------------------------------------
     def unit_prefill_times(self, prompt_len: int) -> np.ndarray:
         """Per-stage busy time of one batch-1 prefill unit at its own
-        ``s``.  Memoized per prompt length; treat the result as
-        read-only."""
+        ``s``: row ``prompt_len`` of the :meth:`unit_prefill_times_batch`
+        table, kept per prompt length; treat the result as read-only."""
         out = self._unit_prefill_memo.get(prompt_len)
-        if out is not None:
-            return out
-        n = self.plan.num_stages
-        out = np.zeros(n)
-        for j in range(n):
-            t = self._stage_layers_prefill(j, 1, prompt_len)
-            if j == 0:
-                t += self._emb_time(j, 1, prompt_len, False)
-            if j == n - 1:
-                t += self._emb_time(j, 1, 1, True)
-            if j < n - 1:
-                t += self.comm_time(j, 1, prompt_len)
-            out[j] = t
-        if self.cache_enabled:
+        if out is None:
+            out = self.unit_prefill_times_batch((prompt_len,))[0]
             self._unit_prefill_memo[prompt_len] = out
         return out
 
-    def _decode_pairs(self):
-        """Flattened per-(stage, bits) roofline constants for the fast
-        decode-unit path — everything in the kernel formula that does not
-        depend on (batch, context)."""
+    def unit_prefill_times_batch(self, prompt_lens: Sequence[int]) -> np.ndarray:
+        """``(k, num_stages)`` prefill-unit table: row ``i`` is the
+        batch-1 prefill unit at ``prompt_lens[i]`` (any order, duplicates
+        allowed).
+
+        With the kernels source the per-layer roofline is one ``(k,
+        pairs)`` evaluation against the :meth:`_decode_pairs` constants,
+        every float operation in the order
+        :func:`~repro.sim.kernels.layer_exec_time` performs it at ``q =
+        context = s``; the layers then fold into their stages in plan
+        layer order (float addition does not commute with grouping), and
+        the embedding and boundary-comm terms are vectorized over ``s``.
+        ``source="model"`` prices layer by layer through the shared
+        :class:`PredictionCache`.
+        """
+        s = np.asarray(prompt_lens, dtype=np.int64)
+        if s.ndim != 1:
+            raise ValueError("prompt_lens must be a 1-D array")
+        if s.size and int(s.min()) <= 0:
+            raise ValueError("batch and q must be positive")
+        n = self.plan.num_stages
+        out = np.zeros((s.size, n))
+        if self.source == "model":
+            for i, p in enumerate(s.tolist()):
+                out[i] = self._prefill_row(1, p)
+            return out
+        cfg = self.cfg
+        h, f = cfg.hidden_size, cfg.ffn_dim
+        p = self._decode_pairs()
+        sc = s[:, None]
+        sf = sc.astype(np.float64)
+        flops = 8.0 * sf * h * h + 4.0 * sf * sf * h + 4.0 * sf * h * f
+        compute_t = flops / p.eff_flops
+        act = sc * (6 * h + 2 * f) * ACT_BYTES
+        scores = cfg.num_heads * sc * sc * ACT_BYTES * 2
+        kv_rw = sc * p.kv_token  # written for q new tokens, read for context
+        other = (p.w_bytes + act + scores + kv_rw + kv_rw) - p.w_bytes
+        vals = np.maximum(compute_t, p.w_term + other / p.eff_bw) + p.launch
+        for i in p.layer_pair:
+            out[:, p.stage_of[i]] += vals[:, i]
+        # the lookup-only embedding and the activation size are plain
+        # arithmetic in ``q``, so the scalar kernels take the whole column
+        from ..sim.comm import activation_bytes
+        from ..sim.kernels import embedding_exec_time
+
+        out[:, 0] += embedding_exec_time(self._gpus[0], cfg, 1, s, with_logits=False)
+        out[:, n - 1] += self._emb_time(n - 1, 1, 1, True)
+        for j in range(n - 1):
+            link = self._require_links()[j]
+            out[:, j] += link.latency + activation_bytes(cfg, 1, s) / link.bandwidth
+        return out
+
+    def _decode_pairs(self) -> SimpleNamespace:
+        """Per-(stage, bits) roofline constants shared by the decode- and
+        prefill-unit tables — everything in the kernel formula that does
+        not depend on (batch, context, prompt length) — and how pairs and
+        plan layers map onto stages."""
         if self._pairs is None:
             from ..sim.kernels import KERNELS_PER_LAYER
 
-            stage_of: list[int] = []
-            counts: list[int] = []
-            eff_flops: list[float] = []
-            w_term: list[float] = []
-            eff_bw: list[float] = []
-            launch: list[float] = []
-            kv_token: list[float] = []
+            cfg = self.cfg
+            rows: list[tuple] = []
+            layer_pair: list[int] = []  # plan layer order -> pair index
             for j, stage in enumerate(self.plan.stages):
                 gpu = self._gpus[j]
+                index: dict[int, int] = {}
                 for bits, count in stage.bit_counts.items():
-                    stage_of.append(j)
-                    counts.append(count)
-                    eff_flops.append(gpu.effective_flops(bits))
-                    w_term.append(
-                        self.cfg.layer_weight_bytes(bits)
-                        / gpu.effective_weight_bandwidth(bits)
-                    )
-                    eff_bw.append(gpu.effective_bandwidth)
-                    launch.append(KERNELS_PER_LAYER * gpu.kernel_launch_overhead)
-                    kv_token.append(
-                        self.cfg.kv_bytes_per_token_per_layer(self._time_kv[j])
-                    )
-            self._pairs = (
-                stage_of,
-                counts,
-                np.array(eff_flops),
-                np.array(w_term),
-                np.array(eff_bw),
-                np.array(launch),
-                np.array(kv_token),
+                    index[bits] = len(rows)
+                    w_bytes = cfg.layer_weight_bytes(bits)
+                    rows.append((
+                        j,
+                        count,
+                        gpu.effective_flops(bits),
+                        w_bytes / gpu.effective_weight_bandwidth(bits),
+                        gpu.effective_bandwidth,
+                        KERNELS_PER_LAYER * gpu.kernel_launch_overhead,
+                        cfg.kv_bytes_per_token_per_layer(self._time_kv[j]),
+                        w_bytes,
+                    ))
+                layer_pair.extend(index[b] for b in stage.layer_bits)
+            stage_of, counts, *consts = zip(*rows)
+            eff_flops, w_term, eff_bw, launch, kv_token, w_bytes = map(
+                np.array, consts
+            )
+            self._pairs = SimpleNamespace(
+                stage_of=stage_of, counts=counts, eff_flops=eff_flops,
+                w_term=w_term, eff_bw=eff_bw, launch=launch,
+                kv_token=kv_token, w_bytes=w_bytes, layer_pair=layer_pair,
+                # batched-roofline forms: float counts, reduceat offsets of
+                # each stage's pair segment, one layer's batch-1 FLOPs
+                counts_f=np.array(counts, dtype=np.float64),
+                seg_starts=np.flatnonzero(np.r_[1, np.diff(stage_of)]),
+                one_layer_flops=cfg.layer_flops(1, 1, 0),
             )
         return self._pairs
 
@@ -400,16 +430,16 @@ class StageCostModel:
         feedbacks — priced exactly as ``batch * unit_decode_times(1,
         ctx)``.
 
-        With the kernels source and caching on, this is the shared-table
-        fast path: one vectorized roofline evaluation over all
-        (stage, bits) pairs using the precomputed constants — bit-identical
-        to the scalar per-layer path, which remains the reference for
-        ``source="model"`` and ``cache=False``.
+        With the kernels source this is the shared-table fast path: one
+        vectorized roofline evaluation over all (stage, bits) pairs using
+        the precomputed constants — bit-identical to the scalar per-layer
+        walk (``tests/sim/costview_spec.py``), which ``source="model"``
+        still takes through its latency model.
         """
         if self.decode_batching == "per-request" and batch != 1:
             return float(batch) * self.unit_decode_times(1, context)
         n = self.plan.num_stages
-        if self.source == "model" or not self.cache_enabled:
+        if self.source == "model":
             ctx = np.array([context], dtype=np.float64)
             out = np.zeros(n)
             for j, stage in enumerate(self.plan.stages):
@@ -424,26 +454,24 @@ class StageCostModel:
                 t += self.comm_time(j, batch, 1)
                 out[j] = t
             return out
-        stage_of, counts, eff_flops, w_term, eff_bw, launch, kv_token = (
-            self._decode_pairs()
-        )
+        p = self._decode_pairs()
         cfg = self.cfg
         h = cfg.hidden_size
         context = float(context)
         flops = cfg.layer_flops(batch, 1, 0) + 4.0 * batch * h * context
-        compute_t = flops / eff_flops
+        compute_t = flops / p.eff_flops
         # the KV stream is priced at each stage's own bitwidth via the
         # precomputed per-pair per-token byte constant
-        fixed = batch * 1 * (6 * h + 2 * cfg.ffn_dim) * ACT_BYTES + batch * kv_token
+        fixed = batch * 1 * (6 * h + 2 * cfg.ffn_dim) * ACT_BYTES + batch * p.kv_token
         per_ctx = (
             batch * cfg.num_heads * context * ACT_BYTES * 2
-            + batch * context * kv_token
+            + batch * context * p.kv_token
         )
-        mem_t = w_term + (fixed + per_ctx) / eff_bw
-        vals = np.maximum(compute_t, mem_t) + launch
+        mem_t = p.w_term + (fixed + per_ctx) / p.eff_bw
+        vals = np.maximum(compute_t, mem_t) + p.launch
         out = np.zeros(n)
-        for i, j in enumerate(stage_of):
-            out[j] += counts[i] * float(vals[i])
+        for i, j in enumerate(p.stage_of):
+            out[j] += p.counts[i] * float(vals[i])
         out[0] += self._emb_time(0, batch, 1, False)
         out[n - 1] += self._emb_time(n - 1, batch, 1, True)
         for j in range(n):
@@ -457,7 +485,7 @@ class StageCostModel:
         ``unit_decode_times(batches[i], contexts[i])`` bit-for-bit.
 
         The vectorized online engine prices whole decode runs through this
-        one call.  With the kernels source and caching on, the roofline is
+        one call.  With the kernels source the roofline is
         evaluated as a ``(k, pairs)`` matrix against the precomputed
         per-(stage, bits) constants; per-batch embedding/comm add-ons come
         from small per-distinct-batch tables.  Every floating-point
@@ -470,7 +498,7 @@ class StageCostModel:
             raise ValueError("batches/contexts must be aligned 1-D arrays")
         n = self.plan.num_stages
         k = b.size
-        if self.source == "model" or not self.cache_enabled:
+        if self.source == "model":
             out = np.zeros((k, n))
             for i in range(k):
                 # dispatches per decode_batching through the scalar path
@@ -486,44 +514,26 @@ class StageCostModel:
     def _fused_unit_rows(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Fused-mode ``(k, num_stages)`` decode rows (fast path body)."""
         n = self.plan.num_stages
-        counts_f, seg_starts, one_layer_flops, h, ffn, heads = self._batch_consts()
-        _, _, eff_flops, w_term, eff_bw, launch, kv_token = self._decode_pairs()
+        p = self._decode_pairs()
+        h, ffn, heads = self.cfg.hidden_size, self.cfg.ffn_dim, self.cfg.num_heads
         bc = b[:, None].astype(np.float64)
         cc = c[:, None]
         # layer_flops(b, 1, 0) == b * layer_flops(1, 1, 0) exactly: the
         # scalar path multiplies the int batch into one float constant
-        flops = bc * one_layer_flops + 4.0 * bc * h * cc
-        compute_t = flops / eff_flops[None, :]
-        fixed = bc * 1 * (6 * h + 2 * ffn) * ACT_BYTES + bc * kv_token[None, :]
-        per_ctx = bc * heads * cc * ACT_BYTES * 2 + bc * cc * kv_token[None, :]
-        mem_t = w_term[None, :] + (fixed + per_ctx) / eff_bw[None, :]
-        vals = np.maximum(compute_t, mem_t) + launch[None, :]
+        flops = bc * p.one_layer_flops + 4.0 * bc * h * cc
+        compute_t = flops / p.eff_flops
+        fixed = bc * 1 * (6 * h + 2 * ffn) * ACT_BYTES + bc * p.kv_token
+        per_ctx = bc * heads * cc * ACT_BYTES * 2 + bc * cc * p.kv_token
+        mem_t = p.w_term + (fixed + per_ctx) / p.eff_bw
+        vals = np.maximum(compute_t, mem_t) + p.launch
         # fold pairs into their stages: reduceat's left fold over each
         # contiguous stage segment matches the scalar ``out[j] +=`` chain
-        out = np.add.reduceat(vals * counts_f[None, :], seg_starts, axis=1)
+        out = np.add.reduceat(vals * p.counts_f, p.seg_starts, axis=1)
         extras = self._decode_extra_tables(b)
         out[:, 0] += extras[:, 0]
         out[:, n - 1] += extras[:, 1]
         out += extras[:, 2:]
         return out
-
-    def _batch_consts(self):
-        """Scalar constants hoisted out of the batched roofline (pair
-        counts as floats, reduceat stage offsets, model dims)."""
-        consts = self._batch_consts_memo
-        if consts is None:
-            stage_of, counts, *_ = self._decode_pairs()
-            seg = np.flatnonzero(np.r_[1, np.diff(stage_of)])
-            consts = (
-                np.array(counts, dtype=np.float64),
-                seg,
-                self.cfg.layer_flops(1, 1, 0),
-                self.cfg.hidden_size,
-                self.cfg.ffn_dim,
-                self.cfg.num_heads,
-            )
-            self._batch_consts_memo = consts
-        return consts
 
     def _decode_extra_tables(self, batches: np.ndarray) -> np.ndarray:
         """Per-row embedding/comm decode add-ons as a gather from a dense
@@ -536,8 +546,7 @@ class StageCostModel:
             if table is not None:
                 grown[: table.shape[0]] = table
             table = grown
-            if self.cache_enabled:
-                self._decode_extra_memo["table"] = table
+            self._decode_extra_memo["table"] = table
         rows = table[batches]
         hole = np.isnan(rows[:, 0])
         if hole.any():
@@ -579,8 +588,7 @@ class StageCostModel:
                 is_last=(j == self.plan.num_stages - 1),
                 kv_bits=self._mem_kv[j],
             )
-            if self.cache_enabled:
-                self._mem_memo[key] = m
+            self._mem_memo[key] = m
         return m
 
     def stage_memory_views(self) -> tuple[StageMemory, ...]:
@@ -600,8 +608,7 @@ class StageCostModel:
             )
             for j in range(p.num_stages)
         )
-        if self.cache_enabled:
-            self._views = views
+        self._views = views
         return views
 
     def batch_fits(self, global_batch: int, prompt_len: int, gen_len: int) -> bool:
@@ -624,8 +631,7 @@ class StageCostModel:
                 if not mem.fits(stage.device.spec.memory_bytes):
                     ok = False
                     break
-            if self.cache_enabled:
-                self._fits_memo[key] = ok
+            self._fits_memo[key] = ok
         return ok
 
     def max_admissible_batch(
@@ -666,8 +672,7 @@ class StageCostModel:
                 non_kv = m.total - m.kv_cache
                 cap = stage.device.spec.memory_bytes
                 base[j] = cap - FRAMEWORK_OVERHEAD_BYTES - non_kv
-            if self.cache_enabled:
-                self._headroom_base = base
+            self._headroom_base = base
         out = base
         if dequant_cache_budgets is not None:
             out = out - np.array([float(b) for b in dequant_cache_budgets])
@@ -687,8 +692,7 @@ class StageCostModel:
                     for stage, kv in zip(self.plan.stages, self._mem_kv)
                 ]
             )
-            if self.cache_enabled:
-                self._charge_memo[tokens] = arr
+            self._charge_memo[tokens] = arr
         return arr.copy()
 
     def request_kv_bytes_batch(self, total_tokens: np.ndarray) -> np.ndarray:
@@ -728,7 +732,6 @@ class StageCostModel:
             latency_model=self.model,
             prediction_cache=self.prediction_cache,
             cfg=self.cfg,
-            cache=self.cache_enabled,
             decode_batching=self.decode_batching,
         )
         clone._links = self._links
@@ -739,7 +742,6 @@ class StageCostModel:
         clone._mem_memo = self._mem_memo
         clone._pairs = self._pairs
         clone._decode_extra_memo = self._decode_extra_memo
-        clone._batch_consts_memo = self._batch_consts_memo
         return clone
 
 

@@ -109,7 +109,6 @@ class PipelineReplica:
         #: quiesce-and-drain flag: a draining replica finishes what it
         #: holds but the router routes nothing new to it
         self.draining = False
-        self._prefill_cache: dict[int, float] = {}
         self._tpot_ref: float | None = None
 
     # -- routing views (approximate by design) --------------------------
@@ -137,13 +136,10 @@ class PipelineReplica:
         return budget if budget is not None else 1 << 30
 
     def prefill_seconds(self, prompt_len: int) -> float:
-        """Estimated batch-1 prefill latency for ``prompt_len`` tokens."""
-        s = int(prompt_len)
-        hit = self._prefill_cache.get(s)
-        if hit is None:
-            hit = float(self.cost.unit_prefill_times(s).sum())
-            self._prefill_cache[s] = hit
-        return hit
+        """Batch-1 prefill latency for ``prompt_len`` tokens: the stage
+        sum of the cost model's prefill unit, the very float the
+        simulator charges a prompt that heads an iteration."""
+        return float(self.cost.unit_prefill_times(int(prompt_len)).sum())
 
     def tpot_seconds(self) -> float:
         """Estimated per-request time-per-output-token at a reference

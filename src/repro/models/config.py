@@ -23,6 +23,7 @@ Prefill sets ``q = c = s`` (prompt length); each decode step sets
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["ModelConfig", "LayerShape"]
 
@@ -51,7 +52,7 @@ class LayerShape:
             "fc2": (f, h),
         }
 
-    @property
+    @cached_property
     def linear_params(self) -> int:
         """Total parameters across the dense operators."""
         return sum(r * c for r, c in self.operators.values())
@@ -98,18 +99,24 @@ class ModelConfig:
 
     # ------------------------------------------------------------------
     # Parameter counts
+    #
+    # Pure functions of the frozen fields, so the ones the cost models
+    # query per layer are computed once per instance: ``cached_property``
+    # writes the instance ``__dict__`` directly, which a frozen dataclass
+    # allows, and equality, hashing and ``dataclasses.replace`` see the
+    # fields only, so a replaced config starts with nothing cached.
     # ------------------------------------------------------------------
     @property
     def head_dim(self) -> int:
         """Per-head attention width."""
         return self.hidden_size // self.num_heads
 
-    @property
+    @cached_property
     def layer_shape(self) -> LayerShape:
         """Dense-operator shapes of one decoder layer."""
         return LayerShape(hidden=self.hidden_size, ffn=self.ffn_dim)
 
-    @property
+    @cached_property
     def params_per_layer(self) -> int:
         """Parameters in one decoder layer (linears + biases + 2 LN)."""
         h, f = self.hidden_size, self.ffn_dim
@@ -187,14 +194,18 @@ class ModelConfig:
         Sub-16-bit layers carry per-channel FP16 scale/zero metadata for
         every linear operator; layer norms and biases stay FP16.
         """
-        shape = self.layer_shape
-        linear_bytes = shape.linear_params * bits / 8.0
-        meta = 0.0
-        if bits < 16:
-            # scale + zero point per output channel, FP16 each.
-            meta = sum(2 * 2 * cols for _, cols in shape.operators.values())
-        other = (self.params_per_layer - shape.linear_params) * 2.0
-        return linear_bytes + meta + other
+        # per-instance memo, written the way ``cached_property`` writes
+        memo = self.__dict__.setdefault("_layer_weight_bytes", {})
+        if bits not in memo:
+            shape = self.layer_shape
+            linear_bytes = shape.linear_params * bits / 8.0
+            meta = 0.0
+            if bits < 16:
+                # scale + zero point per output channel, FP16 each.
+                meta = sum(2 * 2 * cols for _, cols in shape.operators.values())
+            other = (self.params_per_layer - shape.linear_params) * 2.0
+            memo[bits] = linear_bytes + meta + other
+        return memo[bits]
 
     def embedding_weight_bytes(self, bits: int = 16) -> float:
         """Embedding + LM head bytes (kept FP16 in the paper's runtime)."""

@@ -429,10 +429,9 @@ def _simulate_continuous(
                 # priced exactly like the iterations it re-runs
                 pause = drift.rebuild_seconds
                 if active:
-                    pause += _price([
-                        new_scm.unit_prefill_times(a["req"].prompt_len)
-                        for a in active
-                    ])
+                    pause += _price(list(new_scm.unit_prefill_times_batch(
+                        [a["req"].prompt_len for a in active]
+                    )))
                     max_prod = max(a["produced"] for a in active)
                     for k in range(1, max_prod):
                         group = [a for a in active if a["produced"] > k]

@@ -129,6 +129,9 @@ class _Engine:
         self.n_req = self.arr.size
         self._toks = self.spr + self.sgen
         self._uniq_toks = np.unique(self._toks)
+        # distinct prompt lengths: small positive ints, so a bincount
+        # stands in for np.unique's sort of the whole column
+        self._uniq_spr = np.flatnonzero(np.bincount(self.spr))
         zero = np.zeros(1, dtype=np.int64)
         self._cumq = np.concatenate((zero, np.cumsum(self._toks)))
         self._cumspr = np.concatenate((zero, np.cumsum(self.spr)))
@@ -235,32 +238,19 @@ class _Engine:
                     budget = tj if budget is None else min(budget, tj)
                 self._kvc = kvc
                 self._tok_budget = budget
-        self._pf_sum: dict[int, float] = {}
-        self._pf_max: dict[int, float] = {}
-        self._pfmax_table = np.full(
-            int(self.spr.max(initial=0)) + 1, np.nan
-        )
-
-    def _prefill_consts(self, prompt_len: int) -> tuple[float, float]:
-        """Memoized ``(sum, max)`` of the batch-1 prefill unit at ``s``."""
-        s = self._pf_sum.get(prompt_len)
-        if s is None:
-            u = self.scm.unit_prefill_times(prompt_len)
-            s = float(u.sum())
-            self._pf_sum[prompt_len] = s
-            self._pf_max[prompt_len] = float(u.max())
-        return s, self._pf_max[prompt_len]
-
-    def _pf_max_run(self, p0: int, p1: int) -> np.ndarray:
-        """Per-request batch-1 prefill stage-max for requests [p0, p1)."""
-        lens = self.spr[p0:p1]
-        vals = self._pfmax_table[lens]
-        hole = np.isnan(vals)
-        if hole.any():
-            for s in np.unique(lens[hole]).tolist():
-                self._pfmax_table[s] = self._prefill_consts(s)[1]
-            vals = self._pfmax_table[lens]
-        return vals
+        # batch-1 prefill units of every prompt length in the trace, priced
+        # in one call and scattered into arrays indexed by prompt length:
+        # a unit's stage sum (it heads an iteration), its stage max (it
+        # follows one) and, for the DES, the per-stage row itself
+        rows = scm.unit_prefill_times_batch(self._uniq_spr)
+        top = int(self._uniq_spr.max(initial=0)) + 1
+        self._pf_sum = np.full(top, np.nan)
+        self._pf_max = np.full(top, np.nan)
+        self._pf_sum[self._uniq_spr] = rows.sum(axis=1)
+        self._pf_max[self._uniq_spr] = rows.max(axis=1)
+        if self.des:
+            self._pf_rows = np.full((top, rows.shape[1]), np.nan)
+            self._pf_rows[self._uniq_spr] = rows
 
     # -- admission ------------------------------------------------------
     def _admission_scan(self) -> np.ndarray:
@@ -322,20 +312,10 @@ class _Engine:
             dec = scm.unit_decode_times(b, ctx)
         if self.des:
             units = [dec] if b else []
-            units.extend(scm.unit_prefill_times(int(p)) for p in new_prompts)
+            units.extend(self._pf_rows[new_prompts])
             step = float(self._des_one(units))
         else:
-            plist = new_prompts.tolist()
-            if b:
-                head = dec.sum()
-                rest = plist
-            else:
-                head, _ = self._prefill_consts(plist[0])
-                rest = plist[1:]
-            tail = 0
-            for p in rest:
-                tail = tail + self._prefill_consts(p)[1]
-            step = float(head + tail)
+            step = self._units_price(dec.sum() if b else None, new_prompts)
         self.now += step
         self.iterations += 1
         self.inflight_sum += b + admitted.size
@@ -347,6 +327,18 @@ class _Engine:
         )
         self._retire()
         self._observe_boundary()
+
+    def _units_price(self, head, prompts: np.ndarray) -> float:
+        """Closed-form price of ``head`` (a decode group's stage sum, or
+        ``None``: the first prompt's prefill unit heads the iteration)
+        followed by one batch-1 prefill unit per prompt."""
+        if head is None:
+            head = self._pf_sum[prompts[0]]
+            prompts = prompts[1:]
+        tail = 0
+        for v in self._pf_max[prompts].tolist():
+            tail = tail + v
+        return float(head + tail)
 
     def _retire(self) -> None:
         fin = self.a_prod >= self.sgen[self.a_idx]
@@ -552,7 +544,7 @@ class _Engine:
         reps = np.diff(ptr_rec[:L + 1])
         has = reps > 0
         if has.any():
-            maxes = self._pf_max_run(ptr0, int(ptr_rec[L]))
+            maxes = self._pf_max[spr[ptr0:int(ptr_rec[L])]]
             starts = ptr_rec[:L][has] - ptr0
             # per-segment left fold: ``np.add.reduceat`` sums pairwise,
             # which drifts a ULP from the scalar loop's ``tail += pf``
@@ -868,24 +860,26 @@ class _Engine:
 
     def _migrate(self, new_plan: "ExecutionPlan") -> None:
         """Mirrored live migration on array state (same pricing as scalar)."""
-        if new_plan.stages == self.plan.stages:
-            new_scm = self.scm.derive(new_plan)
-            pause = 0.0  # metadata-only switch: no shards re-cut
-        else:
+        recut = new_plan.stages != self.plan.stages
+        if recut:
             new_scm = StageCostModel(
                 new_plan, self.cluster, source=self.source,
                 latency_model=self.latency_model,
                 decode_batching=self.scm.decode_batching,
             )
+        else:
+            new_scm = self.scm.derive(new_plan)
+        self.plan = new_plan
+        self._bind_cost_model(new_scm)
+        pause = 0.0  # metadata-only switch: no shards re-cut
+        if recut:
             pause = self.drift.rebuild_seconds
             if self.a_idx.size:
-                pause = self._replay_price(new_scm, pause)
+                pause = self._replay_price(pause)
         self.now += pause
         self.migration_seconds += pause
         self.migrations += 1
         self.replans += 1
-        self.plan = new_plan
-        self._bind_cost_model(new_scm)
         if self.a_idx.size:
             self.used = self.charges[self.a_idx].sum(axis=0)
         else:
@@ -893,23 +887,17 @@ class _Engine:
         self.detector.rebaseline(self.now)
         self.win_end = self.detector.next_window_end()
 
-    def _replay_price(self, new_scm: StageCostModel, pause: float) -> float:
-        """Pipelined replay of in-flight KV state under the new plan:
-        one batch-1 prefill per active request, then the surviving
-        decode group re-run token by token — priced exactly like the
-        iterations it repeats.  ``pause`` accumulates in the same
-        left-fold order as the scalar loop's ``pause +=`` chain."""
+    def _replay_price(self, pause: float) -> float:
+        """Pipelined replay of in-flight KV state under the (already
+        bound) new plan: one batch-1 prefill per active request, then the
+        surviving decode group re-run token by token — priced exactly
+        like the iterations it repeats.  ``pause`` accumulates in the
+        same left-fold order as the scalar loop's ``pause +=`` chain."""
         prompts = self.spr[self.a_idx]
-        plist = prompts.tolist()
         if self.des:
-            units = [new_scm.unit_prefill_times(int(p)) for p in plist]
-            pause = pause + float(self._des_one(units))
+            pause = pause + float(self._des_one(list(self._pf_rows[prompts])))
         else:
-            head = new_scm.unit_prefill_times(plist[0]).sum()
-            tail = 0
-            for p in plist[1:]:
-                tail = tail + new_scm.unit_prefill_times(p).max()
-            pause = pause + float(head + tail)
+            pause = pause + self._units_price(None, prompts)
         max_prod = int(self.a_prod.max())
         if max_prod > 1:
             cnt = np.bincount(self.a_prod, minlength=max_prod + 1)
@@ -921,7 +909,7 @@ class _Engine:
             ks = np.arange(1, max_prod, dtype=np.int64)
             b_k = above[1:max_prod]
             ctx_k = (s_above[1:max_prod] + ks * b_k) / b_k
-            rows = new_scm.unit_decode_times_batch(b_k, ctx_k)
+            rows = self.scm.unit_decode_times_batch(b_k, ctx_k)
             prices = self._des_rows(rows) if self.des else rows.sum(axis=1)
             for v in prices.tolist():
                 pause = pause + v

@@ -1,5 +1,7 @@
 """Unit tests for architecture metadata and FLOP/memory accounting."""
 
+import dataclasses
+
 import pytest
 
 from repro.models import ModelConfig, get_model
@@ -97,3 +99,34 @@ def test_layer_shape_operators():
     h, f = cfg.hidden_size, cfg.ffn_dim
     assert ops["fc1"] == (h, f) and ops["fc2"] == (f, h)
     assert cfg.layer_shape.linear_params == 4 * h * h + 2 * h * f
+
+
+def test_derived_quantities_are_memoised_per_value():
+    """The per-layer constants are computed once per config instance and
+    the memo can neither leak between configs nor be poisoned."""
+    cfg = get_model("opt-1.3b")
+    twin = dataclasses.replace(cfg)
+    assert twin == cfg and twin is not cfg
+    for bits in (3, 4, 8, 16):
+        assert cfg.layer_weight_bytes(bits) == twin.layer_weight_bytes(bits)
+        assert cfg.layer_weight_bytes(bits) == cfg.layer_weight_bytes(bits)
+    assert cfg.params_per_layer == twin.params_per_layer
+    assert cfg.layer_shape is cfg.layer_shape
+
+    # a replaced field sees fresh values, not the original's memo
+    wide = dataclasses.replace(cfg, ffn_dim=2 * cfg.ffn_dim)
+    h, f = cfg.hidden_size, wide.ffn_dim
+    assert wide.layer_shape.linear_params == 4 * h * h + 2 * h * f
+    assert wide.params_per_layer > cfg.params_per_layer
+    assert wide.layer_weight_bytes(4) > cfg.layer_weight_bytes(4)
+    assert hash(twin) == hash(cfg) and wide != cfg
+
+    # mutating a returned operators mapping cannot poison later calls
+    before = cfg.layer_weight_bytes(4)
+    ops = cfg.layer_shape.operators
+    ops["fc1"] = (1, 1)
+    ops.pop("fc2")
+    assert cfg.layer_shape.operators["fc1"] == (h, cfg.ffn_dim)
+    assert set(cfg.layer_shape.operators) == set(twin.layer_shape.operators)
+    assert cfg.layer_shape.linear_params == twin.layer_shape.linear_params
+    assert dataclasses.replace(cfg).layer_weight_bytes(4) == before

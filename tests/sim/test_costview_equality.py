@@ -31,6 +31,7 @@ from repro.sim.pipeline import simulate_pipeline
 from repro.sim.pipeline_des import simulate_pipeline_des
 
 from .costview_cases import canned_trace, compute_snapshot, mb1_plan, mixed_plan
+from .costview_spec import spec_unit_decode_times, spec_unit_prefill_times
 
 GOLDEN = Path(__file__).resolve().parents[1] / "data" / "costview_golden.json"
 
@@ -120,22 +121,30 @@ def test_model_source_stage_times_match_prerefactor_oracle(
 # ---------------------------------------------------------------------------
 
 
-def test_unit_decode_fast_path_bitwise_equals_scalar_reference():
-    """The precomputed-constant vectorized decode-unit path (the online
+@pytest.mark.parametrize("decode_batching", ["fused", "per-request"])
+def test_unit_tables_bitwise_equal_scalar_spec(decode_batching):
+    """The precomputed-constant vectorized unit tables (the online
     continuous fast path) must be bitwise equal to the per-layer scalar
-    walk it replaced, for any (batch, context)."""
+    walk of ``costview_spec``, for any (batch, context) / prompt length."""
     plan, cluster = mixed_plan()
-    fast = StageCostModel(plan, cluster)  # kernels + caching -> fast path
-    slow = StageCostModel(plan, cluster, cache=False)  # scalar reference
+    scm = StageCostModel(plan, cluster, decode_batching=decode_batching)
     for batch in (1, 2, 5, 16):
         for context in (33.0, 128.0, 140.0, 1024.0):
-            a = fast.unit_decode_times(batch, context)
-            b = slow.unit_decode_times(batch, context)
-            assert np.array_equal(a, b), (batch, context)
-    # prefill units agree too (same code path, memoized vs not)
+            want = spec_unit_decode_times(
+                plan, cluster, batch, context, decode_batching=decode_batching
+            )
+            assert np.array_equal(
+                scm.unit_decode_times(batch, context), want
+            ), (batch, context)
+            assert np.array_equal(
+                scm.unit_decode_times_batch(
+                    np.array([batch]), np.array([context])
+                )[0],
+                want,
+            ), (batch, context)
     for s in (24, 96, 128):
         assert np.array_equal(
-            fast.unit_prefill_times(s), slow.unit_prefill_times(s)
+            scm.unit_prefill_times(s), spec_unit_prefill_times(plan, cluster, s)
         )
 
 

@@ -159,6 +159,47 @@ def test_recut_migration_identical(force_general):
     assert res.migrations >= 1
 
 
+def test_many_prompt_lengths_priced_without_scalar_kernel(
+    force_general, monkeypatch
+):
+    """Binding the cost model prices every distinct prompt length of the
+    trace in one table, so a replay — migrations included — never walks
+    the scalar per-layer kernel; the result still equals the oracle."""
+    import repro.sim.kernels as kernels
+
+    plan, cluster = PLANS["mixed"]
+    plan4 = ExecutionPlan.uniform(
+        "opt-30b", cluster.devices, plan.workload, bits=4
+    )
+
+    def flip(p, estimate):
+        return plan4 if p is plan else plan
+
+    trace = sample_poisson_arrivals(2.0, 1000.0, seed=5)
+    assert len(trace) >= 2000
+    assert np.unique(trace.prompt_lens).size >= 400
+    drift = DriftConfig(
+        window=20.0, threshold=0.3, hysteresis=1, cooldown=200.0,
+        rebuild_seconds=0.4,
+    )
+    kw = dict(policy="continuous", drift=drift, replanner=flip)
+    oracle = simulate_online(plan, cluster, trace, engine="reference", **kw)
+
+    calls = []
+    real = kernels.layer_exec_time
+    monkeypatch.setattr(
+        kernels, "layer_exec_time",
+        lambda *a, **k: calls.append(1) or real(*a, **k),
+    )
+    vec = simulate_online(
+        plan, cluster, trace, force_general=force_general, **kw
+    )
+    assert not calls, f"{len(calls)} scalar layer_exec_time calls"
+    assert vec.migrations >= 1
+    for f in dataclasses.fields(vec):
+        assert getattr(vec, f.name) == getattr(oracle, f.name), f.name
+
+
 # ---------------------------------------------------------------------------
 # hypothesis sweep: random traces x engines x knobs
 # ---------------------------------------------------------------------------
