@@ -48,6 +48,17 @@ def _fail(msg: str, code: int = 2) -> int:
     return code
 
 
+def _kv_slab_line(st) -> str:
+    """Memory the stages' KV slabs reserve against the peak in use, and
+    how the fused steps read them."""
+    return (
+        f"KV slab: {st.kv_slab_rows} rows, "
+        f"{st.kv_slab_bytes / 2**20:.2f} MiB reserved / "
+        f"{st.kv_peak_bytes / 2**20:.2f} MiB peak in use; fused reads "
+        f"{st.kv_view_steps} slice / {st.kv_gather_steps} gather"
+    )
+
+
 def _build_cluster(args: argparse.Namespace) -> Cluster:
     if args.cluster is not None:
         return paper_cluster(args.cluster)
@@ -275,6 +286,7 @@ def dist_main(argv: list[str] | None = None) -> int:
                 f"weight stream saved "
                 f"{st.fused_weight_bytes_saved / 2**20:.1f} MiB"
             )
+        print(_kv_slab_line(st))
         if injector is not None or st.retries or st.replans or st.degrade_events:
             print(
                 f"recovery: {st.retries} retries, {st.stage_restarts} stage "
@@ -620,6 +632,7 @@ def serve_main(argv: list[str] | None = None) -> int:
             f"{st.fused_batch_mean:.2f} / max {st.fused_batch_max}; "
             f"weight stream saved {st.fused_weight_bytes_saved / 2**20:.1f} MiB"
         )
+        print(_kv_slab_line(st))
         if args.replan_on_drift or report.migrations or report.crash_recoveries:
             print(
                 f"reconfig: {report.drift_triggers} drift triggers, "

@@ -149,9 +149,17 @@ def fused_qkv(lw: LayerWeights) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * g + b
+    # ``(x - mean) / sqrt(var + eps) * g + b`` in ndarray.mean/var's own
+    # operation order (bit-identical), minus their Python dispatch and
+    # the second ``x - mean`` — this runs twice per block per token
+    n = x.shape[-1]
+    d = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(d * d, axis=-1, keepdims=True) / n
+    var += eps
+    d /= np.sqrt(var, out=var)
+    d *= g
+    d += b
+    return d
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -165,9 +173,11 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    x = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(x)
-    return e / e.sum(axis=axis, keepdims=True)
+    """Softmax computed in place: ``x`` must be a temporary the caller owns."""
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
 
 
 def init_weights(cfg: ModelConfig, seed: int = 0) -> tuple[np.ndarray, np.ndarray, list[LayerWeights], np.ndarray, np.ndarray]:
@@ -296,19 +306,28 @@ def batched_decode_attention(
     its own sequence.  ``kv`` is a batched cache view (duck-typed, e.g.
     :class:`repro.runtime.kvcache.BatchedKVView`) exposing
 
-    * ``append(layer, k_new, v_new)`` — scatter row ``i``'s new K/V at
-      ``starts[i]`` of request ``i``'s cache unit, and
-    * ``read_padded(layer)`` — ``(B, Tmax, h)`` K/V padded to the batch
-      max context with exact-zero rows past each request's length.
+    * ``append(layer, k_new, v_new)`` — write row ``i``'s new K/V at
+      ``starts[i]`` of request ``i``'s cache unit;
+    * ``read_padded(layer)`` — ``(R, Tmax, h)`` K/V up to the batch max
+      context, exactly ``0.0`` past each request's length.  The view
+      reads in its storage's order and may carry *passenger* rows that
+      belong to no request of the batch (``R >= B``);
+    * ``pos`` — where in those ``R`` rows request ``i`` sits, or ``None``
+      when that is row ``i``; and
+    * ``masked`` — ``(R, 1, 1, Tmax)``, ``True`` past each request's
+      position and all along a passenger.
+
+    Attention is independent per row, so only its per-request operands
+    (``q``, ``starts``, the mixed output) move to and from the view's
+    order; the QKV/out projections run as one stacked GEMM over the
+    ``B`` rows in ``x``'s order — the whole point of fusing — which is
+    *not* bitwise row-stable against ``B`` separate batch-1 GEMVs;
+    equality with the per-request oracle is therefore asserted at
+    token-stream level (argmax), not on logit bytes.
 
     Padding never leaks into the output: masked scores are ``-1e30`` so
     their softmax weights underflow to exactly ``0.0``, and the padded
-    V rows those zero weights multiply are themselves exact zeros.  The
-    QKV/out projections run as one stacked GEMM over all ``B`` rows —
-    the whole point of fusing — which is *not* bitwise row-stable
-    against ``B`` separate batch-1 GEMVs; equality with the per-request
-    oracle is therefore asserted at token-stream level (argmax), not on
-    logit bytes.
+    V rows those zero weights multiply are themselves exact zeros.
     """
     batch, q, h = x.shape
     if q != 1:
@@ -321,26 +340,30 @@ def batched_decode_attention(
     qp, kp, vp = qkv[:, :h], qkv[:, h : 2 * h], qkv[:, 2 * h :]
     kv.append(cache_layer, kp.reshape(batch, 1, h), vp.reshape(batch, 1, h))
     k_all, v_all = kv.read_padded(cache_layer)
-    total = k_all.shape[1]
+    rows, total = k_all.shape[:2]
+    pos = kv.pos
+    if pos is not None:
+        q_rows = np.zeros((rows, h))
+        q_rows[pos] = qp
+        qp = q_rows
 
-    qh = qp.reshape(batch, 1, nh, hd).transpose(0, 2, 1, 3)
-    kh = k_all.reshape(batch, total, nh, hd).transpose(0, 2, 3, 1)
-    vh = v_all.reshape(batch, total, nh, hd).transpose(0, 2, 1, 3)
-    scores = (qh @ kh) / np.sqrt(hd)
+    qh = qp.reshape(rows, 1, nh, hd).transpose(0, 2, 1, 3)
+    kh = k_all.reshape(rows, total, nh, hd).transpose(0, 2, 3, 1)
+    vh = v_all.reshape(rows, total, nh, hd).transpose(0, 2, 1, 3)
+    scores = qh @ kh
+    scores /= np.sqrt(hd)
 
-    starts = np.asarray(starts, dtype=np.int64)
-    pos_k = np.arange(total)[None, :]
     if cfg.max_position_embeddings == 0:
         # ALiBi: per-request key distance is start_i - pos_k
-        dist = (starts[:, None] - pos_k).astype(np.float64)
-        scores = scores + (
-            -alibi_slopes(nh)[None, :, None, None] * dist[:, None, None, :]
-        )
-    keep = pos_k <= starts[:, None]
-    scores = np.where(keep[:, None, None, :], scores, -1e30)
-    attn = _softmax(scores, axis=-1)
-    mixed = (attn @ vh).transpose(0, 2, 1, 3).reshape(batch, 1, h)
-    out = mixed.reshape(batch, h) @ lw.wo
+        at = np.zeros(rows, dtype=np.int64)
+        at[slice(None) if pos is None else pos] = starts
+        dist = (at[:, None] - np.arange(total)[None, :]).astype(np.float64)
+        scores += -alibi_slopes(nh)[None, :, None, None] * dist[:, None, None, :]
+    np.copyto(scores, -1e30, where=kv.masked)
+    mixed = (_softmax(scores) @ vh).transpose(0, 2, 1, 3).reshape(rows, h)
+    if pos is not None:
+        mixed = mixed[pos]
+    out = mixed @ lw.wo
     out += lw.bo
     return out.reshape(batch, 1, h)
 

@@ -107,6 +107,12 @@ class RuntimeStats:
     #: weight bytes *not* re-streamed thanks to fusing: each iteration
     #: charges the stage weight stream once instead of once per request
     fused_weight_bytes_saved: float = 0.0
+    # --- KV slab (summed over stages) -----------------------------------
+    kv_view_steps: int = 0     #: fused stage steps read as one slab slice
+    kv_gather_steps: int = 0   #: fused stage steps gathered row by row
+    kv_slab_rows: int = 0      #: rows the live slabs reserve
+    kv_slab_bytes: float = 0.0  #: bytes the live slabs reserve (physical)
+    kv_peak_bytes: float = 0.0  #: peak logical KV bytes of the live stages
 
     @property
     def total_seconds(self) -> float:
@@ -263,6 +269,7 @@ class PipelineRuntime:
         self._loads: list[StageLoad] = []
         self.dequant_caches: list[DequantCache] = []
         self._folded_cache_stats = DequantCacheStats()
+        self._folded_kv_steps = [0, 0]  # slice / gather steps of replaced workers
         self._build_loads()
         self.queues: list[queue.Queue] = []
         self.workers: list[StageWorker] = []
@@ -300,7 +307,8 @@ class PipelineRuntime:
         f.build_seconds += s.build_seconds
 
     def _sync_cache_stats(self) -> None:
-        """Publish dequant-cache counters (folded + live) onto ``stats``."""
+        """Publish dequant-cache and KV-slab counters (folded + live) onto
+        ``stats``."""
         f = self._folded_cache_stats
         live = [c.stats for c in self.dequant_caches]
         self.stats.dequant_cache_hits = f.hits + sum(s.hits for s in live)
@@ -315,6 +323,13 @@ class PipelineRuntime:
         self.stats.dequant_cache_budget_bytes = float(
             sum(c.budget_bytes for c in self.dequant_caches)
         )
+        kvs = [w.kv for w in self.workers]
+        view, gather = self._folded_kv_steps
+        self.stats.kv_view_steps = view + sum(kv.view_steps for kv in kvs)
+        self.stats.kv_gather_steps = gather + sum(kv.gather_steps for kv in kvs)
+        self.stats.kv_slab_rows = sum(kv.slab_rows for kv in kvs)
+        self.stats.kv_slab_bytes = sum(kv.slab_bytes for kv in kvs)
+        self.stats.kv_peak_bytes = sum(kv.peak_bytes for kv in kvs)
 
     def _stage_cache_budget(self, stage_idx: int, load: StageLoad) -> float:
         """Byte budget of one stage's dequant cache.
@@ -345,6 +360,9 @@ class PipelineRuntime:
         )
 
     def _build_pipeline(self) -> None:
+        for w in self.workers:  # keep the step counts of workers being replaced
+            self._folded_kv_steps[0] += w.kv.view_steps
+            self._folded_kv_steps[1] += w.kv.gather_steps
         self.control = PipelineControl()
         self.queues = [queue.Queue() for _ in range(self.plan.num_stages + 1)]
         self.workers = [

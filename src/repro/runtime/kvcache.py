@@ -2,9 +2,13 @@
 
 Each stage worker owns one cache unit per live prefill micro-batch or
 merged decode group, pre-allocated at ``s + n`` slots exactly like the
-paper's runtime (Sec. 5: pre-allocated KV cache).  The manager also
-keeps a byte ledger so tests can assert the runtime's peak KV memory
-matches the analytical cost model.
+paper's runtime (Sec. 5: pre-allocated KV cache).  All units of a stage
+live in one *slab* — a single cache whose batch axis is the stage's
+rows — and a unit is a window of consecutive rows of it, so a fused
+decode step reads its whole batch as one slice of the slab instead of
+gathering per request.  The manager also keeps a byte ledger of the
+logical (per-unit) bytes so tests can assert the runtime's peak KV
+memory matches the analytical cost model.
 
 When a plan assigns a stage ``kv_bits`` below 16, the stage stores its
 keys/values *packed*: signed codes quantized with one scale per
@@ -36,7 +40,7 @@ degrade-and-replan ladder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -125,6 +129,13 @@ _BYTE_CODES = {
     .astype(np.float64)
     for bits in (2, 4)
 }
+
+
+def _zero_code_row(hidden: int, kv_bits: int) -> np.ndarray:
+    """Packed bytes of one all-zero token row.  The stream is biased
+    (+qmax), so a zero code is not a zero byte: with scale ``1.0`` this
+    row is what an unwritten slot must hold to read back as ``0.0``."""
+    return pack_codes(np.zeros(hidden, dtype=np.int16), kv_bits)
 
 
 def _quantize_packed(
@@ -219,7 +230,8 @@ class QuantizedKVCache:
     protocol as :class:`KVCache` (``append`` / ``read`` / ``max_len`` /
     ``kv_nbytes`` / ``length``), so attention and the stage manager use
     it interchangeably; ``read`` returns dense float64 arrays that are
-    bit-exact equal to :func:`kv_fake_quant` of what was appended.
+    bit-exact equal to :func:`kv_fake_quant` of what was appended, and
+    slots never written read as exactly ``0.0``.
     """
 
     codes: np.ndarray   #: (2, num_layers, batch, max_len, hidden*kv_bits//8) uint8
@@ -249,13 +261,15 @@ class QuantizedKVCache:
         if num_heads <= 0 or hidden % num_heads:
             raise ValueError(f"hidden {hidden} not divisible into {num_heads} heads")
         slots = (2, num_layers, batch, max_len)
-        return cls(
-            codes=np.zeros((*slots, hidden * kv_bits // 8), dtype=np.uint8),
-            scales=np.ones((*slots, num_heads)),
+        cache = cls(
+            codes=np.empty((*slots, hidden * kv_bits // 8), dtype=np.uint8),
+            scales=np.empty((*slots, num_heads)),
             hidden_size=hidden,
             kv_bits=kv_bits,
             num_heads=num_heads,
         )
+        _blank(cache)
+        return cache
 
     @property
     def k_codes(self) -> np.ndarray:
@@ -298,107 +312,142 @@ class QuantizedKVCache:
 # Batched ragged view (fused decode)
 # ----------------------------------------------------------------------
 
+def _parts(cache: KVCache) -> tuple[np.ndarray, np.ndarray]:
+    """A cache's two storage arrays, both ``(..., batch, slots, x)``."""
+    if isinstance(cache, QuantizedKVCache):
+        return cache.codes, cache.scales
+    return cache.k, cache.v
+
+
+def _like(cache: KVCache, a: np.ndarray, b: np.ndarray) -> KVCache:
+    """An empty-length cache of ``cache``'s kind over storage arrays ``a, b``."""
+    if isinstance(cache, QuantizedKVCache):
+        return replace(cache, codes=a, scales=b, length=0)
+    return KVCache(k=a, v=b)
+
+
+def _window(cache: KVCache, rows: slice, slots: int) -> KVCache:
+    """``cache``'s ``rows`` cut to their first ``slots`` slots (views)."""
+    return _like(cache, *(p[..., rows, :slots, :] for p in _parts(cache)))
+
+
+def _batch(cache: KVCache) -> int:
+    return _parts(cache)[0].shape[-3]
+
+
+def _blank(cache: KVCache) -> None:
+    """Make every slot of ``cache`` read back as exactly ``0.0``."""
+    a, b = _parts(cache)
+    if isinstance(cache, QuantizedKVCache):
+        a[...] = _zero_code_row(cache.hidden_size, cache.kv_bits)
+        b[...] = 1.0
+    else:
+        a[...] = b[...] = 0.0
+
+
 class BatchedKVView:
-    """Ragged batch view over ``B`` independent batch-1 cache units.
+    """One fused decode step's window onto a multi-row cache (the slab).
 
     The fused decode path stacks one token from every in-flight request
-    into a single ``(B, 1, h)`` activation; this view is the matching
-    KV adapter: :meth:`append` scatters row ``i``'s new K/V into unit
-    ``i`` at its own position ``starts[i]``, and :meth:`read_padded`
-    gathers every unit's history into ``(B, Tmax, h)`` arrays padded to
-    the batch max context.
+    into a single ``(B, 1, h)`` activation; this view is the matching KV
+    adapter.  Request ``i`` of the message is batch-1 unit ``units[i]``,
+    row ``rows[i]`` of ``store``: :meth:`append` writes every request's
+    new K/V at its own position ``starts[i]`` with one indexed write and
+    :meth:`read_padded` is ``store[layer, idx, :Tmax]``.
 
-    All storage stays inside the per-request cache units — the view owns
-    nothing, so requests keep retiring/migrating individually.  The
-    batched paths are *bit-exact* per request against the batch-1
-    ``append``/``read`` they replace:
+    ``idx`` is the slice covering the batch's rows when that is cheaper
+    than copying them: a dense slice is a zero-copy view, so a
+    *passenger* row inside it (another request's, or a free one) costs
+    only its attention, and against one gather the slice wins up to
+    about 1.25x the batch (more on long contexts); a packed read
+    dequantizes every row it covers, so it takes no passengers.
+    Otherwise ``idx`` is the row array and the read one gather in
+    message order.  A slice returns rows in slab order: ``pos[i]`` is
+    where request ``i`` sits in it (``None`` when that is ``i``), and
+    ``masked`` — the ragged attention mask, ``True`` past each request's
+    position and all along a passenger — is built once here in read
+    order.  Attention is row-independent, so only its per-request
+    operands move; the stacked GEMMs keep the message's order.
 
-    * quantize+pack over the stacked rows is row-independent (per-token
-      absmax scales; each token row is a whole number of packed bytes);
-    * one big :func:`_dequantize_packed` call is elementwise, so each
-      request's slice equals its own small-call result;
-    * padded slots hold code 0 / scale 1.0 (dense: literal zeros) and
-      dequantize to exactly ``0.0`` — the ragged attention mask relies
-      on that to keep padding out of the softmax.
+    Slots a row's tenant has not written hold exactly ``0.0`` (dense
+    zeros; packed: the zero code at scale ``1.0``) — the manager blanks
+    a unit's rows when it frees them — so nothing is padded per read,
+    passengers are finite, and the mask can rely on zero padding to keep
+    it out of the softmax.  The batched paths are bit-exact per request
+    against batch-1 ``append``/``read``: quantize+pack is
+    row-independent and dequantization elementwise.
 
-    All units must be batch-1 and share storage parameters (true within
-    one stage: kv_bits is a per-stage plan value).
+    Without ``store`` the units are loose caches of one storage type and
+    capacity and the view works on a private stacked *copy* of them
+    (kernels timed outside a stage): its appends do not reach the units.
     """
 
-    def __init__(self, caches: list[KVCache], starts: np.ndarray) -> None:
-        if not caches:
+    def __init__(
+        self,
+        units: list[KVCache],
+        starts: np.ndarray,
+        store: KVCache | None = None,
+        rows: np.ndarray | None = None,
+    ) -> None:
+        if not units:
             raise ValueError("batched view needs at least one cache unit")
-        self.caches = list(caches)
-        self.starts = np.asarray(starts, dtype=np.int64)
-        if self.starts.shape != (len(self.caches),):
+        starts = np.asarray(starts, dtype=np.int64)
+        if starts.shape != (len(units),):
             raise ValueError("starts must have one entry per cache unit")
-        first = self.caches[0]
-        self.packed = isinstance(first, QuantizedKVCache)
-        if self.packed:
-            # the stream is biased (+qmax), so a zero code is not a zero
-            # byte: padding is whatever the codec packs a zero row to
-            self._pad_row = pack_codes(
-                np.zeros(first.hidden_size, dtype=np.int16), first.kv_bits
-            )
-        for c, s in zip(self.caches, self.starts):
-            if type(c) is not type(first):
-                raise ValueError("all cache units must share one storage type")
-            batch = c.codes.shape[2] if self.packed else c.k.shape[1]
+        for cache, start in zip(units, starts.tolist()):
+            batch, slots = _parts(cache)[0].shape[-3:-1]
             if batch != 1:
                 raise ValueError("batched view expects batch-1 cache units")
-            if s + 1 > c.max_len:
+            if start >= slots:
                 raise ValueError("KV cache overflow: reserve s + n slots up front")
-        self.totals = self.starts + 1
-        self.total_max = int(self.totals.max())
+        if store is None:
+            kind = type(units[0])
+            if kind is FakeQuantKVCache or any(type(c) is not kind for c in units):
+                raise ValueError("all cache units must share one storage type")
+            store = _like(units[0], *(
+                np.concatenate(p, axis=-3) for p in zip(*map(_parts, units))
+            ))
+            rows = np.arange(len(units))
+        self.store = store
+        self.packed = isinstance(store, QuantizedKVCache)
+        self._rows, self._starts = rows, starts
+        self.total_max = int(starts.max()) + 1
+        low = int(rows.min())
+        span = int(rows.max()) + 1 - low
+        self.idx, self.pos = rows, None
+        if span <= len(units) + (0 if self.packed else len(units) // 4):
+            self.idx, self.pos = slice(low, low + span), rows - low
+            starts = np.full(span, -1)
+            starts[self.pos] = self._starts
+            if self.pos.tolist() == list(range(span)):
+                self.pos = None
+        self.masked = (np.arange(self.total_max) > starts[:, None])[:, None, None, :]
 
     def append(self, layer: int, k_new: np.ndarray, v_new: np.ndarray) -> None:
-        """Scatter ``(B, 1, h)`` new K/V rows, one per unit, at ``starts``."""
-        first = self.caches[0]
+        """Write ``(B, 1, h)`` new K/V rows, message order, at ``starts``."""
+        store, at = self.store, (layer, self._rows, self._starts)
         if self.packed:
-            # one vectorized quantize+pack over the whole batch, then a
-            # cheap per-unit byte scatter — row-independent, so each
-            # unit's stored bytes equal its own batch-1 append
+            # one quantize+pack over the whole batch: row-independent, so
+            # each unit's stored bytes equal its own batch-1 append
             packed, scales = _quantize_packed(
-                k_new, v_new, first.kv_bits, first.num_heads
+                k_new, v_new, store.kv_bits, store.num_heads
             )
-            for i, c in enumerate(self.caches):
-                s = self.starts[i]
-                c.codes[:, layer, 0, s] = packed[:, i, 0]
-                c.scales[:, layer, 0, s] = scales[:, i, 0]
+            store.codes[(slice(None), *at)] = packed[:, :, 0]
+            store.scales[(slice(None), *at)] = scales[:, :, 0]
         else:
-            if isinstance(first, FakeQuantKVCache):
-                k_new = kv_fake_quant(k_new, first.kv_bits, first.num_heads)
-                v_new = kv_fake_quant(v_new, first.kv_bits, first.num_heads)
-            for i, c in enumerate(self.caches):
-                s = self.starts[i]
-                c.k[layer, 0, s] = k_new[i, 0]
-                c.v[layer, 0, s] = v_new[i, 0]
+            store.k[at] = k_new[:, 0]
+            store.v[at] = v_new[:, 0]
 
     def read_padded(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """K/V histories as ``(B, Tmax, h)``, zero-padded past each length."""
-        first, shape = self.caches[0], (len(self.caches), self.total_max)
+        """K/V histories ``(rows read, Tmax, h)``, exactly ``0.0`` past
+        each length (dense slices are views of the slab)."""
+        store, t = self.store, self.total_max
         if self.packed:
-            # gather the packed bytes (K at 0, V at 1), dequantize once;
-            # pad slots are code 0 at scale 1.0, i.e. exactly 0.0
-            packed = np.tile(self._pad_row, (2, *shape, 1))
-            scales = np.ones((2, *shape, first.num_heads))
-            for i, c in enumerate(self.caches):
-                t = self.totals[i]
-                packed[:, i, :t] = c.codes[:, layer, 0, :t]
-                scales[:, i, :t] = c.scales[:, layer, 0, :t]
-            return tuple(_dequantize_packed(packed, scales, first.kv_bits))
-        k = np.zeros((*shape, first.k.shape[-1]))
-        v = np.zeros((*shape, first.k.shape[-1]))
-        for i, c in enumerate(self.caches):
-            t = self.totals[i]
-            k[i, :t] = c.k[layer, 0, :t]
-            v[i, :t] = c.v[layer, 0, :t]
-        return k, v
-
-    def commit_lengths(self) -> None:
-        """Mark every unit's new fill length (end of the iteration)."""
-        for c, t in zip(self.caches, self.totals):
-            c.length = int(t)
+            return tuple(_dequantize_packed(
+                store.codes[:, layer, self.idx, :t],
+                store.scales[:, layer, self.idx, :t], store.kv_bits,
+            ))
+        return store.k[layer, self.idx, :t], store.v[layer, self.idx, :t]
 
 
 # ----------------------------------------------------------------------
@@ -413,6 +462,20 @@ class StageKVManager:
     packed :class:`QuantizedKVCache`; the guard then sees the *packed*
     byte counts, which is exactly how KV4 turns into admission headroom
     under a fixed cache budget.
+
+    Storage is one ``slab``: a cache of the stage's storage type whose
+    batch axis is the stage's rows and whose slot axis covers the longest
+    unit reserved so far.  A unit is ``batch`` consecutive rows, handed
+    out lowest-free-first; its cache object holds views of those rows cut
+    to its own ``max_len``, so every batch-1 code path runs on the slab's
+    bytes.  Every slot outside a live unit's window is blank (reads
+    ``0.0``): a fresh slab is, and a unit's window is blanked when it is
+    freed, so no tenant ever reads another's values.  Rows double and
+    slots grow by a quarter on demand and are never returned; growth
+    moves the live units and re-points their cache objects, which
+    therefore stay valid.  ``current_bytes``, ``peak_bytes``, guard
+    requests and ``released_bytes`` count the units' logical bytes;
+    ``slab_bytes`` is what is physically reserved.
     """
 
     num_layers: int
@@ -424,6 +487,13 @@ class StageKVManager:
     num_heads: int = 1
     released_units: int = 0      #: units freed eagerly via :meth:`release`
     released_bytes: float = 0.0  #: bytes returned by those releases
+    view_steps: int = 0    #: fused steps that read their batch as one slice
+    gather_steps: int = 0  #: fused steps that gathered through the row array
+    slab: KVCache | None = field(default=None, repr=False)
+    _row0: dict[int, int] = field(default_factory=dict, repr=False)
+    _free: np.ndarray = field(  #: per slab row
+        default_factory=lambda: np.empty(0, dtype=bool), repr=False
+    )
 
     def _track(self) -> None:
         self.peak_bytes = max(self.peak_bytes, self.current_bytes)
@@ -434,28 +504,67 @@ class StageKVManager:
 
     @property
     def current_bytes(self) -> float:
-        """Live KV bytes across all cache units."""
+        """Live (logical) KV bytes across all cache units."""
         return float(sum(c.kv_nbytes for c in self.caches.values()))
+
+    @property
+    def slab_rows(self) -> int:
+        """Rows the slab reserves, handed out or not."""
+        return len(self._free)
+
+    @property
+    def slab_bytes(self) -> float:
+        """Bytes the slab reserves (physical, never below the ledger)."""
+        return self.slab.kv_nbytes if self.slab is not None else 0.0
+
+    def _place(self, batch: int, max_len: int) -> tuple[int, KVCache]:
+        """Hand out the lowest ``batch`` consecutive free rows."""
+        free, have = self._free, self.slab_rows
+        # a run cut short by the slab's end is completed by growing
+        row0 = next((r for r in range(have) if free[r : r + batch].all()), have)
+        end, had = row0 + batch, self.slab.max_len if have else 0
+        if end > have or max_len > had:
+            self._grow(
+                max(end, 2 * have) if end > have else have,
+                max(max_len, had + had // 4) if max_len > had else had,
+            )
+        self._free[row0:end] = False
+        return row0, _window(self.slab, slice(row0, end), max_len)
+
+    def _grow(self, rows: int, slots: int) -> None:
+        """Re-create the slab ``rows`` x ``slots`` large, moving every
+        live unit and its cache object across."""
+        if self.kv_bits >= 16:
+            self.slab = KVCache.allocate(self.num_layers, rows, slots, self.hidden_size)
+        else:
+            self.slab = QuantizedKVCache.allocate(
+                self.num_layers, rows, slots, self.hidden_size,
+                kv_bits=self.kv_bits, num_heads=self.num_heads,
+            )
+        self._free = np.concatenate((self._free, np.ones(rows - self.slab_rows, bool)))
+        for unit_id, cache in self.caches.items():
+            row0, kept = self._row0[unit_id], _parts(cache)
+            moved = _window(self.slab, slice(row0, row0 + _batch(cache)), cache.max_len)
+            for new, old in zip(_parts(moved), kept):
+                new[...] = old
+            # the same object now windows the new slab
+            vars(cache).update(vars(moved), length=cache.length)
 
     def allocate(self, unit_id: int, batch: int, max_len: int) -> KVCache:
         """Pre-allocate a cache unit (idempotent per id)."""
         if unit_id in self.caches:
             return self.caches[unit_id]
+        # checked against the guard before committing
         if self.kv_bits >= 16:
-            # k + v, float64 — checked against the guard before committing
+            # k + v, float64
             requested = 2.0 * self.num_layers * batch * max_len * self.hidden_size * 8
-            self._check_guard(requested)
-            cache = KVCache.allocate(self.num_layers, batch, max_len, self.hidden_size)
         else:
             requested = packed_kv_nbytes(
                 self.num_layers, batch, max_len, self.hidden_size,
                 self.kv_bits, self.num_heads,
             )
-            self._check_guard(requested)
-            cache = QuantizedKVCache.allocate(
-                self.num_layers, batch, max_len, self.hidden_size,
-                kv_bits=self.kv_bits, num_heads=self.num_heads,
-            )
+        self._check_guard(requested)
+        self._row0[unit_id], cache = self._place(batch, max_len)
         self.caches[unit_id] = cache
         self._track()
         return cache
@@ -468,54 +577,58 @@ class StageKVManager:
             raise KeyError(f"no KV cache for unit {unit_id}") from None
 
     def batch_view(self, unit_ids: tuple[int, ...], starts: np.ndarray) -> BatchedKVView:
-        """A :class:`BatchedKVView` over the given units (fused decode)."""
-        return BatchedKVView([self.get(u) for u in unit_ids], starts)
+        """A :class:`BatchedKVView` over the given units for one fused
+        decode step, whose token is counted into each unit's ``length``
+        here (a step that dies takes the stage's KV with it)."""
+        units = [self.get(u) for u in unit_ids]
+        rows = np.array([self._row0[u] for u in unit_ids], dtype=np.int64)
+        view = BatchedKVView(units, starts, self.slab, rows)
+        for cache, start in zip(units, view._starts.tolist()):
+            cache.length = start + 1
+        if isinstance(view.idx, slice):
+            self.view_steps += 1
+        else:
+            self.gather_steps += 1
+        return view
 
     def merge(self, group_id: int, member_ids: tuple[int, ...]) -> KVCache:
-        """Concatenate member units along the batch axis into one group.
+        """Copy member units into one group of consecutive rows.
 
-        Members are concatenated in ascending unit-id order regardless of
+        Members are laid out in ascending unit-id order regardless of
         the order ``member_ids`` arrives in — unit ids are assigned in
         global-batch order, so this keeps the merged rows aligned with
         the master's batch slices even if control messages are reordered.
 
-        All members must be at the same fill ``length`` (they are — the
-        offline task pads prompts to a uniform ``s``).  Members are freed
-        after merging, so peak memory is ~2x the group transiently, which
-        the ledger records faithfully.  Packed units concatenate their
-        code and scale tensors directly — no dequantize/requantize, so
-        merging never perturbs stored values.
+        All members must be at the same fill ``length`` and capacity
+        (they are — the offline task pads prompts to a uniform ``s``).
+        Members are freed after merging, so peak memory is ~2x the group
+        transiently, which the ledger records faithfully.  Packed units
+        copy their code and scale bytes directly — no
+        dequantize/requantize, so merging never perturbs stored values.
         """
         members = [self.get(m) for m in sorted(member_ids)]
         lengths = {m.length for m in members}
         if len(lengths) != 1:
             raise ValueError(f"cannot merge units at different lengths: {lengths}")
+        if len({m.max_len for m in members}) != 1:
+            raise ValueError("cannot merge units of different capacities")
         self._check_guard(float(sum(m.kv_nbytes for m in members)))
-        first = members[0]
-        if isinstance(first, QuantizedKVCache):
-            merged: KVCache = QuantizedKVCache(
-                codes=np.concatenate([m.codes for m in members], axis=2),
-                scales=np.concatenate([m.scales for m in members], axis=2),
-                hidden_size=first.hidden_size,
-                kv_bits=first.kv_bits,
-                num_heads=first.num_heads,
-                length=first.length,
-            )
-        else:
-            merged = KVCache(
-                k=np.concatenate([m.k for m in members], axis=1),
-                v=np.concatenate([m.v for m in members], axis=1),
-                length=first.length,
-            )
-        self.caches[group_id] = merged
-        self._track()
+        batches = [_batch(m) for m in members]
+        row0, merged = self._place(sum(batches), members[0].max_len)
+        merged.length = members[0].length
+        at = 0
+        for m, b in zip(members, batches):
+            for dst, src in zip(_parts(merged), _parts(m)):
+                dst[..., at : at + b, :, :] = src
+            at += b
+        self.peak_bytes = max(self.peak_bytes, self.current_bytes + merged.kv_nbytes)
         for m in member_ids:
-            if m != group_id:
-                del self.caches[m]
+            self.free(m)
+        self.caches[group_id], self._row0[group_id] = merged, row0
         return merged
 
     def release(self, unit_id: int) -> float:
-        """Eagerly free a finished unit's slots; returns the bytes freed.
+        """Eagerly free a finished unit's rows; returns the bytes freed.
 
         Unlike :meth:`free` this is the continuous-batching retirement
         path: it keeps an accounting of how much memory came back, so the
@@ -525,7 +638,7 @@ class StageKVManager:
         Idempotent — releasing an unknown or already-freed unit returns
         ``0.0``.
         """
-        cache = self.caches.pop(unit_id, None)
+        cache = self.free(unit_id)
         if cache is None:
             return 0.0
         freed = float(cache.kv_nbytes)
@@ -533,10 +646,16 @@ class StageKVManager:
         self.released_bytes += freed
         return freed
 
-    def free(self, unit_id: int) -> None:
-        """Drop one unit (idempotent)."""
-        self.caches.pop(unit_id, None)
+    def free(self, unit_id: int) -> KVCache | None:
+        """Drop one unit (idempotent): blank its rows and push them back."""
+        cache = self.caches.pop(unit_id, None)
+        if cache is not None:
+            row0 = self._row0.pop(unit_id)
+            self._free[row0 : row0 + _batch(cache)] = True
+            _blank(cache)
+        return cache
 
     def free_all(self) -> None:
-        """Drop every unit (between batches)."""
-        self.caches.clear()
+        """Drop every unit (between batches); the slab stays reserved."""
+        for unit_id in list(self.caches):
+            self.free(unit_id)

@@ -851,6 +851,7 @@ class ContinuousScheduler:
 
     def _publish_stats(self, report: ServeReport) -> None:
         """Mirror per-request metrics onto the runtime's ``RuntimeStats``."""
+        self.rt._sync_cache_stats()
         stats = self.rt.stats
         for r in report.completed:
             stats.request_latencies.append(r.latency)

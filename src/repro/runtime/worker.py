@@ -166,16 +166,15 @@ class StageWorker(threading.Thread):
         """One fused decode iteration: a single stacked GEMM per layer
         shared by every in-flight request, ragged attention per request.
 
-        The batched KV view scatters/gathers against the same per-unit
-        caches the batch-1 path uses, so requests still retire, migrate
-        and replay individually.
+        The batched KV view reads and writes the same slab rows the
+        batch-1 path sees through each unit's cache, so requests still
+        retire, migrate and replay individually.
         """
         view = self.kv.batch_view(msg.unit_ids, msg.starts)
         x = msg.hidden
         for li, qlayer in enumerate(self.load.qlayers):
             lw = qlayer.materialize(self.dequant_cache)
             x = batched_decode_block(self.cfg, lw, x, view, li, msg.starts)
-        view.commit_lengths()
         return BatchedDecodeMessage(unit_ids=msg.unit_ids, starts=msg.starts, hidden=x)
 
     def _should_exit(self) -> bool:

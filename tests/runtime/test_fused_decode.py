@@ -32,6 +32,7 @@ from repro.models import TinyDecoderLM, generate
 from repro.ops import argmax_margin, greedy_pick
 from repro.runtime import ContinuousScheduler, PipelineRuntime, ServeRequest
 from repro.runtime.kvcache import (
+    BatchedKVView,
     FakeQuantKVCache,
     KVCache,
     QuantizedKVCache,
@@ -306,7 +307,6 @@ def test_batched_view_bitexact_vs_looped_appends(kv_bits):
             np.testing.assert_array_equal(
                 v_pad[i, lens[u] + 1 :], np.zeros_like(v_pad[i, lens[u] + 1 :])
             )
-    view.commit_lengths()
     for u, s in enumerate(lens):
         assert batched.get(u).length == s + 1
         if kv_bits < 16:
@@ -330,32 +330,37 @@ def test_batched_view_validation():
         m.batch_view((0,), np.array([[1]], dtype=np.int64))
     with pytest.raises(ValueError, match="overflow"):
         m.batch_view((0,), np.array([4], dtype=np.int64))
-    # mixing packed and dense units in one view is rejected
+    with pytest.raises(KeyError, match="unit 9"):
+        m.batch_view((0, 9), np.array([1, 1], dtype=np.int64))
+    m.allocate(1, 2, 4)
+    with pytest.raises(ValueError, match="batch-1"):
+        m.batch_view((0, 1), np.array([1, 1], dtype=np.int64))
+    # loose units: one storage type, and never the fake-quant oracle
     dense = KVCache.allocate(1, 1, 4, 8)
     packed = QuantizedKVCache.allocate(1, 1, 4, 8, kv_bits=4, num_heads=2)
-    from repro.runtime.kvcache import BatchedKVView
+    fake = FakeQuantKVCache.allocate_quant(1, 1, 4, 8, kv_bits=4, num_heads=2)
+    for units in ([dense, packed], [fake, fake]):
+        with pytest.raises(ValueError, match="share one storage type"):
+            BatchedKVView(units, np.array([0, 0], dtype=np.int64))
+    with pytest.raises(ValueError, match="at least one"):
+        BatchedKVView([], np.array([], dtype=np.int64))
 
-    with pytest.raises(ValueError, match="share one storage type"):
-        BatchedKVView([dense, packed], np.array([0, 0], dtype=np.int64))
 
-
-def test_batched_view_fake_quant_dense_path():
-    """FakeQuantKVCache units quantize the batched append exactly like
-    their own batch-1 append."""
-    rng = np.random.default_rng(9)
-    H, heads = 8, 2
-    a = FakeQuantKVCache.allocate_quant(1, 1, 4, H, kv_bits=4, num_heads=heads)
-    b = FakeQuantKVCache.allocate_quant(1, 1, 4, H, kv_bits=4, num_heads=heads)
-    k = rng.normal(size=(2, 1, H))
-    v = rng.normal(size=(2, 1, H))
-    from repro.runtime.kvcache import BatchedKVView
-
-    view = BatchedKVView([a, b], np.array([0, 0], dtype=np.int64))
-    view.append(0, k, v)
-    ref = FakeQuantKVCache.allocate_quant(1, 2, 4, H, kv_bits=4, num_heads=heads)
-    ref.append(0, k, v, 0)
-    np.testing.assert_array_equal(a.k[0, 0, 0], ref.k[0, 0, 0])
-    np.testing.assert_array_equal(b.k[0, 0, 0], ref.k[0, 1, 0])
+@pytest.mark.parametrize("kv_bits", [16, 4])
+def test_reservation_bound_enforced_inside_wider_slab(kv_bits):
+    """The slab is as wide as the longest unit, so a short unit's row has
+    spare slots the ledger never charged: a fused step must not write
+    there."""
+    m = _manager(kv_bits)
+    m.allocate(0, 1, 4)
+    m.allocate(1, 1, 12)
+    assert m.slab.max_len >= 12
+    m.batch_view((0, 1), np.array([3, 11], dtype=np.int64))  # both at their last slot
+    for starts in ([4, 5], [3, 12]):
+        with pytest.raises(ValueError, match="overflow: reserve s \\+ n"):
+            m.batch_view((0, 1), np.array(starts, dtype=np.int64))
+    with pytest.raises(ValueError, match="overflow"):
+        m.get(0).append(0, np.zeros((1, 1, 8)), np.zeros((1, 1, 8)), 4)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from repro.models import TinyDecoderLM, generate, make_corpus
 from repro.models.transformer import KVCache
 from repro.runtime import PipelineRuntime
 from repro.runtime.kvcache import (
-    BatchedKVView,
     FakeQuantKVCache,
     QuantizedKVCache,
     StageKVManager,
@@ -131,14 +130,18 @@ def test_packed_overflow_guarded():
 # ---------------------------------------------------------------------------
 
 
-def _filled_units(rng, lens, hidden, kv_bits, heads, layers=2):
+def _filled_units(rng, lens, hidden, kv_bits, heads, layers=2, manager=None):
     """One batch-1 packed unit per entry of ``lens``, each holding that
-    many tokens of its own history (returned as float K/V per unit)."""
+    many tokens of its own history (returned as float K/V per unit).
+    Units are loose caches, or unit ``i`` of ``manager`` when given."""
     units, hist = [], []
-    for n in lens:
-        unit = QuantizedKVCache.allocate(
-            layers, 1, n + 1, hidden, kv_bits=kv_bits, num_heads=heads
-        )
+    for i, n in enumerate(lens):
+        if manager is not None:
+            unit = manager.allocate(i, batch=1, max_len=n + 1)
+        else:
+            unit = QuantizedKVCache.allocate(
+                layers, 1, n + 1, hidden, kv_bits=kv_bits, num_heads=heads
+            )
         k = rng.normal(size=(1, n + 1, hidden)) * 10.0 ** rng.uniform(-2, 2)
         v = rng.normal(size=(1, n + 1, hidden))
         for li in range(layers):
@@ -165,11 +168,14 @@ def test_ragged_view_bitexact_and_zero_padded(heads, kv_bits, lens, seed):
     batch-1 appends store."""
     rng = np.random.default_rng(seed)
     hidden, layers = 8 * heads, 2
-    units, hist = _filled_units(rng, lens, hidden, kv_bits, heads, layers)
+    manager = StageKVManager(
+        num_layers=layers, hidden_size=hidden, kv_bits=kv_bits, num_heads=heads
+    )
+    units, hist = _filled_units(rng, lens, hidden, kv_bits, heads, layers, manager)
     solo, _ = _filled_units(
         np.random.default_rng(seed), lens, hidden, kv_bits, heads, layers
     )
-    view = BatchedKVView(units, np.array(lens, dtype=np.int64))
+    view = manager.batch_view(tuple(range(len(lens))), np.array(lens, dtype=np.int64))
     k_new = np.concatenate([k[:, n:] for (k, _), n in zip(hist, lens)])
     v_new = np.concatenate([v[:, n:] for (_, v), n in zip(hist, lens)])
     for li in range(layers):
@@ -195,8 +201,9 @@ def test_kv3_padding_reads_exact_zero():
     pad row has to come from the codec (the old lane-repeat fill decoded
     KV3 padding to non-zero values)."""
     rng = np.random.default_rng(0)
-    units, _ = _filled_units(rng, [1, 5], 8, 3, 2, layers=1)
-    view = BatchedKVView(units, np.array([1, 5], dtype=np.int64))
+    manager = StageKVManager(num_layers=1, hidden_size=8, kv_bits=3, num_heads=2)
+    _filled_units(rng, [1, 5], 8, 3, 2, layers=1, manager=manager)
+    view = manager.batch_view((0, 1), np.array([1, 5], dtype=np.int64))
     view.append(0, rng.normal(size=(2, 1, 8)), rng.normal(size=(2, 1, 8)))
     k_pad, v_pad = view.read_padded(0)
     np.testing.assert_array_equal(k_pad[0, 2:], np.zeros((4, 8)))
@@ -215,13 +222,12 @@ def test_merge_keeps_packed_bytes(kv_bits):
             unit.append(li, rng.normal(size=(1, 4, 8)), rng.normal(size=(1, 4, 8)), 0)
         unit.length = 4
     reads = [unit.read(1, 4) for unit in members]
+    # copies: merging frees the members and blanks their slab rows
+    codes = np.concatenate([u.codes for u in members], axis=2)
+    scales = np.concatenate([u.scales for u in members], axis=2)
     merged = m.merge(7, (2, 0, 1))
-    np.testing.assert_array_equal(
-        merged.codes, np.concatenate([u.codes for u in members], axis=2)
-    )
-    np.testing.assert_array_equal(
-        merged.scales, np.concatenate([u.scales for u in members], axis=2)
-    )
+    np.testing.assert_array_equal(merged.codes, codes)
+    np.testing.assert_array_equal(merged.scales, scales)
     for got, axis in zip(merged.read(1, 4), (0, 1)):
         np.testing.assert_array_equal(
             got, np.concatenate([r[axis] for r in reads])
