@@ -14,7 +14,7 @@ the decode capacity:
 * **throughput** — the deeper decode batch plus the 4x-lighter KV
   stream roughly doubles sustained tokens/s in the online simulator;
 * **byte-identity** — every ``OnlineResult`` must match the scalar
-  reference oracle exactly at every KV bitwidth.
+  loop of ``tests/sim/online_spec.py`` exactly at every KV bitwidth.
 
 The committed headline records the measured ratios; the CI smoke
 replays a short cut of the same scenario and guards the ISSUE floor —
@@ -32,6 +32,7 @@ from repro.core.plan import ExecutionPlan
 from repro.hardware import make_cluster
 from repro.sim.online import OnlineRequest, max_admissible_batch, simulate_online
 from repro.workload import Workload
+from tests.sim.online_spec import spec_simulate_continuous
 
 PROMPT, GEN = 32, 1024
 KV_LEVELS = (16, 8, 4)
@@ -57,7 +58,7 @@ def _saturating_trace(n_requests, rate=2.0):
 
 
 def _measure(plan, cluster, trace, kv_bits):
-    """(max_inflight, vectorized result, wall_s) with oracle identity."""
+    """(max_inflight, engine result, wall_s) with spec identity."""
     p = plan.with_kv_bits(kv_bits)
     inflight = max_admissible_batch(
         p, prompt_len=PROMPT, gen_len=GEN, cap=4096
@@ -65,11 +66,9 @@ def _measure(plan, cluster, trace, kv_bits):
     t0 = time.perf_counter()
     vec = simulate_online(p, cluster, trace, policy="continuous")
     wall = time.perf_counter() - t0
-    oracle = simulate_online(
-        p, cluster, trace, policy="continuous", engine="reference"
-    )
+    oracle = spec_simulate_continuous(p, cluster, trace)
     assert vec == oracle, (
-        f"kv{kv_bits}: vectorized engine diverged from the scalar oracle"
+        f"kv{kv_bits}: trace engine diverged from tests/sim/online_spec.py"
     )
     return inflight, vec, wall
 
@@ -125,7 +124,7 @@ def test_ext_kv_quant_smoke():
     """CI guard: the committed headline holds the ISSUE floors, and a
     short cut of the scenario reproduces them — >= 1.5x max in-flight
     and measurably higher throughput for KV4 vs KV16 at the same memory
-    budget, byte-identical to the reference oracle."""
+    budget, byte-identical to the scalar spec."""
     baseline_path = RESULTS_DIR / "ext_kv_quant.json"
     if not baseline_path.exists():
         pytest.skip("no committed baseline to compare against")

@@ -48,6 +48,15 @@ def _fail(msg: str, code: int = 2) -> int:
     return code
 
 
+def _fused_decode_line(st) -> str:
+    """How many decode iterations ran fused, how wide, and what that saved."""
+    return (
+        f"fused decode: {st.fused_iterations} iterations, batch mean "
+        f"{st.fused_batch_mean:.2f} / max {st.fused_batch_max}; "
+        f"weight stream saved {st.fused_weight_bytes_saved / 2**20:.1f} MiB"
+    )
+
+
 def _kv_slab_line(st) -> str:
     """Memory the stages' KV slabs reserve against the peak in use, and
     how the fused steps read them."""
@@ -280,12 +289,7 @@ def dist_main(argv: list[str] | None = None) -> int:
                 f"ttft mean {st.ttft_mean:.3f}s (p95 {st.ttft_p95:.3f}s)"
             )
         if st.fused_iterations:
-            print(
-                f"fused decode: {st.fused_iterations} iterations, batch mean "
-                f"{st.fused_batch_mean:.2f} / max {st.fused_batch_max}; "
-                f"weight stream saved "
-                f"{st.fused_weight_bytes_saved / 2**20:.1f} MiB"
-            )
+            print(_fused_decode_line(st))
         print(_kv_slab_line(st))
         if injector is not None or st.retries or st.replans or st.degrade_events:
             print(
@@ -401,12 +405,9 @@ def serve_main(argv: list[str] | None = None) -> int:
                    default="continuous",
                    help="iteration-level continuous batching, or the "
                         "wave (offline-style gang) baseline")
-    p.add_argument("--engine",
-                   choices=["analytic", "des", "reference", "reference-des"],
-                   default="analytic",
-                   help="simulator backend: the vectorized event-batch "
-                        "engine with analytic or DES iteration pricing, or "
-                        "the scalar reference oracle it is checked against")
+    p.add_argument("--engine", choices=["analytic", "des"], default="analytic",
+                   help="simulator iteration pricing: the closed form, or "
+                        "the event-driven task graph")
     p.add_argument("--cost-source", choices=["kernels", "model"],
                    default="kernels",
                    help="stage-time source for the simulator path: "
@@ -416,12 +417,6 @@ def serve_main(argv: list[str] | None = None) -> int:
                    help="override every stage's KV-cache bitwidth at serve "
                         "time ('auto' keeps the per-stage values from the "
                         "strategy file)")
-    p.add_argument("--decode-batching", choices=["fused", "per-request"],
-                   default="fused",
-                   help="decode execution mode: fused ragged batching "
-                        "(one GEMM per stage per iteration across all "
-                        "in-flight requests; the default) or the "
-                        "per-request batch-1 oracle path")
     p.add_argument("--seed", type=int, default=0,
                    help="single seed for every stochastic component: trace "
                         "samplers, request token generators, and the fault "
@@ -495,8 +490,8 @@ def serve_main(argv: list[str] | None = None) -> int:
         return _fail("--rate and --duration must be positive")
     if args.replan_on_drift and args.policy != "continuous":
         return _fail("--replan-on-drift requires --policy continuous")
-    if args.engine.startswith("reference") and args.policy != "continuous":
-        return _fail("the reference engine requires --policy continuous")
+    if args.max_inflight is not None and args.max_inflight <= 0:
+        return _fail("--max-inflight must be positive")
     drift = None
     if args.replan_on_drift:
         from .runtime.replan import DriftConfig
@@ -537,8 +532,6 @@ def serve_main(argv: list[str] | None = None) -> int:
     plan = _load_plan(args.strategy)
     if args.kv_bits != "auto":
         plan = plan.with_kv_bits(int(args.kv_bits))
-        # the override supersedes the strategy's plan-global legacy knob
-        plan.meta["kv_bits"] = int(args.kv_bits)
     cfg = get_model(plan.model_name)
     max_prompt = args.max_prompt or plan.workload.prompt_len
     max_gen = args.max_gen or plan.workload.gen_len
@@ -581,7 +574,6 @@ def serve_main(argv: list[str] | None = None) -> int:
                     i, ref, plan, pool=pools[i], policy=args.policy,
                     max_inflight=args.max_inflight,
                     time_scale=args.time_scale,
-                    decode_batching=args.decode_batching,
                     drift=drift, replanner=replanner,
                     fault_injector=make_injector(args.seed + i),
                 )
@@ -609,7 +601,6 @@ def serve_main(argv: list[str] | None = None) -> int:
                     rt, policy=args.policy,
                     max_inflight=args.max_inflight,
                     time_scale=args.time_scale,
-                    decode_batching=args.decode_batching,
                     drift=drift, replanner=replanner,
                 )
                 report = sched.serve(requests)
@@ -626,12 +617,7 @@ def serve_main(argv: list[str] | None = None) -> int:
             f"ttft mean {report.ttft_mean:.3f}s (p95 {report.ttft_p95:.3f}s)"
         )
         st = rt.stats
-        print(
-            f"decode batching [{args.decode_batching}]: "
-            f"{st.fused_iterations} fused iterations, batch mean "
-            f"{st.fused_batch_mean:.2f} / max {st.fused_batch_max}; "
-            f"weight stream saved {st.fused_weight_bytes_saved / 2**20:.1f} MiB"
-        )
+        print(_fused_decode_line(st))
         print(_kv_slab_line(st))
         if args.replan_on_drift or report.migrations or report.crash_recoveries:
             print(
@@ -678,7 +664,6 @@ def serve_main(argv: list[str] | None = None) -> int:
                 i, plan, cluster, pool=pools[i],
                 max_batch=args.max_inflight, engine=args.engine,
                 source=args.cost_source, latency_model=latency_model,
-                decode_batching=args.decode_batching,
                 drift=drift, replanner=replanner,
             )
             for i in range(args.replicas)
@@ -697,7 +682,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         plan, cluster, trace,
         max_batch=args.max_inflight, policy=args.policy, engine=args.engine,
         source=args.cost_source, latency_model=latency_model,
-        decode_batching=args.decode_batching,
         drift=drift, replanner=replanner,
     )
     print(res.summary())

@@ -28,10 +28,10 @@ The build/solve split matters for the parallel planner
 self-contained, picklable :class:`AssembledILP` in the parent process
 (reusing the shared :class:`~repro.cost.predictions.PredictionCache`),
 and the module-level :func:`solve_assembled` / :func:`lp_lower_bound`
-run in worker processes with nothing but that payload.  Constraint
-matrices are built with numpy index arrays — the legacy Python dict-loop
-builder is kept as ``assemble(legacy=True)`` purely as the equality
-oracle for tests.
+run in worker processes with nothing but that payload.  Coefficient
+tensors and constraint matrices are built from numpy index arrays; the
+cell-by-cell construction they must equal exactly is written out in
+``tests/core/ilp_spec.py``.
 """
 
 from __future__ import annotations
@@ -272,17 +272,15 @@ class BitAssignmentILP:
             sizes.append(L % g)
         return sizes
 
-    def _coefficients(self, *, legacy: bool = False):
+    def _coefficients(self):
         """Latency, memory and quality coefficients per (group, dev, bit).
 
-        The default path fills the per-(device, bits) layer-time tables
-        with vectorized (and, when a cache is attached, memoized)
-        queries; ``legacy=True`` reproduces the original scalar
-        ``predict_layer`` loop for the equality tests.
+        The per-(device, bits) layer-time tables come from vectorized
+        queries, memoized when a ``prediction_cache`` is attached.
         """
         w = self.workload
         sizes = self._group_sizes()
-        n_groups, n_dev, n_bits = len(sizes), len(self.devices), len(self.bits)
+        n_groups, n_bits = len(sizes), len(self.bits)
         avg_ctx = w.prompt_len + max(w.decode_passes, 1) // 2
 
         omega = np.zeros((n_groups, n_bits))
@@ -290,47 +288,25 @@ class BitAssignmentILP:
             self.cfg, 1, w.global_batch, w.max_seq_len, kv_bits=self.kv_bits
         )
 
-        if legacy:
-            t_pre = np.zeros((n_groups, n_dev, n_bits))
-            t_dec = np.zeros((n_groups, n_dev, n_bits))
-            mem = np.zeros((n_groups, n_bits))
-            for j, dev in enumerate(self.devices):
-                for k, b in enumerate(self.bits):
-                    lp = self.latency_model.predict_layer(
-                        dev.spec, b, "prefill", self.prefill_microbatch,
-                        w.prompt_len, w.prompt_len, kv_bits=self.kv_bits,
-                    )
-                    ld = self.latency_model.predict_layer(
-                        dev.spec, b, "decode", self.decode_microbatch, 1, avg_ctx,
-                        kv_bits=self.kv_bits,
-                    )
-                    for i, gs in enumerate(sizes):
-                        t_pre[i, j, k] = gs * lp
-                        t_dec[i, j, k] = gs * ld
-            for k, b in enumerate(self.bits):
-                layer_bytes = self.cfg.layer_weight_bytes(b) + per_layer_kv
-                for i, gs in enumerate(sizes):
-                    mem[i, k] = gs * layer_bytes
-        else:
-            cache = self.prediction_cache or PredictionCache(self.latency_model)
-            type_names = [d.type_name for d in self.devices]
-            # the same (device, bits) layer-time blocks a source="model"
-            # StageCostModel serves to the simulators
-            lp, ld = planner_time_tables(
-                cache, type_names, self.bits,
-                prefill_microbatch=self.prefill_microbatch,
-                decode_microbatch=self.decode_microbatch,
-                prompt_len=w.prompt_len, avg_context=avg_ctx,
-                kv_bits=self.kv_bits,
-            )
-            sizes_arr = np.asarray(sizes, dtype=np.float64)
-            t_pre = sizes_arr[:, None, None] * lp[None, :, :]
-            t_dec = sizes_arr[:, None, None] * ld[None, :, :]
-            layer_bytes = (
-                np.array([self.cfg.layer_weight_bytes(b) for b in self.bits])
-                + per_layer_kv
-            )
-            mem = sizes_arr[:, None] * layer_bytes[None, :]
+        cache = self.prediction_cache or PredictionCache(self.latency_model)
+        type_names = [d.type_name for d in self.devices]
+        # the same (device, bits) layer-time blocks a source="model"
+        # StageCostModel serves to the simulators
+        lp, ld = planner_time_tables(
+            cache, type_names, self.bits,
+            prefill_microbatch=self.prefill_microbatch,
+            decode_microbatch=self.decode_microbatch,
+            prompt_len=w.prompt_len, avg_context=avg_ctx,
+            kv_bits=self.kv_bits,
+        )
+        sizes_arr = np.asarray(sizes, dtype=np.float64)
+        t_pre = sizes_arr[:, None, None] * lp[None, :, :]
+        t_dec = sizes_arr[:, None, None] * ld[None, :, :]
+        layer_bytes = (
+            np.array([self.cfg.layer_weight_bytes(b) for b in self.bits])
+            + per_layer_kv
+        )
+        mem = sizes_arr[:, None] * layer_bytes[None, :]
 
         if self.indicator.num_layers != n_groups:
             raise ValueError(
@@ -372,19 +348,13 @@ class BitAssignmentILP:
         c[nZ + 1] = lat_scale * n_pass * (m_d - 1)
         return c
 
-    def assemble(self, *, legacy: bool = False) -> AssembledILP | None:
+    def assemble(self) -> AssembledILP | None:
         """Build the full MILP; ``None`` when a device capacity is already
-        negative (no assignment can exist at this micro-batch setting).
-
-        ``legacy=True`` routes through the original scalar-coefficient
-        and dict-loop constraint builder — kept only so tests can assert
-        the vectorized assembly is exactly equal.
-        """
-        sizes, t_pre, t_dec, mem, omega = self._coefficients(legacy=legacy)
+        negative (no assignment can exist at this micro-batch setting)."""
+        sizes, t_pre, t_dec, mem, omega = self._coefficients()
         w = self.workload
         nG, nD, nB = len(sizes), len(self.devices), len(self.bits)
-        nZ = nG * nD * nB
-        n_var = nZ + 2
+        n_var = nG * nD * nB + 2
 
         m_p = -(-w.global_batch // self.prefill_microbatch)
         m_d = -(-w.global_batch // self.decode_microbatch)
@@ -394,24 +364,8 @@ class BitAssignmentILP:
         if np.any(caps <= 0):
             return None
 
-        if legacy:
-            c = np.zeros(n_var)
-            for i in range(nG):
-                for j in range(nD):
-                    for k in range(nB):
-                        lat_scale = 1.0 if self.include_latency else 0.0
-                        c[(i * nD + j) * nB + k] = lat_scale * (
-                            t_pre[i, j, k] + n_pass * t_dec[i, j, k]
-                        ) + self.theta * omega[i, k]
-            lat_scale = 1.0 if self.include_latency else 0.0
-            c[nZ] = lat_scale * (m_p - 1)
-            c[nZ + 1] = lat_scale * n_pass * (m_d - 1)
-            A, lo, hi = self._constraints_legacy(t_pre, t_dec, mem, caps, nG, nD, nB)
-        else:
-            c = self._objective_vector(t_pre, t_dec, omega, n_var, n_pass, m_p, m_d)
-            A, lo, hi = self._constraints_vectorized(
-                t_pre, t_dec, mem, caps, nG, nD, nB
-            )
+        c = self._objective_vector(t_pre, t_dec, omega, n_var, n_pass, m_p, m_d)
+        A, lo, hi = self._constraints_vectorized(t_pre, t_dec, mem, caps, nG, nD, nB)
         return AssembledILP(
             c=c, A=A, lo=lo, hi=hi,
             num_groups=nG, num_devices=nD, bits=tuple(self.bits),
@@ -423,7 +377,7 @@ class BitAssignmentILP:
     def _constraints_vectorized(self, t_pre, t_dec, mem, caps, nG, nD, nB):
         """Constraint matrix from numpy index arrays (no Python dict loops).
 
-        Row layout (identical to the legacy builder):
+        Row layout:
         one-assignment per group | non-empty device | contiguity |
         memory per device | per-device (T_pre, T_dec) definitions.
         """
@@ -535,72 +489,13 @@ class BitAssignmentILP:
         )
         return A, np.concatenate(lo_parts), np.concatenate(hi_parts)
 
-    def _constraints_legacy(self, t_pre, t_dec, mem, caps, nG, nD, nB):
-        """The original dict-loop constraint builder (equality oracle)."""
-        nZ = nG * nD * nB
-        n_var = nZ + 2
-        ip, idx_td = nZ, nZ + 1
-
-        def zidx(i: int, j: int, k: int) -> int:
-            return (i * nD + j) * nB + k
-
-        rows: list[tuple[dict[int, float], float, float]] = []
-        for i in range(nG):
-            coefs = {zidx(i, j, k): 1.0 for j in range(nD) for k in range(nB)}
-            rows.append((coefs, 1.0, 1.0))
-        for j in range(nD):
-            coefs = {zidx(i, j, k): 1.0 for i in range(nG) for k in range(nB)}
-            rows.append((coefs, 1.0, float(nG)))
-        for i in range(1, nG):
-            for j in range(nD - 1):
-                for k2 in range(j + 1, nD):
-                    coefs: dict[int, float] = {}
-                    for kb in range(nB):
-                        coefs[zidx(i, j, kb)] = 1.0
-                        coefs[zidx(i - 1, k2, kb)] = (
-                            coefs.get(zidx(i - 1, k2, kb), 0.0) + 1.0
-                        )
-                    rows.append((coefs, -np.inf, 1.0))
-        for j in range(nD):
-            coefs = {
-                zidx(i, j, k): mem[i, k] for i in range(nG) for k in range(nB)
-            }
-            rows.append((coefs, -np.inf, caps[j]))
-        for j in range(nD):
-            coefs = {
-                zidx(i, j, k): t_pre[i, j, k] for i in range(nG) for k in range(nB)
-            }
-            coefs[ip] = -1.0
-            rows.append((coefs, -np.inf, 0.0))
-            coefs = {
-                zidx(i, j, k): t_dec[i, j, k] for i in range(nG) for k in range(nB)
-            }
-            coefs[idx_td] = -1.0
-            rows.append((coefs, -np.inf, 0.0))
-
-        data, ri, ci, lo, hi = [], [], [], [], []
-        for r, (coefs, lb, ub) in enumerate(rows):
-            for col, val in coefs.items():
-                ri.append(r)
-                ci.append(col)
-                data.append(val)
-            lo.append(lb)
-            hi.append(ub)
-        A = sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n_var))
-        return A, np.asarray(lo), np.asarray(hi)
-
     # ------------------------------------------------------------------
-    def solve(self, *, legacy: bool = False) -> ILPSolution:
-        """Build the MILP and solve it with HiGHS; returns the assignment.
-
-        ``legacy=True`` assembles through the original scalar/dict-loop
-        builder (for tests and the planner-speed baseline); the solved
-        problem is identical either way.
-        """
+    def solve(self) -> ILPSolution:
+        """Build the MILP and solve it with HiGHS; returns the assignment."""
         import time
 
         t0 = time.perf_counter()
-        prob = self.assemble(legacy=legacy)
+        prob = self.assemble()
         if prob is None:
             return _infeasible(time.perf_counter() - t0)
         sol = solve_assembled(prob)

@@ -21,9 +21,9 @@ byte-identical candidates are deduplicated, cost-model queries are
 memoized in a shared :class:`~repro.cost.predictions.PredictionCache`,
 candidates are solved best-first under LP-relaxation bounds with
 incumbent pruning, and independent MILPs can solve in parallel worker
-processes (``PlannerConfig.n_jobs``).  The pre-engine serial loop is
-retained as :meth:`LLMPQOptimizer.optimize_legacy` — the equality oracle
-for tests and the baseline for the planner-speed benchmark.
+processes (``PlannerConfig.n_jobs``).  The result it must match — the
+plain serial walk of the same grid — is ``spec_optimize`` in
+``tests/core/ilp_spec.py``.
 """
 
 from __future__ import annotations
@@ -198,32 +198,9 @@ class LLMPQOptimizer:
 
     def _solve_candidate(
         self, ordering: Sequence[Device], mb_p: int, mb_d: int, *,
-        include_latency: bool = True, legacy: bool = False,
+        include_latency: bool = True,
     ) -> tuple[ILPSolution, BitAssignmentILP]:
-        """Solve one candidate's ILP.
-
-        ``legacy=True`` reproduces the pre-engine behaviour exactly —
-        scalar cost-model queries and dict-loop constraint assembly, no
-        shared cache — and exists for the equality tests and the
-        planner-speed benchmark baseline.
-        """
-        if legacy:
-            ilp = BitAssignmentILP(
-                cfg=self.cfg,
-                workload=self.workload,
-                devices=list(ordering),
-                latency_model=self.latency_model,
-                indicator=self.indicator.grouped(self.config.group_size),
-                prefill_microbatch=mb_p,
-                decode_microbatch=mb_d,
-                bits=self.config.bits,
-                group_size=self.config.group_size,
-                theta=self.config.theta,
-                include_latency=include_latency,
-                kv_bits=int(self.config.kv_bits),
-                time_limit=self.config.ilp_time_limit,
-            )
-            return ilp.solve(legacy=True), ilp
+        """Solve one candidate's ILP."""
         ilp = BitAssignmentILP(
             cfg=self.cfg,
             workload=self.workload,
@@ -271,7 +248,6 @@ class LLMPQOptimizer:
             meta={
                 "theta": self.config.theta,
                 "group_size": self.config.group_size,
-                "kv_bits": kv,
             },
         )
 
@@ -281,8 +257,7 @@ class LLMPQOptimizer:
         :class:`~repro.core.search.SearchEngine` (dedup + memoized cost
         queries + LP-bound pruning + optional parallel solves).
 
-        Returns the same best objective and an equivalent plan as
-        :meth:`optimize_legacy`; ``result.stats`` records the work saved.
+        ``result.stats`` records the work the engine saved.
 
         With ``kv_bits="auto"`` the search additionally chooses KV-cache
         bitwidths: the uniform levels are enumerated (each its own full
@@ -306,21 +281,6 @@ class LLMPQOptimizer:
             off += st.num_layers
         return total
 
-    def _plan_with_stage_kv(
-        self, plan: ExecutionPlan, levels: Sequence[int]
-    ) -> ExecutionPlan:
-        """Per-stage KV variant with the stage values made authoritative.
-
-        ``meta["kv_bits"]`` is reset to 16 so the legacy plan-global knob
-        cannot re-price a stage that the refinement raised back to fp16.
-        """
-        import dataclasses
-
-        variant = plan.with_kv_bits(tuple(levels))
-        meta = dict(variant.meta)
-        meta["kv_bits"] = 16
-        return dataclasses.replace(variant, meta=meta)
-
     def _refine_stage_kv(
         self, res: PlannerResult
     ) -> tuple[ExecutionPlan, PipelineResult, float]:
@@ -341,7 +301,7 @@ class LLMPQOptimizer:
         quality_part = res.objective - res.predicted.total_latency
 
         def score(levels: tuple[int, ...]):
-            variant = self._plan_with_stage_kv(plan, levels)
+            variant = plan.with_kv_bits(levels)
             pred = simulate_pipeline(
                 variant, self.cluster, latency_model=self.latency_model
             )
@@ -435,63 +395,4 @@ class LLMPQOptimizer:
             candidates=tuple(records),
             total_seconds=time.perf_counter() - t0,
             stats=stats,
-        )
-
-    def optimize_legacy(self) -> PlannerResult:
-        """The pre-engine serial search: one scalar-assembled MILP per
-        candidate, no dedup, no cache, no pruning.
-
-        Kept as the equality oracle for the engine's
-        asserted-identical-result guarantee and as the baseline of
-        ``benchmarks/test_ext_planner_speed.py``.
-        """
-        t0 = time.perf_counter()
-        records: list[CandidateRecord] = []
-        best_plan: ExecutionPlan | None = None
-        best_obj = np.inf
-        best_pred: PipelineResult | None = None
-
-        orderings = self.orderings()
-        for ordering in orderings:
-            pairs = _microbatch_pairs(self.workload, len(ordering), self.config)
-            for mb_p, mb_d in pairs:
-                sol, ilp = self._solve_candidate(ordering, mb_p, mb_d, legacy=True)
-                type_seq = tuple(d.type_name for d in ordering)
-                if not sol.feasible:
-                    records.append(
-                        CandidateRecord(
-                            ordering=type_seq, prefill_microbatch=mb_p,
-                            decode_microbatch=mb_d, status=sol.status,
-                            objective=np.inf, latency=np.inf, quality=np.inf,
-                            solve_seconds=sol.solve_seconds,
-                        )
-                    )
-                    continue
-                plan = self.plan_from_solution(ordering, sol, ilp, mb_p, mb_d)
-                pred = simulate_pipeline(
-                    plan, self.cluster, latency_model=self.latency_model
-                )
-                if not pred.feasible:
-                    status = "oom"
-                    obj = lat = np.inf
-                else:
-                    status = "optimal"
-                    lat = pred.total_latency
-                    obj = lat + self.config.theta * sol.quality_term
-                records.append(
-                    CandidateRecord(
-                        ordering=type_seq, prefill_microbatch=mb_p,
-                        decode_microbatch=mb_d, status=status, objective=obj,
-                        latency=lat, quality=sol.quality_term,
-                        solve_seconds=sol.solve_seconds,
-                    )
-                )
-                if obj < best_obj:
-                    best_obj, best_plan, best_pred = obj, plan, pred
-        return PlannerResult(
-            plan=best_plan,
-            objective=best_obj,
-            predicted=best_pred,
-            candidates=tuple(records),
-            total_seconds=time.perf_counter() - t0,
         )

@@ -203,7 +203,19 @@ class ExecutionPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExecutionPlan":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Strategy files written before KV bitwidths became per-stage
+        carry one plan-global ``meta.kv_bits``; loading upgrades them:
+        when every stage is still at 16 the stages take that value, and
+        the meta key is dropped either way (stage values are the only
+        ones the cost model reads).
+        """
+        meta = dict(d.get("meta", {}))
+        global_kv = int(meta.pop("kv_bits", 16))
+        stage_kv = [int(s.get("kv_bits", 16)) for s in d["stages"]]
+        if all(kv == 16 for kv in stage_kv):
+            stage_kv = [global_kv] * len(stage_kv)
         stages = tuple(
             StagePlan(
                 device=Device(
@@ -212,9 +224,9 @@ class ExecutionPlan:
                     local_rank=int(s["local_rank"]),
                 ),
                 layer_bits=tuple(int(b) for b in s["layer_bits"]),
-                kv_bits=int(s.get("kv_bits", 16)),
+                kv_bits=kv,
             )
-            for s in d["stages"]
+            for s, kv in zip(d["stages"], stage_kv)
         )
         w = d["workload"]
         return cls(
@@ -227,7 +239,7 @@ class ExecutionPlan:
                 gen_len=int(w["gen_len"]),
                 global_batch=int(w["global_batch"]),
             ),
-            meta=dict(d.get("meta", {})),
+            meta=meta,
         )
 
     @classmethod

@@ -1,10 +1,9 @@
 """Parallel, cache-aware search engine behind Algorithm 1.
 
-The legacy planner walked the (ordering x micro-batch) candidate grid
-serially, rebuilding cost-model coefficient tensors and the MILP
-constraint matrix from scratch for every candidate and solving one HiGHS
-instance at a time.  This engine keeps the result bit-identical while
-removing the redundant work:
+Algorithm 1 is a walk of the (ordering x micro-batch) candidate grid
+with one Sec.-4.3 MILP per candidate.  This engine returns that walk's
+result (``spec_optimize`` in ``tests/core/ilp_spec.py`` is the plain
+serial loop the tests compare against) without its redundant work:
 
 1. **dedup** — a candidate ILP depends on the ordering only through its
    GPU *type* sequence, so candidates sharing ``(type sequence, mb_p,
@@ -28,9 +27,8 @@ removing the redundant work:
    output and state stay confined to the worker process.
 
 Pruning never changes the returned plan: the bound is admissible, and
-ties on the final objective are broken by the candidate's legacy
-enumeration index, exactly like the serial loop's strict-improvement
-update.
+ties on the final objective are broken by the candidate's enumeration
+index, exactly like a serial loop's strict-improvement update.
 """
 
 from __future__ import annotations
@@ -131,7 +129,7 @@ class _Unique:
     """One equivalence class of byte-identical candidate ILPs."""
 
     key: tuple
-    index: int  # legacy enumeration index of the representative
+    index: int  # grid enumeration index of the representative
     ordering: tuple[Device, ...]
     mb_p: int
     mb_d: int
@@ -185,7 +183,7 @@ class SearchEngine:
     def _enumerate(
         self, orderings: Sequence[tuple[Device, ...]]
     ) -> list[tuple[int, tuple[Device, ...], int, int]]:
-        """The legacy candidate grid, with its enumeration index."""
+        """The candidate grid, with its enumeration index."""
         from .optimizer import _microbatch_pairs
 
         out = []

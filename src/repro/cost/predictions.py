@@ -2,9 +2,9 @@
 
 Algorithm 1 queries :meth:`LatencyModel.predict_layer` with a very small
 set of distinct arguments — ``(gpu type, bits, phase, micro-batch,
-q, context)`` — yet the legacy planner re-evaluated them from scratch for
-every (ordering, micro-batch) candidate: ``O(candidates x devices x
-bits)`` scalar feature builds and dot products.  The keys repeat because
+q, context)`` — while evaluating each from scratch for every (ordering,
+micro-batch) candidate would cost ``O(candidates x devices x bits)``
+scalar feature builds and dot products.  The keys repeat because
 candidates only vary the *order* of the same device types and share the
 micro-batch menu.
 

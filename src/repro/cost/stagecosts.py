@@ -2,9 +2,9 @@
 
 The paper's argument (Sec. 4.1 + Fig. 7) only holds if the planner, the
 simulators, and the runtime's admission control all price a plan with the
-*same* cost model.  Before this module, the per-stage prefill/decode busy
-times, boundary comm, and KV/memory charges were re-derived independently
-in four places; :class:`StageCostModel` replaces all of them.
+*same* cost model: :class:`StageCostModel` is the one place per-stage
+prefill/decode busy times, boundary comm, and KV/memory charges are
+derived.
 
 Given an :class:`~repro.core.plan.ExecutionPlan` (plus a
 :class:`~repro.hardware.cluster.Cluster` when comm times are needed) it
@@ -28,9 +28,9 @@ ground-truth roofline kernels (the simulated hardware), ``source="model"``
 with a fitted :class:`~repro.cost.latency.LatencyModel` — the planner's
 view of the world — memoized through the existing
 :class:`~repro.cost.predictions.PredictionCache` so planner and evaluator
-literally share floats.  Every formula here is kept bit-identical to the
-pre-refactor per-consumer copies; ``tests/sim/test_costview_equality.py``
-pins that down against committed goldens.
+literally share floats.  ``tests/sim/test_costview_equality.py`` pins
+every formula here bit for bit against committed goldens and the
+layer-at-a-time spec in ``tests/sim/costview_spec.py``.
 
 Simulator modules are imported lazily inside methods, so cost- or
 workload-only users never pay the ``repro.sim`` import.
@@ -85,14 +85,9 @@ class StageCostModel:
     cfg:
         Architecture override for plans whose ``model_name`` is not in
         the registry (the runtime's tiny test models).
-    decode_batching:
-        How decode iterations execute on the runtime being priced.
-        ``"fused"`` (default, and the runtime's default) charges the
-        stage weight stream once per iteration — the whole in-flight
-        batch shares each layer's weight read; ``"per-request"`` prices
-        the batch-1 oracle path, where a batch-``b`` iteration is ``b``
-        sequential batch-1 messages and therefore costs exactly
-        ``b * unit_decode_times(1, ctx)``.
+
+    KV-cache bitwidths are read from ``StagePlan.kv_bits`` and drive both
+    the memory views and the decode/prefill KV stream.
     """
 
     def __init__(
@@ -104,10 +99,7 @@ class StageCostModel:
         latency_model: LatencyModel | None = None,
         prediction_cache: PredictionCache | None = None,
         cfg: "ModelConfig | None" = None,
-        decode_batching: str = "fused",
     ) -> None:
-        if decode_batching not in ("fused", "per-request"):
-            raise ValueError(f"unknown decode_batching {decode_batching!r}")
         if prediction_cache is not None and latency_model is None:
             latency_model = prediction_cache.model
         if source is None:
@@ -127,16 +119,7 @@ class StageCostModel:
         self.source = source
         self.model = latency_model
         self.prediction_cache = prediction_cache
-        self.decode_batching = decode_batching
-        self.kv_bits = int(plan.meta.get("kv_bits", 16))
-        # Per-stage KV bitwidths.  ``StagePlan.kv_bits`` is the first-class
-        # plan variable and drives both memory and timing; the plan-global
-        # ``meta["kv_bits"]`` is the legacy memory-only knob and still
-        # applies wherever a stage is left at the fp16 default.
-        self._mem_kv = tuple(
-            s.kv_bits if s.kv_bits < 16 else self.kv_bits for s in plan.stages
-        )
-        self._time_kv = tuple(s.kv_bits for s in plan.stages)
+        self._kv = plan.kv_bits_per_stage
         self._gpus = [s.device.spec for s in plan.stages]
         self._links = None
         # shape-keyed memos (shared with per-wave derivatives, see derive())
@@ -213,7 +196,7 @@ class StageCostModel:
         return layer_exec_time(gpu, self.cfg, bits, batch, q, context, kv_bits=kv_bits)
 
     def _stage_layers_prefill(self, j: int, batch: int, s: int) -> float:
-        kv = self._time_kv[j]
+        kv = self._kv[j]
         return float(
             sum(
                 self.layer_time(j, b, "prefill", batch, s, s, kv_bits=kv)
@@ -225,7 +208,7 @@ class StageCostModel:
         self, j: int, bits: int, batch: int, contexts: np.ndarray
     ) -> np.ndarray:
         gpu = self._gpus[j]
-        kv = self._time_kv[j]
+        kv = self._kv[j]
         if self.source == "model":
             return self.model.decode_step_times(gpu, bits, batch, contexts, kv_bits=kv)
         from ..sim.kernels import layer_exec_times_decode_sweep
@@ -400,7 +383,7 @@ class StageCostModel:
                         w_bytes / gpu.effective_weight_bandwidth(bits),
                         gpu.effective_bandwidth,
                         KERNELS_PER_LAYER * gpu.kernel_launch_overhead,
-                        cfg.kv_bytes_per_token_per_layer(self._time_kv[j]),
+                        cfg.kv_bytes_per_token_per_layer(self._kv[j]),
                         w_bytes,
                     ))
                 layer_pair.extend(index[b] for b in stage.layer_bits)
@@ -421,14 +404,9 @@ class StageCostModel:
         return self._pairs
 
     def unit_decode_times(self, batch: int, context: float) -> np.ndarray:
-        """Per-stage busy time of one decode iteration at ``context``.
-
-        Under the default ``decode_batching="fused"`` the whole batch
-        shares each layer's weight stream (charged once, in ``w_term``);
-        under ``"per-request"`` the iteration is ``batch`` sequential
-        batch-1 messages — ``batch`` layer passes, embeddings and token
-        feedbacks — priced exactly as ``batch * unit_decode_times(1,
-        ctx)``.
+        """Per-stage busy time of one fused decode iteration at
+        ``context``: the whole batch shares each layer's weight stream
+        (charged once, in ``w_term``).
 
         With the kernels source this is the shared-table fast path: one
         vectorized roofline evaluation over all (stage, bits) pairs using
@@ -436,8 +414,6 @@ class StageCostModel:
         walk (``tests/sim/costview_spec.py``), which ``source="model"``
         still takes through its latency model.
         """
-        if self.decode_batching == "per-request" and batch != 1:
-            return float(batch) * self.unit_decode_times(1, context)
         n = self.plan.num_stages
         if self.source == "model":
             ctx = np.array([context], dtype=np.float64)
@@ -501,19 +477,8 @@ class StageCostModel:
         if self.source == "model":
             out = np.zeros((k, n))
             for i in range(k):
-                # dispatches per decode_batching through the scalar path
                 out[i] = self.unit_decode_times(int(b[i]), float(c[i]))
             return out
-        if self.decode_batching == "per-request":
-            # b sequential batch-1 iterations: the same float(b) * unit(1)
-            # product as the scalar path, evaluated on fused batch-1 rows
-            base = self._fused_unit_rows(np.ones_like(b), c)
-            return b[:, None].astype(np.float64) * base
-        return self._fused_unit_rows(b, c)
-
-    def _fused_unit_rows(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Fused-mode ``(k, num_stages)`` decode rows (fast path body)."""
-        n = self.plan.num_stages
         p = self._decode_pairs()
         h, ffn, heads = self.cfg.hidden_size, self.cfg.ffn_dim, self.cfg.num_heads
         bc = b[:, None].astype(np.float64)
@@ -586,7 +551,7 @@ class StageCostModel:
                 decode_microbatch=decode_microbatch,
                 is_first=(j == 0),
                 is_last=(j == self.plan.num_stages - 1),
-                kv_bits=self._mem_kv[j],
+                kv_bits=self._kv[j],
             )
             self._mem_memo[key] = m
         return m
@@ -689,7 +654,7 @@ class StageCostModel:
                     kv_cache_bytes(
                         self.cfg, stage.num_layers, 1, tokens, kv_bits=kv
                     )
-                    for stage, kv in zip(self.plan.stages, self._mem_kv)
+                    for stage, kv in zip(self.plan.stages, self._kv)
                 ]
             )
             self._charge_memo[tokens] = arr
@@ -710,7 +675,7 @@ class StageCostModel:
             [s.num_layers for s in self.plan.stages], dtype=np.int64
         )
         per_token = np.array(
-            [self.cfg.kv_bytes_per_token_per_layer(kv) for kv in self._mem_kv]
+            [self.cfg.kv_bytes_per_token_per_layer(kv) for kv in self._kv]
         )
         return (t[:, None] * layers[None, :]) * per_token[None, :]
 
@@ -732,7 +697,6 @@ class StageCostModel:
             latency_model=self.model,
             prediction_cache=self.prediction_cache,
             cfg=self.cfg,
-            decode_batching=self.decode_batching,
         )
         clone._links = self._links
         clone._emb_memo = self._emb_memo
@@ -762,7 +726,8 @@ def planner_time_tables(
     the workload's average context.  Both tables come out of the shared
     :class:`PredictionCache`, so the assembled objective uses exactly the
     floats a ``source="model"`` :class:`StageCostModel` serves to the
-    simulators — the cross-path equality the CI cost-drift guard pins.
+    simulators — the cross-path equality
+    ``tests/sim/test_costview_equality.py`` pins.
     """
     lp = prediction_cache.layer_time_table(
         type_names, bits, "prefill", prefill_microbatch, prompt_len, prompt_len,

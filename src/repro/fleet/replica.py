@@ -200,14 +200,11 @@ class SimReplica(PipelineReplica):
         engine: str = "analytic",
         source: str = "kernels",
         latency_model: "LatencyModel | None" = None,
-        decode_batching: str | None = None,
         drift: "DriftConfig | None" = None,
         replanner: "Replanner | None" = None,
-        force_general: bool = False,
     ) -> None:
         cost = StageCostModel(
-            plan, cluster, source=source, latency_model=latency_model,
-            decode_batching=decode_batching or "fused",
+            plan, cluster, source=source, latency_model=latency_model
         )
         super().__init__(replica_id, plan, cost, pool=pool)
         self.cluster = cluster
@@ -217,7 +214,6 @@ class SimReplica(PipelineReplica):
         self.latency_model = latency_model
         self.drift = drift
         self.replanner = replanner
-        self.force_general = force_general
 
     def serve(self, trace) -> ReplicaResult:
         from ..sim.online import simulate_online
@@ -229,8 +225,7 @@ class SimReplica(PipelineReplica):
             max_batch=self.max_batch, policy="continuous",
             engine=self.engine, source=self.source,
             latency_model=self.latency_model, cost_model=self.cost,
-            drift=self.drift, replanner=self.replanner,
-            force_general=self.force_general, sample_sink=sink,
+            drift=self.drift, replanner=self.replanner, sample_sink=sink,
         )
         _, _, sgen = trace_columns(trace)
         makespan = res.makespan if np.isfinite(res.makespan) else 0.0
@@ -278,7 +273,6 @@ class RuntimeReplica(PipelineReplica):
         policy: str = "continuous",
         max_inflight: int | None = None,
         time_scale: float = 1.0,
-        decode_batching: str = "fused",
         drift: "DriftConfig | None" = None,
         replanner: "Replanner | None" = None,
         fault_injector: "FaultInjector | None" = None,
@@ -299,7 +293,6 @@ class RuntimeReplica(PipelineReplica):
         self.policy = policy
         self.max_inflight = max_inflight
         self.time_scale = time_scale
-        self.decode_batching = decode_batching
         self.drift = drift
         self.replanner = replanner
         self.fault_injector = fault_injector
@@ -338,7 +331,6 @@ class RuntimeReplica(PipelineReplica):
                 rt, policy=self.policy,
                 max_inflight=self.max_inflight,
                 time_scale=self.time_scale,
-                decode_batching=self.decode_batching,
                 drift=self.drift, replanner=self.replanner,
             )
             report = sched.serve(list(requests))

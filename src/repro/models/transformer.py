@@ -322,7 +322,7 @@ def batched_decode_attention(
     order; the QKV/out projections run as one stacked GEMM over the
     ``B`` rows in ``x``'s order — the whole point of fusing — which is
     *not* bitwise row-stable against ``B`` separate batch-1 GEMVs;
-    equality with the per-request oracle is therefore asserted at
+    equality with batch-1 execution is therefore asserted at
     token-stream level (argmax), not on logit bytes.
 
     Padding never leaks into the output: masked scores are ``-1e30`` so

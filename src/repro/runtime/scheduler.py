@@ -11,29 +11,30 @@ immediately and the next queued request can take them over at the very
 next iteration.  This is the ORCA-style counterpart of the paper's
 offline two-phase schedule.
 
-Fused batched decode is the default execution mode: at each token
-boundary every in-flight decode request's single-token activation is
-stacked into one ``(B, 1, h)`` ragged batch, each stage runs one
-QKV/MLP GEMM per layer against the shared dequant-cached weights
-(amortizing the weight stream over the whole batch — the dominant
-decode cost), attention stays ragged over per-request KV units, and the
-master samples all ``B`` next tokens from one stacked logit GEMM.
-Requests still own individual batch-1 cache units, so admission,
-retirement, migration and replay are unchanged.
+Decode is fused and batched: at each token boundary every in-flight
+decode request's single-token activation is stacked into one
+``(B, 1, h)`` ragged batch, each stage runs one QKV/MLP GEMM per layer
+against the shared dequant-cached weights (amortizing the weight stream
+over the whole batch — the dominant decode cost), attention stays
+ragged over per-request KV units, and the master samples all ``B`` next
+tokens from one stacked logit GEMM.  Requests still own individual
+batch-1 cache units, which is what admission, retirement, migration and
+replay work on.
 
-Equality contract: fused greedy *token streams* equal the per-request
-oracle (``decode_batching="per-request"``) and the single-process
-``generate(model, prompt[None], n)`` reference.  The guarantee is at
-argmax level, not logit bytes: BLAS batch-1 matvec kernels round
-differently from rows of a batched matmul (~1e-14 relative drift), so
-logits can differ in their last bits while every argmax — and hence
-every token — agrees; ties are impossible to mis-break because all
-samplers share :func:`repro.ops.greedy_pick`'s first-index rule.  The
-per-request mode remains selectable as the bitwise single-process
-reference path (and is what migration KV replay always uses).
+Equality contract: fused greedy *token streams* equal the
+single-process ``generate(model, prompt[None], n)`` reference and a
+batch-1-message-per-request drive of the same workers
+(``tests/runtime/per_request_spec.py``).  The guarantee is at argmax
+level, not logit bytes: BLAS batch-1 matvec kernels round differently
+from rows of a batched matmul (~1e-14 relative drift), so logits can
+differ in their last bits while every argmax — and hence every token —
+agrees; ties are impossible to mis-break because all samplers share
+:func:`repro.ops.greedy_pick`'s first-index rule.  Migration KV replay
+sends batch-1 decode messages, the shapes of the single-process
+reference.
 
-``policy="wave"`` emulates the offline baseline under the same
-per-request execution: admission only into an empty system, every member
+``policy="wave"`` emulates the offline baseline on the same
+execution path: admission only into an empty system, every member
 padded to the wave's maxima (KV reserved at ``s_max + n_max``, decode run
 for ``n_max`` tokens even for requests that finished early), memory
 freed only when the whole wave drains.
@@ -251,12 +252,6 @@ class ContinuousScheduler:
     max_inflight:
         Optional hard cap on concurrently admitted requests on top of
         the memory model (``None`` = memory-limited only).
-    decode_batching:
-        ``"fused"`` (default) stacks all in-flight decode requests into
-        one ragged batch per iteration — one GEMM per stage per layer;
-        ``"per-request"`` runs each request as its own batch-1 message,
-        the bitwise single-process reference path kept as the equality
-        oracle.
     time_scale:
         Multiplier applied to request arrival times; ``0.0`` replays the
         whole trace as if it arrived at once.  Arrival gaps larger than
@@ -287,14 +282,11 @@ class ContinuousScheduler:
         policy: Literal["continuous", "wave"] = "continuous",
         max_inflight: int | None = None,
         time_scale: float = 1.0,
-        decode_batching: Literal["fused", "per-request"] = "fused",
         drift: DriftConfig | None = None,
         replanner: Replanner | None = None,
     ) -> None:
         if policy not in ("continuous", "wave"):
             raise ValueError(f"unknown policy {policy!r}")
-        if decode_batching not in ("fused", "per-request"):
-            raise ValueError(f"unknown decode_batching {decode_batching!r}")
         if max_inflight is not None and max_inflight <= 0:
             raise ValueError("max_inflight must be positive")
         if time_scale < 0:
@@ -305,7 +297,6 @@ class ContinuousScheduler:
         self.policy = policy
         self.max_inflight = max_inflight
         self.time_scale = time_scale
-        self.decode_batching = decode_batching
         self._wsb_plan: ExecutionPlan | None = None  # weight-bytes memo key
         self._wsb: float = 0.0
         self.ledger = ContinuousLedger(runtime.plan.num_stages)
@@ -373,7 +364,7 @@ class ContinuousScheduler:
         return req.arrival * self.time_scale
 
     # ------------------------------------------------------------------
-    # Pipeline I/O (batch-1 prefill/replay; fused or batch-1 decode)
+    # Pipeline I/O (batch-1 prefill/replay; fused decode)
     # ------------------------------------------------------------------
     def _send_prefill(self, a: _Active, reserve: int) -> None:
         x = self.rt.reference._embed(np.asarray(a.req.prompt)[None, :], 0)
@@ -384,17 +375,6 @@ class ContinuousScheduler:
             )
         )
         self.rt.stats.prefill_tokens += a.req.prompt_len
-
-    def _send_decode(self, a: _Active) -> None:
-        start = a.req.prompt_len + len(a.tokens) - 1
-        x = self.rt.reference._embed(
-            np.array([[a.tokens[-1]]], dtype=np.int64), start
-        )
-        self.rt.head.put(
-            ActivationMessage(
-                microbatch_id=a.unit_id, phase="decode", start=start, hidden=x
-            )
-        )
 
     def _send_batched_decode(self, going: list[_Active]) -> None:
         """Stack every decoding request's next token into one message.
@@ -690,14 +670,9 @@ class ContinuousScheduler:
         going = [a for a in active if a.tokens]
         for a in fresh:
             self._send_prefill(a, a.reserve)
-        fused: BatchedDecodeMessage | None = None
-        if going and self.decode_batching == "fused":
+        if going:
             self._send_batched_decode(going)
-            outs, fused = self._collect_mixed(len(fresh), batched=True)
-        else:
-            for a in going:
-                self._send_decode(a)
-            outs = self._collect(len(active))
+        outs, fused = self._collect_mixed(len(fresh), batched=bool(going))
         now = self._now()
         finished: list[_Active] = []
         for a in fresh:
@@ -719,17 +694,14 @@ class ContinuousScheduler:
             )
             toks = greedy_pick(self.rt._logits_last(fused.hidden))
             row = {uid: i for i, uid in enumerate(fused.unit_ids)}
-            picks = [(a, int(toks[row[a.unit_id]])) for a in going]
-        else:
-            picks = [(a, self._sample(a, outs[a.unit_id])) for a in going]
-        for a, tok in picks:
-            a.decode_budget -= 1
-            self.rt.stats.decode_tokens += 1
-            self.rt.stats.tokens_generated += 1
-            if len(a.tokens) < a.req.gen_len:
-                a.tokens.append(tok)
-                if len(a.tokens) == a.req.gen_len:
-                    a.record.finish_time = now  # wave keeps padding past this
+            for a in going:
+                a.decode_budget -= 1
+                stats.decode_tokens += 1
+                stats.tokens_generated += 1
+                if len(a.tokens) < a.req.gen_len:
+                    a.tokens.append(int(toks[row[a.unit_id]]))
+                    if len(a.tokens) == a.req.gen_len:
+                        a.record.finish_time = now  # wave keeps padding past this
         for a in active:
             if a.decode_budget <= 0:
                 finished.append(a)

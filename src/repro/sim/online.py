@@ -36,7 +36,6 @@ generated tokens / makespan.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -168,8 +167,14 @@ def _quantile(values: np.ndarray, q: float) -> float:
     return stats.quantile(values, q, empty=float("inf"))
 
 
-def _infeasible(policy: str, rejected: int) -> OnlineResult:
-    """Graceful no-request-admissible outcome (nothing to serve)."""
+def _infeasible(
+    policy: str, rejected: int, sample_sink: "dict | None" = None
+) -> OnlineResult:
+    """Graceful no-request-admissible outcome (nothing to serve); a
+    ``sample_sink`` receives empty sample and index arrays."""
+    if sample_sink is not None:
+        sample_sink["latencies"] = sample_sink["ttfts"] = np.empty(0)
+        sample_sink["lat_idx"] = sample_sink["tt_idx"] = np.empty(0, dtype=np.int64)
     return OnlineResult(
         completed=0, makespan=float("inf"), mean_latency=float("inf"),
         p95_latency=float("inf"), throughput=0.0, waves=0,
@@ -191,12 +196,6 @@ def _simulate_wave(
 ) -> OnlineResult:
     from .pipeline import simulate_pipeline
     from .pipeline_des import simulate_pipeline_des
-
-    if sample_sink is not None:
-        sample_sink["latencies"] = np.empty(0)
-        sample_sink["ttfts"] = np.empty(0)
-    if max_batch is not None and max_batch <= 0:
-        return _infeasible("wave", len(reqs))
 
     now = 0.0
     i = 0
@@ -264,7 +263,7 @@ def _simulate_wave(
         wave_batches.append(len(wave))
 
     if not latencies:
-        return _infeasible("wave", rejected)
+        return _infeasible("wave", rejected, sample_sink)
     lat = np.array(latencies)
     tt = np.array(ttfts)
     if sample_sink is not None:
@@ -288,210 +287,6 @@ def _simulate_wave(
     )
 
 
-def _simulate_continuous(
-    plan: "ExecutionPlan",
-    cluster: "Cluster",
-    reqs: "list[OnlineRequest]",
-    *,
-    max_batch: int | None,
-    engine: str,
-    scm: StageCostModel,
-    source: str = "kernels",
-    latency_model: "LatencyModel | None" = None,
-    drift: "DriftConfig | None" = None,
-    replanner: "Replanner | None" = None,
-    sample_sink: "dict | None" = None,
-) -> OnlineResult:
-    if engine == "des":
-        from .pipeline_des import iteration_makespan_des
-
-    def _price(units: list[np.ndarray]) -> float:
-        if engine == "des":
-            return float(iteration_makespan_des(units))
-        return float(units[0].sum() + sum(u.max() for u in units[1:]))
-
-    detector = None
-    if drift is not None:
-        from ..runtime.replan import DriftDetector
-
-        detector = DriftDetector(drift)
-    headroom = scm.kv_headroom()
-    used = np.zeros(plan.num_stages)
-
-    pending: deque = deque(reqs)
-    active: list[dict] = []
-    now = 0.0
-    next_idx = 0  # sorted-trace row of the next pending request
-    latencies: list[float] = []
-    ttfts: list[float] = []
-    lat_idx: list[int] = []
-    tt_idx: list[int] = []
-    total_tokens = 0
-    rejected = 0
-    iterations = 0
-    inflight_samples: list[int] = []
-    arrival_ptr = 0
-    drift_triggers = migrations = replans = 0
-    migration_seconds = 0.0
-
-    while pending or active:
-        if not active and pending and pending[0].arrival > now:
-            now = pending[0].arrival  # jump the idle gap
-
-        # ---- admission at this token boundary (FIFO, head-of-line) ----
-        newly: list[dict] = []
-        while pending and pending[0].arrival <= now:
-            if max_batch is not None and len(active) + len(newly) >= max_batch:
-                break
-            r = pending[0]
-            charge = scm.request_kv_bytes(r.prompt_len, r.gen_len)
-            if np.any(used + charge > headroom + 1e-6):
-                if not active and not newly:
-                    # alone in an empty system and still unfit: never fits
-                    pending.popleft()
-                    next_idx += 1
-                    rejected += 1
-                    continue
-                break
-            pending.popleft()
-            used += charge
-            newly.append(
-                {"req": r, "produced": 0, "charge": charge, "idx": next_idx}
-            )
-            next_idx += 1
-        if not newly and not active:
-            continue
-
-        # ---- one iteration: fused decode + batch-1 prefills ------------
-        units: list[np.ndarray] = []
-        if active:
-            ctx = float(
-                np.mean([a["req"].prompt_len + a["produced"] for a in active])
-            )
-            units.append(scm.unit_decode_times(len(active), ctx))
-        for a in newly:
-            units.append(scm.unit_prefill_times(a["req"].prompt_len))
-        step = _price(units)
-        now += step
-        iterations += 1
-        inflight_samples.append(len(active) + len(newly))
-
-        for a in active:
-            a["produced"] += 1
-        for a in newly:
-            a["produced"] = 1
-            ttfts.append(now - a["req"].arrival)
-            tt_idx.append(a["idx"])
-        active.extend(newly)
-
-        still: list[dict] = []
-        for a in active:
-            if a["produced"] >= a["req"].gen_len:
-                # retire at the boundary: the refund is immediately
-                # available to the next admission
-                latencies.append(now - a["req"].arrival)
-                lat_idx.append(a["idx"])
-                total_tokens += a["req"].gen_len
-                used -= a["charge"]
-            else:
-                still.append(a)
-        active = still
-
-        # ---- drift detection at the boundary (mirrors the runtime) ----
-        if detector is not None:
-            while arrival_ptr < len(reqs) and reqs[arrival_ptr].arrival <= now:
-                r = reqs[arrival_ptr]
-                detector.observe_arrival(r.arrival, r.prompt_len, r.gen_len)
-                arrival_ptr += 1
-            mask = headroom > 0
-            occ = float(np.max(used[mask] / headroom[mask])) if mask.any() else 0.0
-            detector.observe_occupancy(now, occ)
-            est = detector.poll(now)
-            if est is None:
-                continue
-            drift_triggers += 1
-            if replanner is None:
-                continue
-            new_plan = replanner(plan, est)
-            if new_plan is None:
-                continue
-            # ---- mirrored migration: re-price, pause, re-home ---------
-            if new_plan.stages == plan.stages:
-                new_scm = scm.derive(new_plan)
-                pause = 0.0  # metadata-only switch: no shards re-cut
-            else:
-                new_scm = StageCostModel(
-                    new_plan, cluster, source=source,
-                    latency_model=latency_model,
-                    decode_batching=scm.decode_batching,
-                )
-                # shard rebuild + pipelined replay of in-flight KV state,
-                # priced exactly like the iterations it re-runs
-                pause = drift.rebuild_seconds
-                if active:
-                    pause += _price(list(new_scm.unit_prefill_times_batch(
-                        [a["req"].prompt_len for a in active]
-                    )))
-                    max_prod = max(a["produced"] for a in active)
-                    for k in range(1, max_prod):
-                        group = [a for a in active if a["produced"] > k]
-                        ctx = float(np.mean(
-                            [a["req"].prompt_len + k for a in group]
-                        ))
-                        pause += _price(
-                            [new_scm.unit_decode_times(len(group), ctx)]
-                        )
-            now += pause
-            migration_seconds += pause
-            migrations += 1
-            replans += 1
-            plan, scm = new_plan, new_scm
-            headroom = scm.kv_headroom()
-            used = np.zeros(plan.num_stages)
-            for a in active:
-                a["charge"] = scm.request_kv_bytes(
-                    a["req"].prompt_len, a["req"].gen_len
-                )
-                used += a["charge"]
-            detector.rebaseline(now)
-
-    if not latencies:
-        if sample_sink is not None:
-            sample_sink["latencies"] = np.empty(0)
-            sample_sink["ttfts"] = np.empty(0)
-            sample_sink["lat_idx"] = np.empty(0, dtype=np.int64)
-            sample_sink["tt_idx"] = np.empty(0, dtype=np.int64)
-        return _infeasible("continuous", rejected)
-    lat = np.array(latencies)
-    tt = np.array(ttfts)
-    if sample_sink is not None:
-        sample_sink["latencies"] = lat
-        sample_sink["ttfts"] = tt
-        sample_sink["lat_idx"] = np.array(lat_idx, dtype=np.int64)
-        sample_sink["tt_idx"] = np.array(tt_idx, dtype=np.int64)
-    return OnlineResult(
-        completed=len(latencies),
-        makespan=now,
-        mean_latency=float(lat.mean()),
-        p95_latency=_quantile(lat, 0.95),
-        throughput=total_tokens / now,
-        waves=0,
-        mean_wave_batch=0.0,
-        policy="continuous",
-        p50_latency=_quantile(lat, 0.50),
-        p99_latency=_quantile(lat, 0.99),
-        mean_ttft=float(tt.mean()),
-        p95_ttft=_quantile(tt, 0.95),
-        rejected=rejected,
-        iterations=iterations,
-        mean_inflight=float(np.mean(inflight_samples)),
-        drift_triggers=drift_triggers,
-        migrations=migrations,
-        replans=replans,
-        migration_seconds=migration_seconds,
-    )
-
-
 def simulate_online(
     plan: "ExecutionPlan",
     cluster: "Cluster",
@@ -503,34 +298,23 @@ def simulate_online(
     source: str = "kernels",
     latency_model: "LatencyModel | None" = None,
     cost_model: StageCostModel | None = None,
-    decode_batching: str | None = None,
     drift: "DriftConfig | None" = None,
     replanner: "Replanner | None" = None,
-    force_general: bool = False,
     sample_sink: "dict | None" = None,
 ) -> OnlineResult:
     """Serve ``trace`` on ``plan``'s pipeline under a scheduling policy.
 
     ``policy="wave"`` batches queued requests into padded waves (the
     offline discipline applied online); ``policy="continuous"`` admits
-    and retires requests at token boundaries.  ``max_batch`` is an
-    optional hard concurrency cap on top of the memory model — with the
-    wave policy it reproduces the legacy count-capped behaviour exactly.
+    and retires requests at token boundaries, replayed by the event-batch
+    engine of :mod:`repro.sim.trace_engine`.  ``max_batch`` is an
+    optional hard concurrency cap on top of the memory model; a cap
+    ``<= 0`` admits nothing, so every request is rejected.
     ``engine="des"`` prices each wave / iteration with the event-driven
-    simulator instead of the closed form.  The continuous policy runs
-    through the vectorized event-batch engine
-    (:mod:`repro.sim.trace_engine`), which replays million-request
-    traces in seconds; ``engine="reference"`` / ``"reference-des"``
-    select the scalar loop it is checked byte-identical against.
-    ``source="model"`` (with a
+    simulator instead of the closed form.  ``source="model"`` (with a
     fitted ``latency_model``) prices with the planner's cost model
     instead of the ground-truth kernels; ``cost_model`` shares an
-    existing :class:`StageCostModel`'s tables.
-    ``decode_batching`` selects the decode execution mode being priced:
-    ``"fused"`` (the runtime default — one weight stream per iteration)
-    or ``"per-request"`` (``b`` sequential batch-1 messages).  ``None``
-    inherits ``cost_model``'s mode (fused for a fresh model); passing
-    both a ``cost_model`` and a conflicting mode is an error.  Accepts any records with
+    existing :class:`StageCostModel`'s tables.  Accepts any records with
     ``arrival`` / ``prompt_len`` / ``gen_len`` attributes, including
     :class:`~repro.workload.traces.RequestArrival`.
 
@@ -542,56 +326,32 @@ def simulate_online(
     analytically priced replay of in-flight KV state when the new plan
     re-cuts shards, so big-model drift studies run without a runtime.
 
-    ``force_general`` (continuous vectorized engine only) disables the
-    exact-linear token-budget admission shortcut so the general per-stage
-    scan is exercised.  ``sample_sink``, when given a dict, receives the
-    raw per-request ``latencies`` / ``ttfts`` arrays (completion order)
-    so callers — the fleet layer — can pool exact samples across runs.
+    ``sample_sink``, when given a dict, receives the raw per-request
+    ``latencies`` / ``ttfts`` arrays (completion order) so callers — the
+    fleet layer — can pool exact samples across runs.
     """
     if not len(trace):
         raise ValueError("empty trace")
     if policy not in ("wave", "continuous"):
         raise ValueError(f"unknown policy {policy!r}")
-    if engine not in ("analytic", "des", "reference", "reference-des"):
+    if engine not in ("analytic", "des"):
         raise ValueError(f"unknown engine {engine!r}")
-    reference = engine in ("reference", "reference-des")
-    if reference and policy != "continuous":
-        raise ValueError("the reference engine only prices the continuous policy")
     if (drift is not None or replanner is not None) and policy != "continuous":
         raise ValueError("drift replanning requires the continuous policy")
-    if decode_batching is not None and decode_batching not in (
-        "fused", "per-request"
-    ):
-        raise ValueError(f"unknown decode_batching {decode_batching!r}")
+    if max_batch is not None and max_batch <= 0:
+        return _infeasible(policy, len(trace), sample_sink)
     if cost_model is None:
         cost_model = StageCostModel(
-            plan, cluster, source=source, latency_model=latency_model,
-            decode_batching=decode_batching or "fused",
-        )
-    elif (
-        decode_batching is not None
-        and cost_model.decode_batching != decode_batching
-    ):
-        raise ValueError(
-            f"cost_model prices decode_batching={cost_model.decode_batching!r} "
-            f"but {decode_batching!r} was requested"
+            plan, cluster, source=source, latency_model=latency_model
         )
     if policy == "continuous":
-        if reference:
-            reqs = sorted(trace, key=lambda r: r.arrival)
-            return _simulate_continuous(
-                plan, cluster, reqs, max_batch=max_batch,
-                engine="des" if engine == "reference-des" else "analytic",
-                scm=cost_model, source=source, latency_model=latency_model,
-                drift=drift, replanner=replanner, sample_sink=sample_sink,
-            )
         from .trace_engine import simulate_continuous_vectorized, trace_columns
 
         return simulate_continuous_vectorized(
             plan, cluster, trace_columns(trace), max_batch=max_batch,
             engine=engine, scm=cost_model, source=source,
             latency_model=latency_model, drift=drift, replanner=replanner,
-            force_general=force_general, sample_sink=sample_sink,
+            sample_sink=sample_sink,
         )
     reqs = sorted(trace, key=lambda r: r.arrival)
     return _simulate_wave(

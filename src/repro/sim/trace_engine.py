@@ -1,18 +1,17 @@
-"""Vectorized event-batch engine for the continuous online simulator.
+"""Event-batch engine for the continuous online simulator.
 
-:func:`repro.sim.online.simulate_online`'s continuous policy was written
-as a per-token-boundary Python loop: admit, price one iteration, retire,
-poll the drift detector — a few hundred microseconds per boundary, which
-caps traces at tens of thousands of requests.  This module re-expresses
-the *same* simulation as array-based event processing:
+:func:`repro.sim.online.simulate_online`'s continuous policy — admit at
+a token boundary, price one iteration, retire, poll the drift detector —
+runs here as array-based event processing, so million-request traces
+replay in seconds:
 
 * request columns (``arrival`` / ``prompt_len`` / ``gen_len``) stay as
   numpy arrays end to end — per-stage KV charges for the whole trace are
   one :meth:`~repro.cost.stagecosts.StageCostModel.request_kv_bytes_batch`
   call;
-* admission at a boundary is a vectorized prefix scan: candidates come
-  from one ``searchsorted`` on the arrival column, and the FIFO
-  fits-while-admitting loop becomes a row-cumsum against the headroom;
+* admission at a boundary is a prefix scan: candidates come from one
+  ``searchsorted`` on the arrival column, and FIFO fits-while-admitting
+  is a row-cumsum against the headroom;
 * stretches with no admission are **decode runs**: the retire schedule
   of the in-flight group fully determines every future batch size,
   context mean, and KV refund, so whole runs are priced in one
@@ -29,18 +28,17 @@ the *same* simulation as array-based event processing:
   the schedule missed (K adapts to the observed commit length and the
   time remaining in the drift window);
 * when the per-request KV charges are *bitwise* linear in token count —
-  verified once when the cost model is bound — per-stage byte admission
+  verified each time a cost model is bound — per-stage byte admission
   collapses to a single integer token budget and one ``searchsorted``
-  per boundary (the per-run ``force_general`` switch disables the
-  shortcut so tests also exercise the general per-stage scan).
+  per boundary; otherwise the general per-stage scan runs.
 
-Every floating-point operation mirrors the scalar loop's order (the
-batch cost-model views are bit-for-bit equal to their scalar
-counterparts, KV-charge arithmetic is exact in float64, and
-``np.add.accumulate`` is the same left fold as ``now += step``), so the
-engine returns **byte-identical** :class:`~repro.sim.online.OnlineResult`
-values — the scalar loop survives as the equality oracle behind
-``engine="reference"``.
+The floating-point contract is that of a one-boundary-at-a-time loop
+(``tests/sim/online_spec.py``, which the equality tests replay every
+case through): the batch cost-model views are bit-for-bit equal to
+their scalar counterparts, KV-charge arithmetic is exact in float64, and
+``np.add.accumulate`` is the same left fold as ``now += step``, so every
+:class:`~repro.sim.online.OnlineResult` field is **byte-identical** to
+the spec's.
 """
 
 from __future__ import annotations
@@ -113,15 +111,10 @@ class _Engine:
         latency_model: "LatencyModel | None",
         drift: "DriftConfig | None",
         replanner: "Replanner | None",
-        force_general: bool = False,
         sample_sink: "dict | None" = None,
     ) -> None:
-        # per-run switch (replaces the old module-level ``_FORCE_GENERAL``
-        # mutable global, which made concurrent replica engines in one
-        # process trample each other): disable the exact-linear
-        # token-budget fast path so the general per-stage admission
-        # arithmetic stays exercised
-        self.force_general = force_general
+        if max_batch is not None and max_batch <= 0:
+            raise ValueError("max_batch must be positive")  # would never admit
         self.sample_sink = sample_sink
         self.plan = plan
         self.cluster = cluster
@@ -220,7 +213,7 @@ class _Engine:
         # budget: the largest T with T * kvc_j <= headroom_j for all j
         self._kvc = None
         self._tok_budget = 0
-        if self._uniq_toks.size and not self.force_general:
+        if self._uniq_toks.size:
             kvc = scm.request_kv_bytes_batch(np.ones(1, dtype=np.int64))[0]
             rows = scm.request_kv_bytes_batch(self._uniq_toks)
             if (kvc > 0).all() and np.array_equal(
@@ -865,7 +858,6 @@ class _Engine:
             new_scm = StageCostModel(
                 new_plan, self.cluster, source=self.source,
                 latency_model=self.latency_model,
-                decode_batching=self.scm.decode_batching,
             )
         else:
             new_scm = self.scm.derive(new_plan)
@@ -944,12 +936,7 @@ class _Engine:
                 self._decode_run()
 
         if not self.lat_parts:
-            if self.sample_sink is not None:
-                self.sample_sink["latencies"] = np.empty(0)
-                self.sample_sink["ttfts"] = np.empty(0)
-                self.sample_sink["lat_idx"] = _EMPTY_I8
-                self.sample_sink["tt_idx"] = _EMPTY_I8
-            return _infeasible("continuous", self.rejected)
+            return _infeasible("continuous", self.rejected, self.sample_sink)
         lat = (
             self.lat_parts[0]
             if len(self.lat_parts) == 1
@@ -1003,24 +990,19 @@ def simulate_continuous_vectorized(
     latency_model: "LatencyModel | None" = None,
     drift: "DriftConfig | None" = None,
     replanner: "Replanner | None" = None,
-    force_general: bool = False,
     sample_sink: "dict | None" = None,
 ):
-    """Continuous-policy simulation over pre-sorted trace ``columns``.
+    """Continuous-policy simulation over pre-sorted trace ``columns``:
+    admission control, pricing, drift detection and migration accounting
+    evaluated as event batches.
 
-    Drop-in replacement for the scalar ``_simulate_continuous`` loop —
-    same admission control, pricing, drift detection, and migration
-    accounting, evaluated as event batches.  Returns a byte-identical
-    :class:`~repro.sim.online.OnlineResult`.
-
-    ``force_general`` disables the exact-linear token-budget admission
-    shortcut (general per-stage scan only).  ``sample_sink``, when given,
-    receives the raw per-request ``latencies``/``ttfts`` arrays so fleet
-    aggregation can pool exact samples across replicas.
+    ``sample_sink``, when given, receives the raw per-request
+    ``latencies``/``ttfts`` arrays so fleet aggregation can pool exact
+    samples across replicas.
     """
     return _Engine(
         plan, cluster, columns,
         max_batch=max_batch, engine=engine, scm=scm, source=source,
         latency_model=latency_model, drift=drift, replanner=replanner,
-        force_general=force_general, sample_sink=sample_sink,
+        sample_sink=sample_sink,
     ).run()

@@ -1,0 +1,216 @@
+"""The Sec.-4.3 MILP and Algorithm 1's search, written out cell by cell.
+
+This is the specification :meth:`BitAssignmentILP.assemble` and
+:meth:`LLMPQOptimizer.optimize` are pinned to:
+
+* :func:`spec_coefficients` fills the latency tensors with one scalar
+  ``predict_layer`` call per (device, bits) cell and the memory table
+  one group at a time — no prediction cache, no broadcasting;
+* :func:`spec_assemble` writes the objective vector one variable at a
+  time and every constraint row as a ``{column: coefficient}`` dict, in
+  the row order the assembled problem documents (one-assignment |
+  non-empty device | contiguity | memory | per-device T_pre, T_dec);
+  the result must equal ``ilp.assemble()`` bitwise;
+* :func:`spec_optimize` walks the (ordering x micro-batch) grid
+  serially — one MILP per candidate, no dedup, no shared cache, no
+  bound, no pruning — and keeps the strict-improvement best; the search
+  engine must return the same objective and an equivalent plan.
+
+Deliberately slow; used by ``tests/core/test_search.py`` only.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+from scipy import sparse
+
+from repro.core.ilp import AssembledILP, BitAssignmentILP, solve_assembled
+from repro.core.optimizer import (
+    CandidateRecord,
+    PlannerResult,
+    _microbatch_pairs,
+)
+from repro.cost.memory import kv_cache_bytes
+from repro.sim.pipeline import simulate_pipeline
+
+
+def spec_coefficients(ilp: BitAssignmentILP):
+    """``(sizes, t_pre, t_dec, mem, omega)`` from per-cell scalar queries."""
+    w = ilp.workload
+    sizes = ilp._group_sizes()
+    n_groups, n_dev, n_bits = len(sizes), len(ilp.devices), len(ilp.bits)
+    avg_ctx = w.prompt_len + max(w.decode_passes, 1) // 2
+    per_layer_kv = kv_cache_bytes(
+        ilp.cfg, 1, w.global_batch, w.max_seq_len, kv_bits=ilp.kv_bits
+    )
+    t_pre = np.zeros((n_groups, n_dev, n_bits))
+    t_dec = np.zeros((n_groups, n_dev, n_bits))
+    mem = np.zeros((n_groups, n_bits))
+    for j, dev in enumerate(ilp.devices):
+        for k, b in enumerate(ilp.bits):
+            lp = ilp.latency_model.predict_layer(
+                dev.spec, b, "prefill", ilp.prefill_microbatch,
+                w.prompt_len, w.prompt_len, kv_bits=ilp.kv_bits,
+            )
+            ld = ilp.latency_model.predict_layer(
+                dev.spec, b, "decode", ilp.decode_microbatch, 1, avg_ctx,
+                kv_bits=ilp.kv_bits,
+            )
+            for i, gs in enumerate(sizes):
+                t_pre[i, j, k] = gs * lp
+                t_dec[i, j, k] = gs * ld
+    for k, b in enumerate(ilp.bits):
+        layer_bytes = ilp.cfg.layer_weight_bytes(b) + per_layer_kv
+        for i, gs in enumerate(sizes):
+            mem[i, k] = gs * layer_bytes
+    omega = np.zeros((n_groups, n_bits))
+    for k, b in enumerate(ilp.bits):
+        omega[:, k] = ilp.indicator.column(b)
+    return sizes, t_pre, t_dec, mem, omega
+
+
+def _spec_constraints(t_pre, t_dec, mem, caps, nG, nD, nB):
+    nZ = nG * nD * nB
+    n_var = nZ + 2
+    ip, idx_td = nZ, nZ + 1
+
+    def zidx(i: int, j: int, k: int) -> int:
+        return (i * nD + j) * nB + k
+
+    rows: list[tuple[dict[int, float], float, float]] = []
+    for i in range(nG):
+        coefs = {zidx(i, j, k): 1.0 for j in range(nD) for k in range(nB)}
+        rows.append((coefs, 1.0, 1.0))
+    for j in range(nD):
+        coefs = {zidx(i, j, k): 1.0 for i in range(nG) for k in range(nB)}
+        rows.append((coefs, 1.0, float(nG)))
+    for i in range(1, nG):
+        for j in range(nD - 1):
+            for k2 in range(j + 1, nD):
+                coefs: dict[int, float] = {}
+                for kb in range(nB):
+                    coefs[zidx(i, j, kb)] = 1.0
+                    coefs[zidx(i - 1, k2, kb)] = (
+                        coefs.get(zidx(i - 1, k2, kb), 0.0) + 1.0
+                    )
+                rows.append((coefs, -np.inf, 1.0))
+    for j in range(nD):
+        coefs = {
+            zidx(i, j, k): mem[i, k] for i in range(nG) for k in range(nB)
+        }
+        rows.append((coefs, -np.inf, caps[j]))
+    for j in range(nD):
+        coefs = {
+            zidx(i, j, k): t_pre[i, j, k] for i in range(nG) for k in range(nB)
+        }
+        coefs[ip] = -1.0
+        rows.append((coefs, -np.inf, 0.0))
+        coefs = {
+            zidx(i, j, k): t_dec[i, j, k] for i in range(nG) for k in range(nB)
+        }
+        coefs[idx_td] = -1.0
+        rows.append((coefs, -np.inf, 0.0))
+
+    data, ri, ci, lo, hi = [], [], [], [], []
+    for r, (coefs, lb, ub) in enumerate(rows):
+        for col, val in coefs.items():
+            ri.append(r)
+            ci.append(col)
+            data.append(val)
+        lo.append(lb)
+        hi.append(ub)
+    A = sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n_var))
+    return A, np.asarray(lo), np.asarray(hi)
+
+
+def spec_assemble(ilp: BitAssignmentILP) -> AssembledILP | None:
+    """The MILP ``ilp.assemble()`` must build, or ``None`` when a device
+    has no capacity left at this micro-batch setting."""
+    sizes, t_pre, t_dec, mem, omega = spec_coefficients(ilp)
+    w = ilp.workload
+    nG, nD, nB = len(sizes), len(ilp.devices), len(ilp.bits)
+    nZ = nG * nD * nB
+
+    m_p = -(-w.global_batch // ilp.prefill_microbatch)
+    m_d = -(-w.global_batch // ilp.decode_microbatch)
+    n_pass = max(w.decode_passes, 0) if ilp.phase_aware else 0
+
+    caps = np.array([ilp._device_capacity(j) for j in range(nD)])
+    if np.any(caps <= 0):
+        return None
+
+    lat_scale = 1.0 if ilp.include_latency else 0.0
+    c = np.zeros(nZ + 2)
+    for i in range(nG):
+        for j in range(nD):
+            for k in range(nB):
+                c[(i * nD + j) * nB + k] = lat_scale * (
+                    t_pre[i, j, k] + n_pass * t_dec[i, j, k]
+                ) + ilp.theta * omega[i, k]
+    c[nZ] = lat_scale * (m_p - 1)
+    c[nZ + 1] = lat_scale * n_pass * (m_d - 1)
+    A, lo, hi = _spec_constraints(t_pre, t_dec, mem, caps, nG, nD, nB)
+    return AssembledILP(
+        c=c, A=A, lo=lo, hi=hi,
+        num_groups=nG, num_devices=nD, bits=tuple(ilp.bits),
+        theta=ilp.theta, omega=omega,
+        include_latency=ilp.include_latency, time_limit=ilp.time_limit,
+    )
+
+
+def spec_optimize(opt) -> PlannerResult:
+    """Algorithm 1 as a serial loop over ``opt``'s candidate grid."""
+    t0 = time.perf_counter()
+    records: list[CandidateRecord] = []
+    best_plan = best_pred = None
+    best_obj = np.inf
+    for ordering in opt.orderings():
+        type_seq = tuple(d.type_name for d in ordering)
+        for mb_p, mb_d in _microbatch_pairs(opt.workload, len(ordering), opt.config):
+            ilp = BitAssignmentILP(
+                cfg=opt.cfg,
+                workload=opt.workload,
+                devices=list(ordering),
+                latency_model=opt.latency_model,
+                indicator=opt.indicator.grouped(opt.config.group_size),
+                prefill_microbatch=mb_p,
+                decode_microbatch=mb_d,
+                bits=opt.config.bits,
+                group_size=opt.config.group_size,
+                theta=opt.config.theta,
+                kv_bits=int(opt.config.kv_bits),
+                time_limit=opt.config.ilp_time_limit,
+            )
+            t_solve = time.perf_counter()
+            prob = spec_assemble(ilp)
+            sol = None if prob is None else solve_assembled(prob)
+            seconds = time.perf_counter() - t_solve
+            status, obj, lat, quality = "infeasible", np.inf, np.inf, np.inf
+            if sol is not None and sol.feasible:
+                plan = opt.plan_from_solution(ordering, sol, ilp, mb_p, mb_d)
+                pred = simulate_pipeline(
+                    plan, opt.cluster, latency_model=opt.latency_model
+                )
+                status, quality = "oom", sol.quality_term
+                if pred.feasible:
+                    status = "optimal"
+                    lat = pred.total_latency
+                    obj = lat + opt.config.theta * sol.quality_term
+            records.append(
+                CandidateRecord(
+                    ordering=type_seq, prefill_microbatch=mb_p,
+                    decode_microbatch=mb_d, status=status, objective=obj,
+                    latency=lat, quality=quality, solve_seconds=seconds,
+                )
+            )
+            if obj < best_obj:
+                best_obj, best_plan, best_pred = obj, plan, pred
+    return PlannerResult(
+        plan=best_plan,
+        objective=best_obj,
+        predicted=best_pred,
+        candidates=tuple(records),
+        total_seconds=time.perf_counter() - t0,
+    )

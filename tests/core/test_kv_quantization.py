@@ -58,7 +58,7 @@ def test_kv8_buys_precision(cluster3, latmodel_cluster3, workload):
 
 
 def test_planned_stages_carry_kv_bits(cluster3, latmodel_cluster3, workload):
-    """Explicit kv_bits lands on every stage and in the plan meta."""
+    """Explicit kv_bits lands on every stage — and nowhere else."""
     res = LLMPQOptimizer(
         "opt-30b", cluster3, workload,
         config=PlannerConfig(group_size=4, kv_bits=4,
@@ -67,7 +67,7 @@ def test_planned_stages_carry_kv_bits(cluster3, latmodel_cluster3, workload):
     ).optimize()
     assert res.feasible
     assert res.plan.kv_bits_per_stage == (4,) * res.plan.num_stages
-    assert res.plan.meta["kv_bits"] == 4
+    assert "kv_bits" not in res.plan.meta
 
 
 def test_kv_plan_json_roundtrip(cluster3, latmodel_cluster3, workload, tmp_path):
@@ -108,7 +108,7 @@ def test_kv_quantization_speeds_up_decode(cluster3, latmodel_cluster3, workload)
 
 def test_auto_kv_search(cluster3, latmodel_cluster3, workload):
     """kv_bits='auto' returns a feasible plan whose per-stage KV levels
-    are authoritative (legacy meta knob neutralized), and never does
+    are the only record of the choice, and never does
     worse than the fp16-KV run on the same objective scale once the
     KV-error penalty justifies quantizing."""
     auto = LLMPQOptimizer(
@@ -118,7 +118,7 @@ def test_auto_kv_search(cluster3, latmodel_cluster3, workload):
         latency_model=latmodel_cluster3,
     ).optimize()
     assert auto.feasible
-    assert auto.plan.meta["kv_bits"] == 16  # stage values are authoritative
+    assert "kv_bits" not in auto.plan.meta  # stage values are the only ones
     assert all(b in (4, 8, 16) for b in auto.plan.kv_bits_per_stage)
     fp16 = LLMPQOptimizer(
         "opt-30b", cluster3, workload,

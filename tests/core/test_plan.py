@@ -76,6 +76,39 @@ def test_json_roundtrip(tmp_path):
     assert r == p
 
 
+def test_plan_global_kv_bits_upgrades_on_load():
+    """A strategy file with ``meta.kv_bits`` and every stage at 16 loads
+    with the value on the stages and no meta key; saving and loading the
+    result again changes nothing."""
+    old = _plan13b().to_dict()
+    old["meta"] = {"theta": 1.0, "kv_bits": 4}
+    for st in old["stages"]:
+        del st["kv_bits"]  # files that old carry no per-stage field at all
+    loaded = ExecutionPlan.from_dict(old)
+    assert loaded.kv_bits_per_stage == (4, 4)
+    assert loaded.meta == {"theta": 1.0}
+    assert loaded == _plan13b().with_kv_bits(4)
+    assert ExecutionPlan.from_dict(loaded.to_dict()).to_dict() == loaded.to_dict()
+    assert old["meta"]["kv_bits"] == 4  # the caller's dict is left alone
+
+
+def test_plan_global_kv_bits_yields_to_stage_values():
+    """Stage values win wherever any stage already quantizes its KV; the
+    stale meta key is dropped and an fp16 stage stays fp16."""
+    d = _plan13b().with_kv_bits((8, 16)).to_dict()
+    d["meta"] = {"kv_bits": 4}
+    loaded = ExecutionPlan.from_dict(d)
+    assert loaded.kv_bits_per_stage == (8, 16)
+    assert loaded.meta == {}
+    d16 = _plan13b().to_dict()
+    d16["meta"] = {"kv_bits": 16}
+    assert ExecutionPlan.from_dict(d16).kv_bits_per_stage == (16, 16)
+    bad = _plan13b().to_dict()
+    bad["meta"] = {"kv_bits": 5}
+    with pytest.raises(ValueError, match="kv_bits"):
+        ExecutionPlan.from_dict(bad)
+
+
 def test_describe_contains_key_facts():
     text = _plan13b().describe()
     assert "opt-13b" in text

@@ -1,10 +1,11 @@
 """Tests for the parallel, cache-aware planner search engine.
 
-Covers the engine's asserted-identical-result guarantee: vectorized MILP
-assembly is *exactly* equal to the legacy dict-loop builder, the shared
-prediction cache is numerically transparent, and the engine (serial or
-parallel, with dedup and LP-bound pruning) returns the same best
-objective and an equivalent plan as the legacy serial loop.
+Covers the engine's asserted-identical-result guarantee against
+``ilp_spec``: MILP assembly is *exactly* equal to the cell-by-cell
+``spec_assemble``, the shared prediction cache is numerically
+transparent, and the engine (serial or parallel, with dedup and LP-bound
+pruning) returns the same best objective and an equivalent plan as the
+serial ``spec_optimize`` loop.
 """
 
 import numpy as np
@@ -15,6 +16,8 @@ from repro.core.optimizer import LLMPQOptimizer, PlannerConfig, _microbatch_pair
 from repro.hardware import make_cluster
 from repro.quant import synthetic_indicator
 from repro.workload import Workload
+
+from .ilp_spec import spec_assemble, spec_coefficients, spec_optimize
 
 
 @pytest.fixture(scope="module")
@@ -59,12 +62,12 @@ def _plan_signature(plan):
 @pytest.mark.parametrize(
     "include_latency,phase_aware", [(True, True), (True, False), (False, True)]
 )
-def test_vectorized_assembly_exactly_equals_legacy(
+def test_assembly_exactly_equals_spec(
     search_cluster, latmodel_13b, opt13b, group, theta, include_latency, phase_aware
 ):
     """Property-style equality: objective vector, constraint matrix and
     row bounds from the numpy builder are bitwise identical to the
-    legacy scalar/dict-loop builder."""
+    scalar/dict-loop spec."""
     ind = synthetic_indicator(opt13b).normalized().grouped(group)
     ilp = BitAssignmentILP(
         cfg=opt13b,
@@ -80,7 +83,7 @@ def test_vectorized_assembly_exactly_equals_legacy(
         phase_aware=phase_aware,
     )
     vec = ilp.assemble()
-    leg = ilp.assemble(legacy=True)
+    leg = spec_assemble(ilp)
     assert vec is not None and leg is not None
     assert np.array_equal(vec.c, leg.c)
     assert np.array_equal(vec.lo, leg.lo)
@@ -107,7 +110,7 @@ def test_cached_coefficients_bitwise_equal_scalar_path(
         group_size=2,
     )
     _, tp_v, td_v, mem_v, om_v = ilp._coefficients()
-    _, tp_l, td_l, mem_l, om_l = ilp._coefficients(legacy=True)
+    _, tp_l, td_l, mem_l, om_l = spec_coefficients(ilp)
     assert np.array_equal(tp_v, tp_l)
     assert np.array_equal(td_v, td_l)
     assert np.array_equal(mem_v, mem_l)
@@ -144,8 +147,8 @@ def test_lp_bound_is_admissible(search_cluster, latmodel_13b):
 
 
 @pytest.fixture(scope="module")
-def legacy_result(search_cluster, latmodel_13b):
-    return _make_opt(search_cluster, latmodel_13b).optimize_legacy()
+def spec_result(search_cluster, latmodel_13b):
+    return spec_optimize(_make_opt(search_cluster, latmodel_13b))
 
 
 @pytest.fixture(scope="module")
@@ -158,13 +161,13 @@ def parallel_result(search_cluster, latmodel_13b):
     return _make_opt(search_cluster, latmodel_13b, n_jobs=2).optimize()
 
 
-def test_engine_matches_legacy_best(engine_result, legacy_result):
-    assert engine_result.feasible and legacy_result.feasible
+def test_engine_matches_spec_best(engine_result, spec_result):
+    assert engine_result.feasible and spec_result.feasible
     assert engine_result.objective == pytest.approx(
-        legacy_result.objective, abs=1e-6
+        spec_result.objective, abs=1e-6
     )
     assert _plan_signature(engine_result.plan) == _plan_signature(
-        legacy_result.plan
+        spec_result.plan
     )
 
 
@@ -178,16 +181,16 @@ def test_parallel_matches_serial(parallel_result, engine_result):
     assert parallel_result.stats.n_jobs == 2
 
 
-def test_engine_candidate_grid_matches_legacy(engine_result, legacy_result):
-    """Same enumeration order and per-candidate metadata as the legacy
+def test_engine_candidate_grid_matches_spec(engine_result, spec_result):
+    """Same enumeration order and per-candidate metadata as the serial
     loop; the winning objective is the grid minimum in both."""
-    assert len(engine_result.candidates) == len(legacy_result.candidates)
-    for e, ref in zip(engine_result.candidates, legacy_result.candidates):
+    assert len(engine_result.candidates) == len(spec_result.candidates)
+    for e, ref in zip(engine_result.candidates, spec_result.candidates):
         assert e.ordering == ref.ordering
         assert e.prefill_microbatch == ref.prefill_microbatch
         assert e.decode_microbatch == ref.decode_microbatch
-    # every non-pruned optimal candidate's objective agrees with legacy
-    for e, ref in zip(engine_result.candidates, legacy_result.candidates):
+    # every non-pruned optimal candidate's objective agrees with the spec
+    for e, ref in zip(engine_result.candidates, spec_result.candidates):
         if e.status == "optimal":
             assert e.objective == pytest.approx(ref.objective, abs=1e-6)
     best = min(
@@ -196,10 +199,10 @@ def test_engine_candidate_grid_matches_legacy(engine_result, legacy_result):
     assert engine_result.objective == pytest.approx(best)
 
 
-def test_pruned_candidates_cannot_beat_winner(engine_result, legacy_result):
+def test_pruned_candidates_cannot_beat_winner(engine_result, spec_result):
     """Admissibility in action: every candidate the engine pruned has a
-    legacy objective no better than the returned best."""
-    for e, ref in zip(engine_result.candidates, legacy_result.candidates):
+    serial-loop objective no better than the returned best."""
+    for e, ref in zip(engine_result.candidates, spec_result.candidates):
         if e.status == "pruned":
             assert ref.objective >= engine_result.objective - 1e-9
 

@@ -1,12 +1,14 @@
-"""Fused ragged-batch decode: the default execution mode.
+"""Fused ragged-batch decode: how the scheduler executes decode.
 
 The contract this file pins:
 
-1. fused decode produces **token streams identical** to the per-request
-   batch-1 oracle path (``decode_batching="per-request"``) and to the
-   single-process reference — for fp16, KV8 and KV4, uniform and mixed
-   per-stage, across a hypothesis sweep of batch size x weight bitwidth
-   x kv_bits;
+1. fused decode produces **token streams identical** to the
+   single-process ``generate()`` reference (fake-quantised where the
+   plan quantises) and — where per-stage KV / weight bitwidths differ,
+   which ``generate()`` cannot express — to the batch-1-message drive of
+   the same workers in ``per_request_spec``: fp16, KV8 and KV4, uniform
+   and mixed per-stage, across a hypothesis sweep of batch size x weight
+   bitwidth x kv_bits;
 2. the batched KV append/gather primitives (:class:`BatchedKVView`) are
    **bit-exact** per request against looped batch-1 cache ops, with
    exact-zero padding beyond each request's length;
@@ -30,6 +32,7 @@ from repro.core.plan import ExecutionPlan, StagePlan
 from repro.hardware import Device, get_gpu
 from repro.models import TinyDecoderLM, generate
 from repro.ops import argmax_margin, greedy_pick
+from repro.quant import quantize_dequantize
 from repro.runtime import ContinuousScheduler, PipelineRuntime, ServeRequest
 from repro.runtime.kvcache import (
     BatchedKVView,
@@ -39,6 +42,8 @@ from repro.runtime.kvcache import (
     StageKVManager,
 )
 from repro.workload import Workload
+
+from .per_request_spec import spec_serve_per_request
 
 
 def _dev(i):
@@ -86,13 +91,27 @@ def _mixed_requests(cfg, *, n=7, seed=11, gap=0.0):
     return out
 
 
-def _serve(model, plan, requests, mode):
+def _serve(model, plan, requests):
     with PipelineRuntime(model, plan) as rt:
-        report = ContinuousScheduler(
-            rt, policy="continuous", decode_batching=mode
-        ).serve(requests)
+        report = ContinuousScheduler(rt, policy="continuous").serve(requests)
         stats = rt.stats
     return report, stats
+
+
+def _generate_streams(model, plan, requests):
+    """``generate()`` per request on the reference, weights fake-quantised
+    to the plan's per-layer bits and KV to its (uniform) ``kv_bits``."""
+    (kv_bits,) = set(plan.kv_bits_per_stage)
+    model = model.clone()
+    for i, b in enumerate(plan.layer_bits):
+        if b < 16:
+            model.apply_to_layer(i, lambda _n, w, b=b: quantize_dequantize(w, b))
+    return {
+        r.request_id: generate(
+            model, np.asarray(r.prompt)[None, :], r.gen_len, kv_bits=kv_bits
+        ).tokens[0]
+        for r in requests
+    }
 
 
 def _streams(report):
@@ -117,27 +136,23 @@ def _assert_fused_matches_oracle(model, requests, fused, oracle):
         ) else float("nan")
         raise AssertionError(
             f"request {rid} diverged at decode step {t}: fused={got[t]} "
-            f"per-request={want[t]} (reference argmax margin {margin:.3e}; "
+            f"oracle={want[t]} (reference argmax margin {margin:.3e}; "
             f"a zero margin means an unbroken tie, anything larger is a "
             f"real numeric divergence)"
         )
 
 
 # ---------------------------------------------------------------------------
-# fused is the default and equals the oracle paths
+# fused streams equal the oracles
 # ---------------------------------------------------------------------------
 
 
-def test_fused_is_default_and_matches_reference(reference, tiny8l, workload12):
-    """Default-constructed scheduler runs fused and still reproduces the
+def test_fused_matches_reference(reference, tiny8l, workload12):
+    """The scheduler decodes fused and still reproduces the
     single-process batch-1 streams."""
     plan = _plan([(16,) * 3, (16,) * 3, (16,) * 2], workload=workload12)
     requests = _mixed_requests(tiny8l)
-    with PipelineRuntime(reference, plan) as rt:
-        sched = ContinuousScheduler(rt, policy="continuous")
-        assert sched.decode_batching == "fused"
-        report = sched.serve(requests)
-        stats = rt.stats
+    report, stats = _serve(reference, plan, requests)
     assert stats.fused_iterations > 0
     by_id = {r.request_id: r for r in requests}
     assert len(report.completed) == len(requests)
@@ -156,23 +171,21 @@ def test_fused_is_default_and_matches_reference(reference, tiny8l, workload12):
     kv_bits=st.sampled_from([16, 8, 4]),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_fused_equals_per_request_sweep(reference4, tiny4l, n, bits, kv_bits, seed):
+def test_fused_equals_generate_sweep(reference4, tiny4l, n, bits, kv_bits, seed):
     """Hypothesis sweep: batch size x weight bitwidth x kv_bits.  Fused
-    and per-request serving must emit identical token streams."""
+    serving must emit the fake-quantised reference's token streams."""
     w = Workload(prompt_len=10, gen_len=5, global_batch=8)
     plan = _plan(
         [(bits,) * 2, (bits,) * 2], [kv_bits, kv_bits], workload=w,
         model="tiny-4l",
     )
     requests = _mixed_requests(tiny4l, n=n, seed=seed)
-    fused_report, fused_stats = _serve(reference4, plan, requests, "fused")
-    oracle_report, oracle_stats = _serve(reference4, plan, requests, "per-request")
+    fused_report, fused_stats = _serve(reference4, plan, requests)
     assert len(fused_report.completed) == len(requests)
-    assert len(oracle_report.completed) == len(requests)
     _assert_fused_matches_oracle(
-        reference4, requests, _streams(fused_report), _streams(oracle_report)
+        reference4, requests, _streams(fused_report),
+        _generate_streams(reference4, plan, requests),
     )
-    assert oracle_stats.fused_iterations == 0
     assert fused_stats.fused_batch_max <= n
 
 
@@ -180,16 +193,16 @@ def test_fused_equals_per_request_mixed_kv_and_bits(
     reference, tiny8l, workload12
 ):
     """Mixed per-stage weight bits (8/4/16) and kv_bits (4/8/16) side by
-    side: fused streams equal the per-request oracle."""
+    side: fused streams equal the batch-1-message oracle."""
     plan = _plan(
         [(8,) * 3, (4,) * 3, (16,) * 2], [4, 8, 16], workload=workload12
     )
     requests = _mixed_requests(tiny8l, n=6, seed=41)
-    fused_report, _ = _serve(reference, plan, requests, "fused")
-    oracle_report, _ = _serve(reference, plan, requests, "per-request")
+    fused_report, _ = _serve(reference, plan, requests)
     assert len(fused_report.completed) == len(requests)
     _assert_fused_matches_oracle(
-        reference, requests, _streams(fused_report), _streams(oracle_report)
+        reference, requests, _streams(fused_report),
+        spec_serve_per_request(reference, plan, requests),
     )
 
 
@@ -198,12 +211,45 @@ def test_fused_with_staggered_arrivals(reference, tiny8l, workload12):
     mixed prefill+fused-decode iteration must not perturb streams."""
     requests = _mixed_requests(tiny8l, n=6, seed=13, gap=0.01)
     plan = _plan([(16,) * 4, (16,) * 4], workload=workload12)
-    fused_report, stats = _serve(reference, plan, requests, "fused")
-    oracle_report, _ = _serve(reference, plan, requests, "per-request")
+    fused_report, stats = _serve(reference, plan, requests)
     assert len(fused_report.completed) == len(requests)
     assert stats.fused_iterations > 0
+    want = _generate_streams(reference, plan, requests)
     _assert_fused_matches_oracle(
-        reference, requests, _streams(fused_report), _streams(oracle_report)
+        reference, requests, _streams(fused_report), want
+    )
+    _assert_fused_matches_oracle(
+        reference, requests, spec_serve_per_request(reference, plan, requests), want
+    )
+
+
+def test_fused_sixteen_wide_batch(reference, tiny8l):
+    """Sixteen simultaneous long generations decode as one 16-row batch
+    from the second token on, and every stream still equals both
+    oracles."""
+    gen = 24
+    plan = _plan(
+        [(16,) * 4, (16,) * 4],
+        workload=Workload(prompt_len=12, gen_len=gen, global_batch=8),
+    )
+    rng = np.random.default_rng(13)
+    requests = [
+        ServeRequest(
+            request_id=i,
+            prompt=rng.integers(
+                0, tiny8l.vocab_size, size=int(rng.integers(6, 11)), dtype=np.int64
+            ),
+            gen_len=gen,
+        )
+        for i in range(16)
+    ]
+    report, stats = _serve(reference, plan, requests)
+    assert len(report.completed) == 16
+    assert stats.fused_batch_max == 16
+    want = _generate_streams(reference, plan, requests)
+    _assert_fused_matches_oracle(reference, requests, _streams(report), want)
+    _assert_fused_matches_oracle(
+        reference, requests, spec_serve_per_request(reference, plan, requests), want
     )
 
 
@@ -238,17 +284,20 @@ def test_reference_and_runtime_share_tie_break(reference, tiny8l, workload12):
     tie = np.array([[2.0, 7.5, 7.5, 0.0]])
     rng = np.random.default_rng(0)
     assert int(_pick(tie, True, rng)[0]) == int(greedy_pick(tie)[0]) == 1
-    # end to end: fused, per-request and the single-process reference all
-    # walk through greedy_pick, so one request's stream is identical in
-    # all three (the sweep above covers multi-request; this pins n=1)
+    # end to end: fused, batch-1 messages and the single-process
+    # reference all walk through greedy_pick, so one request's stream is
+    # identical in all three (the sweep above covers multi-request; this
+    # pins n=1)
     req = _mixed_requests(tiny8l, n=1, seed=2)[0]
     plan = _plan([(16,) * 4, (16,) * 4], workload=workload12)
-    for mode in ("fused", "per-request"):
-        report, _ = _serve(reference, plan, [req], mode)
-        expected = generate(
-            reference, np.asarray(req.prompt)[None, :], req.gen_len
-        ).tokens[0]
-        np.testing.assert_array_equal(report.completed[0].tokens, expected)
+    expected = generate(
+        reference, np.asarray(req.prompt)[None, :], req.gen_len
+    ).tokens[0]
+    report, _ = _serve(reference, plan, [req])
+    np.testing.assert_array_equal(report.completed[0].tokens, expected)
+    np.testing.assert_array_equal(
+        spec_serve_per_request(reference, plan, [req])[req.request_id], expected
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +422,7 @@ def test_fused_counters_account_for_weight_stream(reference, tiny8l, workload12)
     * total weight bytes`` — one stream per iteration instead of B."""
     plan = _plan([(8,) * 4, (4,) * 4], workload=workload12)
     requests = _mixed_requests(tiny8l, n=5, seed=19)
-    _, stats = _serve(reference, plan, requests, "fused")
+    _, stats = _serve(reference, plan, requests)
     assert stats.fused_iterations > 0
     assert 1.0 <= stats.fused_batch_mean <= stats.fused_batch_max <= 5
     w_total = sum(
@@ -383,21 +432,3 @@ def test_fused_counters_account_for_weight_stream(reference, tiny8l, workload12)
     )
     expected = (stats.fused_batch_sum - stats.fused_iterations) * w_total
     assert stats.fused_weight_bytes_saved == pytest.approx(expected)
-
-
-def test_per_request_mode_leaves_counters_zero(reference, tiny8l, workload12):
-    plan = _plan([(16,) * 4, (16,) * 4], workload=workload12)
-    requests = _mixed_requests(tiny8l, n=3, seed=7)
-    _, stats = _serve(reference, plan, requests, "per-request")
-    assert stats.fused_iterations == 0
-    assert stats.fused_batch_sum == 0
-    assert stats.fused_batch_max == 0
-    assert stats.fused_batch_mean == 0.0
-    assert stats.fused_weight_bytes_saved == 0.0
-
-
-def test_decode_batching_validation(reference, workload12):
-    plan = _plan([(16,) * 4, (16,) * 4], workload=workload12)
-    with PipelineRuntime(reference, plan) as rt:
-        with pytest.raises(ValueError, match="decode_batching"):
-            ContinuousScheduler(rt, decode_batching="orca")

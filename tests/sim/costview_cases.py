@@ -53,7 +53,8 @@ def mixed_plan():
 
 
 def mb1_plan():
-    """Single micro-batch plan (m_p = m_d = 1): analytic == DES exactly."""
+    """Single micro-batch plan (m_p = m_d = 1) with KV8 on every stage:
+    analytic == DES exactly."""
     cluster = paper_cluster(3)
     w = Workload(prompt_len=96, gen_len=8, global_batch=1)
     patterns = [(4, 4), (8, 4), (16, 8), (3, 4)]
@@ -68,9 +69,8 @@ def mb1_plan():
         prefill_microbatch=1,
         decode_microbatch=1,
         workload=w,
-        meta={"kv_bits": 8},
     )
-    return plan, cluster
+    return plan.with_kv_bits(8), cluster
 
 
 def canned_trace() -> list[OnlineRequest]:

@@ -47,12 +47,8 @@ def spec_unit_prefill_times(plan, cluster, prompt_len: int) -> np.ndarray:
     return out
 
 
-def spec_unit_decode_times(
-    plan, cluster, batch: int, context: float, *, decode_batching: str = "fused"
-) -> np.ndarray:
-    """Per-stage busy time of one decode iteration at ``context``."""
-    if decode_batching == "per-request" and batch != 1:
-        return float(batch) * spec_unit_decode_times(plan, cluster, 1, context)
+def spec_unit_decode_times(plan, cluster, batch: int, context: float) -> np.ndarray:
+    """Per-stage busy time of one fused decode iteration at ``context``."""
     cfg = get_model(plan.model_name)
     links = boundary_links(cluster, [st.device for st in plan.stages])
     n = plan.num_stages
@@ -90,10 +86,7 @@ class PerCallCostModel(StageCostModel):
         ).reshape(len(prompt_lens), self.plan.num_stages)
 
     def unit_decode_times(self, batch: int, context: float) -> np.ndarray:
-        return spec_unit_decode_times(
-            self.plan, self.cluster, batch, context,
-            decode_batching=self.decode_batching,
-        )
+        return spec_unit_decode_times(self.plan, self.cluster, batch, context)
 
     def unit_decode_times_batch(self, batches, contexts) -> np.ndarray:
         return np.array(

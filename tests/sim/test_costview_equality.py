@@ -66,7 +66,10 @@ def _oracle_stage_times_model(plan, cluster, model, contexts):
     dec = np.empty((n, contexts.size))
     for j, stage in enumerate(plan.stages):
         gpu = stage.device.spec
-        t = model.predict_layers(gpu, stage.layer_bits, "prefill", mb_p, s, s)
+        kv = stage.kv_bits
+        t = model.predict_layers(
+            gpu, stage.layer_bits, "prefill", mb_p, s, s, kv_bits=kv
+        )
         if j == 0:
             t += embedding_exec_time(gpu, cfg, mb_p, s, with_logits=False)
         if j == n - 1:
@@ -76,7 +79,9 @@ def _oracle_stage_times_model(plan, cluster, model, contexts):
         pre[j] = t
         total = np.zeros_like(contexts, dtype=np.float64)
         for bits, count in stage.bit_counts.items():
-            total += count * model.decode_step_times(gpu, bits, mb_d, contexts)
+            total += count * model.decode_step_times(
+                gpu, bits, mb_d, contexts, kv_bits=kv
+            )
         extra = 0.0
         if j == 0:
             extra += embedding_exec_time(gpu, cfg, mb_d, 1, with_logits=False)
@@ -121,27 +126,33 @@ def test_model_source_stage_times_match_prerefactor_oracle(
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("decode_batching", ["fused", "per-request"])
-def test_unit_tables_bitwise_equal_scalar_spec(decode_batching):
+def test_unit_tables_bitwise_equal_scalar_spec():
     """The precomputed-constant vectorized unit tables (the online
     continuous fast path) must be bitwise equal to the per-layer scalar
-    walk of ``costview_spec``, for any (batch, context) / prompt length."""
+    walk of ``costview_spec``, for any (batch, context) / prompt length —
+    one row at a time and as one multi-row table."""
     plan, cluster = mixed_plan()
-    scm = StageCostModel(plan, cluster, decode_batching=decode_batching)
-    for batch in (1, 2, 5, 16):
-        for context in (33.0, 128.0, 140.0, 1024.0):
-            want = spec_unit_decode_times(
-                plan, cluster, batch, context, decode_batching=decode_batching
-            )
-            assert np.array_equal(
-                scm.unit_decode_times(batch, context), want
-            ), (batch, context)
-            assert np.array_equal(
-                scm.unit_decode_times_batch(
-                    np.array([batch]), np.array([context])
-                )[0],
-                want,
-            ), (batch, context)
+    scm = StageCostModel(plan, cluster)
+    cells = [
+        (batch, context)
+        for batch in (1, 2, 5, 16)
+        for context in (33.0, 128.0, 140.0, 1024.0)
+    ]
+    want = {c: spec_unit_decode_times(plan, cluster, *c) for c in cells}
+    for batch, context in cells:
+        assert np.array_equal(
+            scm.unit_decode_times(batch, context), want[batch, context]
+        ), (batch, context)
+        assert np.array_equal(
+            scm.unit_decode_times_batch(
+                np.array([batch]), np.array([context])
+            )[0],
+            want[batch, context],
+        ), (batch, context)
+    table = scm.unit_decode_times_batch(
+        np.array([b for b, _ in cells]), np.array([c for _, c in cells])
+    )
+    assert np.array_equal(table, np.array([want[c] for c in cells]))
     for s in (24, 96, 128):
         assert np.array_equal(
             scm.unit_prefill_times(s), spec_unit_prefill_times(plan, cluster, s)

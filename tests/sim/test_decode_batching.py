@@ -1,126 +1,27 @@
-"""Batched-decode pricing: the cost model's two decode execution modes.
+"""Batched-decode pricing: a fused iteration shares the weight stream,
+and the latency model's per-row batch vector prices each fused iteration
+exactly like the scalar-batch call.
 
-``decode_batching="fused"`` is the default and reproduces the historical
-pricing byte for byte (one weight stream per iteration — the runtime's
-fused ragged-batch path).  ``"per-request"`` prices the batch-1 oracle
-path as ``b`` sequential unit iterations, exactly
-``float(b) * unit_decode_times(1, ctx)``, so the planner can quantify
-what fusion buys on a given cluster.
+(The cost model's fused unit tables are pinned to the layer-at-a-time
+spec in ``test_costview_equality.py``.)
 """
 
 import numpy as np
-import pytest
 
 from repro.cost.latency import LatencyModel
 from repro.cost.stagecosts import StageCostModel
 from repro.models import get_model
-from repro.sim.online import simulate_online
 
-from .costview_cases import canned_trace, mixed_plan
-
-
-@pytest.fixture(scope="module")
-def scm_pair():
-    plan, cluster = mixed_plan()
-    fused = StageCostModel(plan, cluster)
-    per = StageCostModel(plan, cluster, decode_batching="per-request")
-    return fused, per
+from .costview_cases import mixed_plan
 
 
-def test_default_mode_is_fused(scm_pair):
-    fused, per = scm_pair
-    assert fused.decode_batching == "fused"
-    assert per.decode_batching == "per-request"
-
-
-def test_per_request_is_exactly_b_unit_iterations(scm_pair):
-    """The oracle mode prices ``b`` sequential batch-1 messages — the
-    product must be bitwise, not approximate."""
-    fused, per = scm_pair
-    for b in (1, 2, 4, 7):
-        for ctx in (64.0, 130.0, 513.0):
-            got = per.unit_decode_times(b, ctx)
-            want = float(b) * per.unit_decode_times(1, ctx)
-            np.testing.assert_array_equal(got, want)
-            # batch 1 is mode-independent
-            np.testing.assert_array_equal(
-                per.unit_decode_times(1, ctx), fused.unit_decode_times(1, ctx)
-            )
-
-
-def test_fused_beats_per_request_above_batch_one(scm_pair):
-    """Fused shares the weight stream, so its iteration time is strictly
-    below b sequential unit iterations for every b > 1."""
-    fused, per = scm_pair
+def test_fused_iteration_beats_b_batch1_iterations():
+    """The batch shares each layer's weight read, so a batch-``b``
+    iteration is strictly cheaper than ``b`` batch-1 iterations."""
+    scm = StageCostModel(*mixed_plan())
+    one = scm.unit_decode_times(1, 256.0).sum()
     for b in (2, 4, 8):
-        f = fused.unit_decode_times(b, 256.0).sum()
-        p = per.unit_decode_times(b, 256.0).sum()
-        assert f < p
-
-
-def test_vectorized_batch_table_matches_scalar_dispatch(scm_pair):
-    """``unit_decode_times_batch`` row i must equal
-    ``unit_decode_times(batches[i], contexts[i])`` bit for bit in both
-    modes — the vectorized trace engine prices through this call."""
-    batches = np.array([1, 3, 1, 6, 2])
-    contexts = np.array([64.0, 128.0, 257.0, 96.0, 512.0])
-    for scm in scm_pair:
-        table = scm.unit_decode_times_batch(batches, contexts)
-        for i in range(batches.size):
-            np.testing.assert_array_equal(
-                table[i], scm.unit_decode_times(int(batches[i]), float(contexts[i]))
-            )
-
-
-def test_derive_propagates_decode_batching(scm_pair):
-    _, per = scm_pair
-    derived = per.derive(per.plan)
-    assert derived.decode_batching == "per-request"
-
-
-def test_invalid_mode_rejected():
-    plan, cluster = mixed_plan()
-    with pytest.raises(ValueError, match="decode_batching"):
-        StageCostModel(plan, cluster, decode_batching="orca")
-
-
-# ---------------------------------------------------------------------------
-# simulate_online plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_simulate_online_mode_validation_and_conflict():
-    plan, cluster = mixed_plan()
-    trace = canned_trace()
-    with pytest.raises(ValueError, match="decode_batching"):
-        simulate_online(plan, cluster, trace, decode_batching="orca")
-    per = StageCostModel(plan, cluster, decode_batching="per-request")
-    with pytest.raises(ValueError, match="prices"):
-        simulate_online(
-            plan, cluster, trace, cost_model=per, decode_batching="fused"
-        )
-
-
-def test_simulate_online_per_request_slows_decode():
-    """Pricing the batch-1 oracle mode must never finish faster than the
-    fused default on the same trace, and explicit fused == default."""
-    plan, cluster = mixed_plan()
-    trace = canned_trace()
-    base = simulate_online(plan, cluster, trace, policy="continuous")
-    fused = simulate_online(
-        plan, cluster, trace, policy="continuous", decode_batching="fused"
-    )
-    per = simulate_online(
-        plan, cluster, trace, policy="continuous", decode_batching="per-request"
-    )
-    assert fused.makespan == base.makespan
-    assert per.makespan >= fused.makespan
-    assert per.completed == fused.completed == len(trace)
-
-
-# ---------------------------------------------------------------------------
-# latency-model vector-batch pricing
-# ---------------------------------------------------------------------------
+        assert scm.unit_decode_times(b, 256.0).sum() < b * one
 
 
 def _toy_latency_model():

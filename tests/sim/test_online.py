@@ -1,5 +1,8 @@
 """Unit tests for the online-serving extension (Sec. 7 discussion)."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -197,6 +200,42 @@ def test_per_wave_admissibility_beats_trace_wide_bound(cluster3, w):
     assert res.completed == len(trace)
     # mean wave batch lower-bounds the max; it must already beat the cap
     assert res.mean_wave_batch > worst_bound
+
+
+@pytest.mark.parametrize("policy", ["wave", "continuous"])
+def test_nonpositive_cap_rejects_everything_and_returns(cluster3, w, policy):
+    """A concurrency cap that admits nothing ends at once with every
+    request rejected and empty samples.  The continuous replay used to
+    spin on it forever, so the first run is a child process under a
+    timeout: a regression fails here instead of hanging the suite."""
+    code = (
+        "from repro.core.plan import ExecutionPlan\n"
+        "from repro.hardware import paper_cluster\n"
+        "from repro.sim.online import OnlineRequest, simulate_online\n"
+        "from repro.workload import Workload\n"
+        "c = paper_cluster(3)\n"
+        "w = Workload(prompt_len=512, gen_len=100, global_batch=16)\n"
+        "p = ExecutionPlan.uniform('opt-30b', c.devices, w, bits=4)\n"
+        "t = [OnlineRequest(float(k), 64, 8) for k in range(5)]\n"
+        f"r = simulate_online(p, c, t, policy={policy!r}, max_batch=0)\n"
+        "assert (r.completed, r.rejected) == (0, 5), r\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+
+    plan = _plan(cluster3, w, 4)
+    trace = [OnlineRequest(float(k), 64, 8) for k in range(5)]
+    for cap in (0, -2):
+        sink: dict = {}
+        res = simulate_online(
+            plan, cluster3, trace, policy=policy, max_batch=cap, sample_sink=sink
+        )
+        assert res.policy == policy
+        assert (res.completed, res.rejected, res.throughput) == (0, 5, 0.0)
+        assert res.makespan == res.p99_latency == float("inf")
+        assert all(sink[k].size == 0 for k in ("latencies", "ttfts", "lat_idx"))
 
 
 def test_simulate_online_validates_policy_and_engine(cluster3, w):

@@ -1,13 +1,12 @@
-"""The vectorized event-batch trace engine vs. the scalar oracle.
+"""The event-batch trace engine vs. the one-boundary-at-a-time spec.
 
 ``simulate_online(engine="analytic"|"des", policy="continuous")`` runs
-through :mod:`repro.sim.trace_engine`; the displaced scalar loop stays
-reachable as ``engine="reference"`` / ``engine="reference-des"``.  The
-contract is **exact equality**: every ``OnlineResult`` field — floats
-included — must match the oracle bit for bit, with or without drift
-detection and live replanning, in both the token-budget linear
-admission fast path and the general per-stage byte accounting
-(``force_general=True``).
+through :mod:`repro.sim.trace_engine`; ``tests/sim/online_spec.py`` is
+the scalar loop it must reproduce.  The contract is **exact equality**:
+every ``OnlineResult`` field — floats included — must match the spec
+bit for bit, with or without drift detection and live replanning, in
+both the token-budget linear admission fast path and the general
+per-stage byte accounting (the ``general_admission`` fixture).
 
 A hypothesis sweep drives random traces/plans/knobs through both
 engines; deterministic cases pin the canned trace, migrations that
@@ -15,6 +14,7 @@ change the stage cut, and the degenerate all-rejected/empty-percentile
 paths.
 """
 
+import contextlib
 import dataclasses
 import warnings
 
@@ -24,9 +24,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.plan import ExecutionPlan
+from repro.cost.stagecosts import StageCostModel
 from repro.runtime.replan import DriftConfig, workload_refit_replanner
 from repro.runtime.scheduler import ServeReport
 from repro.sim.online import OnlineRequest, simulate_online
+from repro.sim.trace_engine import _Engine, trace_columns
 from repro.workload.traces import (
     load_trace,
     sample_bursty_arrivals,
@@ -36,6 +38,7 @@ from repro.workload.traces import (
 )
 
 from .costview_cases import canned_trace, mb1_plan, mixed_plan
+from .online_spec import spec_simulate_continuous
 
 PLANS = {"mixed": mixed_plan(), "mb1": mb1_plan()}
 
@@ -45,23 +48,48 @@ DRIFT = DriftConfig(
 )
 
 
+@contextlib.contextmanager
+def _general_admission(on: bool):
+    """While ``on``, every cost-model bind (the initial one and each
+    migration's) forgets the exact-linear token budget, so the engine
+    admits through the general per-stage byte scan."""
+    bind = _Engine._bind_cost_model
+
+    def bind_general(self, scm):
+        bind(self, scm)
+        self._kvc, self._tok_budget = None, 0
+
+    if on:
+        _Engine._bind_cost_model = bind_general
+    try:
+        yield
+    finally:
+        _Engine._bind_cost_model = bind
+
+
 @pytest.fixture(params=[False, True], ids=["linear", "general"])
-def force_general(request):
+def general_admission(request):
     """Run each case through both admission paths: the exact-linear
     token-budget shortcut and the general per-stage byte scan."""
-    return request.param
+    with _general_admission(request.param):
+        yield request.param
 
 
-def _assert_identical(plan, cluster, trace, *, force_general=False, **kw):
-    vec = simulate_online(
-        plan, cluster, trace, policy="continuous",
-        force_general=force_general, **kw,
+def test_fixture_selects_the_admission_path(general_admission):
+    """The canned plans price KV linearly, so the default bind takes the
+    token-budget shortcut and only the fixture reaches the general scan."""
+    plan, cluster = PLANS["mixed"]
+    eng = _Engine(
+        plan, cluster, trace_columns(canned_trace()), max_batch=None,
+        engine="analytic", scm=StageCostModel(plan, cluster), source="kernels",
+        latency_model=None, drift=None, replanner=None,
     )
-    eng = kw.pop("engine", "analytic")
-    ref = "reference-des" if eng == "des" else "reference"
-    oracle = simulate_online(
-        plan, cluster, trace, policy="continuous", engine=ref, **kw
-    )
+    assert (eng._kvc is None) == general_admission
+
+
+def _assert_identical(plan, cluster, trace, **kw):
+    vec = simulate_online(plan, cluster, trace, policy="continuous", **kw)
+    oracle = spec_simulate_continuous(plan, cluster, trace, **kw)
     if vec != oracle:
         bad = [
             f"{f.name}: {getattr(vec, f.name)!r} != {getattr(oracle, f.name)!r}"
@@ -69,7 +97,7 @@ def _assert_identical(plan, cluster, trace, *, force_general=False, **kw):
             if getattr(vec, f.name) != getattr(oracle, f.name)
         ]
         raise AssertionError(
-            "vectorized engine diverged from the oracle:\n  " + "\n  ".join(bad)
+            "trace engine diverged from the spec:\n  " + "\n  ".join(bad)
         )
     return vec
 
@@ -82,58 +110,49 @@ def _assert_identical(plan, cluster, trace, *, force_general=False, **kw):
 @pytest.mark.parametrize("plan_name", sorted(PLANS))
 @pytest.mark.parametrize("engine", ["analytic", "des"])
 @pytest.mark.parametrize("max_batch", [None, 4, 2])
-def test_canned_trace_identical(plan_name, engine, max_batch, force_general):
+def test_canned_trace_identical(plan_name, engine, max_batch, general_admission):
     plan, cluster = PLANS[plan_name]
     _assert_identical(
-        plan, cluster, canned_trace(), engine=engine, max_batch=max_batch,
-        force_general=force_general,
+        plan, cluster, canned_trace(), engine=engine, max_batch=max_batch
     )
 
 
 @pytest.mark.parametrize("engine", ["analytic", "des"])
-def test_mixed_kv_trace_identical(engine, force_general):
+def test_mixed_kv_trace_identical(engine, general_admission):
     """Per-stage KV bitwidths reshape per-stage admission charges and
     decode times; the vectorized engine must still match the oracle bit
     for bit — including the exact-linear token-budget shortcut, whose
     per-stage charge vector is no longer uniform."""
     plan, cluster = PLANS["mixed"]
     kv_plan = plan.with_kv_bits((4, 8, 16, 4))
-    res = _assert_identical(
-        kv_plan, cluster, canned_trace(), engine=engine,
-        force_general=force_general,
-    )
+    res = _assert_identical(kv_plan, cluster, canned_trace(), engine=engine)
     assert res.completed > 0
 
 
-def test_kv4_admits_more_than_kv16(force_general):
+def test_kv4_admits_more_than_kv16(general_admission):
     """At the same memory budget, KV4's smaller per-request charge must
     never complete fewer requests than fp16 KV on an overload trace."""
     plan, cluster = PLANS["mixed"]
     trace = canned_trace() * 4
-    r16 = _assert_identical(
-        plan.with_kv_bits(16), cluster, trace, force_general=force_general
-    )
-    r4 = _assert_identical(
-        plan.with_kv_bits(4), cluster, trace, force_general=force_general
-    )
+    r16 = _assert_identical(plan.with_kv_bits(16), cluster, trace)
+    r4 = _assert_identical(plan.with_kv_bits(4), cluster, trace)
     assert r4.completed >= r16.completed
     assert r4.rejected <= r16.rejected
 
 
-def test_drifting_trace_identical_with_replanning(force_general):
+def test_drifting_trace_identical_with_replanning(general_admission):
     plan, cluster = PLANS["mixed"]
     trace = sample_diurnal_arrivals(
         3.0, 40.0, amplitude=0.9, period=20.0, seed=7,
         max_prompt=64, max_gen=32,
     )
     res = _assert_identical(
-        plan, cluster, trace, drift=DRIFT, replanner=workload_refit_replanner,
-        force_general=force_general,
+        plan, cluster, trace, drift=DRIFT, replanner=workload_refit_replanner
     )
     assert res.iterations > 0
 
 
-def test_recut_migration_identical(force_general):
+def test_recut_migration_identical(general_admission):
     """A replanner that changes the stage cut exercises the engine's
     migration path (KV recharge under the new plan's cost model)."""
     plan, cluster = PLANS["mixed"]
@@ -152,19 +171,47 @@ def test_recut_migration_identical(force_general):
         window=5.0, threshold=0.25, hysteresis=1, cooldown=6.0,
         rebuild_seconds=0.4,
     )
-    res = _assert_identical(
-        plan, cluster, trace, drift=drift, replanner=flip,
-        force_general=force_general,
+    res = _assert_identical(plan, cluster, trace, drift=drift, replanner=flip)
+    assert res.migrations >= 1
+
+
+def test_overloaded_diurnal_trace_identical_with_replanning(
+    general_admission, monkeypatch
+):
+    """Sustained overload against the T4 stages' KV headroom keeps the
+    queue ahead of the pipeline, so the engine commits most boundaries
+    through speculative stretches that drift windows and refit migrations
+    cut short — the regime the million-request replays live in, at a
+    size the spec can follow."""
+    plan, cluster = PLANS["mixed"]
+    trace = sample_diurnal_arrivals(
+        80.0, 40.0, amplitude=0.35, period=10.0, seed=11,
+        max_prompt=128, max_gen=64,
     )
+    drift = DriftConfig(
+        window=2.5, threshold=0.4, hysteresis=2, cooldown=5.0,
+        rebuild_seconds=1.0,
+    )
+    stretched = []
+    stretch = _Engine._stretch
+    monkeypatch.setattr(
+        _Engine, "_stretch",
+        lambda self: stretched.append(stretch(self)) or stretched[-1],
+    )
+    res = _assert_identical(
+        plan, cluster, trace, drift=drift, replanner=workload_refit_replanner
+    )
+    assert res.mean_inflight > 50 and res.rejected == 0  # memory-bound backlog
+    assert sum(stretched) > res.iterations // 2
     assert res.migrations >= 1
 
 
 def test_many_prompt_lengths_priced_without_scalar_kernel(
-    force_general, monkeypatch
+    general_admission, monkeypatch
 ):
     """Binding the cost model prices every distinct prompt length of the
     trace in one table, so a replay — migrations included — never walks
-    the scalar per-layer kernel; the result still equals the oracle."""
+    the scalar per-layer kernel; the result still equals the spec."""
     import repro.sim.kernels as kernels
 
     plan, cluster = PLANS["mixed"]
@@ -182,8 +229,8 @@ def test_many_prompt_lengths_priced_without_scalar_kernel(
         window=20.0, threshold=0.3, hysteresis=1, cooldown=200.0,
         rebuild_seconds=0.4,
     )
-    kw = dict(policy="continuous", drift=drift, replanner=flip)
-    oracle = simulate_online(plan, cluster, trace, engine="reference", **kw)
+    kw = dict(drift=drift, replanner=flip)
+    oracle = spec_simulate_continuous(plan, cluster, trace, **kw)
 
     calls = []
     real = kernels.layer_exec_time
@@ -191,9 +238,7 @@ def test_many_prompt_lengths_priced_without_scalar_kernel(
         kernels, "layer_exec_time",
         lambda *a, **k: calls.append(1) or real(*a, **k),
     )
-    vec = simulate_online(
-        plan, cluster, trace, force_general=force_general, **kw
-    )
+    vec = simulate_online(plan, cluster, trace, policy="continuous", **kw)
     assert not calls, f"{len(calls)} scalar layer_exec_time calls"
     assert vec.migrations >= 1
     for f in dataclasses.fields(vec):
@@ -239,7 +284,8 @@ def test_random_traces_identical(
     kw = {"engine": engine, "max_batch": max_batch}
     if with_drift:
         kw.update(drift=DRIFT, replanner=workload_refit_replanner)
-    _assert_identical(plan, cluster, trace, force_general=general, **kw)
+    with _general_admission(general):
+        _assert_identical(plan, cluster, trace, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +293,15 @@ def test_random_traces_identical(
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ["analytic", "reference"])
-def test_all_rejected_trace_is_infeasible_without_warnings(engine):
+@pytest.mark.parametrize(
+    "simulate",
+    [
+        lambda *a: simulate_online(*a, policy="continuous"),
+        spec_simulate_continuous,
+    ],
+    ids=["engine", "spec"],
+)
+def test_all_rejected_trace_is_infeasible_without_warnings(simulate):
     """Requests too big to ever admit: the result degrades to the
     infeasible sentinel (inf latencies, zero throughput) without numpy's
     empty-slice RuntimeWarning leaking from the percentile math."""
@@ -256,9 +309,7 @@ def test_all_rejected_trace_is_infeasible_without_warnings(engine):
     trace = [OnlineRequest(arrival=0.0, prompt_len=10**6, gen_len=10**6)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = simulate_online(
-            plan, cluster, trace, policy="continuous", engine=engine
-        )
+        res = simulate(plan, cluster, trace)
     assert res.completed == 0
     assert res.rejected == 1
     assert res.mean_latency == float("inf")

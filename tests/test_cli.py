@@ -367,20 +367,60 @@ def test_serve_trace_file_roundtrip(strategy_file, tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_serve_reference_engine_matches_vectorized(strategy_file, capsys):
-    """--engine reference runs the scalar oracle; its summary matches the
-    default vectorized engine on the same sampled trace."""
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--engine", "reference"],
+        ["--engine", "reference-des"],
+        ["--decode-batching", "per-request"],
+    ],
+)
+def test_serve_has_no_oracle_modes(strategy_file, capsys, flags):
+    """The scalar simulator loop and batch-1 decode are test specs, not
+    serve options: argparse refuses them with its usage message."""
     from repro.cli import serve_main
 
-    base = [
-        "--strat-file-name", str(strategy_file),
-        "--cluster", "1",
-        "--rate", "1", "--duration", "8",
-    ]
-    assert serve_main([*base, "--engine", "reference"]) == 0
-    ref = capsys.readouterr().out
-    assert serve_main(base) == 0
-    assert capsys.readouterr().out == ref
+    with pytest.raises(SystemExit) as exc:
+        serve_main(["--strat-file-name", str(strategy_file), *flags])
+    assert exc.value.code == 2
+    assert "usage: llmpq-serve" in capsys.readouterr().err
+
+
+def test_serve_kv_bits_override_lands_on_stages_only(
+    strategy_file, monkeypatch
+):
+    """--kv-bits re-levels every stage and writes nothing into meta."""
+    import repro.sim.online as online
+    from repro.cli import serve_main
+
+    seen = []
+    real = online.simulate_online
+    monkeypatch.setattr(
+        online, "simulate_online",
+        lambda plan, *a, **k: seen.append(plan) or real(plan, *a, **k),
+    )
+    rc = serve_main([
+        "--strat-file-name", str(strategy_file), "--cluster", "1",
+        "--rate", "1", "--duration", "5", "--kv-bits", "8",
+    ])
+    assert rc == 0
+    (plan,) = seen
+    assert set(plan.kv_bits_per_stage) == {8}
+    assert "kv_bits" not in plan.meta
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_serve_rejects_nonpositive_max_inflight(strategy_file, capsys, cap):
+    """A cap that can admit nothing is a usage error, not a replay that
+    never ends."""
+    from repro.cli import serve_main
+
+    rc = serve_main([
+        "--strat-file-name", str(strategy_file), "--cluster", "1",
+        "--max-inflight", cap,
+    ])
+    assert rc == 2
+    assert "--max-inflight must be positive" in capsys.readouterr().err
 
 
 def test_serve_bad_trace_file_friendly_error(strategy_file, tmp_path, capsys):
@@ -395,17 +435,6 @@ def test_serve_bad_trace_file_friendly_error(strategy_file, tmp_path, capsys):
         ])
     assert "not a saved arrival trace" in str(exc.value)
     assert "Traceback" not in capsys.readouterr().err
-
-
-def test_serve_reference_engine_needs_continuous(tiny_strategy_file, capsys):
-    from repro.cli import serve_main
-
-    rc = serve_main([
-        "--strat-file-name", str(tiny_strategy_file),
-        "--policy", "wave", "--engine", "reference",
-    ])
-    assert rc == 2
-    assert "continuous" in capsys.readouterr().err
 
 
 def test_serve_rejects_bad_rate(tiny_strategy_file, capsys):
