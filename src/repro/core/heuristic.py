@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ..hardware.cluster import Device
-from ..sim.pipeline import PipelineResult, simulate_pipeline
+from ..sim.pipeline import PipelineResult
 from .optimizer import LLMPQOptimizer, PlannerResult, CandidateRecord
 from .plan import ExecutionPlan, StagePlan
 
@@ -59,7 +59,7 @@ def _evaluate(
     optimizer: LLMPQOptimizer, plan: ExecutionPlan
 ) -> tuple[float, PipelineResult]:
     """``plan``'s objective and the simulation it was read from."""
-    pred = simulate_pipeline(plan, optimizer.cluster, latency_model=optimizer.latency_model)
+    pred = optimizer.simulate(plan)
     if not pred.feasible:
         return float("inf"), pred
     quality = _plan_quality(optimizer, plan)
@@ -293,10 +293,27 @@ def _retune_microbatches(
     return best
 
 
+class _LevelHeuristic:
+    """One KV level's search for ``_optimize_auto_kv``: no bound to offer,
+    and the incumbent buys the greedy walk nothing."""
+
+    def __init__(self, optimizer: LLMPQOptimizer) -> None:
+        self.optimizer = optimizer
+
+    def prepare(self) -> float:
+        return -np.inf
+
+    def run(self, incumbent: float) -> PlannerResult:
+        return heuristic_optimize(self.optimizer)
+
+
 def heuristic_optimize(optimizer: LLMPQOptimizer) -> PlannerResult:
     """Drop-in replacement for :meth:`LLMPQOptimizer.optimize` that uses
     adabits + bitwidth transfer instead of the exact ILP (Table 8's
-    "Heuristic" row)."""
+    "Heuristic" row).  ``kv_bits="auto"`` runs it once per uniform KV
+    level inside the same level search as the exact planner."""
+    if optimizer.config.kv_bits == "auto":
+        return optimizer._optimize_auto_kv(_LevelHeuristic)
     t0 = time.perf_counter()
     records: list[CandidateRecord] = []
     best_plan: ExecutionPlan | None = None
@@ -338,15 +355,10 @@ def heuristic_optimize(optimizer: LLMPQOptimizer) -> PlannerResult:
         )
         if obj < best_obj:
             best_obj, best_plan = obj, plan
-    pred = None
-    if best_plan is not None:
-        pred = simulate_pipeline(
-            best_plan, optimizer.cluster, latency_model=optimizer.latency_model
-        )
     return PlannerResult(
         plan=best_plan,
         objective=best_obj,
-        predicted=pred,
+        predicted=None if best_plan is None else optimizer.simulate(best_plan),
         candidates=tuple(records),
         total_seconds=time.perf_counter() - t0,
     )

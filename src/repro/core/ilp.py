@@ -95,11 +95,11 @@ class ILPSolution:
         return self.status == "optimal"
 
 
-def _infeasible(seconds: float) -> ILPSolution:
+def _infeasible(seconds: float, status: str = "infeasible") -> ILPSolution:
     return ILPSolution(
         group_device=(), group_bits=(), objective=np.inf,
         latency_term=np.inf, quality_term=np.inf,
-        status="infeasible", solve_seconds=seconds,
+        status=status, solve_seconds=seconds,
     )
 
 
@@ -142,26 +142,36 @@ def _milp_bounds(prob: AssembledILP) -> tuple[Bounds, np.ndarray]:
     return bounds, integrality
 
 
-def solve_assembled(prob: AssembledILP) -> ILPSolution:
+def solve_assembled(prob: AssembledILP, cutoff: float = np.inf) -> ILPSolution:
     """Solve one assembled MILP with HiGHS and decode the assignment.
 
     Module-level and dependent only on the (picklable) payload so the
     parallel planner can ship it to ``ProcessPoolExecutor`` workers.
+
+    A finite ``cutoff`` (the search's incumbent) adds the row ``c @ x <=
+    cutoff``: assignments that cannot beat the incumbent leave the
+    feasible set, so HiGHS stops at "nothing under the cutoff" instead
+    of proving the optimality of a loser.  A solve that finds nothing
+    under the cutoff comes back with status ``"pruned"``.
     """
     import time
 
     t0 = time.perf_counter()
     bounds, integrality = _milp_bounds(prob)
+    constraints = [LinearConstraint(prob.A, prob.lo, prob.hi)]
+    cut = np.isfinite(cutoff)
+    if cut:
+        constraints.append(LinearConstraint(prob.c[None, :], -np.inf, cutoff))
     res = milp(
         prob.c,
-        constraints=[LinearConstraint(prob.A, prob.lo, prob.hi)],
+        constraints=constraints,
         integrality=integrality,
         bounds=bounds,
         options={"time_limit": prob.time_limit, "mip_rel_gap": 1e-4},
     )
     dt = time.perf_counter() - t0
     if res.status != 0 or res.x is None:
-        return _infeasible(dt)
+        return _infeasible(dt, "pruned" if cut and res.status == 2 else "infeasible")
     nG, nD, nB = prob.num_groups, prob.num_devices, len(prob.bits)
     z = res.x[: prob.num_z].reshape(nG, nD, nB)
     gdev, gbits = [], []

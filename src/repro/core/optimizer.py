@@ -37,6 +37,7 @@ import numpy as np
 from ..cost.latency import LatencyModel
 from ..cost.predictions import PredictionCache
 from ..cost.profiler import build_latency_model
+from ..cost.stagecosts import StageCostModel
 from ..hardware.cluster import Cluster, Device
 from ..models.registry import get_model
 from ..quant.indicator import (
@@ -196,12 +197,13 @@ class LLMPQOptimizer:
             return out[: self.config.max_orderings]
         raise ValueError(f"unknown ordering_mode {self.config.ordering_mode!r}")
 
-    def _solve_candidate(
+    def build_ilp(
         self, ordering: Sequence[Device], mb_p: int, mb_d: int, *,
         include_latency: bool = True,
-    ) -> tuple[ILPSolution, BitAssignmentILP]:
-        """Solve one candidate's ILP."""
-        ilp = BitAssignmentILP(
+    ) -> BitAssignmentILP:
+        """One candidate's Sec.-4.3 ILP under this planner's knobs, its
+        coefficients read through the shared prediction memo."""
+        return BitAssignmentILP(
             cfg=self.cfg,
             workload=self.workload,
             devices=list(ordering),
@@ -213,11 +215,29 @@ class LLMPQOptimizer:
             group_size=self.config.group_size,
             theta=self.config.theta,
             include_latency=include_latency,
-            kv_bits=int(self.config.kv_bits),
+            kv_bits=self.config.kv_bits,
             time_limit=self.config.ilp_time_limit,
             prediction_cache=self.prediction_cache,
         )
+
+    def _solve_candidate(
+        self, ordering: Sequence[Device], mb_p: int, mb_d: int, *,
+        include_latency: bool = True,
+    ) -> tuple[ILPSolution, BitAssignmentILP]:
+        """Solve one candidate's ILP."""
+        ilp = self.build_ilp(ordering, mb_p, mb_d, include_latency=include_latency)
         return ilp.solve(), ilp
+
+    def simulate(self, plan: ExecutionPlan) -> PipelineResult:
+        """The planner's view of ``plan``: the pipeline simulator priced
+        by the fitted latency model through the run's shared memo, so a
+        plan that differs from an earlier one in a few layers re-derives
+        nothing (same floats as ``simulate_pipeline(...,
+        latency_model=...)``)."""
+        scm = StageCostModel(
+            plan, self.cluster, prediction_cache=self.prediction_cache
+        )
+        return simulate_pipeline(plan, self.cluster, cost_model=scm)
 
     def plan_from_solution(
         self,
@@ -229,7 +249,6 @@ class LLMPQOptimizer:
     ) -> ExecutionPlan:
         """Materialize an ILP solution into an executable plan."""
         dev_per_layer, bits_per_layer = ilp.expand_groups(sol)
-        kv = int(self.config.kv_bits)  # "auto" never reaches the ILP layer
         stages = []
         for j, dev in enumerate(ordering):
             bits = tuple(
@@ -237,7 +256,7 @@ class LLMPQOptimizer:
             )
             if bits:
                 stages.append(
-                    StagePlan(device=dev, layer_bits=bits, kv_bits=kv)
+                    StagePlan(device=dev, layer_bits=bits, kv_bits=ilp.kv_bits)
                 )
         return ExecutionPlan(
             model_name=self.model_name,
@@ -268,7 +287,7 @@ class LLMPQOptimizer:
         from .search import SearchEngine
 
         if self.config.kv_bits == "auto":
-            return self._optimize_auto_kv()
+            return self._optimize_auto_kv(SearchEngine)
         return SearchEngine(self).run()
 
     # ------------------------------------------------------------------
@@ -302,9 +321,7 @@ class LLMPQOptimizer:
 
         def score(levels: tuple[int, ...]):
             variant = plan.with_kv_bits(levels)
-            pred = simulate_pipeline(
-                variant, self.cluster, latency_model=self.latency_model
-            )
+            pred = self.simulate(variant)
             if not pred.feasible:
                 return np.inf, None, None
             s = (
@@ -341,53 +358,66 @@ class LLMPQOptimizer:
         objective = quality_part + best_pred.total_latency
         return best_plan, best_pred, objective
 
-    def _optimize_auto_kv(self) -> PlannerResult:
-        """KV-bitwidth auto-search wrapped around the Algorithm-1 engine.
+    def _optimize_auto_kv(self, search) -> PlannerResult:
+        """KV-bitwidth auto-search wrapped around a per-level plan search.
 
         KV levels are *not* extra ILP variables — that would make the
-        latency terms bilinear.  Instead each uniform level runs the
-        engine at that level's prices (time tables and memory both see
+        latency terms bilinear.  Instead each uniform level is searched
+        at that level's prices (time tables and memory both see
         ``kv_bits``), the best level wins under the KV-error-penalized
         objective, and a per-stage refinement pass then mixes levels
         where the simulator + memory model justify it.
+
+        ``search(level_optimizer)`` is one level's search: ``prepare()``
+        returns a lower bound on its objective (``-inf`` if it has none)
+        and ``run(incumbent)`` a :class:`PlannerResult` that is exact for
+        every plan at or below ``incumbent``.  A uniform level's penalty
+        is the same for every plan, so the levels share one incumbent in
+        penalized-score space: the level with the lowest penalized bound
+        runs first and each later one only has to beat ``best score -
+        its own penalty`` — a level that cannot is pruned whole.  Result,
+        record order and the "higher level wins a tie" rule are those of
+        the plain loop (``spec_optimize_auto_kv`` in
+        ``tests/core/ilp_spec.py``).
         """
+        import copy
         import dataclasses
 
-        from .search import SearchEngine
-
         t0 = time.perf_counter()
-        base_cfg = self.config
+        theta = self.config.theta
+        levels = sorted(KV_BITS_CHOICES, reverse=True)
+        runs, penalty = {}, {}
+        for level in levels:
+            at_level = copy.copy(self)  # shares cost model, memo, indicators
+            at_level.config = dataclasses.replace(self.config, kv_bits=level)
+            runs[level] = search(at_level)
+            penalty[level] = theta * float(self.kv_indicator.column(level).sum())
+        order = sorted(levels, key=lambda lv: runs[lv].prepare() + penalty[lv])
+        results: dict[int, PlannerResult] = {}
+        scores: dict[int, float] = {}
+        best_score = np.inf
+        for level in order:
+            # a hair above the exact difference: the per-plan penalty
+            # below is summed stage by stage and may differ in the last ulp
+            seed = best_score - penalty[level] + 1e-9 * abs(best_score)
+            res = results[level] = runs[level].run(seed)
+            if res.feasible:
+                uniform = (level,) * res.plan.num_stages
+                scores[level] = res.objective + theta * self._kv_penalty(
+                    res.plan, uniform
+                )
+                best_score = min(best_score, scores[level])
         records: list[CandidateRecord] = []
         stats: PlannerStats | None = None
-        best: PlannerResult | None = None
-        best_score = np.inf
-        for level in sorted(KV_BITS_CHOICES, reverse=True):
-            self.config = dataclasses.replace(base_cfg, kv_bits=level)
-            try:
-                res = SearchEngine(self).run()
-            finally:
-                self.config = base_cfg
-            records.extend(res.candidates)
-            if res.stats is not None:
-                stats = res.stats if stats is None else stats.merged(res.stats)
-            if not res.feasible:
-                continue
-            uniform = (level,) * res.plan.num_stages
-            score = res.objective + base_cfg.theta * self._kv_penalty(
-                res.plan, uniform
-            )
-            if score < best_score:
-                best_score, best = score, res
-        if best is None:
-            return PlannerResult(
-                plan=None,
-                objective=np.inf,
-                predicted=None,
-                candidates=tuple(records),
-                total_seconds=time.perf_counter() - t0,
-                stats=stats,
-            )
-        plan, pred, objective = self._refine_stage_kv(best)
+        for level in levels:
+            records.extend(results[level].candidates)
+            st = results[level].stats
+            if st is not None:
+                stats = st if stats is None else stats.merged(st)
+        best = next((results[lv] for lv in levels if scores.get(lv) == best_score), None)
+        plan, pred, objective = (
+            (None, None, np.inf) if best is None else self._refine_stage_kv(best)
+        )
         return PlannerResult(
             plan=plan,
             objective=objective,

@@ -21,27 +21,32 @@ serial loop the tests compare against) without its redundant work:
 4. **incumbent pruning** — a candidate whose bound already exceeds the
    incumbent objective cannot contain the winner (LP bound <= MILP
    optimum <= simulated objective) and is skipped without a MILP solve.
+   A candidate that is solved takes the incumbent along as an objective
+   cutoff row (:func:`~repro.core.ilp.solve_assembled`): by the same
+   chain no assignment above it can win, so HiGHS proves "nothing under
+   the incumbent" instead of the optimality of a loser.
 5. **parallel solves** — remaining MILPs are dispatched to a
    ``ProcessPoolExecutor`` (``PlannerConfig.n_jobs``); each worker
    receives a pre-assembled, picklable :class:`AssembledILP` so solver
    output and state stay confined to the worker process.
 
-Pruning never changes the returned plan: the bound is admissible, and
-ties on the final objective are broken by the candidate's enumeration
-index, exactly like a serial loop's strict-improvement update.
+Pruning never changes the returned plan: bound and cutoff are admissible
+and non-strict, and ties on the final objective are broken by the
+candidate's enumeration index, exactly like a serial loop's
+strict-improvement update.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..hardware.cluster import Device
-from ..sim.pipeline import PipelineResult, simulate_pipeline
+from ..sim.pipeline import PipelineResult
 from .ilp import (
     AssembledILP,
     BitAssignmentILP,
@@ -59,7 +64,15 @@ __all__ = ["PlannerStats", "SearchEngine"]
 @dataclass(frozen=True)
 class PlannerStats:
     """Work accounting of one search-engine run (surfaced in the CLI and
-    benchmark tables)."""
+    benchmark tables).
+
+    ``solved`` counts MILPs that returned an assignment; ``pruned`` every
+    unique candidate that provably cannot win — skipped on its LP bound
+    or, for ``cut`` of them, rejected inside the MILP by the incumbent
+    cutoff row.  ``cache_hits``/``cache_misses`` are the run's lookups
+    in the shared :class:`~repro.cost.predictions.PredictionCache`:
+    coefficient tables *and* every planner-side simulation.
+    """
 
     candidates_total: int = 0
     unique_candidates: int = 0
@@ -67,6 +80,7 @@ class PlannerStats:
     cache_hits: int = 0
     cache_misses: int = 0
     pruned: int = 0
+    cut: int = 0
     solved: int = 0
     infeasible: int = 0
     bound_seconds: float = 0.0
@@ -79,21 +93,12 @@ class PlannerStats:
         """Field-wise sum of two runs (``n_jobs`` keeps the maximum) —
         used when one planner invocation performs several engine runs,
         e.g. the ``kv_bits="auto"`` level enumeration."""
-        return PlannerStats(
-            candidates_total=self.candidates_total + other.candidates_total,
-            unique_candidates=self.unique_candidates + other.unique_candidates,
-            dedup_skipped=self.dedup_skipped + other.dedup_skipped,
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_misses=self.cache_misses + other.cache_misses,
-            pruned=self.pruned + other.pruned,
-            solved=self.solved + other.solved,
-            infeasible=self.infeasible + other.infeasible,
-            bound_seconds=self.bound_seconds + other.bound_seconds,
-            solve_wall_seconds=self.solve_wall_seconds + other.solve_wall_seconds,
-            solve_cpu_seconds=self.solve_cpu_seconds + other.solve_cpu_seconds,
-            n_jobs=max(self.n_jobs, other.n_jobs),
-            total_seconds=self.total_seconds + other.total_seconds,
-        )
+        total = {
+            f.name: getattr(self, f.name) + getattr(other, f.name)
+            for f in fields(self)
+        }
+        total["n_jobs"] = max(self.n_jobs, other.n_jobs)
+        return PlannerStats(**total)
 
     def row(self) -> dict:
         """Flat dict for result tables / JSON."""
@@ -104,6 +109,7 @@ class PlannerStats:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "pruned": self.pruned,
+            "cut": self.cut,
             "solved": self.solved,
             "infeasible": self.infeasible,
             "bound_s": round(self.bound_seconds, 3),
@@ -118,7 +124,8 @@ class PlannerStats:
         return (
             f"search: {self.candidates_total} candidates "
             f"({self.unique_candidates} unique, {self.dedup_skipped} dedup), "
-            f"{self.solved} solved, {self.pruned} pruned, "
+            f"{self.solved} solved, {self.pruned} pruned "
+            f"({self.cut} by MILP cutoff), "
             f"cache {self.cache_hits}/{self.cache_hits + self.cache_misses} hits, "
             f"jobs={self.n_jobs}, {self.total_seconds:.1f}s"
         )
@@ -152,15 +159,18 @@ class _Outcome:
     plan: object = None
 
 
-def _solve_worker(payload: tuple[int, AssembledILP]) -> tuple[int, ILPSolution, float]:
-    """Worker-process entry: solve one assembled MILP.
+def _solve_worker(
+    payload: tuple[int, AssembledILP, float]
+) -> tuple[int, ILPSolution, float]:
+    """Worker-process entry: solve one assembled MILP under the cutoff
+    known at submit time.
 
     Returns the unique-candidate id, the solution, and the worker's CPU
     seconds for the solve.
     """
-    uid, prob = payload
+    uid, prob, cutoff = payload
     t0 = time.process_time()
-    sol = solve_assembled(prob)
+    sol = solve_assembled(prob, cutoff)
     return uid, sol, time.process_time() - t0
 
 
@@ -170,14 +180,17 @@ class SearchEngine:
 
     def __init__(self, optimizer: "LLMPQOptimizer") -> None:
         self.opt = optimizer
-        self.cfg = optimizer.cfg
-        self.cluster = optimizer.cluster
         self.workload = optimizer.workload
         self.config = optimizer.config
         self._incumbent = np.inf
         self._outcomes: dict[int, _Outcome] = {}
-        self._milp_count = 0
         self._solve_cpu = 0.0
+        # filled once by prepare(): the grid, its equivalence classes,
+        # the root bound, and what building them cost
+        self._candidates: list | None = None
+        self._uniques: list[_Unique] = []
+        self._root_bound = np.inf
+        self._prepared = PlannerStats()
 
     # ------------------------------------------------------------------
     def _enumerate(
@@ -198,101 +211,114 @@ class SearchEngine:
     def _make_ilp(
         self, ordering: Sequence[Device], mb_p: int, mb_d: int
     ) -> BitAssignmentILP:
-        return BitAssignmentILP(
-            cfg=self.cfg,
-            workload=self.workload,
-            devices=list(ordering),
-            latency_model=self.opt.latency_model,
-            indicator=self.opt.grouped_indicator,
-            prefill_microbatch=mb_p,
-            decode_microbatch=mb_d,
-            bits=self.config.bits,
-            group_size=self.config.group_size,
-            theta=self.config.theta,
-            kv_bits=self.config.kv_bits,
-            time_limit=self.config.ilp_time_limit,
-            prediction_cache=self.opt.prediction_cache,
+        return self.opt.build_ilp(ordering, mb_p, mb_d)
+
+    def _evaluate(self, u: _Unique, ordering: tuple[Device, ...]) -> _Outcome:
+        """Materialize ``u``'s solution on one member's concrete devices
+        (link topology can differ between members) and simulate it."""
+        sol = u.solution
+        plan = self.opt.plan_from_solution(ordering, sol, u.ilp, u.mb_p, u.mb_d)
+        pred = self.opt.simulate(plan)
+        if not pred.feasible:
+            return _Outcome("oom", quality=sol.quality_term, predicted=pred, plan=plan)
+        lat = pred.total_latency
+        return _Outcome(
+            "optimal", lat + self.config.theta * sol.quality_term, lat,
+            sol.quality_term, pred, plan,
         )
 
     def _settle(self, u: _Unique, sol: ILPSolution) -> None:
-        """Record a solved representative; tighten the incumbent."""
+        """Record a solved representative; tighten the incumbent (which
+        stays ``inf`` — no bound test, no cutoff row — with pruning off)."""
         u.solution = sol
-        if not sol.feasible:
-            self._outcomes[u.index] = _Outcome("infeasible")
+        if not sol.feasible:  # "infeasible", or "pruned" by the cutoff row
+            self._outcomes[u.index] = _Outcome(sol.status)
             return
-        plan = self.opt.plan_from_solution(u.ordering, sol, u.ilp, u.mb_p, u.mb_d)
-        pred = simulate_pipeline(
-            plan, self.cluster, latency_model=self.opt.latency_model
-        )
-        if not pred.feasible:
-            self._outcomes[u.index] = _Outcome(
-                "oom", quality=sol.quality_term, predicted=pred, plan=plan
-            )
-            return
-        obj = pred.total_latency + self.config.theta * sol.quality_term
-        self._outcomes[u.index] = _Outcome(
-            "optimal", obj, pred.total_latency, sol.quality_term, pred, plan
-        )
-        if obj < self._incumbent:
-            self._incumbent = obj
+        out = self._outcomes[u.index] = self._evaluate(u, u.ordering)
+        if self.config.prune and out.objective < self._incumbent:
+            self._incumbent = out.objective
 
     def _triage(self, u: _Unique) -> str | None:
         """Cheap pre-solve verdict: ``"infeasible"``, ``"pruned"``, or
         ``None`` when a MILP solve is required."""
-        if u.problem is None:
+        if np.isposinf(u.bound):  # no capacity, or infeasible LP relaxation
             return "infeasible"
-        if np.isposinf(u.bound):  # LP relaxation proved infeasibility
-            return "infeasible"
-        if self.config.prune and u.bound > self._incumbent:
+        if u.bound > self._incumbent:
             return "pruned"
         return None
 
     # ------------------------------------------------------------------
-    def run(self) -> "PlannerResult":
-        """Full search: dedup -> bound -> best-first solve with pruning."""
-        from .optimizer import CandidateRecord, PlannerResult
-
+    def prepare(self) -> float:
+        """Dedup, assemble and bound the grid (once); returns the root
+        bound — the lowest LP bound of any candidate, which no plan of
+        this search can undercut (``-inf`` when bounds are off)."""
+        if self._candidates is not None:
+            return self._root_bound
         t_start = time.perf_counter()
         cache = self.opt.prediction_cache
         hits0, misses0 = cache.hits, cache.misses
-        self._incumbent = np.inf
-        self._outcomes = {}
-        self._milp_count = 0
-        self._solve_cpu = 0.0
-
-        candidates = self._enumerate(self.opt.orderings())
+        self._candidates = self._enumerate(self.opt.orderings())
 
         # -------- dedup into equivalence classes --------
-        uniques: list[_Unique] = []
         by_key: dict[tuple, _Unique] = {}
-        dedup_skipped = 0
-        for idx, ordering, mb_p, mb_d in candidates:
+        for idx, ordering, mb_p, mb_d in self._candidates:
             key = (tuple(d.type_name for d in ordering), mb_p, mb_d)
             u = by_key.get(key) if self.config.dedup else None
             if u is None:
-                u = _Unique(
+                u = by_key[key] = _Unique(
                     key=key, index=idx, ordering=ordering, mb_p=mb_p, mb_d=mb_d,
                     ilp=self._make_ilp(ordering, mb_p, mb_d),
                     members=[(idx, ordering)],
                 )
-                if self.config.dedup:
-                    by_key[key] = u
-                uniques.append(u)
+                self._uniques.append(u)
             else:
                 u.members.append((idx, ordering))
-                dedup_skipped += 1
 
         # -------- assemble + admissible lower bounds --------
         t_bound = time.perf_counter()
-        for u in uniques:
+        for u in self._uniques:
             u.problem = u.ilp.assemble()
-            if u.problem is not None and self.config.prune:
+            if u.problem is None:
+                u.bound = np.inf
+            elif self.config.prune:
                 u.bound = lp_lower_bound(u.problem)
-        bound_seconds = time.perf_counter() - t_bound
+        self._root_bound = min((u.bound for u in self._uniques), default=np.inf)
+        now = time.perf_counter()
+        self._prepared = PlannerStats(
+            candidates_total=len(self._candidates),
+            unique_candidates=len(self._uniques),
+            dedup_skipped=len(self._candidates) - len(self._uniques),
+            cache_hits=cache.hits - hits0,
+            cache_misses=cache.misses - misses0,
+            bound_seconds=now - t_bound,
+            n_jobs=self.config.n_jobs,
+            total_seconds=now - t_start,
+        )
+        return self._root_bound
+
+    def run(self, incumbent: float = np.inf) -> "PlannerResult":
+        """Full search: dedup -> bound -> best-first solve with pruning.
+
+        ``incumbent`` seeds the search with an objective already in hand
+        (the KV-level search passes the best other level's): candidates
+        that cannot reach it are pruned, everything at or below it is
+        found exactly as without the seed.
+        """
+        from .optimizer import CandidateRecord, PlannerResult
+
+        self.prepare()
+        t_start = time.perf_counter()
+        cache = self.opt.prediction_cache
+        hits0, misses0 = cache.hits, cache.misses
+        candidates, uniques = self._candidates, self._uniques
+        self._incumbent = incumbent if self.config.prune else np.inf
+        self._outcomes = {}
+        self._solve_cpu = 0.0
+        for u in uniques:
+            u.solution = None
 
         # -------- best-first solve with incumbent pruning --------
         order = sorted(uniques, key=lambda u: (u.bound, u.index))
-        t_solve = time.perf_counter()
         if self.config.n_jobs <= 1 or len(order) <= 1:
             for u in order:
                 verdict = self._triage(u)
@@ -300,13 +326,12 @@ class SearchEngine:
                     self._outcomes[u.index] = _Outcome(verdict)
                     continue
                 t0 = time.process_time()
-                sol = solve_assembled(u.problem)
+                sol = solve_assembled(u.problem, self._incumbent)
                 self._solve_cpu += time.process_time() - t0
-                self._milp_count += 1
                 self._settle(u, sol)
         else:
             self._solve_parallel(order)
-        solve_wall = time.perf_counter() - t_solve
+        solve_wall = time.perf_counter() - t_start
 
         # -------- fan results back out to every candidate --------
         records: list[CandidateRecord | None] = [None] * len(candidates)
@@ -319,26 +344,7 @@ class SearchEngine:
             for idx, ordering in u.members:
                 out = rep
                 if rep.status == "optimal" and idx != u.index:
-                    # same ILP solution, but concrete devices (and thus
-                    # link topology) may differ: re-materialize + re-simulate
-                    plan = self.opt.plan_from_solution(
-                        ordering, u.solution, u.ilp, u.mb_p, u.mb_d
-                    )
-                    pred = simulate_pipeline(
-                        plan, self.cluster, latency_model=self.opt.latency_model
-                    )
-                    if not pred.feasible:
-                        out = _Outcome(
-                            "oom", quality=u.solution.quality_term,
-                            predicted=pred, plan=plan,
-                        )
-                    else:
-                        lat_v = pred.total_latency
-                        out = _Outcome(
-                            "optimal",
-                            lat_v + self.config.theta * u.solution.quality_term,
-                            lat_v, u.solution.quality_term, pred, plan,
-                        )
+                    out = self._evaluate(u, ordering)
                 records[idx] = CandidateRecord(
                     ordering=tuple(d.type_name for d in ordering),
                     prefill_microbatch=u.mb_p,
@@ -360,29 +366,25 @@ class SearchEngine:
                     best_obj, best_index = out.objective, idx
                     best_plan, best_pred = out.plan, out.predicted
 
-        total = time.perf_counter() - t_start
         statuses = [self._outcomes[u.index].status for u in uniques]
-        stats = PlannerStats(
-            candidates_total=len(candidates),
-            unique_candidates=len(uniques),
-            dedup_skipped=dedup_skipped,
+        solutions = [u.solution for u in uniques if u.solution is not None]
+        stats = self._prepared.merged(PlannerStats(
             cache_hits=cache.hits - hits0,
             cache_misses=cache.misses - misses0,
             pruned=statuses.count("pruned"),
-            solved=self._milp_count,
+            cut=sum(sol.status == "pruned" for sol in solutions),
+            solved=sum(sol.feasible for sol in solutions),
             infeasible=statuses.count("infeasible"),
-            bound_seconds=bound_seconds,
             solve_wall_seconds=solve_wall,
             solve_cpu_seconds=self._solve_cpu,
-            n_jobs=self.config.n_jobs,
-            total_seconds=total,
-        )
+            total_seconds=time.perf_counter() - t_start,
+        ))
         return PlannerResult(
             plan=best_plan,
             objective=best_obj if best_plan is not None else np.inf,
             predicted=best_pred,
             candidates=tuple(records),
-            total_seconds=total,
+            total_seconds=stats.total_seconds,
             stats=stats,
         )
 
@@ -410,7 +412,9 @@ class SearchEngine:
                     if verdict is not None:
                         self._outcomes[u.index] = _Outcome(verdict)
                         continue
-                    fut = pool.submit(_solve_worker, (id(u), u.problem))
+                    fut = pool.submit(
+                        _solve_worker, (id(u), u.problem, self._incumbent)
+                    )
                     in_flight[fut] = u
                     return True
                 return False
@@ -425,7 +429,6 @@ class SearchEngine:
                     uid, sol, cpu = fut.result()
                     assert by_uid[uid] is u
                     self._solve_cpu += cpu
-                    self._milp_count += 1
                     self._settle(u, sol)
                 for _ in range(len(done)):
                     if not submit_next():

@@ -30,14 +30,15 @@ __all__ = ["PredictionCache"]
 
 #: cache key: (gpu type, bits, phase, micro-batch, q tokens, context, kv bits)
 _Key = tuple[str, int, str, int, int, int, int]
+_MAX_SWEEPS = 1024
 
 
 @dataclass
 class PredictionCache:
-    """Shared per-(gpu, bits, phase, shape) layer-time memo.
+    """Shared per-(gpu, bits, phase, shape) layer-time and decode-sweep memo.
 
     One instance is shared across every candidate of a planner run (and
-    is cheap to keep around longer — entries are immutable floats).
+    is cheap to keep around longer — entries are floats and read-only rows).
     ``hits``/``misses`` feed the planner's :class:`PlannerStats`.
     """
 
@@ -46,6 +47,7 @@ class PredictionCache:
     _features: dict[tuple[int, int, int, int, int], np.ndarray] = field(
         default_factory=dict
     )
+    _sweeps: dict[tuple, np.ndarray] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
 
@@ -128,6 +130,35 @@ class PredictionCache:
             for k, b in enumerate(bits):
                 out[j, k] = self._times[(name, b, phase, batch, q, context, kv_bits)]
         return out
+
+    def decode_sweep(
+        self,
+        gpu_name: str,
+        bits: int,
+        batch: int,
+        contexts: np.ndarray,
+        kv_bits: int = 16,
+    ) -> np.ndarray:
+        """Memoized :meth:`LatencyModel.decode_step_times` row for one
+        whole context sweep.  The row is shared by every plan simulated
+        through this cache, so it comes back read-only.  A planner run
+        asks for a few dozen distinct sweeps; a consumer that never
+        repeats one (per-wave shapes of a long trace) starts over at
+        ``_MAX_SWEEPS`` instead of growing without bound."""
+        key = (gpu_name, bits, batch, kv_bits, contexts.tobytes())
+        row = self._sweeps.get(key)
+        if row is not None:
+            self.hits += 1
+            return row
+        self.misses += 1
+        if len(self._sweeps) >= _MAX_SWEEPS:
+            self._sweeps.clear()
+        row = self.model.decode_step_times(
+            gpu_name, bits, batch, contexts, kv_bits=kv_bits
+        )
+        row.setflags(write=False)
+        self._sweeps[key] = row
+        return row
 
     # ------------------------------------------------------------------
     @property

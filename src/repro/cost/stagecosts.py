@@ -207,10 +207,12 @@ class StageCostModel:
     def _decode_sweep(
         self, j: int, bits: int, batch: int, contexts: np.ndarray
     ) -> np.ndarray:
+        """One layer's decode times over a whole context sweep
+        (read-only: model-source rows are shared through the memo)."""
         gpu = self._gpus[j]
         kv = self._kv[j]
         if self.source == "model":
-            return self.model.decode_step_times(gpu, bits, batch, contexts, kv_bits=kv)
+            return self.prediction_cache.decode_sweep(gpu.name, bits, batch, contexts, kv)
         from ..sim.kernels import layer_exec_times_decode_sweep
 
         return layer_exec_times_decode_sweep(
@@ -420,8 +422,14 @@ class StageCostModel:
             out = np.zeros(n)
             for j, stage in enumerate(self.plan.stages):
                 t = 0.0
+                # one (batch, context) point per call: priced directly, a
+                # memo keyed on it would only grow
                 for bits, count in stage.bit_counts.items():
-                    t += count * float(self._decode_sweep(j, bits, batch, ctx)[0])
+                    t += count * float(
+                        self.model.decode_step_times(
+                            self._gpus[j], bits, batch, ctx, kv_bits=self._kv[j]
+                        )[0]
+                    )
                 if j == 0:
                     t += self._emb_time(j, batch, 1, False)
                 if j == n - 1:

@@ -14,7 +14,12 @@ This is the specification :meth:`BitAssignmentILP.assemble` and
 * :func:`spec_optimize` walks the (ordering x micro-batch) grid
   serially — one MILP per candidate, no dedup, no shared cache, no
   bound, no pruning — and keeps the strict-improvement best; the search
-  engine must return the same objective and an equivalent plan.
+  engine must return the same objective and an equivalent plan;
+* :func:`spec_optimize_auto_kv` is the ``kv_bits="auto"`` search as a
+  plain loop over the uniform KV levels, highest first: every level is
+  searched in full with nothing carried from one to the next, the
+  strictly best penalized score wins, and the winner gets the planner's
+  own per-stage refinement.
 
 Deliberately slow; used by ``tests/core/test_search.py`` only.
 """
@@ -32,6 +37,7 @@ from repro.core.optimizer import (
     PlannerResult,
     _microbatch_pairs,
 )
+from repro.core.plan import KV_BITS_CHOICES
 from repro.cost.memory import kv_cache_bytes
 from repro.sim.pipeline import simulate_pipeline
 
@@ -213,4 +219,32 @@ def spec_optimize(opt) -> PlannerResult:
         predicted=best_pred,
         candidates=tuple(records),
         total_seconds=time.perf_counter() - t0,
+    )
+
+
+def spec_optimize_auto_kv(opt, search=spec_optimize) -> PlannerResult:
+    """``kv_bits="auto"`` level by level; ``search`` plans one level."""
+    import copy
+    import dataclasses
+
+    t0 = time.perf_counter()
+    records: list[CandidateRecord] = []
+    best, best_score = None, np.inf
+    for level in sorted(KV_BITS_CHOICES, reverse=True):
+        at_level = copy.copy(opt)
+        at_level.config = dataclasses.replace(opt.config, kv_bits=level)
+        res = search(at_level)
+        records.extend(res.candidates)
+        if not res.feasible:
+            continue
+        uniform = (level,) * res.plan.num_stages
+        score = res.objective + opt.config.theta * opt._kv_penalty(res.plan, uniform)
+        if score < best_score:
+            best_score, best = score, res
+    plan, pred, objective = (
+        (None, None, np.inf) if best is None else opt._refine_stage_kv(best)
+    )
+    return PlannerResult(
+        plan=plan, objective=objective, predicted=pred,
+        candidates=tuple(records), total_seconds=time.perf_counter() - t0,
     )

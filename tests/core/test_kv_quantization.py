@@ -4,10 +4,11 @@ The KV cache dominates stage memory for long-sequence batches; halving
 it with 8-bit KV frees room for more layers or higher weight precision.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.optimizer import LLMPQOptimizer, PlannerConfig
-from repro.hardware import paper_cluster
 from repro.sim.pipeline import simulate_pipeline
 from repro.workload import Workload
 
@@ -130,6 +131,36 @@ def test_auto_kv_search(cluster3, latmodel_cluster3, workload):
     # objective (kv penalty excluded by construction at the winner) must
     # not regress beyond numerical noise
     assert auto.objective <= fp16.objective + 1e-9
+
+
+def test_auto_kv_with_heuristic(cluster3, latmodel_cluster3, workload):
+    """Regression: ``use_heuristic=True, kv_bits="auto"`` died with
+    ``invalid literal for int() with base 10: 'auto'``.  Algorithm 2 now
+    runs once per uniform KV level inside the same level search as the
+    exact planner, and is never worse than its own fp16-KV run."""
+    from repro.core.api import plan_llmpq
+
+    kw = dict(
+        theta=0.5, group_size=4, use_heuristic=True,
+        latency_model=latmodel_cluster3,
+        decode_mb_candidates=(8,), prefill_mb_cap=8,
+    )
+    auto = plan_llmpq("opt-30b", cluster3, workload, kv_bits="auto", **kw)
+    assert auto.feasible and auto.predicted.feasible
+    assert all(b in (4, 8, 16) for b in auto.plan.kv_bits_per_stage)
+    assert "kv_bits" not in auto.plan.meta
+    # one heuristic record per (level, ordering), KV16 first
+    fp16 = plan_llmpq("opt-30b", cluster3, workload, kv_bits=16, **kw)
+    assert len(auto.candidates) == 3 * len(fp16.candidates)
+    assert auto.candidates[: len(fp16.candidates)] == tuple(
+        dataclasses.replace(c, solve_seconds=a.solve_seconds)
+        for c, a in zip(fp16.candidates, auto.candidates)
+    )
+    # fp16 KV costs no penalty and is one of the levels searched
+    kv_cost = 0.5 * LLMPQOptimizer(
+        "opt-30b", cluster3, workload, latency_model=latmodel_cluster3
+    )._kv_penalty(auto.plan, auto.plan.kv_bits_per_stage)
+    assert auto.objective + kv_cost <= fp16.objective + 1e-9
 
 
 def test_invalid_kv_bits_rejected(cluster3, latmodel_cluster3, workload):

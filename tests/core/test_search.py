@@ -11,13 +11,20 @@ serial ``spec_optimize`` loop.
 import numpy as np
 import pytest
 
+from repro.core import search
 from repro.core.ilp import BitAssignmentILP, lp_lower_bound, solve_assembled
 from repro.core.optimizer import LLMPQOptimizer, PlannerConfig, _microbatch_pairs
+from repro.core.search import PlannerStats, SearchEngine
 from repro.hardware import make_cluster
-from repro.quant import synthetic_indicator
+from repro.quant import IndicatorTable, synthetic_indicator
 from repro.workload import Workload
 
-from .ilp_spec import spec_assemble, spec_coefficients, spec_optimize
+from .ilp_spec import (
+    spec_assemble,
+    spec_coefficients,
+    spec_optimize,
+    spec_optimize_auto_kv,
+)
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +150,36 @@ def test_lp_bound_is_admissible(search_cluster, latmodel_13b):
         assert lp_lower_bound(prob) <= sol.objective + 1e-9
 
 
+def test_cutoff_keeps_every_assignment_at_or_below_it(search_cluster, latmodel_13b):
+    """For every unique candidate of the grid: a cutoff at or above the
+    candidate's own MILP optimum returns the assignment the plain solve
+    returns (same MILP objective, same simulated objective — the tie at
+    ``cutoff == optimum`` included), and a cutoff below the optimum comes
+    back ``pruned``, never ``infeasible``."""
+    opt = _make_opt(search_cluster, latmodel_13b)
+    engine = SearchEngine(opt)
+    engine.prepare()
+    assert len(engine._uniques) == len(engine._candidates) == 12
+    for u in engine._uniques:
+        plain = solve_assembled(u.problem)
+        assert plain.feasible
+
+        def simulated(sol):
+            plan = opt.plan_from_solution(u.ordering, sol, u.ilp, u.mb_p, u.mb_d)
+            return opt.simulate(plan).total_latency + opt.config.theta * sol.quality_term
+
+        for slack in (0.0, 1e-3, 0.5):
+            cut = solve_assembled(u.problem, plain.objective + slack)
+            assert cut.status == "optimal"
+            assert (cut.group_device, cut.group_bits) == (
+                plain.group_device, plain.group_bits
+            )
+            assert cut.objective == pytest.approx(plain.objective, abs=1e-6)
+            assert simulated(cut) == pytest.approx(simulated(plain), abs=1e-6)
+        below = solve_assembled(u.problem, plain.objective - 1e-3)
+        assert below.status == "pruned" and not below.feasible
+
+
 # ---------------------------------------------------------------- engine
 
 
@@ -259,3 +296,164 @@ def test_dedup_fans_solutions_back_out(search_cluster, latmodel_13b):
     ref = _make_opt(search_cluster, latmodel_13b).optimize()
     assert res.objective == pytest.approx(ref.objective, abs=1e-6)
     assert _plan_signature(res.plan) == _plan_signature(ref.plan)
+
+
+# ---------------------------------------------------------------- cutoff
+
+
+@pytest.fixture(scope="module")
+def cutoff_case(small_hetero_cluster, latmodel_13b, workload):
+    """T4 + V100, opt-13b at the paper's default workload: a grid on
+    which the incumbent rejects candidates *inside* the MILP."""
+
+    def make(**overrides):
+        cfg = dict(group_size=4, theta=1.0, prefill_mb_cap=8,
+                   decode_mb_candidates=(4, 8))
+        cfg.update(overrides)
+        return LLMPQOptimizer(
+            "opt-13b", small_hetero_cluster, workload,
+            config=PlannerConfig(**cfg), latency_model=latmodel_13b,
+        )
+
+    return make
+
+
+def test_cutoff_search_matches_spec(cutoff_case, monkeypatch):
+    """The engine with the incumbent inside the MILP returns the serial
+    walk's plan; what it cut is counted as pruned, not infeasible."""
+    cutoffs = []
+    real = search.solve_assembled
+
+    def spy(prob, cutoff=np.inf):
+        cutoffs.append(cutoff)
+        return real(prob, cutoff)
+
+    monkeypatch.setattr(search, "solve_assembled", spy)
+    res = cutoff_case().optimize()
+    ref = spec_optimize(cutoff_case())
+    assert res.objective == pytest.approx(ref.objective, abs=1e-6)
+    assert _plan_signature(res.plan) == _plan_signature(ref.plan)
+
+    st = res.stats
+    assert st.cut >= 1 and st.infeasible == 0
+    statuses = [c.status for c in res.candidates]
+    assert st.pruned == statuses.count("pruned") >= st.cut
+    assert st.solved == statuses.count("optimal") + statuses.count("oom")
+    assert st.solved + st.cut == len(cutoffs)  # every MILP run is accounted for
+    # the first solve has no incumbent yet; every later one carries it
+    assert cutoffs[0] == np.inf and all(np.isfinite(c) for c in cutoffs[1:])
+    assert cutoffs[1:] == sorted(cutoffs[1:], reverse=True)
+    assert f"({st.cut} by MILP cutoff)" in st.describe()
+    assert st.row()["cut"] == st.cut
+    # everything the cutoff rejected really loses in the serial walk
+    for e, r in zip(res.candidates, ref.candidates):
+        if e.status == "pruned":
+            assert r.objective >= res.objective - 1e-9
+
+    # prune=False is the switch for bound *and* cutoff: no row is added
+    cutoffs.clear()
+    plain = cutoff_case(prune=False).optimize()
+    assert cutoffs and all(c == np.inf for c in cutoffs)
+    assert plain.stats.pruned == plain.stats.cut == 0
+    assert plain.stats.solved == len(cutoffs)
+    assert plain.objective == pytest.approx(res.objective, abs=1e-6)
+    assert _plan_signature(plain.plan) == _plan_signature(res.plan)
+
+
+def test_cutoff_search_parallel_matches_serial(cutoff_case):
+    serial = cutoff_case().optimize()
+    par = cutoff_case(n_jobs=2).optimize()
+    assert par.objective == pytest.approx(serial.objective, abs=1e-6)
+    assert _plan_signature(par.plan) == _plan_signature(serial.plan)
+    assert par.stats.infeasible == 0
+
+
+def test_stats_merge_sums_every_counter():
+    a = PlannerStats(pruned=3, cut=1, solved=2, n_jobs=1, total_seconds=1.0)
+    b = PlannerStats(pruned=4, cut=2, solved=1, n_jobs=2, total_seconds=0.5)
+    m = a.merged(b)
+    assert (m.pruned, m.cut, m.solved, m.n_jobs) == (7, 3, 3, 2)
+    assert m.total_seconds == 1.5
+
+
+# ---------------------------------------------------------------- KV levels
+
+
+def _auto_kv_opt(cluster, latmodel, w, **overrides):
+    cfg = dict(group_size=4, theta=1.0, prefill_mb_cap=4,
+               decode_mb_candidates=(4, 8), kv_bits="auto")
+    cfg.update(overrides)
+    return LLMPQOptimizer(
+        "opt-13b", cluster, w, config=PlannerConfig(**cfg), latency_model=latmodel
+    )
+
+
+def _assert_same_auto_kv(res, ref):
+    assert res.objective == ref.objective
+    assert _plan_signature(res.plan) == _plan_signature(ref.plan)
+    assert res.plan.kv_bits_per_stage == ref.plan.kv_bits_per_stage
+    assert len(res.candidates) == len(ref.candidates)
+    for e, r in zip(res.candidates, ref.candidates):
+        assert (e.ordering, e.prefill_microbatch, e.decode_microbatch) == (
+            r.ordering, r.prefill_microbatch, r.decode_microbatch
+        )
+        if e.status == "optimal":
+            assert e.objective == pytest.approx(r.objective, abs=1e-6)
+
+
+def test_auto_kv_shared_incumbent_matches_level_loop(
+    small_hetero_cluster, latmodel_13b, workload
+):
+    """One incumbent across the KV levels prunes whole levels (no MILP is
+    even started for KV16 and KV4 here) and still returns what the plain
+    level-by-level loop returns, records in KV16, KV8, KV4 order."""
+    opt = _auto_kv_opt(small_hetero_cluster, latmodel_13b, workload)
+    res = opt.optimize()
+    ref = spec_optimize_auto_kv(opt)
+    _assert_same_auto_kv(res, ref)
+    per_level = len(res.candidates) // 3
+    by_level = [
+        {c.status for c in res.candidates[i * per_level : (i + 1) * per_level]}
+        for i in range(3)
+    ]
+    assert by_level[0] == {"pruned"} and by_level[2] == {"pruned"}
+    assert "optimal" in by_level[1]
+    assert res.stats.unique_candidates == len(res.candidates)
+    assert res.stats.solved < 3  # fewer MILPs than levels
+
+
+def test_auto_kv_equal_scores_go_to_the_higher_level(
+    small_hetero_cluster, latmodel_13b, small_workload
+):
+    """Constructed tie: a KV-error table under which KV8's penalty makes
+    up exactly what its faster decode gains over KV16.  The level loop
+    keeps the earlier (higher) level on a tie; so must the shared
+    incumbent, whichever level it visits first."""
+    base = {
+        kv: _auto_kv_opt(
+            small_hetero_cluster, latmodel_13b, small_workload, kv_bits=kv
+        ).optimize().objective
+        for kv in (16, 8)
+    }
+    gap = base[16] - base[8]
+    assert gap > 0
+    while base[8] + gap < base[16]:
+        gap = np.nextafter(gap, np.inf)
+    while base[8] + gap > base[16]:
+        gap = np.nextafter(gap, -np.inf)
+    assert base[8] + gap == base[16]
+
+    def tied():
+        opt = _auto_kv_opt(small_hetero_cluster, latmodel_13b, small_workload)
+        omega = np.zeros((opt.cfg.num_layers, 3))
+        omega[0] = (1e3, gap, 0.0)  # KV4 out of the race, KV8 tied with KV16
+        opt.kv_indicator = IndicatorTable(omega=omega, bits=(4, 8, 16), method="tie")
+        # keep the refinement from breaking the tie it is handed
+        opt._refine_stage_kv = lambda res: (res.plan, res.predicted, res.objective)
+        return opt
+
+    res = tied().optimize()
+    ref = spec_optimize_auto_kv(tied())
+    assert tied()._kv_penalty(ref.plan, (8, 8)) == gap  # the tie is real
+    assert ref.plan.kv_bits_per_stage == (16, 16)
+    _assert_same_auto_kv(res, ref)

@@ -60,6 +60,46 @@ def test_algo_custom_devices(tmp_path):
     assert plan.num_stages == 2
 
 
+def test_algo_heuristic_with_auto_kv_bits(tmp_path, capsys):
+    """Regression: ``--shaq-efficient --kv-bits auto`` died with
+    ``ValueError: invalid literal for int() with base 10: 'auto'``."""
+    out = tmp_path / "s.json"
+    rc = algo_main([
+        "--model-name", "opt-13b",
+        "--device-names", "T4-16G", "V100-32G",
+        "--device-numbers", "1", "1",
+        "--group", "4",
+        "--global-bz", "8",
+        "--s", "128",
+        "--n", "10",
+        "--shaq-efficient",
+        "--kv-bits", "auto",
+        "-o", str(out),
+    ])
+    assert rc == 0
+    assert "predicted" in capsys.readouterr().out
+    plan = ExecutionPlan.from_json(out)
+    assert all(b in (4, 8, 16) for b in plan.kv_bits_per_stage)
+
+
+def test_algo_search_line_reports_cutoff(tmp_path, capsys):
+    """The search summary says how much of the pruning happened inside
+    the MILP."""
+    rc = algo_main([
+        "--model-name", "opt-13b",
+        "--device-names", "T4-16G", "V100-32G",
+        "--device-numbers", "1", "1",
+        "--group", "4",
+        "--global-bz", "8",
+        "--s", "128",
+        "--n", "10",
+        "-o", str(tmp_path / "s.json"),
+    ])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "search:" in err and "by MILP cutoff)" in err
+
+
 def test_algo_requires_cluster_or_devices():
     with pytest.raises(SystemExit):
         algo_main(["--model-name", "opt-13b"])
