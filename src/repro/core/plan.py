@@ -42,6 +42,8 @@ class StagePlan:
     kv_bits: int = 16
 
     def __post_init__(self) -> None:
+        if not self.layer_bits:
+            raise ValueError("a stage must host at least one layer")
         if any(b <= 0 for b in self.layer_bits):
             raise ValueError("bitwidths must be positive")
         if self.kv_bits not in KV_BITS_CHOICES:

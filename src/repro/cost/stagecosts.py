@@ -21,7 +21,10 @@ produces every cost view the consumers need:
 * ``stage_memory_views`` / ``batch_fits`` / ``max_admissible_batch`` /
   ``kv_headroom`` / ``request_kv_bytes`` — the planner's Sec.-4.1 memory
   accounting, shared verbatim by the online simulator and the real
-  :class:`~repro.runtime.scheduler.ContinuousScheduler`.
+  :class:`~repro.runtime.scheduler.ContinuousScheduler`;
+* ``kv_token_charges`` / ``kv_token_budget`` — the same KV pool counted
+  in token slots: what one slot costs per stage and how many fit, the one
+  admission ledger of the trace engine and the fleet router.
 
 The time source is selectable: ``source="kernels"`` prices with the
 ground-truth roofline kernels (the simulated hardware), ``source="model"``
@@ -46,12 +49,7 @@ import numpy as np
 from ..models.registry import get_model
 from ..ops import ACT_BYTES
 from .latency import LatencyModel, Phase
-from .memory import (
-    FRAMEWORK_OVERHEAD_BYTES,
-    StageMemory,
-    kv_cache_bytes,
-    stage_memory,
-)
+from .memory import FRAMEWORK_OVERHEAD_BYTES, StageMemory, stage_memory
 from .predictions import PredictionCache
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports, no cycles
@@ -126,14 +124,15 @@ class StageCostModel:
         self._emb_memo: dict = {}
         self._comm_memo: dict = {}
         self._unit_prefill_memo: dict = {}
-        self._charge_memo: dict = {}
         self._mem_memo: dict = {}
         self._pairs = None
         self._decode_extra_memo: dict = {}
+        self._token_charges = None
         # plan-workload-specific memos (never shared)
         self._fits_memo: dict = {}
         self._views = None
         self._headroom_base = None
+        self._token_budget = None
 
     # ------------------------------------------------------------------
     # infrastructure
@@ -651,22 +650,43 @@ class StageCostModel:
             out = out - np.array([float(b) for b in dequant_cache_budgets])
         return np.maximum(out, 0.0)
 
+    def kv_token_charges(self) -> np.ndarray:
+        """Per-stage KV bytes of one token slot (read-only).
+
+        A charge is ``layers * 2 * hidden * kv_bits / 8`` — a multiple of
+        1/4 — so ``tokens * kv_token_charges()`` is an exact float64
+        product: counting token slots and counting per-stage bytes are the
+        same ledger (``tests/cost/test_kv_slots.py`` is the tripwire).
+        """
+        if self._token_charges is None:
+            row = self.request_kv_bytes_batch(np.ones(1, dtype=np.int64))[0]
+            row.setflags(write=False)
+            self._token_charges = row
+        return self._token_charges
+
+    def kv_token_budget(self) -> int:
+        """Token slots the KV pool holds: the largest ``T`` with
+        ``T * kv_token_charges() <= kv_headroom() + 1e-6`` on every stage
+        — the admission test of the byte ledger, solved for tokens."""
+        if self._token_budget is None:
+            fits = []
+            for c, room in zip(
+                self.kv_token_charges().tolist(),
+                (self.kv_headroom() + 1e-6).tolist(),
+            ):
+                t = int(room // c)
+                while (t + 1) * c <= room:
+                    t += 1
+                while t > 0 and t * c > room:
+                    t -= 1
+                fits.append(t)
+            self._token_budget = min(fits)
+        return self._token_budget
+
     def request_kv_bytes(self, prompt_len: int, gen_len: int) -> np.ndarray:
         """Per-stage KV bytes one request reserves for its lifetime
         (``prompt_len + gen_len`` token slots)."""
-        tokens = prompt_len + gen_len
-        arr = self._charge_memo.get(tokens)
-        if arr is None:
-            arr = np.array(
-                [
-                    kv_cache_bytes(
-                        self.cfg, stage.num_layers, 1, tokens, kv_bits=kv
-                    )
-                    for stage, kv in zip(self.plan.stages, self._kv)
-                ]
-            )
-            self._charge_memo[tokens] = arr
-        return arr.copy()
+        return (prompt_len + gen_len) * self.kv_token_charges()
 
     def request_kv_bytes_batch(self, total_tokens: np.ndarray) -> np.ndarray:
         """``(k, num_stages)`` KV-charge table: row ``i`` equals
@@ -676,7 +696,7 @@ class StageCostModel:
         ``kv_cache_bytes`` is ``float(L * 1 * t * per_token)``: the integer
         product is exact, so the single float rounding lands on the same
         value regardless of evaluation order — the rows are bit-identical
-        to the scalar memo.
+        to the memory model's.
         """
         t = np.asarray(total_tokens, dtype=np.int64)
         layers = np.array(
@@ -710,9 +730,9 @@ class StageCostModel:
         clone._emb_memo = self._emb_memo
         clone._comm_memo = self._comm_memo
         clone._unit_prefill_memo = self._unit_prefill_memo
-        clone._charge_memo = self._charge_memo
         clone._mem_memo = self._mem_memo
         clone._pairs = self._pairs
+        clone._token_charges = self._token_charges
         clone._decode_extra_memo = self._decode_extra_memo
         return clone
 

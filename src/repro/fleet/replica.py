@@ -14,8 +14,9 @@ sits behind it:
   admission ledger, headroom view, drift detector, and migration
   controller all scoped to this replica.
 
-Both expose the same *routing views* — approximate prefill/service-time
-and KV token-budget estimates the router and autoscaler consult.  The
+Both expose the same *routing views* the router and autoscaler consult:
+the KV token budget (the cost model's, the integer the simulator admits
+against) and approximate prefill/service-time estimates.  The time
 estimates are deliberately coarse (single-server queue arithmetic at a
 reference batch); the replica's own admission control stays exact, so a
 bad estimate costs queueing delay, never correctness.
@@ -118,22 +119,9 @@ class PipelineReplica:
         return self.plan.num_stages
 
     @property
-    def headroom(self) -> np.ndarray:
-        """Per-stage KV byte pool under the planner's memory model."""
-        return self.cost.kv_headroom()
-
-    @property
     def token_budget(self) -> int:
-        """Approximate concurrent token capacity (linear-KV estimate)."""
-        kvc = self.cost.request_kv_bytes_batch(np.ones(1, dtype=np.int64))[0]
-        hb = self.headroom
-        budget = None
-        for j in range(kvc.size):
-            if kvc[j] <= 0:
-                continue
-            tj = int(hb[j] // kvc[j])
-            budget = tj if budget is None else min(budget, tj)
-        return budget if budget is not None else 1 << 30
+        """Concurrent KV token slots: the simulator's admission budget."""
+        return self.cost.kv_token_budget()
 
     def prefill_seconds(self, prompt_len: int) -> float:
         """Batch-1 prefill latency for ``prompt_len`` tokens: the stage
@@ -210,8 +198,6 @@ class SimReplica(PipelineReplica):
         self.cluster = cluster
         self.max_batch = max_batch
         self.engine = engine
-        self.source = source
-        self.latency_model = latency_model
         self.drift = drift
         self.replanner = replanner
 
@@ -223,8 +209,7 @@ class SimReplica(PipelineReplica):
         res = simulate_online(
             self.plan, self.cluster, trace,
             max_batch=self.max_batch, policy="continuous",
-            engine=self.engine, source=self.source,
-            latency_model=self.latency_model, cost_model=self.cost,
+            engine=self.engine, cost_model=self.cost,
             drift=self.drift, replanner=self.replanner, sample_sink=sink,
         )
         _, _, sgen = trace_columns(trace)

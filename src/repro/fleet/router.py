@@ -7,7 +7,9 @@ from the replicas' approximate service-time models) and picks a target:
 
 * ``round-robin`` — rotate over the currently active replicas;
 * ``least-loaded`` — smallest estimated outstanding KV token-slots
-  relative to the replica's token budget, queue depth as tiebreak;
+  relative to the replica's token budget (the
+  :meth:`~repro.cost.stagecosts.StageCostModel.kv_token_budget` the
+  simulator admits against), queue depth as tiebreak;
 * ``ttft`` — ILP-free greedy: smallest predicted time-to-first-token
   (estimated queue wait plus this prompt's batch-1 prefill time);
 * ``prefix`` — prefix-affinity hash: requests with the same prompt
@@ -68,7 +70,9 @@ class ReplicaLoad:
         return max(0.0, self.busy_until - now)
 
     def kv_fraction(self) -> float:
-        """Estimated outstanding token-slots over the replica's budget."""
+        """Estimated outstanding token-slots over the replica's budget
+        (the simulator's own admission budget, memoised on its cost
+        model)."""
         budget = self.replica.token_budget
         return self.kv_tokens / budget if budget > 0 else float("inf")
 

@@ -55,8 +55,6 @@ __all__ = [
     "OnlineRequest",
     "OnlineResult",
     "max_admissible_batch",
-    "stage_kv_headroom",
-    "request_kv_bytes",
     "simulate_online",
 ]
 
@@ -134,27 +132,6 @@ def max_admissible_batch(
     return StageCostModel(plan).max_admissible_batch(
         prompt_len=prompt_len, gen_len=gen_len, cap=cap
     )
-
-
-def stage_kv_headroom(plan: "ExecutionPlan") -> np.ndarray:
-    """Per-stage KV byte pool under the planner's memory accounting.
-
-    Device capacity minus framework overhead minus every non-KV
-    component of the stage's modeled peak (weights, embeddings, batch-1
-    temp workspace) — the pool the iteration-level admission control
-    hands out in per-request :func:`request_kv_bytes` slices.  The same
-    arithmetic the real :class:`~repro.runtime.scheduler
-    .ContinuousScheduler` uses, so simulator and runtime admit the same
-    requests.
-    """
-    return StageCostModel(plan).kv_headroom()
-
-
-def request_kv_bytes(
-    plan: "ExecutionPlan", prompt_len: int, gen_len: int
-) -> np.ndarray:
-    """Per-stage KV bytes one request reserves for its whole lifetime."""
-    return StageCostModel(plan).request_kv_bytes(prompt_len, gen_len)
 
 
 def _quantile(values: np.ndarray, q: float) -> float:
@@ -314,7 +291,9 @@ def simulate_online(
     simulator instead of the closed form.  ``source="model"`` (with a
     fitted ``latency_model``) prices with the planner's cost model
     instead of the ground-truth kernels; ``cost_model`` shares an
-    existing :class:`StageCostModel`'s tables.  Accepts any records with
+    existing :class:`StageCostModel`'s tables and, being the run's
+    pricing authority, overrides both — a re-cutting migration's cost
+    model inherits *its* time source.  Accepts any records with
     ``arrival`` / ``prompt_len`` / ``gen_len`` attributes, including
     :class:`~repro.workload.traces.RequestArrival`.
 
@@ -348,9 +327,8 @@ def simulate_online(
         from .trace_engine import simulate_continuous_vectorized, trace_columns
 
         return simulate_continuous_vectorized(
-            plan, cluster, trace_columns(trace), max_batch=max_batch,
-            engine=engine, scm=cost_model, source=source,
-            latency_model=latency_model, drift=drift, replanner=replanner,
+            trace_columns(trace), max_batch=max_batch, engine=engine,
+            scm=cost_model, drift=drift, replanner=replanner,
             sample_sink=sample_sink,
         )
     reqs = sorted(trace, key=lambda r: r.arrival)

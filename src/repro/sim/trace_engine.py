@@ -6,12 +6,16 @@ runs here as array-based event processing, so million-request traces
 replay in seconds:
 
 * request columns (``arrival`` / ``prompt_len`` / ``gen_len``) stay as
-  numpy arrays end to end — per-stage KV charges for the whole trace are
-  one :meth:`~repro.cost.stagecosts.StageCostModel.request_kv_bytes_batch`
-  call;
-* admission at a boundary is a prefix scan: candidates come from one
-  ``searchsorted`` on the arrival column, and FIFO fits-while-admitting
-  is a row-cumsum against the headroom;
+  numpy arrays end to end;
+* KV admission is one integer ledger: ``held`` token slots against the
+  cost model's :meth:`~repro.cost.stagecosts.StageCostModel.kv_token_budget`.
+  A request's per-stage bytes are exactly ``tokens x a per-stage
+  constant`` in float64, so counting slots decides what the spec's
+  per-stage byte test decides, and ``held`` times the slot's bytes is the
+  byte ledger's float bit for bit (the drift detector's occupancy);
+* admission at a boundary is two ``searchsorted`` calls: the arrived
+  candidates on the arrival column, the FIFO prefix that fits on the
+  token prefix sums;
 * stretches with no admission are **decode runs**: the retire schedule
   of the in-flight group fully determines every future batch size,
   context mean, and KV refund, so whole runs are priced in one
@@ -26,16 +30,12 @@ replay in seconds:
   bincount retire ring, price the whole stretch in one batch call, then
   validate and truncate at the first arrival or drift-window crossing
   the schedule missed (K adapts to the observed commit length and the
-  time remaining in the drift window);
-* when the per-request KV charges are *bitwise* linear in token count —
-  verified each time a cost model is bound — per-stage byte admission
-  collapses to a single integer token budget and one ``searchsorted``
-  per boundary; otherwise the general per-stage scan runs.
+  time remaining in the drift window).
 
 The floating-point contract is that of a one-boundary-at-a-time loop
 (``tests/sim/online_spec.py``, which the equality tests replay every
 case through): the batch cost-model views are bit-for-bit equal to
-their scalar counterparts, KV-charge arithmetic is exact in float64, and
+their scalar counterparts, KV byte arithmetic is exact in float64, and
 ``np.add.accumulate`` is the same left fold as ``now += step``, so every
 :class:`~repro.sim.online.OnlineResult` field is **byte-identical** to
 the spec's.
@@ -51,8 +51,6 @@ from ..cost.stagecosts import StageCostModel
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..core.plan import ExecutionPlan
-    from ..cost.latency import LatencyModel
-    from ..hardware.cluster import Cluster
     from ..runtime.replan import DriftConfig, Replanner
 
 __all__ = ["trace_columns", "simulate_continuous_vectorized"]
@@ -67,7 +65,6 @@ _CHUNK_GROW = 4
 #: speculative stretch sizing (boundaries scheduled before pricing)
 _STRETCH0 = 8
 _STRETCH_MAX = 8192
-
 
 
 def trace_columns(trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -100,15 +97,11 @@ class _Engine:
 
     def __init__(
         self,
-        plan: "ExecutionPlan",
-        cluster: "Cluster",
         columns: tuple[np.ndarray, np.ndarray, np.ndarray],
         *,
         max_batch: int | None,
         engine: str,
         scm: StageCostModel,
-        source: str,
-        latency_model: "LatencyModel | None",
         drift: "DriftConfig | None",
         replanner: "Replanner | None",
         sample_sink: "dict | None" = None,
@@ -116,12 +109,9 @@ class _Engine:
         if max_batch is not None and max_batch <= 0:
             raise ValueError("max_batch must be positive")  # would never admit
         self.sample_sink = sample_sink
-        self.plan = plan
-        self.cluster = cluster
         self.arr, self.spr, self.sgen = columns
         self.n_req = self.arr.size
         self._toks = self.spr + self.sgen
-        self._uniq_toks = np.unique(self._toks)
         # distinct prompt lengths: small positive ints, so a bincount
         # stands in for np.unique's sort of the whole column
         self._uniq_spr = np.flatnonzero(np.bincount(self.spr))
@@ -138,9 +128,6 @@ class _Engine:
 
             self._des_one = iteration_makespan_des
             self._des_rows = iteration_makespan_des_batch
-        self.scm = scm
-        self.source = source
-        self.latency_model = latency_model
         self.drift = drift
         self.replanner = replanner
 
@@ -153,13 +140,12 @@ class _Engine:
             self.win_end = self.detector.next_window_end()
 
         self._bind_cost_model(scm)
-        self.used = np.zeros(plan.num_stages)
+        self.held = 0  # token slots reserved by the in-flight requests
 
         # speculative stretch sizing: grows while stretches commit fully,
         # shrinks (and briefly pauses) when the saturation bet misses
         self._stretch_k = _STRETCH0
         self._stretch_block = 0
-        self._adm_hint = _CHUNK0 * 8
         self._step_hint = 0.0
         self._smax = int(self.sgen.max(initial=1))
 
@@ -190,47 +176,13 @@ class _Engine:
     def _bind_cost_model(self, scm: StageCostModel) -> None:
         """(Re)derive every table keyed by the current plan's cost model."""
         self.scm = scm
-        self.headroom = scm.kv_headroom()
-        self.hb = self.headroom + 1e-6
-        self.occ_mask = self.headroom > 0
-        # rows below the queue head / oldest in-flight request are never
-        # read again — skip recomputing them when a migration rebinds
-        lo = 0
-        if hasattr(self, "a_idx"):
-            lo = self.ptr
-            if self.a_idx.size:
-                m = int(self.a_idx.min())
-                if m < lo:
-                    lo = m
-        if lo:
-            rows = scm.request_kv_bytes_batch(self._toks[lo:])
-            self.charges = np.empty((self.n_req, rows.shape[1]))
-            self.charges[lo:] = rows
-        else:
-            self.charges = scm.request_kv_bytes_batch(self._toks)
-        # exact-linear KV charges (row == toks * per-token vector,
-        # bitwise) collapse stretch admission to a scalar integer token
-        # budget: the largest T with T * kvc_j <= headroom_j for all j
-        self._kvc = None
-        self._tok_budget = 0
-        if self._uniq_toks.size:
-            kvc = scm.request_kv_bytes_batch(np.ones(1, dtype=np.int64))[0]
-            rows = scm.request_kv_bytes_batch(self._uniq_toks)
-            if (kvc > 0).all() and np.array_equal(
-                rows, self._uniq_toks[:, None] * kvc
-            ):
-                budget = None
-                for j in range(kvc.size):
-                    cj = float(kvc[j])
-                    hbj = float(self.hb[j])
-                    tj = int(hbj // cj)
-                    while (tj + 1) * cj <= hbj:
-                        tj += 1
-                    while tj > 0 and tj * cj > hbj:
-                        tj -= 1
-                    budget = tj if budget is None else min(budget, tj)
-                self._kvc = kvc
-                self._tok_budget = budget
+        self.budget = scm.kv_token_budget()
+        # occupancy of the stages that have a KV pool: held slots times
+        # one slot's bytes, over the pool
+        headroom = scm.kv_headroom()
+        pool = headroom > 0
+        self._slot_bytes = scm.request_kv_bytes(1, 0)[pool]
+        self._pool_bytes = headroom[pool]
         # batch-1 prefill units of every prompt length in the trace, priced
         # in one call and scattered into arrays indexed by prompt length:
         # a unit's stage sum (it heads an iteration), its stage max (it
@@ -246,53 +198,44 @@ class _Engine:
             self._pf_rows[self._uniq_spr] = rows
 
     # -- admission ------------------------------------------------------
+    def _fit_end(self, ptr: int, held: int) -> int:
+        """End ``p`` of the longest FIFO run ``[ptr, p)`` whose token
+        slots fit the budget beside ``held`` (one ``searchsorted`` on the
+        token prefix sums); below ``ptr`` while ``held`` exceeds it."""
+        cumq = self._cumq
+        room = cumq[ptr] + (self.budget - held)
+        return int(np.searchsorted(cumq, room, side="right")) - 1
+
     def _admission_scan(self) -> np.ndarray:
         """Batched mirror of the scalar FIFO admission while-loop.
 
-        Admits the longest arrived prefix whose cumulative KV charge
-        stays under the headroom (one cumsum + argmin per pass), caps at
-        ``max_batch``, and — only while the system is completely empty —
-        rejects queue heads that cannot fit even alone.
+        Admits the longest arrived prefix whose token slots fit the
+        budget, capped at ``max_batch``, and — only while the system is
+        completely empty — rejects queue heads that cannot fit even
+        alone.  ``held`` above the budget (a migration to a tighter plan)
+        admits nothing until retirements bring it back under.
         """
-        arr, charges, hb = self.arr, self.charges, self.hb
+        cumq = self._cumq
         b0 = self.a_idx.size
-        parts: list[np.ndarray] = []
-        count = 0
-        chunk = _CHUNK0 * 8
-        q = int(np.searchsorted(arr, self.now, side="right"))
+        q = int(np.searchsorted(self.arr, self.now, side="right"))
         while self.ptr < q:
-            if self.max_batch is None:
-                room = q - self.ptr
-            else:
-                room = self.max_batch - b0 - count
-                if room <= 0:
-                    break
-            m = min(q - self.ptr, room, chunk)
-            chunk *= _CHUNK_GROW
-            rows = charges[self.ptr:self.ptr + m]
-            cum = self.used + np.cumsum(rows, axis=0)
-            ok = np.all(cum <= hb, axis=1)
-            k = m if ok.all() else int(np.argmin(ok))
-            if k > 0:
-                parts.append(np.arange(self.ptr, self.ptr + k, dtype=np.int64))
-                self.used = cum[k - 1].copy()
-                self.ptr += k
-                count += k
-                if k < m:
-                    break  # blocked with work in flight: stop admitting
-                continue
-            if b0 + count == 0:
-                # alone in an empty system and still unfit: never fits —
-                # drop the leading run of solo-unfit heads
-                solo = np.all(self.used + rows <= hb, axis=1)
-                r = m if not solo.any() else int(np.argmax(solo))
-                self.ptr += r
-                self.rejected += r
-                continue
-            break
-        if not parts:
-            return _EMPTY_I8
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            p = min(self._fit_end(self.ptr, self.held), q)
+            if self.max_batch is not None:
+                p = min(p, self.ptr + self.max_batch - b0)
+            if p > self.ptr:
+                admitted = np.arange(self.ptr, p, dtype=np.int64)
+                self.held += int(cumq[p] - cumq[self.ptr])
+                self.ptr = p
+                return admitted
+            if b0:
+                break  # blocked with work in flight: stop admitting
+            # alone in an empty system and still unfit: never fits —
+            # drop the leading run of solo-unfit heads
+            fits = np.flatnonzero(self._toks[self.ptr:q] <= self.budget)
+            r = int(fits[0]) if fits.size else q - self.ptr
+            self.ptr += r
+            self.rejected += r
+        return _EMPTY_I8
 
     # -- one admission iteration (fused decode + batch-1 prefills) ------
     def _admission_iteration(self, admitted: np.ndarray) -> None:
@@ -340,23 +283,20 @@ class _Engine:
             self.lat_parts.append(self.now - self.arr[fidx])
             self.lat_idx_parts.append(fidx)
             self.total_tokens += int(self.sgen[fidx].sum())
-            self.used = self.used - self.charges[fidx].sum(axis=0)
+            self.held -= int(self._toks[fidx].sum())
             keep = ~fin
             self.a_idx = self.a_idx[keep]
             self.a_prod = self.a_prod[keep]
 
     # -- speculative event-batch stretches ------------------------------
-    def _ring_add(self, ring_cnt: np.ndarray, ring_tok: np.ndarray,
-                  ring_chg: "np.ndarray | None", fins: np.ndarray,
-                  toks: np.ndarray, chg: "np.ndarray | None") -> None:
+    @staticmethod
+    def _ring_add(ring_cnt: np.ndarray, ring_tok: np.ndarray,
+                  fins: np.ndarray, toks: np.ndarray) -> None:
         """Accumulate per-boundary retire contributions into the ring.
 
         One ``np.bincount`` per column over the (narrow) span of finish
-        boundaries — every summed quantity (counts, token sums, KV
-        charges) is exact in float64, so the grouping order cannot
-        change the result.  ``ring_chg``/``chg`` are only carried on the
-        general path; the linear path recovers KV charges from token
-        counts.
+        boundaries — both summed quantities (counts, token sums) are
+        exact in float64, so the grouping order cannot change the result.
         """
         lo = int(fins.min())
         span = int(fins.max()) - lo + 1
@@ -364,21 +304,15 @@ class _Engine:
         stop = lo + span
         ring_cnt[lo:stop] += np.bincount(off, minlength=span)
         ring_tok[lo:stop] += np.bincount(off, weights=toks, minlength=span)
-        if ring_chg is not None:
-            block = ring_chg[lo:stop]
-            for j in range(chg.shape[1]):
-                block[:, j] += np.bincount(
-                    off, weights=chg[:, j], minlength=span
-                )
 
     def _stretch(self) -> int:
         """Schedule up to K boundaries speculatively, price them in one
         batch, and commit the longest valid prefix.
 
         While the queue outpaces the pipeline, admission depends only on
-        KV memory and the concurrency cap — never on the clock — so the
+        KV slots and the concurrency cap — never on the clock — so the
         admit/retire schedule of many future boundaries is pure integer
-        and byte arithmetic: no cost model in the loop, one
+        arithmetic: no cost model in the loop, one
         :meth:`unit_decode_times_batch` call for every boundary's decode
         group, one ``np.add.accumulate`` to recover the clock, and bulk
         appends for TTFTs, latencies, and drift observations.  Boundary
@@ -389,9 +323,7 @@ class _Engine:
         also truncate at drift-window crossings (the detector poll can
         migrate the plan, invalidating the speculated schedule).
         """
-        arr, spr, sgen, charges = self.arr, self.spr, self.sgen, self.charges
-        hb = self.hb
-        n = self.used.size
+        arr, spr, sgen = self.arr, self.spr, self.sgen
         a_idx, a_prod = self.a_idx, self.a_prod
         b0 = a_idx.size
         K = self._stretch_k
@@ -403,25 +335,19 @@ class _Engine:
             if kw < K:
                 K = kw if kw > _STRETCH0 else _STRETCH0
 
-        linear = self._kvc is not None
         # retire ring seeded from the in-flight group: boundary t
         # (1-based) retires requests with rel == t; columns are
-        # [count, sum(prompt+gen)] — plus per-stage KV charge on the
-        # general path (the linear path derives KV from token counts)
+        # [count, sum(prompt+gen)]
         rel0 = sgen[a_idx] - a_prod
         m0 = rel0 <= K
         rel0m = rel0[m0]
         ring_cnt = np.zeros(K + 2, dtype=np.int64)
         ring_tok = np.zeros(K + 2)
-        ring_chg = None if linear else np.zeros((K + 2, n))
         if rel0m.size:
-            self._ring_add(ring_cnt, ring_tok, ring_chg, rel0m,
-                           self._toks[a_idx][m0],
-                           None if linear else charges[a_idx[m0]])
+            self._ring_add(ring_cnt, ring_tok, rel0m, self._toks[a_idx][m0])
 
         ptr0 = self.ptr
         ptr_l = ptr0
-        used_l = self.used
         b_l = b0
         s_l = int((spr[a_idx] + a_prod).sum())
         q1 = int(np.searchsorted(arr, self.now, side="right"))
@@ -429,102 +355,49 @@ class _Engine:
         b_rec = np.empty(K + 1, dtype=np.int64)
         s_rec = np.empty(K + 1, dtype=np.float64)
         ptr_rec = np.empty(K + 1, dtype=np.int64)
-        held_rec = np.empty(K + 1, dtype=np.int64) if linear else None
-        used_rec = None if linear else np.empty((K + 1, n))
+        held_rec = np.empty(K + 1, dtype=np.int64)
         ptr_rec[0] = ptr0
         n_req, max_batch = self.n_req, self.max_batch
         cumq, cumspr = self._cumq, self._cumspr
-        if linear:
-            # in-flight token slots: ``used`` is an exact multiple of the
-            # per-token charge vector, so the quotient is an exact integer
-            held = int(round(float(used_l[0]) / float(self._kvc[0])))
-            budget = self._tok_budget
+        held = self.held
         L = 0
         for t in range(1, K + 1):
             b_rec[t] = b_l
             s_rec[t] = float(s_l)
-            # FIFO admission against memory/cap; boundary 1 sees only
+            # FIFO admission against slots/cap; boundary 1 sees only
             # requests that have really arrived, later boundaries bet on
             # a deep backlog (checked after pricing)
             lim = q1 if t == 1 else n_req
             t0_ptr = ptr_l
             count = 0
-            if linear:
-                if ptr_l < lim:
-                    hi = (
-                        int(
-                            np.searchsorted(
-                                cumq,
-                                cumq[ptr_l] + (budget - held),
-                                side="right",
-                            )
-                        )
-                        - 1
-                    )
-                    p = hi if hi < lim else lim
-                    if max_batch is not None and p - ptr_l > max_batch - b_l:
-                        p = ptr_l + (max_batch - b_l)
-                    if p > ptr_l:
-                        count = p - ptr_l
-                        held += int(cumq[p] - cumq[ptr_l])
-                        ptr_l = p
-            else:
-                chunk = self._adm_hint
-                while ptr_l < lim:
-                    if max_batch is None:
-                        room = lim - ptr_l
-                    else:
-                        room = max_batch - b_l - count
-                        if room <= 0:
-                            break
-                    m = min(lim - ptr_l, room, chunk)
-                    chunk *= _CHUNK_GROW
-                    rows = charges[ptr_l:ptr_l + m]
-                    cum = used_l + np.cumsum(rows, axis=0)
-                    ok = (cum <= hb).all(axis=1)
-                    k = m if ok.all() else int(np.argmin(ok))
-                    if k == 0:
-                        break
-                    used_l = cum[k - 1]
-                    ptr_l += k
-                    count += k
-                    if k < m:
-                        break
+            if ptr_l < lim:
+                p = min(self._fit_end(ptr_l, held), lim)
+                if max_batch is not None and p - ptr_l > max_batch - b_l:
+                    p = ptr_l + (max_batch - b_l)
+                if p > ptr_l:
+                    count = p - ptr_l
+                    held += int(cumq[p] - cumq[ptr_l])
+                    ptr_l = p
             ptr_rec[t] = ptr_l
             s_l += b_l + count
             if count:
                 s_l += int(cumspr[ptr_l] - cumspr[t0_ptr])
                 b_l += count
                 gs = sgen[t0_ptr:ptr_l]
-                if t + self._smax <= K + 1:
-                    self._ring_add(ring_cnt, ring_tok, ring_chg,
-                                   t + gs - 1,
-                                   self._toks[t0_ptr:ptr_l],
-                                   None if linear else charges[t0_ptr:ptr_l])
-                else:
-                    fins = t + gs - 1
+                fins = t + gs - 1
+                toks = self._toks[t0_ptr:ptr_l]
+                if t + self._smax > K + 1:
                     fm = fins <= K
-                    if fm.any():
-                        self._ring_add(
-                            ring_cnt, ring_tok, ring_chg, fins[fm],
-                            self._toks[t0_ptr:ptr_l][fm],
-                            None if linear else charges[t0_ptr:ptr_l][fm],
-                        )
-                if not linear:
-                    self._adm_hint = max(_CHUNK0 * 8, count + (count >> 2))
+                    fins, toks = fins[fm], toks[fm]
+                if fins.size:
+                    self._ring_add(ring_cnt, ring_tok, fins, toks)
             c = int(ring_cnt[t])
             if c:
                 b_l -= c
                 rt = int(ring_tok[t])
                 s_l -= rt
-                if linear:
-                    held -= rt
-                else:
-                    used_l = used_l - ring_chg[t]
-            if linear:
-                held_rec[t] = held
-            else:
-                used_rec[t] = used_l
+                held -= rt
+            held_rec[t] = held
             L = t
             if b_l == 0:
                 break
@@ -575,11 +448,7 @@ class _Engine:
         self.inflight_sum += int(b_rec[1:M + 1].sum() + reps_m.sum())
         self.now = float(now_t[M - 1])
         self._step_hint = (self.now - now0) / M
-        # exact products: held * kvc is bitwise the scalar loop's running
-        # add/sub chain of per-request charges
-        self.used = (
-            held_rec[M] * self._kvc if linear else used_rec[M].copy()
-        )
+        self.held = int(held_rec[M])
         self.ptr = ptr_m
         adm_idx = np.arange(ptr0, ptr_m, dtype=np.int64)
         if ptr_m > ptr0:
@@ -607,19 +476,7 @@ class _Engine:
         )
 
         if self.detector is not None:
-            um = (
-                held_rec[1:M + 1, None] * self._kvc
-                if linear
-                else used_rec[1:M + 1]
-            )
-            if self.occ_mask.any():
-                occ = (
-                    um[:, self.occ_mask] / self.headroom[self.occ_mask]
-                ).max(axis=1)
-                self.obs_v.extend(occ.tolist())
-            else:
-                self.obs_v.extend([0.0] * M)
-            self.obs_t.extend(now_t[:M].tolist())
+            self._observe(now_t[:M], held_rec[1:M + 1])
             if flush:
                 self._flush_and_poll()
 
@@ -640,7 +497,7 @@ class _Engine:
 
         The in-flight group's retire schedule pins down the whole run:
         request ``j`` (``rem_j`` tokens left) leaves at boundary
-        ``rem_j``, so batch size, context mean, and released KV bytes at
+        ``rem_j``, so batch size, context mean, and released KV slots at
         every future boundary are closed-form in the retire counts.  The
         three truncation conditions are each monotone within the run —
         the queue head's arrival (the clock only moves forward), its KV
@@ -648,13 +505,16 @@ class _Engine:
         group only shrinks) — so the first admission boundary is a
         ``max`` of three first-crossing indices, not a scan.
         """
-        arr = self.arr
+        arr, toks = self.arr, self._toks
         a_idx, a_prod = self.a_idx, self.a_prod
         b = a_idx.size
         rem = self.sgen[a_idx] - a_prod
         horizon = int(rem.max())
         head = self.ptr if self.ptr < self.n_req else None
         arrived = head is not None and arr[head] <= self.now
+        if head is not None:
+            # slots the in-flight group may keep for the head to fit
+            room = self.budget - int(toks[head])
 
         # ---- fast path: the run is a single boundary ------------------
         # Saturated steady state hits this almost every time: the queue
@@ -664,18 +524,14 @@ class _Engine:
         # construction below.
         if arrived or horizon == 1:
             leave1 = rem == 1
-            rel1 = self.charges[a_idx[leave1]].sum(axis=0)
-            if horizon == 1:
-                fast = True
-            else:
-                ok = np.all(
-                    (self.used - rel1) + self.charges[head] <= self.hb
+            rel1 = int(toks[a_idx[leave1]].sum())
+            fast = horizon == 1 or (
+                self.held - rel1 <= room
+                and (
+                    self.max_batch is None
+                    or b - int(np.count_nonzero(leave1)) < self.max_batch
                 )
-                if self.max_batch is not None:
-                    ok = ok and (
-                        b - int(np.count_nonzero(leave1)) < self.max_batch
-                    )
-                fast = bool(ok)
+            )
             if fast:
                 base_sum = (self.spr[a_idx] + a_prod).sum()
                 ctx0 = float(base_sum) / float(b)
@@ -691,7 +547,7 @@ class _Engine:
                     self.lat_parts.append(self.now - arr[fidx])
                     self.lat_idx_parts.append(fidx)
                     self.total_tokens += int(self.sgen[fidx].sum())
-                self.used = self.used - rel1
+                self.held -= rel1
                 keep = ~leave1
                 self.a_idx = a_idx[keep]
                 self.a_prod = a_prod[keep] + 1
@@ -709,19 +565,15 @@ class _Engine:
         steps_i = np.arange(horizon, dtype=np.int64)
         b_i = b - pos[:horizon]  # batch size at boundary i
         ctx_i = ((float(base.sum()) - gone[pos[:horizon]]) + steps_i * b_i) / b_i
-        relc = np.concatenate((
-            np.zeros((1, self.used.size)),
-            np.cumsum(self.charges[a_idx[ord_]], axis=0),
-        ))
-        rel_i = relc[pos]  # KV released by boundary i
+        # KV slots still held after boundary i
+        held_i = self.held - np.concatenate(
+            ((0,), np.cumsum(toks[a_idx[ord_]]))
+        )[pos]
 
         # ---- first boundary where the queue head could be admitted ----
         fit_at = None  # first boundary with cap room and KV fit
         if head is not None:
-            okay = np.all(
-                (self.used - rel_i[:horizon]) + self.charges[head] <= self.hb,
-                axis=1,
-            )
+            okay = held_i[:horizon] <= room
             if self.max_batch is not None:
                 okay &= b_i < self.max_batch
             if okay.any():
@@ -782,38 +634,33 @@ class _Engine:
             self.lat_parts.append(now_post[rem_s[:n_ret] - 1] - arr[fidx])
             self.lat_idx_parts.append(fidx)
             self.total_tokens += int(self.sgen[fidx].sum())
-        used0 = self.used
-        self.used = used0 - rel_i[t_run]
+        self.held = int(held_i[t_run])
         keep = rem > t_run
         self.a_idx = a_idx[keep]
         self.a_prod = a_prod[keep] + t_run
 
         if self.detector is not None:
-            um = used0 - rel_i[1:t_run + 1]
-            if self.occ_mask.any():
-                occ = (
-                    um[:, self.occ_mask] / self.headroom[self.occ_mask]
-                ).max(axis=1)
-                self.obs_v.extend(occ.tolist())
-            else:
-                self.obs_v.extend([0.0] * t_run)
-            self.obs_t.extend(now_post[:t_run].tolist())
+            self._observe(now_post[:t_run], held_i[1:t_run + 1])
             if self.now >= self.win_end:
                 self._flush_and_poll()
 
     # -- drift detection / live replanning ------------------------------
+    def _observe(self, times: np.ndarray, held: np.ndarray) -> None:
+        """Buffer one occupancy observation per boundary: the fullest
+        stage's share of its KV pool.  ``held x slot bytes`` is an exact
+        product, hence bitwise the byte ledger's running add/sub chain."""
+        if self._pool_bytes.size:
+            occ = (held[:, None] * self._slot_bytes / self._pool_bytes).max(axis=1)
+            self.obs_v.extend(occ.tolist())
+        else:
+            self.obs_v.extend([0.0] * held.size)
+        self.obs_t.extend(times.tolist())
+
     def _observe_boundary(self) -> None:
         """Record this boundary's occupancy; poll on window crossings."""
         if self.detector is None:
             return
-        if self.occ_mask.any():
-            occ = float(
-                np.max(self.used[self.occ_mask] / self.headroom[self.occ_mask])
-            )
-        else:
-            occ = 0.0
-        self.obs_t.append(self.now)
-        self.obs_v.append(occ)
+        self._observe(np.array([self.now]), np.array([self.held]))
         if self.now >= self.win_end:
             self._flush_and_poll()
 
@@ -846,22 +693,24 @@ class _Engine:
         self.drift_triggers += 1
         if self.replanner is None:
             return
-        new_plan = self.replanner(self.plan, est)
+        new_plan = self.replanner(self.scm.plan, est)
         if new_plan is None:
             return
         self._migrate(new_plan)
 
     def _migrate(self, new_plan: "ExecutionPlan") -> None:
-        """Mirrored live migration on array state (same pricing as scalar)."""
-        recut = new_plan.stages != self.plan.stages
+        """Mirrored live migration on array state (same pricing as
+        scalar).  The in-flight requests keep their token slots; only
+        the budget they count against is the new plan's."""
+        scm = self.scm
+        recut = new_plan.stages != scm.plan.stages
         if recut:
             new_scm = StageCostModel(
-                new_plan, self.cluster, source=self.source,
-                latency_model=self.latency_model,
+                new_plan, scm.cluster, source=scm.source,
+                latency_model=scm.model,
             )
         else:
-            new_scm = self.scm.derive(new_plan)
-        self.plan = new_plan
+            new_scm = scm.derive(new_plan)
         self._bind_cost_model(new_scm)
         pause = 0.0  # metadata-only switch: no shards re-cut
         if recut:
@@ -872,10 +721,6 @@ class _Engine:
         self.migration_seconds += pause
         self.migrations += 1
         self.replans += 1
-        if self.a_idx.size:
-            self.used = self.charges[self.a_idx].sum(axis=0)
-        else:
-            self.used = np.zeros(self.plan.num_stages)
         self.detector.rebaseline(self.now)
         self.win_end = self.detector.next_window_end()
 
@@ -979,15 +824,11 @@ class _Engine:
 
 
 def simulate_continuous_vectorized(
-    plan: "ExecutionPlan",
-    cluster: "Cluster",
     columns: tuple[np.ndarray, np.ndarray, np.ndarray],
     *,
     max_batch: int | None,
     engine: str,
     scm: StageCostModel,
-    source: str = "kernels",
-    latency_model: "LatencyModel | None" = None,
     drift: "DriftConfig | None" = None,
     replanner: "Replanner | None" = None,
     sample_sink: "dict | None" = None,
@@ -996,13 +837,12 @@ def simulate_continuous_vectorized(
     admission control, pricing, drift detection and migration accounting
     evaluated as event batches.
 
-    ``sample_sink``, when given, receives the raw per-request
-    ``latencies``/``ttfts`` arrays so fleet aggregation can pool exact
-    samples across replicas.
+    ``scm`` carries the plan, the cluster and the time source; a
+    migration's cost model is built from them.  ``sample_sink``, when
+    given, receives the raw per-request ``latencies``/``ttfts`` arrays so
+    fleet aggregation can pool exact samples across replicas.
     """
     return _Engine(
-        plan, cluster, columns,
-        max_batch=max_batch, engine=engine, scm=scm, source=source,
-        latency_model=latency_model, drift=drift, replanner=replanner,
-        sample_sink=sample_sink,
+        columns, max_batch=max_batch, engine=engine, scm=scm, drift=drift,
+        replanner=replanner, sample_sink=sample_sink,
     ).run()

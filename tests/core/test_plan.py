@@ -130,6 +130,9 @@ def test_uniform_constructor_even_split():
 def test_stageplan_validation():
     with pytest.raises(ValueError, match="positive"):
         StagePlan(_dev(), (0, 4))
+    # an empty stage has no (stage, bits) pair for the cost tables to fold
+    with pytest.raises(ValueError, match="at least one layer"):
+        StagePlan(_dev(), ())
 
 
 def test_bit_counts():

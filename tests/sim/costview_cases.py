@@ -19,13 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.plan import ExecutionPlan, StagePlan
+from repro.cost.stagecosts import StageCostModel
 from repro.hardware import paper_cluster
 from repro.sim.online import (
     OnlineRequest,
     max_admissible_batch,
-    request_kv_bytes,
     simulate_online,
-    stage_kv_headroom,
 )
 from repro.sim.pipeline import simulate_pipeline
 from repro.sim.pipeline_des import simulate_pipeline_des
@@ -151,8 +150,10 @@ def compute_snapshot() -> dict:
                     plan, cluster, async_comm=True
                 ).total_latency
             ),
-            "headroom": _hexlist(stage_kv_headroom(plan)),
-            "charge_64_8": _hexlist(request_kv_bytes(plan, 64, 8)),
+            "headroom": _hexlist(StageCostModel(plan).kv_headroom()),
+            "charge_64_8": _hexlist(
+                StageCostModel(plan).request_kv_bytes(64, 8)
+            ),
             "max_batch_128_12": max_admissible_batch(
                 plan, prompt_len=128, gen_len=12
             ),

@@ -11,6 +11,12 @@ requests, and observes / polls the drift detector at every boundary,
 mirroring a migration as re-price + pause + re-home.  A few hundred
 microseconds per boundary: it exists only for the equality tests
 (``tests/sim/test_trace_engine.py``) and ``benchmarks/``.
+
+The ledger here is deliberately the paper's: per-stage *bytes*, one
+float vector per request, added on admission and subtracted on retire.
+The engine counts integer token slots instead; every equality test
+against this loop is therefore a proof that the two ledgers decide and
+observe the same thing.
 """
 
 from __future__ import annotations
@@ -19,10 +25,23 @@ from collections import deque
 
 import numpy as np
 
+from repro.cost.memory import kv_cache_bytes
 from repro.cost.stagecosts import StageCostModel
 from repro.runtime.replan import DriftDetector
 from repro.sim.online import OnlineResult, _infeasible, _quantile
 from repro.sim.pipeline_des import iteration_makespan_des
+
+
+def memory_model_charge(scm, prompt_len, gen_len) -> np.ndarray:
+    """One request's per-stage KV bytes straight from the planner's
+    memory model — ``layers x (s + n) x per-token bytes`` (PAPER.md §1) —
+    with no token-slot arithmetic in between."""
+    return np.array([
+        kv_cache_bytes(
+            scm.cfg, st.num_layers, 1, prompt_len + gen_len, kv_bits=st.kv_bits
+        )
+        for st in scm.plan.stages
+    ])
 
 
 def spec_simulate_continuous(
@@ -38,17 +57,24 @@ def spec_simulate_continuous(
     drift=None,
     replanner=None,
     sample_sink: dict | None = None,
+    kv_charge=None,
 ) -> OnlineResult:
     """``simulate_online(policy="continuous")`` one boundary at a time.
 
     Same keywords as :func:`repro.sim.online.simulate_online` (``engine``
     is ``"analytic"`` or ``"des"``); ``max_batch``, when given, must be
-    positive.
+    positive.  ``kv_charge(scm, prompt_len, gen_len)`` prices a request's
+    per-stage bytes; the default is the cost model's
+    ``request_kv_bytes``, :func:`memory_model_charge` is the formula the
+    planner budgets with.
     """
     reqs = sorted(trace, key=lambda r: r.arrival)
     scm = cost_model or StageCostModel(
         plan, cluster, source=source, latency_model=latency_model
     )
+    plan = scm.plan  # the cost model is the pricing authority
+    if kv_charge is None:
+        kv_charge = StageCostModel.request_kv_bytes
 
     def _price(units: list[np.ndarray]) -> float:
         if engine == "des":
@@ -87,7 +113,7 @@ def spec_simulate_continuous(
             if max_batch is not None and len(active) + len(newly) >= max_batch:
                 break
             r = pending[0]
-            charge = scm.request_kv_bytes(r.prompt_len, r.gen_len)
+            charge = kv_charge(scm, r.prompt_len, r.gen_len)
             if np.any(used + charge > headroom + 1e-6):
                 if not active and not newly:
                     # alone in an empty system and still unfit: never fits
@@ -164,8 +190,8 @@ def spec_simulate_continuous(
                 pause = 0.0  # metadata-only switch: no shards re-cut
             else:
                 new_scm = StageCostModel(
-                    new_plan, cluster, source=source,
-                    latency_model=latency_model,
+                    new_plan, scm.cluster, source=scm.source,
+                    latency_model=scm.model,
                 )
                 # shard rebuild + pipelined replay of in-flight KV state,
                 # priced exactly like the iterations it re-runs
@@ -191,8 +217,8 @@ def spec_simulate_continuous(
             headroom = scm.kv_headroom()
             used = np.zeros(plan.num_stages)
             for a in active:
-                a["charge"] = scm.request_kv_bytes(
-                    a["req"].prompt_len, a["req"].gen_len
+                a["charge"] = kv_charge(
+                    scm, a["req"].prompt_len, a["req"].gen_len
                 )
                 used += a["charge"]
             detector.rebaseline(now)

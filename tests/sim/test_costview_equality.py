@@ -205,18 +205,10 @@ def test_planner_tables_share_floats_with_cost_model(latmodel_cluster3):
 
 
 def test_online_wrappers_delegate_to_cost_model():
-    from repro.sim.online import (
-        max_admissible_batch,
-        request_kv_bytes,
-        stage_kv_headroom,
-    )
+    from repro.sim.online import max_admissible_batch
 
     plan, _cluster = mixed_plan()
     scm = StageCostModel(plan)
-    assert np.array_equal(stage_kv_headroom(plan), scm.kv_headroom())
-    assert np.array_equal(
-        request_kv_bytes(plan, 64, 8), scm.request_kv_bytes(64, 8)
-    )
     assert max_admissible_batch(
         plan, prompt_len=128, gen_len=12
     ) == scm.max_admissible_batch(prompt_len=128, gen_len=12)

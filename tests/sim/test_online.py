@@ -328,16 +328,19 @@ def test_drift_workload_refit_is_metadata_only(cluster3, w):
 
 
 def test_headroom_helpers_consistent(cluster3, w):
-    from repro.sim.online import request_kv_bytes, stage_kv_headroom
+    from repro.cost.stagecosts import StageCostModel
 
-    plan4 = _plan(cluster3, w, 4)
-    plan16 = _plan(cluster3, w, 16)
-    h4 = stage_kv_headroom(plan4)
-    h16 = stage_kv_headroom(plan16)
+    scm4 = StageCostModel(_plan(cluster3, w, 4))
+    scm16 = StageCostModel(_plan(cluster3, w, 16))
+    h4 = scm4.kv_headroom()
+    h16 = scm16.kv_headroom()
     assert np.all(h4 >= h16)  # lower precision leaves more KV headroom
     assert np.any(h4 > h16)
-    charge = request_kv_bytes(plan4, 256, 32)
-    assert charge.shape == (plan4.num_stages,)
+    charge = scm4.request_kv_bytes(256, 32)
+    assert charge.shape == (len(h4),)
     assert np.all(charge > 0)
     # more admitted requests under 4-bit than 16-bit, per the Sec.-7 trade-off
-    assert int(np.min(h4 / charge)) >= int(np.min(h16 / request_kv_bytes(plan16, 256, 32)))
+    assert int(np.min(h4 / charge)) >= int(
+        np.min(h16 / scm16.request_kv_bytes(256, 32))
+    )
+    assert scm4.kv_token_budget() >= scm16.kv_token_budget()

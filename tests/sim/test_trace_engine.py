@@ -4,17 +4,21 @@
 through :mod:`repro.sim.trace_engine`; ``tests/sim/online_spec.py`` is
 the scalar loop it must reproduce.  The contract is **exact equality**:
 every ``OnlineResult`` field — floats included — must match the spec
-bit for bit, with or without drift detection and live replanning, in
-both the token-budget linear admission fast path and the general
-per-stage byte accounting (the ``general_admission`` fixture).
+bit for bit, with or without drift detection and live replanning.  The
+engine admits against one integer ledger of KV token slots; the spec
+keeps the paper's per-stage byte ledger, charged either through the cost
+model (``linear``: tokens x ``kv_token_charges()``) or straight from the
+planner's memory model (``general``: ``kv_cache_bytes`` per stage) — the
+``kv_charge`` fixture runs each case against both, so every case proves
+"token slots == per-stage bytes".
 
 A hypothesis sweep drives random traces/plans/knobs through both
 engines; deterministic cases pin the canned trace, migrations that
-change the stage cut, and the degenerate all-rejected/empty-percentile
-paths.
+change the stage cut or shrink the budget below the slots in flight,
+heads that can never fit, and the degenerate
+all-rejected/empty-percentile paths.
 """
 
-import contextlib
 import dataclasses
 import warnings
 
@@ -28,7 +32,7 @@ from repro.cost.stagecosts import StageCostModel
 from repro.runtime.replan import DriftConfig, workload_refit_replanner
 from repro.runtime.scheduler import ServeReport
 from repro.sim.online import OnlineRequest, simulate_online
-from repro.sim.trace_engine import _Engine, trace_columns
+from repro.sim.trace_engine import _Engine
 from repro.workload.traces import (
     load_trace,
     sample_bursty_arrivals,
@@ -38,7 +42,7 @@ from repro.workload.traces import (
 )
 
 from .costview_cases import canned_trace, mb1_plan, mixed_plan
-from .online_spec import spec_simulate_continuous
+from .online_spec import memory_model_charge, spec_simulate_continuous
 
 PLANS = {"mixed": mixed_plan(), "mb1": mb1_plan()}
 
@@ -48,48 +52,19 @@ DRIFT = DriftConfig(
 )
 
 
-@contextlib.contextmanager
-def _general_admission(on: bool):
-    """While ``on``, every cost-model bind (the initial one and each
-    migration's) forgets the exact-linear token budget, so the engine
-    admits through the general per-stage byte scan."""
-    bind = _Engine._bind_cost_model
-
-    def bind_general(self, scm):
-        bind(self, scm)
-        self._kvc, self._tok_budget = None, 0
-
-    if on:
-        _Engine._bind_cost_model = bind_general
-    try:
-        yield
-    finally:
-        _Engine._bind_cost_model = bind
+@pytest.fixture(params=[None, memory_model_charge], ids=["linear", "general"])
+def kv_charge(request):
+    """How the *spec* charges a request's per-stage bytes (the engine has
+    one path): ``None`` is the cost model's ``request_kv_bytes``, the
+    other the planner's memory-model formula."""
+    return request.param
 
 
-@pytest.fixture(params=[False, True], ids=["linear", "general"])
-def general_admission(request):
-    """Run each case through both admission paths: the exact-linear
-    token-budget shortcut and the general per-stage byte scan."""
-    with _general_admission(request.param):
-        yield request.param
-
-
-def test_fixture_selects_the_admission_path(general_admission):
-    """The canned plans price KV linearly, so the default bind takes the
-    token-budget shortcut and only the fixture reaches the general scan."""
-    plan, cluster = PLANS["mixed"]
-    eng = _Engine(
-        plan, cluster, trace_columns(canned_trace()), max_batch=None,
-        engine="analytic", scm=StageCostModel(plan, cluster), source="kernels",
-        latency_model=None, drift=None, replanner=None,
-    )
-    assert (eng._kvc is None) == general_admission
-
-
-def _assert_identical(plan, cluster, trace, **kw):
+def _assert_identical(plan, cluster, trace, *, kv_charge=None, **kw):
     vec = simulate_online(plan, cluster, trace, policy="continuous", **kw)
-    oracle = spec_simulate_continuous(plan, cluster, trace, **kw)
+    oracle = spec_simulate_continuous(
+        plan, cluster, trace, kv_charge=kv_charge, **kw
+    )
     if vec != oracle:
         bad = [
             f"{f.name}: {getattr(vec, f.name)!r} != {getattr(oracle, f.name)!r}"
@@ -110,59 +85,72 @@ def _assert_identical(plan, cluster, trace, **kw):
 @pytest.mark.parametrize("plan_name", sorted(PLANS))
 @pytest.mark.parametrize("engine", ["analytic", "des"])
 @pytest.mark.parametrize("max_batch", [None, 4, 2])
-def test_canned_trace_identical(plan_name, engine, max_batch, general_admission):
+def test_canned_trace_identical(plan_name, engine, max_batch, kv_charge):
     plan, cluster = PLANS[plan_name]
     _assert_identical(
-        plan, cluster, canned_trace(), engine=engine, max_batch=max_batch
+        plan, cluster, canned_trace(), engine=engine, max_batch=max_batch,
+        kv_charge=kv_charge,
     )
 
 
 @pytest.mark.parametrize("engine", ["analytic", "des"])
-def test_mixed_kv_trace_identical(engine, general_admission):
+def test_mixed_kv_trace_identical(engine, kv_charge):
     """Per-stage KV bitwidths reshape per-stage admission charges and
     decode times; the vectorized engine must still match the oracle bit
-    for bit — including the exact-linear token-budget shortcut, whose
-    per-stage charge vector is no longer uniform."""
+    for bit — the token budget is then set by whichever stage's
+    non-uniform slot bytes run out first."""
     plan, cluster = PLANS["mixed"]
     kv_plan = plan.with_kv_bits((4, 8, 16, 4))
-    res = _assert_identical(kv_plan, cluster, canned_trace(), engine=engine)
+    res = _assert_identical(
+        kv_plan, cluster, canned_trace(), engine=engine, kv_charge=kv_charge
+    )
     assert res.completed > 0
 
 
-def test_kv4_admits_more_than_kv16(general_admission):
+def test_kv4_admits_more_than_kv16(kv_charge):
     """At the same memory budget, KV4's smaller per-request charge must
     never complete fewer requests than fp16 KV on an overload trace."""
     plan, cluster = PLANS["mixed"]
     trace = canned_trace() * 4
-    r16 = _assert_identical(plan.with_kv_bits(16), cluster, trace)
-    r4 = _assert_identical(plan.with_kv_bits(4), cluster, trace)
+    r16 = _assert_identical(
+        plan.with_kv_bits(16), cluster, trace, kv_charge=kv_charge
+    )
+    r4 = _assert_identical(
+        plan.with_kv_bits(4), cluster, trace, kv_charge=kv_charge
+    )
     assert r4.completed >= r16.completed
     assert r4.rejected <= r16.rejected
 
 
-def test_drifting_trace_identical_with_replanning(general_admission):
+def test_drifting_trace_identical_with_replanning(kv_charge):
     plan, cluster = PLANS["mixed"]
     trace = sample_diurnal_arrivals(
         3.0, 40.0, amplitude=0.9, period=20.0, seed=7,
         max_prompt=64, max_gen=32,
     )
     res = _assert_identical(
-        plan, cluster, trace, drift=DRIFT, replanner=workload_refit_replanner
+        plan, cluster, trace, drift=DRIFT, replanner=workload_refit_replanner,
+        kv_charge=kv_charge,
     )
     assert res.iterations > 0
 
 
-def test_recut_migration_identical(general_admission):
+def test_recut_migration_identical(kv_charge):
     """A replanner that changes the stage cut exercises the engine's
-    migration path (KV recharge under the new plan's cost model)."""
+    migration path (held slots re-counted against the new plan's
+    budget, replay priced by the new plan's cost model)."""
+    plan, cluster, trace, kw = _recut_case()
+    res = _assert_identical(plan, cluster, trace, kv_charge=kv_charge, **kw)
+    assert res.migrations >= 1
+
+
+def _recut_case():
+    """Bursty trace + a replanner flipping between the mixed plan and a
+    uniform 4-bit re-cut of it (``test_recut_migration_identical``)."""
     plan, cluster = PLANS["mixed"]
     plan4 = ExecutionPlan.uniform(
         "opt-30b", cluster.devices, plan.workload, bits=4
     )
-
-    def flip(p, estimate):
-        return plan4 if p is plan else plan
-
     trace = sample_bursty_arrivals(
         2.0, 50.0, burst_rate=10.0, burst_duration=5.0, burst_period=15.0,
         seed=101, max_prompt=64, max_gen=16,
@@ -171,12 +159,97 @@ def test_recut_migration_identical(general_admission):
         window=5.0, threshold=0.25, hysteresis=1, cooldown=6.0,
         rebuild_seconds=0.4,
     )
-    res = _assert_identical(plan, cluster, trace, drift=drift, replanner=flip)
-    assert res.migrations >= 1
+    return plan, cluster, trace, dict(
+        drift=drift, replanner=lambda p, est: plan4 if p is plan else plan
+    )
+
+
+def test_bound_cost_model_prices_the_whole_run(latmodel_cluster3):
+    """``cost_model=`` alone decides the time source: a run handed a
+    fitted-model cost model stays on the fitted model across a re-cut
+    migration — field for field the run that spells ``source`` and
+    ``latency_model`` out — instead of dropping to the roofline kernels
+    at the first new stage cut.  The fleet's ``SimReplica`` passes its
+    cost model exactly this way."""
+    from repro.fleet.replica import SimReplica
+
+    plan, cluster, trace, kw = _recut_case()
+    fitted = dict(source="model", latency_model=latmodel_cluster3)
+    spelled = simulate_online(
+        plan, cluster, trace, policy="continuous", **fitted, **kw
+    )
+    assert spelled.migrations >= 1
+    scm = StageCostModel(plan, cluster, latency_model=latmodel_cluster3)
+    bound = _assert_identical(plan, cluster, trace, cost_model=scm, **kw)
+    assert bound == spelled
+    assert bound != simulate_online(
+        plan, cluster, trace, policy="continuous", **kw
+    )
+    replica = SimReplica(0, plan, cluster, **fitted, **kw)
+    assert replica.serve(trace).online == spelled
+
+
+@pytest.mark.parametrize("engine", ["analytic", "des"])
+def test_migration_below_held_slots_blocks_admission(
+    engine, kv_charge, monkeypatch
+):
+    """A migration from KV4 to KV16 under overload leaves the in-flight
+    requests holding ~4x the new plan's token budget.  Nothing in flight
+    is dropped and nothing queued is rejected: admission simply blocks
+    until retirements bring the held slots back under the budget."""
+    plan, cluster = PLANS["mixed"]
+    loose, tight = plan.with_kv_bits(4), plan.with_kv_bits(16)
+    trace = sample_diurnal_arrivals(
+        80.0, 20.0, amplitude=0.35, period=10.0, seed=11,
+        max_prompt=128, max_gen=64,
+    )
+    drift = DriftConfig(
+        window=2.5, threshold=0.4, hysteresis=1, cooldown=1000.0,
+        rebuild_seconds=1.0,
+    )
+    after = []
+    migrate = _Engine._migrate
+    monkeypatch.setattr(
+        _Engine, "_migrate",
+        lambda self, new: migrate(self, new)
+        or after.append((self.held, self.budget)),
+    )
+    res = _assert_identical(
+        loose, cluster, trace, engine=engine, drift=drift,
+        replanner=lambda p, est: tight if p is loose else None,
+        kv_charge=kv_charge,
+    )
+    (held, budget), = after
+    assert budget == StageCostModel(tight, cluster).kv_token_budget()
+    assert held > 3 * budget
+    assert res.migrations == 1 and res.rejected == 0
+    assert res.completed == len(trace)
+
+
+@pytest.mark.parametrize("engine", ["analytic", "des"])
+def test_never_fitting_head_rejected_only_once_empty(engine, kv_charge):
+    """A request larger than the whole KV pool arrives behind work in
+    flight: it holds the queue (FIFO, head of line) until the system has
+    drained, is rejected then — never earlier — and the requests behind
+    it are served."""
+    plan, cluster = PLANS["mixed"]
+    budget = StageCostModel(plan, cluster).kv_token_budget()
+    small = [
+        OnlineRequest(arrival=0.05 * i, prompt_len=32 + i, gen_len=6 + i % 5)
+        for i in range(24)
+    ]
+    giant = OnlineRequest(arrival=0.31, prompt_len=budget, gen_len=4)
+    res = _assert_identical(
+        plan, cluster, small + [giant], engine=engine, kv_charge=kv_charge
+    )
+    assert res.rejected == 1 and res.completed == len(small)
+    without = _assert_identical(plan, cluster, small, engine=engine)
+    # the requests queued behind the giant waited for the drain
+    assert res.mean_ttft > without.mean_ttft
 
 
 def test_overloaded_diurnal_trace_identical_with_replanning(
-    general_admission, monkeypatch
+    kv_charge, monkeypatch
 ):
     """Sustained overload against the T4 stages' KV headroom keeps the
     queue ahead of the pipeline, so the engine commits most boundaries
@@ -199,7 +272,8 @@ def test_overloaded_diurnal_trace_identical_with_replanning(
         lambda self: stretched.append(stretch(self)) or stretched[-1],
     )
     res = _assert_identical(
-        plan, cluster, trace, drift=drift, replanner=workload_refit_replanner
+        plan, cluster, trace, drift=drift, replanner=workload_refit_replanner,
+        kv_charge=kv_charge,
     )
     assert res.mean_inflight > 50 and res.rejected == 0  # memory-bound backlog
     assert sum(stretched) > res.iterations // 2
@@ -207,7 +281,7 @@ def test_overloaded_diurnal_trace_identical_with_replanning(
 
 
 def test_many_prompt_lengths_priced_without_scalar_kernel(
-    general_admission, monkeypatch
+    kv_charge, monkeypatch
 ):
     """Binding the cost model prices every distinct prompt length of the
     trace in one table, so a replay — migrations included — never walks
@@ -230,7 +304,9 @@ def test_many_prompt_lengths_priced_without_scalar_kernel(
         rebuild_seconds=0.4,
     )
     kw = dict(drift=drift, replanner=flip)
-    oracle = spec_simulate_continuous(plan, cluster, trace, **kw)
+    oracle = spec_simulate_continuous(
+        plan, cluster, trace, kv_charge=kv_charge, **kw
+    )
 
     calls = []
     real = kernels.layer_exec_time
@@ -261,10 +337,10 @@ def test_many_prompt_lengths_priced_without_scalar_kernel(
     engine=st.sampled_from(["analytic", "des"]),
     max_batch=st.sampled_from([None, 8, 3]),
     with_drift=st.booleans(),
-    general=st.booleans(),
+    kv_charge=st.sampled_from([None, memory_model_charge]),
 )
 def test_random_traces_identical(
-    plan_name, kind, seed, engine, max_batch, with_drift, general
+    plan_name, kind, seed, engine, max_batch, with_drift, kv_charge
 ):
     plan, cluster = PLANS[plan_name]
     if kind == "poisson":
@@ -284,8 +360,7 @@ def test_random_traces_identical(
     kw = {"engine": engine, "max_batch": max_batch}
     if with_drift:
         kw.update(drift=DRIFT, replanner=workload_refit_replanner)
-    with _general_admission(general):
-        _assert_identical(plan, cluster, trace, **kw)
+    _assert_identical(plan, cluster, trace, kv_charge=kv_charge, **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,34 @@ def test_dist_unknown_model_friendly_error(tmp_path, strategy_file):
     assert "unknown" in str(exc.value)
 
 
+@pytest.mark.parametrize("command", ["dist", "serve"])
+def test_empty_stage_strategy_friendly_error(command, tmp_path, capsys):
+    """A stage with ``"layer_bits": []`` used to pass ``llmpq-dist`` and
+    kill ``llmpq-serve`` with an IndexError from the decode table; both
+    now refuse the file with one line."""
+    from repro.cli import serve_main
+    from repro.hardware import paper_cluster
+    from repro.workload import Workload
+
+    plan = ExecutionPlan.uniform(
+        "opt-13b", paper_cluster(3).devices,
+        Workload(prompt_len=128, gen_len=16, global_batch=8), bits=4,
+    )
+    data = plan.to_dict()
+    first, second = data["stages"][:2]
+    second["layer_bits"] = first["layer_bits"] + second["layer_bits"]
+    first["layer_bits"] = []
+    bad = tmp_path / "empty_stage.json"
+    bad.write_text(json.dumps(data))
+    main = dist_main if command == "dist" else serve_main
+    with pytest.raises(SystemExit) as exc:
+        main(["--strat-file-name", str(bad)])
+    assert exc.value.code not in (None, 0)
+    assert "a stage must host at least one layer" in str(exc.value)
+    assert str(exc.value).count("\n") == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_dist_strategy_path_is_directory(tmp_path):
     with pytest.raises(SystemExit) as exc:
         dist_main(["--strat-file-name", str(tmp_path)])
