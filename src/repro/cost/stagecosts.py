@@ -480,10 +480,9 @@ class StageCostModel:
         if b.shape != c.shape or b.ndim != 1:
             raise ValueError("batches/contexts must be aligned 1-D arrays")
         n = self.plan.num_stages
-        k = b.size
         if self.source == "model":
-            out = np.zeros((k, n))
-            for i in range(k):
+            out = np.zeros((b.size, n))
+            for i in range(b.size):
                 out[i] = self.unit_decode_times(int(b[i]), float(c[i]))
             return out
         p = self._decode_pairs()
@@ -494,7 +493,7 @@ class StageCostModel:
         # scalar path multiplies the int batch into one float constant
         flops = bc * p.one_layer_flops + 4.0 * bc * h * cc
         compute_t = flops / p.eff_flops
-        fixed = bc * 1 * (6 * h + 2 * ffn) * ACT_BYTES + bc * p.kv_token
+        fixed = bc * (6 * h + 2 * ffn) * ACT_BYTES + bc * p.kv_token
         per_ctx = bc * heads * cc * ACT_BYTES * 2 + bc * cc * p.kv_token
         mem_t = p.w_term + (fixed + per_ctx) / p.eff_bw
         vals = np.maximum(compute_t, mem_t) + p.launch
@@ -508,28 +507,34 @@ class StageCostModel:
         return out
 
     def _decode_extra_tables(self, batches: np.ndarray) -> np.ndarray:
-        """Per-row embedding/comm decode add-ons as a gather from a dense
-        per-batch-size memo: columns ``(emb_first, emb_last, comm...)``."""
+        """Per-row embedding/comm decode add-ons as one gather from a
+        dense per-batch-size memo: columns ``(emb_first, emb_last,
+        comm...)``.  Whenever the memo grows (doubling) every new batch
+        size is filled at once — the kernels are plain arithmetic in the
+        batch size, so they take the whole new range as a column — and
+        the lookup never tests for holes."""
         n = self.plan.num_stages
         top = int(batches.max()) + 1
         table = self._decode_extra_memo.get("table")
-        if table is None or table.shape[0] < top:
-            grown = np.full((max(top, 64), n + 2), np.nan)
-            if table is not None:
-                grown[: table.shape[0]] = table
-            table = grown
+        have = 0 if table is None else table.shape[0]
+        if have < top:
+            from ..sim.comm import activation_bytes
+            from ..sim.kernels import embedding_exec_time
+
+            cfg = self.cfg
+            bv = np.arange(have, max(top, 2 * have, 64))
+            new = np.empty((bv.size, n + 2))
+            new[:, 0] = embedding_exec_time(self._gpus[0], cfg, bv, 1, with_logits=False)
+            new[:, 1] = embedding_exec_time(self._gpus[n - 1], cfg, bv, 1, with_logits=True)
+            for j, link in enumerate(self._require_links()):
+                new[:, 2 + j] = link.latency + activation_bytes(cfg, bv, 1) / link.bandwidth
+            if table is None:
+                new[0] = np.nan  # there is no batch-0 unit
+                table = new
+            else:
+                table = np.concatenate((table, new))
             self._decode_extra_memo["table"] = table
-        rows = table[batches]
-        hole = np.isnan(rows[:, 0])
-        if hole.any():
-            for bval in np.unique(batches[hole]).tolist():
-                row = table[bval]
-                row[0] = self._emb_time(0, bval, 1, False)
-                row[1] = self._emb_time(n - 1, bval, 1, True)
-                for j in range(n):
-                    row[2 + j] = self.comm_time(j, bval, 1)
-            rows = table[batches]
-        return rows
+        return table[batches]
 
     # ------------------------------------------------------------------
     # memory views (planner Sec.-4.1 accounting)

@@ -111,6 +111,7 @@ class PipelineReplica:
         #: holds but the router routes nothing new to it
         self.draining = False
         self._tpot_ref: float | None = None
+        self._prefill_ref: dict[int, float] = {}
 
     # -- routing views (approximate by design) --------------------------
     @property
@@ -126,8 +127,13 @@ class PipelineReplica:
     def prefill_seconds(self, prompt_len: int) -> float:
         """Batch-1 prefill latency for ``prompt_len`` tokens: the stage
         sum of the cost model's prefill unit, the very float the
-        simulator charges a prompt that heads an iteration."""
-        return float(self.cost.unit_prefill_times(int(prompt_len)).sum())
+        simulator charges a prompt that heads an iteration (kept per
+        prompt length: the router asks once per candidate per request)."""
+        t = self._prefill_ref.get(prompt_len)
+        if t is None:
+            t = float(self.cost.unit_prefill_times(int(prompt_len)).sum())
+            self._prefill_ref[prompt_len] = t
+        return t
 
     def tpot_seconds(self) -> float:
         """Estimated per-request time-per-output-token at a reference

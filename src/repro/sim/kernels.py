@@ -120,6 +120,8 @@ def embedding_exec_time(
     if with_logits:
         flops = cfg.embedding_flops(batch, q)
         head_bytes = cfg.vocab_size * h * ACT_BYTES + batch * q * cfg.vocab_size * ACT_BYTES
-        t += max(flops / gpu.effective_flops(16), head_bytes / gpu.effective_bandwidth)
+        t += np.maximum(
+            flops / gpu.effective_flops(16), head_bytes / gpu.effective_bandwidth
+        )
         t += gpu.kernel_launch_overhead
     return t

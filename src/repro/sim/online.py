@@ -331,7 +331,10 @@ def simulate_online(
             scm=cost_model, drift=drift, replanner=replanner,
             sample_sink=sample_sink,
         )
-    reqs = sorted(trace, key=lambda r: r.arrival)
+    from ..workload.traces import ArrivalTrace
+
+    # the array view validates the records (one site for both policies)
+    reqs = list(ArrivalTrace.from_requests(trace).sorted())
     return _simulate_wave(
         plan, cluster, reqs, max_batch=max_batch, engine=engine,
         scm=cost_model, sample_sink=sample_sink,

@@ -2,43 +2,65 @@
 
 :func:`repro.sim.online.simulate_online`'s continuous policy — admit at
 a token boundary, price one iteration, retire, poll the drift detector —
-runs here as array-based event processing, so million-request traces
-replay in seconds:
+runs here as array-based event processing over **boundary-indexed
+state**; nothing is kept per in-flight request.
 
-* request columns (``arrival`` / ``prompt_len`` / ``gen_len``) stay as
-  numpy arrays end to end;
-* KV admission is one integer ledger: ``held`` token slots against the
-  cost model's :meth:`~repro.cost.stagecosts.StageCostModel.kv_token_budget`.
-  A request's per-stage bytes are exactly ``tokens x a per-stage
-  constant`` in float64, so counting slots decides what the spec's
-  per-stage byte test decides, and ``held`` times the slot's bytes is the
-  byte ledger's float bit for bit (the drift detector's occupancy);
-* admission at a boundary is two ``searchsorted`` calls: the arrived
-  candidates on the arrival column, the FIFO prefix that fits on the
-  token prefix sums;
-* stretches with no admission are **decode runs**: the retire schedule
-  of the in-flight group fully determines every future batch size,
-  context mean, and KV refund, so whole runs are priced in one
+State.  Request columns (``arrival`` / ``prompt_len`` / ``gen_len``)
+stay numpy arrays end to end.  The in-flight set is three integers —
+``b`` requests, ``ctx`` = sum of (prompt + produced) over them, ``held``
+KV token slots — and a **retire ring**: ``r_cnt[i]`` requests and
+``r_tok[i]`` token slots leave at the end of boundary ``i``.  A request
+admitted in boundary ``i`` leaves at ``i + gen_len - 1``, and what it
+then takes out of ``ctx`` is ``prompt + gen`` — exactly its slots — so
+two ring columns serve all three integers.  ``adm_it[k]`` records the
+boundary that admitted trace row ``k`` (0: never) and ``t_end[i]`` the
+clock after boundary ``i``.
+
+* KV admission is one integer ledger: ``held`` against the cost model's
+  :meth:`~repro.cost.stagecosts.StageCostModel.kv_token_budget`.  A
+  request's per-stage bytes are exactly ``tokens x a per-stage constant``
+  in float64, so counting slots decides what the spec's per-stage byte
+  test decides, and ``held`` times the slot's bytes is the byte ledger's
+  float bit for bit (the drift detector's occupancy).  Admission at a
+  boundary is two ``searchsorted`` calls: the arrived candidates on the
+  arrival column, the FIFO prefix that fits on the token prefix sums.
+* The context mean of a boundary is ``float(ctx) / float(b)``: the spec
+  averages integers (an exact float64 sum below 2^53, divided once), so
+  the integer running sum yields the same quotient bit for bit.
+* Stretches with no admission are **decode runs**: three ring slices
+  and three ``cumsum`` s give every future batch size, context sum and
+  slot count, the run is priced in chunked
   :meth:`~repro.cost.stagecosts.StageCostModel.unit_decode_times_batch`
-  call and the clock advances by one ``np.add.accumulate``;
-* runs truncate at the first *event*: a boundary where the queue head
-  could be admitted (memory/cap conditions are monotone within a run, so
-  the boundary is found by a couple of searchsorted/argmax calls), the
-  drift detector's next window close, or the group draining dry;
-* under sustained load the engine switches to **boundary stretches**:
-  speculatively schedule up to K admission/retire boundaries against a
-  bincount retire ring, price the whole stretch in one batch call, then
-  validate and truncate at the first arrival or drift-window crossing
-  the schedule missed (K adapts to the observed commit length and the
-  time remaining in the drift window).
+  calls, and the clock advances by ``np.add.accumulate`` — the same left
+  fold as ``now += step``.  A run truncates at the first *event*: a
+  boundary where the queue head could be admitted (arrival, KV fit and
+  cap are each monotone within a run), the drift detector's next window
+  close, the group draining dry, or the end of the block.
+* With a real backlog — this boundary's admission leaves *arrived*
+  requests unadmitted, the one observable that makes the bet winnable —
+  the engine runs a **boundary stretch**: it schedules up to K
+  admit/retire boundaries on the ring as pure integer arithmetic, prices
+  them in one batch call, then validates and commits the prefix before
+  the first arrival or drift-window crossing the schedule missed (the
+  uncommitted tail is subtracted from the ring again).  Below capacity
+  the gate never opens; both paths are exact, so it moves speed only.
+* Samples are **derived, not accumulated**, once per *block* of at most
+  ``_BLOCK`` boundaries: TTFT is ``t_end[adm_it[k]] - arrival[k]`` in
+  row order (= FIFO admission order) and latency is ``t_end[fin] -
+  arrival`` in the stable order of ``fin = adm_it + gen_len - 1`` — the
+  (boundary, admission) order the spec appends in, because within a
+  boundary retirees leave in admission order and a later block holds
+  only later boundaries.  The sort key ``fin - block start`` fits int16
+  (numpy radix-sorts 16-bit keys); closing a block re-bases ring and
+  clock log, so memory beside the O(requests) columns is O(max
+  ``gen_len`` + block), not O(iterations).
 
 The floating-point contract is that of a one-boundary-at-a-time loop
 (``tests/sim/online_spec.py``, which the equality tests replay every
 case through): the batch cost-model views are bit-for-bit equal to
-their scalar counterparts, KV byte arithmetic is exact in float64, and
-``np.add.accumulate`` is the same left fold as ``now += step``, so every
-:class:`~repro.sim.online.OnlineResult` field is **byte-identical** to
-the spec's.
+their scalar counterparts and KV byte arithmetic is exact in float64, so
+every :class:`~repro.sim.online.OnlineResult` field and every
+``sample_sink`` array is **byte-identical** to the spec's.
 """
 
 from __future__ import annotations
@@ -55,8 +77,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 __all__ = ["trace_columns", "simulate_continuous_vectorized"]
 
-_EMPTY_I8 = np.empty(0, dtype=np.int64)
-
 #: decode-run pricing chunk: start small (most runs truncate within a few
 #: boundaries under load), quadruple while the run keeps going
 _CHUNK0 = 8
@@ -66,34 +86,34 @@ _CHUNK_GROW = 4
 _STRETCH0 = 8
 _STRETCH_MAX = 8192
 
+#: boundaries per completion-ordering block: a block-relative finish
+#: boundary must fit the int16 key numpy radix-sorts
+_BLOCK = (1 << 15) - 1
+
 
 def trace_columns(trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(arrivals, prompt_lens, gen_lens)`` sorted by arrival (stable).
 
     :class:`~repro.workload.traces.ArrivalTrace` inputs pass their
     columns through without materializing per-request objects; any other
-    sequence of arrival records is converted field by field.  The stable
-    argsort matches ``sorted(trace, key=lambda r: r.arrival)`` tie for
-    tie, so both engines see the same FIFO order.
+    sequence of arrival records becomes one first, so every trace is
+    validated at one site.  The stable argsort matches ``sorted(trace,
+    key=lambda r: r.arrival)`` tie for tie, so both engines see the same
+    FIFO order.
     """
     from ..workload.traces import ArrivalTrace
 
-    if isinstance(trace, ArrivalTrace):
-        a, s, g = trace.arrivals, trace.prompt_lens, trace.gen_lens
-    else:
-        a = np.array([r.arrival for r in trace], dtype=np.float64)
-        s = np.array([r.prompt_len for r in trace], dtype=np.int64)
-        g = np.array([r.gen_len for r in trace], dtype=np.int64)
-    order = np.argsort(a, kind="stable")
+    tr = ArrivalTrace.from_requests(trace)
+    order = np.argsort(tr.arrivals, kind="stable")
     return (
-        np.ascontiguousarray(a[order]),
-        np.ascontiguousarray(s[order]),
-        np.ascontiguousarray(g[order]),
+        np.ascontiguousarray(tr.arrivals[order]),
+        np.ascontiguousarray(tr.prompt_lens[order]),
+        np.ascontiguousarray(tr.gen_lens[order]),
     )
 
 
 class _Engine:
-    """One simulation run's mutable state (arrays, clock, counters)."""
+    """One simulation run's mutable state (ring, clock, counters)."""
 
     def __init__(
         self,
@@ -110,7 +130,7 @@ class _Engine:
             raise ValueError("max_batch must be positive")  # would never admit
         self.sample_sink = sample_sink
         self.arr, self.spr, self.sgen = columns
-        self.n_req = self.arr.size
+        n = self.n_req = self.arr.size
         self._toks = self.spr + self.sgen
         # distinct prompt lengths: small positive ints, so a bincount
         # stands in for np.unique's sort of the whole column
@@ -140,32 +160,38 @@ class _Engine:
             self.win_end = self.detector.next_window_end()
 
         self._bind_cost_model(scm)
-        self.held = 0  # token slots reserved by the in-flight requests
 
         # speculative stretch sizing: grows while stretches commit fully,
         # shrinks (and briefly pauses) when the saturation bet misses
         self._stretch_k = _STRETCH0
         self._stretch_block = 0
         self._step_hint = 0.0
-        self._smax = int(self.sgen.max(initial=1))
 
-        # active set, admission order: request index + tokens produced
-        self.a_idx = _EMPTY_I8
-        self.a_prod = _EMPTY_I8
+        # the in-flight set: requests, sum of (prompt + produced), KV
+        # token slots — and when they leave.  Boundary i (1-based count
+        # of iterations) lives at slot i - base of ring and clock log.
+        self.b = self.ctx = self.held = 0
+        self.it = 0  # boundaries run
+        self.base = 0  # boundaries run before the open block
+        ring = _BLOCK + int(self.sgen.max(initial=1)) + 1
+        self.r_cnt = np.zeros(ring, dtype=np.int64)
+        self.r_tok = np.zeros(ring, dtype=np.int64)
+        self.t_end = np.empty(_BLOCK + 1)
+        self.adm_it = np.zeros(n, dtype=np.int64)
+        self.last_fin = 0  # last boundary any admitted request leaves at
         self.ptr = 0  # queue head: requests [ptr, n_req) still pending
+        self.blk_ptr = 0  # queue head when the open block began
+        self.lw = 0  # low water: every trace row below it has left
         self.obs_ptr = 0  # arrivals already flushed to the detector
         self.now = 0.0
-        self.lat_parts: list[np.ndarray] = []
-        self.tt_parts: list[np.ndarray] = []
-        # request indices aligned with lat/tt parts (sorted-trace order),
-        # so sample_sink consumers can join samples back to requests
-        self.lat_idx_parts: list[np.ndarray] = []
-        self.tt_idx_parts: list[np.ndarray] = []
+        # per-request samples, derived block by block; lat_idx joins each
+        # latency back to its sorted-trace row (TTFTs are in row order)
+        self.lat, self.tt = np.empty(n), np.empty(n)
+        self.lat_idx = np.empty(n, dtype=np.int64)
+        self.n_done = self.n_adm = 0
         self.obs_t: list[float] = []
         self.obs_v: list[float] = []
-        self.total_tokens = 0
         self.rejected = 0
-        self.iterations = 0
         self.inflight_sum = 0
         self.drift_triggers = 0
         self.migrations = 0
@@ -204,48 +230,33 @@ class _Engine:
         token prefix sums); below ``ptr`` while ``held`` exceeds it."""
         cumq = self._cumq
         room = cumq[ptr] + (self.budget - held)
-        return int(np.searchsorted(cumq, room, side="right")) - 1
+        return int(cumq.searchsorted(room, side="right")) - 1
 
-    def _admission_scan(self) -> np.ndarray:
-        """Batched mirror of the scalar FIFO admission while-loop.
+    def _admit_end(self, q: int) -> int:
+        """End ``p`` of the arrived FIFO run ``[ptr, p)`` this boundary
+        admits: token slots within the budget, capped at ``max_batch``
+        (at or below ``ptr``: nothing).  ``held`` above the budget (a
+        migration to a tighter plan) admits nothing until retirements
+        bring it back under."""
+        p = min(self._fit_end(self.ptr, self.held), q)
+        if self.max_batch is not None:
+            p = min(p, self.ptr + self.max_batch - self.b)
+        return p
 
-        Admits the longest arrived prefix whose token slots fit the
-        budget, capped at ``max_batch``, and — only while the system is
-        completely empty — rejects queue heads that cannot fit even
-        alone.  ``held`` above the budget (a migration to a tighter plan)
-        admits nothing until retirements bring it back under.
-        """
-        cumq = self._cumq
-        b0 = self.a_idx.size
-        q = int(np.searchsorted(self.arr, self.now, side="right"))
-        while self.ptr < q:
-            p = min(self._fit_end(self.ptr, self.held), q)
-            if self.max_batch is not None:
-                p = min(p, self.ptr + self.max_batch - b0)
-            if p > self.ptr:
-                admitted = np.arange(self.ptr, p, dtype=np.int64)
-                self.held += int(cumq[p] - cumq[self.ptr])
-                self.ptr = p
-                return admitted
-            if b0:
-                break  # blocked with work in flight: stop admitting
-            # alone in an empty system and still unfit: never fits —
-            # drop the leading run of solo-unfit heads
-            fits = np.flatnonzero(self._toks[self.ptr:q] <= self.budget)
-            r = int(fits[0]) if fits.size else q - self.ptr
-            self.ptr += r
-            self.rejected += r
-        return _EMPTY_I8
+    def _ring_add(self, slots: np.ndarray, toks: np.ndarray, add=np.add) -> None:
+        """Put per-request retire contributions on the ring at ``slots``
+        (``add=np.subtract`` takes them back off)."""
+        add.at(self.r_cnt, slots, 1)
+        add.at(self.r_tok, slots, toks)
 
     # -- one admission iteration (fused decode + batch-1 prefills) ------
-    def _admission_iteration(self, admitted: np.ndarray) -> None:
-        scm = self.scm
-        b = self.a_idx.size
-        new_prompts = self.spr[admitted]
+    def _admission_iteration(self, p: int) -> None:
+        """Run the boundary that admits trace rows ``[ptr, p)``."""
+        p0, b = self.ptr, self.b
+        n = p - p0
+        new_prompts = self.spr[p0:p]
         if b:
-            s_ctx = int((self.spr[self.a_idx] + self.a_prod).sum())
-            ctx = float(s_ctx) / float(b)
-            dec = scm.unit_decode_times(b, ctx)
+            dec = self.scm.unit_decode_times(b, float(self.ctx) / float(b))
         if self.des:
             units = [dec] if b else []
             units.extend(self._pf_rows[new_prompts])
@@ -253,15 +264,30 @@ class _Engine:
         else:
             step = self._units_price(dec.sum() if b else None, new_prompts)
         self.now += step
-        self.iterations += 1
-        self.inflight_sum += b + admitted.size
-        self.tt_parts.append(self.now - self.arr[admitted])
-        self.tt_idx_parts.append(admitted)
-        self.a_idx = np.concatenate((self.a_idx, admitted))
-        self.a_prod = np.concatenate(
-            (self.a_prod + 1, np.ones(admitted.size, dtype=np.int64))
-        )
-        self._retire()
+        self.it += 1
+        j = self.it - self.base
+        self.t_end[j] = self.now
+        self.inflight_sum += b + n
+        self.adm_it[p0:p] = self.it
+        self.ptr = p
+        self.b = b + n
+        self.ctx += b + n + int(self._cumspr[p] - self._cumspr[p0])
+        self.held += int(self._cumq[p] - self._cumq[p0])
+        if n == 1:
+            last = j + int(self.sgen[p0]) - 1
+            self.r_cnt[last] += 1
+            self.r_tok[last] += self._toks[p0]
+        else:
+            slots = j + self.sgen[p0:p] - 1
+            last = int(slots.max())
+            self._ring_add(slots, self._toks[p0:p])
+        self.last_fin = max(self.last_fin, self.base + last)
+        gone = int(self.r_cnt[j])
+        if gone:  # retire at the boundary: the refund is available at once
+            toks = int(self.r_tok[j])
+            self.b -= gone
+            self.ctx -= toks
+            self.held -= toks
         self._observe_boundary()
 
     def _units_price(self, head, prompts: np.ndarray) -> float:
@@ -276,141 +302,97 @@ class _Engine:
             tail = tail + v
         return float(head + tail)
 
-    def _retire(self) -> None:
-        fin = self.a_prod >= self.sgen[self.a_idx]
-        if fin.any():
-            fidx = self.a_idx[fin]
-            self.lat_parts.append(self.now - self.arr[fidx])
-            self.lat_idx_parts.append(fidx)
-            self.total_tokens += int(self.sgen[fidx].sum())
-            self.held -= int(self._toks[fidx].sum())
-            keep = ~fin
-            self.a_idx = self.a_idx[keep]
-            self.a_prod = self.a_prod[keep]
-
     # -- speculative event-batch stretches ------------------------------
-    @staticmethod
-    def _ring_add(ring_cnt: np.ndarray, ring_tok: np.ndarray,
-                  fins: np.ndarray, toks: np.ndarray) -> None:
-        """Accumulate per-boundary retire contributions into the ring.
-
-        One ``np.bincount`` per column over the (narrow) span of finish
-        boundaries — both summed quantities (counts, token sums) are
-        exact in float64, so the grouping order cannot change the result.
-        """
-        lo = int(fins.min())
-        span = int(fins.max()) - lo + 1
-        off = fins - lo
-        stop = lo + span
-        ring_cnt[lo:stop] += np.bincount(off, minlength=span)
-        ring_tok[lo:stop] += np.bincount(off, weights=toks, minlength=span)
-
     def _stretch(self) -> int:
         """Schedule up to K boundaries speculatively, price them in one
-        batch, and commit the longest valid prefix.
+        batch, and commit the longest valid prefix (returned; >= 1).
 
         While the queue outpaces the pipeline, admission depends only on
         KV slots and the concurrency cap — never on the clock — so the
         admit/retire schedule of many future boundaries is pure integer
-        arithmetic: no cost model in the loop, one
+        arithmetic on the ring: no cost model in the loop, one
         :meth:`unit_decode_times_batch` call for every boundary's decode
-        group, one ``np.add.accumulate`` to recover the clock, and bulk
-        appends for TTFTs, latencies, and drift observations.  Boundary
-        1 admissions are gated on the truly-arrived set, so at least one
-        boundary always commits; later boundaries whose admissions turn
-        out to include requests that had not yet arrived at scan time
-        are discarded and re-run through the exact paths.  Stretches
-        also truncate at drift-window crossings (the detector poll can
-        migrate the plan, invalidating the speculated schedule).
+        group, one ``np.add.accumulate`` to recover the clock.  Boundary
+        1 admits from the truly-arrived rows only, so at least one
+        boundary always commits; later boundaries whose admissions
+        turn out to include requests that had not yet arrived at scan
+        time are discarded — their retirements taken back off the ring —
+        and re-run through the exact paths.  Stretches also truncate at
+        drift-window crossings (the detector poll can migrate the plan,
+        invalidating the speculated schedule).
         """
-        arr, spr, sgen = self.arr, self.spr, self.sgen
-        a_idx, a_prod = self.a_idx, self.a_prod
-        b0 = a_idx.size
+        arr, spr, sgen, toks = self.arr, self.spr, self.sgen, self._toks
+        r_cnt, r_tok = self.r_cnt, self.r_tok
+        it0, now0 = self.it, self.now
+        j0 = it0 - self.base  # stretch boundary t lives at slot j0 + t
         K = self._stretch_k
-        now0 = self.now
         if self.detector is not None and self._step_hint > 0.0:
             # the drift window will truncate the stretch anyway — don't
             # schedule (and then discard) boundaries far past it
             kw = int((self.win_end - now0) / self._step_hint) + 2
             if kw < K:
                 K = kw if kw > _STRETCH0 else _STRETCH0
+        K = min(K, _BLOCK - j0)
 
-        # retire ring seeded from the in-flight group: boundary t
-        # (1-based) retires requests with rel == t; columns are
-        # [count, sum(prompt+gen)]
-        rel0 = sgen[a_idx] - a_prod
-        m0 = rel0 <= K
-        rel0m = rel0[m0]
-        ring_cnt = np.zeros(K + 2, dtype=np.int64)
-        ring_tok = np.zeros(K + 2)
-        if rel0m.size:
-            self._ring_add(ring_cnt, ring_tok, rel0m, self._toks[a_idx][m0])
-
-        ptr0 = self.ptr
-        ptr_l = ptr0
-        b_l = b0
-        s_l = int((spr[a_idx] + a_prod).sum())
-        q1 = int(np.searchsorted(arr, self.now, side="right"))
-
-        b_rec = np.empty(K + 1, dtype=np.int64)
-        s_rec = np.empty(K + 1, dtype=np.float64)
+        ptr0 = ptr_l = self.ptr
+        q1 = int(np.searchsorted(arr, now0, side="right"))
+        b_l, s_l, held = self.b, self.ctx, self.held
+        # group size / context sum entering boundary t (slot L + 1: what
+        # the stretch leaves behind), queue head and slots held after it
+        b_rec = np.empty(K + 2, dtype=np.int64)
+        s_rec = np.empty(K + 2, dtype=np.int64)
         ptr_rec = np.empty(K + 1, dtype=np.int64)
         held_rec = np.empty(K + 1, dtype=np.int64)
         ptr_rec[0] = ptr0
         n_req, max_batch = self.n_req, self.max_batch
         cumq, cumspr = self._cumq, self._cumspr
-        held = self.held
         L = 0
         for t in range(1, K + 1):
             b_rec[t] = b_l
-            s_rec[t] = float(s_l)
+            s_rec[t] = s_l
             # FIFO admission against slots/cap; boundary 1 sees only
             # requests that have really arrived, later boundaries bet on
             # a deep backlog (checked after pricing)
             lim = q1 if t == 1 else n_req
             t0_ptr = ptr_l
-            count = 0
             if ptr_l < lim:
                 p = min(self._fit_end(ptr_l, held), lim)
                 if max_batch is not None and p - ptr_l > max_batch - b_l:
                     p = ptr_l + (max_batch - b_l)
                 if p > ptr_l:
-                    count = p - ptr_l
                     held += int(cumq[p] - cumq[ptr_l])
                     ptr_l = p
             ptr_rec[t] = ptr_l
+            count = ptr_l - t0_ptr
             s_l += b_l + count
             if count:
                 s_l += int(cumspr[ptr_l] - cumspr[t0_ptr])
                 b_l += count
-                gs = sgen[t0_ptr:ptr_l]
-                fins = t + gs - 1
-                toks = self._toks[t0_ptr:ptr_l]
-                if t + self._smax > K + 1:
-                    fm = fins <= K
-                    fins, toks = fins[fm], toks[fm]
-                if fins.size:
-                    self._ring_add(ring_cnt, ring_tok, fins, toks)
-            c = int(ring_cnt[t])
+                self._ring_add(
+                    j0 + t + sgen[t0_ptr:ptr_l] - 1, toks[t0_ptr:ptr_l]
+                )
+            c = int(r_cnt[j0 + t])
             if c:
                 b_l -= c
-                rt = int(ring_tok[t])
+                rt = int(r_tok[j0 + t])
                 s_l -= rt
                 held -= rt
             held_rec[t] = held
             L = t
             if b_l == 0:
                 break
+        b_rec[L + 1] = b_l
+        s_rec[L + 1] = s_l
 
         # ---- price all boundaries in one batch ------------------------
         bL = b_rec[1:L + 1]
-        ctx = s_rec[1:L + 1] / bL
-        rows = self.scm.unit_decode_times_batch(bL, ctx)
+        rows = self.scm.unit_decode_times_batch(bL, s_rec[1:L + 1] / bL)
         step = rows.sum(axis=1)
         reps = np.diff(ptr_rec[:L + 1])
+        ptr_L = int(ptr_rec[L])
         has = reps > 0
         if has.any():
-            maxes = self._pf_max[spr[ptr0:int(ptr_rec[L])]]
+            maxes = self._pf_max[spr[ptr0:ptr_L]]
             starts = ptr_rec[:L][has] - ptr0
             # per-segment left fold: ``np.add.reduceat`` sums pairwise,
             # which drifts a ULP from the scalar loop's ``tail += pf``
@@ -420,14 +402,13 @@ class _Engine:
             for k in range(starts.size):
                 seg = maxes[bounds[k]:bounds[k + 1]]
                 tails[k] = seg[0] if seg.size == 1 else np.add.accumulate(seg)[-1]
-            step = step.copy()
             step[has] = step[has] + tails
-        now_t = np.add.accumulate(np.concatenate(((self.now,), step)))[1:]
+        now_t = np.add.accumulate(np.concatenate(((now0,), step)))[1:]
 
         # ---- longest valid prefix -------------------------------------
         lim_v = L
         if has.any():
-            prev_now = np.concatenate(((self.now,), now_t[:-1]))
+            prev_now = np.concatenate(((now0,), now_t[:-1]))
             hidx = np.flatnonzero(has)
             last_arr = arr[ptr_rec[1:L + 1][has] - 1]
             bad = np.flatnonzero(last_arr > prev_now[hidx])
@@ -441,39 +422,27 @@ class _Engine:
                 M = c + 1  # poll right after the crossing boundary
                 flush = True
 
-        # ---- commit ---------------------------------------------------
-        reps_m = reps[:M]
+        # ---- commit: M boundaries stay on the ring, the rest come off --
         ptr_m = int(ptr_rec[M])
-        self.iterations += M
-        self.inflight_sum += int(b_rec[1:M + 1].sum() + reps_m.sum())
+        n_m = ptr_m - ptr0
+        t_adm = np.repeat(np.arange(1, L + 1, dtype=np.int64), reps)
+        slots = j0 + t_adm + sgen[ptr0:ptr_L] - 1
+        if ptr_L > ptr_m:
+            self._ring_add(slots[n_m:], toks[ptr_m:ptr_L], np.subtract)
+        if n_m:
+            self.adm_it[ptr0:ptr_m] = it0 + t_adm[:n_m]
+            self.last_fin = max(
+                self.last_fin, self.base + int(slots[:n_m].max())
+            )
+        self.t_end[j0 + 1:j0 + M + 1] = now_t[:M]
+        self.it = it0 + M
+        self.inflight_sum += int(b_rec[1:M + 1].sum()) + n_m
         self.now = float(now_t[M - 1])
         self._step_hint = (self.now - now0) / M
+        self.b = int(b_rec[M + 1])
+        self.ctx = int(s_rec[M + 1])
         self.held = int(held_rec[M])
         self.ptr = ptr_m
-        adm_idx = np.arange(ptr0, ptr_m, dtype=np.int64)
-        if ptr_m > ptr0:
-            self.tt_parts.append(
-                np.repeat(now_t[:M], reps_m) - arr[ptr0:ptr_m]
-            )
-            self.tt_idx_parts.append(adm_idx)
-        t_admit = np.repeat(np.arange(1, M + 1, dtype=np.int64), reps_m)
-        adm_fin = t_admit + sgen[ptr0:ptr_m] - 1
-        pre_f = rel0 <= M
-        adm_f = adm_fin <= M
-        fidx = np.concatenate((a_idx[pre_f], adm_idx[adm_f]))
-        if fidx.size:
-            fbound = np.concatenate((rel0[pre_f], adm_fin[adm_f]))
-            o = np.argsort(fbound, kind="stable")
-            fo = fidx[o]
-            self.lat_parts.append(now_t[fbound[o] - 1] - arr[fo])
-            self.lat_idx_parts.append(fo)
-            self.total_tokens += int(sgen[fidx].sum())
-        keep_pre = ~pre_f
-        adm_keep = ~adm_f
-        self.a_idx = np.concatenate((a_idx[keep_pre], adm_idx[adm_keep]))
-        self.a_prod = np.concatenate(
-            (a_prod[keep_pre] + M, (M + 1) - t_admit[adm_keep])
-        )
 
         if self.detector is not None:
             self._observe(now_t[:M], held_rec[1:M + 1])
@@ -488,159 +457,120 @@ class _Engine:
             if M < 4:
                 # the saturation bet is missing: let the exact paths run
                 # a while before speculating again
-                self._stretch_block = self.iterations + 12
+                self._stretch_block = self.it + 12
         return M
 
     # -- decode runs ----------------------------------------------------
-    def _decode_run(self) -> None:
+    def _decode_run(self, arrived: bool) -> None:
         """Execute decode-only boundaries up to the next event.
 
-        The in-flight group's retire schedule pins down the whole run:
-        request ``j`` (``rem_j`` tokens left) leaves at boundary
-        ``rem_j``, so batch size, context mean, and released KV slots at
-        every future boundary are closed-form in the retire counts.  The
-        three truncation conditions are each monotone within the run —
-        the queue head's arrival (the clock only moves forward), its KV
-        fit (memory is only released), and the concurrency cap (the
-        group only shrinks) — so the first admission boundary is a
-        ``max`` of three first-crossing indices, not a scan.
+        With nobody admitted, the ring pins down the whole run: batch
+        size, context sum and KV slots at every future boundary are
+        running sums of the two ring columns.  The three truncation
+        conditions are each monotone within the run — the queue head's
+        arrival (the clock only moves forward), its KV fit (memory is
+        only released), and the concurrency cap (the group only shrinks)
+        — so the first admission boundary is a ``max`` of three
+        first-crossing indices, not a scan.  ``arrived``: the queue head
+        is waiting (blocked on slots or the cap).
         """
-        arr, toks = self.arr, self._toks
-        a_idx, a_prod = self.a_idx, self.a_prod
-        b = a_idx.size
-        rem = self.sgen[a_idx] - a_prod
-        horizon = int(rem.max())
+        arr = self.arr
+        b, held, it, cap = self.b, self.held, self.it, self.max_batch
+        j0 = it - self.base + 1  # ring / clock slot of the first boundary
+        horizon = min(self.last_fin - it, _BLOCK + 1 - j0)
+        cnt = self.r_cnt[j0:j0 + horizon]
+        tok = self.r_tok[j0:j0 + horizon]
         head = self.ptr if self.ptr < self.n_req else None
-        arrived = head is not None and arr[head] <= self.now
         if head is not None:
             # slots the in-flight group may keep for the head to fit
-            room = self.budget - int(toks[head])
+            room = self.budget - int(self._toks[head])
 
         # ---- fast path: the run is a single boundary ------------------
         # Saturated steady state hits this almost every time: the queue
         # head is waiting and fits as soon as this boundary's retirees
         # release their KV (fit/cap are monotone, so checking boundary 1
-        # settles ``max(fit_at, 1) == 1``).  Skips the full-schedule
-        # construction below.
+        # settles it).  Skips the running sums below.
         if arrived or horizon == 1:
-            leave1 = rem == 1
-            rel1 = int(toks[a_idx[leave1]].sum())
-            fast = horizon == 1 or (
-                self.held - rel1 <= room
-                and (
-                    self.max_batch is None
-                    or b - int(np.count_nonzero(leave1)) < self.max_batch
-                )
-            )
-            if fast:
-                base_sum = (self.spr[a_idx] + a_prod).sum()
-                ctx0 = float(base_sum) / float(b)
-                dec = self.scm.unit_decode_times(b, ctx0)
-                step = (
-                    self._des_rows(dec[None, :])[0] if self.des else dec.sum()
-                )
+            c1, t1 = int(cnt[0]), int(tok[0])
+            if horizon == 1 or (
+                held - t1 <= room and (cap is None or b - c1 < cap)
+            ):
+                dec = self.scm.unit_decode_times(b, float(self.ctx) / float(b))
+                step = self._des_rows(dec[None, :])[0] if self.des else dec.sum()
                 self.now = float(self.now + step)
-                self.iterations += 1
+                self.t_end[j0] = self.now
+                self.it = it + 1
                 self.inflight_sum += b
-                if leave1.any():
-                    fidx = a_idx[leave1]
-                    self.lat_parts.append(self.now - arr[fidx])
-                    self.lat_idx_parts.append(fidx)
-                    self.total_tokens += int(self.sgen[fidx].sum())
-                self.held -= rel1
-                keep = ~leave1
-                self.a_idx = a_idx[keep]
-                self.a_prod = a_prod[keep] + 1
+                self.b = b - c1
+                self.ctx += b - t1
+                self.held = held - t1
                 self._observe_boundary()
                 return
 
-        # ---- closed-form schedule over the run horizon ----------------
-        ord_ = np.argsort(rem, kind="stable")
-        rem_s = rem[ord_]
-        pos = np.searchsorted(rem_s, np.arange(horizon + 1), side="right")
-        base = self.spr[a_idx] + a_prod
-        gone = np.concatenate(
-            ((0.0,), np.cumsum(base[ord_].astype(np.float64)))
-        )
-        steps_i = np.arange(horizon, dtype=np.int64)
-        b_i = b - pos[:horizon]  # batch size at boundary i
-        ctx_i = ((float(base.sum()) - gone[pos[:horizon]]) + steps_i * b_i) / b_i
-        # KV slots still held after boundary i
-        held_i = self.held - np.concatenate(
-            ((0,), np.cumsum(toks[a_idx[ord_]]))
-        )[pos]
+        # ---- the run's schedule: running sums over the ring -----------
+        left = cnt.cumsum()  # requests gone after boundary i
+        b_i = b - (left - cnt)  # batch size at boundary i
+        freed = tok.cumsum()  # KV slots released after boundary i
+        grow = b_i - tok  # every member gains a token, leavers take theirs
+        grown = grow.cumsum()
+        ctx_i = self.ctx + (grown - grow)  # context sum at boundary i
 
         # ---- first boundary where the queue head could be admitted ----
         fit_at = None  # first boundary with cap room and KV fit
         if head is not None:
-            okay = held_i[:horizon] <= room
-            if self.max_batch is not None:
-                okay &= b_i < self.max_batch
-            if okay.any():
-                fit_at = int(np.argmax(okay))
-        t_nom = horizon  # boundaries to execute barring timed events
-        if arrived:
+            if held <= room and (cap is None or b < cap):
+                fit_at = 0
+            else:
+                okay = held - (freed - tok) <= room
+                if cap is not None:
+                    okay &= b_i < cap
+                k = int(okay.argmax())
+                if okay[k]:
+                    fit_at = k
+        t_run = horizon  # boundaries to execute barring timed events
+        if arrived and fit_at is not None:
             # saturated case: admission timing is memory/cap-gated only
-            t_nom = horizon if fit_at is None else min(horizon, max(fit_at, 1))
+            t_run = min(horizon, max(fit_at, 1))
 
         # ---- price the run in growing chunks, watching timed events ---
-        post_parts: list[np.ndarray] = []
+        t_end = self.t_end
         carry = self.now
         done = 0
-        t_run = t_nom
         watch_arrival = head is not None and not arrived
         chunk = t_run if (not watch_arrival and self.detector is None) else _CHUNK0
         while done < t_run:
             stop = min(t_run, done + chunk)
-            rows = self.scm.unit_decode_times_batch(
-                b_i[done:stop], ctx_i[done:stop]
-            )
-            step_c = self._des_rows(rows) if self.des else rows.sum(axis=1)
-            post_c = np.add.accumulate(np.concatenate(((carry,), step_c)))[1:]
+            b_c = b_i[done:stop]
+            rows = self.scm.unit_decode_times_batch(b_c, ctx_i[done:stop] / b_c)
+            post_c = self._des_rows(rows) if self.des else rows.sum(axis=1)
+            post_c[0] += carry  # then the same left fold as ``now += step``
+            np.add.accumulate(post_c, out=post_c)
             if watch_arrival:
                 # head arrives mid-run: admission at the first boundary
                 # past both the arrival and the memory/cap fit point
-                j = int(np.searchsorted(post_c, arr[head], side="left"))
+                j = int(post_c.searchsorted(arr[head], side="left"))
                 if j < stop - done:
                     watch_arrival = False
                     if fit_at is not None:
                         t_run = min(t_run, max(done + j + 1, fit_at))
             if self.detector is not None:
-                j = int(np.searchsorted(post_c, self.win_end, side="left"))
+                j = int(post_c.searchsorted(self.win_end, side="left"))
                 if j < stop - done and done + j < t_run:
                     t_run = done + j + 1  # poll right after this iteration
             take = min(t_run, stop) - done
-            post_parts.append(post_c[:take])
+            t_end[j0 + done:j0 + done + take] = post_c[:take]
             carry = float(post_c[take - 1])
             done += take
             chunk = min(chunk * _CHUNK_GROW, 65536)
 
-        t_run = done
-        now_post = (
-            post_parts[0] if len(post_parts) == 1 else np.concatenate(post_parts)
-        )
-        self.now = float(now_post[t_run - 1])
-        self.iterations += t_run
-        self.inflight_sum += int(b_i[:t_run].sum())
-
-        # ---- retire everyone whose schedule ended inside the run ------
-        # ``ord_`` is stable-sorted by ``rem``, so its prefix is exactly
-        # the retirees ordered by (boundary, admission order) — the order
-        # the scalar loop appends latencies in.
-        n_ret = int(pos[t_run])
-        if n_ret:
-            ridx = ord_[:n_ret]
-            fidx = a_idx[ridx]
-            self.lat_parts.append(now_post[rem_s[:n_ret] - 1] - arr[fidx])
-            self.lat_idx_parts.append(fidx)
-            self.total_tokens += int(self.sgen[fidx].sum())
-        self.held = int(held_i[t_run])
-        keep = rem > t_run
-        self.a_idx = a_idx[keep]
-        self.a_prod = a_prod[keep] + t_run
-
+        self.now = carry
+        self.it = it + done
+        self.inflight_sum += int(b_i[:done].sum())
+        self.b = b - int(left[done - 1])
+        self.ctx += int(grown[done - 1])
+        self.held = held - int(freed[done - 1])
         if self.detector is not None:
-            self._observe(now_post[:t_run], held_i[1:t_run + 1])
+            self._observe(t_end[j0:j0 + done], held - freed[:done])
             if self.now >= self.win_end:
                 self._flush_and_poll()
 
@@ -715,7 +645,7 @@ class _Engine:
         pause = 0.0  # metadata-only switch: no shards re-cut
         if recut:
             pause = self.drift.rebuild_seconds
-            if self.a_idx.size:
+            if self.b:
                 pause = self._replay_price(pause)
         self.now += pause
         self.migration_seconds += pause
@@ -724,24 +654,32 @@ class _Engine:
         self.detector.rebaseline(self.now)
         self.win_end = self.detector.next_window_end()
 
+    def _in_flight(self) -> np.ndarray:
+        """Trace rows of the requests in flight, in admission order: the
+        admitted rows above the low-water index whose last boundary is
+        still ahead (a scan — migrations and block closes are rare)."""
+        lw, ptr = self.lw, self.ptr
+        a = self.adm_it[lw:ptr]
+        return lw + np.flatnonzero((a > 0) & (a + self.sgen[lw:ptr] - 1 > self.it))
+
     def _replay_price(self, pause: float) -> float:
         """Pipelined replay of in-flight KV state under the (already
         bound) new plan: one batch-1 prefill per active request, then the
         surviving decode group re-run token by token — priced exactly
         like the iterations it repeats.  ``pause`` accumulates in the
         same left-fold order as the scalar loop's ``pause +=`` chain."""
-        prompts = self.spr[self.a_idx]
+        live = self._in_flight()
+        prompts = self.spr[live]
+        prod = self.it + 1 - self.adm_it[live]  # tokens produced so far
         if self.des:
             pause = pause + float(self._des_one(list(self._pf_rows[prompts])))
         else:
             pause = pause + self._units_price(None, prompts)
-        max_prod = int(self.a_prod.max())
+        max_prod = int(prod.max())
         if max_prod > 1:
-            cnt = np.bincount(self.a_prod, minlength=max_prod + 1)
-            wsum = np.bincount(
-                self.a_prod, weights=prompts, minlength=max_prod + 1
-            )
-            above = self.a_idx.size - np.cumsum(cnt)
+            cnt = np.bincount(prod, minlength=max_prod + 1)
+            wsum = np.bincount(prod, weights=prompts, minlength=max_prod + 1)
+            above = live.size - np.cumsum(cnt)
             s_above = float(prompts.sum()) - np.cumsum(wsum)
             ks = np.arange(1, max_prod, dtype=np.int64)
             b_k = above[1:max_prod]
@@ -752,60 +690,98 @@ class _Engine:
                 pause = pause + v
         return pause
 
+    # -- sample derivation ----------------------------------------------
+    def _close_block(self) -> None:
+        """Derive the open block's TTFT and latency samples from
+        ``adm_it`` and the clock log, then re-base ring and log on the
+        block's last boundary."""
+        base, it, t_end, arr = self.base, self.it, self.t_end, self.arr
+        p0, p1 = self.blk_ptr, self.ptr
+        # admitted in this block, row (= FIFO admission) order; rejected
+        # rows keep adm_it 0
+        a = self.adm_it[p0:p1]
+        k = np.flatnonzero(a)
+        n0, n1 = self.n_adm, self.n_adm + k.size
+        self.tt[n0:n1] = t_end[a[k] - base] - arr[p0 + k]
+        self.n_adm = n1
+        # finished in this block: stable int16 radix order of the
+        # block-relative last boundary = (boundary, admission) order
+        lw = self.lw
+        a = self.adm_it[lw:p1]
+        fin = a + self.sgen[lw:p1] - 1
+        k = np.flatnonzero((a > 0) & (fin > base) & (fin <= it))
+        key = (fin[k] - base).astype(np.int16)
+        o = np.argsort(key, kind="stable")
+        key, idx = key[o], lw + k[o]
+        n0, n1 = self.n_done, self.n_done + idx.size
+        self.lat[n0:n1] = t_end[key] - arr[idx]
+        self.lat_idx[n0:n1] = idx
+        self.n_done = n1
+        live = self._in_flight()
+        self.lw = int(live[0]) if live.size else p1
+        self.blk_ptr = p1
+        span = it - base
+        if span:
+            for ring in (self.r_cnt, self.r_tok):
+                ring[:-span] = ring[span:]
+                ring[-span:] = 0
+        self.base = it
+
     # -- main loop ------------------------------------------------------
+    def _step(self) -> None:
+        """Run one event: a stretch, an admission boundary, a decode run,
+        or the rejection of heads that can never fit."""
+        arr = self.arr
+        if self.it - self.base == _BLOCK or self.ptr - self.blk_ptr >= _BLOCK:
+            self._close_block()
+        ptr = q = self.ptr  # arrived, still queued: rows [ptr, q)
+        if ptr < self.n_req:
+            if not self.b and arr[ptr] > self.now:
+                self.now = float(arr[ptr])  # jump the idle gap
+            if arr[ptr] <= self.now:
+                q = int(arr.searchsorted(self.now, side="right"))
+        p = self._admit_end(q) if q > ptr else ptr
+        if p < q and self.b and not self.des and self.it >= self._stretch_block:
+            # a real backlog: arrived requests stay queued behind this
+            # boundary's admission
+            self._stretch()
+        elif p > ptr:
+            self._admission_iteration(p)
+        elif self.b:
+            self._decode_run(q > ptr)
+        else:
+            # alone in an empty system and still unfit: never fits —
+            # drop the leading run of solo-unfit heads
+            fits = np.flatnonzero(self._toks[ptr:q] <= self.budget)
+            r = int(fits[0]) if fits.size else q - ptr
+            self.ptr += r
+            self.rejected += r
+
     def run(self):
         from ..stats import quantile
         from .online import OnlineResult, _infeasible
 
-        arr = self.arr
-        while self.ptr < self.n_req or self.a_idx.size:
-            if not self.a_idx.size:
-                if self.ptr < self.n_req and arr[self.ptr] > self.now:
-                    self.now = float(arr[self.ptr])  # jump the idle gap
-                admitted = self._admission_scan()
-                if admitted.size:
-                    self._admission_iteration(admitted)
-                continue
-            if (
-                not self.des
-                and self.ptr < self.n_req
-                and arr[self.ptr] <= self.now
-                and self.iterations >= self._stretch_block
-            ):
-                if self._stretch():
-                    continue
-            admitted = self._admission_scan()
-            if admitted.size:
-                self._admission_iteration(admitted)
-            else:
-                self._decode_run()
-
-        if not self.lat_parts:
+        while self.ptr < self.n_req or self.b:
+            self._step()
+        self._close_block()
+        if not self.n_done:
             return _infeasible("continuous", self.rejected, self.sample_sink)
-        lat = (
-            self.lat_parts[0]
-            if len(self.lat_parts) == 1
-            else np.concatenate(self.lat_parts)
-        )
-        tt = (
-            self.tt_parts[0]
-            if len(self.tt_parts) == 1
-            else np.concatenate(self.tt_parts)
-        )
+        lat, tt = self.lat[:self.n_done], self.tt[:self.n_adm]
+        lat_idx = self.lat_idx[:self.n_done]
         if self.sample_sink is not None:
             # completion-order per-request samples for fleet-level pooling
             # (percentiles and SLO attainment are order-independent); the
             # idx arrays join each sample back to its sorted-trace row
             self.sample_sink["latencies"] = lat
             self.sample_sink["ttfts"] = tt
-            self.sample_sink["lat_idx"] = np.concatenate(self.lat_idx_parts)
-            self.sample_sink["tt_idx"] = np.concatenate(self.tt_idx_parts)
+            self.sample_sink["lat_idx"] = lat_idx
+            self.sample_sink["tt_idx"] = np.flatnonzero(self.adm_it)
         return OnlineResult(
             completed=lat.size,
             makespan=self.now,
             mean_latency=float(lat.mean()),
             p95_latency=quantile(lat, 0.95),
-            throughput=self.total_tokens / self.now,
+            throughput=int(self.sgen[lat_idx].sum()) / self.now,
             waves=0,
             mean_wave_batch=0.0,
             policy="continuous",
@@ -814,8 +790,8 @@ class _Engine:
             mean_ttft=float(tt.mean()),
             p95_ttft=quantile(tt, 0.95),
             rejected=self.rejected,
-            iterations=self.iterations,
-            mean_inflight=float(self.inflight_sum) / float(self.iterations),
+            iterations=self.it,
+            mean_inflight=float(self.inflight_sum) / float(self.it),
             drift_triggers=self.drift_triggers,
             migrations=self.migrations,
             replans=self.replans,

@@ -112,20 +112,24 @@ class ArrivalTrace(Sequence):
 
     def __post_init__(self) -> None:
         a = np.asarray(self.arrivals, dtype=np.float64)
-        s = np.asarray(self.prompt_lens, dtype=np.int64)
-        g = np.asarray(self.gen_lens, dtype=np.int64)
+        s = np.asarray(self.prompt_lens)
+        g = np.asarray(self.gen_lens)
         if not (a.ndim == s.ndim == g.ndim == 1):
             raise ValueError("trace columns must be 1-D")
         if not (a.shape == s.shape == g.shape):
             raise ValueError("trace columns must align")
-        if a.size:
-            if not np.all(np.isfinite(a)) or float(a.min()) < 0.0:
-                raise ValueError("arrivals must be finite and >= 0")
-            if int(s.min()) <= 0 or int(g.min()) <= 0:
-                raise ValueError("prompt_len and gen_len must be positive")
+        if a.size and (not np.all(np.isfinite(a)) or float(a.min()) < 0.0):
+            raise ValueError("arrivals must be finite and >= 0")
         object.__setattr__(self, "arrivals", a)
-        object.__setattr__(self, "prompt_lens", s)
-        object.__setattr__(self, "gen_lens", g)
+        for name, col in (("prompt_lens", s), ("gen_lens", g)):
+            with np.errstate(invalid="ignore"):
+                whole = col.astype(np.int64, copy=False)
+            # a cast that changes a value (8.5, NaN) is a malformed length
+            if (
+                whole is not col and not np.array_equal(whole, col)
+            ) or int(whole.min(initial=1)) <= 0:
+                raise ValueError(f"{name} must be positive integers")
+            object.__setattr__(self, name, whole)
 
     def __len__(self) -> int:
         return int(self.arrivals.size)
@@ -166,8 +170,8 @@ class ArrivalTrace(Sequence):
         rows = list(reqs)
         return cls(
             arrivals=np.array([r.arrival for r in rows], dtype=np.float64),
-            prompt_lens=np.array([r.prompt_len for r in rows], dtype=np.int64),
-            gen_lens=np.array([r.gen_len for r in rows], dtype=np.int64),
+            prompt_lens=np.array([r.prompt_len for r in rows]),
+            gen_lens=np.array([r.gen_len for r in rows]),
         )
 
 
@@ -195,11 +199,14 @@ def load_trace(path) -> ArrivalTrace:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "arrivals" not in payload:
         raise ValueError(f"{path}: not a saved arrival trace")
-    return ArrivalTrace(
-        arrivals=np.array(payload["arrivals"], dtype=np.float64),
-        prompt_lens=np.array(payload["prompt_lens"], dtype=np.int64),
-        gen_lens=np.array(payload["gen_lens"], dtype=np.int64),
-    )
+    try:
+        return ArrivalTrace(
+            arrivals=np.array(payload["arrivals"], dtype=np.float64),
+            prompt_lens=np.array(payload["prompt_lens"]),
+            gen_lens=np.array(payload["gen_lens"]),
+        )
+    except (KeyError, TypeError) as e:  # a column missing or not numbers
+        raise ValueError(f"{path}: malformed saved trace: {e!r}") from e
 
 
 def _poisson_times(rng, rate: float, duration: float) -> np.ndarray:

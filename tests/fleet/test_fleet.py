@@ -194,6 +194,21 @@ def test_routing_is_reproducible(policy):
     assert a.gpu_seconds == b.gpu_seconds
 
 
+def test_prefill_seconds_is_the_simulators_float_priced_once(monkeypatch):
+    """The TTFT router asks every candidate for the prompt's prefill
+    time on every pick: the replica keeps the float per prompt length —
+    the stage sum the simulator charges — instead of re-summing the row."""
+    rep = SimReplica(0, PLAN, CLUSTER)
+    want = float(rep.cost.unit_prefill_times(64).sum())
+    real, calls = rep.cost.unit_prefill_times, []
+    monkeypatch.setattr(
+        rep.cost, "unit_prefill_times", lambda s: calls.append(s) or real(s)
+    )
+    assert rep.prefill_seconds(64) == want == rep.prefill_seconds(np.int64(64))
+    assert rep.service_seconds(64, 10) == want + 10 * rep.tpot_seconds()
+    assert calls == [64]
+
+
 def test_prefix_routing_is_sticky():
     """Same prompt length -> same replica, every time."""
     n = 200

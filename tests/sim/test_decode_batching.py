@@ -24,6 +24,25 @@ def test_fused_iteration_beats_b_batch1_iterations():
         assert scm.unit_decode_times(b, 256.0).sum() < b * one
 
 
+def test_decode_unit_table_equals_scalar_across_memo_growth():
+    """The per-batch embedding/comm add-ons are filled for a whole range
+    of batch sizes whenever their memo grows; every row — first fill,
+    each doubling, sizes never asked for before — still equals the
+    scalar unit bit for bit, on the parent and on a ``derive()`` clone
+    that shares the memo."""
+    plan, cluster = mixed_plan()
+    scm = StageCostModel(plan, cluster)
+    ref = StageCostModel(plan, cluster)  # scalar path only
+    for batches in ([3, 1, 63], [64, 2, 200], [999, 130, 7]):
+        for model in (scm, scm.derive(plan)):
+            b = np.array(batches)
+            ctx = 100.0 + b / 7.0
+            want = np.array(
+                [ref.unit_decode_times(int(x), float(c)) for x, c in zip(b, ctx)]
+            )
+            assert np.array_equal(model.unit_decode_times_batch(b, ctx), want)
+
+
 def _toy_latency_model():
     cfg = get_model("opt-13b")
     m = LatencyModel(cfg)

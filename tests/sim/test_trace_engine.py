@@ -12,11 +12,19 @@ planner's memory model (``general``: ``kv_cache_bytes`` per stage) — the
 ``kv_charge`` fixture runs each case against both, so every case proves
 "token slots == per-stage bytes".
 
+Every equality case also compares the four ``sample_sink`` arrays
+(latencies and TTFTs in the spec's append order, with their trace rows):
+the engine derives them once per block from ``adm_it`` and the clock log
+instead of appending per event.
+
 A hypothesis sweep drives random traces/plans/knobs through both
 engines; deterministic cases pin the canned trace, migrations that
 change the stage cut or shrink the budget below the slots in flight,
 heads that can never fit, and the degenerate
-all-rejected/empty-percentile paths.
+all-rejected/empty-percentile paths.  A rule-based machine steps the
+engine one event at a time — with forced block closes and migrations in
+between — and checks the retire ring against the three in-flight
+integers after every rule, and that every arrival ends exactly once.
 """
 
 import dataclasses
@@ -26,14 +34,19 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine, initialize, invariant, precondition, rule,
+)
 
 from repro.core.plan import ExecutionPlan
 from repro.cost.stagecosts import StageCostModel
 from repro.runtime.replan import DriftConfig, workload_refit_replanner
 from repro.runtime.scheduler import ServeReport
+from repro.sim import trace_engine
 from repro.sim.online import OnlineRequest, simulate_online
-from repro.sim.trace_engine import _Engine
+from repro.sim.trace_engine import _Engine, trace_columns
 from repro.workload.traces import (
+    ArrivalTrace,
     load_trace,
     sample_bursty_arrivals,
     sample_diurnal_arrivals,
@@ -61,9 +74,13 @@ def kv_charge(request):
 
 
 def _assert_identical(plan, cluster, trace, *, kv_charge=None, **kw):
-    vec = simulate_online(plan, cluster, trace, policy="continuous", **kw)
+    got: dict = {}
+    want: dict = {}
+    vec = simulate_online(
+        plan, cluster, trace, policy="continuous", sample_sink=got, **kw
+    )
     oracle = spec_simulate_continuous(
-        plan, cluster, trace, kv_charge=kv_charge, **kw
+        plan, cluster, trace, kv_charge=kv_charge, sample_sink=want, **kw
     )
     if vec != oracle:
         bad = [
@@ -74,6 +91,8 @@ def _assert_identical(plan, cluster, trace, *, kv_charge=None, **kw):
         raise AssertionError(
             "trace engine diverged from the spec:\n  " + "\n  ".join(bad)
         )
+    for key in ("latencies", "ttfts", "lat_idx", "tt_idx"):
+        assert np.array_equal(got[key], want[key]), f"sample_sink[{key!r}]"
     return vec
 
 
@@ -135,13 +154,23 @@ def test_drifting_trace_identical_with_replanning(kv_charge):
     assert res.iterations > 0
 
 
-def test_recut_migration_identical(kv_charge):
+def test_recut_migration_identical(kv_charge, monkeypatch):
     """A replanner that changes the stage cut exercises the engine's
     migration path (held slots re-counted against the new plan's
-    budget, replay priced by the new plan's cost model)."""
+    budget, replay of the requests in flight priced by the new plan's
+    cost model)."""
     plan, cluster, trace, kw = _recut_case()
+    replayed = []
+    replay = _Engine._replay_price
+    monkeypatch.setattr(
+        _Engine, "_replay_price",
+        lambda self, pause: replayed.append(self._in_flight().size)
+        or replay(self, pause),
+    )
     res = _assert_identical(plan, cluster, trace, kv_charge=kv_charge, **kw)
     assert res.migrations >= 1
+    # the pause priced a replay of requests found by the ``adm_it`` scan
+    assert replayed and min(replayed) > 0
 
 
 def _recut_case():
@@ -280,6 +309,55 @@ def test_overloaded_diurnal_trace_identical_with_replanning(
     assert res.migrations >= 1
 
 
+def test_underloaded_trace_never_stretches(monkeypatch):
+    """Below capacity every arrived request is admitted at its first
+    boundary, so no backlog ever opens the stretch gate: the engine
+    commits nothing speculatively (the overloaded case above pins the
+    gate from the other side)."""
+    plan, cluster = PLANS["mixed"]
+    trace = sample_poisson_arrivals(1.0, 120.0, seed=9, max_prompt=96, max_gen=24)
+    stretched = []
+    stretch = _Engine._stretch
+    monkeypatch.setattr(
+        _Engine, "_stretch",
+        lambda self: stretched.append(stretch(self)) or stretched[-1],
+    )
+    res = _assert_identical(plan, cluster, trace)
+    assert res.completed == len(trace) > 100 and res.mean_inflight < 8
+    assert sum(stretched) == 0
+
+
+@pytest.mark.parametrize("engine", ["analytic", "des"])
+@pytest.mark.parametrize("block", [3, 50])
+def test_samples_identical_across_block_boundaries(block, engine, monkeypatch):
+    """Completions are ordered once per block; with the block shrunk to
+    a few boundaries a run crosses many block ends (inside stretches,
+    decode runs and a migration's wake) and the derived samples still
+    come out in the spec's append order."""
+    monkeypatch.setattr(trace_engine, "_BLOCK", block)
+    closed = []
+    close = _Engine._close_block
+    monkeypatch.setattr(
+        _Engine, "_close_block", lambda self: closed.append(self.it) or close(self)
+    )
+    plan, cluster = PLANS["mixed"]
+    trace = sample_diurnal_arrivals(
+        80.0, 10.0, amplitude=0.35, period=10.0, seed=11,
+        max_prompt=128, max_gen=64,
+    )
+    drift = DriftConfig(
+        window=2.5, threshold=0.4, hysteresis=2, cooldown=5.0,
+        rebuild_seconds=1.0,
+    )
+    res = _assert_identical(
+        plan, cluster, trace, engine=engine, drift=drift,
+        replanner=workload_refit_replanner,
+    )
+    assert len(closed) >= res.iterations // block > 3
+    plan, cluster, trace, kw = _recut_case()
+    assert _assert_identical(plan, cluster, trace, engine=engine, **kw).migrations
+
+
 def test_many_prompt_lengths_priced_without_scalar_kernel(
     kv_charge, monkeypatch
 ):
@@ -361,6 +439,146 @@ def test_random_traces_identical(
     if with_drift:
         kw.update(drift=DRIFT, replanner=workload_refit_replanner)
     _assert_identical(plan, cluster, trace, kv_charge=kv_charge, **kw)
+
+
+# ---------------------------------------------------------------------------
+# the retire ring, one event at a time
+# ---------------------------------------------------------------------------
+
+
+class RetireRingMachine(RuleBasedStateMachine):
+    """Steps ``_Engine`` event by event on a random small trace — ties,
+    idle gaps in which the group drains, ``gen_len == 1`` (retires in
+    its own admission boundary), prompts big enough to fill the KV pool,
+    one that never fits — with block closes and migrations (looser,
+    tighter, re-cut) forced between events.  After every rule the ring
+    must agree with the three in-flight integers; at the end every
+    arrival has ended exactly once."""
+
+    eng = None
+
+    @initialize(
+        seed=st.integers(0, 2**16), n=st.integers(1, 28),
+        max_batch=st.sampled_from([None, 2, 4]),
+        engine=st.sampled_from(["analytic", "des"]),
+        block=st.sampled_from([3, 8, trace_engine._BLOCK]),
+    )
+    def build(self, seed, n, max_batch, engine, block):
+        self.block0, trace_engine._BLOCK = trace_engine._BLOCK, block
+        plan, self.cluster = PLANS["mixed"]
+        recut = ExecutionPlan.uniform(
+            "opt-30b", self.cluster.devices, plan.workload, bits=4
+        )
+        self.plans = [plan.with_kv_bits(4), plan.with_kv_bits(16), recut]
+        rng = np.random.default_rng(seed)
+        prompts = rng.integers(8, 9000, size=n)
+        prompts[rng.random(n) < 0.05] = 10**6  # never fits
+        trace = ArrivalTrace(
+            arrivals=np.cumsum(rng.choice([0.0, 0.0, 0.02, 0.5, 40.0], size=n)),
+            prompt_lens=prompts, gen_lens=rng.integers(1, 13, size=n),
+        )
+        drift = DriftConfig(window=1.0, threshold=1e9, rebuild_seconds=0.25)
+        self.sink = {}
+        self.eng = _Engine(
+            trace_columns(trace), max_batch=max_batch, engine=engine,
+            scm=StageCostModel(self.plans[0], self.cluster), drift=drift,
+            replanner=None, sample_sink=self.sink,
+        )
+        self.over = False  # a migration left held slots above the budget
+
+    def running(self):
+        return self.eng.ptr < self.eng.n_req or self.eng.b > 0
+
+    @rule()
+    def step(self):
+        if self.running():  # a finished run has no next event
+            self.eng._step()
+
+    @precondition(running)
+    @rule()
+    def close_block(self):
+        self.eng._close_block()
+
+    @precondition(running)
+    @rule(k=st.integers(0, 2))
+    def migrate(self, k):
+        self.eng._migrate(self.plans[k])
+        self.over = self.eng.held > self.eng.budget
+
+    @invariant()
+    def ring_agrees_with_the_integers(self):
+        e = self.eng
+        if e is None:
+            return
+        j = e.it - e.base
+        assert 0 <= j <= trace_engine._BLOCK
+        assert e.r_cnt[j + 1:].sum() == e.b
+        assert e.r_tok[j + 1:].sum() == e.held
+        assert e.ptr == np.count_nonzero(e.adm_it) + e.rejected
+        live = e._in_flight()
+        assert live.size == e.b
+        assert e.held == e._toks[live].sum()
+        assert e.ctx == (e.spr[live] + e.it + 1 - e.adm_it[live]).sum()
+        self.over = self.over and e.held > e.budget
+        assert e.held <= e.budget or self.over
+
+    def teardown(self):
+        e = self.eng
+        if e is None:
+            return
+        try:
+            while self.running():
+                e._step()
+                self.ring_agrees_with_the_integers()
+            res = e.run()
+            admitted = np.flatnonzero(e.adm_it)
+            assert admitted.size + e.rejected == e.n_req
+            assert res.completed == admitted.size and res.rejected == e.rejected
+            assert np.array_equal(self.sink["tt_idx"], admitted)
+            assert np.array_equal(np.sort(self.sink["lat_idx"]), admitted)
+        finally:
+            trace_engine._BLOCK = self.block0
+
+
+RetireRingMachine.TestCase.settings = settings(
+    max_examples=30, stateful_step_count=40, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+test_retire_ring_machine = RetireRingMachine.TestCase
+
+
+# ---------------------------------------------------------------------------
+# malformed traces are refused up front, by either policy
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("policy", ["continuous", "wave"])
+@pytest.mark.parametrize(
+    "bad, column",
+    [
+        ((float("nan"), 8, 4), "arrivals"),
+        ((float("inf"), 8, 4), "arrivals"),
+        ((-1.0, 8, 4), "arrivals"),
+        ((0.0, 8, 0), "gen_lens"),
+        ((0.0, 8, -1), "gen_lens"),
+        ((0.0, 0, 4), "prompt_lens"),
+        ((0.0, -3, 4), "prompt_lens"),
+        ((0.0, 8.5, 4), "prompt_lens"),
+    ],
+)
+def test_malformed_record_is_a_value_error(policy, bad, column):
+    """A record list is validated like an ``ArrivalTrace``: a NaN
+    arrival used to hang the continuous engine, a ``gen_len <= 0`` would
+    retire in the ring's past and never leave, and ``prompt_len=8.5``
+    was served as 8."""
+    import time
+
+    plan, cluster = PLANS["mixed"]
+    trace = [OnlineRequest(*bad), OnlineRequest(0.1, 8, 4)]
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=column):
+        simulate_online(plan, cluster, trace, policy=policy)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # ---------------------------------------------------------------------------

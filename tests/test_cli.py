@@ -503,6 +503,24 @@ def test_serve_bad_trace_file_friendly_error(strategy_file, tmp_path, capsys):
         ])
     assert "not a saved arrival trace" in str(exc.value)
     assert "Traceback" not in capsys.readouterr().err
+    # a column missing, a length that is not an integer: one line each
+    for payload, column in (
+        ('{"arrivals": [0.0, 1.0], "gen_lens": [4, 4]}', "prompt_lens"),
+        (
+            '{"arrivals": [0.0, 1.0], "prompt_lens": [8.7, 8], "gen_lens": [4, 4]}',
+            "prompt_lens",
+        ),
+    ):
+        bogus.write_text(payload)
+        with pytest.raises(SystemExit) as exc:
+            serve_main([
+                "--strat-file-name", str(strategy_file),
+                "--cluster", "1", "--trace-file", str(bogus),
+            ])
+        msg = str(exc.value)
+        assert msg.startswith("error: cannot load --trace-file: ")
+        assert column in msg and "\n" not in msg
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_serve_rejects_bad_rate(tiny_strategy_file, capsys):

@@ -174,3 +174,43 @@ def test_concat_arrival_phases_offsets_clocks():
     assert np.all(np.diff(times) >= 0)  # monotone across the phase seam
     # the second phase really starts after the first ends
     assert trace[len(calm)].arrival > calm[-1].arrival
+
+
+def test_malformed_traces_are_value_errors(tmp_path):
+    """One validation site: a record list, raw columns and a saved file
+    all refuse non-finite arrivals and lengths that are not positive
+    integers, naming the column — never a KeyError, never a silent
+    truncation of 8.7 to 8."""
+    import json
+
+    from repro.workload import ArrivalTrace, RequestArrival
+    from repro.workload.traces import load_trace, save_trace
+
+    good = dict(arrivals=[0.0, 1.0], prompt_lens=[8, 8], gen_lens=[4, 4])
+    whole = ArrivalTrace(**{**good, "prompt_lens": np.array([8.0, 9.0])})
+    assert whole.prompt_lens.dtype == np.int64 and whole.prompt_lens[1] == 9
+    for column, value in (
+        ("arrivals", [0.0, float("nan")]), ("arrivals", [-1.0, 0.0]),
+        ("prompt_lens", [8.7, 8]), ("prompt_lens", [0, 8]),
+        ("gen_lens", [4, -1]), ("gen_lens", [4, float("nan")]),
+    ):
+        with pytest.raises(ValueError, match=column):
+            ArrivalTrace(**{**good, column: np.array(value)})
+    with pytest.raises(ValueError, match="arrival"):
+        ArrivalTrace.from_requests(
+            [RequestArrival(0.0, 8, 4), RequestArrival(float("inf"), 8, 4)]
+        )
+
+    path = tmp_path / "trace.json"
+    save_trace(ArrivalTrace(**good), path)
+    assert len(load_trace(path)) == 2
+    for payload, column in (
+        ({k: v for k, v in good.items() if k != "prompt_lens"}, "prompt_lens"),
+        ({k: v for k, v in good.items() if k != "gen_lens"}, "gen_lens"),
+        ({**good, "prompt_lens": [8.7, 8]}, "prompt_lens"),
+        ({**good, "gen_lens": [4, None]}, "malformed"),
+    ):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=column):
+            load_trace(path)
+
