@@ -37,11 +37,9 @@ cell-by-cell construction they must equal exactly is written out in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..cost.latency import LatencyModel
 from ..cost.memory import (
@@ -58,6 +56,9 @@ from ..hardware.cluster import Device
 from ..models.config import ModelConfig
 from ..quant.indicator import IndicatorTable
 from ..workload.spec import Workload
+
+if TYPE_CHECKING:  # pragma: no cover - scipy loads on the first solve
+    from scipy import sparse
 
 __all__ = [
     "ILPSolution",
@@ -131,15 +132,30 @@ class AssembledILP:
         return self.num_groups * self.num_devices * len(self.bits)
 
 
-def _milp_bounds(prob: AssembledILP) -> tuple[Bounds, np.ndarray]:
+def _highs(prob: AssembledILP, *, relaxed: bool, cutoff: float = np.inf, **options):
+    """One HiGHS call on an assembled problem, integral or (``relaxed``)
+    its LP relaxation.  scipy loads here, on the first solve: importing
+    the planner package — which serving, simulation and the fleet all do
+    — must not pay for a solver they never call."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     n_var = prob.num_z + 2
     integrality = np.zeros(n_var)
-    integrality[: prob.num_z] = 1
-    bounds = Bounds(
-        lb=np.zeros(n_var),
-        ub=np.concatenate([np.ones(prob.num_z), [np.inf, np.inf]]),
+    if not relaxed:
+        integrality[: prob.num_z] = 1
+    constraints = [LinearConstraint(prob.A, prob.lo, prob.hi)]
+    if np.isfinite(cutoff):
+        constraints.append(LinearConstraint(prob.c[None, :], -np.inf, cutoff))
+    return milp(
+        prob.c,
+        constraints=constraints,
+        integrality=integrality,
+        bounds=Bounds(
+            lb=np.zeros(n_var),
+            ub=np.concatenate([np.ones(prob.num_z), [np.inf, np.inf]]),
+        ),
+        options={"time_limit": prob.time_limit, **options},
     )
-    return bounds, integrality
 
 
 def solve_assembled(prob: AssembledILP, cutoff: float = np.inf) -> ILPSolution:
@@ -157,21 +173,11 @@ def solve_assembled(prob: AssembledILP, cutoff: float = np.inf) -> ILPSolution:
     import time
 
     t0 = time.perf_counter()
-    bounds, integrality = _milp_bounds(prob)
-    constraints = [LinearConstraint(prob.A, prob.lo, prob.hi)]
-    cut = np.isfinite(cutoff)
-    if cut:
-        constraints.append(LinearConstraint(prob.c[None, :], -np.inf, cutoff))
-    res = milp(
-        prob.c,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=bounds,
-        options={"time_limit": prob.time_limit, "mip_rel_gap": 1e-4},
-    )
+    res = _highs(prob, relaxed=False, cutoff=cutoff, mip_rel_gap=1e-4)
     dt = time.perf_counter() - t0
     if res.status != 0 or res.x is None:
-        return _infeasible(dt, "pruned" if cut and res.status == 2 else "infeasible")
+        pruned = np.isfinite(cutoff) and res.status == 2
+        return _infeasible(dt, "pruned" if pruned else "infeasible")
     nG, nD, nB = prob.num_groups, prob.num_devices, len(prob.bits)
     z = res.x[: prob.num_z].reshape(nG, nD, nB)
     gdev, gbits = [], []
@@ -209,14 +215,7 @@ def lp_lower_bound(prob: AssembledILP) -> float:
     discarded outright) and ``-inf`` when the LP did not finish (never
     prune on an unproven bound).
     """
-    bounds, _ = _milp_bounds(prob)
-    res = milp(
-        prob.c,
-        constraints=[LinearConstraint(prob.A, prob.lo, prob.hi)],
-        integrality=np.zeros(prob.num_z + 2),
-        bounds=bounds,
-        options={"time_limit": prob.time_limit},
-    )
+    res = _highs(prob, relaxed=True)
     if res.status == 2:  # proven infeasible
         return np.inf
     if res.status == 0 and res.fun is not None:
@@ -491,6 +490,8 @@ class BitAssignmentILP:
             ri=ri_t, ci=ci_t, data=data_t,
             lo=np.full(2 * nD, -np.inf), hi=np.zeros(2 * nD), n_rows=2 * nD,
         )
+
+        from scipy import sparse
 
         A = sparse.csr_matrix(
             (np.concatenate(data_parts),

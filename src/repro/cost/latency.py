@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
 import numpy as np
-from scipy.optimize import nnls
 
 from ..hardware.gpu import GPUSpec
 from ..models.config import ModelConfig
@@ -78,6 +77,8 @@ class LatencyModel:
 
     def fit(self, samples: Iterable[LatencySample]) -> "LatencyModel":
         """NNLS-fit one coefficient vector per (gpu, bits, phase) group."""
+        from scipy.optimize import nnls  # loaded by the first fit, not by import
+
         groups: dict[tuple[str, int, str], list[LatencySample]] = {}
         for s in samples:
             groups.setdefault((s.gpu_name, s.bits, s.phase), []).append(s)

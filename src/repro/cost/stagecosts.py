@@ -60,6 +60,18 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports, no cycles
 __all__ = ["StageCostModel", "planner_time_tables"]
 
 
+def _decode_batches(batches) -> np.ndarray:
+    """Decode batch sizes as int64 — the one check both decode-unit entry
+    points share: whole numbers >= 1, anything else one ``ValueError``."""
+    raw = np.asarray(batches)
+    b = raw.astype(np.int64, copy=False)
+    if (raw.dtype.kind not in "iu" and not np.array_equal(b, raw)) or (
+        b.size and int(b.min()) < 1
+    ):
+        raise ValueError("decode batch sizes must be whole numbers >= 1")
+    return b
+
+
 class StageCostModel:
     """Vectorized, memoized per-stage cost tables for one plan.
 
@@ -126,7 +138,7 @@ class StageCostModel:
         self._unit_prefill_memo: dict = {}
         self._mem_memo: dict = {}
         self._pairs = None
-        self._decode_extra_memo: dict = {}
+        self._decode_table_memo: dict = {}
         self._token_charges = None
         # plan-workload-specific memos (never shared)
         self._fits_memo: dict = {}
@@ -410,12 +422,14 @@ class StageCostModel:
         (charged once, in ``w_term``).
 
         With the kernels source this is the shared-table fast path: one
-        vectorized roofline evaluation over all (stage, bits) pairs using
-        the precomputed constants — bit-identical to the scalar per-layer
-        walk (``tests/sim/costview_spec.py``), which ``source="model"``
-        still takes through its latency model.
+        row of :meth:`_decode_batch_table` plus one vectorized roofline
+        evaluation over all (stage, bits) pairs using the precomputed
+        constants — bit-identical to the scalar per-layer walk
+        (``tests/sim/costview_spec.py``), which ``source="model"`` still
+        takes through its latency model.
         """
         n = self.plan.num_stages
+        batch = int(_decode_batches(batch))
         if self.source == "model":
             ctx = np.array([context], dtype=np.float64)
             out = np.zeros(n)
@@ -438,27 +452,22 @@ class StageCostModel:
                 out[j] = t
             return out
         p = self._decode_pairs()
-        cfg = self.cfg
-        h = cfg.hidden_size
+        row = self._decode_batch_table(batch)[batch]
         context = float(context)
-        flops = cfg.layer_flops(batch, 1, 0) + 4.0 * batch * h * context
-        compute_t = flops / p.eff_flops
-        # the KV stream is priced at each stage's own bitwidth via the
-        # precomputed per-pair per-token byte constant
-        fixed = batch * 1 * (6 * h + 2 * cfg.ffn_dim) * ACT_BYTES + batch * p.kv_token
+        k = n + 2
+        compute_t = (row[k] + row[k + 1] * context) / p.eff_flops
         per_ctx = (
-            batch * cfg.num_heads * context * ACT_BYTES * 2
-            + batch * context * p.kv_token
+            row[k + 2] * context * ACT_BYTES * 2
+            + row[k + 3] * context * p.kv_token
         )
-        mem_t = p.w_term + (fixed + per_ctx) / p.eff_bw
+        mem_t = p.w_term + (row[k + 4:] + per_ctx) / p.eff_bw
         vals = np.maximum(compute_t, mem_t) + p.launch
         out = np.zeros(n)
         for i, j in enumerate(p.stage_of):
             out[j] += p.counts[i] * float(vals[i])
-        out[0] += self._emb_time(0, batch, 1, False)
-        out[n - 1] += self._emb_time(n - 1, batch, 1, True)
-        for j in range(n):
-            out[j] += self.comm_time(j, batch, 1)
+        out[0] += row[0]
+        out[n - 1] += row[1]
+        out += row[2:k]
         return out
 
     def unit_decode_times_batch(
@@ -468,73 +477,84 @@ class StageCostModel:
         ``unit_decode_times(batches[i], contexts[i])`` bit-for-bit.
 
         The vectorized online engine prices whole decode runs through this
-        one call.  With the kernels source the roofline is
-        evaluated as a ``(k, pairs)`` matrix against the precomputed
-        per-(stage, bits) constants; per-batch embedding/comm add-ons come
-        from small per-distinct-batch tables.  Every floating-point
-        operation mirrors the scalar path's order, so equality is exact,
-        not approximate.
+        one call.  With the kernels source the roofline is evaluated as a
+        ``(k, pairs)`` matrix against the precomputed per-(stage, bits)
+        constants; everything that depends on the batch size alone — the
+        embedding/comm add-ons and the batch-only half of the roofline —
+        is one row gather from :meth:`_decode_batch_table`.  Every
+        floating-point operation mirrors the scalar path's order, so
+        equality is exact, not approximate.
         """
-        b = np.asarray(batches, dtype=np.int64)
+        b = _decode_batches(batches)
         c = np.asarray(contexts, dtype=np.float64)
         if b.shape != c.shape or b.ndim != 1:
             raise ValueError("batches/contexts must be aligned 1-D arrays")
         n = self.plan.num_stages
-        if self.source == "model":
+        if self.source == "model" or not b.size:  # row by row; no rows: (0, n)
             out = np.zeros((b.size, n))
             for i in range(b.size):
                 out[i] = self.unit_decode_times(int(b[i]), float(c[i]))
             return out
         p = self._decode_pairs()
-        h, ffn, heads = self.cfg.hidden_size, self.cfg.ffn_dim, self.cfg.num_heads
-        bc = b[:, None].astype(np.float64)
+        row = self._decode_batch_table(int(b.max())).take(b, axis=0)
         cc = c[:, None]
-        # layer_flops(b, 1, 0) == b * layer_flops(1, 1, 0) exactly: the
-        # scalar path multiplies the int batch into one float constant
-        flops = bc * p.one_layer_flops + 4.0 * bc * h * cc
+        k = n + 2  # batch-only roofline columns follow the add-ons
+        flops = row[:, k:k + 1] + row[:, k + 1:k + 2] * cc
         compute_t = flops / p.eff_flops
-        fixed = bc * (6 * h + 2 * ffn) * ACT_BYTES + bc * p.kv_token
-        per_ctx = bc * heads * cc * ACT_BYTES * 2 + bc * cc * p.kv_token
-        mem_t = p.w_term + (fixed + per_ctx) / p.eff_bw
+        per_ctx = (
+            row[:, k + 2:k + 3] * cc * ACT_BYTES * 2
+            + row[:, k + 3:k + 4] * cc * p.kv_token
+        )
+        mem_t = p.w_term + (row[:, k + 4:] + per_ctx) / p.eff_bw
         vals = np.maximum(compute_t, mem_t) + p.launch
         # fold pairs into their stages: reduceat's left fold over each
         # contiguous stage segment matches the scalar ``out[j] +=`` chain
         out = np.add.reduceat(vals * p.counts_f, p.seg_starts, axis=1)
-        extras = self._decode_extra_tables(b)
-        out[:, 0] += extras[:, 0]
-        out[:, n - 1] += extras[:, 1]
-        out += extras[:, 2:]
+        out[:, 0] += row[:, 0]
+        out[:, n - 1] += row[:, 1]
+        out += row[:, 2:k]
         return out
 
-    def _decode_extra_tables(self, batches: np.ndarray) -> np.ndarray:
-        """Per-row embedding/comm decode add-ons as one gather from a
-        dense per-batch-size memo: columns ``(emb_first, emb_last,
-        comm...)``.  Whenever the memo grows (doubling) every new batch
-        size is filled at once — the kernels are plain arithmetic in the
-        batch size, so they take the whole new range as a column — and
-        the lookup never tests for holes."""
-        n = self.plan.num_stages
-        top = int(batches.max()) + 1
-        table = self._decode_extra_memo.get("table")
+    def _decode_batch_table(self, top: int) -> np.ndarray:
+        """The dense per-batch-size decode memo, grown to cover batch
+        ``top``: row ``b`` holds everything a decode unit's price takes
+        from the batch size alone — columns ``(emb_first, emb_last,
+        comm..., b * one_layer_flops, 4 b h, b * heads, float(b), fixed
+        bytes per pair...)``, each by the float operations, in the
+        order, of :func:`~repro.sim.kernels.layer_exec_times_decode_sweep`.
+        Whenever the memo grows (doubling) every
+        new batch size is filled at once — the kernels are plain
+        arithmetic in the batch size, so they take the whole new range as
+        a column — and the lookup never tests for holes."""
+        table = self._decode_table_memo.get("table")
         have = 0 if table is None else table.shape[0]
-        if have < top:
+        if have <= top:
             from ..sim.comm import activation_bytes
             from ..sim.kernels import embedding_exec_time
 
-            cfg = self.cfg
-            bv = np.arange(have, max(top, 2 * have, 64))
-            new = np.empty((bv.size, n + 2))
+            cfg, p, n = self.cfg, self._decode_pairs(), self.plan.num_stages
+            h = cfg.hidden_size
+            bv = np.arange(have, max(top + 1, 2 * have, 64))
+            bc = bv[:, None].astype(np.float64)
+            new = np.empty((bv.size, n + 6 + p.kv_token.size))
             new[:, 0] = embedding_exec_time(self._gpus[0], cfg, bv, 1, with_logits=False)
             new[:, 1] = embedding_exec_time(self._gpus[n - 1], cfg, bv, 1, with_logits=True)
             for j, link in enumerate(self._require_links()):
                 new[:, 2 + j] = link.latency + activation_bytes(cfg, bv, 1) / link.bandwidth
+            # layer_flops(b, 1, 0) == b * layer_flops(1, 1, 0) exactly: the
+            # scalar path multiplies the int batch into one float constant
+            new[:, n + 2:n + 3] = bc * p.one_layer_flops
+            new[:, n + 3:n + 4] = 4.0 * bc * h
+            new[:, n + 4:n + 5] = bc * cfg.num_heads
+            new[:, n + 5:n + 6] = bc
+            new[:, n + 6:] = bc * (6 * h + 2 * cfg.ffn_dim) * ACT_BYTES + bc * p.kv_token
             if table is None:
                 new[0] = np.nan  # there is no batch-0 unit
                 table = new
             else:
                 table = np.concatenate((table, new))
-            self._decode_extra_memo["table"] = table
-        return table[batches]
+            self._decode_table_memo["table"] = table
+        return table
 
     # ------------------------------------------------------------------
     # memory views (planner Sec.-4.1 accounting)
@@ -738,7 +758,7 @@ class StageCostModel:
         clone._mem_memo = self._mem_memo
         clone._pairs = self._pairs
         clone._token_charges = self._token_charges
-        clone._decode_extra_memo = self._decode_extra_memo
+        clone._decode_table_memo = self._decode_table_memo
         return clone
 
 

@@ -32,10 +32,14 @@ clock after boundary ``i``.
   slot count, the run is priced in chunked
   :meth:`~repro.cost.stagecosts.StageCostModel.unit_decode_times_batch`
   calls, and the clock advances by ``np.add.accumulate`` — the same left
-  fold as ``now += step``.  A run truncates at the first *event*: a
-  boundary where the queue head could be admitted (arrival, KV fit and
-  cap are each monotone within a run), the drift detector's next window
-  close, the group draining dry, or the end of the block.
+  fold as ``now += step``.  A run that only watches the queue head's
+  arrival sizes its first chunk to the arrival gap (one call, not a
+  ladder), and the first row priced past the run's end is kept as ``(b,
+  ctx, row)``: it is the decode group of the boundary that follows, so
+  that boundary is not priced again.  A run truncates at the first
+  *event*: a boundary where the queue head could be admitted (arrival,
+  KV fit and cap are each monotone within a run), the drift detector's
+  next window close, the group draining dry, or the end of the block.
 * With a real backlog — this boundary's admission leaves *arrived*
   requests unadmitted, the one observable that makes the bet winnable —
   the engine runs a **boundary stretch**: it schedules up to K
@@ -78,7 +82,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 __all__ = ["trace_columns", "simulate_continuous_vectorized"]
 
 #: decode-run pricing chunk: start small (most runs truncate within a few
-#: boundaries under load), quadruple while the run keeps going
+#: boundaries under load) unless the arrival gap says how far the run
+#: goes, quadruple while it keeps going
 _CHUNK0 = 8
 _CHUNK_GROW = 4
 
@@ -166,6 +171,9 @@ class _Engine:
         self._stretch_k = _STRETCH0
         self._stretch_block = 0
         self._step_hint = 0.0
+        # seconds per boundary of the last decode run (inf: none yet, so
+        # the first run starts at _CHUNK0); sizes pricing chunks only
+        self._run_pace = float("inf")
 
         # the in-flight set: requests, sum of (prompt + produced), KV
         # token slots — and when they leave.  Boundary i (1-based count
@@ -202,6 +210,7 @@ class _Engine:
     def _bind_cost_model(self, scm: StageCostModel) -> None:
         """(Re)derive every table keyed by the current plan's cost model."""
         self.scm = scm
+        self._kept = None  # a row priced under the old plan is stale
         self.budget = scm.kv_token_budget()
         # occupancy of the stages that have a KV pool: held slots times
         # one slot's bytes, over the pool
@@ -256,7 +265,7 @@ class _Engine:
         n = p - p0
         new_prompts = self.spr[p0:p]
         if b:
-            dec = self.scm.unit_decode_times(b, float(self.ctx) / float(b))
+            dec = self._decode_row()
         if self.des:
             units = [dec] if b else []
             units.extend(self._pf_rows[new_prompts])
@@ -289,6 +298,16 @@ class _Engine:
             self.ctx -= toks
             self.held -= toks
         self._observe_boundary()
+
+    def _decode_row(self) -> np.ndarray:
+        """Per-stage times of the in-flight group's next decode unit: the
+        row the last decode run priced just past its end while the group
+        is still that ``(b, ctx)`` — rows are a pure function of the pair
+        under one cost model — else one scalar lookup."""
+        kept = self._kept
+        if kept is not None and kept[0] == self.b and kept[1] == self.ctx:
+            return kept[2]
+        return self.scm.unit_decode_times(self.b, float(self.ctx) / float(self.b))
 
     def _units_price(self, head, prompts: np.ndarray) -> float:
         """Closed-form price of ``head`` (a decode group's stage sum, or
@@ -495,7 +514,7 @@ class _Engine:
             if horizon == 1 or (
                 held - t1 <= room and (cap is None or b - c1 < cap)
             ):
-                dec = self.scm.unit_decode_times(b, float(self.ctx) / float(b))
+                dec = self._decode_row()
                 step = self._des_rows(dec[None, :])[0] if self.des else dec.sum()
                 self.now = float(self.now + step)
                 self.t_end[j0] = self.now
@@ -537,7 +556,17 @@ class _Engine:
         carry = self.now
         done = 0
         watch_arrival = head is not None and not arrived
-        chunk = t_run if (not watch_arrival and self.detector is None) else _CHUNK0
+        chunk = _CHUNK0
+        if self.detector is None:
+            chunk = t_run
+            if watch_arrival:
+                # size the first chunk to the arrival gap at the last
+                # run's pace, with slack to leave a priced row past the
+                # end; rows are a pure function of (b_i, ctx_i) and the
+                # clock the same left fold across chunks, so chunking
+                # moves speed only
+                est = (arr[head] - carry) / self._run_pace * 1.25 + 2
+                chunk = int(min(t_run, max(est, _CHUNK0)))
         while done < t_run:
             stop = min(t_run, done + chunk)
             b_c = b_i[done:stop]
@@ -560,9 +589,12 @@ class _Engine:
             take = min(t_run, stop) - done
             t_end[j0 + done:j0 + done + take] = post_c[:take]
             carry = float(post_c[take - 1])
+            if t_run < stop:  # priced, not run: the row of the boundary after
+                self._kept = (b_i[t_run], ctx_i[t_run], rows[take])
             done += take
             chunk = min(chunk * _CHUNK_GROW, 65536)
 
+        self._run_pace = (carry - self.now) / done
         self.now = carry
         self.it = it + done
         self.inflight_sum += int(b_i[:done].sum())

@@ -1,5 +1,8 @@
 """Unit tests for the high-level API (plan / evaluate / compare)."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -167,3 +170,28 @@ def test_replan_with_planner_falls_back_gracefully(
     assert new.num_stages == 1
     assert new.num_layers == plan.num_layers
     assert new.meta["replanned_after_stage_failure"] == 0
+
+
+def test_serving_imports_leave_scipy_to_the_first_solve():
+    """The runtime, the simulators, the fleet and the CLI all reach
+    ``repro.core`` but never solve or fit anything at import: scipy loads
+    on the first MILP / NNLS call, and the planner still works then."""
+    code = (
+        "import sys\n"
+        "import repro.runtime, repro.sim, repro.fleet, repro.cli\n"
+        "early = [m for m in ('scipy', 'scipy.optimize') if m in sys.modules]\n"
+        "assert not early, f'imports alone loaded {early}'\n"
+        "from repro.core.api import plan_llmpq\n"
+        "from repro.hardware import make_cluster\n"
+        "from repro.workload import Workload\n"
+        "res = plan_llmpq(\n"
+        "    'opt-13b', make_cluster([('T4-16G', 1), ('V100-32G', 1)]),\n"
+        "    Workload(prompt_len=128, gen_len=16, global_batch=8),\n"
+        "    group_size=8, prefill_mb_cap=4, decode_mb_candidates=(8,),\n"
+        ")\n"
+        "assert res.feasible and 'scipy.optimize' in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

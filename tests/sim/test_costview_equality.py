@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cost.predictions import PredictionCache
 from repro.cost.stagecosts import StageCostModel, planner_time_tables
@@ -157,6 +159,63 @@ def test_unit_tables_bitwise_equal_scalar_spec():
         assert np.array_equal(
             scm.unit_prefill_times(s), spec_unit_prefill_times(plan, cluster, s)
         )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kv=st.sampled_from([16, 4, (4, 8, 16, 4)]),
+    cells=st.lists(
+        st.tuples(st.integers(1, 300), st.floats(1.0, 4096.0)),
+        min_size=1, max_size=16,
+    ),
+)
+@example(
+    kv=(4, 8, 16, 4),
+    cells=[(5, 33.0), (64, 128.0), (200, 1024.0), (300, 7.5), (64, 128.0)],
+)
+def test_decode_table_rows_bitwise_equal_spec(kv, cells):
+    """The per-batch-size table hands ``unit_decode_times_batch`` every
+    batch-only term: rows must still equal the per-layer spec bit for bit
+    while the table doubles twice (64 -> 128 -> 256+ rows) under mixed
+    per-layer bits and per-stage KV bits, for unsorted rows with
+    duplicates, whichever of a model and its ``derive()``d twin grew the
+    shared table."""
+    from dataclasses import replace
+
+    plan, cluster = mixed_plan()
+    plan = plan.with_kv_bits(kv)
+    parent = StageCostModel(plan, cluster)
+    child = parent.derive(replace(plan, decode_microbatch=3))
+    assert child._decode_table_memo is parent._decode_table_memo
+    cells = cells + cells[::-1]
+    for top, scm in ((63, parent), (127, child), (300, parent), (300, child)):
+        sub = [c for c in cells if c[0] <= top]
+        got = scm.unit_decode_times_batch(
+            [b for b, _ in sub], [c for _, c in sub]
+        )
+        want = [spec_unit_decode_times(plan, cluster, *c) for c in sub]
+        assert np.array_equal(got, np.array(want).reshape(len(sub), plan.num_stages)), top
+
+
+@pytest.mark.parametrize("source", ["kernels", "model"])
+def test_decode_units_validate_batch_sizes_alike(source, latmodel_cluster3):
+    """Both decode-unit entry points refuse a batch size that is not a
+    whole number >= 1 with one ``ValueError`` (the table kernel used to
+    index its memo from the end at -1, return its NaN row at 0 and
+    truncate 2.7 to 2); an empty table is a ``(0, stages)`` array."""
+    plan, cluster = mixed_plan()
+    model = latmodel_cluster3 if source == "model" else None
+    scm = StageCostModel(plan, cluster, latency_model=model)
+    for bad in (0, -1, 2.7):
+        with pytest.raises(ValueError, match="whole numbers >= 1"):
+            scm.unit_decode_times(bad, 10.0)
+        with pytest.raises(ValueError, match="whole numbers >= 1"):
+            scm.unit_decode_times_batch([3, bad], [10.0, 10.0])
+    assert scm.unit_decode_times_batch([], []).shape == (0, plan.num_stages)
+    assert np.array_equal(
+        scm.unit_decode_times_batch([2.0], [10.0])[0],
+        scm.unit_decode_times(2, 10.0),
+    )
 
 
 @pytest.mark.parametrize("source", ["kernels", "model"])

@@ -29,6 +29,7 @@ integers after every rule, and that every arrival ends exactly once.
 
 import dataclasses
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -325,6 +326,65 @@ def test_underloaded_trace_never_stretches(monkeypatch):
     res = _assert_identical(plan, cluster, trace)
     assert res.completed == len(trace) > 100 and res.mean_inflight < 8
     assert sum(stretched) == 0
+
+
+@pytest.mark.parametrize("engine", ["analytic", "des"])
+def test_below_capacity_prices_each_boundary_once(engine):
+    """Below capacity a decode run only watches the queue head's arrival:
+    its first pricing chunk is sized to the arrival gap, so a run is one
+    ``unit_decode_times_batch`` call (not an 8/32/128 ladder), and the
+    admitting boundary takes the row its run priced past its end instead
+    of a scalar lookup — only an admission right behind another (no run
+    in between) still pays one.  Neither can move a result."""
+    plan, cluster = PLANS["mixed"]
+    trace = sample_poisson_arrivals(1.0, 120.0, seed=9, max_prompt=96, max_gen=24)
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for cls, name in (
+            (StageCostModel, "unit_decode_times"),
+            (StageCostModel, "unit_decode_times_batch"),
+            (_Engine, "_decode_run"),
+            (_Engine, "_admission_iteration"),
+        ):
+            mp.setattr(
+                cls, name,
+                lambda self, *a, _f=getattr(cls, name), _n=name:
+                calls.update([_n]) or _f(self, *a),
+            )
+        simulate_online(plan, cluster, trace, policy="continuous", engine=engine)
+    assert calls["_decode_run"] > 50
+    assert calls["unit_decode_times_batch"] <= 1.01 * calls["_decode_run"]
+    assert calls["unit_decode_times"] < 0.4 * calls["_admission_iteration"]
+    _assert_identical(plan, cluster, trace, engine=engine)
+
+
+def test_kept_row_dropped_at_rebind(monkeypatch):
+    """A migration that lands between a decode run and the admission its
+    spare row was priced for must not leak the old plan's price: binding
+    the new cost model drops the row, and the run equals the spec (which
+    prices that boundary under the new plan).  The control carries the
+    row across the rebind and diverges."""
+    plan, cluster, trace, kw = _recut_case()
+    live = []
+    bind = _Engine._bind_cost_model
+
+    def spy(self, scm):
+        kept = getattr(self, "_kept", None)
+        live.append(kept is not None and kept[:2] == (self.b, self.ctx))
+        bind(self, scm)
+        assert self._kept is None
+
+    monkeypatch.setattr(_Engine, "_bind_cost_model", spy)
+    res = _assert_identical(plan, cluster, trace, **kw)
+    assert res.migrations >= 1 and any(live)
+
+    def carry(self, scm):
+        kept = getattr(self, "_kept", None)
+        bind(self, scm)
+        self._kept = kept
+
+    monkeypatch.setattr(_Engine, "_bind_cost_model", carry)
+    assert simulate_online(plan, cluster, trace, policy="continuous", **kw) != res
 
 
 @pytest.mark.parametrize("engine", ["analytic", "des"])
