@@ -41,7 +41,8 @@ def _run(cid, latency_models, workload):
         if mb > workload.global_batch:
             break
         for ordering in opt.orderings():
-            sol, ilp = opt._solve_candidate(ordering, mb, mb)
+            ilp = opt.build_ilp(ordering, mb, mb)
+            sol = ilp.solve()
             if not sol.feasible:
                 continue
             plan = opt.plan_from_solution(ordering, sol, ilp, mb, mb)

@@ -145,12 +145,15 @@ def algo_main(argv: list[str] | None = None) -> int:
     if args.jobs < 1:
         return _fail("--jobs must be >= 1")
     kv_bits = args.kv_bits if args.kv_bits == "auto" else int(args.kv_bits)
-    result = plan_llmpq(
-        args.model_name, cluster, workload,
-        theta=args.theta, group_size=args.group,
-        use_heuristic=args.heuristic, ilp_time_limit=args.time_limit,
-        indicator=indicator, n_jobs=args.jobs, kv_bits=kv_bits,
-    )
+    try:
+        result = plan_llmpq(
+            args.model_name, cluster, workload,
+            theta=args.theta, group_size=args.group,
+            use_heuristic=args.heuristic, ilp_time_limit=args.time_limit,
+            indicator=indicator, n_jobs=args.jobs, kv_bits=kv_bits,
+        )
+    except ValueError as e:  # a planner knob out of range
+        return _fail(str(e))
     if result.stats is not None:
         print(result.stats.describe(), file=sys.stderr)
     if result.plan is None:

@@ -1,8 +1,9 @@
 """Optimization #3: the bitwidth-transfer heuristic (Algorithm 2).
 
 The exact ILP scales poorly on big clusters, so the paper seeds a greedy
-search from **adabits** — the reduced ILP that drops the latency objective
-and picks the best-quality bitwidths that merely *fit* in memory — and
+search from **adabits** — the reduced problem that drops the latency
+objective and picks the best-quality bitwidths that merely *fit* in
+memory; here an exact DP, so this planner never calls the solver — and
 then iteratively applies *transformations* that trade precision and layer
 placement between the straggler stage and the rest:
 
@@ -27,10 +28,72 @@ import numpy as np
 
 from ..hardware.cluster import Device
 from ..sim.pipeline import PipelineResult
-from .optimizer import LLMPQOptimizer, PlannerResult, CandidateRecord
+from .ilp import ILPSolution
+from .optimizer import CandidateRecord, LLMPQOptimizer, PlannerResult, PlannerStats
 from .plan import ExecutionPlan, StagePlan
 
 __all__ = ["adabits_plan", "bitwidth_transfer", "heuristic_optimize"]
+
+
+def _seed_dp(mem: np.ndarray, omega: np.ndarray, caps: Sequence[float]):
+    """The adabits problem, exactly, by a forward DP (DESIGN.md §8.9):
+    groups in order onto devices in order, no device empty, one bitwidth
+    per group, ``sum mem[i, b] <= caps[j]`` per device, min ``sum omega``.
+
+    Of "group ``i`` placed, on device ``j``" only ``(bytes used on j,
+    quality so far)`` matters later, so each ``(i, j)`` keeps the Pareto
+    front of those pairs; group ``i`` stays on ``j`` (front state x
+    bitwidth that fits) or opens ``j`` from the best state of ``(i-1,
+    j-1)``.  Quality accumulates in group order, like the MILP's
+    ``quality_term``.  Ties: lowest quality, then fewest bytes on the
+    current device, then first found (stays before opens, front order,
+    bitwidth order).  Returns ``(group_device, group_bit_index, quality)``
+    or ``None``."""
+    nG, nB = mem.shape
+    nD, ks = len(caps), np.arange(nB)
+    fronts: dict[int, tuple] = {}  # device -> (bytes ascending, quality descending)
+    trail = []  # per group: device -> (parent state, bit index [+ nB: opened])
+    for i in range(nG):
+        new, steps = {}, {}
+        # device j needs j groups before this one and nD-1-j after it
+        for j in range(max(0, nD - nG + i), min(i, nD - 1) + 1):
+            cand = []
+            if j in fronts:
+                used, qual = fronts[j]
+                cand.append(np.broadcast_arrays(
+                    used[:, None] + mem[i], qual[:, None] + omega[i],
+                    np.arange(used.size)[:, None], ks,
+                ))
+            if j - 1 in fronts or i == j == 0:
+                # a front's last state is its lowest quality
+                best = fronts[j - 1][1].size - 1 if j else 0
+                base = fronts[j - 1][1][best] if j else 0.0
+                cand.append((mem[i], base + omega[i], np.full(nB, best), ks + nB))
+            if not cand:
+                continue
+            used, qual, parent, code = (
+                np.concatenate([np.ravel(c) for c in col]) for col in zip(*cand)
+            )
+            fit = np.flatnonzero(used <= caps[j])
+            order = fit[np.lexsort((qual[fit], used[fit]))]  # stable
+            q = qual[order]
+            # strict front: a state stays only if it beats every lighter one
+            keep = order[q < np.r_[np.inf, np.minimum.accumulate(q)[:-1]]]
+            if keep.size:
+                new[j] = used[keep], qual[keep]
+                steps[j] = parent[keep], code[keep]
+        fronts = new
+        trail.append(steps)
+    if nD - 1 not in fronts:
+        return None
+    j, state = nD - 1, fronts[nD - 1][1].size - 1
+    quality, path = float(fronts[j][1][state]), []
+    for steps in reversed(trail):
+        parent, code = steps[j]
+        path.append((j, int(code[state]) % nB))
+        j, state = j - int(code[state]) // nB, int(parent[state])
+    devices, choice = zip(*reversed(path))
+    return devices, choice, quality
 
 
 def adabits_plan(
@@ -40,7 +103,8 @@ def adabits_plan(
     mb_p: int | None = None,
     mb_d: int | None = None,
 ) -> ExecutionPlan | None:
-    """The quality-only seed: solve the ILP with the latency term removed.
+    """The quality-only seed: the best-quality bitwidths that merely fit
+    in memory, under the exact search's own memory model — no solver.
 
     This is also the paper's "pure adaptive quantization" baseline of
     Sec. 6.9 (Fig. 9) when used as a final plan.
@@ -49,9 +113,19 @@ def adabits_plan(
     b = optimizer.workload.global_batch
     mb_p = mb_p or max(1, b // len(ordering))
     mb_d = mb_d or max(1, b // len(ordering))
-    sol, ilp = optimizer._solve_candidate(ordering, mb_p, mb_d, include_latency=False)
-    if not sol.feasible:
+    t0 = time.perf_counter()
+    ilp = optimizer.build_ilp(ordering, mb_p, mb_d)
+    _, _, _, mem, omega = ilp._coefficients()
+    caps = [ilp._device_capacity(j) for j in range(len(ordering))]
+    found = _seed_dp(mem, omega, caps)
+    if found is None:
         return None
+    group_device, choice, quality = found
+    sol = ILPSolution(
+        group_device, tuple(ilp.bits[k] for k in choice), ilp.theta * quality,
+        latency_term=0.0, quality_term=quality, status="optimal",
+        solve_seconds=time.perf_counter() - t0,
+    )
     return optimizer.plan_from_solution(ordering, sol, ilp, mb_p, mb_d)
 
 
@@ -177,67 +251,32 @@ def _neighbors(
                     if cand is not None:
                         out.append(cand)
 
-    # downgrade the straggler layer whose quality penalty is smallest
-    down_cands = []
-    for li, b in enumerate(s.layer_bits):
-        lower = [x for x in sorted_bits if x < b]
-        if not lower:
-            continue
-        gi = offsets[straggler] + li
-        penalty = ind.lookup(gi, lower[-1]) - ind.lookup(gi, b)
-        down_cands.append((penalty, li, lower[-1]))
-    if down_cands:
-        _, li, new_b = min(down_cands)
-        new_bits = list(s.layer_bits)
-        new_bits[li] = new_b
-        new_stages = list(stages)
-        new_stages[straggler] = StagePlan(s.device, tuple(new_bits), kv_bits=s.kv_bits)
-        cand = _with_stages(plan, new_stages)
-        if cand is not None:
-            out.append(cand)
-
-    # upgrade a straggler layer: on devices with slow low-precision
-    # kernels (e.g. P100) *raising* the bitwidth is the speedup
-    up_straggler = []
-    for li, b in enumerate(s.layer_bits):
-        higher = [x for x in sorted_bits if x > b]
-        if not higher:
-            continue
-        gi = offsets[straggler] + li
-        gain = ind.lookup(gi, b) - ind.lookup(gi, higher[0])
-        up_straggler.append((-gain, li, higher[0]))
-    if up_straggler:
-        _, li, new_b = min(up_straggler)
-        new_bits = list(s.layer_bits)
-        new_bits[li] = new_b
-        new_stages = list(stages)
-        new_stages[straggler] = StagePlan(s.device, tuple(new_bits), kv_bits=s.kv_bits)
-        cand = _with_stages(plan, new_stages)
-        if cand is not None:
-            out.append(cand)
-
-    # upgrade the most quality-starved layer on each non-straggler stage
-    for j, st in enumerate(stages):
-        if j == straggler:
-            continue
-        up_cands = []
+    def requantize(j: int, up: bool) -> None:
+        """Add the variant that moves one layer of stage ``j`` to the
+        next bitwidth up / down: the layer whose quality changes most in
+        our favour (largest gain up, smallest penalty down)."""
+        st, steps = stages[j], []
         for li, b in enumerate(st.layer_bits):
-            higher = [x for x in sorted_bits if x > b]
-            if not higher:
-                continue
-            gi = offsets[j] + li
-            gain = ind.lookup(gi, b) - ind.lookup(gi, higher[0])
-            up_cands.append((-gain, li, higher[0]))
-        if not up_cands:
-            continue
-        _, li, new_b = min(up_cands)
-        new_bits = list(st.layer_bits)
-        new_bits[li] = new_b
-        new_stages = list(stages)
-        new_stages[j] = StagePlan(st.device, tuple(new_bits), kv_bits=st.kv_bits)
-        cand = _with_stages(plan, new_stages)
-        if cand is not None:
-            out.append(cand)
+            nxt = [x for x in sorted_bits if (x > b if up else x < b)]
+            if nxt:
+                new_b, gi = (nxt[0] if up else nxt[-1]), offsets[j] + li
+                steps.append((ind.lookup(gi, new_b) - ind.lookup(gi, b), li, new_b))
+        if steps:
+            _, li, new_b = min(steps)
+            bits = st.layer_bits[:li] + (new_b,) + st.layer_bits[li + 1:]
+            new_stages = list(stages)
+            new_stages[j] = StagePlan(st.device, bits, kv_bits=st.kv_bits)
+            out.append(_with_stages(plan, new_stages))
+
+    # downgrade the straggler's least sensitive layer; or upgrade one: on
+    # devices with slow low-precision kernels (e.g. P100) *raising* the
+    # bitwidth is the speedup
+    requantize(straggler, up=False)
+    requantize(straggler, up=True)
+    # upgrade the most quality-starved layer on each non-straggler stage
+    for j in range(len(stages)):
+        if j != straggler:
+            requantize(j, up=True)
     return out
 
 
@@ -315,50 +354,52 @@ def heuristic_optimize(optimizer: LLMPQOptimizer) -> PlannerResult:
     if optimizer.config.kv_bits == "auto":
         return optimizer._optimize_auto_kv(_LevelHeuristic)
     t0 = time.perf_counter()
+    cache = optimizer.prediction_cache
+    hits0, misses0 = cache.hits, cache.misses
     records: list[CandidateRecord] = []
     best_plan: ExecutionPlan | None = None
     best_obj = np.inf
 
     for ordering in optimizer.orderings():
-        seed = adabits_plan(optimizer, ordering)
-        type_seq = tuple(d.type_name for d in ordering)
-        if seed is None:
-            records.append(
-                CandidateRecord(
-                    ordering=type_seq, prefill_microbatch=0, decode_microbatch=0,
-                    status="infeasible", objective=np.inf, latency=np.inf,
-                    quality=np.inf, solve_seconds=0.0,
-                )
-            )
-            continue
         t1 = time.perf_counter()
-        # alternate transfer and micro-batch retuning: retuning changes
-        # workspace sizes, which unlocks transfers that previously OOMed
-        plan = seed
-        for _ in range(3):
-            before = _objective(optimizer, plan)
-            plan = bitwidth_transfer(optimizer, plan)
-            plan = _retune_microbatches(optimizer, plan)
-            if _objective(optimizer, plan) >= before - 1e-9:
-                break
-        obj = _objective(optimizer, plan)
+        plan = adabits_plan(optimizer, ordering)
+        obj = latency = quality = np.inf
+        if plan is not None:
+            # alternate transfer and micro-batch retuning: retuning changes
+            # workspace sizes, which unlocks transfers that previously OOMed
+            for _ in range(3):
+                before = _objective(optimizer, plan)
+                plan = bitwidth_transfer(optimizer, plan)
+                plan = _retune_microbatches(optimizer, plan)
+                if _objective(optimizer, plan) >= before - 1e-9:
+                    break
+            obj = _objective(optimizer, plan)
+            quality = _plan_quality(optimizer, plan)
+            latency = obj - optimizer.config.theta * quality
         records.append(
             CandidateRecord(
-                ordering=type_seq,
-                prefill_microbatch=plan.prefill_microbatch,
-                decode_microbatch=plan.decode_microbatch,
-                status="heuristic", objective=obj,
-                latency=obj - optimizer.config.theta * _plan_quality(optimizer, plan),
-                quality=_plan_quality(optimizer, plan),
-                solve_seconds=time.perf_counter() - t1,
+                ordering=tuple(d.type_name for d in ordering),
+                prefill_microbatch=0 if plan is None else plan.prefill_microbatch,
+                decode_microbatch=0 if plan is None else plan.decode_microbatch,
+                status="infeasible" if plan is None else "heuristic",
+                objective=obj, latency=latency, quality=quality,
+                solve_seconds=time.perf_counter() - t1,  # seed included
             )
         )
         if obj < best_obj:
             best_obj, best_plan = obj, plan
+    predicted = None if best_plan is None else optimizer.simulate(best_plan)
+    total = time.perf_counter() - t0
     return PlannerResult(
         plan=best_plan,
         objective=best_obj,
-        predicted=None if best_plan is None else optimizer.simulate(best_plan),
+        predicted=predicted,
         candidates=tuple(records),
-        total_seconds=time.perf_counter() - t0,
+        total_seconds=total,
+        stats=PlannerStats(
+            candidates_total=len(records),
+            cache_hits=cache.hits - hits0,
+            cache_misses=cache.misses - misses0,
+            total_seconds=total,
+        ),
     )

@@ -36,7 +36,7 @@ cell-by-cell construction they must equal exactly is written out in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -123,7 +123,6 @@ class AssembledILP:
     bits: tuple[int, ...]
     theta: float
     omega: np.ndarray
-    include_latency: bool
     time_limit: float
 
     @property
@@ -188,14 +187,11 @@ def solve_assembled(prob: AssembledILP, cutoff: float = np.inf) -> ILPSolution:
     quality_term = float(
         sum(prob.omega[i, prob.bits.index(gbits[i])] for i in range(nG))
     )
-    latency_term = (
-        float(res.fun - prob.theta * quality_term) if prob.include_latency else 0.0
-    )
     return ILPSolution(
         group_device=tuple(gdev),
         group_bits=tuple(gbits),
         objective=float(res.fun),
-        latency_term=latency_term,
+        latency_term=float(res.fun - prob.theta * quality_term),
         quality_term=quality_term,
         status="optimal",
         solve_seconds=dt,
@@ -243,9 +239,6 @@ class BitAssignmentILP:
         Layers per group (Optimization #2).
     theta:
         Quality-vs-latency scalar (higher = favour quality).
-    include_latency:
-        ``False`` gives the paper's "adabits" reduced problem (quality
-        only under memory constraints) used to seed Algorithm 2.
     phase_aware:
         ``False`` drops the decode phase from the latency objective — a
         PipeEdge-style single-phase view used by the phase-awareness
@@ -266,7 +259,6 @@ class BitAssignmentILP:
     bits: tuple[int, ...] = (3, 4, 8, 16)
     group_size: int = 1
     theta: float = 1.0
-    include_latency: bool = True
     phase_aware: bool = True
     kv_bits: int = 16
     time_limit: float = 60.0
@@ -346,17 +338,6 @@ class BitAssignmentILP:
         return cap
 
     # ------------------------------------------------------------------
-    def _objective_vector(self, t_pre, t_dec, omega, n_var, n_pass, m_p, m_d):
-        nZ = n_var - 2
-        lat_scale = 1.0 if self.include_latency else 0.0
-        c = np.empty(n_var)
-        c[:nZ] = (
-            lat_scale * (t_pre + n_pass * t_dec) + self.theta * omega[:, None, :]
-        ).ravel()
-        c[nZ] = lat_scale * (m_p - 1)
-        c[nZ + 1] = lat_scale * n_pass * (m_d - 1)
-        return c
-
     def assemble(self) -> AssembledILP | None:
         """Build the full MILP; ``None`` when a device capacity is already
         negative (no assignment can exist at this micro-batch setting)."""
@@ -373,13 +354,14 @@ class BitAssignmentILP:
         if np.any(caps <= 0):
             return None
 
-        c = self._objective_vector(t_pre, t_dec, omega, n_var, n_pass, m_p, m_d)
+        c = np.empty(n_var)
+        c[:-2] = ((t_pre + n_pass * t_dec) + self.theta * omega[:, None, :]).ravel()
+        c[-2:] = m_p - 1, n_pass * (m_d - 1)
         A, lo, hi = self._constraints_vectorized(t_pre, t_dec, mem, caps, nG, nD, nB)
         return AssembledILP(
             c=c, A=A, lo=lo, hi=hi,
             num_groups=nG, num_devices=nD, bits=tuple(self.bits),
-            theta=self.theta, omega=omega,
-            include_latency=self.include_latency, time_limit=self.time_limit,
+            theta=self.theta, omega=omega, time_limit=self.time_limit,
         )
 
     # ------------------------------------------------------------------
@@ -509,17 +491,8 @@ class BitAssignmentILP:
         prob = self.assemble()
         if prob is None:
             return _infeasible(time.perf_counter() - t0)
-        sol = solve_assembled(prob)
         # account assembly time into the reported solve time
-        return ILPSolution(
-            group_device=sol.group_device,
-            group_bits=sol.group_bits,
-            objective=sol.objective,
-            latency_term=sol.latency_term,
-            quality_term=sol.quality_term,
-            status=sol.status,
-            solve_seconds=time.perf_counter() - t0,
-        )
+        return replace(solve_assembled(prob), solve_seconds=time.perf_counter() - t0)
 
     # ------------------------------------------------------------------
     def expand_groups(

@@ -39,6 +39,7 @@ from ..cost.predictions import PredictionCache
 from ..cost.profiler import build_latency_model
 from ..cost.stagecosts import StageCostModel
 from ..hardware.cluster import Cluster, Device
+from ..hardware.gpu import SUPPORTED_BITS
 from ..models.registry import get_model
 from ..quant.indicator import (
     IndicatorTable,
@@ -82,6 +83,19 @@ class PlannerConfig:
     n_jobs: int = 1
     dedup: bool = True
     prune: bool = True
+
+    def __post_init__(self) -> None:
+        if self.group_size < 1:
+            raise ValueError(f"group_size must be >= 1, got {self.group_size}")
+        if not self.theta >= 0:
+            raise ValueError(f"theta must be >= 0, got {self.theta}")
+        if not self.bits or not set(self.bits) <= set(SUPPORTED_BITS):
+            raise ValueError(
+                f"bits must be a non-empty subset of {SUPPORTED_BITS}, "
+                f"got {tuple(self.bits)}"
+            )
+        if self.max_orderings < 1:
+            raise ValueError(f"max_orderings must be >= 1, got {self.max_orderings}")
 
 
 @dataclass(frozen=True)
@@ -198,8 +212,7 @@ class LLMPQOptimizer:
         raise ValueError(f"unknown ordering_mode {self.config.ordering_mode!r}")
 
     def build_ilp(
-        self, ordering: Sequence[Device], mb_p: int, mb_d: int, *,
-        include_latency: bool = True,
+        self, ordering: Sequence[Device], mb_p: int, mb_d: int
     ) -> BitAssignmentILP:
         """One candidate's Sec.-4.3 ILP under this planner's knobs, its
         coefficients read through the shared prediction memo."""
@@ -214,19 +227,10 @@ class LLMPQOptimizer:
             bits=self.config.bits,
             group_size=self.config.group_size,
             theta=self.config.theta,
-            include_latency=include_latency,
             kv_bits=self.config.kv_bits,
             time_limit=self.config.ilp_time_limit,
             prediction_cache=self.prediction_cache,
         )
-
-    def _solve_candidate(
-        self, ordering: Sequence[Device], mb_p: int, mb_d: int, *,
-        include_latency: bool = True,
-    ) -> tuple[ILPSolution, BitAssignmentILP]:
-        """Solve one candidate's ILP."""
-        ilp = self.build_ilp(ordering, mb_p, mb_d, include_latency=include_latency)
-        return ilp.solve(), ilp
 
     def simulate(self, plan: ExecutionPlan) -> PipelineResult:
         """The planner's view of ``plan``: the pipeline simulator priced

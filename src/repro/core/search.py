@@ -121,11 +121,17 @@ class PlannerStats:
 
     def describe(self) -> str:
         """One-line summary for the CLI."""
-        return (
-            f"search: {self.candidates_total} candidates "
+        work = (
+            f"{self.candidates_total} candidates "
             f"({self.unique_candidates} unique, {self.dedup_skipped} dedup), "
             f"{self.solved} solved, {self.pruned} pruned "
-            f"({self.cut} by MILP cutoff), "
+            f"({self.cut} by MILP cutoff)"
+            if self.unique_candidates  # else Algorithm 2: no MILP was built
+            else f"{self.candidates_total} orderings by bitwidth transfer, "
+            f"no solver call"
+        )
+        return (
+            f"search: {work}, "
             f"cache {self.cache_hits}/{self.cache_hits + self.cache_misses} hits, "
             f"jobs={self.n_jobs}, {self.total_seconds:.1f}s"
         )

@@ -31,6 +31,7 @@ __all__ = ["PredictionCache"]
 #: cache key: (gpu type, bits, phase, micro-batch, q tokens, context, kv bits)
 _Key = tuple[str, int, str, int, int, int, int]
 _MAX_SWEEPS = 1024
+_MAX_STAGES = 16384
 
 
 @dataclass
@@ -48,6 +49,7 @@ class PredictionCache:
         default_factory=dict
     )
     _sweeps: dict[tuple, np.ndarray] = field(default_factory=dict)
+    _stages: dict[tuple, object] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
 
@@ -159,6 +161,23 @@ class PredictionCache:
         row.setflags(write=False)
         self._sweeps[key] = row
         return row
+
+    def stage(self, key: tuple, build):
+        """Memoized whole-stage result (prefill layer sum, decode-sweep
+        total, :class:`StageMemory`) under a key the caller makes complete;
+        ``build()`` runs on a miss.  Shared, so arrays come back read-only;
+        starts over at ``_MAX_STAGES`` like the sweeps."""
+        hit = self._stages.get(key)
+        if hit is not None:
+            self.hits += 1
+            return hit
+        self.misses += 1
+        if len(self._stages) >= _MAX_STAGES:
+            self._stages.clear()
+        hit = self._stages[key] = build()
+        if isinstance(hit, np.ndarray):
+            hit.setflags(write=False)
+        return hit
 
     # ------------------------------------------------------------------
     @property

@@ -206,14 +206,25 @@ class StageCostModel:
 
         return layer_exec_time(gpu, self.cfg, bits, batch, q, context, kv_bits=kv_bits)
 
+    def _stage_memo(self, kind: str, j: int, shape: tuple, build):
+        """Stage ``j``'s ``kind`` result through the run's shared memo
+        (``source="model"``).  The key — GPU type, layer bits, KV bits,
+        ``shape`` — says nothing of where the stage sits: embedding, logits
+        and comm terms are added outside, or flagged in ``shape``."""
+        if self.source != "model":
+            return build()
+        st = self.plan.stages[j]
+        key = (kind, self._gpus[j].name, st.layer_bits, st.kv_bits, *shape)
+        return self.prediction_cache.stage(key, build)
+
     def _stage_layers_prefill(self, j: int, batch: int, s: int) -> float:
         kv = self._kv[j]
-        return float(
+        return self._stage_memo("prefill", j, (batch, s), lambda: float(
             sum(
                 self.layer_time(j, b, "prefill", batch, s, s, kv_bits=kv)
                 for b in self.plan.stages[j].layer_bits
             )
-        )
+        ))
 
     def _decode_sweep(
         self, j: int, bits: int, batch: int, contexts: np.ndarray
@@ -273,10 +284,15 @@ class StageCostModel:
         mb = plan.decode_microbatch
         n = plan.num_stages
         out = np.empty((n, contexts.size))
+        shape = (mb, contexts.tobytes())
         for j in range(n):
-            total = np.zeros_like(contexts, dtype=np.float64)
-            for bits, count in plan.stages[j].bit_counts.items():
-                total += count * self._decode_sweep(j, bits, mb, contexts)
+            def layers(j=j):
+                total = np.zeros_like(contexts)
+                for bits, count in plan.stages[j].bit_counts.items():
+                    total += count * self._decode_sweep(j, bits, mb, contexts)
+                return total
+
+            total = self._stage_memo("decode", j, shape, layers)
             extra = 0.0
             if j == 0:
                 extra += self._emb_time(j, mb, 1, False)
@@ -573,7 +589,10 @@ class StageCostModel:
         key = (j, global_batch, prompt_len, gen_len, prefill_microbatch, decode_microbatch)
         m = self._mem_memo.get(key)
         if m is None:
-            m = stage_memory(
+            # embedding and logits bytes sit inside StageMemory: the two
+            # position flags are part of the shared key
+            first, last = j == 0, j == self.plan.num_stages - 1
+            m = self._stage_memo("memory", j, (first, last, *key[1:]), lambda: stage_memory(
                 self.cfg,
                 self.plan.stages[j].layer_bits,
                 global_batch=global_batch,
@@ -581,10 +600,10 @@ class StageCostModel:
                 gen_len=gen_len,
                 prefill_microbatch=prefill_microbatch,
                 decode_microbatch=decode_microbatch,
-                is_first=(j == 0),
-                is_last=(j == self.plan.num_stages - 1),
+                is_first=first,
+                is_last=last,
                 kv_bits=self._kv[j],
-            )
+            ))
             self._mem_memo[key] = m
         return m
 

@@ -19,19 +19,29 @@ This is the specification :meth:`BitAssignmentILP.assemble` and
   plain loop over the uniform KV levels, highest first: every level is
   searched in full with nothing carried from one to the next, the
   strictly best penalized score wins, and the winner gets the planner's
-  own per-stage refinement.
+  own per-stage refinement;
+* :func:`spec_adabits` is Algorithm 2's quality-only seed problem as the
+  MILP it used to be solved as — the oracle for the solver-free DP in
+  ``core/heuristic.py``.
 
-Deliberately slow; used by ``tests/core/test_search.py`` only.
+Deliberately slow; used by the ``tests/core`` equality tests only.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
 from scipy import sparse
 
-from repro.core.ilp import AssembledILP, BitAssignmentILP, solve_assembled
+from repro.core.ilp import (
+    AssembledILP,
+    BitAssignmentILP,
+    ILPSolution,
+    _infeasible,
+    solve_assembled,
+)
 from repro.core.optimizer import (
     CandidateRecord,
     PlannerResult,
@@ -147,23 +157,38 @@ def spec_assemble(ilp: BitAssignmentILP) -> AssembledILP | None:
     if np.any(caps <= 0):
         return None
 
-    lat_scale = 1.0 if ilp.include_latency else 0.0
     c = np.zeros(nZ + 2)
     for i in range(nG):
         for j in range(nD):
             for k in range(nB):
-                c[(i * nD + j) * nB + k] = lat_scale * (
+                c[(i * nD + j) * nB + k] = (
                     t_pre[i, j, k] + n_pass * t_dec[i, j, k]
                 ) + ilp.theta * omega[i, k]
-    c[nZ] = lat_scale * (m_p - 1)
-    c[nZ + 1] = lat_scale * n_pass * (m_d - 1)
+    c[nZ] = m_p - 1
+    c[nZ + 1] = n_pass * (m_d - 1)
     A, lo, hi = _spec_constraints(t_pre, t_dec, mem, caps, nG, nD, nB)
     return AssembledILP(
         c=c, A=A, lo=lo, hi=hi,
         num_groups=nG, num_devices=nD, bits=tuple(ilp.bits),
-        theta=ilp.theta, omega=omega,
-        include_latency=ilp.include_latency, time_limit=ilp.time_limit,
+        theta=ilp.theta, omega=omega, time_limit=ilp.time_limit,
     )
+
+
+def spec_adabits(ilp: BitAssignmentILP) -> ILPSolution:
+    """The "adabits" seed problem as a MILP: ``ilp``'s constraint rows
+    with the latency terms struck from the objective — quality only, under
+    memory.  The oracle ``core.heuristic._seed_dp`` must match in
+    feasibility and optimal quality."""
+    prob = spec_assemble(ilp)
+    if prob is None:
+        return _infeasible(0.0)
+    nG, nD, nB = prob.num_groups, prob.num_devices, len(prob.bits)
+    c = np.zeros(prob.num_z + 2)
+    for i in range(nG):
+        for j in range(nD):
+            for k in range(nB):
+                c[(i * nD + j) * nB + k] = ilp.theta * prob.omega[i, k]
+    return solve_assembled(dataclasses.replace(prob, c=c))
 
 
 def spec_optimize(opt) -> PlannerResult:

@@ -1,17 +1,32 @@
 """Unit tests for adabits + the bitwidth-transfer heuristic (Algorithm 2)."""
 
+import dataclasses
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from repro.core.heuristic import (
     _objective,
+    _seed_dp,
     adabits_plan,
     bitwidth_transfer,
     heuristic_optimize,
 )
+from repro.core.ilp import BitAssignmentILP
 from repro.core.optimizer import LLMPQOptimizer, PlannerConfig
-from repro.hardware import paper_cluster
+from repro.core.plan import StagePlan
+from repro.cost.memory import kv_cache_bytes
+from repro.hardware import get_gpu, paper_cluster
+from repro.hardware.cluster import Device
+from repro.models import get_model
+from repro.quant import IndicatorTable
 from repro.sim.pipeline import simulate_pipeline
+from repro.workload import Workload
+
+from .ilp_spec import spec_adabits, spec_assemble
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +94,18 @@ def test_adabits_with_explicit_ordering(planner, cluster3):
 # ---------------------------------------------------------------- shared memo
 
 
+def _assert_same_simulation(opt, plan, cluster, latmodel, simulate=None):
+    """``plan`` through the run's memo equals a fresh simulation that
+    shares nothing, field for field; returns the memo's result."""
+    got = simulate(opt, plan) if simulate else opt.simulate(plan)
+    ref = simulate_pipeline(plan, cluster, latency_model=latmodel)
+    assert got.prefill_latency == ref.prefill_latency
+    assert got.decode_latency == ref.decode_latency
+    assert got.stage_reports == ref.stage_reports
+    assert got.oom_stages == ref.oom_stages
+    return got
+
+
 def test_transfer_scores_through_shared_memo_bitwise(
     cluster3, latmodel_cluster3, workload
 ):
@@ -95,14 +122,8 @@ def test_transfer_scores_through_shared_memo_bitwise(
     scored = []
 
     def checked(plan):
-        got = shared(opt, plan)
-        ref = simulate_pipeline(plan, cluster3, latency_model=latmodel_cluster3)
-        assert got.prefill_latency == ref.prefill_latency
-        assert got.decode_latency == ref.decode_latency
-        assert got.stage_reports == ref.stage_reports
-        assert got.oom_stages == ref.oom_stages
         scored.append(plan)
-        return got
+        return _assert_same_simulation(opt, plan, cluster3, latmodel_cluster3, shared)
 
     opt.simulate = checked
     hits0 = opt.prediction_cache.hits
@@ -162,3 +183,280 @@ def test_heuristic_result_unchanged_by_shared_memo(
         (st.device.type_name, st.bit_counts) for st in res.plan.stages
     ] == stages
     assert (res.plan.prefill_microbatch, res.plan.decode_microbatch) == (1, 8)
+
+
+# ------------------------------------------------- adabits seed: DP vs MILP
+
+
+_SEED_WORKLOAD = Workload(prompt_len=12, gen_len=6, global_batch=4)
+
+
+@dataclass
+class _CappedILP(BitAssignmentILP):
+    """A ``BitAssignmentILP`` whose per-device capacities are drawn."""
+
+    caps: tuple = ()
+
+    def _device_capacity(self, j: int) -> float:
+        return float(self.caps[j])
+
+
+def _layer_bytes(cfg, bits):
+    """One layer's row of the ILP's memory table (whole bytes here)."""
+    w = _SEED_WORKLOAD
+    kv = kv_cache_bytes(cfg, 1, w.global_batch, w.max_seq_len)
+    return [int(cfg.layer_weight_bytes(b) + kv) for b in bits]
+
+
+@st.composite
+def _seed_instances(draw):
+    cfg = get_model("tiny-8l")
+    layers = draw(st.integers(2, 10))
+    group = draw(st.integers(1, max(1, layers // 2)))  # 2..10 groups
+    n_groups = -(-layers // group)
+    n_dev = draw(st.integers(1, 4))
+    bits = tuple(sorted(draw(
+        st.sets(st.sampled_from((3, 4, 8, 16)), min_size=1, max_size=4)
+    )))
+    # eighths: every quality sum is exact, whichever optimum is returned
+    omega = np.array(draw(st.lists(
+        st.lists(st.integers(0, 40), min_size=len(bits), max_size=len(bits)),
+        min_size=n_groups, max_size=n_groups,
+    ))) / 8.0
+    # capacities on a boundary, from "nothing fits" to "the whole model at
+    # the widest": either a uniform block of layers, or the per-device
+    # loads of a planted assignment — each exact, one byte short, or over
+    unit = _layer_bytes(cfg, bits)
+    slack = st.sampled_from((-1, 0, 0, 1, unit[-1]))
+    if n_groups >= n_dev and draw(st.booleans()):
+        cuts = sorted(draw(st.sets(
+            st.integers(1, n_groups - 1), min_size=n_dev - 1, max_size=n_dev - 1
+        ))) if n_dev > 1 else []
+        sizes = [group] * (n_groups - 1) + [layers - group * (n_groups - 1)]
+        loads = [
+            sum(sizes[i] * draw(st.sampled_from(unit)) for i in range(lo, hi))
+            for lo, hi in zip([0, *cuts], [*cuts, n_groups])
+        ]
+        caps = [load + draw(slack) for load in loads]
+    else:
+        caps = [
+            (layers - draw(st.integers(0, layers))) * draw(st.sampled_from(unit))
+            + draw(slack)
+            for _ in range(n_dev)
+        ]
+    return layers, group, bits, omega, tuple(caps)
+
+
+@pytest.fixture(scope="module")
+def tiny_latmodel(tiny8l):
+    from repro.cost.profiler import build_latency_model
+
+    return build_latency_model(["T4-16G"], tiny8l)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inst=_seed_instances())
+def test_seed_dp_equals_spec_milp(inst, tiny8l, tiny_latmodel):
+    """Feasibility and optimal quality of the DP equal the MILP's (bit
+    for bit), and the DP's assignment satisfies every MILP row."""
+    layers, group, bits, omega, caps = inst
+    t4 = get_gpu("T4-16G")
+    ilp = _CappedILP(
+        cfg=dataclasses.replace(tiny8l, num_layers=layers),
+        workload=_SEED_WORKLOAD,
+        devices=[Device(t4, node_id=0, local_rank=j) for j in range(len(caps))],
+        latency_model=tiny_latmodel,
+        indicator=IndicatorTable(omega=omega, bits=bits, method="drawn"),
+        prefill_microbatch=2, decode_microbatch=2,
+        bits=bits, group_size=group, caps=caps,
+    )
+    sizes, _, _, mem, om = ilp._coefficients()
+    assert sizes[-1] == layers - group * (len(sizes) - 1)  # short last group
+    found = _seed_dp(mem, om, caps)
+    sol = spec_adabits(ilp)
+    assert (found is not None) == sol.feasible
+    event(f"feasible={sol.feasible}, {len(caps)} devices")
+    if found is None:
+        return
+    gdev, choice, quality = found
+    assert quality == sol.quality_term
+    assert quality == sum(om[i, k] for i, k in enumerate(choice))
+    prob = spec_assemble(ilp)
+    nG, nD, nB = len(sizes), len(caps), len(bits)
+    x = np.zeros(prob.num_z + 2)
+    for i, (j, k) in enumerate(zip(gdev, choice)):
+        x[(i * nD + j) * nB + k] = 1.0
+    x[-2:] = 1e12  # T_pre_max / T_dec_max: free in this problem
+    rows = prob.A @ x
+    assert np.all(rows >= prob.lo) and np.all(rows <= prob.hi)
+
+
+def test_seed_dp_tie_rule_pinned():
+    """Everything fits at the widest bitwidth: the optimum is massively
+    non-unique and the documented rule decides — lowest quality, then
+    fewest bytes on the current device, so every later device closes as
+    early as it can and device 0 takes the rest."""
+    mem = np.tile([1.0, 2.0], (6, 1))
+    omega = np.tile([1.0, 0.0], (6, 1))
+    first = _seed_dp(mem, omega, [20.0, 20.0, 20.0])
+    assert first == ((0, 0, 0, 0, 1, 2), (1,) * 6, 0.0)
+    assert _seed_dp(mem, omega, [20.0, 20.0, 20.0]) == first
+    # device 0 too small for four groups at 2 bytes: the cut moves, the
+    # quality does not
+    assert _seed_dp(mem, omega, [6.0, 20.0, 20.0]) == (
+        (0, 0, 0, 1, 1, 2), (1,) * 6, 0.0
+    )
+    # fewer groups than devices: some device would be empty
+    assert _seed_dp(mem[:2], omega[:2], [20.0, 20.0, 20.0]) is None
+
+
+def test_heuristic_makes_no_solver_call(
+    small_hetero_cluster, small_workload, latmodel_13b, monkeypatch
+):
+    from repro.core import ilp as ilp_mod
+    from repro.core.api import plan_llmpq
+
+    calls = []
+    real = ilp_mod._highs
+    monkeypatch.setattr(
+        ilp_mod, "_highs", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    res = plan_llmpq(
+        "opt-13b", small_hetero_cluster, small_workload, group_size=4,
+        use_heuristic=True, latency_model=latmodel_13b,
+    )
+    assert res.feasible and not calls
+    # ... and accounts for itself: orderings, the run's cache traffic, and
+    # per-ordering times that include the seed
+    assert res.stats is not None
+    assert res.stats.candidates_total == len(res.candidates) == 2
+    assert res.stats.solved == res.stats.unique_candidates == 0
+    assert res.stats.cache_hits > res.stats.cache_misses > 0
+    assert res.stats.describe().startswith("search: 2 orderings")
+    assert sum(c.solve_seconds for c in res.candidates) <= res.total_seconds
+    plan_llmpq(
+        "opt-13b", small_hetero_cluster, small_workload, group_size=4,
+        latency_model=latmodel_13b, prefill_mb_cap=2, decode_mb_candidates=(8,),
+    )
+    assert calls  # the wrapper does see the exact search's solves
+
+
+@pytest.mark.parametrize(
+    "cluster_id,model,group",
+    [(3, "opt-30b", 2), (4, "opt-30b", 2), (11, "bloom-176b", 4)],
+)
+def test_memory_bound_plans_equal_spec_seeded(
+    cluster_id, model, group, workload, monkeypatch
+):
+    """Where memory binds the DP returns the MILP's own assignment, so
+    Algorithm 2 ends on the same plan and objective as when it is seeded
+    from ``spec_adabits``."""
+    from repro.core import heuristic
+    from repro.cost.profiler import build_latency_model
+    from repro.models import get_model
+
+    cluster = paper_cluster(cluster_id)
+    latmodel = build_latency_model(
+        sorted({d.type_name for d in cluster.devices}), get_model(model)
+    )
+
+    def run():
+        opt = LLMPQOptimizer(
+            model, cluster, workload,
+            config=PlannerConfig(
+                group_size=group, theta=10.0, max_orderings=1,
+                prefill_mb_cap=8, decode_mb_candidates=(8, 32),
+            ),
+            latency_model=latmodel,
+        )
+        return heuristic_optimize(opt)
+
+    def spec_seeded(optimizer, ordering, *, mb_p=None, mb_d=None):
+        n = len(ordering)
+        mb = max(1, optimizer.workload.global_batch // n)
+        ilp = optimizer.build_ilp(ordering, mb, mb)
+        sol = spec_adabits(ilp)
+        assert sol.feasible and sol.quality_term > 0  # memory binds
+        return optimizer.plan_from_solution(ordering, sol, ilp, mb, mb)
+
+    ours = run()
+    monkeypatch.setattr(heuristic, "adabits_plan", spec_seeded)
+    theirs = run()
+    assert ours.feasible
+    assert ours.plan.to_dict() == theirs.plan.to_dict()
+    assert ours.objective == theirs.objective
+
+
+# ------------------------------------------------------------ stage memo
+
+
+def test_stage_memo_is_position_independent(
+    small_hetero_cluster, small_workload, latmodel_13b
+):
+    """Along a random walk of Algorithm-2 moves every simulation through
+    the run's stage memo equals a fresh one field for field — also for the
+    same stages in reverse pipeline order (first <-> last: an embedding,
+    logits or comm term inside a position-independent key would show),
+    under per-stage KV variants, and on a one-stage plan (first = last)."""
+    from repro.core.heuristic import _neighbors
+
+    opt = LLMPQOptimizer(
+        "opt-13b", small_hetero_cluster, small_workload,
+        config=PlannerConfig(group_size=4), latency_model=latmodel_13b,
+    )
+    rng = np.random.default_rng(7)
+    plan = adabits_plan(opt)
+    for step in range(25):
+        moves = _neighbors(opt, plan, int(rng.integers(plan.num_stages)))
+        plan = moves[int(rng.integers(len(moves)))]
+        if step % 3 == 0:
+            plan = plan.with_kv_bits(
+                [int(b) for b in rng.choice((4, 8, 16), size=plan.num_stages)]
+            )
+        flipped = dataclasses.replace(plan, stages=plan.stages[::-1])
+        for p in (plan, flipped):
+            _assert_same_simulation(opt, p, small_hetero_cluster, latmodel_13b)
+    v100 = small_hetero_cluster.devices[1]
+    for kv in (16, 8):
+        solo = dataclasses.replace(
+            plan, stages=(StagePlan(v100, plan.layer_bits, kv_bits=kv),)
+        )
+        _assert_same_simulation(opt, solo, small_hetero_cluster, latmodel_13b)
+    # a plan seen before is served whole: stage lookups only, all hits
+    cache = opt.prediction_cache
+    hits0, misses0 = cache.hits, cache.misses
+    opt.simulate(plan)
+    assert cache.misses == misses0 and cache.hits - hits0 == 3 * plan.num_stages
+    # shared arrays are read-only
+    arrays = [
+        v for v in opt.prediction_cache._stages.values()
+        if isinstance(v, np.ndarray)
+    ]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+# ----------------------------------------------------- planner knob checks
+
+
+@pytest.mark.parametrize(
+    "knobs,message",
+    [
+        (dict(group_size=0), "group_size must be >= 1"),
+        (dict(group_size=-3), "group_size must be >= 1"),
+        (dict(theta=-1.0), "theta must be >= 0"),
+        (dict(bits=()), "bits must be a non-empty subset"),
+        (dict(bits=(4, 5)), "bits must be a non-empty subset"),
+        (dict(max_orderings=0), "max_orderings must be >= 1"),
+    ],
+)
+def test_planner_config_rejects_bad_knobs(knobs, message):
+    with pytest.raises(ValueError, match=message):
+        PlannerConfig(**knobs)
+
+
+def test_plan_llmpq_rejects_empty_bits(small_hetero_cluster, small_workload):
+    from repro.core.api import plan_llmpq
+
+    with pytest.raises(ValueError, match="bits must be a non-empty subset"):
+        plan_llmpq("opt-13b", small_hetero_cluster, small_workload, bits=())

@@ -126,8 +126,8 @@ def test_grouped_indicator_computed_once_and_reused(
     )
     assert calls["n"] == 1  # exactly the __init__ hoist
     orderings = opt.orderings()
-    _, ilp_a = opt._solve_candidate(orderings[0], 2, 4)
-    _, ilp_b = opt._solve_candidate(orderings[-1], 2, 4)
+    ilp_a = opt.build_ilp(orderings[0], 2, 4)
+    ilp_b = opt.build_ilp(orderings[-1], 2, 4)
     assert calls["n"] == 1  # no regrouping per candidate
     assert ilp_a.indicator is opt.grouped_indicator
     assert ilp_b.indicator is opt.grouped_indicator

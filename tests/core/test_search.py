@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import search
+from repro.core.heuristic import _seed_dp
 from repro.core.ilp import BitAssignmentILP, lp_lower_bound, solve_assembled
 from repro.core.optimizer import LLMPQOptimizer, PlannerConfig, _microbatch_pairs
 from repro.core.search import PlannerStats, SearchEngine
@@ -20,6 +21,7 @@ from repro.quant import IndicatorTable, synthetic_indicator
 from repro.workload import Workload
 
 from .ilp_spec import (
+    spec_adabits,
     spec_assemble,
     spec_coefficients,
     spec_optimize,
@@ -74,7 +76,9 @@ def test_assembly_exactly_equals_spec(
 ):
     """Property-style equality: objective vector, constraint matrix and
     row bounds from the numpy builder are bitwise identical to the
-    scalar/dict-loop spec."""
+    scalar/dict-loop spec.  The zero-latency ("adabits") problem is no
+    longer assembled in ``src/``: its MILP is ``spec_adabits`` and what
+    ships is the DP, so those cases pin the DP's optimum to the spec's."""
     ind = synthetic_indicator(opt13b).normalized().grouped(group)
     ilp = BitAssignmentILP(
         cfg=opt13b,
@@ -86,9 +90,16 @@ def test_assembly_exactly_equals_spec(
         decode_microbatch=8,
         group_size=group,
         theta=theta,
-        include_latency=include_latency,
         phase_aware=phase_aware,
     )
+    if not include_latency:
+        _, _, _, mem, omega = ilp._coefficients()
+        caps = [ilp._device_capacity(j) for j in range(len(ilp.devices))]
+        gdev, choice, quality = _seed_dp(mem, omega, caps)
+        sol = spec_adabits(ilp)
+        assert sol.feasible and quality == sol.quality_term
+        assert sorted(set(gdev)) == list(range(len(ilp.devices)))
+        return
     vec = ilp.assemble()
     leg = spec_assemble(ilp)
     assert vec is not None and leg is not None
@@ -128,7 +139,8 @@ def test_prediction_cache_reused_across_assemblies(search_cluster, latmodel_13b)
     """A second assembly of the same candidate costs zero cache misses."""
     opt = _make_opt(search_cluster, latmodel_13b)
     ordering = opt.orderings()[0]
-    _, ilp = opt._solve_candidate(ordering, 4, 8)
+    ilp = opt.build_ilp(ordering, 4, 8)
+    ilp.assemble()
     misses = opt.prediction_cache.misses
     ilp.assemble()
     assert opt.prediction_cache.misses == misses
@@ -142,7 +154,7 @@ def test_lp_bound_is_admissible(search_cluster, latmodel_13b):
     """LP relaxation optimum never exceeds the MILP optimum."""
     opt = _make_opt(search_cluster, latmodel_13b)
     for ordering in opt.orderings():
-        _, ilp = opt._solve_candidate(ordering, 4, 8)
+        ilp = opt.build_ilp(ordering, 4, 8)
         prob = ilp.assemble()
         assert prob is not None
         sol = solve_assembled(prob)

@@ -100,6 +100,45 @@ def test_algo_search_line_reports_cutoff(tmp_path, capsys):
     assert "search:" in err and "by MILP cutoff)" in err
 
 
+def test_algo_heuristic_prints_search_line(tmp_path, capsys):
+    """Algorithm 2 accounts for itself like the exact search does."""
+    rc = algo_main([
+        "--model-name", "opt-13b",
+        "--device-names", "T4-16G", "V100-32G",
+        "--device-numbers", "1", "1",
+        "--group", "4", "--global-bz", "8", "--s", "128", "--n", "10",
+        "--shaq-efficient",
+        "-o", str(tmp_path / "s.json"),
+    ])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "search: 2 orderings by bitwidth transfer, no solver call" in err
+
+
+@pytest.mark.parametrize("efficient", [[], ["--shaq-efficient"]])
+@pytest.mark.parametrize(
+    "knob,message",
+    [
+        (["--group", "0"], "group_size must be >= 1, got 0"),
+        (["--group", "-3"], "group_size must be >= 1, got -3"),
+        (["--theta", "-1"], "theta must be >= 0, got -1.0"),
+    ],
+)
+def test_algo_bad_planner_knob_exits_2(tmp_path, capsys, knob, message, efficient):
+    """A planner knob out of range is one line on stderr and exit code 2,
+    exact search and heuristic alike — never a traceback, never a plan."""
+    out = tmp_path / "s.json"
+    rc = algo_main([
+        "--model-name", "opt-13b", "--cluster", "2", *knob, *efficient,
+        "-o", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"error: {message}"
+    assert not any("Traceback" in line for line in err)
+    assert not out.exists()
+
+
 def test_algo_requires_cluster_or_devices():
     with pytest.raises(SystemExit):
         algo_main(["--model-name", "opt-13b"])
