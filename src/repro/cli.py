@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .core.api import evaluate_plan, plan_llmpq
 from .core.plan import ExecutionPlan
-from .hardware.cluster import Cluster, make_cluster, paper_cluster
+from .hardware.cluster import Cluster, cluster_from_devices, make_cluster, paper_cluster
 from .hardware.gpu import list_gpus
 from .models.registry import get_model, list_models
 from .workload.spec import Workload
@@ -46,6 +47,25 @@ __all__ = ["algo_main", "dist_main", "serve_main"]
 def _fail(msg: str, code: int = 2) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
+
+
+def _flag_error(
+    args: argparse.Namespace, *, positive=(), nonneg=(), counts=()
+) -> str | None:
+    """The first out-of-range flag as a one-line message (``None``: all
+    in range; unset flags pass).  ``positive`` flags must be finite and
+    > 0, ``nonneg`` finite and >= 0, ``counts`` >= 1."""
+    rules = (
+        (positive, lambda v: math.isfinite(v) and v > 0, "positive and finite"),
+        (nonneg, lambda v: math.isfinite(v) and v >= 0, "non-negative and finite"),
+        (counts, lambda v: v >= 1, ">= 1"),
+    )
+    for flags, ok, what in rules:
+        for flag in flags:
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is not None and not ok(value):
+                return f"{flag} must be {what}, got {value}"
+    return None
 
 
 def _fused_decode_line(st) -> str:
@@ -174,6 +194,13 @@ def algo_main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _serving_cluster(args: argparse.Namespace, plan: ExecutionPlan) -> Cluster:
+    """``--cluster`` when given, else the cluster the plan's devices imply."""
+    if args.cluster is not None:
+        return paper_cluster(args.cluster)
+    return cluster_from_devices(st.device for st in plan.stages)
+
+
 def _load_plan(path: str) -> ExecutionPlan:
     """Load a strategy file with friendly diagnostics (SystemExit on error)."""
     try:
@@ -219,17 +246,14 @@ def dist_main(argv: list[str] | None = None) -> int:
                         "0 disables caching and rebuilds dense weights per "
                         "microbatch)")
     args = p.parse_args(argv)
+    bad = _flag_error(args, nonneg=("--dequant-cache-mb",))
+    if bad:
+        return _fail(bad)
 
     plan = _load_plan(args.strategy)
     cfg = get_model(plan.model_name)
 
-    if args.cluster is not None:
-        cluster = paper_cluster(args.cluster)
-    else:
-        counts: dict[str, int] = {}
-        for st in plan.stages:
-            counts[st.device.type_name] = counts.get(st.device.type_name, 0) + 1
-        cluster = make_cluster(list(counts.items()))
+    cluster = _serving_cluster(args, plan)
 
     from .core.validate import validate_plan
 
@@ -489,8 +513,14 @@ def serve_main(argv: list[str] | None = None) -> int:
                         "events) to this JSON file")
     args = p.parse_args(argv)
 
-    if args.trace_file is None and (args.rate <= 0 or args.duration <= 0):
-        return _fail("--rate and --duration must be positive")
+    bad = _flag_error(
+        args,
+        positive=() if args.trace_file else ("--rate", "--duration"),
+        nonneg=("--time-scale",),
+        counts=("--max-prompt", "--max-gen"),
+    )
+    if bad:
+        return _fail(bad)
     if args.replan_on_drift and args.policy != "continuous":
         return _fail("--replan-on-drift requires --policy continuous")
     if args.max_inflight is not None and args.max_inflight <= 0:
@@ -635,13 +665,7 @@ def serve_main(argv: list[str] | None = None) -> int:
     # simulated execution for big models
     from .sim.online import simulate_online
 
-    if args.cluster is not None:
-        cluster = paper_cluster(args.cluster)
-    else:
-        counts: dict[str, int] = {}
-        for st in plan.stages:
-            counts[st.device.type_name] = counts.get(st.device.type_name, 0) + 1
-        cluster = make_cluster(list(counts.items()))
+    cluster = _serving_cluster(args, plan)
     trace = _sample_trace(args, max_prompt, max_gen)
     if not trace:
         return _fail("trace is empty — raise --rate or --duration")

@@ -233,14 +233,12 @@ def replan_after_failure(
     meta["lost_device"] = plan.stages[failed_stage].device.name
 
     if use_planner and cluster is not None:
-        from ..hardware.cluster import make_cluster
+        from ..hardware.cluster import cluster_from_devices
 
-        counts: dict[str, int] = {}
-        for j, st in enumerate(plan.stages):
-            if j == failed_stage:
-                continue
-            counts[st.device.type_name] = counts.get(st.device.type_name, 0) + 1
-        survivors = make_cluster(list(counts.items()), name="degraded")
+        survivors = cluster_from_devices(
+            (st.device for j, st in enumerate(plan.stages) if j != failed_stage),
+            name="degraded",
+        )
         result = plan_llmpq(
             plan.model_name, survivors, plan.workload,
             theta=theta, latency_model=latency_model,

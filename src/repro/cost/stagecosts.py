@@ -24,7 +24,8 @@ produces every cost view the consumers need:
   :class:`~repro.runtime.scheduler.ContinuousScheduler`;
 * ``kv_token_charges`` / ``kv_token_budget`` — the same KV pool counted
   in token slots: what one slot costs per stage and how many fit, the one
-  admission ledger of the trace engine and the fleet router.
+  admission ledger of the trace engine, the fleet router and the runtime
+  scheduler.
 
 The time source is selectable: ``source="kernels"`` prices with the
 ground-truth roofline kernels (the simulated hardware), ``source="model"``
@@ -708,24 +709,29 @@ class StageCostModel:
             self._token_charges = row
         return self._token_charges
 
-    def kv_token_budget(self) -> int:
+    def kv_token_budget(
+        self, dequant_cache_budgets: "Sequence[float] | None" = None
+    ) -> int:
         """Token slots the KV pool holds: the largest ``T`` with
-        ``T * kv_token_charges() <= kv_headroom() + 1e-6`` on every stage
-        — the admission test of the byte ledger, solved for tokens."""
-        if self._token_budget is None:
-            fits = []
-            for c, room in zip(
-                self.kv_token_charges().tolist(),
-                (self.kv_headroom() + 1e-6).tolist(),
-            ):
-                t = int(room // c)
-                while (t + 1) * c <= room:
-                    t += 1
-                while t > 0 and t * c > room:
-                    t -= 1
-                fits.append(t)
+        ``T * kv_token_charges() <= kv_headroom(dequant_cache_budgets) +
+        1e-6`` on every stage — the admission test of the byte ledger,
+        solved for tokens.  Memoised for the default pool only."""
+        if dequant_cache_budgets is None and self._token_budget is not None:
+            return self._token_budget
+        fits = []
+        for c, room in zip(
+            self.kv_token_charges().tolist(),
+            (self.kv_headroom(dequant_cache_budgets) + 1e-6).tolist(),
+        ):
+            t = int(room // c)
+            while (t + 1) * c <= room:
+                t += 1
+            while t > 0 and t * c > room:
+                t -= 1
+            fits.append(t)
+        if dequant_cache_budgets is None:
             self._token_budget = min(fits)
-        return self._token_budget
+        return min(fits)
 
     def request_kv_bytes(self, prompt_len: int, gen_len: int) -> np.ndarray:
         """Per-stage KV bytes one request reserves for its lifetime

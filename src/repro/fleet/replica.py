@@ -269,16 +269,15 @@ class RuntimeReplica(PipelineReplica):
         fault_injector: "FaultInjector | None" = None,
         dequant_cache_mb: float | None = None,
     ) -> None:
-        from ..hardware.cluster import make_cluster
+        from ..hardware.cluster import cluster_from_devices
 
         # Routing views need link/kernel pricing, which the scheduler's
         # cfg-scoped model cannot provide — derive a cluster from the
         # plan's own devices, exactly like the CLI does for strategy
         # files.  Estimates only; the scheduler's admission stays exact.
-        counts: dict[str, int] = {}
-        for st in plan.stages:
-            counts[st.device.type_name] = counts.get(st.device.type_name, 0) + 1
-        cost = StageCostModel(plan, make_cluster(list(counts.items())))
+        cost = StageCostModel(
+            plan, cluster_from_devices(st.device for st in plan.stages)
+        )
         super().__init__(replica_id, plan, cost, pool=pool)
         self.reference = reference
         self.policy = policy
@@ -288,17 +287,12 @@ class RuntimeReplica(PipelineReplica):
         self.replanner = replanner
         self.fault_injector = fault_injector
         self.dequant_cache_mb = dequant_cache_mb
-        #: the last serve's scheduler — exposes this replica's ledger,
-        #: headroom, detector, and migration controller
+        #: the last serve's scheduler — exposes this replica's token
+        #: ledger, headroom, detector, and migration controller
         self.scheduler = None
         self.runtime_stats = None
 
     # facade views over the replica-scoped serving internals -----------
-    @property
-    def ledger(self):
-        """This replica's admission ledger (after a serve)."""
-        return None if self.scheduler is None else self.scheduler.ledger
-
     @property
     def detector(self):
         """This replica's drift detector (when drift is enabled)."""

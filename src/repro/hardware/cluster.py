@@ -15,8 +15,9 @@ the pruning Algorithm 1 relies on.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .gpu import GPUSpec, get_gpu
 from .interconnect import (
@@ -32,6 +33,7 @@ __all__ = [
     "Node",
     "Cluster",
     "make_cluster",
+    "cluster_from_devices",
     "paper_cluster",
     "PAPER_CLUSTERS",
 ]
@@ -225,6 +227,16 @@ def make_cluster(
     """
     nodes = tuple(Node(node_id=i, gpu_type=t, count=c) for i, (t, c) in enumerate(spec))
     return Cluster(nodes=nodes, inter_node_link=inter_node_link, name=name)
+
+
+def cluster_from_devices(
+    devices: Iterable[Device], *, name: str = "cluster"
+) -> Cluster:
+    """The cluster a device sequence implies (e.g. a plan's stage
+    devices): one node per GPU type, types in first-seen order."""
+    return make_cluster(
+        list(Counter(d.type_name for d in devices).items()), name=name
+    )
 
 
 # ----------------------------------------------------------------------

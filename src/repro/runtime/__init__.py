@@ -36,7 +36,7 @@ from .messages import (
     ReleaseMessage,
     ShutdownMessage,
 )
-from .microbatch import ContinuousLedger, MicroBatchManager
+from .microbatch import MicroBatchManager
 from .replan import (
     DriftConfig,
     DriftDetector,
@@ -84,7 +84,6 @@ __all__ = [
     "ShutdownMessage",
     "FailureMessage",
     "MicroBatchManager",
-    "ContinuousLedger",
     "DriftConfig",
     "DriftDetector",
     "DriftEstimate",

@@ -22,9 +22,11 @@ ladder
    shards (no re-quantization — the point of the on-the-fly loader) and
    replay the batch.  Generation is seeded, so the replay is
    token-for-token identical to an undisturbed run.
-2. **shrink** — on KV-allocation pressure, halve the decode group via
-   :class:`~repro.runtime.microbatch.MicroBatchManager` and keep
-   serving with smaller groups instead of crashing.
+2. **shrink** — on KV-allocation pressure, halve the decode group
+   (:meth:`PipelineRuntime._halve_decode_group`, floored at one prefill
+   unit) and re-serve through a fresh
+   :class:`~repro.runtime.microbatch.MicroBatchManager` with more,
+   smaller groups instead of crashing.
 3. **replan** — on a permanent device loss (a stage that dies on every
    restart), call back into :func:`repro.core.api.replan_after_failure`
    to redistribute its layers over the surviving devices and serve the
@@ -36,6 +38,7 @@ Deterministic failures for all of this come from
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
@@ -253,8 +256,10 @@ class PipelineRuntime:
         cfg = get_model(plan.model_name)
         if cfg != reference.cfg:
             raise ValueError("plan and reference model configs differ")
-        if dequant_cache_mb is not None and dequant_cache_mb < 0:
-            raise ValueError("dequant_cache_mb must be >= 0")
+        if dequant_cache_mb is not None and not (
+            math.isfinite(dequant_cache_mb) and dequant_cache_mb >= 0
+        ):
+            raise ValueError("dequant_cache_mb must be finite and >= 0")
         self.cfg = cfg
         self.reference = reference
         self.plan = plan
@@ -453,7 +458,7 @@ class PipelineRuntime:
         self._decode_microbatch = keep
         self.stats.replans += 1
 
-    def _shrink_decode_group(self) -> bool:
+    def _halve_decode_group(self) -> bool:
         floor = min(self.plan.prefill_microbatch, self._decode_microbatch)
         new = max(floor, self._decode_microbatch // 2)
         if new == self._decode_microbatch:
@@ -593,7 +598,7 @@ class PipelineRuntime:
                     and sup.degrade_on_kv_pressure
                 ):
                     self.stats.kv_alloc_failures += 1
-                    if self._shrink_decode_group():
+                    if self._halve_decode_group():
                         # shrinking is finitely repeatable (halving hits
                         # the prefill floor), so it has its own budget
                         self.stats.degrade_events += 1

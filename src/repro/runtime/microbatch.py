@@ -3,14 +3,9 @@
 Owns the split of the global batch into prefill micro-batches (cache
 units) and their regrouping into decode groups, and tracks in-flight
 units so concurrent producers/consumers (the master's feeder and
-collector) stay consistent.
-
-:class:`ContinuousLedger` is the iteration-level counterpart for online
-serving: instead of a fixed global batch cut up front, cache-unit ids are
-minted as requests are admitted, each unit carries a per-stage KV byte
-charge under the planner's memory model, and retiring a unit returns its
-charge immediately so the freed slots can be reused by the next admission
-— the bookkeeping half of continuous batching.
+collector) stay consistent.  Online serving has no global batch: the
+continuous scheduler mints one cache unit per admitted request and
+counts its KV in token slots (:mod:`repro.runtime.scheduler`).
 """
 
 from __future__ import annotations
@@ -18,9 +13,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["MicroBatchManager", "ContinuousLedger"]
+__all__ = ["MicroBatchManager"]
 
 
 @dataclass(frozen=True)
@@ -28,11 +21,6 @@ class _Unit:
     unit_id: int
     lo: int
     hi: int
-
-    @property
-    def size(self) -> int:
-        """Requests in this unit."""
-        return self.hi - self.lo
 
     @property
     def as_slice(self) -> slice:
@@ -53,10 +41,10 @@ class MicroBatchManager:
         ``prefill_microbatch * ceil(decode_microbatch / prefill_microbatch)``
         capped at the global batch — the closest realizable regrouping.
 
-    Under KV memory pressure the engine calls :meth:`shrink_decode` to
-    halve the decode group size (down to one prefill unit per group) and
-    regroup, rather than crashing — one rung of the runtime's
-    degradation ladder.
+    A manager covers one serving attempt: under KV memory pressure the
+    engine halves its decode group size
+    (:meth:`~repro.runtime.engine.PipelineRuntime._halve_decode_group`)
+    and builds a fresh manager for the retry.
     """
 
     GROUP_ID_BASE = 10_000
@@ -78,9 +66,6 @@ class MicroBatchManager:
             _Unit(uid, lo, min(lo + self.prefill_microbatch, global_batch))
             for uid, lo in enumerate(range(0, global_batch, self.prefill_microbatch))
         ]
-        self._rebuild_groups()
-
-    def _rebuild_groups(self) -> None:
         per_group = max(1, self.decode_microbatch // self.prefill_microbatch)
         self._groups: list[tuple[int, tuple[int, ...], slice]] = []
         for g, lo_idx in enumerate(range(0, len(self._units), per_group)):
@@ -115,24 +100,6 @@ class MicroBatchManager:
         return len(self._groups)
 
     # ------------------------------------------------------------------
-    def shrink_decode(self) -> bool:
-        """Halve the decode group size and regroup (degradation rung).
-
-        Returns ``False`` when already at the floor (one prefill unit
-        per decode group) — the ladder must escalate instead.  Safe to
-        call between serving attempts; group ids are reissued from
-        :data:`GROUP_ID_BASE`, so callers must re-merge.
-        """
-        with self._lock:
-            floor = self.prefill_microbatch
-            new = max(floor, self.decode_microbatch // 2)
-            if new == self.decode_microbatch:
-                return False
-            self.decode_microbatch = new
-            self._rebuild_groups()
-            return True
-
-    # ------------------------------------------------------------------
     def mark_inflight(self, unit_id: int) -> None:
         """Record a unit entering the pipeline (errors on double entry)."""
         with self._lock:
@@ -145,12 +112,6 @@ class MicroBatchManager:
         with self._lock:
             self._inflight.discard(unit_id)
 
-    @property
-    def inflight_count(self) -> int:
-        """Units currently in the pipeline."""
-        with self._lock:
-            return len(self._inflight)
-
     def inflight_ids(self) -> tuple[int, ...]:
         """Snapshot of the in-flight ledger (sorted unit/group ids).
 
@@ -159,94 +120,3 @@ class MicroBatchManager:
         with self._lock:
             return tuple(sorted(self._inflight))
 
-    def clear_inflight(self) -> None:
-        """Reset the ledger (the pipeline was rebuilt; nothing survives)."""
-        with self._lock:
-            self._inflight.clear()
-
-
-class ContinuousLedger:
-    """Cache-unit id allocator + per-stage KV accounting for continuous
-    batching.
-
-    The iteration-level scheduler admits a request by charging its KV
-    reservation (one ``(num_stages,)`` byte vector under the planner's
-    Sec.-4.1 memory model) against the per-stage headroom; retiring the
-    request refunds the charge at once, which is what lets the next
-    queued request take over the freed slots at the very next token
-    boundary instead of waiting for a wave to drain.
-    """
-
-    def __init__(self, num_stages: int) -> None:
-        if num_stages <= 0:
-            raise ValueError("num_stages must be positive")
-        self.num_stages = num_stages
-        self._lock = threading.Lock()
-        self._next_id = 0
-        self._charges: dict[int, np.ndarray] = {}
-        self._used = np.zeros(num_stages)
-        self.admitted_total = 0
-        self.released_total = 0
-
-    def _as_charge(self, charge) -> np.ndarray:
-        arr = np.asarray(charge, dtype=np.float64)
-        if arr.shape != (self.num_stages,):
-            raise ValueError(
-                f"charge must have shape ({self.num_stages},), got {arr.shape}"
-            )
-        return arr
-
-    def fits(self, charge, headroom) -> bool:
-        """Would admitting ``charge`` stay within ``headroom`` everywhere?"""
-        arr = self._as_charge(charge)
-        with self._lock:
-            return bool(np.all(self._used + arr <= np.asarray(headroom) + 1e-9))
-
-    def admit(self, charge) -> int:
-        """Charge the reservation and mint a fresh cache-unit id."""
-        arr = self._as_charge(charge)
-        with self._lock:
-            uid = self._next_id
-            self._next_id += 1
-            self._charges[uid] = arr
-            self._used += arr
-            self.admitted_total += 1
-            return uid
-
-    def adopt(self, unit_id: int, charge) -> None:
-        """Register an *existing* unit id with a (re-priced) charge.
-
-        Live migration re-homes in-flight cache units under a new plan's
-        cost model: each unit keeps its id (worker KV units are keyed by
-        it) while its per-stage charge is recomputed for the new stage
-        boundaries.  Fresh ids minted later never collide with adopted
-        ones.
-        """
-        arr = self._as_charge(charge)
-        with self._lock:
-            if unit_id in self._charges:
-                raise ValueError(f"unit {unit_id} already admitted")
-            self._next_id = max(self._next_id, unit_id + 1)
-            self._charges[unit_id] = arr
-            self._used += arr
-            self.admitted_total += 1
-
-    def release(self, unit_id: int) -> None:
-        """Refund a unit's charge (idempotent)."""
-        with self._lock:
-            arr = self._charges.pop(unit_id, None)
-            if arr is not None:
-                self._used -= arr
-                self.released_total += 1
-
-    @property
-    def inflight_count(self) -> int:
-        """Units currently admitted and not yet released."""
-        with self._lock:
-            return len(self._charges)
-
-    @property
-    def used_bytes(self) -> np.ndarray:
-        """Per-stage KV bytes currently charged (copy)."""
-        with self._lock:
-            return self._used.copy()

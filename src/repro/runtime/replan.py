@@ -22,16 +22,17 @@ one reconfiguration story:
   dropping traffic**: it runs at a token boundary (the pipeline is
   quiesced by construction — no activation in flight), swaps the plan via
   :meth:`PipelineRuntime.switch_plan`, re-prices admission under the new
-  plan's :class:`~repro.cost.stagecosts.StageCostModel`, re-homes every
-  in-flight cache unit in a fresh ledger, and — when the swap re-cut
-  shards and therefore lost worker KV state — replays each in-flight
-  request's recorded computation (batch-1 prefill at its original prompt
-  length, then per-token decode feeding the recorded ids) so the rebuilt
-  KV caches are bit-identical to the lost ones.  Replay mirrors the
-  original kernel shapes exactly, which is what keeps post-migration
-  token streams byte-identical to an unmigrated run whenever the new
-  plan preserves per-layer bitwidths (repartitions and workload refits
-  do; :func:`~repro.core.api.replan_after_failure` does by design).
+  plan's :class:`~repro.cost.stagecosts.StageCostModel` (a new token
+  budget; the slots in-flight requests hold carry across), and — when
+  the swap re-cut shards and therefore lost worker KV state — replays
+  each in-flight request's recorded computation (batch-1 prefill at its
+  original prompt length, then per-token decode feeding the recorded
+  ids) so the rebuilt KV caches are bit-identical to the lost ones.
+  Replay mirrors the original kernel shapes exactly, which is what keeps
+  post-migration token streams byte-identical to an unmigrated run
+  whenever the new plan preserves per-layer bitwidths (repartitions and
+  workload refits do; :func:`~repro.core.api.replan_after_failure` does
+  by design).
 
 Crash recovery, drift replanning, and manual replans all flow through
 the same controller — a crash is just a forced same-plan migration, and
@@ -403,7 +404,7 @@ def workload_refit_replanner(
 
     Partition and per-layer bitwidths are untouched, so the runtime
     switch is metadata-only (no worker rebuild, no KV replay) — it
-    re-prices admission headroom and per-request charges under the
+    re-prices the admission headroom and token budget under the
     observed prompt/generation lengths.  Returns ``None`` when the
     suggested workload already matches.
     """
@@ -505,9 +506,6 @@ class MigrationController:
         rt = sched.rt
         if sched.policy != "continuous":
             raise ValueError("live migration requires the continuous policy")
-        from ..cost.stagecosts import StageCostModel
-        from .microbatch import ContinuousLedger
-
         t0 = sched._now()
         rec = MigrationRecord(
             reason=reason, rebuilt=False,
@@ -523,20 +521,9 @@ class MigrationController:
         rec.stages_after = rt.plan.num_stages
 
         # re-price admission under the new plan; in-flight units keep
-        # their ids (worker KV units are keyed by them) but are re-homed
-        # into a ledger shaped for the new stage count with recomputed
-        # charges
-        sched.cost = StageCostModel(rt.plan, cfg=rt.cfg)
-        sched.headroom = sched.cost.kv_headroom(
-            [c.budget_bytes for c in rt.dequant_caches]
-        )
-        ledger = ContinuousLedger(rt.plan.num_stages)
-        for a in sched._active:
-            ledger.adopt(
-                a.unit_id,
-                sched.cost.request_kv_bytes(a.req.prompt_len, a.req.gen_len),
-            )
-        sched.ledger = ledger
+        # their ids (worker KV units are keyed by them) and ``held``
+        # carries across — a request's token count never changes
+        sched._bind_cost_model()
 
         if rebuilt:
             self._replay(rec)
@@ -573,7 +560,7 @@ class MigrationController:
         if not replaying:
             return
         for a in replaying:
-            sched._send_prefill(a, a.reserve)
+            sched._send_prefill(a)
         outs = sched._collect(len(replaying))
         for a in replaying:
             tok = sched._sample(a, outs[a.unit_id])
@@ -609,7 +596,7 @@ class MigrationController:
         ]
         if not done:
             return
-        sched._release([a.unit_id for a in done])
+        sched._release(done)
         now = sched._now()
         for a in done:
             sched._active.remove(a)

@@ -2,8 +2,9 @@
 
 Runs an admission queue over the real :class:`~repro.runtime.engine
 .PipelineRuntime`: requests arrive over (virtual) time, are admitted into
-the in-flight group at token boundaries whenever the planner's per-stage
-KV accounting says they fit, run prefill while everything else keeps
+the in-flight group at token boundaries whenever their KV token slots fit
+the cost model's budget — the one integer ledger the trace engine and the
+fleet admit against too — run prefill while everything else keeps
 decoding (a rolling hybrid mix of phases), and retire the moment their
 last token is sampled — a :class:`~repro.runtime.messages.ReleaseMessage`
 rides the data path so every stage frees the request's KV slots
@@ -37,11 +38,14 @@ reference.
 execution path: admission only into an empty system, every member
 padded to the wave's maxima (KV reserved at ``s_max + n_max``, decode run
 for ``n_max`` tokens even for requests that finished early), memory
-freed only when the whole wave drains.
+freed only when the whole wave drains.  The policy is an admission rule
+only: admission sets each request's reservation and decode budget, and
+the iteration that runs them is the same for both policies.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -61,7 +65,6 @@ from .messages import (
     MergeMessage,
     ReleaseMessage,
 )
-from .microbatch import ContinuousLedger
 from .replan import DriftConfig, DriftDetector, MigrationController, Replanner
 
 __all__ = [
@@ -231,7 +234,9 @@ class _Active:
     tokens: list[int] = field(default_factory=list)
     #: decode passes still owed (wave mode pads this to the wave max)
     decode_budget: int = 0
-    #: KV reservation (tokens) its prefill carried — replays reuse it
+    #: KV token slots reserved past the prompt, set at admission; the
+    #: request holds ``prompt_len + reserve`` slots and its prefill (and
+    #: any replay) carries the reservation to the stages
     reserve: int = 0
 
 
@@ -299,15 +304,11 @@ class ContinuousScheduler:
         self.time_scale = time_scale
         self._wsb_plan: ExecutionPlan | None = None  # weight-bytes memo key
         self._wsb: float = 0.0
-        self.ledger = ContinuousLedger(runtime.plan.num_stages)
-        # Planner memory model, shared with the planner and simulators:
-        # per-stage headroom nets out the dequant caches' actual byte
-        # budgets, and per-request charges come straight from the cost
-        # model's KV accounting.
-        self.cost = StageCostModel(runtime.plan, cfg=runtime.cfg)
-        self.headroom = self.cost.kv_headroom(
-            [c.budget_bytes for c in runtime.dequant_caches]
-        )
+        #: KV token slots the in-flight requests hold (admission adds
+        #: ``prompt_len + reserve``, release subtracts it)
+        self.held = 0
+        self._unit_ids = itertools.count()
+        self._bind_cost_model()
         self._t0: float | None = None
         self._offset = 0.0
         # --- live replanning / recovery -------------------------------
@@ -332,6 +333,19 @@ class ContinuousScheduler:
     def detector(self) -> DriftDetector | None:
         """The drift detector, when drift replanning is enabled."""
         return self._detector
+
+    def _bind_cost_model(self) -> None:
+        """Price admission under the runtime's current plan.
+
+        The planner's memory model, shared with the planner and the
+        simulators: the per-stage KV pool nets out the dequant caches'
+        actual byte budgets, and ``budget`` is the token slots it holds.
+        """
+        rt = self.rt
+        dequant = [c.budget_bytes for c in rt.dequant_caches]
+        self.cost = StageCostModel(rt.plan, cfg=rt.cfg)
+        self.headroom = self.cost.kv_headroom(dequant)
+        self.budget = self.cost.kv_token_budget(dequant)
 
     def request_migration(self, new_plan: ExecutionPlan) -> None:
         """Ask for a migration to ``new_plan`` at the next token boundary.
@@ -366,12 +380,12 @@ class ContinuousScheduler:
     # ------------------------------------------------------------------
     # Pipeline I/O (batch-1 prefill/replay; fused decode)
     # ------------------------------------------------------------------
-    def _send_prefill(self, a: _Active, reserve: int) -> None:
+    def _send_prefill(self, a: _Active) -> None:
         x = self.rt.reference._embed(np.asarray(a.req.prompt)[None, :], 0)
         self.rt.head.put(
             ActivationMessage(
                 microbatch_id=a.unit_id, phase="prefill", start=0,
-                hidden=x, reserve=reserve,
+                hidden=x, reserve=a.reserve,
             )
         )
         self.rt.stats.prefill_tokens += a.req.prompt_len
@@ -439,22 +453,24 @@ class ContinuousScheduler:
             got += 1
         return outs, fused
 
-    def _release(self, unit_ids: Sequence[int]) -> None:
-        """Free finished units on every stage and wait for the ack.
+    def _release(self, finished: Sequence[_Active]) -> None:
+        """Free finished units on every stage, wait for the ack, and
+        return their token slots.
 
         Called at an iteration boundary (pipeline idle), so waiting for
         the release to come out the tail is deterministic — after this
-        returns, every stage's ``current_bytes`` has already dropped.
+        returns, every stage's ``current_bytes`` has already dropped.  A
+        failure before the ack leaves ``held`` untouched: the requests
+        stay in flight and a later release returns their slots once.
         """
-        if not unit_ids:
+        if not finished:
             return
-        self.rt.head.put(ReleaseMessage(unit_ids=tuple(unit_ids)))
+        self.rt.head.put(ReleaseMessage(unit_ids=tuple(a.unit_id for a in finished)))
         while True:
             msg = self.rt._next_message("release ack")
             if isinstance(msg, ReleaseMessage):
                 break
-        for uid in unit_ids:
-            self.ledger.release(uid)
+        self.held -= sum(a.req.prompt_len + a.reserve for a in finished)
 
     def _sample(self, a: _Active, msg: ActivationMessage) -> int:
         """Greedy next token from this request's own logits.
@@ -491,7 +507,8 @@ class ContinuousScheduler:
         self, pending: deque, active: list[_Active], now: float,
         report: ServeReport,
     ) -> list[_Active]:
-        """FIFO head-of-line admission at a token boundary."""
+        """FIFO head-of-line admission at a token boundary: a request
+        holds ``prompt_len + gen_len`` slots."""
         newly: list[_Active] = []
         while pending:
             rec: RequestRecord = pending[0][1]
@@ -503,8 +520,7 @@ class ContinuousScheduler:
                 and len(active) + len(newly) >= self.max_inflight
             ):
                 break
-            charge = self.cost.request_kv_bytes(req.prompt_len, req.gen_len)
-            if not self.ledger.fits(charge, self.headroom):
+            if self.held + req.prompt_len + req.gen_len > self.budget:
                 if not active and not newly:
                     # alone in an empty system and still does not fit:
                     # it never will — reject gracefully instead of
@@ -515,59 +531,50 @@ class ContinuousScheduler:
                     continue
                 break  # head-of-line blocks until something retires
             pending.popleft()
-            uid = self.ledger.admit(charge)
+            self.held += req.prompt_len + req.gen_len
             rec.admit_time = now
-            a = _Active(unit_id=uid, req=req, record=rec,
-                        decode_budget=req.gen_len - 1)
-            newly.append(a)
+            newly.append(_Active(
+                unit_id=next(self._unit_ids), req=req, record=rec,
+                decode_budget=req.gen_len - 1, reserve=req.gen_len,
+            ))
         return newly
 
     def _admit_wave(
         self, pending: deque, active: list[_Active], now: float,
         report: ServeReport,
     ) -> list[_Active]:
-        """Gang admission into an empty system, padded to wave maxima."""
+        """Gang admission into an empty system, padded to wave maxima:
+        every member holds ``s_max + n_max`` slots — the offline uniform
+        ``(s, n)`` reservation — and decodes for ``n_max`` tokens."""
         if active:
             return []
         newly: list[_Active] = []
-        members: list[ServeRequest] = []
+        s_max = n_max = 0
         while pending:
             req, rec = pending[0]
             if self._eff_arrival(req) > now:
                 break
-            if self.max_inflight is not None and len(members) >= self.max_inflight:
+            if self.max_inflight is not None and len(newly) >= self.max_inflight:
                 break
-            trial = members + [req]
-            s_max = max(r.prompt_len for r in trial)
-            n_max = max(r.gen_len for r in trial)
-            # every member re-padded to the new maxima — the offline
-            # uniform (s, n) reservation
-            total = np.zeros(len(self.headroom))
-            for r in trial:
-                total += self.cost.request_kv_bytes(
-                    r.prompt_len, (s_max - r.prompt_len) + n_max
-                )
-            if np.any(total > self.headroom + 1e-9):
-                if not members:
+            s = max(s_max, req.prompt_len)
+            n = max(n_max, req.gen_len)
+            if (len(newly) + 1) * (s + n) > self.budget:
+                if not newly:
                     pending.popleft()
                     rec.rejected = True
                     report.records.append(rec)
                     continue
                 break
             pending.popleft()
-            members.append(req)
+            s_max, n_max = s, n
             rec.admit_time = now
-            newly.append(_Active(unit_id=-1, req=req, record=rec))
-        if newly:
-            s_max = max(a.req.prompt_len for a in newly)
-            n_max = max(a.req.gen_len for a in newly)
-            for a in newly:
-                reserve = (s_max - a.req.prompt_len) + n_max
-                a.unit_id = self.ledger.admit(
-                    self.cost.request_kv_bytes(a.req.prompt_len, reserve)
-                )
-                # padded: every member decodes for the wave's n_max
-                a.decode_budget = n_max - 1
+            newly.append(
+                _Active(unit_id=next(self._unit_ids), req=req, record=rec)
+            )
+        for a in newly:
+            a.reserve = (s_max - a.req.prompt_len) + n_max
+            a.decode_budget = n_max - 1
+        self.held += len(newly) * (s_max + n_max)
         return newly
 
     # ------------------------------------------------------------------
@@ -658,18 +665,11 @@ class ContinuousScheduler:
         tokens yet (fresh admissions, or admissions whose prefill was
         lost to a crash) are prefilled; the rest decode.
         """
-        if newly and self.policy == "wave":
-            s_max = max(x.req.prompt_len for x in newly)
-            for a in newly:  # (s_max - s_i) + n_max
-                a.reserve = a.decode_budget + 1 + (s_max - a.req.prompt_len)
-        else:
-            for a in newly:
-                a.reserve = a.req.gen_len
         active.extend(newly)
         fresh = [a for a in active if not a.tokens]
         going = [a for a in active if a.tokens]
         for a in fresh:
-            self._send_prefill(a, a.reserve)
+            self._send_prefill(a)
         if going:
             self._send_batched_decode(going)
         outs, fused = self._collect_mixed(len(fresh), batched=bool(going))
@@ -706,7 +706,7 @@ class ContinuousScheduler:
             if a.decode_budget <= 0:
                 finished.append(a)
         if finished:
-            self._release([a.unit_id for a in finished])
+            self._release(finished)
             for a in finished:
                 active.remove(a)
                 a.record.tokens = np.array(a.tokens, dtype=np.int64)
@@ -728,13 +728,13 @@ class ContinuousScheduler:
             self._arrival_ptr += 1
 
     def _occupancy(self) -> float:
-        """Max per-stage KV usage fraction under the current headroom."""
-        headroom = np.asarray(self.headroom, dtype=np.float64)
-        used = self.ledger.used_bytes
-        mask = headroom > 0
-        if not mask.any():
-            return 1.0 if used.any() else 0.0
-        return float(np.max(used[mask] / headroom[mask]))
+        """Max per-stage KV usage fraction under the current headroom:
+        ``held x slot bytes`` over the pool, the trace engine's product."""
+        pool = self.headroom > 0
+        if not pool.any():
+            return 1.0 if self.held else 0.0
+        slot = self.cost.kv_token_charges()[pool]
+        return float(np.max(self.held * slot / self.headroom[pool]))
 
     def _boundary(self) -> None:
         """Quiesce point between iterations: migrations happen here."""

@@ -1,8 +1,8 @@
 """KV token slots == per-stage KV bytes.
 
-The trace engine and the fleet router count KV capacity in integer token
-slots (``StageCostModel.kv_token_budget``); the paper's memory constraint
-and the runtime's ledger count per-stage bytes.  The two agree because a
+The trace engine, the fleet router and the runtime scheduler count KV
+capacity in integer token slots (``StageCostModel.kv_token_budget``); the
+paper's memory constraint counts per-stage bytes.  The two agree because a
 request's per-stage bytes are *exactly* ``tokens x kv_token_charges()``
 in float64 — the fact checked here, once, instead of at every cost-model
 bind.  A KV layout whose bytes are not linear in tokens (slot pages,
@@ -51,15 +51,18 @@ def test_request_bytes_are_tokens_times_slot_bytes(model, depth, kv, tokens):
         )
 
 
-def _fits(scm: StageCostModel, tokens: int) -> bool:
+def _fits(scm: StageCostModel, tokens: int, dequant=None) -> bool:
     """The byte ledger's admission test for ``tokens`` slots at once."""
-    return bool(
-        np.all(scm.request_kv_bytes(tokens, 0) <= scm.kv_headroom() + 1e-6)
-    )
+    return bool(np.all(
+        scm.request_kv_bytes(tokens, 0) <= scm.kv_headroom(dequant) + 1e-6
+    ))
 
 
 @pytest.mark.parametrize("cluster_id", range(1, 12))
 def test_token_budget_is_the_byte_tests_answer(cluster_id):
+    """Mixed per-stage KV, with and without dequant caches netted out of
+    the pool (the runtime scheduler's budget): ``T`` fits, ``T + 1`` does
+    not, and a cache-netted query leaves the default memo alone."""
     devices = paper_cluster(cluster_id).devices
     plan = ExecutionPlan.uniform("opt-30b", devices, W, bits=4)
     plan = plan.with_kv_bits(tuple(
@@ -69,6 +72,13 @@ def test_token_budget_is_the_byte_tests_answer(cluster_id):
     budget = scm.kv_token_budget()
     assert budget > 0
     assert _fits(scm, budget) and not _fits(scm, budget + 1)
+    # uneven, non-round cache budgets: a growing share of each stage's pool
+    pool = scm.kv_headroom()
+    dequant = [p * (j + 1) / (plan.num_stages + 2) + 0.3 for j, p in enumerate(pool)]
+    netted = scm.kv_token_budget(dequant)
+    assert 0 < netted < budget
+    assert _fits(scm, netted, dequant) and not _fits(scm, netted + 1, dequant)
+    assert scm.kv_token_budget() == budget
 
 
 def test_token_budget_is_zero_without_headroom():

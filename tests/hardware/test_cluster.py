@@ -24,6 +24,18 @@ def test_make_cluster_devices_and_counts():
     assert c.devices[0].node_id == 0 and c.devices[3].node_id == 1
 
 
+def test_cluster_from_devices_keeps_first_seen_type_order():
+    """A plan's stage devices imply one node per type, in the order the
+    types first appear — a pipeline that starts on V100 keeps it node 0."""
+    from repro.hardware.cluster import cluster_from_devices
+
+    paper = paper_cluster(3).devices  # 3 x T4 then 1 x V100
+    devices = [paper[3], paper[0], paper[1], paper[2]]
+    c = cluster_from_devices(devices, name="plan")
+    assert c == make_cluster([("V100-32G", 1), ("T4-16G", 3)], name="plan")
+    assert cluster_from_devices(paper) == make_cluster([("T4-16G", 3), ("V100-32G", 1)])
+
+
 def test_homogeneous_flag():
     assert not make_cluster([("T4-16G", 4)]).is_heterogeneous
 

@@ -1,10 +1,15 @@
-"""Unit tests for the thread-safe micro-batch manager."""
+"""Unit tests for the thread-safe micro-batch manager and the engine's
+decode-group halving rung."""
 
 import threading
 
 import pytest
 
-from repro.runtime import MicroBatchManager
+from repro.core.plan import ExecutionPlan, StagePlan
+from repro.hardware import Device, get_gpu
+from repro.models import TinyDecoderLM
+from repro.runtime import MicroBatchManager, PipelineRuntime
+from repro.workload import Workload
 
 
 def test_prefill_units_cover_batch():
@@ -47,34 +52,44 @@ def test_validation():
 def test_inflight_tracking():
     m = MicroBatchManager(global_batch=8, prefill_microbatch=2, decode_microbatch=4)
     m.mark_inflight(0)
-    assert m.inflight_count == 1
+    assert m.inflight_ids() == (0,)
     with pytest.raises(ValueError, match="already in flight"):
         m.mark_inflight(0)
     m.mark_done(0)
-    assert m.inflight_count == 0
+    assert m.inflight_ids() == ()
 
 
-def test_shrink_decode_halves_and_regroups():
-    m = MicroBatchManager(global_batch=16, prefill_microbatch=2, decode_microbatch=8)
-    assert m.num_decode_groups == 2
-    assert m.shrink_decode()
-    assert m.decode_microbatch == 4
-    assert m.num_decode_groups == 4
-    assert m.shrink_decode()
-    assert m.decode_microbatch == 2
-    assert m.num_decode_groups == 8
-    # floor: one prefill unit per group, cannot shrink further
-    assert not m.shrink_decode()
-    assert m.decode_microbatch == 2
+def test_shrink_decode_halves_and_regroups(tiny8l):
+    """The engine's KV-pressure rung halves the decode group 8 -> 4 -> 2
+    and stops at the one-prefill-unit floor; each retry's fresh manager
+    regroups the batch at the shrunk size."""
+    plan = ExecutionPlan(
+        model_name="tiny-8l",
+        stages=(StagePlan(Device(get_gpu("T4-16G"), 0, 0), (16,) * 8),),
+        prefill_microbatch=2, decode_microbatch=8,
+        workload=Workload(prompt_len=8, gen_len=4, global_batch=16),
+    )
+    groups = lambda rt: MicroBatchManager(
+        16, rt.plan.prefill_microbatch, rt._decode_microbatch
+    ).num_decode_groups
+    with PipelineRuntime(TinyDecoderLM(tiny8l, seed=0), plan) as rt:
+        assert groups(rt) == 2
+        assert rt._halve_decode_group()
+        assert rt._decode_microbatch == 4 and groups(rt) == 4
+        assert rt._halve_decode_group()
+        assert rt._decode_microbatch == 2 and groups(rt) == 8
+        # floor: one prefill unit per group, cannot shrink further
+        assert not rt._halve_decode_group()
+        assert rt._decode_microbatch == 2
 
 
 def test_shrink_decode_reissues_group_ids():
-    m = MicroBatchManager(global_batch=8, prefill_microbatch=2, decode_microbatch=8)
-    m.shrink_decode()
+    """A manager rebuilt at a shrunk decode size issues group ids from
+    GROUP_ID_BASE again and still covers every unit once, in order."""
+    m = MicroBatchManager(global_batch=8, prefill_microbatch=2, decode_microbatch=4)
     gids = [g[0] for g in m.decode_groups]
     assert gids == [MicroBatchManager.GROUP_ID_BASE,
                     MicroBatchManager.GROUP_ID_BASE + 1]
-    # every unit still covered exactly once, in batch order
     covered = [u for _g, members, _sl in m.decode_groups for u in members]
     assert covered == [u for u, _sl in m.prefill_units]
 
@@ -84,10 +99,11 @@ def test_inflight_ids_snapshot_and_clear():
     for uid in (3, 1, 2):
         m.mark_inflight(uid)
     assert m.inflight_ids() == (1, 2, 3)
-    m.clear_inflight()
+    for uid in (1, 2, 3):
+        m.mark_done(uid)
     assert m.inflight_ids() == ()
-    m.mark_inflight(1)  # ledger reusable after a pipeline rebuild
-    assert m.inflight_count == 1
+    m.mark_inflight(1)  # ids are reusable once done
+    assert m.inflight_ids() == (1,)
 
 
 def test_inflight_thread_safety():
@@ -109,7 +125,7 @@ def test_inflight_thread_safety():
     for t in threads:
         t.join()
     assert not errors
-    assert m.inflight_count == 0
+    assert m.inflight_ids() == ()
 
 
 def test_concurrent_producer_consumer_ledger():
@@ -143,75 +159,4 @@ def test_concurrent_producer_consumer_ledger():
     for t in ts:
         t.join(timeout=10.0)
     assert not errors
-    assert m.inflight_count == 0
-
-
-def test_concurrent_shrink_while_tracking():
-    """shrink_decode() racing with ledger traffic must stay consistent:
-    groups always partition the batch and the ledger never corrupts."""
-    m = MicroBatchManager(global_batch=64, prefill_microbatch=2, decode_microbatch=32)
-    errors = []
-    stop = threading.Event()
-
-    def churn():
-        try:
-            uid = 0
-            while not stop.is_set():
-                m.mark_inflight(uid)
-                m.mark_done(uid)
-                uid = (uid + 1) % 32
-        except BaseException as e:  # pragma: no cover
-            errors.append(e)
-
-    t = threading.Thread(target=churn)
-    t.start()
-    try:
-        while m.shrink_decode():
-            covered = [u for _g, members, _sl in m.decode_groups for u in members]
-            assert sorted(covered) == list(range(32))
-    finally:
-        stop.set()
-        t.join(timeout=5.0)
-    assert not errors
-    assert m.decode_microbatch == m.prefill_microbatch
-
-
-# ---------------------------------------------------------------------------
-# ContinuousLedger (iteration-level admission accounting)
-# ---------------------------------------------------------------------------
-
-
-def test_ledger_admit_release_refunds_charges():
-    import numpy as np
-
-    from repro.runtime import ContinuousLedger
-
-    led = ContinuousLedger(num_stages=2)
-    headroom = np.array([100.0, 50.0])
-    a = led.admit([60.0, 30.0])
-    assert led.inflight_count == 1
-    assert not led.fits([60.0, 30.0], headroom)  # second one would overflow
-    assert led.fits([40.0, 20.0], headroom)
-    b = led.admit([40.0, 20.0])
-    assert a != b  # fresh ids, never reused
-    np.testing.assert_allclose(led.used_bytes, [100.0, 50.0])
-    led.release(a)
-    np.testing.assert_allclose(led.used_bytes, [40.0, 20.0])
-    assert led.fits([60.0, 30.0], headroom)  # the refund is available now
-    led.release(a)  # idempotent
-    assert led.released_total == 1
-    led.release(b)
-    assert led.inflight_count == 0
-    assert led.admitted_total == 2 and led.released_total == 2
-
-
-def test_ledger_validates_inputs():
-    import numpy as np
-
-    from repro.runtime import ContinuousLedger
-
-    with pytest.raises(ValueError, match="num_stages"):
-        ContinuousLedger(0)
-    led = ContinuousLedger(3)
-    with pytest.raises(ValueError, match="shape"):
-        led.admit(np.array([1.0, 2.0]))  # wrong stage count
+    assert m.inflight_ids() == ()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.plan import ExecutionPlan, StagePlan
+from repro.cost.stagecosts import StageCostModel
 from repro.hardware import Device, get_gpu
 from repro.models import TinyDecoderLM, generate
 from repro.runtime import (
@@ -18,7 +19,6 @@ from repro.runtime import (
     StageCrash,
     workload_refit_replanner,
 )
-from repro.runtime.microbatch import ContinuousLedger
 from repro.workload import Workload
 
 
@@ -218,17 +218,32 @@ def test_suggested_workload_clamps_and_refit_replanner(workload12):
     assert workload_refit_replanner(plan, same) is None
 
 
-def test_ledger_adopt_rehomes_units():
-    ledger = ContinuousLedger(2)
-    ledger.adopt(3, np.array([10.0, 20.0]))
-    ledger.adopt(0, np.array([1.0, 2.0]))
-    np.testing.assert_allclose(ledger.used_bytes, [11.0, 22.0])
-    assert ledger.inflight_count == 2
-    with pytest.raises(ValueError):
-        ledger.adopt(3, np.array([1.0, 1.0]))  # already in flight
-    assert ledger.admit(np.array([1.0, 1.0])) == 4  # ids stay unique
-    ledger.release(3)
-    np.testing.assert_allclose(ledger.used_bytes, [2.0, 3.0])
+def test_held_unchanged_across_migration(reference, tiny8l, workload12):
+    """A plan switch re-prices the token budget and moves no slot: the
+    in-flight requests hold exactly what they held before, under the same
+    unit ids, and the new budget is the new plan's."""
+    plan3 = _plan([(16,) * 3, (16,) * 3, (16,) * 2], workload=workload12)
+    plan2 = _plan([(16,) * 4, (16,) * 4], workload=workload12)
+
+    class Probe(TriggerAfter):
+        def _boundary(self):
+            before = (self.held, self.budget, [a.unit_id for a in self._active])
+            super()._boundary()
+            if self.migrations and not hasattr(self, "switch"):
+                self.switch = before, (
+                    self.held, self.budget, [a.unit_id for a in self._active]
+                )
+
+    with PipelineRuntime(reference, plan3) as rt:
+        sched = Probe(rt, new_plan=plan2, after=2)
+        report = sched.serve(_uniform_requests(tiny8l))
+        budget2 = StageCostModel(plan2, cfg=tiny8l).kv_token_budget(
+            [c.budget_bytes for c in rt.dequant_caches]
+        )
+    (held0, budget0, ids0), (held1, budget1, ids1) = sched.switch
+    assert held0 > 0 and held1 == held0 and ids1 == ids0
+    assert budget1 == budget2 != budget0
+    assert sched.held == 0 and len(report.completed) == 4
 
 
 # ---------------------------------------------------------------------------

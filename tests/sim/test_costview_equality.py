@@ -274,8 +274,9 @@ def test_online_wrappers_delegate_to_cost_model():
 
 
 def test_scheduler_headroom_matches_cost_model(tiny8l):
-    """The real runtime's admission ledger prices KV headroom through the
-    same StageCostModel view (minus the live dequant-cache budgets)."""
+    """The real runtime's admission ledger prices KV headroom and its
+    token budget through the same StageCostModel view (minus the live
+    dequant-cache budgets)."""
     from repro.core.plan import ExecutionPlan, StagePlan
     from repro.hardware import Device, get_gpu
     from repro.models import TinyDecoderLM
@@ -293,10 +294,11 @@ def test_scheduler_headroom_matches_cost_model(tiny8l):
     )
     with PipelineRuntime(TinyDecoderLM(tiny8l, seed=3), plan) as rt:
         sched = ContinuousScheduler(rt)
-        expected = StageCostModel(rt.plan, cfg=rt.cfg).kv_headroom(
-            [c.budget_bytes for c in rt.dequant_caches]
-        )
-        assert np.array_equal(sched.headroom, expected)
+        dequant = [c.budget_bytes for c in rt.dequant_caches]
+        scm = StageCostModel(rt.plan, cfg=rt.cfg)
+        assert np.array_equal(sched.headroom, scm.kv_headroom(dequant))
+        assert sched.budget == scm.kv_token_budget(dequant)
+        assert 0 < sched.budget < scm.kv_token_budget()  # the caches cost slots
         charge = sched.cost.request_kv_bytes(12, 8)
         assert np.array_equal(
             charge, StageCostModel(rt.plan, cfg=rt.cfg).request_kv_bytes(12, 8)

@@ -610,3 +610,65 @@ def test_algo_cost_source_model(tmp_path, capsys):
     ])
     assert rc == 0
     assert "predicted" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--time-scale", "-1"], "--time-scale must be non-negative and finite, got -1.0"),
+        (["--time-scale", "-1", "--replicas", "2"],
+         "--time-scale must be non-negative and finite, got -1.0"),
+        (["--time-scale", "nan"], "--time-scale must be non-negative and finite, got nan"),
+        (["--max-prompt", "-5"], "--max-prompt must be >= 1, got -5"),
+        (["--max-prompt", "0"], "--max-prompt must be >= 1, got 0"),
+        (["--max-gen", "0"], "--max-gen must be >= 1, got 0"),
+        (["--rate", "nan"], "--rate must be positive and finite, got nan"),
+        (["--rate", "inf"], "--rate must be positive and finite, got inf"),
+        (["--duration", "inf"], "--duration must be positive and finite, got inf"),
+        (["--duration", "-2"], "--duration must be positive and finite, got -2.0"),
+    ],
+)
+def test_serve_malformed_flag_is_one_line(tiny_strategy_file, capsys, flags, message):
+    """An out-of-range serve flag exits 2 with one ``error:`` line before
+    any work — no traceback, no silent fallback to the plan's default."""
+    from repro.cli import serve_main
+
+    rc = serve_main(["--strat-file-name", str(tiny_strategy_file), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        ("-1", "--dequant-cache-mb must be non-negative and finite, got -1.0"),
+        ("nan", "--dequant-cache-mb must be non-negative and finite, got nan"),
+        ("inf", "--dequant-cache-mb must be non-negative and finite, got inf"),
+    ],
+)
+def test_dist_malformed_dequant_cache_is_one_line(
+    tiny_strategy_file, capsys, value, message
+):
+    rc = dist_main([
+        "--strat-file-name", str(tiny_strategy_file), "--dequant-cache-mb", value,
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_runtime_rejects_non_finite_dequant_budget(tiny4l):
+    from repro.core.plan import StagePlan
+    from repro.hardware import Device, get_gpu
+    from repro.models import TinyDecoderLM
+    from repro.runtime import PipelineRuntime
+    from repro.workload import Workload
+
+    plan = ExecutionPlan(
+        model_name="tiny-4l",
+        stages=(StagePlan(Device(get_gpu("T4-16G"), 0, 0), (16,) * 4),),
+        prefill_microbatch=1, decode_microbatch=1,
+        workload=Workload(prompt_len=4, gen_len=2, global_batch=1),
+    )
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            PipelineRuntime(TinyDecoderLM(tiny4l, seed=0), plan, dequant_cache_mb=bad)
