@@ -80,9 +80,7 @@ def _sim_regret(calm_s, heavy_s, seed):
     oracle = simulate_online(oracle_plan, cluster, trace, policy="continuous")
     adaptive = simulate_online(
         static_plan, cluster, trace, policy="continuous", drift=drift,
-        replanner=make_search_replanner(
-            cluster, use_heuristic=True, ilp_time_limit=5.0
-        ),
+        replanner=make_search_replanner(cluster, use_heuristic=True),
     )
     # zero drops anywhere — including through the migration quiesce
     for res in (static, oracle, adaptive):

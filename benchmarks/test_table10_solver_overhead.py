@@ -1,13 +1,13 @@
-"""Tables 9/10: per-cluster solver setups and plan-generation overhead.
+"""Tables 9/10: per-cluster planner setups and plan-generation overhead.
 
 Reproduces the appendix accounting: for every Table-3 cluster, run the
 assigner with its per-cluster configuration and record how long plan
-generation takes.  Expected shape: single-node clusters solve in
-(sub)seconds, the 6-8 GPU clusters take the longest, and the average
-stays within interactive bounds (the paper's average is ~18s with a
-116s worst case on GUROBI; HiGHS + our pruning land in the same
-regime).  Also reproduces the three-node data point (2x P100 + 2x V100
-+ 2x A100 serving OPT-66b with the heuristic).
+generation takes.  The paper's overhead is GUROBI's (average ~18s, 116s
+worst case); here it is the exact range-table DP's (DESIGN.md §8.3),
+which solves every candidate without a solver.  Expected shape: every
+cluster plans in interactive time, the 6-8 GPU clusters and the widest
+range tables taking the longest.  Also reproduces the three-node data
+point (2x P100 + 2x V100 + 2x A100 serving OPT-66b with the heuristic).
 """
 
 import numpy as np

@@ -49,7 +49,7 @@ def _run_cluster(cid: int, latency_models, workload):
     reports = compare_schemes(
         model, cluster, workload,
         schemes=schemes, group_size=group, use_heuristic=heur, theta=theta,
-        latency_model=latency_models(model), ilp_time_limit=60.0,
+        latency_model=latency_models(model),
     )
     by = {r.scheme: r for r in reports}
     ref = by["PipeEdge"]

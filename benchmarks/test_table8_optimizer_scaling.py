@@ -1,12 +1,14 @@
-"""Table 8: grouping and heuristic under a solver time limit.
+"""Table 8: grouping and the heuristic against the exact search.
 
 For clusters 3, 4, 6 and 10 we run the planner with group=1, group=2 and
-the bitwidth-transfer heuristic (60-second ILP limit, as in the paper)
-and report achieved throughput plus solve overhead.  Expected shapes:
-group=1 explores the full space (best or tied objective when it finishes
-in time) but costs the most; group=2 is close at a fraction of the
-overhead; the heuristic is competitive and — its seed is a DP, not a
-solve — never costs more than the full group=1 search.
+the bitwidth-transfer heuristic and report achieved throughput plus
+planning overhead.  The paper ran its ILP under a 60-second GUROBI limit;
+here every candidate is solved exactly by the range-table DP (DESIGN.md
+§8.3), with no time limit, so ``overhead_s`` is the DP's.  Expected
+shapes: group=1 explores the full space (best or tied objective) but
+costs the most — its range tables are the largest the planner builds;
+group=2 is close at a fraction of the overhead; the heuristic is
+competitive and never costs more than the full group=1 search.
 """
 
 import pytest
@@ -30,8 +32,7 @@ def _run(cid, latency_models, workload):
         ("heuristic", dict(group_size=2, use_heuristic=True)),
     ):
         res = plan_llmpq(
-            model, cluster, workload, theta=THETA[cid],
-            latency_model=lat, ilp_time_limit=60.0,
+            model, cluster, workload, theta=THETA[cid], latency_model=lat,
             prefill_mb_cap=8, decode_mb_candidates=(8, 32), **kwargs
         )
         if res.plan is None:
@@ -66,6 +67,6 @@ def test_table8_cluster(cid, benchmark, latency_models, default_workload):
     assert by["group=2"]["overhead_s"] <= by["group=1"]["overhead_s"] * 1.2
     # heuristic competitive (Table 8: sometimes best, sometimes ~10% off)
     assert by["heuristic"]["throughput"] >= 0.55 * by["group=1"]["throughput"]
-    # ... and it is the cheap planner: no solver call, so never more
-    # overhead than the exhaustive search
+    # ... and it is the cheap planner: no exact search, so never more
+    # overhead than the exhaustive group=1 one
     assert by["heuristic"]["overhead_s"] <= by["group=1"]["overhead_s"]

@@ -137,11 +137,6 @@ def algo_main(argv: list[str] | None = None) -> int:
                         "defaults to the synthetic Prop.-2 indicator")
     p.add_argument("--shaq-efficient", action="store_true", dest="heuristic",
                    help="use the bitwidth-transfer heuristic (faster)")
-    p.add_argument("--time-limit", type=float, default=60.0,
-                   help="ILP solver time limit, seconds")
-    p.add_argument("-j", "--jobs", type=int, default=1,
-                   help="worker processes for candidate ILP solves "
-                        "(same plan at any value; >1 parallelizes)")
     p.add_argument("--kv-bits", choices=["auto", "4", "8", "16"], default="16",
                    help="KV-cache bitwidth: 8/4 plan with quantized KV "
                         "(less memory, faster decode, more admission "
@@ -162,15 +157,12 @@ def algo_main(argv: list[str] | None = None) -> int:
     if args.omega_file:
         indicator = _load_indicator(args.omega_file, args.model_name)
     print(f"planning {args.model_name} on {cluster.describe()}", file=sys.stderr)
-    if args.jobs < 1:
-        return _fail("--jobs must be >= 1")
     kv_bits = args.kv_bits if args.kv_bits == "auto" else int(args.kv_bits)
     try:
         result = plan_llmpq(
             args.model_name, cluster, workload,
             theta=args.theta, group_size=args.group,
-            use_heuristic=args.heuristic, ilp_time_limit=args.time_limit,
-            indicator=indicator, n_jobs=args.jobs, kv_bits=kv_bits,
+            use_heuristic=args.heuristic, indicator=indicator, kv_bits=kv_bits,
         )
     except ValueError as e:  # a planner knob out of range
         return _fail(str(e))

@@ -1,7 +1,7 @@
 """Core planner: plans, ILP, Algorithm 1/2, baselines, public API."""
 
 from .plan import ExecutionPlan, StagePlan
-from .ilp import AssembledILP, BitAssignmentILP, ILPSolution, lp_lower_bound, solve_assembled
+from .ilp import BitAssignmentILP, ILPSolution
 from .optimizer import CandidateRecord, LLMPQOptimizer, PlannerConfig, PlannerResult
 from .search import PlannerStats, SearchEngine
 from .heuristic import adabits_plan, bitwidth_transfer, heuristic_optimize
@@ -25,11 +25,8 @@ from .tensor_parallel import (
 __all__ = [
     "ExecutionPlan",
     "StagePlan",
-    "AssembledILP",
     "BitAssignmentILP",
     "ILPSolution",
-    "lp_lower_bound",
-    "solve_assembled",
     "LLMPQOptimizer",
     "PlannerConfig",
     "PlannerResult",

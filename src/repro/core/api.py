@@ -3,7 +3,7 @@
 This is the facade the examples and benchmark harness drive; one call per
 paper concept:
 
-* :func:`plan_llmpq` — run the LLM-PQ assigner (exact ILP or heuristic);
+* :func:`plan_llmpq` — run the LLM-PQ assigner (exact search or heuristic);
 * :func:`evaluate_plan` — ground-truth simulation + quality surrogate,
   producing a Table-4-style row;
 * :func:`compare_schemes` — all schemes (LLM-PQ, PipeEdge, Uniform,
@@ -82,7 +82,6 @@ def plan_llmpq(
     bits: tuple[int, ...] = (3, 4, 8, 16),
     latency_model: LatencyModel | None = None,
     indicator: IndicatorTable | None = None,
-    ilp_time_limit: float = 60.0,
     max_orderings: int = 24,
     prefill_mb_cap: int | None = None,
     decode_mb_candidates: tuple[int, ...] | None = None,
@@ -96,10 +95,10 @@ def plan_llmpq(
     baseline, 8/4 plan with uniformly quantized KV, and ``"auto"``
     searches the levels and refines per stage.
 
-    ``n_jobs > 1`` solves independent candidate MILPs in parallel worker
-    processes; the chosen plan is unaffected (see
-    :mod:`repro.core.search`).
+    ``n_jobs`` must be 1: candidates are solved by the DP in-process.
     """
+    if n_jobs != 1:
+        raise ValueError(f"n_jobs must be 1 (the search runs in-process), got {n_jobs}")
     optimizer = LLMPQOptimizer(
         model_name,
         cluster,
@@ -108,11 +107,9 @@ def plan_llmpq(
             bits=bits,
             theta=theta,
             group_size=group_size,
-            ilp_time_limit=ilp_time_limit,
             max_orderings=max_orderings,
             prefill_mb_cap=prefill_mb_cap,
             decode_mb_candidates=decode_mb_candidates,
-            n_jobs=n_jobs,
             kv_bits=kv_bits,
         ),
         latency_model=latency_model,
@@ -304,7 +301,6 @@ def compare_schemes(
     group_size: int = 1,
     use_heuristic: bool = False,
     latency_model: LatencyModel | None = None,
-    ilp_time_limit: float = 60.0,
 ) -> list[ServingReport]:
     """Evaluate every requested scheme — the Table-4/5/7 row generator."""
     reports: list[ServingReport] = []
@@ -335,7 +331,6 @@ def compare_schemes(
             res = plan_llmpq(
                 model_name, cluster, workload, theta=theta, group_size=group_size,
                 use_heuristic=use_heuristic, latency_model=latency_model,
-                ilp_time_limit=ilp_time_limit,
             )
             reports.append(
                 evaluate_plan(res.plan, cluster, scheme="LLM-PQ", solve_seconds=res.total_seconds)

@@ -3,9 +3,9 @@
 The exact ILP scales poorly on big clusters, so the paper seeds a greedy
 search from **adabits** — the reduced problem that drops the latency
 objective and picks the best-quality bitwidths that merely *fit* in
-memory; here an exact DP, so this planner never calls the solver — and
-then iteratively applies *transformations* that trade precision and layer
-placement between the straggler stage and the rest:
+memory; solved here by an exact DP of its own — and then iteratively
+applies *transformations* that trade precision and layer placement
+between the straggler stage and the rest:
 
 * ``move``   — shift a boundary layer off the straggler onto a neighbour
   with spare memory (fewer layers => faster straggler);
@@ -36,7 +36,7 @@ __all__ = ["adabits_plan", "bitwidth_transfer", "heuristic_optimize"]
 
 
 def _seed_dp(mem: np.ndarray, omega: np.ndarray, caps: Sequence[float]):
-    """The adabits problem, exactly, by a forward DP (DESIGN.md §8.9):
+    """The adabits problem, exactly, by a forward DP (DESIGN.md §8.6):
     groups in order onto devices in order, no device empty, one bitwidth
     per group, ``sum mem[i, b] <= caps[j]`` per device, min ``sum omega``.
 

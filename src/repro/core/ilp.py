@@ -1,43 +1,39 @@
-"""ILP for joint bitwidth assignment + layer partition (paper Sec. 4.3).
+"""Joint bitwidth assignment + layer partition (paper Sec. 4.3).
 
 Given a *fixed* device ordering and micro-batch pair, the remaining
 decision is: which contiguous run of layer groups goes on which device,
-and at which bitwidth each group runs.  Binary variables
-
-``z[i, j, b] = 1``  iff layer-group ``i`` sits on device ``j`` at ``b`` bits
-
-with the paper's constraints:
+and at which bitwidth each group runs.  The paper writes it as an ILP
+over binaries ``z[i, j, b] = 1`` iff layer-group ``i`` sits on device
+``j`` at ``b`` bits, with the constraints
 
 * (9)-(11) each group gets exactly one (device, bitwidth);
 * (15)-(16) contiguity — group ``i-1`` may not sit on a *later* device
   than group ``i``;
 * (12)-(13) per-device memory: weights at chosen bits + KV cache for the
   whole batch + embedding / LM-head / workspace extras must fit;
-* auxiliary continuous ``T_pre_max / T_dec_max`` upper-bound every
-  stage's phase time, linearizing the pipeline-latency objective
+* auxiliary ``T_pre_max / T_dec_max`` bound every stage's phase time,
+  linearizing the pipeline-latency objective
 
 ``min  theta_lat * [ T_pre_sum + (m_p - 1) T_pre_max
                      + (n - 1) (T_dec_sum + (m_d - 1) T_dec_max) ]
        + theta * sum omega[i, b] z[i, j, b]``
 
-Solved with ``scipy.optimize.milp`` (HiGHS) — the open-source stand-in
-for the paper's GUROBI.
-
-The build/solve split matters for the parallel planner
-(:mod:`repro.core.search`): :meth:`BitAssignmentILP.assemble` produces a
-self-contained, picklable :class:`AssembledILP` in the parent process
-(reusing the shared :class:`~repro.cost.predictions.PredictionCache`),
-and the module-level :func:`solve_assembled` / :func:`lp_lower_bound`
-run in worker processes with nothing but that payload.  Coefficient
-tensors and constraint matrices are built from numpy index arrays; the
-cell-by-cell construction they must equal exactly is written out in
-``tests/core/ilp_spec.py``.
+and solves it with GUROBI.  Here it is solved exactly, without a solver,
+by a dynamic program over a range table (DESIGN.md §8.3): a stage's
+seconds and bytes are linear in how many layers it runs at each bitwidth,
+so a :class:`RangeTable` row — one contiguous group range and one such
+layer-count vector, with the least ``sum omega`` that realises it — prices
+that stage on any device, and a DP over devices in pipeline order keeps,
+per device and range end, the states no other state dominates.  The MILP
+itself is written out in ``tests/core/ilp_spec.py``: it is the oracle
+the DP is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+import time
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -57,25 +53,7 @@ from ..models.config import ModelConfig
 from ..quant.indicator import IndicatorTable
 from ..workload.spec import Workload
 
-if TYPE_CHECKING:  # pragma: no cover - scipy loads on the first solve
-    from scipy import sparse
-
-__all__ = [
-    "ILPSolution",
-    "AssembledILP",
-    "BitAssignmentILP",
-    "solve_assembled",
-    "lp_lower_bound",
-]
-
-# NOTE: earlier revisions wrapped every solve in an fd-1 dup/dup2 dance
-# ("_quiet_fd1") to mute HiGHS debug prints.  scipy >= 1.9 passes
-# ``output_flag=False`` to HiGHS itself unless ``disp`` is requested, so
-# the solver is silent without touching process-global file descriptors —
-# which the redirection raced on under concurrent solves (two overlapping
-# dup2 calls could permanently point fd 1 at /dev/null).  The context
-# manager is gone; ``tests/core/test_ilp.py`` keeps a concurrent-solve
-# regression test against stdout corruption.
+__all__ = ["ILPSolution", "BitAssignmentILP", "RangeTable"]
 
 
 @dataclass(frozen=True)
@@ -104,124 +82,296 @@ def _infeasible(seconds: float, status: str = "infeasible") -> ILPSolution:
     )
 
 
-@dataclass(frozen=True)
-class AssembledILP:
-    """One candidate's fully built MILP, detached from its builder.
+# ----------------------------------------------------------------------
+# range table
 
-    Everything a worker process needs to solve and decode the problem:
-    objective vector ``c``, constraint matrix ``A`` with row bounds
-    ``lo``/``hi`` (variables are ``[z..., T_pre_max, T_dec_max]``), and
-    the metadata to map the solution back to (device, bits) per group.
+
+def _sweep(sizes, omega, layer_bytes, limit, starts, stop):
+    """Forward sweeps from every ``a`` in ``starts`` over groups ``a ..
+    stop-1``, all starts one step at a time.
+
+    Step ``t`` extends every row of ``[a, a+t)`` by group ``a+t`` at each
+    bitwidth and keeps, per ``(a, layer counts)``, the least ``sum omega``
+    — the first such candidate in (parent row, bitwidth) order on ties.
+    A candidate whose bytes exceed ``limit`` is dropped: bytes only grow.
+    Returns per-row arrays in step order (so by range length): ``start,
+    length, layers per bitwidth, sum omega, parent row, bit index``.
+    """
+    n_bits = omega.shape[1]
+    base = int(sizes.sum()) + 1  # layer counts are digits in this base
+    radix = base ** np.arange(n_bits, dtype=np.int64)
+    st = np.asarray(starts, dtype=np.int64)
+    key = np.zeros(st.size, np.int64)
+    W = np.zeros(st.size)
+    B = np.zeros(st.size)
+    ids = np.full(st.size, -1)
+    out = [(st[:0], st[:0], key[:0], W[:0], ids[:0], ids[:0])]
+    n_rows, t = 0, 0
+    while True:
+        live = st + t < stop
+        st, key, W, B, ids = st[live], key[live], W[live], B[live], ids[live]
+        if not st.size:
+            break
+        grp = st + t
+        s = sizes[grp][:, None]
+        cand_key = (key[:, None] + s * radix).ravel()
+        cand_W = (W[:, None] + omega[grp]).ravel()
+        cand_B = (B[:, None] + s * layer_bytes).ravel()
+        fit = np.flatnonzero(cand_B <= limit)
+        tag = np.repeat(st, n_bits)[fit] * base**n_bits + cand_key[fit]
+        order = np.lexsort((cand_W[fit], tag))
+        first = np.ones(order.size, bool)
+        first[1:] = tag[order[1:]] != tag[order[:-1]]
+        sel = fit[order[first]]
+        st, key, W, B = np.repeat(st, n_bits)[sel], cand_key[sel], cand_W[sel], cand_B[sel]
+        out.append((st, np.full(sel.size, t + 1), key, W, ids[sel // n_bits], sel % n_bits))
+        ids = n_rows + np.arange(sel.size)
+        n_rows += sel.size
+        t += 1
+    st, length, key, W, parent, bit = (np.concatenate(col) for col in zip(*out))
+    L = ((key[:, None] // radix) % base).astype(np.float64)
+    return st, length, L, W, parent, bit
+
+
+@dataclass(frozen=True)
+class _Block:
+    """The rows one device position can take, ordered by range length."""
+
+    L: np.ndarray  # (rows, bits) layers per bitwidth
+    W: np.ndarray  # least sum omega
+    nbytes: np.ndarray
+    a: np.ndarray  # range [a, e)
+    e: np.ndarray
+    group: np.ndarray  # the group the row's sweep step added
+    parent: np.ndarray  # row one group shorter on the same sweep, or -1
+    bit: np.ndarray  # bit index of ``group``
+    upto: np.ndarray  # rows of length <= r: the first upto[r]
+    min_bytes: np.ndarray  # least bytes of any row of length r
+
+    def rows_for(self, cap: float) -> int:
+        """How many leading rows can fit under ``cap`` at all."""
+        fits = np.flatnonzero(self.min_bytes <= cap)
+        return int(self.upto[fits[-1]]) if fits.size else 0
+
+    def bits_of(self, row: int) -> dict[int, int]:
+        """``{group: bit index}`` of the assignment behind ``row``."""
+        out = {}
+        while row >= 0:
+            out[int(self.group[row])] = int(self.bit[row])
+            row = int(self.parent[row])
+        return out
+
+
+class RangeTable:
+    """Least ``sum omega`` per (contiguous group range, layers per bitwidth).
+
+    A stage that runs ``L[k]`` layers at ``bits[k]`` has prefill and
+    decode seconds and bytes linear in ``L`` on any device; only which
+    groups take which bitwidth — the quality term — depends on the range.
+    Rows are built lazily per device position, and only the ranges that
+    position can take: prefixes for the first device (one sweep from group
+    0), suffixes for the last (one backward sweep), and, for three or more
+    devices, every range a middle device can hold (one sweep per start).
+    Sweeps stop growing a row past ``limit`` bytes, so no row is longer
+    than the most any device can hold.  Every candidate whose layer bytes
+    and capacities it covers shares one table
+    (:meth:`BitAssignmentILP.solve` checks).
     """
 
-    c: np.ndarray
-    A: sparse.csr_matrix
-    lo: np.ndarray
-    hi: np.ndarray
-    num_groups: int
-    num_devices: int
-    bits: tuple[int, ...]
-    theta: float
-    omega: np.ndarray
-    time_limit: float
+    def __init__(self, sizes, omega, layer_bytes, limit: float) -> None:
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        self.omega = np.asarray(omega, dtype=np.float64)
+        self.layer_bytes = np.asarray(layer_bytes, dtype=np.float64)
+        self.limit = float(limit)
+        self._blocks: dict[str, _Block] = {}
 
     @property
-    def num_z(self) -> int:
-        """Count of binary placement variables."""
-        return self.num_groups * self.num_devices * len(self.bits)
+    def num_rows(self) -> int:
+        """Rows built so far."""
+        return sum(b.W.size for b in self._blocks.values())
+
+    def block(self, kind: str) -> _Block:
+        """``"prefix"``, ``"suffix"`` or ``"middle"`` rows, built once."""
+        if kind not in self._blocks:
+            self._blocks[kind] = self._build(kind)
+        return self._blocks[kind]
+
+    def _build(self, kind: str) -> _Block:
+        n = self.sizes.size
+        sizes, omega = self.sizes, self.omega
+        if kind == "suffix":  # a forward sweep over the reversed groups
+            sizes, omega = sizes[::-1], omega[::-1]
+        starts, stop = (range(1, n - 1), n - 1) if kind == "middle" else ([0], n)
+        st, length, L, W, parent, bit = _sweep(
+            sizes, omega, self.layer_bytes, self.limit, starts, stop
+        )
+        if kind == "suffix":
+            a, e = n - length, np.full(length.size, n)
+            group = a
+        else:
+            a, e = st, st + length
+            group = e - 1
+        nbytes = L @ self.layer_bytes
+        longest = int(length[-1]) if length.size else 0
+        upto = np.searchsorted(length, np.arange(longest + 1), side="right")
+        min_bytes = np.full(longest + 1, np.inf)  # length 0 holds no row
+        if longest:
+            min_bytes[1:] = np.minimum.reduceat(nbytes, upto[:-1])
+        return _Block(L, W, nbytes, a, e, group, parent, bit, upto, min_bytes)
 
 
-def _highs(prob: AssembledILP, *, relaxed: bool, cutoff: float = np.inf, **options):
-    """One HiGHS call on an assembled problem, integral or (``relaxed``)
-    its LP relaxation.  scipy loads here, on the first solve: importing
-    the planner package — which serving, simulation and the fleet all do
-    — must not pay for a solver they never call."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
+# ----------------------------------------------------------------------
+# the DP over devices
 
-    n_var = prob.num_z + 2
-    integrality = np.zeros(n_var)
-    if not relaxed:
-        integrality[: prob.num_z] = 1
-    constraints = [LinearConstraint(prob.A, prob.lo, prob.hi)]
-    if np.isfinite(cutoff):
-        constraints.append(LinearConstraint(prob.c[None, :], -np.inf, cutoff))
-    return milp(
-        prob.c,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=Bounds(
-            lb=np.zeros(n_var),
-            ub=np.concatenate([np.ones(prob.num_z), [np.inf, np.inf]]),
-        ),
-        options={"time_limit": prob.time_limit, **options},
+
+def _precedes(i, j, C, V):
+    """State ``i`` comes before state ``j`` in (C, V, position) order."""
+    return (C[i] < C[j]) | ((C[i] == C[j]) & ((V[i] < V[j]) | ((V[i] == V[j]) & (i < j))))
+
+
+def _dominated(s, t, C, P, D, alpha, beta):
+    """State ``s`` dominates state ``t``: whatever later stages add, ``s``
+    ends at least as low (a later stage raises ``s``'s two maxima by at
+    most ``(P_s - P_t)+`` and ``(D_s - D_t)+`` more than ``t``'s)."""
+    return (
+        C[s] + alpha * np.maximum(P[s] - P[t], 0) + beta * np.maximum(D[s] - D[t], 0)
+        <= C[t]
     )
 
 
-def solve_assembled(prob: AssembledILP, cutoff: float = np.inf) -> ILPSolution:
-    """Solve one assembled MILP with HiGHS and decode the assignment.
+def _survivors(g, C, P, D, alpha, beta, exact=True):
+    """Positions of the states of each group ``g`` that no state before
+    them in (C, V, position) order dominates, in (g, C, V, position)
+    order (``V = C + alpha P + beta D``).
 
-    Module-level and dependent only on the (picklable) payload so the
-    parallel planner can ship it to ``ProcessPoolExecutor`` workers.
+    First each group's least-``V`` and least-``C`` state remove what they
+    dominate (one vectorized pass each); ``exact=False`` stops there.
+    Then rounds: each group's first undecided state survives — any state
+    before it survived and did not remove it, and dominance is transitive
+    — and removes what it dominates; there are as many rounds as the
+    largest surviving group."""
+    V = C + alpha * P + beta * D
+    pos = np.arange(C.size)
+    alive = np.ones(C.size, bool)
+    n_groups = int(g.max()) + 1 if g.size else 0
+    for key in (V, C):
+        least = np.full(n_groups, np.inf)
+        np.minimum.at(least, g, key)
+        hit = np.flatnonzero(key == least[g])[::-1]
+        pivot = np.empty(n_groups, np.int64)
+        pivot[g[hit]] = hit  # each group's first least state
+        s = pivot[g]
+        alive &= ~(_dominated(s, pos, C, P, D, alpha, beta) & _precedes(s, pos, C, V))
+    live = np.flatnonzero(alive)
+    order = live[np.lexsort((V[live], C[live], g[live]))]
+    if not exact:
+        return order
+    kept, idx = [order[:0]], order
+    while idx.size:
+        first = np.ones(idx.size, bool)
+        first[1:] = g[idx[1:]] != g[idx[:-1]]
+        pivots = idx[first]
+        kept.append(pivots)
+        s = pivots[np.cumsum(first) - 1]
+        idx = idx[~(first | _dominated(s, idx, C, P, D, alpha, beta))]
+    kept = np.concatenate(kept)
+    rank = np.empty(C.size, np.int64)
+    rank[order] = np.arange(order.size)
+    return kept[np.argsort(rank[kept])]
 
-    A finite ``cutoff`` (the search's incumbent) adds the row ``c @ x <=
-    cutoff``: assignments that cannot beat the incumbent leave the
-    feasible set, so HiGHS stops at "nothing under the cutoff" instead
-    of proving the optimality of a loser.  A solve that finds nothing
-    under the cutoff comes back with status ``"pruned"``.
+
+def _solve_dp(table, lp, ld, caps, kinds, alpha, beta, n_pass, theta, cutoff):
+    """The range-table DP (DESIGN.md §8.3).
+
+    ``lp``/``ld``: per-layer prefill/decode seconds per (device, bitwidth);
+    ``kinds``: a hashable per device, equal for devices whose rows price
+    the same (type and capacity).  A state is a prefix of the pipeline
+    ending at group ``e`` with ``(C, P_max, D_max)``: separable cost and
+    the two bottlenecks so far.  Returns ``(objective, per-device (block,
+    row)), cut`` — ``None`` for the first when no assignment exists at or
+    below ``cutoff``; ``cut`` tells whether the cutoff removed anything.
     """
-    import time
+    n_groups, n_dev = table.sizes.size, len(caps)
+    # admissible rest after group e: each remaining group at its cheapest
+    # cell, and the remaining layers spread evenly at the fastest cell
+    cell = table.sizes[:, None] * (lp + n_pass * ld).min(axis=0) + theta * table.omega
+    rest = np.r_[np.cumsum(cell.min(axis=1)[::-1])[::-1], 0.0]
+    layers_after = np.r_[np.cumsum(table.sizes[::-1])[::-1], 0]
+    limit = cutoff + 1e-9 * abs(cutoff) if np.isfinite(cutoff) else np.inf
+    cut = False
+    fe = np.zeros(1, np.int64)  # the empty prefix
+    fC = fP = fD = np.zeros(1)
+    trail, stage_rows = [], {}
+    for j in range(n_dev):
+        last = j == n_dev - 1
+        kind = "prefix" if j == 0 else "suffix" if last else "middle"
+        blk = table.block(kind)
+        memo = (kind, kinds[j])
+        if memo not in stage_rows:  # rows at this price and cap
+            m = blk.rows_for(caps[j])
+            rows = np.flatnonzero(blk.nbytes[:m] <= caps[j])
+            L = blk.L[rows]
+            rC = L @ (lp[j] + n_pass * ld[j]) + theta * blk.W[rows]
+            rP, rD = L @ lp[j], L @ ld[j]
+            if kind != "prefix" and rows.size:  # one pre-filter pass per range
+                g = blk.a[rows] * (n_groups + 1) + blk.e[rows]
+                keep = np.sort(_survivors(np.unique(g, return_inverse=True)[1],
+                                          rC, rP, rD, alpha, beta, exact=False))
+                rows, rC, rP, rD = rows[keep], rC[keep], rP[keep], rD[keep]
+            stage_rows[memo] = rows, rC, rP, rD
+        rows, rC, rP, rD = stage_rows[memo]
+        ra, re = blk.a[rows], blk.e[rows]
+        count = np.bincount(fe, minlength=n_groups + 1)
+        cheapest = np.full(n_groups + 1, np.inf)
+        np.minimum.at(cheapest, fe, fC)
+        ok = (count[ra] > 0) & (re <= n_groups - (n_dev - 1 - j))
+        if last:
+            ok &= re == n_groups
+        spread = layers_after / max(n_dev - 1 - j, 1)
+        tail_P, tail_D = spread * lp.min(), spread * ld.min()
 
-    t0 = time.perf_counter()
-    res = _highs(prob, relaxed=False, cutoff=cutoff, mip_rel_gap=1e-4)
-    dt = time.perf_counter() - t0
-    if res.status != 0 or res.x is None:
-        pruned = np.isfinite(cutoff) and res.status == 2
-        return _infeasible(dt, "pruned" if pruned else "infeasible")
-    nG, nD, nB = prob.num_groups, prob.num_devices, len(prob.bits)
-    z = res.x[: prob.num_z].reshape(nG, nD, nB)
-    gdev, gbits = [], []
-    for i in range(nG):
-        j, k = np.unravel_index(np.argmax(z[i]), (nD, nB))
-        gdev.append(int(j))
-        gbits.append(prob.bits[int(k)])
-    quality_term = float(
-        sum(prob.omega[i, prob.bits.index(gbits[i])] for i in range(nG))
-    )
-    return ILPSolution(
-        group_device=tuple(gdev),
-        group_bits=tuple(gbits),
-        objective=float(res.fun),
-        latency_term=float(res.fun - prob.theta * quality_term),
-        quality_term=quality_term,
-        status="optimal",
-        solve_seconds=dt,
-    )
+        def bound(C, P, D, e):
+            return (C + alpha * np.maximum(P, tail_P[e])
+                    + beta * np.maximum(D, tail_D[e]) + rest[e])
 
-
-def lp_lower_bound(prob: AssembledILP) -> float:
-    """Admissible lower bound: optimum of the LP relaxation.
-
-    Dropping integrality can only lower the optimum, so this bounds the
-    MILP objective from below; the MILP objective in turn lower-bounds
-    the planner's final ``simulate + theta * quality`` score (the
-    simulator adds communication, embedding work and pipeline bubbles on
-    top of the same cost-model terms, and evaluates decode at per-step
-    contexts whose mean dominates the ILP's ``avg_ctx``).  Returns
-    ``+inf`` when even the relaxation is infeasible (the candidate can be
-    discarded outright) and ``-inf`` when the LP did not finish (never
-    prune on an unproven bound).
-    """
-    res = _highs(prob, relaxed=True)
-    if res.status == 2:  # proven infeasible
-        return np.inf
-    if res.status == 0 and res.fun is not None:
-        return float(res.fun)
-    return -np.inf
+        over = bound(cheapest[ra] + rC, rP, rD, re) > limit
+        cut |= bool((ok & over).any())
+        pick = np.flatnonzero(ok & ~over)
+        # every surviving row with every state that ends where it starts
+        c = count[ra[pick]]
+        pr = np.repeat(pick, c)
+        start = np.searchsorted(fe, ra[pr])
+        ps = start + np.arange(pr.size) - np.repeat(np.cumsum(c) - c, c)
+        pC = fC[ps] + rC[pr]
+        pP = np.maximum(fP[ps], rP[pr])
+        pD = np.maximum(fD[ps], rD[pr])
+        pe = re[pr]
+        V = pC + alpha * pP + beta * pD
+        if last:
+            if not V.size or V.min() > cutoff:
+                return None, cut or bool(V.size)
+            # lowest objective, then lowest separable cost, then first made
+            q = int(np.lexsort((pC, V))[0])
+            trail.append((ps, rows[pr], blk))
+            break
+        over = bound(pC, pP, pD, pe) > limit
+        cut |= bool(over.any())
+        keep = np.flatnonzero(~over)
+        keep = keep[_survivors(pe[keep], pC[keep], pP[keep], pD[keep], alpha, beta)]
+        if not keep.size:
+            return None, cut
+        fe, fC, fP, fD = pe[keep], pC[keep], pP[keep], pD[keep]
+        trail.append((ps[keep], rows[pr[keep]], blk))
+    stages = []
+    for ps, rows, blk in reversed(trail):
+        stages.append((blk, int(rows[q])))
+        q = int(ps[q])
+    return (float(V.min()), stages[::-1]), cut
 
 
 @dataclass
 class BitAssignmentILP:
-    """Builds and solves the Sec.-4.3 ILP for one configuration.
+    """The Sec.-4.3 problem for one configuration, solved exactly.
 
     Parameters
     ----------
@@ -247,6 +397,10 @@ class BitAssignmentILP:
         Optional shared :class:`PredictionCache`; when set, coefficient
         tables are filled from the memo instead of per-cell
         ``predict_layer`` calls (numerically identical).
+    range_tables:
+        Optional shared memo of :class:`RangeTable` s, keyed by what a
+        table depends on; the planner passes one per run so every
+        candidate reuses the rows its layer bytes and capacities allow.
     """
 
     cfg: ModelConfig
@@ -261,8 +415,8 @@ class BitAssignmentILP:
     theta: float = 1.0
     phase_aware: bool = True
     kv_bits: int = 16
-    time_limit: float = 60.0
     prediction_cache: PredictionCache | None = None
+    range_tables: dict | None = None
 
     # ------------------------------------------------------------------
     def _group_sizes(self) -> list[int]:
@@ -273,50 +427,49 @@ class BitAssignmentILP:
             sizes.append(L % g)
         return sizes
 
-    def _coefficients(self):
-        """Latency, memory and quality coefficients per (group, dev, bit).
-
-        The per-(device, bits) layer-time tables come from vectorized
-        queries, memoized when a ``prediction_cache`` is attached.
-        """
+    def _layer_tables(self):
+        """Per-layer ``(prefill s, decode s)`` per (device, bits) and
+        bytes per bits, read through the prediction memo when attached."""
         w = self.workload
-        sizes = self._group_sizes()
-        n_groups, n_bits = len(sizes), len(self.bits)
         avg_ctx = w.prompt_len + max(w.decode_passes, 1) // 2
-
-        omega = np.zeros((n_groups, n_bits))
-        per_layer_kv = kv_cache_bytes(
-            self.cfg, 1, w.global_batch, w.max_seq_len, kv_bits=self.kv_bits
-        )
-
         cache = self.prediction_cache or PredictionCache(self.latency_model)
-        type_names = [d.type_name for d in self.devices]
         # the same (device, bits) layer-time blocks a source="model"
         # StageCostModel serves to the simulators
         lp, ld = planner_time_tables(
-            cache, type_names, self.bits,
+            cache, [d.type_name for d in self.devices], self.bits,
             prefill_microbatch=self.prefill_microbatch,
             decode_microbatch=self.decode_microbatch,
             prompt_len=w.prompt_len, avg_context=avg_ctx,
             kv_bits=self.kv_bits,
         )
-        sizes_arr = np.asarray(sizes, dtype=np.float64)
-        t_pre = sizes_arr[:, None, None] * lp[None, :, :]
-        t_dec = sizes_arr[:, None, None] * ld[None, :, :]
+        per_layer_kv = kv_cache_bytes(
+            self.cfg, 1, w.global_batch, w.max_seq_len, kv_bits=self.kv_bits
+        )
         layer_bytes = (
             np.array([self.cfg.layer_weight_bytes(b) for b in self.bits])
             + per_layer_kv
         )
-        mem = sizes_arr[:, None] * layer_bytes[None, :]
+        return lp, ld, layer_bytes
 
+    def _omega(self) -> np.ndarray:
+        """The grouped quality table, one column per bitwidth."""
+        n_groups = len(self._group_sizes())
         if self.indicator.num_layers != n_groups:
             raise ValueError(
                 f"indicator has {self.indicator.num_layers} rows, expected "
                 f"{n_groups} groups (did you call .grouped({self.group_size})?)"
             )
-        for k, b in enumerate(self.bits):
-            omega[:, k] = self.indicator.column(b)
-        return sizes, t_pre, t_dec, mem, omega
+        return np.stack([self.indicator.column(b) for b in self.bits], axis=1)
+
+    def _coefficients(self):
+        """Latency, memory and quality coefficients per (group, dev, bit)."""
+        lp, ld, layer_bytes = self._layer_tables()
+        sizes = self._group_sizes()
+        sizes_arr = np.asarray(sizes, dtype=np.float64)
+        t_pre = sizes_arr[:, None, None] * lp[None, :, :]
+        t_dec = sizes_arr[:, None, None] * ld[None, :, :]
+        mem = sizes_arr[:, None] * layer_bytes[None, :]
+        return sizes, t_pre, t_dec, mem, self._omega()
 
     def _device_capacity(self, j: int) -> float:
         """Memory budget of device ``j`` after fixed per-stage extras."""
@@ -337,162 +490,78 @@ class BitAssignmentILP:
             cap -= logits_workspace_bytes(self.cfg, mb, 1)
         return cap
 
-    # ------------------------------------------------------------------
-    def assemble(self) -> AssembledILP | None:
-        """Build the full MILP; ``None`` when a device capacity is already
-        negative (no assignment can exist at this micro-batch setting)."""
-        sizes, t_pre, t_dec, mem, omega = self._coefficients()
-        w = self.workload
-        nG, nD, nB = len(sizes), len(self.devices), len(self.bits)
-        n_var = nG * nD * nB + 2
+    def _range_table(self, omega, layer_bytes, caps) -> RangeTable:
+        """The shared table for these rows, or a new one (memoized when a
+        ``range_tables`` memo is attached) reaching every device's memory."""
+        sizes = np.asarray(self._group_sizes())
+        key = (sizes.tobytes(), omega.tobytes(), layer_bytes.tobytes())
+        memo = self.range_tables if self.range_tables is not None else {}
+        table = memo.get(key)
+        if table is None or table.limit < max(caps):
+            limit = max(max(caps), *(d.spec.memory_bytes for d in self.devices))
+            table = memo[key] = RangeTable(sizes, omega, layer_bytes, limit)
+        return table
 
+    def _terms(self):
+        """``(m_p - 1, n (m_d - 1), n)``: the two bottleneck weights and
+        the decode passes the objective prices (none without phases)."""
+        w = self.workload
         m_p = -(-w.global_batch // self.prefill_microbatch)
         m_d = -(-w.global_batch // self.decode_microbatch)
         n_pass = max(w.decode_passes, 0) if self.phase_aware else 0
+        return m_p - 1, n_pass * (m_d - 1), n_pass
 
-        caps = np.array([self._device_capacity(j) for j in range(nD)])
-        if np.any(caps <= 0):
-            return None
-
-        c = np.empty(n_var)
-        c[:-2] = ((t_pre + n_pass * t_dec) + self.theta * omega[:, None, :]).ravel()
-        c[-2:] = m_p - 1, n_pass * (m_d - 1)
-        A, lo, hi = self._constraints_vectorized(t_pre, t_dec, mem, caps, nG, nD, nB)
-        return AssembledILP(
-            c=c, A=A, lo=lo, hi=hi,
-            num_groups=nG, num_devices=nD, bits=tuple(self.bits),
-            theta=self.theta, omega=omega, time_limit=self.time_limit,
+    def lower_bound(self) -> float:
+        """A cheap bound no assignment undercuts: every group at its
+        cheapest (device, bitwidth) cell, and each bottleneck at least an
+        even share of its phase's least total time."""
+        alpha, beta, n_pass = self._terms()
+        lp, ld, _ = self._layer_tables()
+        sizes = np.asarray(self._group_sizes(), dtype=np.float64)
+        cells = sizes[:, None] * (lp + n_pass * ld).min(axis=0) + self.theta * self._omega()
+        share = sizes.sum() / len(self.devices)
+        return float(
+            cells.min(axis=1).sum() + share * (alpha * lp.min() + beta * ld.min())
         )
 
     # ------------------------------------------------------------------
-    def _constraints_vectorized(self, t_pre, t_dec, mem, caps, nG, nD, nB):
-        """Constraint matrix from numpy index arrays (no Python dict loops).
+    def solve(self, cutoff: float = np.inf) -> ILPSolution:
+        """The exact optimum by the range-table DP.
 
-        Row layout:
-        one-assignment per group | non-empty device | contiguity |
-        memory per device | per-device (T_pre, T_dec) definitions.
+        A finite ``cutoff`` (the search's incumbent) drops every partial
+        assignment that cannot end at or below it; when nothing is left
+        and the cutoff removed something the status is ``"pruned"``.  A
+        solution exactly at the cutoff is kept.
         """
-        nZ = nG * nD * nB
-        n_var = nZ + 2
-        ip, idx_td = nZ, nZ + 1
-
-        # full (i, j, k) -> column lattice, reused by several blocks
-        cols_ijk = (
-            (np.arange(nG)[:, None, None] * nD + np.arange(nD)[None, :, None]) * nB
-            + np.arange(nB)[None, None, :]
-        )  # shape (nG, nD, nB)
-
-        data_parts: list[np.ndarray] = []
-        ri_parts: list[np.ndarray] = []
-        ci_parts: list[np.ndarray] = []
-        lo_parts: list[np.ndarray] = []
-        hi_parts: list[np.ndarray] = []
-        row_base = 0
-
-        def add_block(ri, ci, data, lo, hi, n_rows):
-            nonlocal row_base
-            ri_parts.append(np.asarray(ri).ravel() + row_base)
-            ci_parts.append(np.asarray(ci).ravel())
-            data_parts.append(np.asarray(data, dtype=np.float64).ravel())
-            lo_parts.append(np.asarray(lo, dtype=np.float64).ravel())
-            hi_parts.append(np.asarray(hi, dtype=np.float64).ravel())
-            row_base += n_rows
-
-        # (9) exactly one (device, bits) per group: row i covers z[i, :, :]
-        add_block(
-            ri=np.repeat(np.arange(nG), nD * nB),
-            ci=cols_ijk,
-            data=np.ones(nZ),
-            lo=np.ones(nG),
-            hi=np.ones(nG),
-            n_rows=nG,
-        )
-
-        # every device hosts at least one group: row j covers z[:, j, :]
-        add_block(
-            ri=np.repeat(np.arange(nD), nG * nB),
-            ci=np.swapaxes(cols_ijk, 0, 1),
-            data=np.ones(nZ),
-            lo=np.ones(nD),
-            hi=np.full(nD, float(nG)),
-            n_rows=nD,
-        )
-
-        # (16) contiguity: for i >= 1 and device pair j < k2,
-        #   sum_b z[i, j, b] + sum_b z[i-1, k2, b] <= 1
-        if nG > 1 and nD > 1:
-            j_arr, k2_arr = np.triu_indices(nD, k=1)
-            P = j_arr.size
-            ii = np.arange(1, nG)
-            kb = np.arange(nB)
-            cur = ((ii[:, None, None] * nD + j_arr[None, :, None]) * nB
-                   + kb[None, None, :])  # (nG-1, P, nB)
-            prev = (((ii - 1)[:, None, None] * nD + k2_arr[None, :, None]) * nB
-                    + kb[None, None, :])
-            ci = np.concatenate(
-                [cur.reshape(-1, nB), prev.reshape(-1, nB)], axis=1
-            )  # ((nG-1)*P, 2*nB)
-            n_rows = (nG - 1) * P
-            add_block(
-                ri=np.repeat(np.arange(n_rows), 2 * nB),
-                ci=ci,
-                data=np.ones(n_rows * 2 * nB),
-                lo=np.full(n_rows, -np.inf),
-                hi=np.ones(n_rows),
-                n_rows=n_rows,
-            )
-
-        # (12)-(13) memory per device: row j is sum_{i,b} mem[i,b] z[i,j,b]
-        add_block(
-            ri=np.repeat(np.arange(nD), nG * nB),
-            ci=np.swapaxes(cols_ijk, 0, 1),
-            data=np.broadcast_to(mem[:, None, :], (nG, nD, nB)).swapaxes(0, 1),
-            lo=np.full(nD, -np.inf),
-            hi=caps,
-            n_rows=nD,
-        )
-
-        # T_max definitions: interleaved (prefill, decode) rows per device
-        dev_rows = np.repeat(np.arange(nD) * 2, nG * nB)
-        cols_dev = np.swapaxes(cols_ijk, 0, 1).reshape(nD, -1)
-        t_pre_dev = t_pre.swapaxes(0, 1).reshape(nD, -1)
-        t_dec_dev = t_dec.swapaxes(0, 1).reshape(nD, -1)
-        ri_t = np.concatenate(
-            [dev_rows, dev_rows + 1, np.arange(nD) * 2, np.arange(nD) * 2 + 1]
-        )
-        ci_t = np.concatenate(
-            [cols_dev.ravel(), cols_dev.ravel(),
-             np.full(nD, ip), np.full(nD, idx_td)]
-        )
-        data_t = np.concatenate(
-            [t_pre_dev.ravel(), t_dec_dev.ravel(),
-             np.full(nD, -1.0), np.full(nD, -1.0)]
-        )
-        add_block(
-            ri=ri_t, ci=ci_t, data=data_t,
-            lo=np.full(2 * nD, -np.inf), hi=np.zeros(2 * nD), n_rows=2 * nD,
-        )
-
-        from scipy import sparse
-
-        A = sparse.csr_matrix(
-            (np.concatenate(data_parts),
-             (np.concatenate(ri_parts), np.concatenate(ci_parts))),
-            shape=(row_base, n_var),
-        )
-        return A, np.concatenate(lo_parts), np.concatenate(hi_parts)
-
-    # ------------------------------------------------------------------
-    def solve(self) -> ILPSolution:
-        """Build the MILP and solve it with HiGHS; returns the assignment."""
-        import time
-
         t0 = time.perf_counter()
-        prob = self.assemble()
-        if prob is None:
-            return _infeasible(time.perf_counter() - t0)
-        # account assembly time into the reported solve time
-        return replace(solve_assembled(prob), solve_seconds=time.perf_counter() - t0)
+        omega = self._omega()
+        lp, ld, layer_bytes = self._layer_tables()
+        alpha, beta, n_pass = self._terms()
+        caps = [self._device_capacity(j) for j in range(len(self.devices))]
+        table = self._range_table(omega, layer_bytes, caps)
+        kinds = [(d.type_name, cap) for d, cap in zip(self.devices, caps)]
+        found, cut = _solve_dp(
+            table, lp, ld, caps, kinds, alpha, beta, n_pass, self.theta, cutoff
+        )
+        if found is None:
+            return _infeasible(time.perf_counter() - t0, "pruned" if cut else "infeasible")
+        objective, stages = found
+        group_device, choice = [], []
+        for j, (blk, row) in enumerate(stages):
+            for _, k in sorted(blk.bits_of(row).items()):
+                group_device.append(j)
+                choice.append(k)
+        # summed in group order: the quality term the simulated objective adds
+        quality = float(sum(omega[i, k] for i, k in enumerate(choice)))
+        return ILPSolution(
+            group_device=tuple(group_device),
+            group_bits=tuple(self.bits[k] for k in choice),
+            objective=objective,
+            latency_term=objective - self.theta * quality,
+            quality_term=quality,
+            status="optimal",
+            solve_seconds=time.perf_counter() - t0,
+        )
 
     # ------------------------------------------------------------------
     def expand_groups(

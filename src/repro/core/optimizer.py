@@ -17,13 +17,11 @@ best ``latency + theta * quality`` objective as evaluated by the cost
 models.
 
 Candidate evaluation runs on the :mod:`repro.core.search` engine:
-byte-identical candidates are deduplicated, cost-model queries are
-memoized in a shared :class:`~repro.cost.predictions.PredictionCache`,
-candidates are solved best-first under LP-relaxation bounds with
-incumbent pruning, and independent MILPs can solve in parallel worker
-processes (``PlannerConfig.n_jobs``).  The result it must match — the
-plain serial walk of the same grid — is ``spec_optimize`` in
-``tests/core/ilp_spec.py``.
+identical candidates are deduplicated, cost-model queries and range
+tables are memoized per run, and candidates are solved best-first by the
+exact DP under the incumbent.  The result it must match — the plain
+serial walk of the same grid, one MILP per candidate — is
+``spec_optimize`` in ``tests/core/ilp_spec.py``.
 """
 
 from __future__ import annotations
@@ -72,15 +70,13 @@ class PlannerConfig:
     max_orderings: int = 24
     prefill_mb_cap: int | None = None  # xi; default: global_batch
     decode_mb_candidates: tuple[int, ...] | None = None
-    ilp_time_limit: float = 60.0
     #: KV-cache bitwidth: 16 (fp16 baseline), 8 or 4 (uniform quantized
     #: KV priced into the ILP's memory *and* time tables), or ``"auto"``
     #: — enumerate the uniform levels, pick the best under
     #: ``objective + theta * kv_error``, then refine per stage
     kv_bits: int | str = 16
-    #: search-engine knobs: worker processes for candidate MILPs, and the
-    #: dedup / bound-and-prune switches (all result-preserving)
-    n_jobs: int = 1
+    #: search-engine switches: dedup and incumbent pruning (both
+    #: result-preserving)
     dedup: bool = True
     prune: bool = True
 
@@ -96,6 +92,13 @@ class PlannerConfig:
             )
         if self.max_orderings < 1:
             raise ValueError(f"max_orderings must be >= 1, got {self.max_orderings}")
+        if self.prefill_mb_cap is not None and self.prefill_mb_cap < 1:
+            raise ValueError(f"prefill_mb_cap must be >= 1, got {self.prefill_mb_cap}")
+        mbs = self.decode_mb_candidates
+        if mbs is not None and (not mbs or min(mbs) < 1):
+            raise ValueError(
+                f"decode_mb_candidates must be non-empty and >= 1, got {tuple(mbs)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -149,10 +152,10 @@ def _microbatch_pairs(
     workload: Workload, n_devices: int, cfg: PlannerConfig
 ) -> list[tuple[int, int]]:
     b = workload.global_batch
-    xi = cfg.prefill_mb_cap or b
+    xi = b if cfg.prefill_mb_cap is None else cfg.prefill_mb_cap
     prefill = [m for m in (1, 2, 4, 8, 16, 32, 64) if m <= min(b, xi)]
     if cfg.decode_mb_candidates is not None:
-        decode = [m for m in cfg.decode_mb_candidates if 0 < m <= b]
+        decode = [m for m in cfg.decode_mb_candidates if m <= b]
     else:
         even = max(1, -(-b // n_devices))
         decode = sorted({even, min(2 * even, b), b})
@@ -186,10 +189,12 @@ class LLMPQOptimizer:
         )
         self.indicator = base_indicator.normalized()
         # hoisted per-run state shared by every candidate: the grouped
-        # omega table (identical for all candidates) and the cost-model
-        # prediction memo
+        # omega table (identical for all candidates), the cost-model
+        # prediction memo, and the DP's range tables (one per layer-bytes
+        # row, so per KV level)
         self.grouped_indicator = self.indicator.grouped(self.config.group_size)
         self.prediction_cache = PredictionCache(self.latency_model)
+        self.range_tables: dict = {}
         kv = self.config.kv_bits
         if kv != "auto" and kv not in KV_BITS_CHOICES:
             raise ValueError(
@@ -214,8 +219,8 @@ class LLMPQOptimizer:
     def build_ilp(
         self, ordering: Sequence[Device], mb_p: int, mb_d: int
     ) -> BitAssignmentILP:
-        """One candidate's Sec.-4.3 ILP under this planner's knobs, its
-        coefficients read through the shared prediction memo."""
+        """One candidate's Sec.-4.3 problem under this planner's knobs, its
+        coefficients and range tables read through the run's memos."""
         return BitAssignmentILP(
             cfg=self.cfg,
             workload=self.workload,
@@ -228,8 +233,8 @@ class LLMPQOptimizer:
             group_size=self.config.group_size,
             theta=self.config.theta,
             kv_bits=self.config.kv_bits,
-            time_limit=self.config.ilp_time_limit,
             prediction_cache=self.prediction_cache,
+            range_tables=self.range_tables,
         )
 
     def simulate(self, plan: ExecutionPlan) -> PipelineResult:
@@ -278,7 +283,8 @@ class LLMPQOptimizer:
     def optimize(self) -> PlannerResult:
         """Run the full Algorithm-1 search on the
         :class:`~repro.core.search.SearchEngine` (dedup + memoized cost
-        queries + LP-bound pruning + optional parallel solves).
+        queries and range tables + best-first DP solves under the
+        incumbent).
 
         ``result.stats`` records the work the engine saved.
 

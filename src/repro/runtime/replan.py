@@ -419,7 +419,6 @@ def make_search_replanner(
     *,
     theta: float = 1.0,
     use_heuristic: bool = True,
-    ilp_time_limit: float = 10.0,
     latency_model=None,
     **plan_kwargs,
 ) -> Replanner:
@@ -442,8 +441,7 @@ def make_search_replanner(
         result = plan_llmpq(
             plan.model_name, cluster, wl,
             theta=theta, use_heuristic=use_heuristic,
-            ilp_time_limit=ilp_time_limit, latency_model=latency_model,
-            **plan_kwargs,
+            latency_model=latency_model, **plan_kwargs,
         )
         if result.plan is None or result.plan == plan:
             return None

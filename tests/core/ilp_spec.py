@@ -1,16 +1,18 @@
 """The Sec.-4.3 MILP and Algorithm 1's search, written out cell by cell.
 
-This is the specification :meth:`BitAssignmentILP.assemble` and
-:meth:`LLMPQOptimizer.optimize` are pinned to:
+This is the specification :meth:`BitAssignmentILP.solve` (an exact DP)
+and :meth:`LLMPQOptimizer.optimize` are pinned to:
 
 * :func:`spec_coefficients` fills the latency tensors with one scalar
   ``predict_layer`` call per (device, bits) cell and the memory table
   one group at a time — no prediction cache, no broadcasting;
-* :func:`spec_assemble` writes the objective vector one variable at a
-  time and every constraint row as a ``{column: coefficient}`` dict, in
-  the row order the assembled problem documents (one-assignment |
-  non-empty device | contiguity | memory | per-device T_pre, T_dec);
-  the result must equal ``ilp.assemble()`` bitwise;
+* :func:`spec_assemble` writes the paper's MILP: the objective vector
+  one variable at a time and every constraint row as a ``{column:
+  coefficient}`` dict (one-assignment | non-empty device | contiguity |
+  memory | per-device T_pre, T_dec); :func:`spec_solve` hands it to
+  HiGHS, and :func:`spec_price` prices any assignment by the same
+  vector and rows — the DP's optimum must equal the price of the MILP's
+  assignment, and the DP's assignment must satisfy every row;
 * :func:`spec_optimize` walks the (ordering x micro-batch) grid
   serially — one MILP per candidate, no dedup, no shared cache, no
   bound, no pruning — and keeps the strict-improvement best; the search
@@ -31,17 +33,12 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from repro.core.ilp import (
-    AssembledILP,
-    BitAssignmentILP,
-    ILPSolution,
-    _infeasible,
-    solve_assembled,
-)
+from repro.core.ilp import BitAssignmentILP, ILPSolution, _infeasible
 from repro.core.optimizer import (
     CandidateRecord,
     PlannerResult,
@@ -50,6 +47,87 @@ from repro.core.optimizer import (
 from repro.core.plan import KV_BITS_CHOICES
 from repro.cost.memory import kv_cache_bytes
 from repro.sim.pipeline import simulate_pipeline
+
+
+@dataclass(frozen=True)
+class AssembledILP:
+    """One candidate's MILP: objective ``c``, rows ``lo <= A x <= hi``
+    over ``x = [z..., T_pre_max, T_dec_max]``, and what decodes ``z``."""
+
+    c: np.ndarray
+    A: sparse.csr_matrix
+    lo: np.ndarray
+    hi: np.ndarray
+    num_groups: int
+    num_devices: int
+    bits: tuple[int, ...]
+    theta: float
+    omega: np.ndarray
+
+    @property
+    def num_z(self) -> int:
+        """Count of binary placement variables."""
+        return self.num_groups * self.num_devices * len(self.bits)
+
+    def x_of(self, group_device, group_bits) -> np.ndarray:
+        """The MILP vector of an assignment, bottlenecks at their least."""
+        nD, nB = self.num_devices, len(self.bits)
+        x = np.zeros(self.num_z + 2)
+        for i, (j, b) in enumerate(zip(group_device, group_bits)):
+            x[(i * nD + j) * nB + self.bits.index(b)] = 1.0
+        stage_rows = self.A[-2 * nD:] @ x  # per device: T_pre, T_dec
+        x[-2:] = stage_rows[0::2].max(), stage_rows[1::2].max()
+        return x
+
+
+def spec_solve(prob: AssembledILP) -> ILPSolution:
+    """HiGHS on the assembled MILP, stopped at ``mip_rel_gap`` 1e-4: its
+    assignment is ε-optimal and ``res.fun`` is off in the last digits, so
+    compare the DP against :func:`spec_price` of it, never against
+    ``objective``."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n_var = prob.num_z + 2
+    integrality = np.zeros(n_var)
+    integrality[: prob.num_z] = 1
+    t0 = time.perf_counter()
+    res = milp(
+        prob.c, constraints=[LinearConstraint(prob.A, prob.lo, prob.hi)],
+        integrality=integrality,
+        bounds=Bounds(np.zeros(n_var), np.r_[np.ones(prob.num_z), np.inf, np.inf]),
+        options={"time_limit": 60.0, "mip_rel_gap": 1e-4},
+    )
+    dt = time.perf_counter() - t0
+    if res.status != 0 or res.x is None:
+        return _infeasible(dt)
+    nG, nD, nB = prob.num_groups, prob.num_devices, len(prob.bits)
+    z = res.x[: prob.num_z].reshape(nG, nD, nB)
+    gdev, gbits = [], []
+    for i in range(nG):
+        j, k = np.unravel_index(np.argmax(z[i]), (nD, nB))
+        gdev.append(int(j))
+        gbits.append(prob.bits[int(k)])
+    quality = float(sum(prob.omega[i, prob.bits.index(gbits[i])] for i in range(nG)))
+    return ILPSolution(
+        group_device=tuple(gdev), group_bits=tuple(gbits),
+        objective=float(res.fun), latency_term=float(res.fun - prob.theta * quality),
+        quality_term=quality, status="optimal", solve_seconds=dt,
+    )
+
+
+def spec_price(prob: AssembledILP, sol: ILPSolution) -> float:
+    """``sol``'s assignment priced by the MILP's objective, in floats."""
+    return float(prob.c @ prob.x_of(sol.group_device, sol.group_bits))
+
+
+@dataclass
+class CappedILP(BitAssignmentILP):
+    """A ``BitAssignmentILP`` whose per-device capacities are given."""
+
+    caps: tuple = ()
+
+    def _device_capacity(self, j: int) -> float:
+        return float(self.caps[j])
 
 
 def spec_coefficients(ilp: BitAssignmentILP):
@@ -142,8 +220,8 @@ def _spec_constraints(t_pre, t_dec, mem, caps, nG, nD, nB):
 
 
 def spec_assemble(ilp: BitAssignmentILP) -> AssembledILP | None:
-    """The MILP ``ilp.assemble()`` must build, or ``None`` when a device
-    has no capacity left at this micro-batch setting."""
+    """The paper's MILP for ``ilp``, or ``None`` when a device has no
+    capacity left at this micro-batch setting."""
     sizes, t_pre, t_dec, mem, omega = spec_coefficients(ilp)
     w = ilp.workload
     nG, nD, nB = len(sizes), len(ilp.devices), len(ilp.bits)
@@ -170,7 +248,7 @@ def spec_assemble(ilp: BitAssignmentILP) -> AssembledILP | None:
     return AssembledILP(
         c=c, A=A, lo=lo, hi=hi,
         num_groups=nG, num_devices=nD, bits=tuple(ilp.bits),
-        theta=ilp.theta, omega=omega, time_limit=ilp.time_limit,
+        theta=ilp.theta, omega=omega,
     )
 
 
@@ -188,7 +266,7 @@ def spec_adabits(ilp: BitAssignmentILP) -> ILPSolution:
         for j in range(nD):
             for k in range(nB):
                 c[(i * nD + j) * nB + k] = ilp.theta * prob.omega[i, k]
-    return solve_assembled(dataclasses.replace(prob, c=c))
+    return spec_solve(dataclasses.replace(prob, c=c))
 
 
 def spec_optimize(opt) -> PlannerResult:
@@ -212,11 +290,10 @@ def spec_optimize(opt) -> PlannerResult:
                 group_size=opt.config.group_size,
                 theta=opt.config.theta,
                 kv_bits=int(opt.config.kv_bits),
-                time_limit=opt.config.ilp_time_limit,
             )
             t_solve = time.perf_counter()
             prob = spec_assemble(ilp)
-            sol = None if prob is None else solve_assembled(prob)
+            sol = None if prob is None else spec_solve(prob)
             seconds = time.perf_counter() - t_solve
             status, obj, lat, quality = "infeasible", np.inf, np.inf, np.inf
             if sol is not None and sol.feasible:

@@ -1,7 +1,6 @@
 """Unit tests for adabits + the bitwidth-transfer heuristic (Algorithm 2)."""
 
 import dataclasses
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from repro.quant import IndicatorTable
 from repro.sim.pipeline import simulate_pipeline
 from repro.workload import Workload
 
-from .ilp_spec import spec_adabits, spec_assemble
+from .ilp_spec import CappedILP, spec_adabits, spec_assemble
 
 
 @pytest.fixture(scope="module")
@@ -191,16 +190,6 @@ def test_heuristic_result_unchanged_by_shared_memo(
 _SEED_WORKLOAD = Workload(prompt_len=12, gen_len=6, global_batch=4)
 
 
-@dataclass
-class _CappedILP(BitAssignmentILP):
-    """A ``BitAssignmentILP`` whose per-device capacities are drawn."""
-
-    caps: tuple = ()
-
-    def _device_capacity(self, j: int) -> float:
-        return float(self.caps[j])
-
-
 def _layer_bytes(cfg, bits):
     """One layer's row of the ILP's memory table (whole bytes here)."""
     w = _SEED_WORKLOAD
@@ -262,7 +251,7 @@ def test_seed_dp_equals_spec_milp(inst, tiny8l, tiny_latmodel):
     for bit), and the DP's assignment satisfies every MILP row."""
     layers, group, bits, omega, caps = inst
     t4 = get_gpu("T4-16G")
-    ilp = _CappedILP(
+    ilp = CappedILP(
         cfg=dataclasses.replace(tiny8l, num_layers=layers),
         workload=_SEED_WORKLOAD,
         devices=[Device(t4, node_id=0, local_rank=j) for j in range(len(caps))],
@@ -314,13 +303,13 @@ def test_seed_dp_tie_rule_pinned():
 def test_heuristic_makes_no_solver_call(
     small_hetero_cluster, small_workload, latmodel_13b, monkeypatch
 ):
-    from repro.core import ilp as ilp_mod
     from repro.core.api import plan_llmpq
 
     calls = []
-    real = ilp_mod._highs
+    real = BitAssignmentILP.solve
     monkeypatch.setattr(
-        ilp_mod, "_highs", lambda *a, **k: calls.append(a) or real(*a, **k)
+        BitAssignmentILP, "solve",
+        lambda ilp, *a, **k: calls.append(a) or real(ilp, *a, **k),
     )
     res = plan_llmpq(
         "opt-13b", small_hetero_cluster, small_workload, group_size=4,
@@ -339,7 +328,7 @@ def test_heuristic_makes_no_solver_call(
         "opt-13b", small_hetero_cluster, small_workload, group_size=4,
         latency_model=latmodel_13b, prefill_mb_cap=2, decode_mb_candidates=(8,),
     )
-    assert calls  # the wrapper does see the exact search's solves
+    assert calls  # the wrapper does see the exact search's DP solves
 
 
 @pytest.mark.parametrize(
@@ -448,6 +437,11 @@ def test_stage_memo_is_position_independent(
         (dict(bits=()), "bits must be a non-empty subset"),
         (dict(bits=(4, 5)), "bits must be a non-empty subset"),
         (dict(max_orderings=0), "max_orderings must be >= 1"),
+        (dict(prefill_mb_cap=0), "prefill_mb_cap must be >= 1, got 0"),
+        (dict(prefill_mb_cap=-1), "prefill_mb_cap must be >= 1, got -1"),
+        (dict(decode_mb_candidates=()), "decode_mb_candidates must be non-empty"),
+        (dict(decode_mb_candidates=(0, -4)), "decode_mb_candidates must be non-empty"),
+        (dict(decode_mb_candidates=(8, 0)), r"and >= 1, got \(8, 0\)"),
     ],
 )
 def test_planner_config_rejects_bad_knobs(knobs, message):
@@ -460,3 +454,11 @@ def test_plan_llmpq_rejects_empty_bits(small_hetero_cluster, small_workload):
 
     with pytest.raises(ValueError, match="bits must be a non-empty subset"):
         plan_llmpq("opt-13b", small_hetero_cluster, small_workload, bits=())
+
+
+def test_plan_llmpq_rejects_parallel_jobs(small_hetero_cluster, small_workload):
+    """Candidates are solved in-process: ``n_jobs`` is accepted only as 1."""
+    from repro.core.api import plan_llmpq
+
+    with pytest.raises(ValueError, match="n_jobs must be 1"):
+        plan_llmpq("opt-13b", small_hetero_cluster, small_workload, n_jobs=2)

@@ -1,19 +1,18 @@
-"""Tests for the parallel, cache-aware planner search engine.
+"""Tests for the cache-aware planner search engine.
 
 Covers the engine's asserted-identical-result guarantee against
-``ilp_spec``: MILP assembly is *exactly* equal to the cell-by-cell
-``spec_assemble``, the shared prediction cache is numerically
-transparent, and the engine (serial or parallel, with dedup and LP-bound
-pruning) returns the same best objective and an equivalent plan as the
-serial ``spec_optimize`` loop.
+``ilp_spec``: the problem the DP solves is the cell-by-cell
+``spec_assemble`` MILP, the shared prediction cache is numerically
+transparent, the DP's cutoff prunes exactly what lies above it, and the
+engine (with dedup and incumbent pruning) returns the same best
+objective and an equivalent plan as the serial ``spec_optimize`` loop.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import search
 from repro.core.heuristic import _seed_dp
-from repro.core.ilp import BitAssignmentILP, lp_lower_bound, solve_assembled
+from repro.core.ilp import BitAssignmentILP
 from repro.core.optimizer import LLMPQOptimizer, PlannerConfig, _microbatch_pairs
 from repro.core.search import PlannerStats, SearchEngine
 from repro.hardware import make_cluster
@@ -26,6 +25,8 @@ from .ilp_spec import (
     spec_coefficients,
     spec_optimize,
     spec_optimize_auto_kv,
+    spec_price,
+    spec_solve,
 )
 
 
@@ -74,11 +75,11 @@ def _plan_signature(plan):
 def test_assembly_exactly_equals_spec(
     search_cluster, latmodel_13b, opt13b, group, theta, include_latency, phase_aware
 ):
-    """Property-style equality: objective vector, constraint matrix and
-    row bounds from the numpy builder are bitwise identical to the
-    scalar/dict-loop spec.  The zero-latency ("adabits") problem is no
-    longer assembled in ``src/``: its MILP is ``spec_adabits`` and what
-    ships is the DP, so those cases pin the DP's optimum to the spec's."""
+    """What the DPs optimise is exactly the scalar/dict-loop spec MILP.
+    With latency: the DP's assignment satisfies every ``spec_assemble``
+    row, the spec's objective vector prices it at the DP's optimum, and
+    no assignment HiGHS finds prices lower.  The zero-latency ("adabits")
+    cases pin the seed DP's optimum to ``spec_adabits``."""
     ind = synthetic_indicator(opt13b).normalized().grouped(group)
     ilp = BitAssignmentILP(
         cfg=opt13b,
@@ -100,15 +101,13 @@ def test_assembly_exactly_equals_spec(
         assert sol.feasible and quality == sol.quality_term
         assert sorted(set(gdev)) == list(range(len(ilp.devices)))
         return
-    vec = ilp.assemble()
-    leg = spec_assemble(ilp)
-    assert vec is not None and leg is not None
-    assert np.array_equal(vec.c, leg.c)
-    assert np.array_equal(vec.lo, leg.lo)
-    assert np.array_equal(vec.hi, leg.hi)
-    assert vec.A.shape == leg.A.shape
-    assert (vec.A - leg.A).nnz == 0  # identical sparsity *and* values
-    assert np.array_equal(vec.omega, leg.omega)
+    prob = spec_assemble(ilp)
+    sol, milp = ilp.solve(), spec_solve(prob)
+    assert sol.feasible and milp.feasible
+    rows = prob.A @ prob.x_of(sol.group_device, sol.group_bits)
+    assert np.all(rows >= prob.lo) and np.all(rows <= prob.hi)
+    assert spec_price(prob, sol) == pytest.approx(sol.objective, rel=1e-12)
+    assert sol.objective <= spec_price(prob, milp) * (1 + 1e-9)
 
 
 def test_cached_coefficients_bitwise_equal_scalar_path(
@@ -136,60 +135,63 @@ def test_cached_coefficients_bitwise_equal_scalar_path(
 
 
 def test_prediction_cache_reused_across_assemblies(search_cluster, latmodel_13b):
-    """A second assembly of the same candidate costs zero cache misses."""
+    """A second solve of the same candidate costs zero cache misses, and
+    reuses the run's range table."""
     opt = _make_opt(search_cluster, latmodel_13b)
     ordering = opt.orderings()[0]
     ilp = opt.build_ilp(ordering, 4, 8)
-    ilp.assemble()
+    first = ilp.solve()
     misses = opt.prediction_cache.misses
-    ilp.assemble()
+    (table,) = opt.range_tables.values()
+    rows = table.num_rows
+    again = ilp.solve()
     assert opt.prediction_cache.misses == misses
     assert opt.prediction_cache.hits > 0
+    assert opt.range_tables == {next(iter(opt.range_tables)): table}
+    assert table.num_rows == rows
+    assert again.objective == first.objective
 
 
 # ---------------------------------------------------------------- bounds
 
 
-def test_lp_bound_is_admissible(search_cluster, latmodel_13b):
-    """LP relaxation optimum never exceeds the MILP optimum."""
+def test_lower_bound_is_admissible(search_cluster, latmodel_13b):
+    """The best-first order's bound never exceeds the candidate's optimum,
+    nor the simulated objective the search compares it against."""
     opt = _make_opt(search_cluster, latmodel_13b)
-    for ordering in opt.orderings():
-        ilp = opt.build_ilp(ordering, 4, 8)
-        prob = ilp.assemble()
-        assert prob is not None
-        sol = solve_assembled(prob)
+    engine = SearchEngine(opt)
+    assert engine.prepare() == min(u.bound for u in engine._uniques)
+    for u in engine._uniques:
+        sol = u.ilp.solve()
         assert sol.feasible
-        assert lp_lower_bound(prob) <= sol.objective + 1e-9
+        assert u.bound <= sol.objective
+        plan = opt.plan_from_solution(u.ordering, sol, u.ilp, u.mb_p, u.mb_d)
+        simulated = opt.simulate(plan).total_latency + opt.config.theta * sol.quality_term
+        assert sol.objective <= simulated
 
 
-def test_cutoff_keeps_every_assignment_at_or_below_it(search_cluster, latmodel_13b):
+def test_dp_cutoff_prunes_exactly_above_the_optimum(search_cluster, latmodel_13b):
     """For every unique candidate of the grid: a cutoff at or above the
-    candidate's own MILP optimum returns the assignment the plain solve
-    returns (same MILP objective, same simulated objective — the tie at
-    ``cutoff == optimum`` included), and a cutoff below the optimum comes
-    back ``pruned``, never ``infeasible``."""
+    DP's own optimum returns the uncut assignment and objective bit for
+    bit — the tie at ``cutoff == optimum`` included — and any cutoff
+    below it, down to the next float, comes back ``pruned``, never
+    ``infeasible``."""
     opt = _make_opt(search_cluster, latmodel_13b)
     engine = SearchEngine(opt)
     engine.prepare()
     assert len(engine._uniques) == len(engine._candidates) == 12
     for u in engine._uniques:
-        plain = solve_assembled(u.problem)
+        plain = u.ilp.solve()
         assert plain.feasible
-
-        def simulated(sol):
-            plan = opt.plan_from_solution(u.ordering, sol, u.ilp, u.mb_p, u.mb_d)
-            return opt.simulate(plan).total_latency + opt.config.theta * sol.quality_term
-
-        for slack in (0.0, 1e-3, 0.5):
-            cut = solve_assembled(u.problem, plain.objective + slack)
+        for cutoff in (plain.objective, plain.objective + 1e-3, plain.objective + 0.5):
+            cut = u.ilp.solve(cutoff)
             assert cut.status == "optimal"
-            assert (cut.group_device, cut.group_bits) == (
-                plain.group_device, plain.group_bits
+            assert (cut.group_device, cut.group_bits, cut.objective) == (
+                plain.group_device, plain.group_bits, plain.objective
             )
-            assert cut.objective == pytest.approx(plain.objective, abs=1e-6)
-            assert simulated(cut) == pytest.approx(simulated(plain), abs=1e-6)
-        below = solve_assembled(u.problem, plain.objective - 1e-3)
-        assert below.status == "pruned" and not below.feasible
+        for cutoff in (np.nextafter(plain.objective, -np.inf), plain.objective - 1e-3):
+            below = u.ilp.solve(cutoff)
+            assert below.status == "pruned" and not below.feasible
 
 
 # ---------------------------------------------------------------- engine
@@ -205,11 +207,6 @@ def engine_result(search_cluster, latmodel_13b):
     return _make_opt(search_cluster, latmodel_13b).optimize()
 
 
-@pytest.fixture(scope="module")
-def parallel_result(search_cluster, latmodel_13b):
-    return _make_opt(search_cluster, latmodel_13b, n_jobs=2).optimize()
-
-
 def test_engine_matches_spec_best(engine_result, spec_result):
     assert engine_result.feasible and spec_result.feasible
     assert engine_result.objective == pytest.approx(
@@ -218,16 +215,6 @@ def test_engine_matches_spec_best(engine_result, spec_result):
     assert _plan_signature(engine_result.plan) == _plan_signature(
         spec_result.plan
     )
-
-
-def test_parallel_matches_serial(parallel_result, engine_result):
-    assert parallel_result.objective == pytest.approx(
-        engine_result.objective, abs=1e-6
-    )
-    assert _plan_signature(parallel_result.plan) == _plan_signature(
-        engine_result.plan
-    )
-    assert parallel_result.stats.n_jobs == 2
 
 
 def test_engine_candidate_grid_matches_spec(engine_result, spec_result):
@@ -316,7 +303,7 @@ def test_dedup_fans_solutions_back_out(search_cluster, latmodel_13b):
 @pytest.fixture(scope="module")
 def cutoff_case(small_hetero_cluster, latmodel_13b, workload):
     """T4 + V100, opt-13b at the paper's default workload: a grid on
-    which the incumbent rejects candidates *inside* the MILP."""
+    which the incumbent cuts candidates off inside the DP."""
 
     def make(**overrides):
         cfg = dict(group_size=4, theta=1.0, prefill_mb_cap=8,
@@ -331,60 +318,52 @@ def cutoff_case(small_hetero_cluster, latmodel_13b, workload):
 
 
 def test_cutoff_search_matches_spec(cutoff_case, monkeypatch):
-    """The engine with the incumbent inside the MILP returns the serial
+    """The engine with the incumbent inside the DP returns the serial
     walk's plan; what it cut is counted as pruned, not infeasible."""
     cutoffs = []
-    real = search.solve_assembled
+    real = BitAssignmentILP.solve
 
-    def spy(prob, cutoff=np.inf):
+    def spy(ilp, cutoff=np.inf):
         cutoffs.append(cutoff)
-        return real(prob, cutoff)
+        return real(ilp, cutoff)
 
-    monkeypatch.setattr(search, "solve_assembled", spy)
+    monkeypatch.setattr(BitAssignmentILP, "solve", spy)
     res = cutoff_case().optimize()
     ref = spec_optimize(cutoff_case())
     assert res.objective == pytest.approx(ref.objective, abs=1e-6)
     assert _plan_signature(res.plan) == _plan_signature(ref.plan)
 
     st = res.stats
-    assert st.cut >= 1 and st.infeasible == 0
+    assert st.pruned >= 1 and st.infeasible == 0
     statuses = [c.status for c in res.candidates]
-    assert st.pruned == statuses.count("pruned") >= st.cut
+    assert st.pruned == statuses.count("pruned")
     assert st.solved == statuses.count("optimal") + statuses.count("oom")
-    assert st.solved + st.cut == len(cutoffs)  # every MILP run is accounted for
+    assert st.solved + st.pruned == len(cutoffs)  # every DP run is accounted for
     # the first solve has no incumbent yet; every later one carries it
     assert cutoffs[0] == np.inf and all(np.isfinite(c) for c in cutoffs[1:])
     assert cutoffs[1:] == sorted(cutoffs[1:], reverse=True)
-    assert f"({st.cut} by MILP cutoff)" in st.describe()
-    assert st.row()["cut"] == st.cut
+    assert f"{st.pruned} pruned by the incumbent" in st.describe()
+    assert st.row()["pruned"] == st.pruned
     # everything the cutoff rejected really loses in the serial walk
     for e, r in zip(res.candidates, ref.candidates):
         if e.status == "pruned":
             assert r.objective >= res.objective - 1e-9
 
-    # prune=False is the switch for bound *and* cutoff: no row is added
+    # prune=False switches the cutoff off: every candidate is solved whole
     cutoffs.clear()
     plain = cutoff_case(prune=False).optimize()
     assert cutoffs and all(c == np.inf for c in cutoffs)
-    assert plain.stats.pruned == plain.stats.cut == 0
+    assert plain.stats.pruned == 0
     assert plain.stats.solved == len(cutoffs)
     assert plain.objective == pytest.approx(res.objective, abs=1e-6)
     assert _plan_signature(plain.plan) == _plan_signature(res.plan)
 
 
-def test_cutoff_search_parallel_matches_serial(cutoff_case):
-    serial = cutoff_case().optimize()
-    par = cutoff_case(n_jobs=2).optimize()
-    assert par.objective == pytest.approx(serial.objective, abs=1e-6)
-    assert _plan_signature(par.plan) == _plan_signature(serial.plan)
-    assert par.stats.infeasible == 0
-
-
 def test_stats_merge_sums_every_counter():
-    a = PlannerStats(pruned=3, cut=1, solved=2, n_jobs=1, total_seconds=1.0)
-    b = PlannerStats(pruned=4, cut=2, solved=1, n_jobs=2, total_seconds=0.5)
+    a = PlannerStats(pruned=3, solved=2, infeasible=1, total_seconds=1.0)
+    b = PlannerStats(pruned=4, solved=1, total_seconds=0.5)
     m = a.merged(b)
-    assert (m.pruned, m.cut, m.solved, m.n_jobs) == (7, 3, 3, 2)
+    assert (m.pruned, m.solved, m.infeasible) == (7, 3, 1)
     assert m.total_seconds == 1.5
 
 
@@ -416,8 +395,8 @@ def _assert_same_auto_kv(res, ref):
 def test_auto_kv_shared_incumbent_matches_level_loop(
     small_hetero_cluster, latmodel_13b, workload
 ):
-    """One incumbent across the KV levels prunes whole levels (no MILP is
-    even started for KV16 and KV4 here) and still returns what the plain
+    """One incumbent across the KV levels prunes whole levels (every KV16
+    and KV4 candidate is cut off here) and still returns what the plain
     level-by-level loop returns, records in KV16, KV8, KV4 order."""
     opt = _auto_kv_opt(small_hetero_cluster, latmodel_13b, workload)
     res = opt.optimize()
@@ -431,7 +410,7 @@ def test_auto_kv_shared_incumbent_matches_level_loop(
     assert by_level[0] == {"pruned"} and by_level[2] == {"pruned"}
     assert "optimal" in by_level[1]
     assert res.stats.unique_candidates == len(res.candidates)
-    assert res.stats.solved < 3  # fewer MILPs than levels
+    assert res.stats.solved < 3  # fewer solved candidates than levels
 
 
 def test_auto_kv_equal_scores_go_to_the_higher_level(

@@ -83,8 +83,8 @@ def test_algo_heuristic_with_auto_kv_bits(tmp_path, capsys):
 
 
 def test_algo_search_line_reports_cutoff(tmp_path, capsys):
-    """The search summary says how much of the pruning happened inside
-    the MILP."""
+    """The search summary says how many candidates the incumbent cut off
+    inside the DP."""
     rc = algo_main([
         "--model-name", "opt-13b",
         "--device-names", "T4-16G", "V100-32G",
@@ -97,7 +97,20 @@ def test_algo_search_line_reports_cutoff(tmp_path, capsys):
     ])
     assert rc == 0
     err = capsys.readouterr().err
-    assert "search:" in err and "by MILP cutoff)" in err
+    assert "search:" in err and "pruned by the incumbent" in err
+
+
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["-j", "1"], ["--time-limit", "5"]])
+def test_algo_solver_flags_are_gone(tmp_path, capsys, flag):
+    """The exact search has no worker pool and no time limit: their old
+    flags are argparse errors (exit 2), not silently ignored."""
+    with pytest.raises(SystemExit) as exc:
+        algo_main([
+            "--model-name", "opt-13b", "--device-names", "T4-16G",
+            "--device-numbers", "1", *flag, "-o", str(tmp_path / "s.json"),
+        ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_algo_heuristic_prints_search_line(tmp_path, capsys):
