@@ -308,10 +308,15 @@ def batched_decode_attention(
 
     * ``append(layer, k_new, v_new)`` — write row ``i``'s new K/V at
       ``starts[i]`` of request ``i``'s cache unit;
-    * ``read_padded(layer)`` — ``(R, Tmax, h)`` K/V up to the batch max
-      context, exactly ``0.0`` past each request's length.  The view
-      reads in its storage's order and may carry *passenger* rows that
-      belong to no request of the batch (``R >= B``);
+    * ``read_padded(layer)`` — ``(R, Tmax, h)`` K and V up to the batch
+      max context, exactly ``0.0`` past each request's length, and
+      their scales: ``None`` when K and V are values, or ``(2, R, Tmax,
+      nh)`` per-(token, head) scales (K at 0, V at 1) when they are
+      quantization codes.  The K scales are multiplied into the scores
+      and the V scales into the softmax weights, so attention reads
+      ``codes * scales`` without forming it.  The view reads in its
+      storage's order and may carry *passenger* rows that belong to no
+      request of the batch (``R >= B``);
     * ``pos`` — where in those ``R`` rows request ``i`` sits, or ``None``
       when that is row ``i``; and
     * ``masked`` — ``(R, 1, 1, Tmax)``, ``True`` past each request's
@@ -321,13 +326,15 @@ def batched_decode_attention(
     (``q``, ``starts``, the mixed output) move to and from the view's
     order; the QKV/out projections run as one stacked GEMM over the
     ``B`` rows in ``x``'s order — the whole point of fusing — which is
-    *not* bitwise row-stable against ``B`` separate batch-1 GEMVs;
+    *not* bitwise row-stable against ``B`` separate batch-1 GEMVs, nor
+    are folded scales (``(q · c) · s`` against ``q · (c · s)``);
     equality with batch-1 execution is therefore asserted at
     token-stream level (argmax), not on logit bytes.
 
     Padding never leaks into the output: masked scores are ``-1e30`` so
     their softmax weights underflow to exactly ``0.0``, and the padded
-    V rows those zero weights multiply are themselves exact zeros.
+    V rows those zero weights multiply are themselves exact zeros (at
+    scale ``1.0`` when packed).
     """
     batch, q, h = x.shape
     if q != 1:
@@ -339,7 +346,7 @@ def batched_decode_attention(
     qkv += bqkv
     qp, kp, vp = qkv[:, :h], qkv[:, h : 2 * h], qkv[:, 2 * h :]
     kv.append(cache_layer, kp.reshape(batch, 1, h), vp.reshape(batch, 1, h))
-    k_all, v_all = kv.read_padded(cache_layer)
+    k_all, v_all, scales = kv.read_padded(cache_layer)
     rows, total = k_all.shape[:2]
     pos = kv.pos
     if pos is not None:
@@ -351,6 +358,11 @@ def batched_decode_attention(
     kh = k_all.reshape(rows, total, nh, hd).transpose(0, 2, 3, 1)
     vh = v_all.reshape(rows, total, nh, hd).transpose(0, 2, 1, 3)
     scores = qh @ kh
+    if scales is not None:
+        # K/V are codes: lay their (2, rows, total, nh) scales out like
+        # the (rows, nh, 1, total) scores
+        k_scales, v_scales = scales.transpose(0, 1, 3, 2)[:, :, :, None, :]
+        scores *= k_scales
     scores /= np.sqrt(hd)
 
     if cfg.max_position_embeddings == 0:
@@ -360,7 +372,10 @@ def batched_decode_attention(
         dist = (at[:, None] - np.arange(total)[None, :]).astype(np.float64)
         scores += -alibi_slopes(nh)[None, :, None, None] * dist[:, None, None, :]
     np.copyto(scores, -1e30, where=kv.masked)
-    mixed = (_softmax(scores) @ vh).transpose(0, 2, 1, 3).reshape(rows, h)
+    attn = _softmax(scores)
+    if scales is not None:
+        attn *= v_scales
+    mixed = (attn @ vh).transpose(0, 2, 1, 3).reshape(rows, h)
     if pos is not None:
         mixed = mixed[pos]
     out = mixed @ lw.wo

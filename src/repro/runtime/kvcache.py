@@ -12,20 +12,25 @@ memory matches the analytical cost model.
 
 When a plan assigns a stage ``kv_bits`` below 16, the stage stores its
 keys/values *packed*: signed codes quantized with one scale per
-(token, head group), bit-packed into a uint8 stream by the same
+(token, head group), packed into uint8 rows in the bit layout of the
 :func:`~repro.quant.kernels.pack_codes` codec the weight shards use.
-Attention reads dequantize on the fly, so the resident footprint is the
-real ``hidden * kv_bits / 8`` bytes per token (plus one float64 scale
-per head) — the quantity the planner's admission ledger charges.
+Reads unpack on the fly, so the resident footprint is the real
+``hidden * kv_bits / 8`` bytes per token (plus one float64 scale per
+head) — the quantity the planner's admission ledger charges.
 :class:`QuantizedKVCache` and the fused-decode :class:`BatchedKVView`
-share one kernel pair, :func:`_quantize_packed` on append and
-:func:`_dequantize_packed` on read, each handling K and V together.
+share one append kernel, :func:`_quantize_packed`, handling K and V
+together.  The batch-1 :meth:`~QuantizedKVCache.read` dequantizes; the
+fused :meth:`~BatchedKVView.read_padded` hands attention the codes and
+their scales, and attention folds the scales into its scores and
+softmax weights, so the fused step rounds ``(q · c) · s`` where the
+batch-1 path rounds ``q · (c · s)``.
 
 Two reference paths pin the numerics:
 
 * :func:`kv_fake_quant` — quantize+dequantize without packing; the
-  oracle a packed cache's :meth:`~QuantizedKVCache.read` must match
-  bit-exactly (packing is lossless on codes).
+  oracle a packed cache's :meth:`~QuantizedKVCache.read`, and a fused
+  read's ``codes * scales``, must match bit-exactly (packing is
+  lossless on codes).
 * :class:`FakeQuantKVCache` — a drop-in :class:`KVCache` that fake-
   quantizes on append, used by ``TinyDecoderLM.prefill(kv_bits=...)``
   to produce single-process reference tokens for the runtime tests.
@@ -41,6 +46,7 @@ degrade-and-replan ladder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -121,21 +127,27 @@ def packed_kv_nbytes(
     return code_bytes + scale_bytes
 
 
-#: byte -> the float64 codes it holds, for the widths that put several
-#: whole codes in a byte: one lookup then replaces unpack + int-to-float
+#: byte -> the float64 codes it holds, for the widths that put whole
+#: codes in a byte (8 // bits of them): one lookup replaces unpack +
+#: int-to-float
 _BYTE_CODES = {
     bits: unpack_codes(np.arange(256, dtype=np.uint8), bits, 256 * 8 // bits)
     .reshape(256, 8 // bits)
     .astype(np.float64)
-    for bits in (2, 4)
+    for bits in (2, 4, 8)
 }
 
 
+@lru_cache(maxsize=None)
 def _zero_code_row(hidden: int, kv_bits: int) -> np.ndarray:
-    """Packed bytes of one all-zero token row.  The stream is biased
-    (+qmax), so a zero code is not a zero byte: with scale ``1.0`` this
-    row is what an unwritten slot must hold to read back as ``0.0``."""
-    return pack_codes(np.zeros(hidden, dtype=np.int16), kv_bits)
+    """Packed bytes of one all-zero token row (read-only, made once per
+    shape).  The stream is biased (+qmax), so a zero code is not a zero
+    byte — at whole-byte widths it is one repeated byte (0x77 at KV4) —
+    and with scale ``1.0`` this row is what an unwritten slot must hold
+    to read back as ``0.0``."""
+    row = pack_codes(np.zeros(hidden, dtype=np.int16), kv_bits)
+    row.flags.writeable = False
+    return row
 
 
 def _quantize_packed(
@@ -145,33 +157,51 @@ def _quantize_packed(
 
     ``(B, q, hidden)`` inputs give packed bytes ``(2, B, q, row_bytes)``
     and scales ``(2, B, q, heads)``, K at 0 and V at 1.  Both steps are
-    row-independent, so stacking changes no stored byte.
+    row-independent, so stacking changes no stored byte.  Widths that
+    divide 8 OR the biased codes straight into bytes, low code in the
+    low bits (KV4: ``c[0::2] | c[1::2] << 4``) — the bytes
+    :func:`~repro.quant.kernels.pack_codes` writes, since a token row is
+    a whole number of bytes; KV3 codes straddle bytes and go through
+    the codec.
     """
     codes, scales = quantize_kv(np.stack((k_new, v_new)), kv_bits, num_heads)
-    packed = pack_codes(codes, kv_bits).reshape(*codes.shape[:-1], -1)
+    if 8 % kv_bits:
+        return pack_codes(codes, kv_bits).reshape(*codes.shape[:-1], -1), scales
+    packed = (codes + qmax_for_bits(kv_bits)).astype(np.uint8)
+    width = kv_bits
+    while width < 8:
+        packed = packed[..., 0::2] | (packed[..., 1::2] << width)
+        width *= 2
     return packed, scales
+
+
+def _unpack_rows(packed: np.ndarray, kv_bits: int) -> np.ndarray:
+    """Packed ``(..., row_bytes)`` rows to their float64 codes
+    ``(..., hidden)``: one table lookup at whole-byte widths, unpack +
+    convert otherwise."""
+    table = _BYTE_CODES.get(kv_bits)
+    if table is not None:
+        codes = np.take(table, packed, axis=0)
+    else:
+        size = packed.size * 8 // kv_bits
+        codes = unpack_codes(packed, kv_bits, size).astype(np.float64)
+    return codes.reshape(*packed.shape[:-1], -1)
 
 
 def _dequantize_packed(
     packed: np.ndarray, scales: np.ndarray, kv_bits: int
 ) -> np.ndarray:
-    """Fused read kernel: packed ``(..., row_bytes)`` rows and their
+    """Read kernel: packed ``(..., row_bytes)`` rows and their
     ``(..., heads)`` scales to dense float64 ``(..., hidden)``.
 
-    Bytes become float64 codes in one lookup (or unpack + convert) and
-    the scales are multiplied in place: ``float64(code) * scale`` is the
-    single multiply :func:`dequantize_kv` does, so the result is
-    bit-identical to :func:`kv_fake_quant` of what was appended.
+    ``float64(code) * scale``, multiplied in place, is the single
+    multiply :func:`dequantize_kv` does, so the result is bit-identical
+    to :func:`kv_fake_quant` of what was appended.
     """
-    table = _BYTE_CODES.get(kv_bits)
-    if table is not None:
-        vals = np.take(table, packed, axis=0)
-    else:
-        size = packed.size * 8 // kv_bits
-        vals = unpack_codes(packed, kv_bits, size).astype(np.float64)
-    vals = vals.reshape(*scales.shape, -1)
-    vals *= scales[..., None]
-    return vals.reshape(*packed.shape[:-1], -1)
+    vals = _unpack_rows(packed, kv_bits)
+    grouped = vals.reshape(*scales.shape, -1)
+    grouped *= scales[..., None]
+    return vals
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +390,7 @@ class BatchedKVView:
     *passenger* row inside it (another request's, or a free one) costs
     only its attention, and against one gather the slice wins up to
     about 1.25x the batch (more on long contexts); a packed read
-    dequantizes every row it covers, so it takes no passengers.
+    unpacks every row it covers, so it takes no passengers.
     Otherwise ``idx`` is the row array and the read one gather in
     message order.  A slice returns rows in slab order: ``pos[i]`` is
     where request ``i`` sits in it (``None`` when that is ``i``), and
@@ -373,9 +403,13 @@ class BatchedKVView:
     zeros; packed: the zero code at scale ``1.0``) — the manager blanks
     a unit's rows when it frees them — so nothing is padded per read,
     passengers are finite, and the mask can rely on zero padding to keep
-    it out of the softmax.  The batched paths are bit-exact per request
-    against batch-1 ``append``/``read``: quantize+pack is
-    row-independent and dequantization elementwise.
+    it out of the softmax.  A packed read returns codes and scales, not
+    values: attention multiplies the K scales into its scores and the V
+    scales into its softmax weights, ``rows * heads * Tmax`` multiplies
+    per layer instead of one per history element.  The batched paths
+    are bit-exact per request against batch-1 ``append``/``read``:
+    quantize+pack is row-independent and ``codes * scales`` is the
+    elementwise dequantization ``read`` does.
 
     Without ``store`` the units are loose caches of one storage type and
     capacity and the view works on a private stacked *copy* of them
@@ -438,16 +472,23 @@ class BatchedKVView:
             store.k[at] = k_new[:, 0]
             store.v[at] = v_new[:, 0]
 
-    def read_padded(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
+    def read_padded(
+        self, layer: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """K/V histories ``(rows read, Tmax, h)``, exactly ``0.0`` past
-        each length (dense slices are views of the slab)."""
+        each length, and their scales.
+
+        Dense: the values (slices are views of the slab) and ``None``.
+        Packed: the float64 *codes* and their ``(2, rows read, Tmax,
+        heads)`` scales, K at 0 and V at 1, for attention to fold in;
+        ``codes * scales`` per head group is :func:`kv_fake_quant` of
+        the history.
+        """
         store, t = self.store, self.total_max
         if self.packed:
-            return tuple(_dequantize_packed(
-                store.codes[:, layer, self.idx, :t],
-                store.scales[:, layer, self.idx, :t], store.kv_bits,
-            ))
-        return store.k[layer, self.idx, :t], store.v[layer, self.idx, :t]
+            k, v = _unpack_rows(store.codes[:, layer, self.idx, :t], store.kv_bits)
+            return k, v, store.scales[:, layer, self.idx, :t]
+        return store.k[layer, self.idx, :t], store.v[layer, self.idx, :t], None
 
 
 # ----------------------------------------------------------------------

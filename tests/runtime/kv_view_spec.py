@@ -5,11 +5,14 @@ reference.
 ``repro.runtime.kvcache``: it owns nothing, scatters each request's new
 K/V row into that request's own loose cache unit and re-gathers every
 history into freshly zero-filled ``(B, Tmax, h)`` buffers per layer
-(dense, fake-quant and packed units).  ``spec_batched_decode_block`` is
-the block that ran on it, with the ``mean``/``var`` layer norm, the
-per-layer ``arange`` mask and the out-of-place softmax.  The slab view,
-the hoisted mask and the trimmed kernels in ``src/`` are pinned to these,
-byte for byte; they exist only for the tests.
+(dense, fake-quant and packed units; packed histories are unpacked by
+the codec, ``unpack_codes``, not the slab's byte table).
+``spec_batched_decode_block`` is the block that ran on it, with the
+``mean``/``var`` layer norm, the per-layer ``arange`` mask and the
+out-of-place softmax; its attention folds packed scales into the scores
+and softmax weights the way ``src/`` does.  The slab view, the hoisted
+mask and the trimmed kernels in ``src/`` are pinned to these, byte for
+byte; they exist only for the tests.
 """
 
 import numpy as np
@@ -22,13 +25,12 @@ from repro.models.transformer import (
     alibi_slopes,
     fused_qkv,
 )
-from repro.quant.kernels import pack_codes
+from repro.quant.kernels import pack_codes, unpack_codes
 from repro.runtime.kvcache import (
     FakeQuantKVCache,
     QuantizedKVCache,
-    _dequantize_packed,
-    _quantize_packed,
     kv_fake_quant,
+    quantize_kv,
 )
 
 
@@ -49,8 +51,8 @@ class SpecBatchedKVView:
 
     * quantize+pack over the stacked rows is row-independent (per-token
       absmax scales; each token row is a whole number of packed bytes);
-    * one big ``_dequantize_packed`` call is elementwise, so each
-      request's slice equals its own small-call result;
+    * one big ``unpack_codes`` call is elementwise, so each request's
+      slice equals its own small-call result;
     * padded slots hold code 0 / scale 1.0 (dense: literal zeros) and
       dequantize to exactly ``0.0`` — the ragged attention mask relies
       on that to keep padding out of the softmax.
@@ -89,12 +91,13 @@ class SpecBatchedKVView:
         """Scatter ``(B, 1, h)`` new K/V rows, one per unit, at ``starts``."""
         first = self.caches[0]
         if self.packed:
-            # one vectorized quantize+pack over the whole batch, then a
-            # cheap per-unit byte scatter — row-independent, so each
-            # unit's stored bytes equal its own batch-1 append
-            packed, scales = _quantize_packed(
-                k_new, v_new, first.kv_bits, first.num_heads
+            # one quantize and one codec pack over the whole batch, then
+            # a per-unit byte scatter — row-independent, so each unit's
+            # stored bytes equal its own batch-1 append
+            codes, scales = quantize_kv(
+                np.stack((k_new, v_new)), first.kv_bits, first.num_heads
             )
+            packed = pack_codes(codes, first.kv_bits).reshape(*codes.shape[:-1], -1)
             for i, c in enumerate(self.caches):
                 s = self.starts[i]
                 c.codes[:, layer, 0, s] = packed[:, i, 0]
@@ -108,26 +111,31 @@ class SpecBatchedKVView:
                 c.k[layer, 0, s] = k_new[i, 0]
                 c.v[layer, 0, s] = v_new[i, 0]
 
-    def read_padded(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """K/V histories as ``(B, Tmax, h)``, zero-padded past each length."""
+    def read_padded(self, layer: int):
+        """K/V histories as ``(B, Tmax, h)``, zero-padded past each
+        length, and their scales: dense values and ``None``, or packed
+        units' float64 codes and ``(2, B, Tmax, heads)`` scales."""
         first, shape = self.caches[0], (len(self.caches), self.total_max)
         if self.packed:
-            # gather the packed bytes (K at 0, V at 1), dequantize once;
-            # pad slots are code 0 at scale 1.0, i.e. exactly 0.0
+            # gather the packed bytes (K at 0, V at 1), unpack once through
+            # the codec; pad slots are code 0 at scale 1.0, i.e. exactly 0.0
             packed = np.tile(self._pad_row, (2, *shape, 1))
             scales = np.ones((2, *shape, first.num_heads))
             for i, c in enumerate(self.caches):
                 t = self.totals[i]
                 packed[:, i, :t] = c.codes[:, layer, 0, :t]
                 scales[:, i, :t] = c.scales[:, layer, 0, :t]
-            return tuple(_dequantize_packed(packed, scales, first.kv_bits))
+            size = packed.size * 8 // first.kv_bits
+            codes = unpack_codes(packed, first.kv_bits, size).astype(np.float64)
+            k, v = codes.reshape(2, *shape, first.hidden_size)
+            return k, v, scales
         k = np.zeros((*shape, first.k.shape[-1]))
         v = np.zeros((*shape, first.k.shape[-1]))
         for i, c in enumerate(self.caches):
             t = self.totals[i]
             k[i, :t] = c.k[layer, 0, :t]
             v[i, :t] = c.v[layer, 0, :t]
-        return k, v
+        return k, v, None
 
     def commit_lengths(self) -> None:
         """Mark every unit's new fill length (end of the iteration)."""
@@ -155,7 +163,10 @@ def spec_batched_decode_attention(
     cache_layer: int,
     starts: np.ndarray,
 ) -> np.ndarray:
-    """The parent commit's ragged attention, verbatim."""
+    """The pre-slab ragged attention.  Packed histories arrive as codes
+    and their per-(token, head) scales, folded in as ``(q · c) · s``:
+    the K scale into each score before the ``1/sqrt(hd)``, the V scale
+    into each softmax weight."""
     batch, q, h = x.shape
     if q != 1:
         raise ValueError("batched decode processes one token per request")
@@ -166,13 +177,16 @@ def spec_batched_decode_attention(
     qkv += bqkv
     qp, kp, vp = qkv[:, :h], qkv[:, h : 2 * h], qkv[:, 2 * h :]
     kv.append(cache_layer, kp.reshape(batch, 1, h), vp.reshape(batch, 1, h))
-    k_all, v_all = kv.read_padded(cache_layer)
+    k_all, v_all, scales = kv.read_padded(cache_layer)
     total = k_all.shape[1]
 
     qh = qp.reshape(batch, 1, nh, hd).transpose(0, 2, 1, 3)
     kh = k_all.reshape(batch, total, nh, hd).transpose(0, 2, 3, 1)
     vh = v_all.reshape(batch, total, nh, hd).transpose(0, 2, 1, 3)
-    scores = (qh @ kh) / np.sqrt(hd)
+    scores = qh @ kh
+    if scales is not None:
+        scores = scores * np.moveaxis(scales[0], 1, 2)[:, :, None, :]
+    scores = scores / np.sqrt(hd)
 
     starts = np.asarray(starts, dtype=np.int64)
     pos_k = np.arange(total)[None, :]
@@ -185,6 +199,8 @@ def spec_batched_decode_attention(
     keep = pos_k <= starts[:, None]
     scores = np.where(keep[:, None, None, :], scores, -1e30)
     attn = spec_softmax(scores, axis=-1)
+    if scales is not None:
+        attn = attn * np.moveaxis(scales[1], 1, 2)[:, :, None, :]
     mixed = (attn @ vh).transpose(0, 2, 1, 3).reshape(batch, 1, h)
     out = mixed.reshape(batch, h) @ lw.wo
     out += lw.bo

@@ -40,6 +40,7 @@ from repro.runtime.kvcache import (
     KVCache,
     QuantizedKVCache,
     StageKVManager,
+    dequantize_kv,
 )
 from repro.workload import Workload
 
@@ -342,7 +343,11 @@ def test_batched_view_bitexact_vs_looped_appends(kv_bits):
     }
     for li, (k, v) in new.items():
         view.append(li, k, v)
-        k_pad, v_pad = view.read_padded(li)
+        k_pad, v_pad, scales = view.read_padded(li)
+        if kv_bits < 16:  # packed reads return codes: dequantize them here
+            k_pad, v_pad = (
+                dequantize_kv(c, s, heads) for c, s in zip((k_pad, v_pad), scales)
+            )
         # per-request looped reference: batch-1 append at that unit's start
         for i, u in enumerate((0, 1, 2)):
             looped.get(u).append(li, k[i : i + 1], v[i : i + 1], lens[u])

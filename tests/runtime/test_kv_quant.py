@@ -2,13 +2,17 @@
 
 The contract chain this file pins:
 
-1. packing is lossless on codes, so a packed cache's ``read`` is
-   **bit-exact** equal to the fake-quant oracle (:func:`kv_fake_quant`);
+1. packing is lossless on codes — the whole-byte packer writes the
+   codec's bytes — so a packed cache's ``read``, and a fused read's
+   ``codes * scales``, are **bit-exact** equal to the fake-quant oracle
+   (:func:`kv_fake_quant`);
 2. the fake-quant values are within half a scale step of the original
    activations (symmetric absmax quantization error bound);
 3. therefore the pipeline runtime serving packed KV4/KV8 produces
    **token-identical** output to a single-process model running the
-   fake-quant reference path — for uniform and mixed per-stage KV.
+   fake-quant reference path — for uniform and mixed per-stage KV, and
+   with ALiBi — although its fused step folds the scales into the
+   attention rather than dequantizing first.
 """
 
 from dataclasses import dataclass
@@ -20,13 +24,15 @@ from hypothesis import strategies as st
 
 from repro.core.plan import ExecutionPlan, StagePlan
 from repro.hardware import Device, get_gpu
-from repro.models import TinyDecoderLM, generate, make_corpus
+from repro.models import TinyDecoderLM, generate, get_model, make_corpus
 from repro.models.transformer import KVCache
-from repro.runtime import PipelineRuntime
+from repro.quant.kernels import pack_codes
+from repro.runtime import ContinuousScheduler, PipelineRuntime, ServeRequest, kvcache
 from repro.runtime.kvcache import (
     FakeQuantKVCache,
     QuantizedKVCache,
     StageKVManager,
+    _quantize_packed,
     dequantize_kv,
     kv_fake_quant,
     packed_kv_nbytes,
@@ -125,6 +131,71 @@ def test_packed_overflow_guarded():
         c.append(0, np.zeros((1, 3, 8)), np.zeros((1, 3, 8)), 2)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    kv_bits=st.sampled_from([2, 4, 8]),
+    batch=st.integers(1, 4),
+    tokens=st.integers(1, 5),
+    heads=st.sampled_from([1, 2, 4]),
+    head_dim=st.sampled_from([4, 8, 12]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_whole_byte_packer_equals_the_codec(
+    kv_bits, batch, tokens, heads, head_dim, seed
+):
+    """At widths that divide 8 the append kernel ORs codes into bytes
+    itself: its bytes and scales are ``pack_codes(quantize_kv(...))``'s,
+    on ragged shapes, all-zero head groups and codes at +-qmax."""
+    rng = np.random.default_rng(seed)
+    hidden = heads * head_dim
+    k, v = (
+        rng.normal(size=(batch, tokens, hidden)) * 10.0 ** rng.uniform(-3, 3)
+        for _ in range(2)
+    )
+    for x in (k, v):
+        groups = x.reshape(batch, tokens, heads, head_dim)  # a view of x
+        groups[rng.random(groups.shape[:-1]) < 0.25] = 0.0
+        # a group whose extremes are m and -m holds both +qmax and -qmax
+        edge = rng.random(groups.shape[:-1]) < 0.5
+        m = np.abs(groups[edge]).max(axis=-1)
+        groups[edge, 0], groups[edge, 1] = m, -m
+    packed, scales = _quantize_packed(k, v, kv_bits, heads)
+    codes, want_scales = quantize_kv(np.stack((k, v)), kv_bits, heads)
+    want = pack_codes(codes, kv_bits).reshape(2, batch, tokens, -1)
+    assert packed.dtype == np.uint8 and packed.shape == want.shape
+    assert packed.tobytes() == want.tobytes()
+    assert scales.tobytes() == want_scales.tobytes()
+
+
+@pytest.mark.parametrize("kv_bits", [2, 3, 4, 8])
+def test_only_kv3_appends_through_the_codec(monkeypatch, kv_bits):
+    """KV3 codes straddle bytes, so its appends still call ``pack_codes``
+    and still round-trip to ``kv_fake_quant``; the whole-byte widths
+    never call it.  The blank row is made once per shape (one repeated
+    biased-zero byte at whole-byte widths, 0x77 at KV4)."""
+    rng = np.random.default_rng(kv_bits)
+    cache = QuantizedKVCache.allocate(2, 2, 5, 16, kv_bits=kv_bits, num_heads=2)
+    calls = []
+
+    def spy(codes, bits):
+        calls.append(bits)
+        return pack_codes(codes, bits)
+
+    monkeypatch.setattr(kvcache, "pack_codes", spy)
+    k, v = rng.normal(size=(2, 2, 4, 16)) * 3.0
+    for li in range(2):
+        cache.append(li, k[:, :3], v[:, :3], 0)
+        cache.append(li, k[:, 3:], v[:, 3:], 3)
+    assert calls == ([3] * 4 if kv_bits == 3 else [])
+    for li in range(2):
+        for got, x in zip(cache.read(li, 4), (k, v)):
+            np.testing.assert_array_equal(got, kv_fake_quant(x, kv_bits, 2))
+    blank = kvcache._zero_code_row(16, kv_bits)
+    assert blank is kvcache._zero_code_row(16, kv_bits) and not blank.flags.writeable
+    if kv_bits == 4:
+        assert (blank == 0x77).all()
+
+
 # ---------------------------------------------------------------------------
 # the fused read/append kernels behind both cache shapes
 # ---------------------------------------------------------------------------
@@ -155,17 +226,17 @@ def _filled_units(rng, lens, hidden, kv_bits, heads, layers=2, manager=None):
 @settings(max_examples=60, deadline=None)
 @given(
     heads=st.sampled_from([1, 2]),
-    # 4 and 8 are what plans assign; 2 shares the byte-table read with 4,
-    # 3 (codes straddle bytes) takes the plain unpack_codes read
+    # 4 and 8 are what plans assign; 2 shares their byte-table read and
+    # whole-byte pack, 3 (codes straddle bytes) takes the codec both ways
     kv_bits=st.sampled_from([2, 3, 4, 8]),
     lens=st.lists(st.integers(1, 6), min_size=1, max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_ragged_view_bitexact_and_zero_padded(heads, kv_bits, lens, seed):
-    """On ragged lengths the batched view and the per-unit read both
-    return exactly ``kv_fake_quant`` of the history, every pad slot is
-    exactly +0.0, and the batched append stores the very bytes B
-    batch-1 appends store."""
+    """On ragged lengths the batched view's ``codes * scales`` and the
+    per-unit read both return exactly ``kv_fake_quant`` of the history,
+    every pad slot is exactly +0.0 (code +0.0 at scale 1.0), and the
+    batched append stores the very bytes B batch-1 appends store."""
     rng = np.random.default_rng(seed)
     hidden, layers = 8 * heads, 2
     manager = StageKVManager(
@@ -178,18 +249,22 @@ def test_ragged_view_bitexact_and_zero_padded(heads, kv_bits, lens, seed):
     view = manager.batch_view(tuple(range(len(lens))), np.array(lens, dtype=np.int64))
     k_new = np.concatenate([k[:, n:] for (k, _), n in zip(hist, lens)])
     v_new = np.concatenate([v[:, n:] for (_, v), n in zip(hist, lens)])
+    shape = (len(lens), max(lens) + 1)
     for li in range(layers):
         view.append(li, k_new, v_new)
-        k_pad, v_pad = view.read_padded(li)
-        assert k_pad.shape == v_pad.shape == (len(lens), max(lens) + 1, hidden)
+        k_codes, v_codes, scales = view.read_padded(li)
+        assert k_codes.shape == v_codes.shape == (*shape, hidden)
+        assert scales.shape == (2, *shape, heads)
         for i, n in enumerate(lens):
             reads = units[i].read(li, n + 1)
-            for padded, full, one in zip((k_pad, v_pad), hist[i], reads):
+            for codes, s, full, one in zip((k_codes, v_codes), scales, hist[i], reads):
                 want = kv_fake_quant(full, kv_bits, heads)
+                padded = dequantize_kv(codes, s, heads)
                 np.testing.assert_array_equal(padded[i, : n + 1], want[0])
                 np.testing.assert_array_equal(one, want)
-                pad = padded[i, n + 1 :]
-                assert not pad.any() and not np.signbit(pad).any()
+                for pad in (codes[i, n + 1 :], padded[i, n + 1 :]):
+                    assert not pad.any() and not np.signbit(pad).any()
+                assert (s[i, n + 1 :] == 1.0).all()
             solo[i].append(li, k_new[i : i + 1], v_new[i : i + 1], n)
     for unit, alone in zip(units, solo):
         np.testing.assert_array_equal(unit.codes, alone.codes)
@@ -205,9 +280,10 @@ def test_kv3_padding_reads_exact_zero():
     _filled_units(rng, [1, 5], 8, 3, 2, layers=1, manager=manager)
     view = manager.batch_view((0, 1), np.array([1, 5], dtype=np.int64))
     view.append(0, rng.normal(size=(2, 1, 8)), rng.normal(size=(2, 1, 8)))
-    k_pad, v_pad = view.read_padded(0)
-    np.testing.assert_array_equal(k_pad[0, 2:], np.zeros((4, 8)))
-    np.testing.assert_array_equal(v_pad[0, 2:], np.zeros((4, 8)))
+    k_codes, v_codes, scales = view.read_padded(0)
+    for codes, s in zip((k_codes, v_codes), scales):
+        for pad in (codes[0, 2:], dequantize_kv(codes, s, 2)[0, 2:]):
+            np.testing.assert_array_equal(pad, np.zeros((4, 8)))
 
 
 @pytest.mark.parametrize("kv_bits", [4, 8])
@@ -289,13 +365,13 @@ def _dev(i):
     return Device(get_gpu("T4-16G"), node_id=0, local_rank=i)
 
 
-def _plan(bits_per_stage, kv_per_stage, *, workload):
+def _plan(bits_per_stage, kv_per_stage, *, workload, model="tiny-8l"):
     stages = tuple(
         StagePlan(_dev(i), tuple(bits), kv_bits=kv)
         for i, (bits, kv) in enumerate(zip(bits_per_stage, kv_per_stage))
     )
     return ExecutionPlan(
-        model_name="tiny-8l", stages=stages,
+        model_name=model, stages=stages,
         prefill_microbatch=2, decode_microbatch=4, workload=workload,
     )
 
@@ -411,3 +487,33 @@ def test_kv_peak_matches_packed_footprint(reference, prompts, workload8, tiny8l)
             )
             # merge transiently doubles the decode-group KV
             assert expected <= w.kv.peak_bytes <= 2 * expected + 1
+
+
+@pytest.mark.parametrize("kv_bits", [4, 8])
+def test_packed_alibi_serving_matches_generate(kv_bits):
+    """ALiBi (tiny-bloom-4l) over packed KV, through the continuous
+    scheduler: ragged lengths keep the fused batch's histories, and so
+    the key distances the bias charges, different row by row, and
+    requests join as others retire.  The fused step folds the scales
+    into its scores and softmax weights; every stream still equals
+    ``generate(kv_bits=...)``."""
+    cfg = get_model("tiny-bloom-4l")
+    model = TinyDecoderLM(cfg, seed=7)
+    workload = Workload(prompt_len=16, gen_len=14, global_batch=8)
+    plan = _plan([(16,) * 2] * 2, [kv_bits] * 2, workload=workload, model=cfg.name)
+    rng = np.random.default_rng(kv_bits)
+    requests = [
+        ServeRequest(
+            request_id=i, gen_len=int(rng.integers(2, 15)),
+            prompt=rng.integers(0, cfg.vocab_size, size=int(rng.integers(2, 17))),
+        )
+        for i in range(60)
+    ]
+    with PipelineRuntime(model, plan) as rt:
+        report = ContinuousScheduler(rt, time_scale=0.0, max_inflight=8).serve(requests)
+        assert rt.stats.fused_iterations > 0
+    assert len(report.completed) == len(requests)
+    by_id = {r.request_id: r for r in report.completed}
+    for req in requests:
+        want = generate(model, req.prompt[None, :], req.gen_len, kv_bits=kv_bits)
+        np.testing.assert_array_equal(by_id[req.request_id].tokens, want.tokens[0])

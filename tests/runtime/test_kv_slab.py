@@ -5,7 +5,9 @@ What this file pins:
 1. one fused stage step on the slab (``StageWorker._process_batched``)
    is **byte-identical** to the pre-slab step kept in
    :mod:`.kv_view_spec` — dense and packed, consecutive rows, rows with
-   passengers, rows far enough apart to gather, permuted ``unit_ids``;
+   passengers, rows far enough apart to gather, permuted ``unit_ids`` —
+   and a packed step, which folds its scales into the attention, stays
+   within 1e-12 of dequantize-then-attend;
 2. the trimmed kernels (``_layernorm``, in-place ``_softmax``, the mask
    hoisted onto the view) equal the expressions they replaced;
 3. a freed row never reaches its next tenant, even through the padding
@@ -33,13 +35,20 @@ from hypothesis.stateful import (
 from repro.core.plan import ExecutionPlan, StagePlan
 from repro.hardware import Device, get_gpu
 from repro.models import TinyDecoderLM, generate, get_model
-from repro.models.transformer import KVCache, _layernorm, _softmax
+from repro.models.transformer import (
+    KVCache,
+    _layernorm,
+    _softmax,
+    batched_decode_block,
+)
+from repro.ops import greedy_pick
 from repro.runtime import ContinuousScheduler, PipelineRuntime, ServeRequest
 from repro.runtime.kvcache import (
     QuantizedKVCache,
     StageKVManager,
     _parts,
     _zero_code_row,
+    kv_fake_quant,
 )
 from repro.runtime.loader import load_stage_weights
 from repro.runtime.messages import BatchedDecodeMessage
@@ -156,6 +165,74 @@ def test_fused_stage_step_is_byte_identical_to_the_pre_slab_step(
         assert unit.length == spec_unit.length
         for got, kept in zip(_parts(unit), _parts(spec_unit)):
             assert got.tobytes() == kept.tobytes()
+
+
+class _FakeQuantAppends:
+    """A dense slab view whose appends fake-quantize, as
+    :class:`FakeQuantKVCache` does: attention then reads dequantized
+    values where the packed view hands it codes and scales."""
+
+    def __init__(self, view, kv_bits, heads):
+        self.view, self.kv_bits, self.heads = view, kv_bits, heads
+
+    def append(self, layer, k_new, v_new):
+        self.view.append(
+            layer,
+            kv_fake_quant(k_new, self.kv_bits, self.heads),
+            kv_fake_quant(v_new, self.kv_bits, self.heads),
+        )
+
+    def __getattr__(self, name):
+        return getattr(self.view, name)
+
+
+@pytest.mark.parametrize("kv_bits", [8, 4, 3])
+def test_folded_scales_stay_within_1e12_of_dequantize_then_attend(
+    model4, bloom4, kv_bits
+):
+    """The fused packed step rounds ``(q · c) · s`` where dequantizing
+    first rounds ``q · (c · s)``: over seeded messages (ALiBi or not) a
+    whole-model step on the packed slab stays within 1e-12 relative of
+    the same step on a dense slab of the fake-quantized history, and
+    picks the same greedy tokens."""
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        model = bloom4 if seed % 2 else model4
+        cfg = model.cfg
+        managers = [
+            StageKVManager(
+                num_layers=cfg.num_layers, hidden_size=cfg.hidden_size,
+                kv_bits=bits, num_heads=cfg.num_heads,
+            )
+            for bits in (kv_bits, 16)
+        ]
+        lens = rng.integers(1, 40, size=int(rng.integers(1, 13)))
+        for u, n in enumerate(lens.tolist()):
+            packed, dense = (m.allocate(u, batch=1, max_len=n + 1) for m in managers)
+            for li in range(cfg.num_layers):
+                k, v = rng.normal(size=(2, 1, n, cfg.hidden_size))
+                k *= 10.0 ** rng.uniform(-1, 1)
+                packed.append(li, k, v, 0)
+                dense.append(
+                    li, *(kv_fake_quant(a, kv_bits, cfg.num_heads) for a in (k, v)), 0
+                )
+            packed.length = dense.length = n
+        unit_ids = tuple(rng.permutation(len(lens)).tolist())
+        starts = lens[list(unit_ids)]
+        packed_view = managers[0].batch_view(unit_ids, starts)
+        dense_view = _FakeQuantAppends(
+            managers[1].batch_view(unit_ids, starts), kv_bits, cfg.num_heads
+        )
+        got = want = model._embed_ragged(
+            rng.integers(0, cfg.vocab_size, size=(len(unit_ids), 1)), starts
+        )
+        for li, lw in enumerate(model.layers):
+            got = batched_decode_block(cfg, lw, got, packed_view, li, starts)
+            want = batched_decode_block(cfg, lw, want, dense_view, li, starts)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        np.testing.assert_array_equal(
+            greedy_pick(model._logits(got)), greedy_pick(model._logits(want))
+        )
 
 
 @pytest.mark.parametrize(
@@ -387,9 +464,15 @@ class SlabMachine(RuleBasedStateMachine):
             k, v = self._new(1, len(ids))
             view.append(li, k, v)
             spec_view.append(li, k, v)
-            for got, want in zip(view.read_padded(li), spec_view.read_padded(li)):
-                assert got[pos].tobytes() == want.tobytes()
-                assert np.isfinite(got).all()  # passengers too
+            *got, scales = view.read_padded(li)
+            *want, want_scales = spec_view.read_padded(li)
+            assert (scales is None) == (want_scales is None) == (self.kv_bits >= 16)
+            if scales is not None:  # packed: codes, and their scales (rows on axis 1)
+                got.append(scales.swapaxes(0, 1))
+                want.append(want_scales.swapaxes(0, 1))
+            for g, w in zip(got, want):
+                assert g[pos].tobytes() == w.tobytes()
+                assert np.isfinite(g).all()  # passengers too
         spec_view.commit_lengths()
 
     @precondition(lambda self: self.model)
