@@ -132,12 +132,21 @@ def adabits_plan(
 def _evaluate(
     optimizer: LLMPQOptimizer, plan: ExecutionPlan
 ) -> tuple[float, PipelineResult]:
-    """``plan``'s objective and the simulation it was read from."""
-    pred = optimizer.simulate(plan)
-    if not pred.feasible:
-        return float("inf"), pred
-    quality = _plan_quality(optimizer, plan)
-    return pred.total_latency + optimizer.config.theta * quality, pred
+    """``plan``'s objective and the simulation it was read from, once per
+    distinct plan of the run (the walk revisits many)."""
+    key = (
+        tuple((s.device.name, s.layer_bits, s.kv_bits) for s in plan.stages),
+        plan.prefill_microbatch, plan.decode_microbatch,
+    )
+    hit = optimizer.evaluations.get(key)
+    if hit is None:
+        pred = optimizer.simulate(plan)
+        obj = float("inf")
+        if pred.feasible:
+            quality = _plan_quality(optimizer, plan)
+            obj = pred.total_latency + optimizer.config.theta * quality
+        hit = optimizer.evaluations[key] = obj, pred
+    return hit
 
 
 def _objective(optimizer: LLMPQOptimizer, plan: ExecutionPlan) -> float:
@@ -145,10 +154,10 @@ def _objective(optimizer: LLMPQOptimizer, plan: ExecutionPlan) -> float:
 
 
 def _plan_quality(optimizer: LLMPQOptimizer, plan: ExecutionPlan) -> float:
+    """Summed omega of ``plan``'s layers, left to right (``sum()``'s fold)."""
     ind = optimizer.indicator
-    return float(
-        sum(ind.lookup(i, b) for i, b in enumerate(plan.layer_bits))
-    )
+    col = [ind.bits.index(b) for b in plan.layer_bits]
+    return float(np.add.accumulate(ind.omega[np.arange(len(col)), col])[-1])
 
 
 def _with_stages(plan: ExecutionPlan, stages: list[StagePlan]) -> ExecutionPlan | None:
@@ -388,7 +397,7 @@ def heuristic_optimize(optimizer: LLMPQOptimizer) -> PlannerResult:
         )
         if obj < best_obj:
             best_obj, best_plan = obj, plan
-    predicted = None if best_plan is None else optimizer.simulate(best_plan)
+    predicted = None if best_plan is None else _evaluate(optimizer, best_plan)[1]
     total = time.perf_counter() - t0
     return PlannerResult(
         plan=best_plan,

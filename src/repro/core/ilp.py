@@ -32,7 +32,7 @@ the DP is tested against.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -94,42 +94,62 @@ def _sweep(sizes, omega, layer_bytes, limit, starts, stop):
     bitwidth and keeps, per ``(a, layer counts)``, the least ``sum omega``
     — the first such candidate in (parent row, bitwidth) order on ties.
     A candidate whose bytes exceed ``limit`` is dropped: bytes only grow.
-    Returns per-row arrays in step order (so by range length): ``start,
-    length, layers per bitwidth, sum omega, parent row, bit index``.
+    ``starts`` ascend.  Returns per-row arrays in step order (so by range
+    length): ``start, length, layers per bitwidth, sum omega, parent row,
+    bit index``.
+
+    A row's tag is ``a`` and its layer counts as digits of one integer.
+    Rows stay in tag order, and a step's candidates are laid out
+    bit-major: adding a group's layers to one digit never carries (no
+    digit reaches ``base``), so each bitwidth's candidates keep their
+    parents' order and the stable sort only merges ``n_bits`` sorted runs.
+    Each tag's winner is then its least ``sum omega``, ties to the least
+    (parent row, bitwidth) — what a ``lexsort`` by (tag, ``sum omega``)
+    keeps first (``spec_sweep`` in ``tests/core/ilp_spec.py``).
     """
     n_bits = omega.shape[1]
     base = int(sizes.sum()) + 1  # layer counts are digits in this base
     radix = base ** np.arange(n_bits, dtype=np.int64)
+    radix_col, bytes_col, omega_t = radix[:, None], layer_bytes[:, None], omega.T.copy()
+    never = np.iinfo(np.int64).max  # outranks every (parent row, bit) index
     st = np.asarray(starts, dtype=np.int64)
-    key = np.zeros(st.size, np.int64)
+    tag = st * base**n_bits
     W = np.zeros(st.size)
     B = np.zeros(st.size)
-    ids = np.full(st.size, -1)
-    out = [(st[:0], st[:0], key[:0], W[:0], ids[:0], ids[:0])]
-    n_rows, t = 0, 0
-    while True:
-        live = st + t < stop
-        st, key, W, B, ids = st[live], key[live], W[live], B[live], ids[live]
-        if not st.size:
-            break
+    out = [(st[:0], tag[:0], W[:0], st[:0], st[:0])]
+    prev = n_rows = t = 0
+    while st.size:
+        if st[-1] + t >= stop:  # rows are start-major: the live ones lead
+            n = np.searchsorted(st, stop - t)
+            st, tag, W, B = st[:n], tag[:n], W[:n], B[:n]
+            if not n:
+                break
+        n = st.size
         grp = st + t
-        s = sizes[grp][:, None]
-        cand_key = (key[:, None] + s * radix).ravel()
-        cand_W = (W[:, None] + omega[grp]).ravel()
-        cand_B = (B[:, None] + s * layer_bytes).ravel()
+        s = sizes[grp]
+        cand_B = (B + s * bytes_col).ravel()  # bit-major: (bit, row)
         fit = np.flatnonzero(cand_B <= limit)
-        tag = np.repeat(st, n_bits)[fit] * base**n_bits + cand_key[fit]
-        order = np.lexsort((cand_W[fit], tag))
-        first = np.ones(order.size, bool)
-        first[1:] = tag[order[1:]] != tag[order[:-1]]
-        sel = fit[order[first]]
-        st, key, W, B = np.repeat(st, n_bits)[sel], cand_key[sel], cand_W[sel], cand_B[sel]
-        out.append((st, np.full(sel.size, t + 1), key, W, ids[sel // n_bits], sel % n_bits))
-        ids = n_rows + np.arange(sel.size)
-        n_rows += sel.size
+        if not fit.size:
+            break
+        cand_tag = (tag + s * radix_col).ravel()[fit]
+        cand_W = (W + omega_t[:, grp]).ravel()[fit]
+        order = np.argsort(cand_tag, kind="stable")
+        cand_tag, cand_W, fit = cand_tag[order], cand_W[order], fit[order]
+        first = np.ones(fit.size, bool)
+        first[1:] = cand_tag[1:] != cand_tag[:-1]
+        head = np.flatnonzero(first)
+        W = np.minimum.reduceat(cand_W, head)
+        first[0] = False  # now cumsum(first) numbers each candidate's tag
+        k, r = np.divmod(fit, n)
+        row_bit = np.where(cand_W == W[np.cumsum(first)], r * n_bits + k, never)
+        pr, bit = np.divmod(np.minimum.reduceat(row_bit, head), n_bits)
+        st, tag, B = st[pr], cand_tag[head], cand_B[bit * n + pr]
+        out.append((st, tag, W, pr + prev if t else np.full(pr.size, -1), bit))
+        prev, n_rows = n_rows, n_rows + pr.size
         t += 1
-    st, length, key, W, parent, bit = (np.concatenate(col) for col in zip(*out))
-    L = ((key[:, None] // radix) % base).astype(np.float64)
+    st, tag, W, parent, bit = (np.concatenate(col) for col in zip(*out))
+    length = np.repeat(np.arange(len(out)), [col[0].size for col in out])
+    L = ((tag[:, None] // radix) % base).astype(np.float64)
     return st, length, L, W, parent, bit
 
 
@@ -184,6 +204,7 @@ class RangeTable:
         self.layer_bytes = np.asarray(layer_bytes, dtype=np.float64)
         self.limit = float(limit)
         self._blocks: dict[str, _Block] = {}
+        self._priced: dict[tuple, tuple] = {}
 
     @property
     def num_rows(self) -> int:
@@ -218,6 +239,32 @@ class RangeTable:
         if longest:
             min_bytes[1:] = np.minimum.reduceat(nbytes, upto[:-1])
         return _Block(L, W, nbytes, a, e, group, parent, bit, upto, min_bytes)
+
+    def priced(self, kind, device, cap, lp, ld, alpha, beta, n_pass, theta):
+        """The ``kind`` rows a ``device``-type GPU holds under ``cap``,
+        with their separable cost, prefill and decode seconds at per-layer
+        seconds ``lp`` / ``ld``; a middle or last device's rows pre-filtered
+        per range (:func:`_survivors` without its rounds).  Memoised on
+        everything it reads, so every candidate asking the same shares it.
+        """
+        key = (kind, device, cap, lp.tobytes(), ld.tobytes(), alpha, beta, n_pass, theta)
+        hit = self._priced.get(key)
+        if hit is not None:
+            return hit
+        blk = self.block(kind)
+        rows = np.flatnonzero(blk.nbytes[: blk.rows_for(cap)] <= cap)
+        L = blk.L[rows]
+        rC = L @ (lp + n_pass * ld) + theta * blk.W[rows]
+        rP, rD = L @ lp, L @ ld
+        if kind != "prefix" and rows.size:  # one pre-filter pass per range
+            g = blk.a[rows] * (self.sizes.size + 1) + blk.e[rows]
+            keep = np.sort(_survivors(np.unique(g, return_inverse=True)[1],
+                                      rC, rP, rD, alpha, beta, exact=False))
+            rows, rC, rP, rD = rows[keep], rC[keep], rP[keep], rD[keep]
+        for a in (rows, rC, rP, rD):  # shared by every asker: read-only
+            a.flags.writeable = False
+        hit = self._priced[key] = rows, rC, rP, rD
+        return hit
 
 
 # ----------------------------------------------------------------------
@@ -280,12 +327,11 @@ def _survivors(g, C, P, D, alpha, beta, exact=True):
     return kept[np.argsort(rank[kept])]
 
 
-def _solve_dp(table, lp, ld, caps, kinds, alpha, beta, n_pass, theta, cutoff):
+def _solve_dp(table, lp, ld, caps, types, alpha, beta, n_pass, theta, cutoff):
     """The range-table DP (DESIGN.md §8.3).
 
     ``lp``/``ld``: per-layer prefill/decode seconds per (device, bitwidth);
-    ``kinds``: a hashable per device, equal for devices whose rows price
-    the same (type and capacity).  A state is a prefix of the pipeline
+    ``types``: each device's GPU type.  A state is a prefix of the pipeline
     ending at group ``e`` with ``(C, P_max, D_max)``: separable cost and
     the two bottlenecks so far.  Returns ``(objective, per-device (block,
     row)), cut`` — ``None`` for the first when no assignment exists at or
@@ -301,25 +347,14 @@ def _solve_dp(table, lp, ld, caps, kinds, alpha, beta, n_pass, theta, cutoff):
     cut = False
     fe = np.zeros(1, np.int64)  # the empty prefix
     fC = fP = fD = np.zeros(1)
-    trail, stage_rows = [], {}
+    trail = []
     for j in range(n_dev):
         last = j == n_dev - 1
         kind = "prefix" if j == 0 else "suffix" if last else "middle"
         blk = table.block(kind)
-        memo = (kind, kinds[j])
-        if memo not in stage_rows:  # rows at this price and cap
-            m = blk.rows_for(caps[j])
-            rows = np.flatnonzero(blk.nbytes[:m] <= caps[j])
-            L = blk.L[rows]
-            rC = L @ (lp[j] + n_pass * ld[j]) + theta * blk.W[rows]
-            rP, rD = L @ lp[j], L @ ld[j]
-            if kind != "prefix" and rows.size:  # one pre-filter pass per range
-                g = blk.a[rows] * (n_groups + 1) + blk.e[rows]
-                keep = np.sort(_survivors(np.unique(g, return_inverse=True)[1],
-                                          rC, rP, rD, alpha, beta, exact=False))
-                rows, rC, rP, rD = rows[keep], rC[keep], rP[keep], rD[keep]
-            stage_rows[memo] = rows, rC, rP, rD
-        rows, rC, rP, rD = stage_rows[memo]
+        rows, rC, rP, rD = table.priced(
+            kind, types[j], caps[j], lp[j], ld[j], alpha, beta, n_pass, theta
+        )
         ra, re = blk.a[rows], blk.e[rows]
         count = np.bincount(fe, minlength=n_groups + 1)
         cheapest = np.full(n_groups + 1, np.inf)
@@ -417,6 +452,7 @@ class BitAssignmentILP:
     kv_bits: int = 16
     prediction_cache: PredictionCache | None = None
     range_tables: dict | None = None
+    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     def _group_sizes(self) -> list[int]:
@@ -429,7 +465,10 @@ class BitAssignmentILP:
 
     def _layer_tables(self):
         """Per-layer ``(prefill s, decode s)`` per (device, bits) and
-        bytes per bits, read through the prediction memo when attached."""
+        bytes per bits, read through the prediction memo when attached;
+        built once per problem (the bound and the solve both read them)."""
+        if self._tables is not None:
+            return self._tables
         w = self.workload
         avg_ctx = w.prompt_len + max(w.decode_passes, 1) // 2
         cache = self.prediction_cache or PredictionCache(self.latency_model)
@@ -449,7 +488,8 @@ class BitAssignmentILP:
             np.array([self.cfg.layer_weight_bytes(b) for b in self.bits])
             + per_layer_kv
         )
-        return lp, ld, layer_bytes
+        self._tables = lp, ld, layer_bytes
+        return self._tables
 
     def _omega(self) -> np.ndarray:
         """The grouped quality table, one column per bitwidth."""
@@ -539,9 +579,9 @@ class BitAssignmentILP:
         alpha, beta, n_pass = self._terms()
         caps = [self._device_capacity(j) for j in range(len(self.devices))]
         table = self._range_table(omega, layer_bytes, caps)
-        kinds = [(d.type_name, cap) for d, cap in zip(self.devices, caps)]
+        types = [d.type_name for d in self.devices]
         found, cut = _solve_dp(
-            table, lp, ld, caps, kinds, alpha, beta, n_pass, self.theta, cutoff
+            table, lp, ld, caps, types, alpha, beta, n_pass, self.theta, cutoff
         )
         if found is None:
             return _infeasible(time.perf_counter() - t0, "pruned" if cut else "infeasible")

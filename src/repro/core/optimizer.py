@@ -190,11 +190,12 @@ class LLMPQOptimizer:
         self.indicator = base_indicator.normalized()
         # hoisted per-run state shared by every candidate: the grouped
         # omega table (identical for all candidates), the cost-model
-        # prediction memo, and the DP's range tables (one per layer-bytes
-        # row, so per KV level)
+        # prediction memo, the DP's range tables (one per layer-bytes
+        # row, so per KV level) and Algorithm 2's per-plan evaluations
         self.grouped_indicator = self.indicator.grouped(self.config.group_size)
         self.prediction_cache = PredictionCache(self.latency_model)
         self.range_tables: dict = {}
+        self.evaluations: dict = {}
         kv = self.config.kv_bits
         if kv != "auto" and kv not in KV_BITS_CHOICES:
             raise ValueError(

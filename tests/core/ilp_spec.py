@@ -24,7 +24,9 @@ and :meth:`LLMPQOptimizer.optimize` are pinned to:
   own per-stage refinement;
 * :func:`spec_adabits` is Algorithm 2's quality-only seed problem as the
   MILP it used to be solved as — the oracle for the solver-free DP in
-  ``core/heuristic.py``.
+  ``core/heuristic.py``;
+* :func:`spec_sweep` is one range-table sweep with a full ``lexsort`` of
+  every step's candidates — the oracle for ``core.ilp._sweep``'s merge.
 
 Deliberately slow; used by the ``tests/core`` equality tests only.
 """
@@ -267,6 +269,46 @@ def spec_adabits(ilp: BitAssignmentILP) -> ILPSolution:
             for k in range(nB):
                 c[(i * nD + j) * nB + k] = ilp.theta * prob.omega[i, k]
     return spec_solve(dataclasses.replace(prob, c=c))
+
+
+def spec_sweep(sizes, omega, layer_bytes, limit, starts, stop):
+    """``core.ilp._sweep`` by sorting every step's candidates by (tag,
+    ``sum omega``, parent row, bitwidth) — one ``lexsort`` per step — and
+    keeping each tag's first."""
+    n_bits = omega.shape[1]
+    base = int(sizes.sum()) + 1  # layer counts are digits in this base
+    radix = base ** np.arange(n_bits, dtype=np.int64)
+    st = np.asarray(starts, dtype=np.int64)
+    key = np.zeros(st.size, np.int64)
+    W = np.zeros(st.size)
+    B = np.zeros(st.size)
+    ids = np.full(st.size, -1)
+    out = [(st[:0], st[:0], key[:0], W[:0], ids[:0], ids[:0])]
+    n_rows, t = 0, 0
+    while True:
+        live = st + t < stop
+        st, key, W, B, ids = st[live], key[live], W[live], B[live], ids[live]
+        if not st.size:
+            break
+        grp = st + t
+        s = sizes[grp][:, None]
+        cand_key = (key[:, None] + s * radix).ravel()
+        cand_W = (W[:, None] + omega[grp]).ravel()
+        cand_B = (B[:, None] + s * layer_bytes).ravel()
+        fit = np.flatnonzero(cand_B <= limit)
+        tag = np.repeat(st, n_bits)[fit] * base**n_bits + cand_key[fit]
+        order = np.lexsort((cand_W[fit], tag))
+        first = np.ones(order.size, bool)
+        first[1:] = tag[order[1:]] != tag[order[:-1]]
+        sel = fit[order[first]]
+        st, key, W, B = np.repeat(st, n_bits)[sel], cand_key[sel], cand_W[sel], cand_B[sel]
+        out.append((st, np.full(sel.size, t + 1), key, W, ids[sel // n_bits], sel % n_bits))
+        ids = n_rows + np.arange(sel.size)
+        n_rows += sel.size
+        t += 1
+    st, length, key, W, parent, bit = (np.concatenate(col) for col in zip(*out))
+    L = ((key[:, None] // radix) % base).astype(np.float64)
+    return st, length, L, W, parent, bit
 
 
 def spec_optimize(opt) -> PlannerResult:

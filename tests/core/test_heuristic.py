@@ -462,3 +462,76 @@ def test_plan_llmpq_rejects_parallel_jobs(small_hetero_cluster, small_workload):
 
     with pytest.raises(ValueError, match="n_jobs must be 1"):
         plan_llmpq("opt-13b", small_hetero_cluster, small_workload, n_jobs=2)
+
+
+# ------------------------------------------------------- evaluation memo
+
+
+def test_plan_quality_is_the_left_fold_of_lookups(planner):
+    """One gather and a running sum give ``sum()``'s float on random
+    plans, bit for bit (omega of mixed magnitudes: any other summation
+    order would show)."""
+    import copy
+
+    from repro.core.heuristic import _plan_quality
+    from repro.core.plan import ExecutionPlan
+
+    rng = np.random.default_rng(11)
+    opt = copy.copy(planner)
+    n_layers, bits = opt.cfg.num_layers, opt.config.bits
+    devices = opt.cluster.devices
+    for _ in range(200):
+        omega = rng.random((n_layers, len(bits))) * 10.0 ** rng.integers(-8, 4, (n_layers, 1))
+        opt.indicator = IndicatorTable(omega=omega, bits=bits, method="drawn")
+        layer_bits = [int(b) for b in rng.choice(bits, size=n_layers)]
+        cuts = np.sort(rng.choice(np.arange(1, n_layers), len(devices) - 1, replace=False))
+        stages = tuple(
+            StagePlan(d, tuple(layer_bits[lo:hi]))
+            for d, lo, hi in zip(devices, [0, *cuts], [*cuts, n_layers])
+        )
+        plan = ExecutionPlan(opt.model_name, stages, 8, 8, opt.workload)
+        want = float(sum(opt.indicator.lookup(i, b) for i, b in enumerate(layer_bits)))
+        assert _plan_quality(opt, plan) == want
+
+
+def test_evaluation_memo_changes_nothing(workload, monkeypatch):
+    """Algorithm 2 on cluster 11 / bloom-176b / group 4 / theta 10 returns
+    the same plan, objective and simulation with ``_evaluate``'s memo
+    bypassed, and with it simulates each distinct plan once."""
+    from repro.cost.profiler import build_latency_model
+
+    cluster = paper_cluster(11)
+    latmodel = build_latency_model(
+        sorted({d.type_name for d in cluster.devices}), get_model("bloom-176b")
+    )
+
+    class Forgetful(dict):
+        def __setitem__(self, key, value):
+            pass
+
+    def run(memo):
+        opt = LLMPQOptimizer(
+            "bloom-176b", cluster, workload,
+            config=PlannerConfig(group_size=4, theta=10.0, prefill_mb_cap=8,
+                                 decode_mb_candidates=(8, 32)),
+            latency_model=latmodel,
+        )
+        if not memo:
+            opt.evaluations = Forgetful()
+        simulated = []
+        real = opt.simulate
+        opt.simulate = lambda plan: simulated.append(plan) or real(plan)
+        return heuristic_optimize(opt), simulated
+
+    ours, simulated = run(memo=True)
+    ref, every = run(memo=False)
+    assert ours.feasible
+    assert ours.plan.to_dict() == ref.plan.to_dict()
+    assert ours.objective == ref.objective
+    assert ours.predicted == ref.predicted
+
+    def key(plan):
+        return repr((plan.to_dict()["stages"], plan.prefill_microbatch, plan.decode_microbatch))
+
+    assert len(simulated) == len({key(p) for p in simulated}) == len({key(p) for p in every})
+    assert len(every) > len(simulated)

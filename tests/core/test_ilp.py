@@ -7,17 +7,26 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from repro.core.ilp import BitAssignmentILP
+from repro.core import ilp as ilp_mod
+from repro.core.ilp import BitAssignmentILP, RangeTable
 from repro.core.optimizer import LLMPQOptimizer, PlannerConfig
 from repro.core.search import SearchEngine
 from repro.cost.memory import kv_cache_bytes
-from repro.hardware import get_gpu
+from repro.cost.profiler import build_latency_model
+from repro.hardware import get_gpu, make_cluster
 from repro.hardware.cluster import Device
 from repro.models import get_model
 from repro.quant import IndicatorTable, synthetic_indicator
 from repro.workload import Workload
 
-from .ilp_spec import CappedILP, spec_adabits, spec_assemble, spec_price, spec_solve
+from .ilp_spec import (
+    CappedILP,
+    spec_adabits,
+    spec_assemble,
+    spec_price,
+    spec_solve,
+    spec_sweep,
+)
 
 
 def _make_ilp(cluster, latmodel, opt30b, *, theta=1.0, group=2,
@@ -303,3 +312,207 @@ def test_dp_equals_spec_milp_on_every_unique_candidate(
     assert len(engine._uniques) == {"mini-opt13b": 8}.get(case, 16)
     prices = [_assert_dp_matches_spec(u.ilp, u.ilp.solve()) for u in engine._uniques]
     assert all(p is not None for p in prices)
+
+
+# ------------------------------------------------ range-table sweep vs spec
+
+
+def _assert_sweeps_equal(args):
+    """All six arrays of ``_sweep(*args)`` byte-identical to the spec's."""
+    got, ref = ilp_mod._sweep(*args), spec_sweep(*args)
+    for g, r in zip(got, ref, strict=True):
+        assert (g.dtype, g.shape) == (r.dtype, r.shape)
+        assert g.tobytes() == r.tobytes()
+    return got
+
+
+@st.composite
+def _sweep_instances(draw):
+    n_groups = draw(st.integers(1, 12))
+    group = draw(st.integers(1, 4))
+    sizes = np.array([group] * (n_groups - 1) + [draw(st.integers(1, group))])
+    n_bits = draw(st.integers(1, 4))
+    # few omega values, zeros among them: many candidates tie on sum omega
+    omega = np.array(draw(st.lists(
+        st.lists(st.sampled_from((0.0, 0.0, 0.5, 1.0)), min_size=n_bits, max_size=n_bits),
+        min_size=n_groups, max_size=n_groups,
+    )))
+    layer_bytes = np.array(draw(st.lists(
+        st.integers(1, 9), min_size=n_bits, max_size=n_bits
+    )), dtype=np.float64)
+    if draw(st.booleans()):
+        starts, stop = [0], n_groups
+    else:
+        starts = sorted(draw(st.sets(st.integers(0, n_groups - 1), max_size=n_groups)))
+        stop = draw(st.integers(0, n_groups))
+    # the bytes of one planted row, exactly; or no limit at all
+    a = draw(st.integers(0, n_groups - 1))
+    length = draw(st.integers(1, n_groups - a))
+    limit = float(sum(
+        sizes[i] * layer_bytes[draw(st.integers(0, n_bits - 1))] for i in range(a, a + length)
+    )) if draw(st.integers(0, 3)) else np.inf
+    return sizes, omega, layer_bytes, limit, starts, stop
+
+
+@settings(max_examples=400, deadline=None)
+@given(args=_sweep_instances())
+def test_sweep_equals_spec(args):
+    """The merge sweep returns the lexsort spec's rows byte for byte: a
+    ragged last group, ``sum omega`` ties, one to four bitwidths, a limit
+    planted on a row's bytes, one start or many."""
+    _, length, L, W, parent, _ = _assert_sweeps_equal(args)
+    event(f"rows: {'none' if not W.size else 'some'}, starts: {len(args[4])}")
+    # every row fits, and its parent is one group shorter
+    layer_bytes, limit = args[2], args[3]
+    for row in range(W.size):
+        assert L[row] @ layer_bytes <= limit
+        assert length[row] == 1 + (length[parent[row]] if parent[row] >= 0 else 0)
+
+
+@pytest.fixture(scope="module")
+def three_node():
+    cluster = make_cluster(
+        [("P100-12G", 2), ("V100-32G", 2), ("A100-40G", 2)], name="three-node"
+    )
+    latmodel = build_latency_model(
+        sorted({d.type_name for d in cluster.devices}), get_model("opt-66b")
+    )
+    return cluster, latmodel
+
+
+@pytest.mark.parametrize("case", ["c3-opt30b", "3node-opt66b"])
+def test_sweep_equals_spec_on_planner_tables(
+    case, cluster3, latmodel_cluster3, workload, three_node, monkeypatch
+):
+    """Every sweep the cluster-3 and three-node searches run (prefix,
+    suffix and middle blocks, up to ~60k rows) equals the spec's."""
+    if case == "c3-opt30b":
+        model, cluster, latmodel, knobs = "opt-30b", cluster3, latmodel_cluster3, {}
+    else:
+        (cluster, latmodel), model, knobs = three_node, "opt-66b", dict(group_size=4, theta=10.0)
+    calls = []
+    real = ilp_mod._sweep
+    monkeypatch.setattr(ilp_mod, "_sweep", lambda *a: calls.append(a) or real(*a))
+    opt = LLMPQOptimizer(
+        model, cluster, workload,
+        config=PlannerConfig(**{**dict(group_size=2, prefill_mb_cap=8,
+                                       decode_mb_candidates=(8, 32)), **knobs}),
+        latency_model=latmodel,
+    )
+    assert opt.optimize().feasible
+    monkeypatch.undo()
+    assert len(calls) >= 3
+    for args in calls:
+        _assert_sweeps_equal(args)
+
+
+# ------------------------------------------------ row prices shared per table
+
+
+@pytest.fixture(scope="module")
+def c3_group2(cluster3, latmodel_cluster3, workload):
+    """Cluster 3 / opt-30b / group 2: the unique candidates of its grid."""
+    opt = LLMPQOptimizer(
+        "opt-30b", cluster3, workload,
+        config=PlannerConfig(group_size=2, prefill_mb_cap=8, decode_mb_candidates=(8, 32)),
+        latency_model=latmodel_cluster3,
+    )
+    engine = SearchEngine(opt)
+    engine.prepare()
+    return opt, [u.ilp for u in engine._uniques]
+
+
+def test_shared_row_prices_equal_fresh_tables(c3_group2):
+    """Every unique candidate solves on the run's shared table, its row
+    prices reused across candidates, exactly as on a table of its own:
+    status, assignment and objective bit for bit, uncut and under the
+    same cutoffs (``pruned`` included)."""
+    opt, ilps = c3_group2
+    uncut = [ilp.solve() for ilp in ilps]
+    objectives = sorted(s.objective for s in uncut)
+    for cutoff in (np.inf, objectives[len(objectives) // 2], objectives[0]):
+        shared = [ilp.solve(cutoff) for ilp in ilps]
+        fresh = [dataclasses.replace(ilp, range_tables=None).solve(cutoff) for ilp in ilps]
+        assert [(s.status, s.group_device, s.group_bits, s.objective) for s in shared] == [
+            (s.status, s.group_device, s.group_bits, s.objective) for s in fresh
+        ]
+    assert {s.status for s in shared} == {"optimal", "pruned"}
+    (table,) = opt.range_tables.values()
+    assert 0 < len(table._priced) < 4 * len(ilps)  # prices shared across candidates
+
+
+def test_row_prices_run_once_per_key(c3_group2, monkeypatch):
+    """A counting wrapper: rows are priced once per distinct input (kind,
+    GPU type, capacity, per-layer seconds, alpha, beta, n, theta), and a
+    second solve of the same candidate prices nothing."""
+    opt, ilps = c3_group2
+    opt.range_tables.clear()
+    keys, priced = [], []
+    real_priced, real_rows_for = RangeTable.priced, ilp_mod._Block.rows_for
+
+    def spy_priced(table, kind, device, cap, lp, ld, *rest):
+        keys.append((id(table), kind, device, cap, lp.tobytes(), ld.tobytes(), *rest))
+        return real_priced(table, kind, device, cap, lp, ld, *rest)
+
+    monkeypatch.setattr(RangeTable, "priced", spy_priced)
+    monkeypatch.setattr(
+        ilp_mod._Block, "rows_for", lambda blk, cap: priced.append(cap) or real_rows_for(blk, cap)
+    )
+    for ilp in ilps:
+        ilp.solve()
+    assert len(keys) > len(set(keys)) and len(priced) == len(set(keys))
+    priced.clear()
+    ilps[0].solve()
+    assert not priced
+
+
+@pytest.mark.parametrize("kind", ["suffix", "middle"])
+def test_row_price_memo_keys_everything_it_reads(kind):
+    """Changing any one input — capacity, alpha, beta, n, theta, either
+    seconds row — on a table that already priced the base input gives what
+    a fresh table gives."""
+    rng = np.random.default_rng(3)
+    sizes, n_bits = np.full(9, 2), 3
+    omega = rng.choice((0.0, 0.25, 1.0), size=(9, n_bits))
+    layer_bytes = np.array([3.0, 5.0, 8.0])
+    # bitwidth 0 is the cheapest and slowest to decode, 1 the slowest to
+    # prefill: each of alpha and beta decides what the pre-filter keeps
+    base = dict(cap=60.0, lp=np.array([1.0, 4.0, 2.0]), ld=np.array([3.0, 1.0, 2.0]),
+                alpha=3, beta=4, n_pass=1, theta=0.5)
+    shared = RangeTable(sizes, omega, layer_bytes, 100.0)
+
+    def price(table, **args):
+        a = {**base, **args}
+        return table.priced(kind, "T4-16G", a["cap"], a["lp"], a["ld"], a["alpha"],
+                            a["beta"], a["n_pass"], a["theta"])
+
+    ref = price(shared)
+    variants = dict(cap=[30.0, 50.0], alpha=[0, 30], beta=[0, 40], n_pass=[0, 20],
+                    theta=[0.0, 50.0], lp=[np.array([2.0, 4.0, 1.0])],
+                    ld=[np.array([1.0, 3.0, 2.0])])
+    for name, values in variants.items():
+        for value in values:
+            got = price(shared, **{name: value})
+            want = price(RangeTable(sizes, omega, layer_bytes, 100.0), **{name: value})
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g, w), name
+            # the variant is a different input: its rows or prices differ
+            assert any(
+                g.shape != r.shape or not np.array_equal(g, r) for g, r in zip(got, ref)
+            ), (name, value)
+
+
+def test_layer_tables_built_once_per_problem(cluster3, latmodel_cluster3, opt30b, monkeypatch):
+    """The bound and the solve read one set of per-layer tables."""
+    calls = []
+    real = ilp_mod.planner_time_tables
+    monkeypatch.setattr(
+        ilp_mod, "planner_time_tables", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    ilp = _make_ilp(cluster3, latmodel_cluster3, opt30b, group=4)
+    ilp.lower_bound()
+    ilp.solve()
+    ilp.solve()
+    assert len(calls) == 1
+    dataclasses.replace(ilp, decode_microbatch=32).solve()  # a new problem
+    assert len(calls) == 2
