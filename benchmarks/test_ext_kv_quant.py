@@ -32,7 +32,7 @@ from repro.core.plan import ExecutionPlan
 from repro.hardware import make_cluster
 from repro.sim.online import OnlineRequest, max_admissible_batch, simulate_online
 from repro.workload import Workload
-from tests.sim.online_spec import spec_simulate_continuous
+from tests.sim.online_spec import spec_simulate_online
 
 PROMPT, GEN = 32, 1024
 KV_LEVELS = (16, 8, 4)
@@ -66,7 +66,7 @@ def _measure(plan, cluster, trace, kv_bits):
     t0 = time.perf_counter()
     vec = simulate_online(p, cluster, trace, policy="continuous")
     wall = time.perf_counter() - t0
-    oracle = spec_simulate_continuous(p, cluster, trace)
+    oracle = spec_simulate_online(p, cluster, trace)
     assert vec == oracle, (
         f"kv{kv_bits}: trace engine diverged from tests/sim/online_spec.py"
     )

@@ -145,8 +145,8 @@ class PredictionCache:
         whole context sweep.  The row is shared by every plan simulated
         through this cache, so it comes back read-only.  A planner run
         asks for a few dozen distinct sweeps; a consumer that never
-        repeats one (per-wave shapes of a long trace) starts over at
-        ``_MAX_SWEEPS`` instead of growing without bound."""
+        repeats one starts over at ``_MAX_SWEEPS`` instead of growing
+        without bound."""
         key = (gpu_name, bits, batch, kv_bits, contexts.tobytes())
         row = self._sweeps.get(key)
         if row is not None:

@@ -18,14 +18,15 @@ produces every cost view the consumers need:
   forms) — the continuous (iteration-level) scheduler's batch-1 prefill
   unit and fused decode group, both evaluated as one vectorized roofline
   against a precomputed per-(stage, bits) constant table;
-* ``stage_memory_views`` / ``batch_fits`` / ``max_admissible_batch`` /
-  ``kv_headroom`` / ``request_kv_bytes`` — the planner's Sec.-4.1 memory
-  accounting, shared verbatim by the online simulator and the real
+* ``stage_memory_views`` / ``max_admissible_batch`` / ``kv_headroom`` /
+  ``request_kv_bytes`` — the planner's Sec.-4.1 memory accounting, shared
+  verbatim by the online simulator and the real
   :class:`~repro.runtime.scheduler.ContinuousScheduler`;
 * ``kv_token_charges`` / ``kv_token_budget`` — the same KV pool counted
   in token slots: what one slot costs per stage and how many fit, the one
   admission ledger of the trace engine, the fleet router and the runtime
-  scheduler.
+  scheduler — and :func:`wave_admits`, the wave policy's admission rule
+  on that ledger.
 
 The time source is selectable: ``source="kernels"`` prices with the
 ground-truth roofline kernels (the simulated hardware), ``source="model"``
@@ -58,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports, no cycles
     from ..hardware.cluster import Cluster
     from ..models.config import ModelConfig
 
-__all__ = ["StageCostModel", "planner_time_tables"]
+__all__ = ["StageCostModel", "planner_time_tables", "wave_admits"]
 
 
 def _decode_batches(batches) -> np.ndarray:
@@ -133,7 +134,7 @@ class StageCostModel:
         self._kv = plan.kv_bits_per_stage
         self._gpus = [s.device.spec for s in plan.stages]
         self._links = None
-        # shape-keyed memos (shared with per-wave derivatives, see derive())
+        # shape-keyed memos (shared with derive()d re-shapes of the plan)
         self._emb_memo: dict = {}
         self._comm_memo: dict = {}
         self._unit_prefill_memo: dict = {}
@@ -142,7 +143,6 @@ class StageCostModel:
         self._decode_table_memo: dict = {}
         self._token_charges = None
         # plan-workload-specific memos (never shared)
-        self._fits_memo: dict = {}
         self._views = None
         self._headroom_base = None
         self._token_budget = None
@@ -628,39 +628,26 @@ class StageCostModel:
         self._views = views
         return views
 
-    def batch_fits(self, global_batch: int, prompt_len: int, gen_len: int) -> bool:
-        """Whether a ``global_batch`` at (s, n) fits every stage, with
-        micro-batches clamped to the batch (the wave-admission check)."""
-        key = (global_batch, prompt_len, gen_len)
-        ok = self._fits_memo.get(key)
-        if ok is None:
-            p = self.plan
-            ok = True
-            for j, stage in enumerate(p.stages):
-                mem = self.stage_memory_at(
-                    j,
-                    global_batch=global_batch,
-                    prompt_len=prompt_len,
-                    gen_len=gen_len,
-                    prefill_microbatch=min(p.prefill_microbatch, global_batch),
-                    decode_microbatch=min(p.decode_microbatch, global_batch),
-                )
-                if not mem.fits(stage.device.spec.memory_bytes):
-                    ok = False
-                    break
-            self._fits_memo[key] = ok
-        return ok
-
     def max_admissible_batch(
         self, *, prompt_len: int, gen_len: int, cap: int = 256
     ) -> int:
-        """Largest concurrent batch the plan's memory headroom admits."""
-        best = 0
+        """Largest concurrent batch the plan's memory headroom admits: a
+        batch fits when every stage's modelled peak at ``(s, n)``, with
+        micro-batches clamped to the batch, fits its device."""
+        p = self.plan
         for b in range(1, cap + 1):
-            if not self.batch_fits(b, prompt_len, gen_len):
-                break
-            best = b
-        return best
+            for j, stage in enumerate(p.stages):
+                mem = self.stage_memory_at(
+                    j,
+                    global_batch=b,
+                    prompt_len=prompt_len,
+                    gen_len=gen_len,
+                    prefill_microbatch=min(p.prefill_microbatch, b),
+                    decode_microbatch=min(p.decode_microbatch, b),
+                )
+                if not mem.fits(stage.device.spec.memory_bytes):
+                    return b - 1
+        return cap
 
     def kv_headroom(
         self, dequant_cache_budgets: "Sequence[float] | None" = None
@@ -761,10 +748,10 @@ class StageCostModel:
     def derive(self, plan: "ExecutionPlan") -> "StageCostModel":
         """Cost model for a re-shaped variant of the same plan.
 
-        The online wave policy re-batches the plan per wave (same stages
-        and bitwidths, different workload/micro-batches); the derivative
-        shares every shape-keyed memo with its parent, so repeated wave
-        shapes price as lookups.
+        A same-stages migration (a workload refit: same stages and
+        bitwidths, different workload/micro-batches) rebinds through
+        this; the derivative shares every shape-keyed memo with its
+        parent, so the new plan's lookups hit the old tables.
         """
         if plan.stages != self.plan.stages:
             raise ValueError("derive() requires a plan with identical stages")
@@ -815,3 +802,20 @@ def planner_time_tables(
         type_names, bits, "decode", decode_microbatch, 1, avg_context, kv_bits
     )
     return lp, ld
+
+
+def wave_admits(prompt_lens, gen_lens, budget: int) -> int:
+    """How many of the queued FIFO candidates one wave admits.
+
+    A wave pads every member to its longest prompt and generation (the
+    offline schedule's uniform ``(s, n)``), so ``k`` members hold ``k *
+    (s_max + n_max)`` token slots of :meth:`StageCostModel.kv_token_budget`;
+    the wave is the longest prefix within ``budget``.  That need only
+    grows with ``k``, so the prefix is one ``searchsorted``.  The trace
+    engine and :class:`~repro.runtime.scheduler.ContinuousScheduler` both
+    admit through this one rule.
+    """
+    s_max = np.maximum.accumulate(np.asarray(prompt_lens, dtype=np.int64))
+    n_max = np.maximum.accumulate(np.asarray(gen_lens, dtype=np.int64))
+    need = np.arange(1, s_max.size + 1) * (s_max + n_max)
+    return int(need.searchsorted(budget, side="right"))

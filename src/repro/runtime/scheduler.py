@@ -55,7 +55,7 @@ import numpy as np
 
 from .. import stats
 from ..core.plan import ExecutionPlan
-from ..cost.stagecosts import StageCostModel
+from ..cost.stagecosts import StageCostModel, wave_admits
 from ..ops import greedy_pick
 from ..workload.traces import RequestArrival
 from .engine import PipelineRuntime, StageFailureError
@@ -545,36 +545,42 @@ class ContinuousScheduler:
     ) -> list[_Active]:
         """Gang admission into an empty system, padded to wave maxima:
         every member holds ``s_max + n_max`` slots — the offline uniform
-        ``(s, n)`` reservation — and decodes for ``n_max`` tokens."""
+        ``(s, n)`` reservation — and decodes for ``n_max`` tokens.  The
+        wave is the arrived FIFO prefix :func:`wave_admits` takes, the
+        trace engine's rule."""
         if active:
             return []
-        newly: list[_Active] = []
-        s_max = n_max = 0
-        while pending:
+
+        def arrived(entry) -> bool:
+            return self._eff_arrival(entry[0]) <= now
+
+        while pending and arrived(pending[0]):
             req, rec = pending[0]
-            if self._eff_arrival(req) > now:
+            if req.prompt_len + req.gen_len <= self.budget:
                 break
-            if self.max_inflight is not None and len(newly) >= self.max_inflight:
-                break
-            s = max(s_max, req.prompt_len)
-            n = max(n_max, req.gen_len)
-            if (len(newly) + 1) * (s + n) > self.budget:
-                if not newly:
-                    pending.popleft()
-                    rec.rejected = True
-                    report.records.append(rec)
-                    continue
-                break
+            # does not fit even alone: it never will
             pending.popleft()
-            s_max, n_max = s, n
+            rec.rejected = True
+            report.records.append(rec)
+        heads = list(itertools.islice(
+            itertools.takewhile(arrived, pending), self.max_inflight
+        ))
+        k = wave_admits(
+            [r.prompt_len for r, _ in heads], [r.gen_len for r, _ in heads],
+            self.budget,
+        )
+        s_max = max((r.prompt_len for r, _ in heads[:k]), default=0)
+        n_max = max((r.gen_len for r, _ in heads[:k]), default=0)
+        newly: list[_Active] = []
+        for _ in range(k):
+            req, rec = pending.popleft()
             rec.admit_time = now
-            newly.append(
-                _Active(unit_id=next(self._unit_ids), req=req, record=rec)
-            )
-        for a in newly:
-            a.reserve = (s_max - a.req.prompt_len) + n_max
-            a.decode_budget = n_max - 1
-        self.held += len(newly) * (s_max + n_max)
+            newly.append(_Active(
+                unit_id=next(self._unit_ids), req=req, record=rec,
+                decode_budget=n_max - 1,
+                reserve=(s_max - req.prompt_len) + n_max,
+            ))
+        self.held += k * (s_max + n_max)
         return newly
 
     # ------------------------------------------------------------------

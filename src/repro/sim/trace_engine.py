@@ -1,9 +1,22 @@
-"""Event-batch engine for the continuous online simulator.
+"""Event-batch engine of the online simulator.
 
-:func:`repro.sim.online.simulate_online`'s continuous policy — admit at
-a token boundary, price one iteration, retire, poll the drift detector —
-runs here as array-based event processing over **boundary-indexed
-state**; nothing is kept per in-flight request.
+:func:`repro.sim.online.simulate_online` — admit at a token boundary,
+price one iteration, retire, poll the drift detector — runs here as
+array-based event processing over **boundary-indexed state**; nothing is
+kept per in-flight request.  Both scheduling policies are admission
+rules of this one engine:
+
+* ``"continuous"`` admits the FIFO prefix that fits the free token slots
+  at every boundary (the rest of this docstring);
+* ``"wave"`` admits only into an empty system, the prefix
+  :func:`~repro.cost.stagecosts.wave_admits` takes — the runtime
+  scheduler's rule — and pads every member to the wave's maxima: each
+  goes on the ring at ``n_max`` with ``s_max + n_max`` slots, and the
+  context sum counts ``s_max`` per member, so ring, ``ctx`` and ``held``
+  stay one ledger.  Its decode runs watch no queue head (the wave drains
+  first) and it never stretches.  Samples need nothing new: TTFT comes
+  from ``adm_it`` and latency at each member's own ``gen_len``, where
+  the runtime stamps ``finish_time``; throughput counts useful tokens.
 
 State.  Request columns (``arrival`` / ``prompt_len`` / ``gen_len``)
 stay numpy arrays end to end.  The in-flight set is three integers —
@@ -73,7 +86,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..cost.stagecosts import StageCostModel
+from ..cost.stagecosts import StageCostModel, wave_admits
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..core.plan import ExecutionPlan
@@ -130,10 +143,13 @@ class _Engine:
         drift: "DriftConfig | None",
         replanner: "Replanner | None",
         sample_sink: "dict | None" = None,
+        policy: str = "continuous",
     ) -> None:
         if max_batch is not None and max_batch <= 0:
             raise ValueError("max_batch must be positive")  # would never admit
         self.sample_sink = sample_sink
+        self.policy = policy
+        self.wave = policy == "wave"
         self.arr, self.spr, self.sgen = columns
         n = self.n_req = self.arr.size
         self._toks = self.spr + self.sgen
@@ -169,7 +185,9 @@ class _Engine:
         # speculative stretch sizing: grows while stretches commit fully,
         # shrinks (and briefly pauses) when the saturation bet misses
         self._stretch_k = _STRETCH0
-        self._stretch_block = 0
+        # a wave admits only into an empty system: there is no backlog
+        # schedule to bet on, so it never stretches
+        self._stretch_block = float("inf") if self.wave else 0
         self._step_hint = 0.0
         # seconds per boundary of the last decode run (inf: none yet, so
         # the first run starts at _CHUNK0); sizes pricing chunks only
@@ -246,10 +264,18 @@ class _Engine:
         admits: token slots within the budget, capped at ``max_batch``
         (at or below ``ptr``: nothing).  ``held`` above the budget (a
         migration to a tighter plan) admits nothing until retirements
-        bring it back under."""
-        p = min(self._fit_end(self.ptr, self.held), q)
+        bring it back under.  A wave admits only into an empty system,
+        the prefix :func:`~repro.cost.stagecosts.wave_admits` takes; its
+        members' padded ``k * (s_max + n_max)`` slots are at least their
+        ``sum(s + n)``, so the continuous fit end bounds the scan."""
+        ptr = self.ptr
+        p = min(self._fit_end(ptr, self.held), q)
         if self.max_batch is not None:
-            p = min(p, self.ptr + self.max_batch - self.b)
+            p = min(p, ptr + self.max_batch - self.b)
+        if self.wave:
+            if self.b:
+                return ptr
+            return ptr + wave_admits(self.spr[ptr:p], self.sgen[ptr:p], self.budget)
         return p
 
     def _ring_add(self, slots: np.ndarray, toks: np.ndarray, add=np.add) -> None:
@@ -279,17 +305,27 @@ class _Engine:
         self.inflight_sum += b + n
         self.adm_it[p0:p] = self.it
         self.ptr = p
-        self.b = b + n
-        self.ctx += b + n + int(self._cumspr[p] - self._cumspr[p0])
-        self.held += int(self._cumq[p] - self._cumq[p0])
-        if n == 1:
-            last = j + int(self.sgen[p0]) - 1
-            self.r_cnt[last] += 1
-            self.r_tok[last] += self._toks[p0]
+        if self.wave:
+            # the system is empty; every member is padded to the wave's
+            # maxima: s_max + n_max slots, context s_max + produced, and
+            # all leave together after n_max tokens
+            s_max, n_max = int(new_prompts.max()), int(self.sgen[p0:p].max())
+            self.b, self.ctx, self.held = n, n * (s_max + 1), n * (s_max + n_max)
+            last = j + n_max - 1
+            self.r_cnt[last] += n
+            self.r_tok[last] += self.held
         else:
-            slots = j + self.sgen[p0:p] - 1
-            last = int(slots.max())
-            self._ring_add(slots, self._toks[p0:p])
+            self.b = b + n
+            self.ctx += b + n + int(self._cumspr[p] - self._cumspr[p0])
+            self.held += int(self._cumq[p] - self._cumq[p0])
+            if n == 1:
+                last = j + int(self.sgen[p0]) - 1
+                self.r_cnt[last] += 1
+                self.r_tok[last] += self._toks[p0]
+            else:
+                slots = j + self.sgen[p0:p] - 1
+                last = int(slots.max())
+                self._ring_add(slots, self._toks[p0:p])
         self.last_fin = max(self.last_fin, self.base + last)
         gone = int(self.r_cnt[j])
         if gone:  # retire at the boundary: the refund is available at once
@@ -491,7 +527,8 @@ class _Engine:
         only released), and the concurrency cap (the group only shrinks)
         — so the first admission boundary is a ``max`` of three
         first-crossing indices, not a scan.  ``arrived``: the queue head
-        is waiting (blocked on slots or the cap).
+        is waiting (blocked on slots or the cap).  A wave watches no head:
+        it runs until it drains.
         """
         arr = self.arr
         b, held, it, cap = self.b, self.held, self.it, self.max_batch
@@ -500,6 +537,8 @@ class _Engine:
         cnt = self.r_cnt[j0:j0 + horizon]
         tok = self.r_tok[j0:j0 + horizon]
         head = self.ptr if self.ptr < self.n_req else None
+        if self.wave:
+            head, arrived = None, False
         if head is not None:
             # slots the in-flight group may keep for the head to fit
             room = self.budget - int(self._toks[head])
@@ -797,7 +836,7 @@ class _Engine:
             self._step()
         self._close_block()
         if not self.n_done:
-            return _infeasible("continuous", self.rejected, self.sample_sink)
+            return _infeasible(self.policy, self.rejected, self.sample_sink)
         lat, tt = self.lat[:self.n_done], self.tt[:self.n_adm]
         lat_idx = self.lat_idx[:self.n_done]
         if self.sample_sink is not None:
@@ -808,15 +847,16 @@ class _Engine:
             self.sample_sink["ttfts"] = tt
             self.sample_sink["lat_idx"] = lat_idx
             self.sample_sink["tt_idx"] = np.flatnonzero(self.adm_it)
+        waves = np.unique(self.adm_it[self.adm_it > 0]).size if self.wave else 0
         return OnlineResult(
             completed=lat.size,
             makespan=self.now,
             mean_latency=float(lat.mean()),
             p95_latency=quantile(lat, 0.95),
             throughput=int(self.sgen[lat_idx].sum()) / self.now,
-            waves=0,
-            mean_wave_batch=0.0,
-            policy="continuous",
+            waves=waves,
+            mean_wave_batch=self.n_adm / waves if waves else 0.0,
+            policy=self.policy,
             p50_latency=quantile(lat, 0.50),
             p99_latency=quantile(lat, 0.99),
             mean_ttft=float(tt.mean()),
@@ -840,10 +880,13 @@ def simulate_continuous_vectorized(
     drift: "DriftConfig | None" = None,
     replanner: "Replanner | None" = None,
     sample_sink: "dict | None" = None,
+    policy: str = "continuous",
 ):
-    """Continuous-policy simulation over pre-sorted trace ``columns``:
-    admission control, pricing, drift detection and migration accounting
-    evaluated as event batches.
+    """Online simulation over pre-sorted trace ``columns`` under
+    ``policy`` (``"continuous"`` or ``"wave"``): admission control,
+    pricing, drift detection and migration accounting evaluated as event
+    batches.  Named for the continuous policy it first ran; ``bench/``
+    wraps it under this name.
 
     ``scm`` carries the plan, the cluster and the time source; a
     migration's cost model is built from them.  ``sample_sink``, when
@@ -852,5 +895,5 @@ def simulate_continuous_vectorized(
     """
     return _Engine(
         columns, max_batch=max_batch, engine=engine, scm=scm, drift=drift,
-        replanner=replanner, sample_sink=sample_sink,
+        replanner=replanner, sample_sink=sample_sink, policy=policy,
     ).run()

@@ -331,3 +331,72 @@ def test_token_ledger_invariants_every_boundary(
     assert sorted(r.request_id for r in report.records) == list(range(12))
     assert len(report.completed) == 12
     _assert_streams_match(report, reference, requests)
+
+
+class BoundaryLog(ContinuousScheduler):
+    """Records each request's admit and retire token boundary (1-based
+    count of iterations)."""
+
+    def __init__(self, rt, **kw):
+        super().__init__(rt, **kw)
+        self.boundary = 0
+        self.admitted: dict[int, int] = {}
+        self.retired: dict[int, int] = {}
+
+    def _iteration(self, active, newly, report):
+        self.boundary += 1
+        for a in newly:
+            self.admitted[a.req.request_id] = self.boundary
+        super()._iteration(active, newly, report)
+
+    def _release(self, finished):
+        super()._release(finished)
+        for a in finished:
+            self.retired[a.req.request_id] = self.boundary
+
+
+@pytest.mark.parametrize("policy", ["continuous", "wave"])
+def test_sim_and_runtime_admit_and_retire_at_the_same_boundaries(
+    reference, tiny8l, workload12, policy, monkeypatch
+):
+    """One admission rule, two loops: 16 requests arrive at once under a
+    cap of 5 and a 60-slot budget that binds.  Per request, the real
+    runtime's (admit, retire) boundary equals the trace engine's
+    ``(adm_it, adm_it + retire - 1)``, where a request retires after its
+    own ``gen_len`` tokens, or a wave member after the wave's ``n_max``."""
+    from repro.cost.stagecosts import StageCostModel
+    from repro.hardware.cluster import cluster_from_devices
+    from repro.sim.trace_engine import _Engine, trace_columns
+    from repro.workload.traces import ArrivalTrace
+
+    monkeypatch.setattr(
+        StageCostModel, "kv_token_budget",
+        lambda self, dequant_cache_budgets=None: 60,
+    )
+    plan = _plan([(16,) * 4, (16,) * 4], workload=workload12)
+    requests = _mixed_requests(tiny8l, n=16, seed=41)
+    with PipelineRuntime(reference, plan) as rt:
+        sched = BoundaryLog(rt, policy=policy, max_inflight=5, time_scale=0.0)
+        report = sched.serve(requests)
+    assert len(report.completed) == 16
+    _assert_streams_match(report, reference, requests)
+
+    prompts = np.array([r.prompt_len for r in requests])
+    gens = np.array([r.gen_len for r in requests])
+    assert prompts[:5].sum() + gens[:5].sum() > 60  # the budget binds first
+    trace = ArrivalTrace(arrivals=np.zeros(16), prompt_lens=prompts, gen_lens=gens)
+    cluster = cluster_from_devices(st.device for st in plan.stages)
+    eng = _Engine(
+        trace_columns(trace), max_batch=5, engine="analytic",
+        scm=StageCostModel(plan, cluster), drift=None, replanner=None,
+        policy=policy,
+    )
+    eng.run()
+    adm = eng.adm_it
+    retire = gens.copy()
+    if policy == "wave":
+        for it in np.unique(adm):
+            retire[adm == it] = gens[adm == it].max()
+    assert sched.admitted == {i: int(adm[i]) for i in range(16)}
+    assert sched.retired == {i: int(adm[i] + retire[i] - 1) for i in range(16)}
+    assert len(set(sched.admitted.values())) > 3  # several admission rounds

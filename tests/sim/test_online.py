@@ -108,14 +108,15 @@ def test_empty_trace_rejected(cluster3, w):
 
 
 def test_continuous_beats_wave_under_load(cluster3, w):
-    """The tentpole effect: iteration-level scheduling eliminates padding
-    and inter-wave drain, so under load it wins on throughput AND p95."""
+    """Iteration-level scheduling eliminates padding and inter-wave
+    drain, so under load it wins on tail latency and TTFT.  Both policies
+    run the same fused iteration, so the wave's padded decodes are
+    amortized too and no throughput ratio is pinned."""
     plan = _plan(cluster3, w, 4)
     trace = sample_poisson_arrivals(3.0, 60.0, seed=7, max_prompt=256, max_gen=64)
     wave = simulate_online(plan, cluster3, trace, policy="wave")
     cont = simulate_online(plan, cluster3, trace, policy="continuous")
     assert cont.completed == wave.completed == len(trace)
-    assert cont.throughput >= 1.5 * wave.throughput
     assert cont.p95_latency < wave.p95_latency
     assert cont.mean_ttft < wave.mean_ttft
     assert cont.iterations > 0 and cont.mean_inflight > 1
@@ -123,8 +124,8 @@ def test_continuous_beats_wave_under_load(cluster3, w):
 
 
 def test_wave_continuous_equivalent_at_batch_one(cluster3, w):
-    """With concurrency capped at 1 the two policies run the identical
-    schedule, so every metric must agree (same kernel composition)."""
+    """With concurrency capped at 1 the two policies run the same engine
+    schedule, so every metric agrees exactly."""
     plan = _plan(cluster3, w, 4)
     trace = [
         OnlineRequest(arrival=float(k) * 10_000.0, prompt_len=256, gen_len=32)
@@ -132,10 +133,10 @@ def test_wave_continuous_equivalent_at_batch_one(cluster3, w):
     ]
     wave = simulate_online(plan, cluster3, trace, max_batch=1, policy="wave")
     cont = simulate_online(plan, cluster3, trace, max_batch=1, policy="continuous")
-    assert cont.makespan == pytest.approx(wave.makespan, rel=1e-9)
-    assert cont.mean_latency == pytest.approx(wave.mean_latency, rel=1e-9)
-    assert cont.mean_ttft == pytest.approx(wave.mean_ttft, rel=1e-9)
-    assert cont.throughput == pytest.approx(wave.throughput, rel=1e-9)
+    assert cont.makespan == wave.makespan
+    assert cont.mean_latency == wave.mean_latency
+    assert cont.mean_ttft == wave.mean_ttft
+    assert cont.throughput == wave.throughput
 
 
 def test_continuous_des_engine_close_to_analytic(cluster3, w):

@@ -1,8 +1,8 @@
 """The event-batch trace engine vs. the one-boundary-at-a-time spec.
 
-``simulate_online(engine="analytic"|"des", policy="continuous")`` runs
-through :mod:`repro.sim.trace_engine`; ``tests/sim/online_spec.py`` is
-the scalar loop it must reproduce.  The contract is **exact equality**:
+``simulate_online(engine="analytic"|"des", policy="continuous"|"wave")``
+runs through :mod:`repro.sim.trace_engine`; ``tests/sim/online_spec.py``
+is the scalar loop it must reproduce.  The contract is **exact equality**:
 every ``OnlineResult`` field — floats included — must match the spec
 bit for bit, with or without drift detection and live replanning.  The
 engine admits against one integer ledger of KV token slots; the spec
@@ -21,10 +21,12 @@ A hypothesis sweep drives random traces/plans/knobs through both
 engines; deterministic cases pin the canned trace, migrations that
 change the stage cut or shrink the budget below the slots in flight,
 heads that can never fit, and the degenerate
-all-rejected/empty-percentile paths.  A rule-based machine steps the
-engine one event at a time — with forced block closes and migrations in
-between — and checks the retire ring against the three in-flight
-integers after every rule, and that every arrival ends exactly once.
+all-rejected/empty-percentile paths; the wave policy is replayed against
+the spec's wave rule the same way.  A rule-based machine steps the
+engine one event at a time under either policy — with forced block
+closes and (continuous) migrations in between — and checks the retire
+ring against the three in-flight integers after every rule, and that
+every arrival ends exactly once.
 """
 
 import dataclasses
@@ -56,7 +58,7 @@ from repro.workload.traces import (
 )
 
 from .costview_cases import canned_trace, mb1_plan, mixed_plan
-from .online_spec import memory_model_charge, spec_simulate_continuous
+from .online_spec import memory_model_charge, spec_simulate_online
 
 PLANS = {"mixed": mixed_plan(), "mb1": mb1_plan()}
 
@@ -74,14 +76,17 @@ def kv_charge(request):
     return request.param
 
 
-def _assert_identical(plan, cluster, trace, *, kv_charge=None, **kw):
+def _assert_identical(
+    plan, cluster, trace, *, kv_charge=None, policy="continuous", **kw
+):
     got: dict = {}
     want: dict = {}
     vec = simulate_online(
-        plan, cluster, trace, policy="continuous", sample_sink=got, **kw
+        plan, cluster, trace, policy=policy, sample_sink=got, **kw
     )
-    oracle = spec_simulate_continuous(
-        plan, cluster, trace, kv_charge=kv_charge, sample_sink=want, **kw
+    oracle = spec_simulate_online(
+        plan, cluster, trace, policy=policy, kv_charge=kv_charge,
+        sample_sink=want, **kw
     )
     if vec != oracle:
         bad = [
@@ -442,7 +447,7 @@ def test_many_prompt_lengths_priced_without_scalar_kernel(
         rebuild_seconds=0.4,
     )
     kw = dict(drift=drift, replanner=flip)
-    oracle = spec_simulate_continuous(
+    oracle = spec_simulate_online(
         plan, cluster, trace, kv_charge=kv_charge, **kw
     )
 
@@ -460,12 +465,100 @@ def test_many_prompt_lengths_priced_without_scalar_kernel(
 
 
 # ---------------------------------------------------------------------------
+# the wave policy: the runtime's wave rule on the same engine
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("plan_name", sorted(PLANS))
+@pytest.mark.parametrize("engine", ["analytic", "des"])
+@pytest.mark.parametrize("max_batch", [None, 4, 1])
+def test_wave_canned_trace_identical(plan_name, engine, max_batch, kv_charge):
+    plan, cluster = PLANS[plan_name]
+    res = _assert_identical(
+        plan, cluster, canned_trace(), policy="wave", engine=engine,
+        max_batch=max_batch, kv_charge=kv_charge,
+    )
+    assert res.completed == 12 and res.waves > 1
+    assert res.mean_wave_batch == 12 / res.waves
+
+
+@pytest.mark.parametrize("engine", ["analytic", "des"])
+def test_wave_padding_binds_the_budget_identical(engine, kv_charge, monkeypatch):
+    """Under overload against the T4 stages' KV pool a wave is sized by
+    its padded slots, ``k * (s_max + n_max)``, which run out before the
+    members' own ``sum(s + n)`` does: ``wave_admits`` cuts the engine's
+    candidate run short, and every field still equals the spec's wave on
+    its byte ledger."""
+    plan, cluster = PLANS["mixed"]
+    trace = sample_diurnal_arrivals(
+        80.0, 10.0, amplitude=0.35, period=10.0, seed=11,
+        max_prompt=128, max_gen=64,
+    )
+    cut = []
+    admits = trace_engine.wave_admits
+    monkeypatch.setattr(
+        trace_engine, "wave_admits",
+        lambda s, n, budget: cut.append(admits(s, n, budget) < len(s))
+        or admits(s, n, budget),
+    )
+    res = _assert_identical(
+        plan, cluster, trace, policy="wave", engine=engine,
+        kv_charge=kv_charge,
+    )
+    assert res.completed == len(trace) and res.rejected == 0
+    assert sum(cut) > res.waves // 2
+
+
+@pytest.mark.parametrize("engine", ["analytic", "des"])
+@pytest.mark.parametrize("max_batch", [None, 3])
+def test_wave_never_fitting_heads_rejected_only_once_empty(
+    engine, max_batch, kv_charge
+):
+    """Requests larger than the whole KV pool — one at the very front,
+    one behind a running wave — are rejected only when the system is
+    empty (``s + n > budget``: unfit even alone), and the requests behind
+    them form the next waves."""
+    plan, cluster = PLANS["mixed"]
+    budget = StageCostModel(plan, cluster).kv_token_budget()
+    small = [
+        OnlineRequest(arrival=0.05 * i, prompt_len=32 + i, gen_len=6 + i % 5)
+        for i in range(24)
+    ]
+    giants = [
+        OnlineRequest(arrival=0.0, prompt_len=budget, gen_len=1),
+        OnlineRequest(arrival=0.31, prompt_len=budget, gen_len=4),
+    ]
+    res = _assert_identical(
+        plan, cluster, giants + small, policy="wave", engine=engine,
+        max_batch=max_batch, kv_charge=kv_charge,
+    )
+    assert res.rejected == 2 and res.completed == len(small)
+
+
+@pytest.mark.parametrize("engine", ["analytic", "des"])
+@pytest.mark.parametrize("max_batch", [None, 3])
+def test_wave_of_single_tokens_is_one_boundary(engine, max_batch, kv_charge):
+    """``n_max = 1``: a wave prefills, samples its one token and retires
+    in its own admission boundary, so every boundary is a wave."""
+    plan, cluster = PLANS["mixed"]
+    trace = [
+        OnlineRequest(arrival=0.02 * (i // 4), prompt_len=16 + 8 * i, gen_len=1)
+        for i in range(20)
+    ]
+    res = _assert_identical(
+        plan, cluster, trace, policy="wave", engine=engine,
+        max_batch=max_batch, kv_charge=kv_charge,
+    )
+    assert res.completed == len(trace) and res.iterations == res.waves > 1
+
+
+# ---------------------------------------------------------------------------
 # hypothesis sweep: random traces x engines x knobs
 # ---------------------------------------------------------------------------
 
 
 @settings(
-    max_examples=12, deadline=None,
+    max_examples=16, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
@@ -476,9 +569,10 @@ def test_many_prompt_lengths_priced_without_scalar_kernel(
     max_batch=st.sampled_from([None, 8, 3]),
     with_drift=st.booleans(),
     kv_charge=st.sampled_from([None, memory_model_charge]),
+    policy=st.sampled_from(["continuous", "wave"]),
 )
 def test_random_traces_identical(
-    plan_name, kind, seed, engine, max_batch, with_drift, kv_charge
+    plan_name, kind, seed, engine, max_batch, with_drift, kv_charge, policy
 ):
     plan, cluster = PLANS[plan_name]
     if kind == "poisson":
@@ -495,8 +589,8 @@ def test_random_traces_identical(
             3.0, 30.0, amplitude=0.9, period=15.0, seed=seed,
             max_prompt=64, max_gen=32,
         )
-    kw = {"engine": engine, "max_batch": max_batch}
-    if with_drift:
+    kw = {"engine": engine, "max_batch": max_batch, "policy": policy}
+    if with_drift and policy == "continuous":
         kw.update(drift=DRIFT, replanner=workload_refit_replanner)
     _assert_identical(plan, cluster, trace, kv_charge=kv_charge, **kw)
 
@@ -510,10 +604,11 @@ class RetireRingMachine(RuleBasedStateMachine):
     """Steps ``_Engine`` event by event on a random small trace — ties,
     idle gaps in which the group drains, ``gen_len == 1`` (retires in
     its own admission boundary), prompts big enough to fill the KV pool,
-    one that never fits — with block closes and migrations (looser,
-    tighter, re-cut) forced between events.  After every rule the ring
-    must agree with the three in-flight integers; at the end every
-    arrival has ended exactly once."""
+    one that never fits — with block closes forced between events, and,
+    under the continuous policy, migrations (looser, tighter, re-cut).
+    After every rule the ring must agree with the three in-flight
+    integers, counted per request from ``adm_it`` (a wave member at its
+    wave's maxima); at the end every arrival has ended exactly once."""
 
     eng = None
 
@@ -522,8 +617,9 @@ class RetireRingMachine(RuleBasedStateMachine):
         max_batch=st.sampled_from([None, 2, 4]),
         engine=st.sampled_from(["analytic", "des"]),
         block=st.sampled_from([3, 8, trace_engine._BLOCK]),
+        policy=st.sampled_from(["continuous", "wave"]),
     )
-    def build(self, seed, n, max_batch, engine, block):
+    def build(self, seed, n, max_batch, engine, block, policy):
         self.block0, trace_engine._BLOCK = trace_engine._BLOCK, block
         plan, self.cluster = PLANS["mixed"]
         recut = ExecutionPlan.uniform(
@@ -542,7 +638,7 @@ class RetireRingMachine(RuleBasedStateMachine):
         self.eng = _Engine(
             trace_columns(trace), max_batch=max_batch, engine=engine,
             scm=StageCostModel(self.plans[0], self.cluster), drift=drift,
-            replanner=None, sample_sink=self.sink,
+            replanner=None, sample_sink=self.sink, policy=policy,
         )
         self.over = False  # a migration left held slots above the budget
 
@@ -559,7 +655,7 @@ class RetireRingMachine(RuleBasedStateMachine):
     def close_block(self):
         self.eng._close_block()
 
-    @precondition(running)
+    @precondition(lambda self: self.running() and not self.eng.wave)
     @rule(k=st.integers(0, 2))
     def migrate(self, k):
         self.eng._migrate(self.plans[k])
@@ -575,10 +671,19 @@ class RetireRingMachine(RuleBasedStateMachine):
         assert e.r_cnt[j + 1:].sum() == e.b
         assert e.r_tok[j + 1:].sum() == e.held
         assert e.ptr == np.count_nonzero(e.adm_it) + e.rejected
-        live = e._in_flight()
-        assert live.size == e.b
-        assert e.held == e._toks[live].sum()
-        assert e.ctx == (e.spr[live] + e.it + 1 - e.adm_it[live]).sum()
+        rows = np.flatnonzero(e.adm_it)
+        adm, s, g = e.adm_it[rows], e.spr[rows], e.sgen[rows]
+        if e.wave and rows.size:  # one wave per admission boundary, padded
+            starts = np.flatnonzero(np.r_[True, np.diff(adm) != 0])
+            sizes = np.diff(np.r_[starts, rows.size])
+            s = np.repeat(np.maximum.reduceat(s, starts), sizes)
+            g = np.repeat(np.maximum.reduceat(g, starts), sizes)
+        else:
+            assert np.array_equal(e._in_flight(), rows[adm + g - 1 > e.it])
+        live = adm + g - 1 > e.it
+        assert np.count_nonzero(live) == e.b
+        assert e.held == (s + g)[live].sum()
+        assert e.ctx == (s + e.it + 1 - adm)[live].sum()
         self.over = self.over and e.held > e.budget
         assert e.held <= e.budget or self.over
 
@@ -650,7 +755,7 @@ def test_malformed_record_is_a_value_error(policy, bad, column):
     "simulate",
     [
         lambda *a: simulate_online(*a, policy="continuous"),
-        spec_simulate_continuous,
+        spec_simulate_online,
     ],
     ids=["engine", "spec"],
 )
