@@ -12,6 +12,20 @@ resolves everything through :class:`repro.cost.stagecosts.StageCostModel`
 Everything here sticks to public entry points and hand-written request
 lists (no samplers), so the snapshot is a pure function of the pricing
 formulas — exactly the thing the refactor must not change.
+
+Version 2 of the golden re-captures the three ``online_wave_*`` entries
+(``online_wave_analytic``, ``online_wave_des``, ``online_wave_cap4``)
+and nothing else.  Reason: the simulated wave policy changed *schedule*,
+not pricing formulas.  It used to size each wave with the planner's
+batch memory test (skipped under ``max_batch``) and price it as one
+offline micro-batched ``simulate_pipeline`` / ``simulate_pipeline_des``
+batch; it now runs inside the trace engine under the runtime
+scheduler's wave rule — admission only into an empty system, the FIFO
+prefix with ``k * (s_max + n_max)`` token slots within the budget, every
+member padded to the wave's maxima and decoded through the fused
+continuous iteration, latency at each member's own last token.  Every
+other entry, the continuous ones included, stayed byte-identical
+through that change.
 """
 
 from __future__ import annotations
