@@ -136,7 +136,9 @@ def algo_main(argv: list[str] | None = None) -> int:
                    help="indicator JSON (from IndicatorTable.to_json); "
                         "defaults to the synthetic Prop.-2 indicator")
     p.add_argument("--shaq-efficient", action="store_true", dest="heuristic",
-                   help="use the bitwidth-transfer heuristic (faster)")
+                   help="plan with Algorithm 2: the adabits seed (best "
+                        "quality that fits memory) then the bitwidth-transfer "
+                        "walk, instead of the exact search")
     p.add_argument("--kv-bits", choices=["auto", "4", "8", "16"], default="16",
                    help="KV-cache bitwidth: 8/4 plan with quantized KV "
                         "(less memory, faster decode, more admission "

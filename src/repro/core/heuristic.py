@@ -22,14 +22,21 @@ until none improves or ``max_iters`` is reached.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from typing import Sequence
 
 import numpy as np
 
 from ..hardware.cluster import Device
-from ..sim.pipeline import PipelineResult
+from ..sim.pipeline import PipelineTotals
 from .ilp import ILPSolution
-from .optimizer import CandidateRecord, LLMPQOptimizer, PlannerResult, PlannerStats
+from .optimizer import (
+    CandidateRecord,
+    LLMPQOptimizer,
+    PlannerResult,
+    PlannerStats,
+    Stages,
+)
 from .plan import ExecutionPlan, StagePlan
 
 __all__ = ["adabits_plan", "bitwidth_transfer", "heuristic_optimize"]
@@ -129,66 +136,69 @@ def adabits_plan(
     return optimizer.plan_from_solution(ordering, sol, ilp, mb_p, mb_d)
 
 
-def _evaluate(
-    optimizer: LLMPQOptimizer, plan: ExecutionPlan
-) -> tuple[float, PipelineResult]:
-    """``plan``'s objective and the simulation it was read from, once per
-    distinct plan of the run (the walk revisits many)."""
-    key = (
-        tuple((s.device.name, s.layer_bits, s.kv_bits) for s in plan.stages),
-        plan.prefill_microbatch, plan.decode_microbatch,
-    )
-    hit = optimizer.evaluations.get(key)
-    if hit is None:
-        pred = optimizer.simulate(plan)
-        obj = float("inf")
-        if pred.feasible:
-            quality = _plan_quality(optimizer, plan)
-            obj = pred.total_latency + optimizer.config.theta * quality
-        hit = optimizer.evaluations[key] = obj, pred
-    return hit
+def _stages(plan: ExecutionPlan) -> Stages:
+    """``plan``'s stages in the form the walk scores."""
+    return tuple((st.device, st.layer_bits, st.kv_bits) for st in plan.stages)
 
 
-def _objective(optimizer: LLMPQOptimizer, plan: ExecutionPlan) -> float:
-    return _evaluate(optimizer, plan)[0]
-
-
-def _plan_quality(optimizer: LLMPQOptimizer, plan: ExecutionPlan) -> float:
-    """Summed omega of ``plan``'s layers, left to right (``sum()``'s fold)."""
-    ind = optimizer.indicator
-    col = [ind.bits.index(b) for b in plan.layer_bits]
-    return float(np.add.accumulate(ind.omega[np.arange(len(col)), col])[-1])
-
-
-def _with_stages(plan: ExecutionPlan, stages: list[StagePlan]) -> ExecutionPlan | None:
-    stages = [s for s in stages if s.layer_bits]
-    if not stages:
-        return None
+def _as_plan(
+    plan: ExecutionPlan, stages: Stages, mb_p: int | None = None, mb_d: int | None = None
+) -> ExecutionPlan:
+    """A kept candidate as a plan, with ``plan``'s model, workload and meta
+    (and micro-batches, unless given)."""
     return ExecutionPlan(
         model_name=plan.model_name,
-        stages=tuple(stages),
-        prefill_microbatch=plan.prefill_microbatch,
-        decode_microbatch=plan.decode_microbatch,
+        stages=tuple(StagePlan(d, bits, kv_bits=kv) for d, bits, kv in stages),
+        prefill_microbatch=mb_p or plan.prefill_microbatch,
+        decode_microbatch=mb_d or plan.decode_microbatch,
         workload=plan.workload,
         meta=dict(plan.meta),
     )
 
 
-def _layer_offsets(plan: ExecutionPlan) -> list[int]:
+def _score(
+    optimizer: LLMPQOptimizer, stages: Stages, mb_p: int, mb_d: int
+) -> tuple[float, PipelineTotals]:
+    """A candidate's objective and the pipeline it was read from, composed
+    from the run's per-stage rows (:meth:`LLMPQOptimizer.score`) once per
+    distinct candidate of the run — the walk revisits many."""
+    key = (tuple((d.name, bits, kv) for d, bits, kv in stages), mb_p, mb_d)
+    hit = optimizer.evaluations.get(key)
+    if hit is None:
+        totals = optimizer.score(stages, mb_p, mb_d)
+        obj = float("inf")
+        if not totals.oom_stages:
+            obj = totals.total_latency + optimizer.config.theta * _quality(
+                optimizer, stages
+            )
+        hit = optimizer.evaluations[key] = obj, totals
+    return hit
+
+
+def _quality(optimizer: LLMPQOptimizer, stages: Stages) -> float:
+    """Summed omega of the candidate's layers, left to right (``sum()``'s
+    fold)."""
+    ind = optimizer.indicator
+    pos = {b: k for k, b in enumerate(ind.bits)}
+    col = [pos[b] for _, bits, _ in stages for b in bits]
+    return float(np.add.accumulate(ind.omega[np.arange(len(col)), col])[-1])
+
+
+def _layer_offsets(stages: Stages) -> list[int]:
     """Global index of each stage's first layer."""
     offsets, acc = [], 0
-    for s in plan.stages:
+    for _, bits, _ in stages:
         offsets.append(acc)
-        acc += s.num_layers
+        acc += len(bits)
     return offsets
 
 
 def _neighbors(
     optimizer: LLMPQOptimizer,
-    plan: ExecutionPlan,
+    stages: Stages,
     straggler: int,
-) -> list[ExecutionPlan]:
-    """Single-transformation variants of ``plan`` (the rule set C).
+) -> list[Stages]:
+    """Single-transformation variants of ``stages`` (the rule set C).
 
     Moves are *compound*: a boundary layer shifted off the straggler may
     be simultaneously requantized to any candidate bitwidth so it can fit
@@ -199,83 +209,65 @@ def _neighbors(
     least-sensitive layer of the straggler, upgrades the most-sensitive
     quantized layer elsewhere.
     """
-    out: list[ExecutionPlan] = []
-    stages = list(plan.stages)
-    s = stages[straggler]
+    out: list[Stages] = []
+    bits = [b for _, b, _ in stages]
     sorted_bits = sorted(optimizer.config.bits)
     ind = optimizer.indicator
-    offsets = _layer_offsets(plan)
+    offsets = _layer_offsets(stages)
+
+    def with_bits(changed: dict[int, tuple[int, ...]]) -> Stages:
+        return tuple(
+            (d, changed.get(j, b), kv) for j, (d, b, kv) in enumerate(stages)
+        )
 
     # compound chain move: shed one layer of load from the straggler to
     # *any* target stage by shifting every boundary in between (layers
     # bubble through intermediate stages, contiguity preserved).  The
     # layer landing on the target may be requantized to any bitwidth —
     # the paper's "(4, 8, 2)"-style precision-for-placement trade.
-    if s.num_layers > 1:
+    s = straggler
+    if len(bits[s]) > 1:
         for target in range(len(stages)):
-            if target == straggler:
+            if target == s:
                 continue
+            # each stage between passes its boundary layer on towards the
+            # target; the straggler loses one, the target gains one
+            if target < s:
+                chain = {k: bits[k][1:] + bits[k + 1][:1] for k in range(target + 1, s)}
+                chain[s] = bits[s][1:]
+            else:
+                chain = {k: bits[k - 1][-1:] + bits[k][:-1] for k in range(s + 1, target)}
+                chain[s] = bits[s][:-1]
             for new_b in sorted_bits:
-                new_stages = [list(st.layer_bits) for st in stages]
-                if target < straggler:
-                    # each stage k in (target, straggler] passes its first
-                    # layer to stage k-1's tail
-                    for k in range(straggler, target, -1):
-                        moved = new_stages[k].pop(0)
-                        if k - 1 == target:
-                            moved = new_b
-                        new_stages[k - 1].append(moved)
-                else:
-                    for k in range(straggler, target):
-                        moved = new_stages[k].pop()
-                        if k + 1 == target:
-                            moved = new_b
-                        new_stages[k + 1].insert(0, moved)
+                tgt = bits[target] + (new_b,) if target < s else (new_b,) + bits[target]
                 # variant 0: plain chain move; variants 1-2: the target
-                # additionally downgrades its least-sensitive high-bit
-                # layers one step to make room (the "(4, 8, 2)" rule —
+                # additionally downgrades its first highest-bit layer one
+                # step per variant to make room (the "(4, 8, 2)" rule —
                 # trade one high-precision pioneer layer for extra
                 # straggler layers when the target is memory-full)
                 for extra_downgrades in (0, 1, 2):
-                    staged = [list(b) for b in new_stages]
-                    tgt_bits = staged[target]
-                    ok = True
-                    for _ in range(extra_downgrades):
-                        cands = [
-                            (li, bb) for li, bb in enumerate(tgt_bits)
-                            if any(x < bb for x in sorted_bits)
-                        ]
-                        if not cands:
-                            ok = False
+                    if extra_downgrades:
+                        top = max(tgt)
+                        if top <= sorted_bits[0]:
                             break
-                        li, bb = max(cands, key=lambda t: t[1])
-                        tgt_bits[li] = max(x for x in sorted_bits if x < bb)
-                    if not ok:
-                        continue
-                    rebuilt = [
-                        StagePlan(st.device, tuple(bits), kv_bits=st.kv_bits)
-                        for st, bits in zip(stages, staged)
-                    ]
-                    cand = _with_stages(plan, rebuilt)
-                    if cand is not None:
-                        out.append(cand)
+                        li = tgt.index(top)
+                        lower = sorted_bits[bisect_left(sorted_bits, top) - 1]
+                        tgt = tgt[:li] + (lower,) + tgt[li + 1:]
+                    out.append(with_bits({**chain, target: tgt}))
 
     def requantize(j: int, up: bool) -> None:
         """Add the variant that moves one layer of stage ``j`` to the
         next bitwidth up / down: the layer whose quality changes most in
         our favour (largest gain up, smallest penalty down)."""
-        st, steps = stages[j], []
-        for li, b in enumerate(st.layer_bits):
+        steps = []
+        for li, b in enumerate(bits[j]):
             nxt = [x for x in sorted_bits if (x > b if up else x < b)]
             if nxt:
                 new_b, gi = (nxt[0] if up else nxt[-1]), offsets[j] + li
                 steps.append((ind.lookup(gi, new_b) - ind.lookup(gi, b), li, new_b))
         if steps:
             _, li, new_b = min(steps)
-            bits = st.layer_bits[:li] + (new_b,) + st.layer_bits[li + 1:]
-            new_stages = list(stages)
-            new_stages[j] = StagePlan(st.device, bits, kv_bits=st.kv_bits)
-            out.append(_with_stages(plan, new_stages))
+            out.append(with_bits({j: bits[j][:li] + (new_b,) + bits[j][li + 1:]}))
 
     # downgrade the straggler's least sensitive layer; or upgrade one: on
     # devices with slow low-precision kernels (e.g. P100) *raising* the
@@ -289,6 +281,28 @@ def _neighbors(
     return out
 
 
+def _transfer(
+    optimizer: LLMPQOptimizer, best: Stages, mb_p: int, mb_d: int, max_iters: int = 64
+) -> Stages:
+    """Greedy best-improvement walk from ``best`` at fixed micro-batches."""
+    best_obj, totals = _score(optimizer, best, mb_p, mb_d)
+    for _ in range(max_iters):
+        if totals.oom_stages:
+            # seed infeasible: try shedding memory via downgrades anywhere
+            straggler = totals.oom_stages[0]
+        else:
+            straggler = int(np.argmax(totals.prefill_busy + totals.decode_last))
+        improved = False
+        for cand in _neighbors(optimizer, best, straggler):
+            obj, cand_totals = _score(optimizer, cand, mb_p, mb_d)
+            if obj < best_obj - 1e-9:
+                best, best_obj, totals = cand, obj, cand_totals
+                improved = True
+        if not improved:
+            break
+    return best
+
+
 def bitwidth_transfer(
     optimizer: LLMPQOptimizer,
     seed_plan: ExecutionPlan,
@@ -296,48 +310,25 @@ def bitwidth_transfer(
     max_iters: int = 64,
 ) -> ExecutionPlan:
     """Greedy best-improvement search from ``seed_plan`` (Algorithm 2)."""
-    best = seed_plan
-    best_obj, pred = _evaluate(optimizer, best)
-    for _ in range(max_iters):
-        if not pred.feasible:
-            # seed infeasible: try shedding memory via downgrades anywhere
-            straggler = pred.oom_stages[0]
-        else:
-            busy = [r.prefill_time + r.decode_time_last for r in pred.stage_reports]
-            straggler = int(np.argmax(busy))
-        improved = False
-        for cand in _neighbors(optimizer, best, straggler):
-            obj, cand_pred = _evaluate(optimizer, cand)
-            if obj < best_obj - 1e-9:
-                best, best_obj, pred = cand, obj, cand_pred
-                improved = True
-        if not improved:
-            break
-    return best
+    best = _transfer(
+        optimizer, _stages(seed_plan), seed_plan.prefill_microbatch,
+        seed_plan.decode_microbatch, max_iters,
+    )
+    return _as_plan(seed_plan, best)
 
 
 def _retune_microbatches(
-    optimizer: LLMPQOptimizer, plan: ExecutionPlan
-) -> ExecutionPlan:
+    optimizer: LLMPQOptimizer, stages: Stages, mb_p: int, mb_d: int
+) -> tuple[int, int]:
     """Re-enumerate (prefill, decode) micro-batch pairs on a fixed
     partition/bit structure (Optimization #1 applied post-transfer)."""
     from .optimizer import _microbatch_pairs
 
-    best, best_obj = plan, _objective(optimizer, plan)
-    for mb_p, mb_d in _microbatch_pairs(
-        optimizer.workload, plan.num_stages, optimizer.config
-    ):
-        cand = ExecutionPlan(
-            model_name=plan.model_name,
-            stages=plan.stages,
-            prefill_microbatch=mb_p,
-            decode_microbatch=mb_d,
-            workload=plan.workload,
-            meta=dict(plan.meta),
-        )
-        obj = _objective(optimizer, cand)
+    best, best_obj = (mb_p, mb_d), _score(optimizer, stages, mb_p, mb_d)[0]
+    for pair in _microbatch_pairs(optimizer.workload, len(stages), optimizer.config):
+        obj = _score(optimizer, stages, *pair)[0]
         if obj < best_obj - 1e-9:
-            best, best_obj = cand, obj
+            best, best_obj = pair, obj
     return best
 
 
@@ -374,17 +365,20 @@ def heuristic_optimize(optimizer: LLMPQOptimizer) -> PlannerResult:
         plan = adabits_plan(optimizer, ordering)
         obj = latency = quality = np.inf
         if plan is not None:
+            stages = _stages(plan)
+            mb = plan.prefill_microbatch, plan.decode_microbatch
             # alternate transfer and micro-batch retuning: retuning changes
             # workspace sizes, which unlocks transfers that previously OOMed
             for _ in range(3):
-                before = _objective(optimizer, plan)
-                plan = bitwidth_transfer(optimizer, plan)
-                plan = _retune_microbatches(optimizer, plan)
-                if _objective(optimizer, plan) >= before - 1e-9:
+                before = _score(optimizer, stages, *mb)[0]
+                stages = _transfer(optimizer, stages, *mb)
+                mb = _retune_microbatches(optimizer, stages, *mb)
+                if _score(optimizer, stages, *mb)[0] >= before - 1e-9:
                     break
-            obj = _objective(optimizer, plan)
-            quality = _plan_quality(optimizer, plan)
+            obj = _score(optimizer, stages, *mb)[0]
+            quality = _quality(optimizer, stages)
             latency = obj - optimizer.config.theta * quality
+            plan = _as_plan(plan, stages, *mb)
         records.append(
             CandidateRecord(
                 ordering=tuple(d.type_name for d in ordering),
@@ -397,7 +391,8 @@ def heuristic_optimize(optimizer: LLMPQOptimizer) -> PlannerResult:
         )
         if obj < best_obj:
             best_obj, best_plan = obj, plan
-    predicted = None if best_plan is None else _evaluate(optimizer, best_plan)[1]
+    # the one plan of the run built and simulated whole
+    predicted = None if best_plan is None else optimizer.simulate(best_plan)
     total = time.perf_counter() - t0
     return PlannerResult(
         plan=best_plan,

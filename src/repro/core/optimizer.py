@@ -35,7 +35,7 @@ import numpy as np
 from ..cost.latency import LatencyModel
 from ..cost.predictions import PredictionCache
 from ..cost.profiler import build_latency_model
-from ..cost.stagecosts import StageCostModel
+from ..cost.stagecosts import StageCostModel, StageRow, planner_stage_row
 from ..hardware.cluster import Cluster, Device
 from ..hardware.gpu import SUPPORTED_BITS
 from ..models.registry import get_model
@@ -44,11 +44,20 @@ from ..quant.indicator import (
     synthetic_indicator,
     synthetic_kv_indicator,
 )
-from ..sim.pipeline import PipelineResult, simulate_pipeline
+from ..sim.pipeline import (
+    PipelineResult,
+    PipelineTotals,
+    compose_pipeline,
+    simulate_pipeline,
+)
 from ..workload.spec import Workload
 from .ilp import BitAssignmentILP, ILPSolution
 from .plan import KV_BITS_CHOICES, ExecutionPlan, StagePlan
 from .search import PlannerStats
+
+#: a candidate plan as the planner scores it: per stage, its device, layer
+#: bitwidths and KV bitwidth, in pipeline order
+Stages = tuple[tuple[Device, tuple[int, ...], int], ...]
 
 __all__ = [
     "PlannerConfig",
@@ -191,11 +200,13 @@ class LLMPQOptimizer:
         # hoisted per-run state shared by every candidate: the grouped
         # omega table (identical for all candidates), the cost-model
         # prediction memo, the DP's range tables (one per layer-bytes
-        # row, so per KV level) and Algorithm 2's per-plan evaluations
+        # row, so per KV level), Algorithm 2's per-plan evaluations and
+        # the per-stage rows candidates are scored from
         self.grouped_indicator = self.indicator.grouped(self.config.group_size)
         self.prediction_cache = PredictionCache(self.latency_model)
         self.range_tables: dict = {}
         self.evaluations: dict = {}
+        self.stage_rows: dict[tuple, StageRow] = {}
         kv = self.config.kv_bits
         if kv != "auto" and kv not in KV_BITS_CHOICES:
             raise ValueError(
@@ -248,6 +259,40 @@ class LLMPQOptimizer:
             plan, self.cluster, prediction_cache=self.prediction_cache
         )
         return simulate_pipeline(plan, self.cluster, cost_model=scm)
+
+    def score(self, stages: Stages, mb_p: int, mb_d: int) -> PipelineTotals:
+        """The planner's view of a candidate without building it: the
+        pipeline composed from each stage's row, the rows memoised for the
+        run in :attr:`stage_rows` (counted in the prediction cache's
+        hits/misses, like its whole-stage memo).  A row is keyed by all it
+        reads — head/tail flags, device, the device it sends to, layer
+        bits, KV bits, both micro-batches — so a candidate that differs
+        from a scored one in a few stages prices only those.  Equals
+        :meth:`simulate` of the same plan bit for bit."""
+        cache, rows, n = self.prediction_cache, self.stage_rows, len(stages)
+        got = []
+        for j, (device, bits, kv) in enumerate(stages):
+            send_to = stages[j + 1 if j + 1 < n else 0][0]
+            key = (j == 0, j == n - 1, device.name, send_to.name, bits, kv, mb_p, mb_d)
+            row = rows.get(key)
+            if row is None:
+                cache.misses += 1
+                row = rows[key] = planner_stage_row(
+                    cache, self.cfg, self.cluster, self.workload,
+                    device, send_to, bits, kv, first=j == 0, last=j == n - 1,
+                    prefill_microbatch=mb_p, decode_microbatch=mb_d,
+                )
+            else:
+                cache.hits += 1
+            got.append(row)
+        return compose_pipeline(
+            np.array([r.prefill for r in got]),
+            None if got[0].decode is None else np.stack([r.decode for r in got]),
+            [r.fits for r in got],
+            global_batch=self.workload.global_batch,
+            prefill_microbatch=mb_p,
+            decode_microbatch=mb_d,
+        )
 
     def plan_from_solution(
         self,
@@ -317,41 +362,36 @@ class LLMPQOptimizer:
         """Per-stage KV refinement of a uniform-KV winner.
 
         Scores every per-stage level assignment (exhaustive for shallow
-        pipelines, coordinate descent otherwise) by re-simulating the
-        pipeline — memory fits are re-checked at the variant's per-stage
-        KV footprint — plus ``theta`` times the KV-error penalty of the
-        levels.  Returns the best variant, its simulation, and its
-        objective on the same ``latency + theta * weight_quality`` scale
-        as every other :class:`PlannerResult`.
+        pipelines, coordinate descent otherwise) from the run's per-stage
+        rows (:meth:`score`) — memory fits are re-checked at the variant's
+        per-stage KV footprint — plus ``theta`` times the KV-error penalty
+        of the levels; only the winner is built and simulated.  Returns
+        the best variant, its simulation, and its objective on the same
+        ``latency + theta * weight_quality`` scale as every other
+        :class:`PlannerResult`.
         """
         import itertools
 
         plan, theta = res.plan, self.config.theta
         n = plan.num_stages
         quality_part = res.objective - res.predicted.total_latency
+        held = [(st.device, st.layer_bits) for st in plan.stages]
+        mb_p, mb_d = plan.prefill_microbatch, plan.decode_microbatch
 
-        def score(levels: tuple[int, ...]):
-            variant = plan.with_kv_bits(levels)
-            pred = self.simulate(variant)
-            if not pred.feasible:
-                return np.inf, None, None
-            s = (
-                pred.total_latency
-                + quality_part
-                + theta * self._kv_penalty(plan, levels)
-            )
-            return s, variant, pred
+        def score(levels: tuple[int, ...]) -> float:
+            stages = tuple((d, bits, kv) for (d, bits), kv in zip(held, levels))
+            lat = self.score(stages, mb_p, mb_d).total_latency
+            return lat + quality_part + theta * self._kv_penalty(plan, levels)
 
         best_levels = plan.kv_bits_per_stage
-        best_s, best_plan, best_pred = score(best_levels)
+        best_s = score(best_levels)
         if n <= 4:
             for levels in itertools.product(KV_BITS_CHOICES, repeat=n):
                 if levels == best_levels:
                     continue
-                s, variant, pred = score(levels)
+                s = score(levels)
                 if s < best_s:
-                    best_s, best_plan, best_pred = s, variant, pred
-                    best_levels = levels
+                    best_s, best_levels = s, levels
         else:
             improved = True
             while improved:
@@ -361,11 +401,12 @@ class LLMPQOptimizer:
                         if lv == best_levels[j]:
                             continue
                         cand = best_levels[:j] + (lv,) + best_levels[j + 1 :]
-                        s, variant, pred = score(cand)
+                        s = score(cand)
                         if s < best_s:
-                            best_s, best_plan, best_pred = s, variant, pred
-                            best_levels = cand
+                            best_s, best_levels = s, cand
                             improved = True
+        best_plan = plan.with_kv_bits(best_levels)
+        best_pred = self.simulate(best_plan)
         objective = quality_part + best_pred.total_latency
         return best_plan, best_pred, objective
 

@@ -43,8 +43,9 @@ workload-only users never pay the ``repro.sim`` import.
 
 from __future__ import annotations
 
+from collections import Counter
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,10 +57,15 @@ from .predictions import PredictionCache
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports, no cycles
     from ..core.plan import ExecutionPlan
-    from ..hardware.cluster import Cluster
+    from ..hardware.cluster import Cluster, Device
+    from ..hardware.gpu import GPUSpec
     from ..models.config import ModelConfig
+    from ..workload.spec import Workload
 
-__all__ = ["StageCostModel", "planner_time_tables", "wave_admits"]
+__all__ = [
+    "StageCostModel", "StageRow", "planner_stage_row", "planner_time_tables",
+    "wave_admits",
+]
 
 
 def _decode_batches(batches) -> np.ndarray:
@@ -72,6 +78,178 @@ def _decode_batches(batches) -> np.ndarray:
     ):
         raise ValueError("decode batch sizes must be whole numbers >= 1")
     return b
+
+
+# ----------------------------------------------------------------------
+# one stage's offline terms: the pieces both StageCostModel's pipeline
+# tables and the planner's per-stage rows are built from
+# ----------------------------------------------------------------------
+def _shared(cache: PredictionCache | None, key: tuple, build):
+    """``build()`` through the run's whole-stage memo (``source="model"``),
+    or directly (``cache`` is ``None``: the ground-truth kernels)."""
+    return build() if cache is None else cache.stage(key, build)
+
+
+def _prefill_layers(
+    cache: PredictionCache | None, cfg: "ModelConfig", gpu: "GPUSpec",
+    layer_bits: tuple[int, ...], kv_bits: int, batch: int, s: int,
+) -> float:
+    """A stage's layers' prefill time for one ``batch x s`` micro-batch,
+    summed in layer order, each distinct bitwidth priced once.  The memo
+    key — GPU type, layer bits, KV bits, shape — says nothing of where the
+    stage sits: embedding, logits and comm terms are added by the caller."""
+    if cache is None:
+        from ..sim.kernels import layer_exec_time
+
+        def price(bits):
+            return layer_exec_time(gpu, cfg, bits, batch, s, s, kv_bits=kv_bits)
+    else:
+        def price(bits):
+            return cache.layer_time(gpu.name, bits, "prefill", batch, s, s, kv_bits)
+
+    def build():
+        per_bits = {b: price(b) for b in dict.fromkeys(layer_bits)}
+        return float(sum(per_bits[b] for b in layer_bits))
+
+    return _shared(cache, ("prefill", gpu.name, layer_bits, kv_bits, batch, s), build)
+
+
+def _decode_layers(
+    cache: PredictionCache | None, cfg: "ModelConfig", gpu: "GPUSpec",
+    layer_bits: tuple[int, ...], kv_bits: int, batch: int, contexts: np.ndarray,
+) -> np.ndarray:
+    """A stage's layers' decode time over a whole context sweep, one
+    sweep per distinct bitwidth in first-seen order (``StagePlan.bit_counts``)."""
+    if cache is None:
+        from ..sim.kernels import layer_exec_times_decode_sweep
+
+        def sweep(bits):
+            return layer_exec_times_decode_sweep(
+                gpu, cfg, bits, batch, contexts, kv_bits=kv_bits
+            )
+    else:
+        def sweep(bits):  # read-only rows shared through the memo
+            return cache.decode_sweep(gpu.name, bits, batch, contexts, kv_bits)
+
+    def build():
+        total = np.zeros_like(contexts)
+        for bits, count in Counter(layer_bits).items():
+            total += count * sweep(bits)
+        return total
+
+    key = ("decode", gpu.name, layer_bits, kv_bits, batch, contexts.tobytes())
+    return _shared(cache, key, build)
+
+
+def _memory(
+    cache: PredictionCache | None, cfg: "ModelConfig", gpu: "GPUSpec",
+    layer_bits: tuple[int, ...], kv_bits: int, first: bool, last: bool,
+    shape: tuple[int, int, int, int, int],
+) -> StageMemory:
+    """A stage's modelled peak at ``shape = (global batch, s, n, prefill
+    micro-batch, decode micro-batch)``.  Embedding and logits bytes sit
+    inside :class:`StageMemory`, so the two position flags are part of
+    the key."""
+    gb, s, n, mb_p, mb_d = shape
+    key = ("memory", gpu.name, layer_bits, kv_bits, first, last, *shape)
+    return _shared(cache, key, lambda: stage_memory(
+        cfg,
+        layer_bits,
+        global_batch=gb,
+        prompt_len=s,
+        gen_len=n,
+        prefill_microbatch=mb_p,
+        decode_microbatch=mb_d,
+        is_first=first,
+        is_last=last,
+        kv_bits=kv_bits,
+    ))
+
+
+def _prefill_busy(layers: float, head=None, tail=None, comm=None) -> float:
+    """Prefill busy time: the layers, then the embedding lookup (head
+    stage), the logits projection (tail stage) and the outbound transfer
+    (every stage but the tail), each added in turn; ``None`` is not
+    charged."""
+    t = layers
+    for extra in (head, tail, comm):
+        if extra is not None:
+            t += extra
+    return t
+
+
+def _decode_busy(layers: np.ndarray, head=None, tail=None, comm=None) -> np.ndarray:
+    """Decode busy-time row: the layers plus the head's embedding and the
+    tail's logits (summed first), then the outbound transfer — the tail's
+    is the token feedback to the head."""
+    extra = 0.0
+    for t in (head, tail):
+        if t is not None:
+            extra += t
+    row = layers + extra
+    if comm is not None:
+        row = row + comm
+    return row
+
+
+class StageRow(NamedTuple):
+    """One stage's complete terms in the offline pipeline at one plan
+    shape — what :func:`~repro.sim.pipeline.compose_pipeline` reads."""
+
+    prefill: float  #: per-micro-batch prefill busy time, add-ons included
+    decode: np.ndarray | None  #: decode busy time per context (read-only)
+    fits: bool  #: modelled peak memory fits the device
+
+
+def planner_stage_row(
+    cache: PredictionCache,
+    cfg: "ModelConfig",
+    cluster: "Cluster",
+    workload: "Workload",
+    device: "Device",
+    send_to: "Device",
+    layer_bits: tuple[int, ...],
+    kv_bits: int,
+    *,
+    first: bool,
+    last: bool,
+    prefill_microbatch: int,
+    decode_microbatch: int,
+) -> StageRow:
+    """The stage row a ``source="model"`` :class:`StageCostModel` would put
+    in its pipeline tables for a stage on ``device`` holding
+    ``layer_bits`` at ``kv_bits``, sending to ``send_to`` (the tail sends
+    its tokens back to the head), at the head and/or tail of the pipeline
+    — the same float operations in the same order, without a plan."""
+    from ..sim.comm import stage_comm_time
+    from ..sim.kernels import embedding_exec_time
+    from ..sim.pipeline import decode_contexts
+
+    gpu, s = device.spec, workload.prompt_len
+    mb_p, mb_d = prefill_microbatch, decode_microbatch
+    link = cluster.link_between(device, send_to)
+    contexts = decode_contexts(workload)
+
+    pre = _prefill_busy(
+        _prefill_layers(cache, cfg, gpu, layer_bits, kv_bits, mb_p, s),
+        head=embedding_exec_time(gpu, cfg, mb_p, s, with_logits=False) if first else None,
+        tail=embedding_exec_time(gpu, cfg, mb_p, 1, with_logits=True) if last else None,
+        comm=None if last else stage_comm_time(link, cfg, mb_p, s),
+    )
+    dec = None
+    if contexts is not None:
+        dec = _decode_busy(
+            _decode_layers(cache, cfg, gpu, layer_bits, kv_bits, mb_d, contexts),
+            head=embedding_exec_time(gpu, cfg, mb_d, 1, with_logits=False) if first else None,
+            tail=embedding_exec_time(gpu, cfg, mb_d, 1, with_logits=True) if last else None,
+            comm=stage_comm_time(link, cfg, mb_d, 1),
+        )
+        dec.setflags(write=False)
+    mem = _memory(
+        cache, cfg, gpu, layer_bits, kv_bits, first, last,
+        (workload.global_batch, s, workload.gen_len, mb_p, mb_d),
+    )
+    return StageRow(pre, dec, mem.fits(gpu.memory_bytes))
 
 
 class StageCostModel:
@@ -131,6 +309,8 @@ class StageCostModel:
         self.source = source
         self.model = latency_model
         self.prediction_cache = prediction_cache
+        # the run's whole-stage memo, model source only
+        self._stage_cache = prediction_cache if source == "model" else None
         self._kv = plan.kv_bits_per_stage
         self._gpus = [s.device.spec for s in plan.stages]
         self._links = None
@@ -207,39 +387,10 @@ class StageCostModel:
 
         return layer_exec_time(gpu, self.cfg, bits, batch, q, context, kv_bits=kv_bits)
 
-    def _stage_memo(self, kind: str, j: int, shape: tuple, build):
-        """Stage ``j``'s ``kind`` result through the run's shared memo
-        (``source="model"``).  The key — GPU type, layer bits, KV bits,
-        ``shape`` — says nothing of where the stage sits: embedding, logits
-        and comm terms are added outside, or flagged in ``shape``."""
-        if self.source != "model":
-            return build()
-        st = self.plan.stages[j]
-        key = (kind, self._gpus[j].name, st.layer_bits, st.kv_bits, *shape)
-        return self.prediction_cache.stage(key, build)
-
     def _stage_layers_prefill(self, j: int, batch: int, s: int) -> float:
-        kv = self._kv[j]
-        return self._stage_memo("prefill", j, (batch, s), lambda: float(
-            sum(
-                self.layer_time(j, b, "prefill", batch, s, s, kv_bits=kv)
-                for b in self.plan.stages[j].layer_bits
-            )
-        ))
-
-    def _decode_sweep(
-        self, j: int, bits: int, batch: int, contexts: np.ndarray
-    ) -> np.ndarray:
-        """One layer's decode times over a whole context sweep
-        (read-only: model-source rows are shared through the memo)."""
-        gpu = self._gpus[j]
-        kv = self._kv[j]
-        if self.source == "model":
-            return self.prediction_cache.decode_sweep(gpu.name, bits, batch, contexts, kv)
-        from ..sim.kernels import layer_exec_times_decode_sweep
-
-        return layer_exec_times_decode_sweep(
-            gpu, self.cfg, bits, batch, contexts, kv_bits=kv
+        return _prefill_layers(
+            self._stage_cache, self.cfg, self._gpus[j],
+            self.plan.stages[j].layer_bits, self._kv[j], batch, s,
         )
 
     # ------------------------------------------------------------------
@@ -260,15 +411,13 @@ class StageCostModel:
         n = self.plan.num_stages
         out = np.empty(n)
         for j in range(n):
-            t = self._stage_layers_prefill(j, mb, s)
-            if j == 0:
-                t += self._emb_time(j, mb, s, False)
-            if j == n - 1:
+            out[j] = _prefill_busy(
+                self._stage_layers_prefill(j, mb, s),
+                head=self._emb_time(j, mb, s, False) if j == 0 else None,
                 # only the last position's logits are needed out of prefill
-                t += self._emb_time(j, mb, 1, True)
-            if include_comm and j < n - 1:
-                t += self.comm_time(j, mb, s)
-            out[j] = t
+                tail=self._emb_time(j, mb, 1, True) if j == n - 1 else None,
+                comm=self.comm_time(j, mb, s) if include_comm and j < n - 1 else None,
+            )
         return out
 
     def stage_decode_times(
@@ -285,24 +434,16 @@ class StageCostModel:
         mb = plan.decode_microbatch
         n = plan.num_stages
         out = np.empty((n, contexts.size))
-        shape = (mb, contexts.tobytes())
         for j in range(n):
-            def layers(j=j):
-                total = np.zeros_like(contexts)
-                for bits, count in plan.stages[j].bit_counts.items():
-                    total += count * self._decode_sweep(j, bits, mb, contexts)
-                return total
-
-            total = self._stage_memo("decode", j, shape, layers)
-            extra = 0.0
-            if j == 0:
-                extra += self._emb_time(j, mb, 1, False)
-            if j == n - 1:
-                extra += self._emb_time(j, mb, 1, True)
-            row = total + extra
-            if include_comm:
-                row = row + self.comm_time(j, mb, 1)
-            out[j] = row
+            out[j] = _decode_busy(
+                _decode_layers(
+                    self._stage_cache, self.cfg, self._gpus[j],
+                    plan.stages[j].layer_bits, self._kv[j], mb, contexts,
+                ),
+                head=self._emb_time(j, mb, 1, False) if j == 0 else None,
+                tail=self._emb_time(j, mb, 1, True) if j == n - 1 else None,
+                comm=self.comm_time(j, mb, 1) if include_comm else None,
+            )
         return out
 
     def prefill_comm_times(self) -> np.ndarray:
@@ -590,22 +731,11 @@ class StageCostModel:
         key = (j, global_batch, prompt_len, gen_len, prefill_microbatch, decode_microbatch)
         m = self._mem_memo.get(key)
         if m is None:
-            # embedding and logits bytes sit inside StageMemory: the two
-            # position flags are part of the shared key
-            first, last = j == 0, j == self.plan.num_stages - 1
-            m = self._stage_memo("memory", j, (first, last, *key[1:]), lambda: stage_memory(
-                self.cfg,
-                self.plan.stages[j].layer_bits,
-                global_batch=global_batch,
-                prompt_len=prompt_len,
-                gen_len=gen_len,
-                prefill_microbatch=prefill_microbatch,
-                decode_microbatch=decode_microbatch,
-                is_first=first,
-                is_last=last,
-                kv_bits=self._kv[j],
-            ))
-            self._mem_memo[key] = m
+            m = self._mem_memo[key] = _memory(
+                self._stage_cache, self.cfg, self._gpus[j],
+                self.plan.stages[j].layer_bits, self._kv[j],
+                j == 0, j == self.plan.num_stages - 1, key[1:],
+            )
         return m
 
     def stage_memory_views(self) -> tuple[StageMemory, ...]:

@@ -35,7 +35,7 @@ two is exactly the paper's Fig. 7 experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,8 +46,12 @@ if TYPE_CHECKING:  # type-only: keeps repro.sim importable without repro.core
     from ..core.plan import ExecutionPlan
     from ..cost.latency import LatencyModel
     from ..hardware.cluster import Cluster
+    from ..workload.spec import Workload
 
-__all__ = ["StageReport", "PipelineResult", "simulate_pipeline"]
+__all__ = [
+    "StageReport", "PipelineResult", "PipelineTotals", "compose_pipeline",
+    "decode_contexts", "simulate_pipeline",
+]
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,65 @@ class PipelineResult:
         )
 
 
+class PipelineTotals(NamedTuple):
+    """A pipeline composed from its per-stage terms (:func:`compose_pipeline`)."""
+
+    prefill_latency: float
+    decode_latency: float
+    prefill_busy: np.ndarray  #: per-stage prefill busy time
+    decode_first: np.ndarray  #: per-stage decode time at context s + 1
+    decode_last: np.ndarray  #: ... and at s + n - 1 (zeros without decode)
+    oom_stages: tuple[int, ...]
+
+    @property
+    def total_latency(self) -> float:
+        """Prefill + decode batch latency (inf when a stage is out of memory)."""
+        if self.oom_stages:
+            return float("inf")
+        return self.prefill_latency + self.decode_latency
+
+
+def decode_contexts(workload: Workload) -> np.ndarray | None:
+    """Context length of each decode pass, ``s+1 .. s+n-1`` (``None``
+    without decode passes)."""
+    if workload.decode_passes <= 0:
+        return None
+    return workload.prompt_len + np.arange(
+        1, workload.decode_passes + 1, dtype=np.float64
+    )
+
+
+def compose_pipeline(
+    prefill_busy: np.ndarray,
+    decode_busy: np.ndarray | None,
+    fits: Sequence[bool],
+    *,
+    global_batch: int,
+    prefill_microbatch: int,
+    decode_microbatch: int,
+) -> PipelineTotals:
+    """The pipeline's batch latency from its stages (the module docstring's
+    closed forms): ``prefill_busy`` per stage, ``decode_busy`` one row per
+    stage over the context sweep (``None`` without decode passes), and
+    whether each stage fits its device.  :func:`simulate_pipeline` and the
+    planner's per-stage-row scorer both compose through this one function,
+    so the two agree bit for bit."""
+    m_p = -(-global_batch // prefill_microbatch)  # ceil div
+    prefill_latency = float(prefill_busy.sum() + (m_p - 1) * prefill_busy.max())
+    decode_latency = 0.0
+    dec_first = dec_last = np.zeros(prefill_busy.size)
+    if decode_busy is not None:
+        m_d = -(-global_batch // decode_microbatch)
+        cycle = decode_busy.sum(axis=0) + (m_d - 1) * decode_busy.max(axis=0)
+        decode_latency = float(cycle.sum())
+        dec_first = decode_busy[:, 0]
+        dec_last = decode_busy[:, -1]
+    return PipelineTotals(
+        prefill_latency, decode_latency, prefill_busy, dec_first, dec_last,
+        tuple(j for j, ok in enumerate(fits) if not ok),
+    )
+
+
 def simulate_pipeline(
     plan: ExecutionPlan,
     cluster: Cluster,
@@ -136,63 +199,33 @@ def simulate_pipeline(
     if cost_model is None:
         cost_model = StageCostModel(plan, cluster, latency_model=latency_model)
     w = plan.workload
-    n_stages = plan.num_stages
-
-    # ---------------- memory / OOM ----------------
-    reports: list[StageReport] = []
-    oom: list[int] = []
-    for j, (stage, mem) in enumerate(
-        zip(plan.stages, cost_model.stage_memory_views())
-    ):
-        cap = stage.device.spec.memory_bytes
-        if check_memory and not mem.fits(cap):
-            oom.append(j)
-        reports.append(
-            StageReport(
-                gpu_type=stage.device.type_name,
-                num_layers=stage.num_layers,
-                prefill_time=0.0,
-                decode_time_first=0.0,
-                decode_time_last=0.0,
-                memory=mem,
-                capacity_bytes=cap,
-            )
-        )
-
-    # ---------------- prefill ----------------
-    m_p = -(-w.global_batch // plan.prefill_microbatch)  # ceil div
-    pre_busy = cost_model.stage_prefill_times()
-    prefill_latency = float(pre_busy.sum() + (m_p - 1) * pre_busy.max())
-
-    # ---------------- decode ----------------
-    decode_latency = 0.0
-    dec_first = np.zeros(n_stages)
-    dec_last = np.zeros(n_stages)
-    if w.decode_passes > 0:
-        m_d = -(-w.global_batch // plan.decode_microbatch)
-        contexts = w.prompt_len + np.arange(1, w.decode_passes + 1, dtype=np.float64)
-        per_stage = cost_model.stage_decode_times(contexts)
-        cycle = per_stage.sum(axis=0) + (m_d - 1) * per_stage.max(axis=0)
-        decode_latency = float(cycle.sum())
-        dec_first = per_stage[:, 0]
-        dec_last = per_stage[:, -1]
-
-    reports = [
+    memory = cost_model.stage_memory_views()
+    caps = [stage.device.spec.memory_bytes for stage in plan.stages]
+    contexts = decode_contexts(w)
+    totals = compose_pipeline(
+        cost_model.stage_prefill_times(),
+        None if contexts is None else cost_model.stage_decode_times(contexts),
+        [not check_memory or m.fits(c) for m, c in zip(memory, caps)],
+        global_batch=w.global_batch,
+        prefill_microbatch=plan.prefill_microbatch,
+        decode_microbatch=plan.decode_microbatch,
+    )
+    reports = tuple(
         StageReport(
-            gpu_type=r.gpu_type,
-            num_layers=r.num_layers,
-            prefill_time=float(pre_busy[j]),
-            decode_time_first=float(dec_first[j]),
-            decode_time_last=float(dec_last[j]),
-            memory=r.memory,
-            capacity_bytes=r.capacity_bytes,
+            gpu_type=stage.device.type_name,
+            num_layers=stage.num_layers,
+            prefill_time=float(totals.prefill_busy[j]),
+            decode_time_first=float(totals.decode_first[j]),
+            decode_time_last=float(totals.decode_last[j]),
+            memory=memory[j],
+            capacity_bytes=caps[j],
         )
-        for j, r in enumerate(reports)
-    ]
+        for j, stage in enumerate(plan.stages)
+    )
     return PipelineResult(
         plan=plan,
-        prefill_latency=prefill_latency,
-        decode_latency=decode_latency,
-        stage_reports=tuple(reports),
-        oom_stages=tuple(oom),
+        prefill_latency=totals.prefill_latency,
+        decode_latency=totals.decode_latency,
+        stage_reports=reports,
+        oom_stages=totals.oom_stages,
     )

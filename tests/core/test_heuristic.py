@@ -8,8 +8,12 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.heuristic import (
-    _objective,
+    _as_plan,
+    _neighbors,
+    _quality,
+    _score,
     _seed_dp,
+    _stages,
     adabits_plan,
     bitwidth_transfer,
     heuristic_optimize,
@@ -26,6 +30,10 @@ from repro.sim.pipeline import simulate_pipeline
 from repro.workload import Workload
 
 from .ilp_spec import CappedILP, spec_adabits, spec_assemble
+
+
+def _objective(opt, plan):
+    return _score(opt, _stages(plan), plan.prefill_microbatch, plan.decode_microbatch)[0]
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +91,44 @@ def test_heuristic_faster_than_exact_per_candidate(planner):
     assert solve_times and max(solve_times) < 30.0
 
 
+@pytest.mark.parametrize("kv_bits,kept", [(16, 1), ("auto", 4)])
+def test_heuristic_builds_only_kept_plans(
+    kv_bits, kept, cluster3, latmodel_cluster3, workload, monkeypatch
+):
+    """Neighbours are scored from per-stage rows: a heuristic run builds a
+    ``StageCostModel`` and runs ``simulate_pipeline`` once per plan it
+    keeps — the winner over both orderings; with ``kv_bits="auto"`` each
+    level's winner and the refined plan — not once per neighbour."""
+    from repro.core import optimizer as optimizer_module
+    from repro.cost.stagecosts import StageCostModel
+    from repro.sim import pipeline
+
+    counts = {"init": 0, "simulate": 0}
+    real_init, real_simulate = StageCostModel.__init__, pipeline.simulate_pipeline
+
+    def init(self, *args, **kwargs):
+        counts["init"] += 1
+        real_init(self, *args, **kwargs)
+
+    def simulate(*args, **kwargs):
+        counts["simulate"] += 1
+        return real_simulate(*args, **kwargs)
+
+    monkeypatch.setattr(StageCostModel, "__init__", init)
+    monkeypatch.setattr(pipeline, "simulate_pipeline", simulate)
+    monkeypatch.setattr(optimizer_module, "simulate_pipeline", simulate)
+    opt = LLMPQOptimizer(
+        "opt-30b", cluster3, workload,
+        config=PlannerConfig(group_size=4, decode_mb_candidates=(8,),
+                             prefill_mb_cap=8, kv_bits=kv_bits),
+        latency_model=latmodel_cluster3,
+    )
+    res = heuristic_optimize(opt)
+    assert res.feasible and len(opt.orderings()) == 2
+    assert len(opt.evaluations) > 100  # distinct candidates scored
+    assert counts == {"init": kept, "simulate": kept}
+
+
 def test_adabits_with_explicit_ordering(planner, cluster3):
     ordering = list(reversed(cluster3.devices))
     plan = adabits_plan(planner, ordering)
@@ -105,11 +151,32 @@ def _assert_same_simulation(opt, plan, cluster, latmodel, simulate=None):
     return got
 
 
+def _assert_same_totals(template, stages, mb_p, mb_d, totals, cluster, latmodel):
+    """A candidate scored from the run's per-stage rows equals a fresh
+    ``simulate_pipeline(..., latency_model=...)`` of the same plan (built
+    on ``template``) that shares nothing: latencies, OOM stages, every
+    stage's busy times and so the straggler Algorithm 2 picks."""
+    ref = simulate_pipeline(
+        _as_plan(template, stages, mb_p, mb_d), cluster, latency_model=latmodel
+    )
+    assert totals.prefill_latency == ref.prefill_latency
+    assert totals.decode_latency == ref.decode_latency
+    assert totals.total_latency == ref.total_latency
+    assert totals.oom_stages == ref.oom_stages
+    reports = ref.stage_reports
+    assert totals.prefill_busy.tolist() == [r.prefill_time for r in reports]
+    assert totals.decode_first.tolist() == [r.decode_time_first for r in reports]
+    assert totals.decode_last.tolist() == [r.decode_time_last for r in reports]
+    busy = [r.prefill_time + r.decode_time_last for r in reports]
+    assert int(np.argmax(totals.prefill_busy + totals.decode_last)) == int(np.argmax(busy))
+    return ref
+
+
 def test_transfer_scores_through_shared_memo_bitwise(
     cluster3, latmodel_cluster3, workload
 ):
-    """Every plan Algorithm 2 scores is priced through the planner run's
-    one cost memo; each such simulation equals, bit for bit, a fresh
+    """Every candidate Algorithm 2 scores is priced through the planner
+    run's one cost memo; each such score equals, bit for bit, a fresh
     ``simulate_pipeline(..., latency_model=...)`` that shares nothing."""
     opt = LLMPQOptimizer(
         "opt-30b", cluster3, workload,
@@ -117,18 +184,20 @@ def test_transfer_scores_through_shared_memo_bitwise(
         latency_model=latmodel_cluster3,
     )
     seed = adabits_plan(opt)
-    shared = type(opt).simulate
+    shared = type(opt).score
     scored = []
 
-    def checked(plan):
-        scored.append(plan)
-        return _assert_same_simulation(opt, plan, cluster3, latmodel_cluster3, shared)
+    def checked(stages, mb_p, mb_d):
+        scored.append(stages)
+        totals = shared(opt, stages, mb_p, mb_d)
+        _assert_same_totals(seed, stages, mb_p, mb_d, totals, cluster3, latmodel_cluster3)
+        return totals
 
-    opt.simulate = checked
+    opt.score = checked
     hits0 = opt.prediction_cache.hits
     bitwidth_transfer(opt, seed)
     assert len(scored) > 50  # the seed plus every neighbour of every round
-    assert len({p.layer_bits for p in scored}) > 20
+    assert len({tuple(b for _, bits, _ in st for b in bits) for st in scored}) > 20
     # the run's memo served them: far more hits than distinct keys
     cache = opt.prediction_cache
     assert cache.hits - hits0 > 10 * (cache.size + len(cache._sweeps))
@@ -388,8 +457,6 @@ def test_stage_memo_is_position_independent(
     same stages in reverse pipeline order (first <-> last: an embedding,
     logits or comm term inside a position-independent key would show),
     under per-stage KV variants, and on a one-stage plan (first = last)."""
-    from repro.core.heuristic import _neighbors
-
     opt = LLMPQOptimizer(
         "opt-13b", small_hetero_cluster, small_workload,
         config=PlannerConfig(group_size=4), latency_model=latmodel_13b,
@@ -397,8 +464,8 @@ def test_stage_memo_is_position_independent(
     rng = np.random.default_rng(7)
     plan = adabits_plan(opt)
     for step in range(25):
-        moves = _neighbors(opt, plan, int(rng.integers(plan.num_stages)))
-        plan = moves[int(rng.integers(len(moves)))]
+        moves = _neighbors(opt, _stages(plan), int(rng.integers(plan.num_stages)))
+        plan = _as_plan(plan, moves[int(rng.integers(len(moves)))])
         if step % 3 == 0:
             plan = plan.with_kv_bits(
                 [int(b) for b in rng.choice((4, 8, 16), size=plan.num_stages)]
@@ -423,6 +490,77 @@ def test_stage_memo_is_position_independent(
         if isinstance(v, np.ndarray)
     ]
     assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("layout", ["cluster3", "two-node"])
+def test_row_scorer_equals_simulation_on_random_walks(
+    layout, cluster3, latmodel_cluster3, workload
+):
+    """Random Algorithm-2 walks scored from the run's per-stage rows equal
+    ``simulate_pipeline(plan, cluster, latency_model=...)`` bit for bit —
+    objective, feasibility, OOM stages and straggler.  The walks take
+    chain moves, downgrades and upgrades, per-stage KV variants, random
+    micro-batch pairs, and empty a stage out (its layers merged into a
+    neighbour: head/tail flags and send-to devices shift); each candidate
+    is also scored reversed (same layers per stage, other send-to
+    devices) and rotated (same send-to devices, other head/tail flags),
+    so a row key missing either would show.  On the two-node cluster the ordering is drawn at
+    random, so the boundary links differ (T4 pair, V100 pair,
+    inter-node) and move around."""
+    from repro.core.optimizer import _microbatch_pairs
+    from repro.hardware import make_cluster
+
+    cluster = cluster3 if layout == "cluster3" else make_cluster(
+        [("T4-16G", 2), ("V100-32G", 2)], name="two-node"
+    )
+    opt = LLMPQOptimizer(
+        "opt-30b", cluster, workload, config=PlannerConfig(group_size=4),
+        latency_model=latmodel_cluster3,
+    )
+    rng = np.random.default_rng(3)
+    pairs = _microbatch_pairs(workload, 4, opt.config)
+    seen = set()
+    for walk in range(3):
+        devices = list(cluster.devices)
+        ordering = [devices[i] for i in rng.permutation(len(devices))]
+        template = adabits_plan(opt, ordering)
+        stages = _stages(template)
+        for step in range(16):
+            moves = _neighbors(opt, stages, int(rng.integers(len(stages))))
+            stages = moves[int(rng.integers(len(moves)))]
+            if step % 4 == 1:
+                stages = tuple(
+                    (d, bits, int(rng.choice((4, 8, 16)))) for d, bits, _ in stages
+                )
+            if step == 8 + walk and len(stages) > 2:
+                k = int(rng.integers(len(stages)))
+                into = k - 1 if k else 1
+                (d, bits, kv), held = stages[into], stages[k][1]
+                merged = (d, bits + held if into < k else held + bits, kv)
+                stages = tuple(
+                    merged if j == into else st
+                    for j, st in enumerate(stages) if j != k
+                )
+            mb_p, mb_d = pairs[int(rng.integers(len(pairs)))]
+            # reversed, every stage holds the same layers but sends
+            # elsewhere; rotated, every stage sends where it did but the
+            # head and tail flags move
+            for cand in (stages, stages[::-1], stages[1:] + stages[:1]):
+                totals = opt.score(cand, mb_p, mb_d)
+                ref = _assert_same_totals(
+                    template, cand, mb_p, mb_d, totals, cluster, latmodel_cluster3
+                )
+                obj = _score(opt, cand, mb_p, mb_d)[0]
+                if ref.feasible:
+                    assert obj == ref.total_latency + opt.config.theta * _quality(
+                        opt, cand
+                    )
+                else:
+                    assert obj == np.inf
+                seen.add((len(cand), ref.feasible))
+    # every walk emptied a stage, and both outcomes were scored
+    assert {n for n, _ in seen} == {3, 4}
+    assert {ok for _, ok in seen} == {True, False}
 
 
 # ----------------------------------------------------- planner knob checks
@@ -473,7 +611,6 @@ def test_plan_quality_is_the_left_fold_of_lookups(planner):
     order would show)."""
     import copy
 
-    from repro.core.heuristic import _plan_quality
     from repro.core.plan import ExecutionPlan
 
     rng = np.random.default_rng(11)
@@ -491,13 +628,13 @@ def test_plan_quality_is_the_left_fold_of_lookups(planner):
         )
         plan = ExecutionPlan(opt.model_name, stages, 8, 8, opt.workload)
         want = float(sum(opt.indicator.lookup(i, b) for i, b in enumerate(layer_bits)))
-        assert _plan_quality(opt, plan) == want
+        assert _quality(opt, _stages(plan)) == want
 
 
 def test_evaluation_memo_changes_nothing(workload, monkeypatch):
     """Algorithm 2 on cluster 11 / bloom-176b / group 4 / theta 10 returns
-    the same plan, objective and simulation with ``_evaluate``'s memo
-    bypassed, and with it simulates each distinct plan once."""
+    the same plan, objective and simulation with ``_score``'s memo
+    bypassed, and with it scores each distinct candidate once."""
     from repro.cost.profiler import build_latency_model
 
     cluster = paper_cluster(11)
@@ -518,20 +655,21 @@ def test_evaluation_memo_changes_nothing(workload, monkeypatch):
         )
         if not memo:
             opt.evaluations = Forgetful()
-        simulated = []
-        real = opt.simulate
-        opt.simulate = lambda plan: simulated.append(plan) or real(plan)
-        return heuristic_optimize(opt), simulated
+        scored = []
+        real = opt.score
+        opt.score = lambda *cand: scored.append(cand) or real(*cand)
+        return heuristic_optimize(opt), scored
 
-    ours, simulated = run(memo=True)
+    ours, scored = run(memo=True)
     ref, every = run(memo=False)
     assert ours.feasible
     assert ours.plan.to_dict() == ref.plan.to_dict()
     assert ours.objective == ref.objective
     assert ours.predicted == ref.predicted
 
-    def key(plan):
-        return repr((plan.to_dict()["stages"], plan.prefill_microbatch, plan.decode_microbatch))
+    def key(cand):
+        stages, mb_p, mb_d = cand
+        return tuple((d.name, bits, kv) for d, bits, kv in stages), mb_p, mb_d
 
-    assert len(simulated) == len({key(p) for p in simulated}) == len({key(p) for p in every})
-    assert len(every) > len(simulated)
+    assert len(scored) == len({key(c) for c in scored}) == len({key(c) for c in every})
+    assert len(every) > len(scored)

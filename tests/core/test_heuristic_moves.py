@@ -8,7 +8,8 @@ the target.
 
 import pytest
 
-from repro.core.heuristic import _layer_offsets, _neighbors
+from repro.core.heuristic import _as_plan, _layer_offsets, _stages
+from repro.core.heuristic import _neighbors as _neighbor_stages
 from repro.core.optimizer import LLMPQOptimizer, PlannerConfig
 from repro.core.plan import ExecutionPlan, StagePlan
 from repro.hardware import Device, get_gpu
@@ -41,8 +42,16 @@ def base_plan(cluster3, workload):
     )
 
 
+def _neighbors(optimizer, plan, straggler):
+    """``plan``'s neighbours, each built into a plan (validated on the way)."""
+    return [
+        _as_plan(plan, cand)
+        for cand in _neighbor_stages(optimizer, _stages(plan), straggler)
+    ]
+
+
 def test_layer_offsets(base_plan):
-    assert _layer_offsets(base_plan) == [0, 12, 24, 36]
+    assert _layer_offsets(_stages(base_plan)) == [0, 12, 24, 36]
 
 
 @pytest.mark.parametrize("straggler", [0, 1, 2, 3])
