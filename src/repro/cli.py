@@ -18,7 +18,8 @@
     ``tiny-*`` models, and on the online simulator for big models.
     ``--replan-on-drift`` watches the stream for workload drift and
     live-migrates the pipeline to a refitted plan without dropping
-    traffic.
+    traffic.  Every replay, one replica or many, is one
+    :func:`~repro.fleet.serve_fleet` call.
 
 All commands report user mistakes (missing files, malformed JSON,
 unknown models, mismatched omega tables) as one-line errors with a
@@ -77,6 +78,15 @@ def _fused_decode_line(st) -> str:
     )
 
 
+def _latency_line(x) -> str:
+    """Request latency and TTFT percentiles of a runtime run."""
+    return (
+        f"requests: latency p50 {x.latency_p50:.3f}s / "
+        f"p95 {x.latency_p95:.3f}s / p99 {x.latency_p99:.3f}s; "
+        f"ttft mean {x.ttft_mean:.3f}s (p95 {x.ttft_p95:.3f}s)"
+    )
+
+
 def _kv_slab_line(st) -> str:
     """Memory the stages' KV slabs reserve against the peak in use, and
     how the fused steps read them."""
@@ -88,9 +98,18 @@ def _kv_slab_line(st) -> str:
     )
 
 
+def _paper_cluster(cluster_id: int) -> Cluster:
+    """:func:`paper_cluster`, an unknown id raised as a one-line
+    ``ValueError``."""
+    try:
+        return paper_cluster(cluster_id)
+    except KeyError as e:
+        raise ValueError(e.args[0]) from None
+
+
 def _build_cluster(args: argparse.Namespace) -> Cluster:
     if args.cluster is not None:
-        return paper_cluster(args.cluster)
+        return _paper_cluster(args.cluster)
     if not args.device_names:
         raise SystemExit("either --cluster or --device-names is required")
     if len(args.device_names) != len(args.device_numbers):
@@ -152,8 +171,14 @@ def algo_main(argv: list[str] | None = None) -> int:
     p.add_argument("-o", "--output", default="strategy.json",
                    help="strategy file to write")
     args = p.parse_args(argv)
+    bad = _flag_error(args, counts=("--global-bz", "--s", "--n"))
+    if bad:
+        return _fail(bad)
 
-    cluster = _build_cluster(args)
+    try:
+        cluster = _build_cluster(args)
+    except ValueError as e:  # unknown paper cluster, a node of no GPUs
+        return _fail(str(e))
     workload = Workload(prompt_len=args.s, gen_len=args.n, global_batch=args.global_bz)
     indicator = None
     if args.omega_file:
@@ -191,7 +216,7 @@ def algo_main(argv: list[str] | None = None) -> int:
 def _serving_cluster(args: argparse.Namespace, plan: ExecutionPlan) -> Cluster:
     """``--cluster`` when given, else the cluster the plan's devices imply."""
     if args.cluster is not None:
-        return paper_cluster(args.cluster)
+        return _paper_cluster(args.cluster)
     return cluster_from_devices(st.device for st in plan.stages)
 
 
@@ -246,8 +271,10 @@ def dist_main(argv: list[str] | None = None) -> int:
 
     plan = _load_plan(args.strategy)
     cfg = get_model(plan.model_name)
-
-    cluster = _serving_cluster(args, plan)
+    try:
+        cluster = _serving_cluster(args, plan)
+    except ValueError as e:
+        return _fail(str(e))
 
     from .core.validate import validate_plan
 
@@ -304,11 +331,7 @@ def dist_main(argv: list[str] | None = None) -> int:
             f"budget {st.dequant_cache_budget_bytes / 2**20:.1f} MiB)"
         )
         if st.request_latencies:
-            print(
-                f"requests: latency p50 {st.latency_p50:.3f}s / "
-                f"p95 {st.latency_p95:.3f}s / p99 {st.latency_p99:.3f}s; "
-                f"ttft mean {st.ttft_mean:.3f}s (p95 {st.ttft_p95:.3f}s)"
-            )
+            print(_latency_line(st))
         if st.fused_iterations:
             print(_fused_decode_line(st))
         print(_kv_slab_line(st))
@@ -377,7 +400,7 @@ def _fleet_pool_labels(n: int, disaggregate: bool) -> list[str]:
     return [POOL_PREFILL if i % 2 == 0 else POOL_DECODE for i in range(n)]
 
 
-def _emit_fleet(report, json_path: str | None) -> int:
+def _emit_fleet(report, json_path: str | None) -> None:
     """Print the fleet outcome; optionally persist the full report."""
     print(report.summary())
     for r in report.replica_results:
@@ -394,7 +417,6 @@ def _emit_fleet(report, json_path: str | None) -> int:
     if json_path:
         with open(json_path, "w") as f:
             json.dump(report.to_json(), f, indent=2)
-    return 0 if report.completed else 1
 
 
 def serve_main(argv: list[str] | None = None) -> int:
@@ -472,8 +494,8 @@ def serve_main(argv: list[str] | None = None) -> int:
     g = p.add_argument_group("fleet", "multi-replica serving")
     g.add_argument("--replicas", type=int, default=1,
                    help="serve through a fleet of this many identical "
-                        "replicas of the strategy (1 = the classic "
-                        "single-pipeline path)")
+                        "replicas of the strategy (1 = one pipeline, "
+                        "reported as one)")
     g.add_argument("--router",
                    choices=["round-robin", "least-loaded", "ttft", "prefix"],
                    default="round-robin",
@@ -509,9 +531,10 @@ def serve_main(argv: list[str] | None = None) -> int:
 
     bad = _flag_error(
         args,
-        positive=() if args.trace_file else ("--rate", "--duration"),
+        positive=(() if args.trace_file else ("--rate", "--duration"))
+        + ("--slo-ttft", "--slo-tpot"),
         nonneg=("--time-scale",),
-        counts=("--max-prompt", "--max-gen"),
+        counts=("--max-prompt", "--max-gen", "--autoscale-min-active"),
     )
     if bad:
         return _fail(bad)
@@ -541,109 +564,114 @@ def serve_main(argv: list[str] | None = None) -> int:
         return _fail("fleet serving requires --policy continuous")
     if args.autoscale and args.autoscale_min_active > args.replicas:
         return _fail("--autoscale-min-active cannot exceed --replicas")
-    autoscale_cfg = None
+    autoscaler = active = None
     if args.autoscale:
-        from .fleet import AutoscaleConfig
+        from .fleet import AutoscaleConfig, FleetAutoscaler
 
         try:
-            autoscale_cfg = AutoscaleConfig(
+            autoscaler = FleetAutoscaler(AutoscaleConfig(
                 window=args.autoscale_window,
                 high=args.autoscale_high,
                 low=args.autoscale_low,
                 hysteresis=args.autoscale_hysteresis,
                 cooldown=args.autoscale_cooldown,
                 min_active=args.autoscale_min_active,
-            )
+            ))
         except ValueError as e:
             return _fail(f"invalid autoscale settings: {e}")
+        active = list(range(args.autoscale_min_active))
     plan = _load_plan(args.strategy)
     if args.kv_bits != "auto":
         plan = plan.with_kv_bits(int(args.kv_bits))
     cfg = get_model(plan.model_name)
     max_prompt = args.max_prompt or plan.workload.prompt_len
     max_gen = args.max_gen or plan.workload.gen_len
+    from .fleet import RuntimeReplica, SimReplica, serve_fleet
+
+    pools = _fleet_pool_labels(args.replicas, args.disaggregate)
 
     if plan.model_name.startswith("tiny-"):
-        # real execution: the continuous scheduler over the pipeline runtime
+        # real execution: each replica's scheduler over its own runtime
         from .models.transformer import TinyDecoderLM
-        from .runtime.engine import PipelineRuntime
-        from .runtime.scheduler import ContinuousScheduler, requests_from_arrivals
+        from .runtime.faults import FaultInjector
+        from .runtime.replan import workload_refit_replanner
+        from .runtime.scheduler import requests_from_arrivals
 
         arrivals = _sample_trace(args, max_prompt, max_gen)
         if not arrivals:
             return _fail("trace is empty — raise --rate or --duration")
-        requests = requests_from_arrivals(arrivals, cfg.vocab_size, seed=args.seed)
+        work = requests_from_arrivals(arrivals, cfg.vocab_size, seed=args.seed)
         ref = TinyDecoderLM(cfg, seed=args.seed)
-        replanner = None
-        if drift is not None:
-            from .runtime.replan import workload_refit_replanner
-
-            replanner = workload_refit_replanner
-
-        def make_injector(seed: int):
-            if not args.fault_spec:
-                return None
-            from .runtime.faults import FaultInjector
-
-            return FaultInjector.from_spec(args.fault_spec, seed=seed)
-
         try:
-            make_injector(args.seed)
-        except ValueError as e:
-            return _fail(f"invalid --fault-spec: {e}")
-
-        if fleet_mode:
-            from .fleet import FleetAutoscaler, RuntimeReplica, serve_fleet_runtime
-
-            pools = _fleet_pool_labels(args.replicas, args.disaggregate)
-            reps = [
-                RuntimeReplica(
-                    i, ref, plan, pool=pools[i], policy=args.policy,
-                    max_inflight=args.max_inflight,
-                    time_scale=args.time_scale,
-                    drift=drift, replanner=replanner,
-                    fault_injector=make_injector(args.seed + i),
-                )
+            injectors = [
+                FaultInjector.from_spec(args.fault_spec, seed=args.seed + i)
+                if args.fault_spec else None
                 for i in range(args.replicas)
             ]
-            autoscaler = FleetAutoscaler(autoscale_cfg) if autoscale_cfg else None
-            active = (
-                list(range(args.autoscale_min_active)) if autoscale_cfg else None
+        except ValueError as e:
+            return _fail(f"invalid --fault-spec: {e}")
+        reps = [
+            RuntimeReplica(
+                i, ref, plan, pool=pools[i], policy=args.policy,
+                max_inflight=args.max_inflight, time_scale=args.time_scale,
+                drift=drift,
+                replanner=workload_refit_replanner if drift else None,
+                fault_injector=injectors[i],
             )
-            try:
-                freport = serve_fleet_runtime(
-                    reps, requests, router=args.router, autoscaler=autoscaler,
-                    active=active, slo_ttft=args.slo_ttft,
-                    slo_tpot=args.slo_tpot,
-                )
-            except RuntimeError as e:
-                return _fail(f"serving failed: {e}", code=3)
-            return _emit_fleet(freport, args.fleet_json)
-
+            for i in range(args.replicas)
+        ]
+    else:
+        # simulated execution for big models
         try:
-            with PipelineRuntime(
-                ref, plan, fault_injector=make_injector(args.seed)
-            ) as rt:
-                sched = ContinuousScheduler(
-                    rt, policy=args.policy,
-                    max_inflight=args.max_inflight,
-                    time_scale=args.time_scale,
-                    drift=drift, replanner=replanner,
-                )
-                report = sched.serve(requests)
-        except RuntimeError as e:
-            return _fail(f"serving failed: {e}", code=3)
+            cluster = _serving_cluster(args, plan)
+        except ValueError as e:
+            return _fail(str(e))
+        work = _sample_trace(args, max_prompt, max_gen)
+        if not work:
+            return _fail("trace is empty — raise --rate or --duration")
+        latency_model = None
+        if args.cost_source == "model":
+            from .cost.profiler import build_latency_model
+
+            latency_model = build_latency_model(
+                sorted({d.type_name for d in cluster.devices}), cfg
+            )
+        replanner = None
+        if drift is not None:
+            from .runtime.replan import make_search_replanner
+
+            replanner = make_search_replanner(cluster, latency_model=latency_model)
+        reps = [
+            SimReplica(
+                i, plan, cluster, pool=pools[i], policy=args.policy,
+                max_batch=args.max_inflight, engine=args.engine,
+                source=args.cost_source, latency_model=latency_model,
+                drift=drift, replanner=replanner,
+            )
+            for i in range(args.replicas)
+        ]
+
+    try:
+        freport = serve_fleet(
+            reps, work, router=args.router, autoscaler=autoscaler,
+            active=active, slo_ttft=args.slo_ttft, slo_tpot=args.slo_tpot,
+        )
+    except RuntimeError as e:
+        return _fail(f"serving failed: {e}", code=3)
+
+    res = freport.replica_results[0]
+    if fleet_mode:
+        _emit_fleet(freport, args.fleet_json)
+    elif res.online is not None:
+        print(res.online.summary())
+    else:
+        report, st = res.report, reps[0].runtime_stats
         print(
             f"[{report.policy}] {len(report.completed)} completed, "
             f"{len(report.rejected)} rejected in {report.makespan:.2f}s | "
             f"{report.throughput_tokens_per_s:.1f} tok/s"
         )
-        print(
-            f"requests: latency p50 {report.latency_p50:.3f}s / "
-            f"p95 {report.latency_p95:.3f}s / p99 {report.latency_p99:.3f}s; "
-            f"ttft mean {report.ttft_mean:.3f}s (p95 {report.ttft_p95:.3f}s)"
-        )
-        st = rt.stats
+        print(_latency_line(report))
         print(_fused_decode_line(st))
         print(_kv_slab_line(st))
         if args.replan_on_drift or report.migrations or report.crash_recoveries:
@@ -654,59 +682,7 @@ def serve_main(argv: list[str] | None = None) -> int:
                 f"{report.quiesce_seconds:.3f}s, {report.replayed_tokens} "
                 f"tokens replayed ({report.replay_divergences} divergences)"
             )
-        return 0 if report.completed else 1
-
-    # simulated execution for big models
-    from .sim.online import simulate_online
-
-    cluster = _serving_cluster(args, plan)
-    trace = _sample_trace(args, max_prompt, max_gen)
-    if not trace:
-        return _fail("trace is empty — raise --rate or --duration")
-    latency_model = None
-    if args.cost_source == "model":
-        from .cost.profiler import build_latency_model
-
-        latency_model = build_latency_model(
-            sorted({d.type_name for d in cluster.devices}), cfg
-        )
-    replanner = None
-    if drift is not None:
-        from .runtime.replan import make_search_replanner
-
-        replanner = make_search_replanner(cluster, latency_model=latency_model)
-
-    if fleet_mode:
-        from .fleet import FleetAutoscaler, SimReplica, serve_fleet
-
-        pools = _fleet_pool_labels(args.replicas, args.disaggregate)
-        reps = [
-            SimReplica(
-                i, plan, cluster, pool=pools[i],
-                max_batch=args.max_inflight, engine=args.engine,
-                source=args.cost_source, latency_model=latency_model,
-                drift=drift, replanner=replanner,
-            )
-            for i in range(args.replicas)
-        ]
-        autoscaler = FleetAutoscaler(autoscale_cfg) if autoscale_cfg else None
-        active = (
-            list(range(args.autoscale_min_active)) if autoscale_cfg else None
-        )
-        freport = serve_fleet(
-            reps, trace, router=args.router, autoscaler=autoscaler,
-            active=active, slo_ttft=args.slo_ttft, slo_tpot=args.slo_tpot,
-        )
-        return _emit_fleet(freport, args.fleet_json)
-
-    res = simulate_online(
-        plan, cluster, trace,
-        max_batch=args.max_inflight, policy=args.policy, engine=args.engine,
-        source=args.cost_source, latency_model=latency_model,
-        drift=drift, replanner=replanner,
-    )
-    print(res.summary())
-    return 0 if res.completed else 1
+    return 0 if freport.completed else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -84,10 +84,6 @@ class PlannerConfig:
     #: — enumerate the uniform levels, pick the best under
     #: ``objective + theta * kv_error``, then refine per stage
     kv_bits: int | str = 16
-    #: search-engine switches: dedup and incumbent pruning (both
-    #: result-preserving)
-    dedup: bool = True
-    prune: bool = True
 
     def __post_init__(self) -> None:
         if self.group_size < 1:

@@ -189,14 +189,13 @@ class SearchEngine:
         )
 
     def _settle(self, u: _Unique, sol: ILPSolution) -> None:
-        """Record a solved representative; tighten the incumbent (which
-        stays ``inf`` — no cutoff — with pruning off)."""
+        """Record a solved representative; tighten the incumbent."""
         u.solution = sol
         if not sol.feasible:  # "infeasible", or "pruned" by the cutoff
             self._outcomes[u.index] = _Outcome(sol.status)
             return
         out = self._outcomes[u.index] = self._evaluate(u, u.ordering)
-        if self.config.prune and out.objective < self._incumbent:
+        if out.objective < self._incumbent:
             self._incumbent = out.objective
 
     # ------------------------------------------------------------------
@@ -214,7 +213,7 @@ class SearchEngine:
         by_key: dict[tuple, _Unique] = {}
         for idx, ordering, mb_p, mb_d in self._candidates:
             key = (tuple(d.type_name for d in ordering), mb_p, mb_d)
-            u = by_key.get(key) if self.config.dedup else None
+            u = by_key.get(key)
             if u is None:
                 ilp = self._make_ilp(ordering, mb_p, mb_d)
                 u = by_key[key] = _Unique(
@@ -250,7 +249,7 @@ class SearchEngine:
         cache = self.opt.prediction_cache
         hits0, misses0 = cache.hits, cache.misses
         candidates, uniques = self._candidates, self._uniques
-        self._incumbent = incumbent if self.config.prune else np.inf
+        self._incumbent = incumbent
         self._outcomes = {}
         for u in sorted(uniques, key=lambda u: (u.bound, u.index)):
             self._settle(u, u.ilp.solve(self._incumbent))

@@ -1,14 +1,15 @@
 """Replica-scoped fleet serving: router + coordinated autoscaler.
 
-Public API for serving one arrival trace (or one batch of materialized
-requests) across N independently planned pipeline replicas, optionally
-disaggregated into prefill/decode pools and autoscaled from windowed
-load signals.  A 1-replica fleet is byte-identical to the single
+Public API for serving one arrival trace (simulator replicas) or one
+batch of materialized requests (real runtime replicas) through
+:func:`serve_fleet` across N independently planned pipeline replicas,
+optionally disaggregated into prefill/decode pools and autoscaled from
+windowed load signals.  A 1-replica fleet is byte-identical to the single
 pipeline paths it wraps.
 """
 
 from .autoscaler import AutoscaleConfig, FleetAutoscaler, ScaleEvent
-from .fleet import plan_sim_replica, serve_fleet, serve_fleet_runtime
+from .fleet import plan_sim_replica, serve_fleet
 from .replica import (
     POOL_DECODE,
     POOL_GENERAL,
@@ -40,5 +41,4 @@ __all__ = [
     "SimReplica",
     "plan_sim_replica",
     "serve_fleet",
-    "serve_fleet_runtime",
 ]

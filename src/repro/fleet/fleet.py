@@ -1,7 +1,9 @@
 """Fleet orchestration: one routing pass, N independent replica serves.
 
-``serve_fleet`` (simulator replicas) and ``serve_fleet_runtime`` (real
-tiny-model replicas) share the same deterministic three-phase shape:
+``serve_fleet`` is the one entry point for both replica kinds —
+simulator replicas over an arrival trace, real tiny-model replicas over
+materialized requests — and runs the same deterministic three-phase
+shape for both:
 
 1. **Route** — a single forward pass over the arrival-sorted trace.
    Each request is classified to a pool (prompt-dominated requests to a
@@ -22,13 +24,15 @@ tiny-model replicas) share the same deterministic three-phase shape:
    attainment, GPU-seconds from activation spans, scale events).
 
 A 1-replica fleet degenerates to phase 2 alone on the full trace —
-byte-identical to calling the simulator / scheduler directly.
+byte-identical to calling the simulator / scheduler directly, which is
+why ``llmpq-serve`` runs every replay, one replica or many, through
+``serve_fleet``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,10 +49,7 @@ from .replica import (
 from .report import FleetReport
 from .router import _HASH_MUL, ReplicaLoad, Router
 
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from ..runtime.scheduler import ServeRequest
-
-__all__ = ["serve_fleet", "serve_fleet_runtime", "plan_sim_replica"]
+__all__ = ["serve_fleet", "plan_sim_replica"]
 
 
 def _check_fleet(replicas: "Sequence[PipelineReplica]") -> "list[PipelineReplica]":
@@ -220,9 +221,38 @@ def _empty_result(r: "PipelineReplica") -> ReplicaResult:
     )
 
 
+def _work_columns(reps: "list[PipelineReplica]", work):
+    """The per-kind part of a serve: routing columns, prefix keys, and
+    how to cut one replica's share out of ``work``.
+
+    Runtime fleets take materialized requests, sorted by arrival and
+    keyed on their first 8 prompt tokens (stable across replicas).
+    Simulator fleets take an arrival trace whose sorted columns pass
+    through, shares cut as array views (no per-request objects); the
+    prefix router then keys on prompt length."""
+    if isinstance(reps[0], RuntimeReplica):
+        reqs = sorted(work, key=lambda r: r.arrival)
+        arr = np.array([r.arrival for r in reqs], dtype=np.float64)
+        spr = np.array([len(r.prompt) for r in reqs], dtype=np.int64)
+        sgen = np.array([r.gen_len for r in reqs], dtype=np.int64)
+        keys = np.array(
+            [int(np.sum(r.prompt[:8] % 1_000_003)) for r in reqs],
+            dtype=np.int64,
+        )
+        return arr, spr, sgen, keys, lambda idx: [reqs[i] for i in idx]
+
+    from ..sim.trace_engine import trace_columns
+    from ..workload.traces import ArrivalTrace
+
+    arr, spr, sgen = trace_columns(work)
+    return arr, spr, sgen, None, lambda idx: ArrivalTrace(
+        arrivals=arr[idx], prompt_lens=spr[idx], gen_lens=sgen[idx]
+    )
+
+
 def serve_fleet(
-    replicas: "Sequence[SimReplica]",
-    trace,
+    replicas: "Sequence[PipelineReplica]",
+    work,
     *,
     router: "str | Router" = "round-robin",
     autoscaler: "FleetAutoscaler | None" = None,
@@ -230,19 +260,22 @@ def serve_fleet(
     slo_ttft: float | None = None,
     slo_tpot: float | None = None,
 ) -> FleetReport:
-    """Serve an arrival trace across simulator replicas.
+    """Serve ``work`` across the fleet: an arrival trace for simulator
+    replicas (:class:`SimReplica`), a sequence of
+    :class:`~repro.runtime.scheduler.ServeRequest` for real runtime
+    replicas (:class:`RuntimeReplica`, each replaying its share on its
+    own runtime+scheduler, sequentially: real wall-clock execution on a
+    shared virtual arrival clock).
 
     ``active`` names the replica ids that start active (default: all);
     the rest are the autoscaler's idle reserve.  With one replica and no
     autoscaler the result is byte-identical to
-    :func:`~repro.sim.online.simulate_online` on the full trace.
+    :func:`~repro.sim.online.simulate_online` on the full trace, or to
+    one scheduler serve of every request.
     """
-    from ..sim.trace_engine import trace_columns
-    from ..workload.traces import ArrivalTrace
-
     reps = _check_fleet(replicas)
     rt = router if isinstance(router, Router) else Router(router)
-    arr, spr, sgen = trace_columns(trace)
+    arr, spr, sgen, keys, share = _work_columns(reps, work)
     if arr.size == 0:
         raise ValueError("empty trace")
 
@@ -250,24 +283,16 @@ def serve_fleet(
         _bind_autoscaler(autoscaler, reps, active)
 
     assign, router_rejected = _route(
-        arr, spr, sgen, reps, rt, autoscaler
+        arr, spr, sgen, reps, rt, autoscaler, prefix_keys=keys
     )
     if autoscaler is not None:
         reps = autoscaler.all_replicas()  # factory scale-ups join the fleet
 
     results: dict[int, ReplicaResult] = {}
-    out: list[ReplicaResult] = []
     for r in reps:
-        mask = assign == r.replica_id
-        if not mask.any():
-            res = _empty_result(r)
-        else:
-            sub = ArrivalTrace(
-                arrivals=arr[mask], prompt_lens=spr[mask], gen_lens=sgen[mask]
-            )
-            res = r.serve(sub)
-        results[r.replica_id] = res
-        out.append(res)
+        idx = np.flatnonzero(assign == r.replica_id)
+        results[r.replica_id] = r.serve(share(idx)) if idx.size else _empty_result(r)
+    out = list(results.values())
 
     fleet_end = max(
         [res.makespan for res in out if res.makespan] + [float(arr[-1])]
@@ -282,78 +307,6 @@ def serve_fleet(
         router=rt.policy,
         autoscaled=autoscaler is not None,
         n_requests=int(arr.size),
-        router_rejected=router_rejected,
-        scale_events=tuple(autoscaler.events) if autoscaler is not None else (),
-        gpu_seconds=gpu_total,
-        slo_ttft=slo_ttft,
-        slo_tpot=slo_tpot,
-    )
-
-
-def serve_fleet_runtime(
-    replicas: "Sequence[RuntimeReplica]",
-    requests: "Sequence[ServeRequest]",
-    *,
-    router: "str | Router" = "round-robin",
-    autoscaler: "FleetAutoscaler | None" = None,
-    active: "Sequence[int] | None" = None,
-    slo_ttft: float | None = None,
-    slo_tpot: float | None = None,
-) -> FleetReport:
-    """Serve materialized requests across real tiny-model replicas.
-
-    Routing is identical to :func:`serve_fleet` (prompt length, gen
-    length, arrival time), with prefix-affinity hashing the first
-    prompt tokens.  Each replica then replays its share on its own
-    runtime+scheduler, sequentially — real wall-clock execution, shared
-    virtual arrival clock.
-    """
-    reps = _check_fleet(replicas)
-    rt = router if isinstance(router, Router) else Router(router)
-    reqs = sorted(requests, key=lambda r: r.arrival)
-    if not reqs:
-        raise ValueError("no requests")
-    arr = np.array([r.arrival for r in reqs], dtype=np.float64)
-    spr = np.array([len(r.prompt) for r in reqs], dtype=np.int64)
-    sgen = np.array([r.gen_len for r in reqs], dtype=np.int64)
-    # prefix signature: first 8 prompt tokens, stable across replicas
-    keys = np.array(
-        [int(np.sum(r.prompt[:8] % 1_000_003)) for r in reqs], dtype=np.int64
-    )
-
-    if autoscaler is not None:
-        _bind_autoscaler(autoscaler, reps, active)
-
-    assign, router_rejected = _route(
-        arr, spr, sgen, reps, rt, autoscaler, prefix_keys=keys
-    )
-    if autoscaler is not None:
-        reps = autoscaler.all_replicas()
-
-    results: dict[int, ReplicaResult] = {}
-    out: list[ReplicaResult] = []
-    for r in reps:
-        idx = np.flatnonzero(assign == r.replica_id)
-        if idx.size == 0:
-            res = _empty_result(r)
-        else:
-            res = r.serve([reqs[int(i)] for i in idx])
-        results[r.replica_id] = res
-        out.append(res)
-
-    fleet_end = max(
-        [res.makespan for res in out if res.makespan] + [float(arr[-1])]
-    )
-    gpu_total, gpu_per = _gpu_seconds(reps, results, autoscaler, fleet_end)
-    out = [
-        dataclasses.replace(res, gpu_seconds=gpu_per.get(res.replica_id, 0.0))
-        for res in out
-    ]
-    return FleetReport.build(
-        out,
-        router=rt.policy,
-        autoscaled=autoscaler is not None,
-        n_requests=len(reqs),
         router_rejected=router_rejected,
         scale_events=tuple(autoscaler.events) if autoscaler is not None else (),
         gpu_seconds=gpu_total,

@@ -176,11 +176,11 @@ def _tpots_from_samples(
 class SimReplica(PipelineReplica):
     """Analytic / trace-engine simulator replica.
 
-    ``serve`` runs the continuous policy through
-    :func:`~repro.sim.online.simulate_online` with this replica's own
-    cost model — for a single replica receiving the whole trace this is
-    byte-identical to calling the simulator directly, which is the
-    1-replica fleet equivalence guarantee.
+    ``serve`` runs ``policy`` (continuous batching or the wave baseline)
+    through :func:`~repro.sim.online.simulate_online` with this
+    replica's own cost model — for a single replica receiving the whole
+    trace this is byte-identical to calling the simulator directly,
+    which is the 1-replica fleet equivalence guarantee.
     """
 
     def __init__(
@@ -190,6 +190,7 @@ class SimReplica(PipelineReplica):
         cluster: "Cluster",
         *,
         pool: str = POOL_GENERAL,
+        policy: str = "continuous",
         max_batch: int | None = None,
         engine: str = "analytic",
         source: str = "kernels",
@@ -202,6 +203,7 @@ class SimReplica(PipelineReplica):
         )
         super().__init__(replica_id, plan, cost, pool=pool)
         self.cluster = cluster
+        self.policy = policy
         self.max_batch = max_batch
         self.engine = engine
         self.drift = drift
@@ -214,7 +216,7 @@ class SimReplica(PipelineReplica):
         sink: dict = {}
         res = simulate_online(
             self.plan, self.cluster, trace,
-            max_batch=self.max_batch, policy="continuous",
+            max_batch=self.max_batch, policy=self.policy,
             engine=self.engine, cost_model=self.cost,
             drift=self.drift, replanner=self.replanner, sample_sink=sink,
         )
@@ -290,18 +292,8 @@ class RuntimeReplica(PipelineReplica):
         #: the last serve's scheduler — exposes this replica's token
         #: ledger, headroom, detector, and migration controller
         self.scheduler = None
+        #: the last serve's runtime counters (``PipelineRuntime.stats``)
         self.runtime_stats = None
-
-    # facade views over the replica-scoped serving internals -----------
-    @property
-    def detector(self):
-        """This replica's drift detector (when drift is enabled)."""
-        return None if self.scheduler is None else self.scheduler.detector
-
-    @property
-    def controller(self):
-        """This replica's migration controller (after a serve)."""
-        return None if self.scheduler is None else self.scheduler.controller
 
     def serve(self, requests: "Sequence[ServeRequest]") -> ReplicaResult:
         from ..runtime.engine import PipelineRuntime

@@ -257,16 +257,23 @@ def test_stats_accounting(engine_result):
     assert "search:" in st.describe()
 
 
-def test_prune_and_dedup_toggles_preserve_result(
-    search_cluster, latmodel_13b, engine_result
-):
-    plain = _make_opt(
-        search_cluster, latmodel_13b, prune=False, dedup=False
-    ).optimize()
-    assert plain.stats.pruned == 0
-    assert plain.stats.dedup_skipped == 0
-    assert plain.objective == pytest.approx(engine_result.objective, abs=1e-6)
-    assert _plan_signature(plain.plan) == _plan_signature(engine_result.plan)
+def test_prune_and_dedup_preserve_spec_result(search_cluster, latmodel_13b):
+    """Dedup and incumbent pruning always run; on a grid where both fire
+    (one ordering listed twice) the engine returns the plan of the serial
+    walk that does neither."""
+
+    def make():
+        opt = _make_opt(search_cluster, latmodel_13b)
+        base = opt.orderings()
+        opt.orderings = lambda: base + [base[-1]]
+        return opt
+
+    res = make().optimize()
+    ref = spec_optimize(make())
+    assert res.stats.dedup_skipped > 0 and res.stats.pruned > 0
+    assert res.objective == pytest.approx(ref.objective, abs=1e-6)
+    assert _plan_signature(res.plan) == _plan_signature(ref.plan)
+    assert res.plan.kv_bits_per_stage == ref.plan.kv_bits_per_stage
 
 
 # ---------------------------------------------------------------- dedup
@@ -349,14 +356,6 @@ def test_cutoff_search_matches_spec(cutoff_case, monkeypatch):
         if e.status == "pruned":
             assert r.objective >= res.objective - 1e-9
 
-    # prune=False switches the cutoff off: every candidate is solved whole
-    cutoffs.clear()
-    plain = cutoff_case(prune=False).optimize()
-    assert cutoffs and all(c == np.inf for c in cutoffs)
-    assert plain.stats.pruned == 0
-    assert plain.stats.solved == len(cutoffs)
-    assert plain.objective == pytest.approx(res.objective, abs=1e-6)
-    assert _plan_signature(plain.plan) == _plan_signature(res.plan)
 
 
 def test_stats_merge_sums_every_counter():

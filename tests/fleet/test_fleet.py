@@ -26,7 +26,6 @@ from repro.fleet import (
     RuntimeReplica,
     SimReplica,
     serve_fleet,
-    serve_fleet_runtime,
 )
 from repro.hardware import Device, get_gpu
 from repro.models import TinyDecoderLM
@@ -58,14 +57,22 @@ def _trace(n=400, seed=0, span=60.0, max_prompt=96, max_gen=24):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ["analytic", "des"])
-def test_single_replica_identical_to_simulator(engine):
-    """A 1-replica fleet is the simulator: every OnlineResult field."""
+@pytest.mark.parametrize(
+    "engine,policy",
+    [
+        ("analytic", "continuous"),
+        ("des", "continuous"),
+        ("analytic", "wave"),
+        ("des", "wave"),
+    ],
+    ids=["analytic", "des", "analytic-wave", "des-wave"],
+)
+def test_single_replica_identical_to_simulator(engine, policy):
+    """A 1-replica fleet is the simulator: every OnlineResult field,
+    under either batching policy."""
     trace = _trace()
-    direct = simulate_online(
-        PLAN, CLUSTER, trace, policy="continuous", engine=engine
-    )
-    rep = SimReplica(0, PLAN, CLUSTER, engine=engine)
+    direct = simulate_online(PLAN, CLUSTER, trace, policy=policy, engine=engine)
+    rep = SimReplica(0, PLAN, CLUSTER, policy=policy, engine=engine)
     fr = serve_fleet([rep], trace)
     assert len(fr.replica_results) == 1
     wrapped = fr.replica_results[0].online
@@ -115,7 +122,7 @@ def test_single_replica_identical_to_runtime(tiny8l):
         direct = ContinuousScheduler(rt, time_scale=0.0).serve(list(requests))
 
     rep = RuntimeReplica(0, ref, plan, time_scale=0.0)
-    fr = serve_fleet_runtime([rep], requests)
+    fr = serve_fleet([rep], requests)
     report = fr.replica_results[0].report
 
     assert len(report.completed) == len(direct.completed)
@@ -124,6 +131,30 @@ def test_single_replica_identical_to_runtime(tiny8l):
         np.testing.assert_array_equal(rec.tokens, direct_tokens[rec.request_id])
     assert fr.completed == len(direct.completed)
     assert fr.generated_tokens == direct.generated_tokens
+
+
+def test_runtime_prefix_routing_keeps_its_assignment(tiny8l):
+    """Two runtime replicas behind the prefix router: each request lands
+    on the replica its first prompt tokens hash to — the assignment the
+    fleet made before both replica kinds shared one entry point — and
+    every stream still equals the single-pipeline one."""
+    plan = _tiny_plan(Workload(prompt_len=12, gen_len=8, global_batch=8))
+    ref = TinyDecoderLM(tiny8l, seed=3)
+    requests = _tiny_requests(tiny8l)
+    reps = [RuntimeReplica(i, ref, plan, time_scale=0.0) for i in range(2)]
+    fr = serve_fleet(reps, requests, router="prefix")
+    served = {
+        r.replica_id: sorted(x.request_id for x in r.report.completed)
+        for r in fr.replica_results
+    }
+    assert served == {0: [1, 3, 4, 6, 8], 1: [0, 2, 5, 7]}
+
+    with PipelineRuntime(ref, plan) as rt:
+        direct = ContinuousScheduler(rt, time_scale=0.0).serve(list(requests))
+    want = {r.request_id: r.tokens for r in direct.completed}
+    for r in fr.replica_results:
+        for rec in r.report.completed:
+            np.testing.assert_array_equal(rec.tokens, want[rec.request_id])
 
 
 # ---------------------------------------------------------------------------

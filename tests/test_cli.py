@@ -157,6 +157,41 @@ def test_algo_requires_cluster_or_devices():
         algo_main(["--model-name", "opt-13b"])
 
 
+@pytest.mark.parametrize(
+    "command,flags,message",
+    [
+        ("algo", ["--cluster", "99"], "paper clusters are 1..11, got 99"),
+        ("dist", ["--cluster", "99"], "paper clusters are 1..11, got 99"),
+        ("serve", ["--cluster", "99"], "paper clusters are 1..11, got 99"),
+        ("algo", ["--cluster", "2", "--s", "0"], "--s must be >= 1, got 0"),
+        ("algo", ["--cluster", "2", "--n", "0"], "--n must be >= 1, got 0"),
+        ("algo", ["--cluster", "2", "--global-bz", "0"],
+         "--global-bz must be >= 1, got 0"),
+        ("algo", ["--device-names", "T4-16G", "--device-numbers", "0"],
+         "node must hold at least one GPU"),
+    ],
+)
+def test_bad_cluster_or_workload_is_one_line(
+    strategy_file, tmp_path, capsys, command, flags, message
+):
+    """An unknown paper cluster, an empty workload or a node of no GPUs
+    exits 2 with one ``error:`` line in every command, never a
+    traceback."""
+    from repro.cli import serve_main
+
+    if command == "algo":
+        out = tmp_path / "s.json"
+        rc = algo_main(["--model-name", "opt-13b", *flags, "-o", str(out)])
+        assert not out.exists()
+    else:
+        main = dist_main if command == "dist" else serve_main
+        rc = main(["--strat-file-name", str(strategy_file), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {message}"]
+    assert "Traceback" not in err
+
+
 def test_dist_runs_tiny_model_for_real(tmp_path, capsys):
     """A tiny-model strategy is executed on the actual NumPy runtime."""
     from repro.core.plan import StagePlan
@@ -490,6 +525,103 @@ def test_serve_trace_file_roundtrip(strategy_file, tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags",
     [
+        ["--policy", "continuous"],
+        ["--policy", "continuous", "--engine", "des"],
+        ["--policy", "wave"],
+        ["--policy", "wave", "--engine", "des"],
+        # a diurnal swing that fires the drift detector and migrates
+        ["--replan-on-drift", "--trace", "diurnal", "--rate", "6",
+         "--duration", "120", "--drift-window", "5", "--drift-cooldown", "10"],
+    ],
+    ids=["continuous", "continuous-des", "wave", "wave-des", "drift"],
+)
+def test_serve_one_replica_prints_the_simulator_summary(
+    strategy_file, tmp_path, capsys, flags
+):
+    """One replica, no autoscaler: llmpq-serve's stdout is exactly
+    ``simulate_online(...).summary()`` on the trace it replayed."""
+    from repro.cli import serve_main
+    from repro.hardware import paper_cluster
+    from repro.runtime.replan import DriftConfig, make_search_replanner
+    from repro.sim.online import simulate_online
+    from repro.workload.traces import load_trace
+
+    saved = tmp_path / "trace.json"
+    assert serve_main([
+        "--strat-file-name", str(strategy_file), "--cluster", "1",
+        "--rate", "1", "--duration", "10", *flags, "--save-trace", str(saved),
+    ]) == 0
+    out = capsys.readouterr().out
+
+    def flag(name, default):
+        return flags[flags.index(name) + 1] if name in flags else default
+
+    cluster = paper_cluster(1)
+    drift = replanner = None
+    if "--replan-on-drift" in flags:
+        drift = DriftConfig(window=5.0, threshold=0.5, hysteresis=2, cooldown=10.0)
+        replanner = make_search_replanner(cluster)
+    direct = simulate_online(
+        ExecutionPlan.from_json(strategy_file), cluster, load_trace(saved),
+        policy=flag("--policy", "continuous"), engine=flag("--engine", "analytic"),
+        drift=drift, replanner=replanner,
+    )
+    assert out == direct.summary() + "\n"
+    if drift is not None:
+        assert direct.migrations > 0
+
+
+def test_serve_tiny_fleet(tiny_strategy_file, capsys):
+    """Two real-runtime replicas: the fleet summary and one line per
+    replica, every request routed and completed."""
+    from repro.cli import serve_main
+
+    rc = serve_main([
+        "--strat-file-name", str(tiny_strategy_file),
+        "--rate", "4", "--duration", "2", "--time-scale", "0",
+        "--replicas", "2",
+    ])
+    assert rc == 0
+    head, *lines = capsys.readouterr().out.splitlines()
+    assert head.startswith("[fleet x2 router=round-robin] ")
+    n = int(head.split("] ")[1].split("/")[0])
+    assert n > 0 and f"{n}/{n} completed" in head
+    assert [ln.split(":")[0] for ln in lines] == [
+        "  replica 0 [general]", "  replica 1 [general]",
+    ]
+    routed = [int(ln.split(": ")[1].split(" routed")[0]) for ln in lines]
+    assert sum(routed) == n and min(routed) > 0
+
+
+def test_serve_sim_autoscaled_fleet_json(strategy_file, tmp_path, capsys):
+    """Three simulated replicas behind the TTFT router, autoscaled from
+    one: stdout reports the SLO and every replica, and --fleet-json
+    holds the same report."""
+    from repro.cli import serve_main
+
+    path = tmp_path / "fleet.json"
+    rc = serve_main([
+        "--strat-file-name", str(strategy_file), "--cluster", "1",
+        "--rate", "1", "--duration", "10",
+        "--replicas", "3", "--router", "ttft", "--autoscale",
+        "--slo-ttft", "2", "--fleet-json", str(path),
+    ])
+    assert rc == 0
+    head, *lines = capsys.readouterr().out.splitlines()
+    assert head.startswith("[fleet x3 router=ttft] ")
+    assert "ttft SLO" in head and "scale-ups" in head
+    assert len(lines) == 3
+    report = json.loads(path.read_text())
+    assert report["router"] == "ttft" and report["autoscaled"] is True
+    assert report["slo_ttft"] == 2.0
+    assert report["completed"] + report["rejected"] == report["n_requests"] > 0
+    assert [r["replica_id"] for r in report["replicas"]] == [0, 1, 2]
+    assert sum(r["routed"] for r in report["replicas"]) == report["n_requests"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
         ["--engine", "reference"],
         ["--engine", "reference-des"],
         ["--decode-batching", "per-request"],
@@ -639,6 +771,12 @@ def test_algo_cost_source_model(tmp_path, capsys):
         (["--rate", "inf"], "--rate must be positive and finite, got inf"),
         (["--duration", "inf"], "--duration must be positive and finite, got inf"),
         (["--duration", "-2"], "--duration must be positive and finite, got -2.0"),
+        (["--slo-ttft", "-1"], "--slo-ttft must be positive and finite, got -1.0"),
+        (["--slo-ttft", "nan"], "--slo-ttft must be positive and finite, got nan"),
+        (["--slo-tpot", "-1"], "--slo-tpot must be positive and finite, got -1.0"),
+        (["--slo-tpot", "nan"], "--slo-tpot must be positive and finite, got nan"),
+        (["--autoscale", "--autoscale-min-active", "0"],
+         "--autoscale-min-active must be >= 1, got 0"),
     ],
 )
 def test_serve_malformed_flag_is_one_line(tiny_strategy_file, capsys, flags, message):
