@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -67,6 +68,23 @@ def _flag_error(
             if value is not None and not ok(value):
                 return f"{flag} must be {what}, got {value}"
     return None
+
+
+def _output_error(flag: str, path: str | None) -> str | None:
+    """Why ``path``, given to ``flag``, cannot be written (``None``: it
+    can, or no path was given) — checked before any work runs."""
+    if not path:
+        return None
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        why = "it is a directory"
+    elif not os.path.isdir(parent):
+        why = f"no directory {parent}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        why = "permission denied"
+    else:
+        return None
+    return f"cannot write {flag} {path}: {why}"
 
 
 def _fused_decode_line(st) -> str:
@@ -171,7 +189,9 @@ def algo_main(argv: list[str] | None = None) -> int:
     p.add_argument("-o", "--output", default="strategy.json",
                    help="strategy file to write")
     args = p.parse_args(argv)
-    bad = _flag_error(args, counts=("--global-bz", "--s", "--n"))
+    bad = _flag_error(args, counts=("--global-bz", "--s", "--n")) or (
+        _output_error("-o", args.output)
+    )
     if bad:
         return _fail(bad)
 
@@ -400,8 +420,8 @@ def _fleet_pool_labels(n: int, disaggregate: bool) -> list[str]:
     return [POOL_PREFILL if i % 2 == 0 else POOL_DECODE for i in range(n)]
 
 
-def _emit_fleet(report, json_path: str | None) -> None:
-    """Print the fleet outcome; optionally persist the full report."""
+def _emit_fleet(report) -> None:
+    """Print the fleet outcome, a line per replica and scale event."""
     print(report.summary())
     for r in report.replica_results:
         print(
@@ -414,9 +434,6 @@ def _emit_fleet(report, json_path: str | None) -> None:
             f"  t={e.at:.1f}s {e.pool}: {e.action} replica {e.replica_id} "
             f"(rho={e.utilization:.2f}, active={e.active_after})"
         )
-    if json_path:
-        with open(json_path, "w") as f:
-            json.dump(report.to_json(), f, indent=2)
 
 
 def serve_main(argv: list[str] | None = None) -> int:
@@ -526,7 +543,8 @@ def serve_main(argv: list[str] | None = None) -> int:
                    help="per-output-token SLO in seconds: report attainment")
     g.add_argument("--fleet-json", default=None,
                    help="write the fleet report (per-replica stats, scale "
-                        "events) to this JSON file")
+                        "events) to this JSON file; one replica writes a "
+                        "one-replica report")
     args = p.parse_args(argv)
 
     bad = _flag_error(
@@ -535,6 +553,8 @@ def serve_main(argv: list[str] | None = None) -> int:
         + ("--slo-ttft", "--slo-tpot"),
         nonneg=("--time-scale",),
         counts=("--max-prompt", "--max-gen", "--autoscale-min-active"),
+    ) or _output_error("--fleet-json", args.fleet_json) or (
+        _output_error("--save-trace", args.save_trace)
     )
     if bad:
         return _fail(bad)
@@ -660,8 +680,11 @@ def serve_main(argv: list[str] | None = None) -> int:
         return _fail(f"serving failed: {e}", code=3)
 
     res = freport.replica_results[0]
+    if args.fleet_json:  # every replay, one replica included
+        with open(args.fleet_json, "w") as f:
+            json.dump(freport.to_json(), f, indent=2)
     if fleet_mode:
-        _emit_fleet(freport, args.fleet_json)
+        _emit_fleet(freport)
     elif res.online is not None:
         print(res.online.summary())
     else:

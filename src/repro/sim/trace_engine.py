@@ -14,9 +14,10 @@ rules of this one engine:
   goes on the ring at ``n_max`` with ``s_max + n_max`` slots, and the
   context sum counts ``s_max`` per member, so ring, ``ctx`` and ``held``
   stay one ledger.  Its decode runs watch no queue head (the wave drains
-  first) and it never stretches.  Samples need nothing new: TTFT comes
-  from ``adm_it`` and latency at each member's own ``gen_len``, where
-  the runtime stamps ``finish_time``; throughput counts useful tokens.
+  first); it opens no stretch or window.  Samples need nothing new: TTFT
+  comes from ``adm_it`` and latency at each member's own ``gen_len``,
+  where the runtime stamps ``finish_time``; throughput counts useful
+  tokens.
 
 State.  Request columns (``arrival`` / ``prompt_len`` / ``gen_len``)
 stay numpy arrays end to end.  The in-flight set is three integers —
@@ -40,9 +41,9 @@ clock after boundary ``i``.
 * The context mean of a boundary is ``float(ctx) / float(b)``: the spec
   averages integers (an exact float64 sum below 2^53, divided once), so
   the integer running sum yields the same quotient bit for bit.
-* Stretches with no admission are **decode runs**: three ring slices
-  and three ``cumsum`` s give every future batch size, context sum and
-  slot count, the run is priced in chunked
+* Stretches with no admission (DES; windows paused) are **decode
+  runs**: three ring slices and three ``cumsum`` s give every future
+  batch size, context sum and slot count, the run is priced in chunked
   :meth:`~repro.cost.stagecosts.StageCostModel.unit_decode_times_batch`
   calls, and the clock advances by ``np.add.accumulate`` — the same left
   fold as ``now += step``.  A run that only watches the queue head's
@@ -54,13 +55,16 @@ clock after boundary ``i``.
   KV fit and cap are each monotone within a run), the drift detector's
   next window close, the group draining dry, or the end of the block.
 * With a real backlog — this boundary's admission leaves *arrived*
-  requests unadmitted, the one observable that makes the bet winnable —
-  the engine runs a **boundary stretch**: it schedules up to K
-  admit/retire boundaries on the ring as pure integer arithmetic, prices
-  them in one batch call, then validates and commits the prefix before
-  the first arrival or drift-window crossing the schedule missed (the
-  uncommitted tail is subtracted from the ring again).  Below capacity
-  the gate never opens; both paths are exact, so it moves speed only.
+  requests unadmitted — the engine runs a **boundary stretch**: it
+  schedules up to K admit/retire boundaries on the ring as integer
+  arithmetic, prices them in one batch call, and commits the prefix
+  before the first arrival or drift-window crossing it missed.
+* Below capacity — every arrived request admitted — the analytic
+  continuous engine runs an **admission window**: it guesses the
+  boundary each queued arrival lands on from the last priced decode
+  steps, schedules and prices up to K boundaries the same way, and
+  commits the prefix on which each boundary admitted exactly the rows
+  arrived by its priced start.  All three paths are exact.
 * Samples are **derived, not accumulated**, once per *block* of at most
   ``_BLOCK`` boundaries: TTFT is ``t_end[adm_it[k]] - arrival[k]`` in
   row order (= FIFO admission order) and latency is ``t_end[fin] -
@@ -82,6 +86,7 @@ every :class:`~repro.sim.online.OnlineResult` field and every
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -103,6 +108,12 @@ _CHUNK_GROW = 4
 #: speculative stretch sizing (boundaries scheduled before pricing)
 _STRETCH0 = 8
 _STRETCH_MAX = 8192
+
+#: admission windows: boundaries scheduled before pricing, pricings per
+#: window, queued rows placed; a commit shorter than _WINDOW_MIN
+#: boundaries pauses windows for _WINDOW_PAUSE boundaries
+_WINDOW, _WINDOW_TRIES, _WINDOW_ROWS = 1024, 3, 64
+_WINDOW_MIN, _WINDOW_PAUSE = 4, 12
 
 #: boundaries per completion-ordering block: a block-relative finish
 #: boundary must fit the int16 key numpy radix-sorts
@@ -189,6 +200,10 @@ class _Engine:
         # schedule to bet on, so it never stretches
         self._stretch_block = float("inf") if self.wave else 0
         self._step_hint = 0.0
+        # admission windows: analytic continuous runs only; the decode
+        # steps priced past the last window's commit seed the next guess
+        self._win_dec = np.empty(0)
+        self._win_block = float("inf") if self.wave or self.des else 0
         # seconds per boundary of the last decode run (inf: none yet, so
         # the first run starts at _CHUNK0); sizes pricing chunks only
         self._run_pace = float("inf")
@@ -515,6 +530,120 @@ class _Engine:
                 self._stretch_block = self.it + 12
         return M
 
+    # -- admission windows below capacity -------------------------------
+    def _window(self, q: int) -> int:
+        """Run up to K boundaries, each admitting what has arrived by its
+        start, priced in one batch; commit the longest exact prefix
+        (returned; >= 1).  Entered with a group in flight when this
+        boundary admits every arrived request (rows ``[ptr, q)``).
+
+        Guess where each queued arrival lands, schedule admissions and
+        retirements as integer cumsums up to a drain or a KV/cap bind,
+        price, and keep the boundaries whose queue head equals
+        ``arr.searchsorted(C[t-1], "right")`` — the exact path's.  An
+        early miss is placed again from the decode steps just priced.
+        """
+        arr, spr, sgen, toks = self.arr, self.spr, self.sgen, self._toks
+        cumq, cumspr, pf_max = self._cumq, self._cumspr, self._pf_max
+        it0, now0, ptr0 = self.it, self.now, self.ptr
+        b0, ctx0, held0, cap = self.b, self.ctx, self.held, self.max_batch
+        j0 = it0 - self.base  # window boundary t lives at slot j0 + t
+        K0 = min(_WINDOW, _BLOCK - j0)
+        guess = self._win_dec if self._win_dec.size else (
+            self._decode_row().sum(keepdims=True))
+        for _ in range(_WINDOW_TRIES):
+            # ---- guess: decode steps extended by the last, start clocks
+            g = np.full(K0, guess[-1])
+            g[0] = now0
+            g[1:guess.size + 1] = guess[:K0 - 1]
+            st = np.add.accumulate(g).tolist()
+            K = K0 if self.detector is None else (  # a drift poll ends it
+                min(K0, bisect_left(st, self.win_end) + 2))
+            # a row lands at the first start at or past its arrival; each
+            # admission delays every later start by its prefill unit
+            hi = max(q, ptr0 + 2 * _WINDOW_ROWS)  # boundary 1 takes [ptr0, q)
+            ts: list[int] = []
+            cur, d_cur, d_next = 1, 0.0, 0.0
+            for i, (a, d) in enumerate(zip(
+                arr[ptr0:hi].tolist(), pf_max[spr[ptr0:hi]].tolist())):
+                if a > st[cur - 1] + d_cur:
+                    t = max(bisect_left(st, a - d_next, 0, K) + 1, cur + 1)
+                    if t > K or i >= _WINDOW_ROWS:  # end before it lands
+                        K = min(K, t - 1)
+                        break
+                    cur, d_cur = t, d_next
+                ts.append(cur)
+                d_next += d
+            k = ptr0 + len(ts)
+            t_adm = np.array(ts, dtype=np.int64)
+            # ---- schedule: the ring plus the newcomers' retirements ----
+            fin = t_adm + sgen[ptr0:k] - 1
+            near = fin <= K
+            nb = np.bincount(t_adm, minlength=K + 1)[1:]
+            cnt = self.r_cnt[j0 + 1:j0 + K + 1] + np.bincount(
+                fin[near], minlength=K + 1)[1:]
+            tok = self.r_tok[j0 + 1:j0 + K + 1] + np.bincount(
+                fin[near], toks[ptr0:k][near], minlength=K + 1)[1:].astype(np.int64)
+            pr = np.concatenate(((0,), np.cumsum(nb))) + ptr0
+            b_aft = b0 + np.cumsum(nb - cnt)
+            b_bef = np.concatenate(((b0,), b_aft[:-1]))
+            held_aft = held0 + np.cumsum(cumq[pr[1:]] - cumq[pr[:-1]] - tok)
+            s_aft = ctx0 + np.cumsum(b_bef + nb + cumspr[pr[1:]] - cumspr[pr[:-1]] - tok)
+            s_bef = np.concatenate(((ctx0,), s_aft[:-1]))
+            bind = (nb > 0) & (  # the state before the admissions
+                (held_aft + tok > self.budget) | (b_aft + cnt > (cap or self.n_req))
+            )
+            L = int(bind.argmax()) if bind.any() else K
+            if not b_aft[:L].all():
+                L = int(b_aft.argmin()) + 1
+            # ---- price: one batch, prefill tails folded left -----------
+            bb = b_bef[:L]
+            dec = self.scm.unit_decode_times_batch(bb, s_bef[:L] / bb).sum(axis=1)
+            step, has = dec.copy(), nb[:L] > 0
+            if has.any():
+                maxes = pf_max[spr[ptr0:pr[L]]]
+                firsts, lens = pr[:L][has] - ptr0, nb[:L][has]
+                tails = maxes[firsts]
+                for i in np.flatnonzero(lens > 1).tolist():
+                    f = firsts[i]
+                    tails[i] = np.add.accumulate(maxes[f:f + lens[i]])[-1]
+                step[has] += tails
+            C = np.add.accumulate(np.concatenate(((now0,), step)))
+            # ---- validate: each boundary admits what has arrived -------
+            ok = arr.searchsorted(C[:L], side="right") == pr[1:L + 1]
+            Mv = L if ok.all() else int(ok.argmin())
+            if 2 * Mv >= L:  # held, or held for half the window
+                break
+            guess = dec
+        M, flush = Mv, False
+        if self.detector is not None:
+            c = int(np.searchsorted(C[1:Mv + 1], self.win_end, side="left"))
+            if c < Mv:
+                M, flush = c + 1, True  # poll right after the crossing
+
+        # ---- commit M boundaries --------------------------------------
+        pm = int(pr[M])
+        if pm > ptr0:
+            slots = j0 + fin[:pm - ptr0]
+            self._ring_add(slots, toks[ptr0:pm])
+            self.adm_it[ptr0:pm] = it0 + t_adm[:pm - ptr0]
+            self.last_fin = max(self.last_fin, self.base + int(slots.max()))
+        self.t_end[j0 + 1:j0 + M + 1] = C[1:M + 1]
+        self.it = it0 + M
+        self.inflight_sum += int(b_bef[:M].sum()) + pm - ptr0
+        self.now = float(C[M])
+        self.b, self.ctx = int(b_aft[M - 1]), int(s_aft[M - 1])
+        self.held, self.ptr = int(held_aft[M - 1]), pm
+        self._win_dec = dec[M:] if M < L else dec[-1:]
+        if self.detector is not None:
+            self._observe(C[1:M + 1], held_aft[:M])
+            if flush:
+                self._flush_and_poll()
+
+        if M < _WINDOW_MIN:
+            self._win_block = self.it + _WINDOW_PAUSE
+        return M
+
     # -- decode runs ----------------------------------------------------
     def _decode_run(self, arrived: bool) -> None:
         """Execute decode-only boundaries up to the next event.
@@ -816,6 +945,9 @@ class _Engine:
             # a real backlog: arrived requests stay queued behind this
             # boundary's admission
             self._stretch()
+        elif p == q and self.b and self.it >= self._win_block:
+            # below capacity: nothing arrived is left queued
+            self._window(q)
         elif p > ptr:
             self._admission_iteration(p)
         elif self.b:

@@ -335,12 +335,16 @@ def test_underloaded_trace_never_stretches(monkeypatch):
 
 @pytest.mark.parametrize("engine", ["analytic", "des"])
 def test_below_capacity_prices_each_boundary_once(engine):
-    """Below capacity a decode run only watches the queue head's arrival:
-    its first pricing chunk is sized to the arrival gap, so a run is one
-    ``unit_decode_times_batch`` call (not an 8/32/128 ladder), and the
-    admitting boundary takes the row its run priced past its end instead
-    of a scalar lookup — only an admission right behind another (no run
-    in between) still pays one.  Neither can move a result."""
+    """Below capacity the analytic engine admits a window of arrivals per
+    pricing call: on this trace 12 decode pricing calls per 100
+    arrivals, where one decode run and one admission per arrival took 95
+    (bound: 16).  The DES engine has no windows: a decode run only
+    watches the queue head's arrival, its first pricing chunk is sized
+    to the arrival gap, so a run is one ``unit_decode_times_batch`` call
+    (not an 8/32/128 ladder), and the admitting boundary takes the row
+    its run priced past its end instead of a scalar lookup — only an
+    admission right behind another (no run in between) still pays one.
+    None of it can move a result."""
     plan, cluster = PLANS["mixed"]
     trace = sample_poisson_arrivals(1.0, 120.0, seed=9, max_prompt=96, max_gen=24)
     calls = Counter()
@@ -357,9 +361,13 @@ def test_below_capacity_prices_each_boundary_once(engine):
                 calls.update([_n]) or _f(self, *a),
             )
         simulate_online(plan, cluster, trace, policy="continuous", engine=engine)
-    assert calls["_decode_run"] > 50
-    assert calls["unit_decode_times_batch"] <= 1.01 * calls["_decode_run"]
-    assert calls["unit_decode_times"] < 0.4 * calls["_admission_iteration"]
+    if engine == "analytic":
+        priced = calls["unit_decode_times"] + calls["unit_decode_times_batch"]
+        assert len(trace) > 100 and 100 * priced <= 16 * len(trace)
+    else:
+        assert calls["_decode_run"] > 50
+        assert calls["unit_decode_times_batch"] <= 1.01 * calls["_decode_run"]
+        assert calls["unit_decode_times"] < 0.4 * calls["_admission_iteration"]
     _assert_identical(plan, cluster, trace, engine=engine)
 
 
@@ -368,8 +376,10 @@ def test_kept_row_dropped_at_rebind(monkeypatch):
     spare row was priced for must not leak the old plan's price: binding
     the new cost model drops the row, and the run equals the spec (which
     prices that boundary under the new plan).  The control carries the
-    row across the rebind and diverges."""
+    row across the rebind and diverges.  Runs on the DES engine, whose
+    decode runs still end below capacity with a kept row."""
     plan, cluster, trace, kw = _recut_case()
+    kw["engine"] = "des"
     live = []
     bind = _Engine._bind_cost_model
 
@@ -390,6 +400,98 @@ def test_kept_row_dropped_at_rebind(monkeypatch):
 
     monkeypatch.setattr(_Engine, "_bind_cost_model", carry)
     assert simulate_online(plan, cluster, trace, policy="continuous", **kw) != res
+
+
+def _window_ends(monkeypatch) -> Counter:
+    """Spy on ``_Engine._window``: after each window, count which ways of
+    ending it the engine state shows — the group drained, the arrived
+    queue head waits on KV slots (``fit``) or on the cap, a drift poll
+    migrated the plan, the block filled — and whether several arrivals
+    shared one boundary past the first, or the guess was priced again."""
+    seen = Counter()
+    window, batch = _Engine._window, StageCostModel.unit_decode_times_batch
+    priced = [0]
+
+    def count(self, *a):
+        priced[0] += 1
+        return batch(self, *a)
+
+    def spy(self, q):
+        it0, ptr0, mig0, n0 = self.it, self.ptr, self.migrations, priced[0]
+        committed = window(self, q)
+        head = self.ptr
+        waiting = self.b and head < self.n_req and self.arr[head] <= self.now
+        later = self.adm_it[ptr0:head]
+        later = later[later > it0 + 1]
+        seen.update(k for k, hit in {
+            "drain": self.b == 0,
+            "fit": waiting and self.held + self._toks[head] > self.budget,
+            "cap": waiting and self.b == self.max_batch,
+            "migrate": self.migrations > mig0,
+            "block": self.it - self.base == trace_engine._BLOCK,
+            "shared": np.unique(later).size < later.size,
+            "retry": priced[0] - n0 > 1,
+        }.items() if hit)
+        return committed
+
+    monkeypatch.setattr(StageCostModel, "unit_decode_times_batch", count)
+    monkeypatch.setattr(_Engine, "_window", spy)
+    return seen
+
+
+def _window_case(end: str, monkeypatch):
+    """A below-capacity run on which admission windows end by ``end``."""
+    plan, cluster = PLANS["mixed"]
+    rng = np.random.default_rng(1)
+    poisson = sample_poisson_arrivals(1.0, 80.0, seed=4, max_prompt=96, max_gen=24)
+    if end == "fit":  # long decodes of ~1.8k slots: about eight fit
+        return plan, cluster, ArrivalTrace(
+            arrivals=np.cumsum(rng.exponential(4.0, 40)),
+            prompt_lens=rng.integers(1000, 2000, 40),
+            gen_lens=rng.integers(200, 400, 40),
+        ), {}
+    if end == "cap":
+        return plan, cluster, poisson, dict(max_batch=3)
+    if end == "migrate":
+        return _recut_case()
+    if end == "block":
+        monkeypatch.setattr(trace_engine, "_BLOCK", 3)
+    if end == "drain":
+        return plan, cluster, sample_poisson_arrivals(
+            0.3, 100.0, seed=4, max_prompt=96, max_gen=6
+        ), {}
+    if end == "shared":  # arrivals in threes, a millisecond apart
+        head = np.sort(rng.uniform(0.0, 60.0, 40))
+        return plan, cluster, ArrivalTrace(
+            arrivals=np.sort(np.concatenate((head, head + 1e-3, head + 2e-3))),
+            prompt_lens=rng.integers(16, 96, 120),
+            gen_lens=rng.integers(8, 24, 120),
+        ), {}
+    if end == "retry":  # every first guess takes a boundary for 1 ms
+        window = _Engine._window
+
+        def wrong_pace(self, q):
+            self._win_dec = np.array([1e-3])
+            return window(self, q)
+
+        monkeypatch.setattr(_Engine, "_window", wrong_pace)
+    return plan, cluster, poisson, {}
+
+
+@pytest.mark.parametrize(
+    "end", ["fit", "cap", "migrate", "block", "drain", "shared", "retry"]
+)
+def test_admission_window_ends_identical(end, kv_charge, monkeypatch):
+    """Every way an admission window ends — KV fit or the cap binding,
+    a drift window closing on a migration, the block filling, the
+    group draining between arrivals, several arrivals landing inside one
+    boundary, a first guess so wrong it is priced again — commits only
+    what the one-boundary spec runs: each case equals it field for
+    field, and the spy sees that ending."""
+    plan, cluster, trace, kw = _window_case(end, monkeypatch)
+    seen = _window_ends(monkeypatch)
+    _assert_identical(plan, cluster, trace, kv_charge=kv_charge, **kw)
+    assert seen[end] > 0, dict(seen)
 
 
 @pytest.mark.parametrize("engine", ["analytic", "des"])
@@ -654,6 +756,22 @@ class RetireRingMachine(RuleBasedStateMachine):
     @rule()
     def close_block(self):
         self.eng._close_block()
+
+    @precondition(
+        lambda self: self.running() and self.eng.b
+        and not (self.eng.wave or self.eng.des)
+        and self.eng.it - self.eng.base < trace_engine._BLOCK
+    )
+    @rule()
+    def window(self):
+        """An admission window wherever the engine could open one: a
+        group in flight and every arrived request fits."""
+        e = self.eng
+        q = e.ptr
+        if q < e.n_req and e.arr[q] <= e.now:
+            q = int(e.arr.searchsorted(e.now, side="right"))
+        if q == e.ptr or e._admit_end(q) == q:
+            assert e._window(q) >= 1
 
     @precondition(lambda self: self.running() and not self.eng.wave)
     @rule(k=st.integers(0, 2))

@@ -169,19 +169,32 @@ def test_algo_requires_cluster_or_devices():
          "--global-bz must be >= 1, got 0"),
         ("algo", ["--device-names", "T4-16G", "--device-numbers", "0"],
          "node must hold at least one GPU"),
+        # unwritable outputs fail before any planning or replay
+        ("algo", ["--cluster", "2", "-o", "{tmp}/gone/s.json"],
+         "cannot write -o {tmp}/gone/s.json: no directory {tmp}/gone"),
+        ("algo", ["--cluster", "2", "-o", "{tmp}"],
+         "cannot write -o {tmp}: it is a directory"),
+        ("serve", ["--fleet-json", "{tmp}/gone/f.json"],
+         "cannot write --fleet-json {tmp}/gone/f.json: no directory {tmp}/gone"),
+        ("serve", ["--replicas", "2", "--fleet-json", "{tmp}"],
+         "cannot write --fleet-json {tmp}: it is a directory"),
+        ("serve", ["--save-trace", "{tmp}/gone/t.json"],
+         "cannot write --save-trace {tmp}/gone/t.json: no directory {tmp}/gone"),
     ],
 )
 def test_bad_cluster_or_workload_is_one_line(
     strategy_file, tmp_path, capsys, command, flags, message
 ):
-    """An unknown paper cluster, an empty workload or a node of no GPUs
-    exits 2 with one ``error:`` line in every command, never a
-    traceback."""
+    """An unknown paper cluster, an empty workload, a node of no GPUs or
+    an output path that cannot be written exits 2 with one ``error:``
+    line in every command, never a traceback."""
     from repro.cli import serve_main
 
+    flags = [f.format(tmp=tmp_path) for f in flags]
+    message = message.format(tmp=tmp_path)
     if command == "algo":
         out = tmp_path / "s.json"
-        rc = algo_main(["--model-name", "opt-13b", *flags, "-o", str(out)])
+        rc = algo_main(["--model-name", "opt-13b", "-o", str(out), *flags])
         assert not out.exists()
     else:
         main = dist_main if command == "dist" else serve_main
@@ -452,17 +465,21 @@ def tiny_strategy_file(tmp_path_factory):
     return path
 
 
-def test_serve_tiny_continuous(tiny_strategy_file, capsys):
+def test_serve_tiny_continuous(tiny_strategy_file, tmp_path, capsys):
     from repro.cli import serve_main
 
+    fleet = tmp_path / "fleet.json"
     rc = serve_main([
         "--strat-file-name", str(tiny_strategy_file),
         "--rate", "4", "--duration", "2", "--time-scale", "0",
+        "--fleet-json", str(fleet),
     ])
     out = capsys.readouterr().out
     assert rc == 0
     assert "[continuous]" in out and "0 rejected" in out
     assert "latency p50" in out and "ttft mean" in out
+    report = json.loads(fleet.read_text())
+    assert report["completed"] == report["n_requests"] > 0
 
 
 def test_serve_tiny_wave_baseline(tiny_strategy_file, capsys):
@@ -546,10 +563,11 @@ def test_serve_one_replica_prints_the_simulator_summary(
     from repro.sim.online import simulate_online
     from repro.workload.traces import load_trace
 
-    saved = tmp_path / "trace.json"
+    saved, fleet = tmp_path / "trace.json", tmp_path / "fleet.json"
     assert serve_main([
         "--strat-file-name", str(strategy_file), "--cluster", "1",
         "--rate", "1", "--duration", "10", *flags, "--save-trace", str(saved),
+        "--fleet-json", str(fleet),
     ]) == 0
     out = capsys.readouterr().out
 
@@ -569,6 +587,11 @@ def test_serve_one_replica_prints_the_simulator_summary(
     assert out == direct.summary() + "\n"
     if drift is not None:
         assert direct.migrations > 0
+    # --fleet-json writes the one-replica report, stdout unchanged
+    report = json.loads(fleet.read_text())
+    assert [r["replica_id"] for r in report["replicas"]] == [0]
+    assert report["n_requests"] == len(load_trace(saved))
+    assert report["completed"] == direct.completed
 
 
 def test_serve_tiny_fleet(tiny_strategy_file, capsys):
