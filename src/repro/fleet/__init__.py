@@ -21,7 +21,7 @@ from .replica import (
     SimReplica,
 )
 from .report import FleetReport
-from .router import ROUTER_POLICIES, ReplicaLoad, Router
+from .router import ROUTER_POLICIES, Router
 
 __all__ = [
     "POOLS",
@@ -33,7 +33,6 @@ __all__ = [
     "FleetAutoscaler",
     "FleetReport",
     "PipelineReplica",
-    "ReplicaLoad",
     "ReplicaResult",
     "Router",
     "RuntimeReplica",

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 from ..runtime.replan import DriftConfig, DriftDetector
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -50,18 +52,20 @@ class AutoscaleConfig:
     provision_seconds: float = 0.0  #: delay before a scaled-up replica serves
 
     def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise ValueError("window must be positive")
+        if not 0 < self.window < float("inf"):
+            raise ValueError(f"window must be positive and finite, got {self.window}")
         if not 0 < self.low < self.high:
             raise ValueError("need 0 < low < high")
         if self.hysteresis < 1:
             raise ValueError("hysteresis must be >= 1")
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be >= 0")
+        if not self.cooldown >= 0:  # NaN fails too
+            raise ValueError(f"cooldown must be >= 0, got {self.cooldown}")
         if self.min_active < 0:
             raise ValueError("min_active must be >= 0")
-        if self.provision_seconds < 0:
-            raise ValueError("provision_seconds must be >= 0")
+        if not self.provision_seconds >= 0:
+            raise ValueError(
+                f"provision_seconds must be >= 0, got {self.provision_seconds}"
+            )
 
 
 @dataclass(frozen=True)
@@ -154,20 +158,25 @@ class FleetAutoscaler:
         return sorted(out, key=lambda r: r.replica_id)
 
     # -- signals --------------------------------------------------------
-    def observe(
-        self,
-        t: float,
-        pool: str,
-        prompt_len: int,
-        gen_len: int,
-        service_seconds: float,
-    ) -> None:
-        """Account one routed request against its pool's open window."""
+    def observe(self, pool: str, times, prompt_lens, gen_lens, service_seconds) -> None:
+        """Account a run of routed requests (aligned arrays, routing
+        order) against ``pool``'s open window: demand is the left fold
+        of their service seconds onto the open demand (``np.cumsum`` adds
+        in order; ``np.sum`` would pair them and move the float)."""
         st = self._pools[pool]
-        st.demand += service_seconds
-        st.detector.observe_arrival(t, prompt_len, gen_len)
+        st.demand = float(np.cumsum(np.append(st.demand, service_seconds))[-1])
+        st.detector.observe_arrivals(times, prompt_lens, gen_lens)
 
     # -- decisions ------------------------------------------------------
+    def next_event(self) -> float:
+        """Earliest virtual time at which :meth:`advance` would act (a
+        window close or a pending activation): before it every pool's
+        active set is fixed."""
+        return min(
+            [st.win_end for st in self._pools.values()]
+            + [avail_at for avail_at, _, _ in self._pending]
+        )
+
     def advance(self, now: float) -> list[ScaleEvent]:
         """Close every window ending before ``now``; apply scale actions."""
         fired: list[ScaleEvent] = []

@@ -5,14 +5,16 @@ simulator replicas over an arrival trace, real tiny-model replicas over
 materialized requests — and runs the same deterministic three-phase
 shape for both:
 
-1. **Route** — a single forward pass over the arrival-sorted trace.
-   Each request is classified to a pool (prompt-dominated requests to a
-   ``prefill`` pool, generation-dominated to ``decode``, when those
-   pools exist), the autoscaler closes any utilization windows the
-   clock crossed (possibly activating or draining replicas), and the
-   router picks a target among the pool's active replicas from the
-   approximate load estimates.  Requests that find no active replica
-   are rejected — the SLO report counts them as violations.
+1. **Route** — one pass over the arrival-sorted trace, a segment
+   between two autoscaler events at a time.  Each request is
+   classified to a pool (prompt-dominated requests to a ``prefill``
+   pool, generation-dominated to ``decode``, when those pools exist),
+   the autoscaler closes the utilization windows the clock crossed at
+   each segment's head (possibly activating or draining replicas), and
+   the router picks a target among the pool's active replicas from
+   per-replica column state (approximate load estimates).  Requests
+   that find no active replica are rejected — the SLO report counts
+   them as violations.
 2. **Serve** — each replica independently serves its assigned
    sub-trace through its own backend (vectorized trace engine or real
    scheduler+runtime).  Arrival times are absolute, so every replica
@@ -32,6 +34,7 @@ why ``llmpq-serve`` runs every replay, one replica or many, through
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +50,7 @@ from .replica import (
     SimReplica,
 )
 from .report import FleetReport
-from .router import _HASH_MUL, ReplicaLoad, Router
+from .router import _HASH_MUL, Router
 
 __all__ = ["serve_fleet", "plan_sim_replica"]
 
@@ -71,14 +74,17 @@ def _pool_map(
     return pools
 
 
-def _classify(pools: "dict[str, list]", s: int, g: int) -> str:
-    """Pool for one request: prefill-heavy vs decode-heavy when the
-    fleet is disaggregated, the general pool otherwise."""
-    if POOL_PREFILL in pools or POOL_DECODE in pools:
-        phase = POOL_PREFILL if s >= g else POOL_DECODE
-        if phase in pools:
-            return phase
-    return POOL_GENERAL
+def _pool_codes(names: "list[str]", spr: np.ndarray, sgen: np.ndarray) -> np.ndarray:
+    """Pool index per row (-1: no pool takes it): prompt-heavy rows
+    (``s >= g``) to a ``prefill`` pool and the rest to ``decode`` when
+    those pools exist, everything else to the general pool."""
+    gen = names.index(POOL_GENERAL) if POOL_GENERAL in names else -1
+    code = np.full(spr.size, gen, dtype=np.int64)
+    heavy = spr >= sgen
+    for name, sel in ((POOL_PREFILL, heavy), (POOL_DECODE, ~heavy)):
+        if name in names:
+            code[sel] = names.index(name)
+    return code
 
 
 def _route(
@@ -90,71 +96,132 @@ def _route(
     autoscaler: "FleetAutoscaler | None",
     prefix_keys: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, int]:
-    """Assign each sorted-trace row to a replica id (-1 = rejected)."""
-    n = arr.size
-    pools = _pool_map(reps)
-    assign = np.full(n, -1, dtype=np.int64)
+    """Assign each sorted-trace row to a replica id (-1 = rejected).
 
+    One loop over *segments*: runs of arrivals between two autoscaler
+    events (a window close or a pending activation).  Inside a segment
+    every pool's live set is fixed, so the autoscaler advances only at a
+    segment's head and observes the segment's routed rows in one call;
+    without an autoscaler the whole trace is one segment.  A replica
+    prices its columns once, when it first becomes live: per-row prefill
+    seconds (the simulator's batch-1 stage sums, one
+    ``unit_prefill_times_batch`` over the distinct prompt lengths) and
+    service seconds ``prefill + g * tpot``.
+    """
+    n = arr.size
+    assign = np.full(n, -1, dtype=np.int64)
     if autoscaler is None and len(reps) == 1:
         # degenerate fleet: everything to the lone replica (unless draining)
         if not reps[0].draining:
             assign[:] = reps[0].replica_id
         return assign, int((assign < 0).sum())
 
-    if autoscaler is None and router.policy in ("round-robin", "prefix"):
-        # stateless policies over a static fleet: vectorized fast path
-        for name, members in pools.items():
-            live = [r for r in members if not r.draining]
-            if name == POOL_GENERAL:
-                mask = np.ones(n, dtype=bool)
-                for other in (POOL_PREFILL, POOL_DECODE):
-                    if other in pools:
-                        sel = spr >= sgen if other == POOL_PREFILL else spr < sgen
-                        mask &= ~sel
-            else:
-                # phase pools absorb their phase; general takes the rest
-                mask = spr >= sgen if name == POOL_PREFILL else spr < sgen
-            if not live:
-                continue  # rows stay rejected (-1)
-            ids = np.array([r.replica_id for r in live], dtype=np.int64)
-            idx = np.flatnonzero(mask)
-            if router.policy == "round-robin":
-                assign[idx] = ids[np.arange(idx.size) % ids.size]
-            else:
-                keys = (
-                    prefix_keys[idx]
-                    if prefix_keys is not None
-                    else spr[idx].astype(np.int64)
-                )
-                assign[idx] = ids[((keys * _HASH_MUL) & 0xFFFFFFFF) % ids.size]
-        return assign, int((assign < 0).sum())
-
-    loads = {r.replica_id: ReplicaLoad(r) for r in reps}
+    pools = _pool_map(reps)
+    names = list(pools)
+    code = _pool_codes(names, spr, sgen)
+    policy = router.policy
+    uniq, inv = np.unique(spr, return_inverse=True)
+    cols: dict[int, tuple] = {}      # service column, prefill and service lists
+    busy: dict[int, float] = {}      # single-server busy-until horizons
+    held: dict[int, list] = {}       # least-loaded: [kv slots, queue, heap]
+    # round-robin turns: a rotation per pool on a static fleet, one
+    # rotation shared by every pool under an autoscaler
+    turns = dict.fromkeys(names, 0)
+    shared = 0
     arr_l = arr.tolist()
-    spr_l = spr.tolist()
-    sgen_l = sgen.tolist()
-    for k in range(n):
-        t, s, g = arr_l[k], spr_l[k], sgen_l[k]
-        if autoscaler is not None:
-            autoscaler.advance(t)
-        name = _classify(pools, s, g)
-        if name not in pools:
-            continue  # no pool can take this phase: rejected
-        if autoscaler is not None:
-            live = autoscaler.active(name)
+    toks_l = (spr + sgen).tolist() if policy == "least-loaded" else None
+
+    def price(r: "PipelineReplica") -> tuple:
+        c = cols.get(r.replica_id)
+        if c is None:
+            pre = r.cost.unit_prefill_times_batch(uniq).sum(axis=1)[inv]
+            s = pre + sgen * r.tpot_seconds()
+            c = cols[r.replica_id] = (s, pre.tolist(), s.tolist())
+        return c
+
+    k = 0
+    while k < n:
+        if autoscaler is None:
+            j = n
+            live = [[r for r in pools[x] if not r.draining] for x in names]
         else:
-            live = [r for r in pools[name] if not r.draining]
-        cands = [
-            loads.setdefault(r.replica_id, ReplicaLoad(r)) for r in live
-        ]  # setdefault: factory-built replicas join the load map lazily
-        key = int(prefix_keys[k]) if prefix_keys is not None else None
-        choice = router.pick(cands, t, s, g, prefix_key=key)
-        if choice is None:
-            continue
-        svc = choice.assign(t, s, g)
-        assign[k] = choice.replica.replica_id
-        if autoscaler is not None:
-            autoscaler.observe(t, name, s, g, svc)
+            autoscaler.advance(arr_l[k])
+            j = max(int(arr.searchsorted(autoscaler.next_event())), k + 1)
+            live = [autoscaler.active(x) for x in names]
+        seg = code[k:j]
+        if policy == "round-robin" and autoscaler is not None:
+            ok = np.isin(seg, [p for p, m in enumerate(live) if m])
+            tick = shared + np.cumsum(ok) - 1
+            shared += int(ok.sum())
+        for p, name in enumerate(names):
+            members = live[p]
+            rows = k + np.flatnonzero(seg == p)
+            m = len(members)
+            if not m or not rows.size:
+                continue  # no live replica: rows stay rejected (-1)
+            if policy == "round-robin":
+                if autoscaler is None:
+                    pos = turns[name] + np.arange(rows.size)
+                    turns[name] += rows.size
+                else:
+                    pos = tick[rows - k]
+                a = pos % m
+            elif policy == "prefix":
+                keys = spr if prefix_keys is None else prefix_keys
+                a = ((keys[rows].astype(np.int64) * _HASH_MUL) & 0xFFFFFFFF) % m
+            else:
+                a = []
+                cs = [price(r) for r in members]
+                pre = [c[1] for c in cs]
+                sv = [c[2] for c in cs]
+                b = [busy.get(r.replica_id, 0.0) for r in members]
+                if policy == "ttft":
+                    i = 0
+                    for row in rows.tolist():
+                        t = arr_l[row]
+                        if m > 1:
+                            best = None
+                            for c in range(m):  # id order: strict < keeps lowest id
+                                w = b[c] - t
+                                sc = (w if w > 0.0 else 0.0) + pre[c][row]
+                                if best is None or sc < best:
+                                    best, i = sc, c
+                        w = b[i]
+                        b[i] = (w if w > t else t) + sv[i][row]
+                        a.append(i)
+                else:  # least-loaded
+                    hs = [held.setdefault(r.replica_id, [0, 0, []]) for r in members]
+                    bud = [r.token_budget for r in members]
+                    for row in rows.tolist():
+                        t = arr_l[row]
+                        best = None
+                        for c in range(m):
+                            h = hs[c]
+                            heap = h[2]
+                            while heap and heap[0][0] <= t:  # retire finished
+                                h[0] -= heapq.heappop(heap)[1]
+                                h[1] -= 1
+                            sc = (h[0] / bud[c] if bud[c] > 0 else float("inf"), h[1])
+                            if best is None or sc < best:
+                                best, i = sc, c
+                        w = b[i]
+                        b[i] = (w if w > t else t) + sv[i][row]
+                        h = hs[i]
+                        h[0] += toks_l[row]
+                        h[1] += 1
+                        heapq.heappush(h[2], (b[i], toks_l[row]))
+                        a.append(i)
+                for r, w in zip(members, b):
+                    busy[r.replica_id] = w
+                a = np.array(a, dtype=np.int64)
+            assign[rows] = np.array([r.replica_id for r in members])[a]
+            if autoscaler is not None:
+                svc = np.empty(rows.size)
+                for c, r in enumerate(members):
+                    sel = a == c
+                    svc[sel] = price(r)[0][rows[sel]]
+                autoscaler.observe(name, arr[rows], spr[rows], sgen[rows], svc)
+        k = j
     return assign, int((assign < 0).sum())
 
 

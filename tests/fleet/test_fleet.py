@@ -21,12 +21,12 @@ from repro.fleet import (
     POOL_PREFILL,
     AutoscaleConfig,
     FleetAutoscaler,
-    ReplicaLoad,
     Router,
     RuntimeReplica,
     SimReplica,
     serve_fleet,
 )
+from repro.fleet.fleet import _route
 from repro.hardware import Device, get_gpu
 from repro.models import TinyDecoderLM
 from repro.runtime.scheduler import (
@@ -199,9 +199,11 @@ def test_router_ties_break_to_lowest_id(policy):
     """Identical fresh replicas tie on every score — the pick must be
     replica 0, not an arbitrary or random member."""
     reps = [SimReplica(i, PLAN, CLUSTER) for i in range(3)]
-    loads = [ReplicaLoad(r) for r in reps]
-    choice = Router(policy).pick(loads, 0.0, 64, 16)
-    assert choice is loads[0]
+    assign, rejected = _route(
+        np.array([0.0]), np.array([64]), np.array([16]), reps,
+        Router(policy), None,
+    )
+    assert assign.tolist() == [0] and rejected == 0
 
 
 @pytest.mark.parametrize(
@@ -299,6 +301,25 @@ def _uniform_trace(rate, span, s=64, g=16):
         prompt_lens=np.full(n, s),
         gen_lens=np.full(n, g),
     )
+
+
+@pytest.mark.parametrize(
+    "knob,value,message",
+    [
+        ("window", float("nan"), "window must be positive and finite, got nan"),
+        ("window", float("inf"), "window must be positive and finite, got inf"),
+        ("window", 0.0, "window must be positive and finite, got 0.0"),
+        ("cooldown", float("nan"), "cooldown must be >= 0, got nan"),
+        ("provision_seconds", float("nan"),
+         "provision_seconds must be >= 0, got nan"),
+        ("provision_seconds", -1.0, "provision_seconds must be >= 0, got -1.0"),
+    ],
+)
+def test_autoscale_config_rejects_non_finite(knob, value, message):
+    """A NaN window never closes and a NaN cooldown never elapses: the
+    autoscaler would be silently off, so the config refuses them."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AutoscaleConfig(**{knob: value})
 
 
 def test_autoscaler_no_flapping_on_constant_rate():

@@ -800,6 +800,12 @@ def test_algo_cost_source_model(tmp_path, capsys):
         (["--slo-tpot", "nan"], "--slo-tpot must be positive and finite, got nan"),
         (["--autoscale", "--autoscale-min-active", "0"],
          "--autoscale-min-active must be >= 1, got 0"),
+        (["--autoscale", "--autoscale-window", "nan"],
+         "invalid autoscale settings: window must be positive and finite, got nan"),
+        (["--autoscale", "--autoscale-window", "inf"],
+         "invalid autoscale settings: window must be positive and finite, got inf"),
+        (["--autoscale", "--autoscale-cooldown", "nan"],
+         "invalid autoscale settings: cooldown must be >= 0, got nan"),
     ],
 )
 def test_serve_malformed_flag_is_one_line(tiny_strategy_file, capsys, flags, message):
