@@ -83,18 +83,22 @@ class DriftConfig:
     rebuild_seconds: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise ValueError("window must be positive")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        # comparisons written so that NaN fails them; ``threshold=inf``
+        # stays legal (a detector that never fires on lengths)
+        if not 0 < self.window < float("inf"):
+            raise ValueError(f"window must be positive and finite, got {self.window}")
+        if not self.threshold > 0:
+            raise ValueError(f"threshold must be positive, got {self.threshold}")
         if self.hysteresis < 1:
             raise ValueError("hysteresis must be >= 1")
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be >= 0")
+        if not self.cooldown >= 0:
+            raise ValueError(f"cooldown must be >= 0, got {self.cooldown}")
         if self.min_requests < 1:
             raise ValueError("min_requests must be >= 1")
-        if self.rebuild_seconds < 0:
-            raise ValueError("rebuild_seconds must be >= 0")
+        if not 0 <= self.rebuild_seconds < float("inf"):
+            raise ValueError(
+                f"rebuild_seconds must be >= 0 and finite, got {self.rebuild_seconds}"
+            )
 
 
 @dataclass(frozen=True)

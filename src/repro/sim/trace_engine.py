@@ -13,8 +13,8 @@ rules of this one engine:
   scheduler's rule — and pads every member to the wave's maxima: each
   goes on the ring at ``n_max`` with ``s_max + n_max`` slots, and the
   context sum counts ``s_max`` per member, so ring, ``ctx`` and ``held``
-  stay one ledger.  Its decode runs watch no queue head (the wave drains
-  first); it opens no stretch or window.  Samples need nothing new: TTFT
+  stay one ledger.  While a wave is in flight its advances admit nothing
+  (the head bound is the head itself).  Samples need nothing new: TTFT
   comes from ``adm_it`` and latency at each member's own ``gen_len``,
   where the runtime stamps ``finish_time``; throughput counts useful
   tokens.
@@ -41,30 +41,27 @@ clock after boundary ``i``.
 * The context mean of a boundary is ``float(ctx) / float(b)``: the spec
   averages integers (an exact float64 sum below 2^53, divided once), so
   the integer running sum yields the same quotient bit for bit.
-* Stretches with no admission (DES; windows paused) are **decode
-  runs**: three ring slices and three ``cumsum`` s give every future
-  batch size, context sum and slot count, the run is priced in chunked
+* With a group in flight the engine takes one **speculative advance**,
+  for either policy and either engine.  It schedules up to K boundaries
+  on the ring, with a loop turn only where a boundary admits: the queue
+  head moves to ``min(F_t, A'_t)``, the KV-slot/cap bound of the state
+  entering boundary ``t`` and the rows arrived by ``t``'s *guessed* start
+  (the decode steps priced last plus the prefill units of the rows
+  already placed).  A backlog takes a turn per boundary, load below
+  capacity one per arrival (a window of at most ``_ROWS`` guessed rows),
+  a pure decode run none; between admissions the ring's running sums
+  give every batch size, context sum and slot count.  Every boundary is
+  then priced in one
   :meth:`~repro.cost.stagecosts.StageCostModel.unit_decode_times_batch`
-  calls, and the clock advances by ``np.add.accumulate`` — the same left
-  fold as ``now += step``.  A run that only watches the queue head's
-  arrival sizes its first chunk to the arrival gap (one call, not a
-  ladder), and the first row priced past the run's end is kept as ``(b,
-  ctx, row)``: it is the decode group of the boundary that follows, so
-  that boundary is not priced again.  A run truncates at the first
-  *event*: a boundary where the queue head could be admitted (arrival,
-  KV fit and cap are each monotone within a run), the drift detector's
-  next window close, the group draining dry, or the end of the block.
-* With a real backlog — this boundary's admission leaves *arrived*
-  requests unadmitted — the engine runs a **boundary stretch**: it
-  schedules up to K admit/retire boundaries on the ring as integer
-  arithmetic, prices them in one batch call, and commits the prefix
-  before the first arrival or drift-window crossing it missed.
-* Below capacity — every arrived request admitted — the analytic
-  continuous engine runs an **admission window**: it guesses the
-  boundary each queued arrival lands on from the last priced decode
-  steps, schedules and prices up to K boundaries the same way, and
-  commits the prefix on which each boundary admitted exactly the rows
-  arrived by its priced start.  All three paths are exact.
+  call (prefill tails folded left; the DES prices admitting boundaries
+  as task graphs and the rest through the batch makespan), the clock is
+  ``np.add.accumulate`` — the same left fold as ``now += step`` — and
+  the advance commits the longest prefix whose every head equals the
+  exact rule's, ``E_t = max(pr[t-1], min(F_t, arr.searchsorted(C[t-1],
+  "right")))`` at the priced start ``C[t-1]``.  Boundary 1 sees the true
+  arrivals, so at least one boundary commits; the commit also stops
+  after a drift-window crossing, and its rows past the cut come off the
+  ring.
 * Samples are **derived, not accumulated**, once per *block* of at most
   ``_BLOCK`` boundaries: TTFT is ``t_end[adm_it[k]] - arrival[k]`` in
   row order (= FIFO admission order) and latency is ``t_end[fin] -
@@ -86,7 +83,7 @@ every :class:`~repro.sim.online.OnlineResult` field and every
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -99,21 +96,16 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 __all__ = ["trace_columns", "simulate_continuous_vectorized"]
 
-#: decode-run pricing chunk: start small (most runs truncate within a few
-#: boundaries under load) unless the arrival gap says how far the run
-#: goes, quadruple while it keeps going
-_CHUNK0 = 8
-_CHUNK_GROW = 4
+#: advance sizing: the first advance schedules _K0 boundaries (one is
+#: exact and seeds the guess), each next one _GROW times the last one's
+#: size, up to _K_MAX — or, after a short commit, _GROW times what that
+#: commit validated
+_K0, _GROW, _K_MAX = 1, 64, 1024
 
-#: speculative stretch sizing (boundaries scheduled before pricing)
-_STRETCH0 = 8
-_STRETCH_MAX = 8192
-
-#: admission windows: boundaries scheduled before pricing, pricings per
-#: window, queued rows placed; a commit shorter than _WINDOW_MIN
-#: boundaries pauses windows for _WINDOW_PAUSE boundaries
-_WINDOW, _WINDOW_TRIES, _WINDOW_ROWS = 1024, 3, 64
-_WINDOW_MIN, _WINDOW_PAUSE = 4, 12
+#: rows an advance's window places by guessed arrival (rows arrived by
+#: its start do not count), and pricings per advance: a commit short of
+#: half the schedule is guessed again from the steps just priced
+_ROWS, _TRIES = 128, 3
 
 #: boundaries per completion-ordering block: a block-relative finish
 #: boundary must fit the int16 key numpy radix-sorts
@@ -164,9 +156,11 @@ class _Engine:
         self.arr, self.spr, self.sgen = columns
         n = self.n_req = self.arr.size
         self._toks = self.spr + self.sgen
+        self._gmax = int(self.sgen.max(initial=1))
         # distinct prompt lengths: small positive ints, so a bincount
         # stands in for np.unique's sort of the whole column
-        self._uniq_spr = np.flatnonzero(np.bincount(self.spr))
+        self._spr_count = np.bincount(self.spr)
+        self._uniq_spr = np.flatnonzero(self._spr_count)
         zero = np.zeros(1, dtype=np.int64)
         self._cumq = np.concatenate((zero, np.cumsum(self._toks)))
         self._cumspr = np.concatenate((zero, np.cumsum(self.spr)))
@@ -193,20 +187,11 @@ class _Engine:
 
         self._bind_cost_model(scm)
 
-        # speculative stretch sizing: grows while stretches commit fully,
-        # shrinks (and briefly pauses) when the saturation bet misses
-        self._stretch_k = _STRETCH0
-        # a wave admits only into an empty system: there is no backlog
-        # schedule to bet on, so it never stretches
-        self._stretch_block = float("inf") if self.wave else 0
-        self._step_hint = 0.0
-        # admission windows: analytic continuous runs only; the decode
-        # steps priced past the last window's commit seed the next guess
-        self._win_dec = np.empty(0)
-        self._win_block = float("inf") if self.wave or self.des else 0
-        # seconds per boundary of the last decode run (inf: none yet, so
-        # the first run starts at _CHUNK0); sizes pricing chunks only
-        self._run_pace = float("inf")
+        # the next advance's size, and the decode steps priced past the
+        # last advance's commit: the next one's guessed clock (none yet:
+        # a zero step, which the first priced boundaries correct)
+        self._k = _K0
+        self._steps = np.zeros(1)
 
         # the in-flight set: requests, sum of (prompt + produced), KV
         # token slots — and when they leave.  Boundary i (1-based count
@@ -214,7 +199,7 @@ class _Engine:
         self.b = self.ctx = self.held = 0
         self.it = 0  # boundaries run
         self.base = 0  # boundaries run before the open block
-        ring = _BLOCK + int(self.sgen.max(initial=1)) + 1
+        ring = _BLOCK + self._gmax + 1
         self.r_cnt = np.zeros(ring, dtype=np.int64)
         self.r_tok = np.zeros(ring, dtype=np.int64)
         self.t_end = np.empty(_BLOCK + 1)
@@ -243,7 +228,6 @@ class _Engine:
     def _bind_cost_model(self, scm: StageCostModel) -> None:
         """(Re)derive every table keyed by the current plan's cost model."""
         self.scm = scm
-        self._kept = None  # a row priced under the old plan is stale
         self.budget = scm.kv_token_budget()
         # occupancy of the stages that have a KV pool: held slots times
         # one slot's bytes, over the pool
@@ -264,32 +248,37 @@ class _Engine:
         if self.des:
             self._pf_rows = np.full((top, rows.shape[1]), np.nan)
             self._pf_rows[self._uniq_spr] = rows
+            self._dec_row = np.zeros(rows.shape[1])  # until a decode unit is priced
+        # the trace's mean stage max: an advance's guessed clock charges
+        # it per row of a backlog until the exact units matter
+        self._pf_mean = float(
+            self._spr_count[self._uniq_spr] @ self._pf_max[self._uniq_spr]
+        ) / max(self.n_req, 1)
+
+    def _des_lead(self) -> np.ndarray:
+        """Per prompt length, the time the DES charges a boundary's first
+        prefill unit beyond its stage max (the closed form charges just
+        that): behind the last priced decode unit, the two-unit flow
+        shop's makespan — a max over the stage where the prefill takes
+        over — less the decode unit's."""
+        head = np.cumsum(self._dec_row)
+        tail = np.cumsum(self._pf_rows[:, ::-1], axis=1)[:, ::-1]
+        return (head + tail).max(axis=1) - head[-1] - self._pf_max
 
     # -- admission ------------------------------------------------------
-    def _fit_end(self, ptr: int, held: int) -> int:
-        """End ``p`` of the longest FIFO run ``[ptr, p)`` whose token
-        slots fit the budget beside ``held`` (one ``searchsorted`` on the
-        token prefix sums); below ``ptr`` while ``held`` exceeds it."""
-        cumq = self._cumq
-        room = cumq[ptr] + (self.budget - held)
-        return int(cumq.searchsorted(room, side="right")) - 1
-
     def _admit_end(self, q: int) -> int:
-        """End ``p`` of the arrived FIFO run ``[ptr, p)`` this boundary
-        admits: token slots within the budget, capped at ``max_batch``
-        (at or below ``ptr``: nothing).  ``held`` above the budget (a
-        migration to a tighter plan) admits nothing until retirements
-        bring it back under.  A wave admits only into an empty system,
-        the prefix :func:`~repro.cost.stagecosts.wave_admits` takes; its
-        members' padded ``k * (s_max + n_max)`` slots are at least their
-        ``sum(s + n)``, so the continuous fit end bounds the scan."""
-        ptr = self.ptr
-        p = min(self._fit_end(ptr, self.held), q)
+        """End ``p`` of the arrived FIFO run ``[ptr, q)`` that opens a busy
+        period: the longest run whose token slots fit the budget (one
+        ``searchsorted`` on the token prefix sums), capped at
+        ``max_batch``.  A wave takes the prefix
+        :func:`~repro.cost.stagecosts.wave_admits` allows; its members'
+        padded ``k * (s_max + n_max)`` slots are at least their ``sum(s +
+        n)``, so the continuous fit end bounds the scan."""
+        ptr, cumq = self.ptr, self._cumq
+        p = min(int(cumq.searchsorted(cumq[ptr] + self.budget, side="right")) - 1, q)
         if self.max_batch is not None:
-            p = min(p, ptr + self.max_batch - self.b)
+            p = min(p, ptr + self.max_batch)
         if self.wave:
-            if self.b:
-                return ptr
             return ptr + wave_admits(self.spr[ptr:p], self.sgen[ptr:p], self.budget)
         return p
 
@@ -299,48 +288,40 @@ class _Engine:
         add.at(self.r_cnt, slots, 1)
         add.at(self.r_tok, slots, toks)
 
-    # -- one admission iteration (fused decode + batch-1 prefills) ------
+    # -- the boundary that opens a busy period --------------------------
     def _admission_iteration(self, p: int) -> None:
-        """Run the boundary that admits trace rows ``[ptr, p)``."""
-        p0, b = self.ptr, self.b
+        """Run the boundary that admits trace rows ``[ptr, p)`` into an
+        empty system: batch-1 prefill units only."""
+        p0 = self.ptr
         n = p - p0
-        new_prompts = self.spr[p0:p]
-        if b:
-            dec = self._decode_row()
+        prompts = self.spr[p0:p]
         if self.des:
-            units = [dec] if b else []
-            units.extend(self._pf_rows[new_prompts])
-            step = float(self._des_one(units))
+            step = float(self._des_one(list(self._pf_rows[prompts])))
         else:
-            step = self._units_price(dec.sum() if b else None, new_prompts)
+            step = self._units_price(prompts)
         self.now += step
         self.it += 1
         j = self.it - self.base
         self.t_end[j] = self.now
-        self.inflight_sum += b + n
+        self.inflight_sum += n
         self.adm_it[p0:p] = self.it
         self.ptr = p
         if self.wave:
-            # the system is empty; every member is padded to the wave's
-            # maxima: s_max + n_max slots, context s_max + produced, and
-            # all leave together after n_max tokens
-            s_max, n_max = int(new_prompts.max()), int(self.sgen[p0:p].max())
+            # every member is padded to the wave's maxima: s_max + n_max
+            # slots, context s_max + produced, and all leave together
+            # after n_max tokens
+            s_max, n_max = int(prompts.max()), int(self.sgen[p0:p].max())
             self.b, self.ctx, self.held = n, n * (s_max + 1), n * (s_max + n_max)
             last = j + n_max - 1
             self.r_cnt[last] += n
             self.r_tok[last] += self.held
         else:
-            self.b = b + n
-            self.ctx += b + n + int(self._cumspr[p] - self._cumspr[p0])
-            self.held += int(self._cumq[p] - self._cumq[p0])
-            if n == 1:
-                last = j + int(self.sgen[p0]) - 1
-                self.r_cnt[last] += 1
-                self.r_tok[last] += self._toks[p0]
-            else:
-                slots = j + self.sgen[p0:p] - 1
-                last = int(slots.max())
-                self._ring_add(slots, self._toks[p0:p])
+            self.b = n
+            self.ctx = n + int(self._cumspr[p] - self._cumspr[p0])
+            self.held = int(self._cumq[p] - self._cumq[p0])
+            slots = j + self.sgen[p0:p] - 1
+            last = int(slots.max())
+            self._ring_add(slots, self._toks[p0:p])
         self.last_fin = max(self.last_fin, self.base + last)
         gone = int(self.r_cnt[j])
         if gone:  # retire at the boundary: the refund is available at once
@@ -350,429 +331,256 @@ class _Engine:
             self.held -= toks
         self._observe_boundary()
 
-    def _decode_row(self) -> np.ndarray:
-        """Per-stage times of the in-flight group's next decode unit: the
-        row the last decode run priced just past its end while the group
-        is still that ``(b, ctx)`` — rows are a pure function of the pair
-        under one cost model — else one scalar lookup."""
-        kept = self._kept
-        if kept is not None and kept[0] == self.b and kept[1] == self.ctx:
-            return kept[2]
-        return self.scm.unit_decode_times(self.b, float(self.ctx) / float(self.b))
-
-    def _units_price(self, head, prompts: np.ndarray) -> float:
-        """Closed-form price of ``head`` (a decode group's stage sum, or
-        ``None``: the first prompt's prefill unit heads the iteration)
-        followed by one batch-1 prefill unit per prompt."""
-        if head is None:
-            head = self._pf_sum[prompts[0]]
-            prompts = prompts[1:]
+    def _units_price(self, prompts: np.ndarray) -> float:
+        """Closed-form price of one batch-1 prefill unit per prompt: the
+        first heads the iteration (stage sum), the rest follow it (stage
+        max), folded left."""
         tail = 0
-        for v in self._pf_max[prompts].tolist():
+        for v in self._pf_max[prompts[1:]].tolist():
             tail = tail + v
-        return float(head + tail)
+        return float(self._pf_sum[prompts[0]] + tail)
 
-    # -- speculative event-batch stretches ------------------------------
-    def _stretch(self) -> int:
-        """Schedule up to K boundaries speculatively, price them in one
-        batch, and commit the longest valid prefix (returned; >= 1).
+    # -- the speculative advance ----------------------------------------
+    def _advance(self, q: int) -> int:
+        """Run the boundaries ahead of a group in flight, priced in one
+        batch, and commit the longest exact prefix (returned; >= 1).
+        Rows ``[ptr, q)`` have arrived by ``now``.
 
-        While the queue outpaces the pipeline, admission depends only on
-        KV slots and the concurrency cap — never on the clock — so the
-        admit/retire schedule of many future boundaries is pure integer
-        arithmetic on the ring: no cost model in the loop, one
-        :meth:`unit_decode_times_batch` call for every boundary's decode
-        group, one ``np.add.accumulate`` to recover the clock.  Boundary
-        1 admits from the truly-arrived rows only, so at least one
-        boundary always commits; later boundaries whose admissions
-        turn out to include requests that had not yet arrived at scan
-        time are discarded — their retirements taken back off the ring —
-        and re-run through the exact paths.  Stretches also truncate at
-        drift-window crossings (the detector poll can migrate the plan,
-        invalidating the speculated schedule).
-        """
-        arr, spr, sgen, toks = self.arr, self.spr, self.sgen, self._toks
-        r_cnt, r_tok = self.r_cnt, self.r_tok
-        it0, now0 = self.it, self.now
-        j0 = it0 - self.base  # stretch boundary t lives at slot j0 + t
-        K = self._stretch_k
-        if self.detector is not None and self._step_hint > 0.0:
-            # the drift window will truncate the stretch anyway — don't
-            # schedule (and then discard) boundaries far past it
-            kw = int((self.win_end - now0) / self._step_hint) + 2
-            if kw < K:
-                K = kw if kw > _STRETCH0 else _STRETCH0
-        K = min(K, _BLOCK - j0)
-
-        ptr0 = ptr_l = self.ptr
-        q1 = int(np.searchsorted(arr, now0, side="right"))
-        b_l, s_l, held = self.b, self.ctx, self.held
-        # group size / context sum entering boundary t (slot L + 1: what
-        # the stretch leaves behind), queue head and slots held after it
-        b_rec = np.empty(K + 2, dtype=np.int64)
-        s_rec = np.empty(K + 2, dtype=np.int64)
-        ptr_rec = np.empty(K + 1, dtype=np.int64)
-        held_rec = np.empty(K + 1, dtype=np.int64)
-        ptr_rec[0] = ptr0
-        n_req, max_batch = self.n_req, self.max_batch
-        cumq, cumspr = self._cumq, self._cumspr
-        L = 0
-        for t in range(1, K + 1):
-            b_rec[t] = b_l
-            s_rec[t] = s_l
-            # FIFO admission against slots/cap; boundary 1 sees only
-            # requests that have really arrived, later boundaries bet on
-            # a deep backlog (checked after pricing)
-            lim = q1 if t == 1 else n_req
-            t0_ptr = ptr_l
-            if ptr_l < lim:
-                p = min(self._fit_end(ptr_l, held), lim)
-                if max_batch is not None and p - ptr_l > max_batch - b_l:
-                    p = ptr_l + (max_batch - b_l)
-                if p > ptr_l:
-                    held += int(cumq[p] - cumq[ptr_l])
-                    ptr_l = p
-            ptr_rec[t] = ptr_l
-            count = ptr_l - t0_ptr
-            s_l += b_l + count
-            if count:
-                s_l += int(cumspr[ptr_l] - cumspr[t0_ptr])
-                b_l += count
-                self._ring_add(
-                    j0 + t + sgen[t0_ptr:ptr_l] - 1, toks[t0_ptr:ptr_l]
-                )
-            c = int(r_cnt[j0 + t])
-            if c:
-                b_l -= c
-                rt = int(r_tok[j0 + t])
-                s_l -= rt
-                held -= rt
-            held_rec[t] = held
-            L = t
-            if b_l == 0:
-                break
-        b_rec[L + 1] = b_l
-        s_rec[L + 1] = s_l
-
-        # ---- price all boundaries in one batch ------------------------
-        bL = b_rec[1:L + 1]
-        rows = self.scm.unit_decode_times_batch(bL, s_rec[1:L + 1] / bL)
-        step = rows.sum(axis=1)
-        reps = np.diff(ptr_rec[:L + 1])
-        ptr_L = int(ptr_rec[L])
-        has = reps > 0
-        if has.any():
-            maxes = self._pf_max[spr[ptr0:ptr_L]]
-            starts = ptr_rec[:L][has] - ptr0
-            # per-segment left fold: ``np.add.reduceat`` sums pairwise,
-            # which drifts a ULP from the scalar loop's ``tail += pf``
-            # chain — ``np.add.accumulate`` is the exact same fold
-            bounds = np.append(starts, maxes.size)
-            tails = np.empty(starts.size)
-            for k in range(starts.size):
-                seg = maxes[bounds[k]:bounds[k + 1]]
-                tails[k] = seg[0] if seg.size == 1 else np.add.accumulate(seg)[-1]
-            step[has] = step[has] + tails
-        now_t = np.add.accumulate(np.concatenate(((now0,), step)))[1:]
-
-        # ---- longest valid prefix -------------------------------------
-        lim_v = L
-        if has.any():
-            prev_now = np.concatenate(((now0,), now_t[:-1]))
-            hidx = np.flatnonzero(has)
-            last_arr = arr[ptr_rec[1:L + 1][has] - 1]
-            bad = np.flatnonzero(last_arr > prev_now[hidx])
-            if bad.size:
-                lim_v = int(hidx[bad[0]])  # commit strictly before it
-        flush = False
-        M = lim_v
-        if self.detector is not None:
-            c = int(np.searchsorted(now_t[:lim_v], self.win_end, side="left"))
-            if c < lim_v:
-                M = c + 1  # poll right after the crossing boundary
-                flush = True
-
-        # ---- commit: M boundaries stay on the ring, the rest come off --
-        ptr_m = int(ptr_rec[M])
-        n_m = ptr_m - ptr0
-        t_adm = np.repeat(np.arange(1, L + 1, dtype=np.int64), reps)
-        slots = j0 + t_adm + sgen[ptr0:ptr_L] - 1
-        if ptr_L > ptr_m:
-            self._ring_add(slots[n_m:], toks[ptr_m:ptr_L], np.subtract)
-        if n_m:
-            self.adm_it[ptr0:ptr_m] = it0 + t_adm[:n_m]
-            self.last_fin = max(
-                self.last_fin, self.base + int(slots[:n_m].max())
-            )
-        self.t_end[j0 + 1:j0 + M + 1] = now_t[:M]
-        self.it = it0 + M
-        self.inflight_sum += int(b_rec[1:M + 1].sum()) + n_m
-        self.now = float(now_t[M - 1])
-        self._step_hint = (self.now - now0) / M
-        self.b = int(b_rec[M + 1])
-        self.ctx = int(s_rec[M + 1])
-        self.held = int(held_rec[M])
-        self.ptr = ptr_m
-
-        if self.detector is not None:
-            self._observe(now_t[:M], held_rec[1:M + 1])
-            if flush:
-                self._flush_and_poll()
-
-        if M == K:
-            self._stretch_k = min(K * _CHUNK_GROW, _STRETCH_MAX)
-        else:
-            # size the next bet near what actually committed
-            self._stretch_k = max(_STRETCH0, 1 << int(M).bit_length())
-            if M < 4:
-                # the saturation bet is missing: let the exact paths run
-                # a while before speculating again
-                self._stretch_block = self.it + 12
-        return M
-
-    # -- admission windows below capacity -------------------------------
-    def _window(self, q: int) -> int:
-        """Run up to K boundaries, each admitting what has arrived by its
-        start, priced in one batch; commit the longest exact prefix
-        (returned; >= 1).  Entered with a group in flight when this
-        boundary admits every arrived request (rows ``[ptr, q)``).
-
-        Guess where each queued arrival lands, schedule admissions and
-        retirements as integer cumsums up to a drain or a KV/cap bind,
-        price, and keep the boundaries whose queue head equals
-        ``arr.searchsorted(C[t-1], "right")`` — the exact path's.  An
-        early miss is placed again from the decode steps just priced.
+        Only admission boundaries take a loop turn.  At boundary ``t``
+        the queue head moves to ``min(F_t, A'_t)``: ``F_t`` is the
+        KV-slot/cap bound of the state entering ``t`` (for a wave, the
+        head itself), ``A'_t`` the rows arrived by ``t``'s guessed start
+        clock — the decode steps priced last, extended by the last one,
+        plus the prefill units of the rows already placed.  While rows
+        that arrived by ``now`` wait, or ``F_t`` binds, each turn admits
+        against the exact state; once every arrival is admitted as it
+        lands, the rest is a window of at most ``_ROWS`` rows, each
+        placed at the first boundary whose guessed start passes its
+        arrival, which ends before the first boundary where ``F_t``
+        would bind.  Between admission boundaries the group decodes and
+        retires as the ring says.  The schedule also stops at the drain,
+        a boundary past the guessed drift-window close, or after ``K``
+        boundaries.
+        Every boundary then is priced in one batch and validated against
+        the exact rule's head ``E_t`` at its priced start.
         """
         arr, spr, sgen, toks = self.arr, self.spr, self.sgen, self._toks
         cumq, cumspr, pf_max = self._cumq, self._cumspr, self._pf_max
+        r_cnt, r_tok = self.r_cnt, self.r_tok
         it0, now0, ptr0 = self.it, self.now, self.ptr
-        b0, ctx0, held0, cap = self.b, self.ctx, self.held, self.max_batch
-        j0 = it0 - self.base  # window boundary t lives at slot j0 + t
-        K0 = min(_WINDOW, _BLOCK - j0)
-        guess = self._win_dec if self._win_dec.size else (
-            self._decode_row().sum(keepdims=True))
-        for _ in range(_WINDOW_TRIES):
-            # ---- guess: decode steps extended by the last, start clocks
-            g = np.full(K0, guess[-1])
-            g[0] = now0
-            g[1:guess.size + 1] = guess[:K0 - 1]
-            st = np.add.accumulate(g).tolist()
-            K = K0 if self.detector is None else (  # a drift poll ends it
-                min(K0, bisect_left(st, self.win_end) + 2))
-            # a row lands at the first start at or past its arrival; each
-            # admission delays every later start by its prefill unit
-            hi = max(q, ptr0 + 2 * _WINDOW_ROWS)  # boundary 1 takes [ptr0, q)
-            ts: list[int] = []
-            cur, d_cur, d_next = 1, 0.0, 0.0
-            for i, (a, d) in enumerate(zip(
-                arr[ptr0:hi].tolist(), pf_max[spr[ptr0:hi]].tolist())):
-                if a > st[cur - 1] + d_cur:
-                    t = max(bisect_left(st, a - d_next, 0, K) + 1, cur + 1)
-                    if t > K or i >= _WINDOW_ROWS:  # end before it lands
-                        K = min(K, t - 1)
+        b0, ctx0, held0 = self.b, self.ctx, self.held
+        j0 = it0 - self.base  # advance boundary t lives at slot j0 + t
+        budget, n_req, win_end = self.budget, self.n_req, self.win_end
+        cap = self.max_batch or n_req
+        gmax, pf_mean = self._gmax, self._pf_mean
+        K = min(self._k, _BLOCK - j0)
+        guess = self._steps
+        span = slice(j0 + 1, j0 + K + gmax + 1)  # every slot a row can reach
+        saved = r_cnt[span].copy(), r_tok[span].copy()
+        for tries in range(_TRIES):
+            # ---- schedule: rows onto the ring --------------------------
+            adm_t: list[int] = []  # admitting boundaries, and the queue
+            adm_p: list[int] = []  # head after each
+            lim, last = K, self.last_fin - it0  # up to min(lim, the drain)
+            ptr, wp = ptr0, n_req  # window rows [wp, ptr) are not on the ring
+            if ptr0 < n_req and not self.wave:
+                g = np.full(K + 1, guess[-1])
+                g[0] = now0
+                g[1:guess.size + 1] = guess[:K]
+                st = np.add.accumulate(g).tolist()  # decode-only starts
+                stop, loose, crowded = min(lim, last), True, False
+                held, b = held0, b0
+                # prefill placed: exact for rows below pf_ptr, the mean
+                # stage max for the backlog rows above it
+                pf, pf_ptr = 0.0, ptr0
+                lead_of = self._des_lead() if self.des else None
+                t = tr = 1  # held and b: entering boundary tr
+                while ptr < n_req:
+                    if ptr >= q and pf_ptr < ptr:  # a guessed row heads: exact units
+                        pf += float(pf_max[spr[pf_ptr:ptr]].sum()) - (ptr - pf_ptr) * pf_mean
+                        pf_ptr = ptr
+                    if ptr >= q and loose and not crowded:
+                        # every arrival admitted as it lands: a window of
+                        # at most _ROWS rows, a turn per boundary, on lists
+                        wp, w0 = ptr, len(adm_t)
+                        hi = min(n_req - wp, 2 * _ROWS)
+                        qa, qn = arr[wp:wp + hi].tolist(), sgen[wp:wp + hi].tolist()
+                        qc = [pf, *(np.cumsum(pf_max[spr[wp:wp + hi]]) + pf).tolist()]
+                        ql = [0.0] * hi if lead_of is None else (
+                            lead_of[spr[wp:wp + hi]].tolist())
+                        k, lead, rows = 0, 0.0, _ROWS
+                        while k < hi:
+                            t = bisect_left(st, qa[k] - pf, t - 1) + 1
+                            if t > stop or k >= rows:
+                                lim = min(lim, t - 1)
+                                break
+                            clock = st[t - 1] + pf
+                            if lim > t and clock >= win_end:  # the drift close
+                                lim = stop = t
+                            j = k + 1
+                            if j < hi and qa[j] <= clock:  # more land at t
+                                j = bisect_right(qa, clock, j)
+                                if j == hi < n_req - wp:  # rows past the lists too
+                                    crowded = True
+                                    break
+                            adm_t.append(t)
+                            adm_p.append(wp + j)
+                            lead += ql[k]
+                            pf = qc[j] + lead
+                            fin = t - 1 + (qn[k] if j == k + 1 else max(qn[k:j]))
+                            if fin > last:
+                                last = fin
+                                stop = last if last < lim else lim
+                            k, t = j, t + 1
+                        ptr = pf_ptr = wp + k
+                        if not crowded:
+                            break
+                        if k:  # exact turns follow: the window's rows go on the ring
+                            fins = np.repeat(adm_t[w0:], np.diff(adm_p[w0:], prepend=wp))
+                            self._ring_add(j0 - 1 + fins + sgen[wp:ptr], toks[wp:ptr])
+                            held += int(cumq[ptr] - cumq[wp])
+                            b += k
+                        wp = n_req
+                        continue
+                    # arrived rows wait, F_t binds, or rows crowd a boundary:
+                    # a turn per boundary against the exact state
+                    if ptr >= q:  # lands where the guessed clock passes it
+                        t = bisect_left(st, float(arr[ptr]) - pf, t - 1) + 1
+                    if t > stop:
+                        lim = min(lim, t - 1)
                         break
-                    cur, d_cur = t, d_next
-                ts.append(cur)
-                d_next += d
-            k = ptr0 + len(ts)
-            t_adm = np.array(ts, dtype=np.int64)
-            # ---- schedule: the ring plus the newcomers' retirements ----
-            fin = t_adm + sgen[ptr0:k] - 1
-            near = fin <= K
-            nb = np.bincount(t_adm, minlength=K + 1)[1:]
-            cnt = self.r_cnt[j0 + 1:j0 + K + 1] + np.bincount(
-                fin[near], minlength=K + 1)[1:]
-            tok = self.r_tok[j0 + 1:j0 + K + 1] + np.bincount(
-                fin[near], toks[ptr0:k][near], minlength=K + 1)[1:].astype(np.int64)
-            pr = np.concatenate(((0,), np.cumsum(nb))) + ptr0
-            b_aft = b0 + np.cumsum(nb - cnt)
+                    if lim > t and st[t - 1] + pf >= win_end:  # the drift close
+                        lim = stop = t
+                    if tr + 1 == t:  # the state entering t
+                        held -= int(r_tok[j0 + tr])
+                        b -= int(r_cnt[j0 + tr])
+                    elif tr < t:
+                        held -= int(r_tok[j0 + tr:j0 + t].sum())
+                        b -= int(r_cnt[j0 + tr:j0 + t].sum())
+                    tr = t
+                    f = min(
+                        int(cumq.searchsorted(cumq[ptr] + (budget - held), "right")) - 1,
+                        ptr + cap - b,
+                    )
+                    if f <= ptr:  # the head waits a boundary for retirements
+                        t += 1
+                        continue
+                    p = f  # A'_t is at least q: past it, the guessed arrivals
+                    if f > q:
+                        pf += float(pf_max[spr[pf_ptr:ptr]].sum()) - (ptr - pf_ptr) * pf_mean
+                        pf_ptr = ptr
+                        p = min(f, max(int(arr.searchsorted(st[t - 1] + pf, "right")), ptr + 1))
+                    loose = p < f
+                    dq = int(cumq[p] - cumq[ptr])  # token slots of [ptr, p)
+                    if p - ptr == 1:
+                        fin = t - 1 + int(sgen[ptr])
+                        r_cnt[j0 + fin] += 1
+                        r_tok[j0 + fin] += dq
+                    else:  # a bound on the last retirement: a drain is cut below
+                        self._ring_add(j0 + t - 1 + sgen[ptr:p], toks[ptr:p])
+                        fin = t - 1 + gmax
+                    if fin > last:
+                        last = fin
+                        stop = last if last < lim else lim
+                    held += dq
+                    b += p - ptr
+                    pf += (p - ptr) * pf_mean
+                    if lead_of is not None:
+                        pf += float(lead_of[spr[ptr]])
+                    adm_t.append(t)
+                    adm_p.append(p)
+                    ptr, t = p, t + 1
+            L = min(lim, last)
+            pr = np.full(L + 1, ptr0, dtype=np.int64)  # queue head after t
+            if adm_t:
+                pr[adm_t] = adm_p
+                np.maximum.accumulate(pr, out=pr)
+            nb = pr[1:] - pr[:-1]
+            t_adm = np.repeat(np.arange(1, L + 1, dtype=np.int64), nb)
+            slots = j0 - 1 + t_adm + sgen[ptr0:ptr]
+            if ptr > wp:
+                self._ring_add(slots[wp - ptr0:], toks[wp:ptr])
+            b_aft = b0 + np.cumsum(nb - r_cnt[j0 + 1:j0 + L + 1])
             b_bef = np.concatenate(((b0,), b_aft[:-1]))
-            held_aft = held0 + np.cumsum(cumq[pr[1:]] - cumq[pr[:-1]] - tok)
-            s_aft = ctx0 + np.cumsum(b_bef + nb + cumspr[pr[1:]] - cumspr[pr[:-1]] - tok)
+            cq = cumq[pr]
+            held_aft = held0 + np.cumsum(cq[1:] - cq[:-1] - r_tok[j0 + 1:j0 + L + 1])
+            # the exact rule's head bound: KV slots/cap, never below the head
+            f = pr[:-1]
+            if not self.wave:
+                held_bef = np.concatenate(((held0,), held_aft[:-1]))
+                f = np.maximum(f, np.minimum(
+                    cumq.searchsorted(cq[:-1] + (budget - held_bef), "right") - 1,
+                    (pr[:-1] + cap) - b_bef,
+                ))
+            # the schedule ends at the drain, and before a window row
+            # scheduled past the bound
+            cut = (pr[1:] > f) | (b_bef == 0)
+            if cut.any():
+                L = int(cut.argmax())
+                pr, nb, f, b_aft, b_bef = pr[:L + 1], nb[:L], f[:L], b_aft[:L], b_bef[:L]
+                held_aft = held_aft[:L]
+            cs, tok = cumspr[pr], r_tok[j0 + 1:j0 + L + 1]
+            s_aft = ctx0 + np.cumsum(b_bef + nb + (cs[1:] - cs[:-1]) - tok)
             s_bef = np.concatenate(((ctx0,), s_aft[:-1]))
-            bind = (nb > 0) & (  # the state before the admissions
-                (held_aft + tok > self.budget) | (b_aft + cnt > (cap or self.n_req))
-            )
-            L = int(bind.argmax()) if bind.any() else K
-            if not b_aft[:L].all():
-                L = int(b_aft.argmin()) + 1
             # ---- price: one batch, prefill tails folded left -----------
-            bb = b_bef[:L]
-            dec = self.scm.unit_decode_times_batch(bb, s_bef[:L] / bb).sum(axis=1)
-            step, has = dec.copy(), nb[:L] > 0
-            if has.any():
+            rows = self.scm.unit_decode_times_batch(b_bef, s_bef / b_bef)
+            dec = self._des_rows(rows) if self.des else rows.sum(axis=1)
+            step = dec.copy()
+            adm = nb.nonzero()[0]
+            if adm.size and self.des:
+                for t in adm.tolist():
+                    step[t] = self._des_one(
+                        [rows[t], *self._pf_rows[spr[pr[t]:pr[t + 1]]]])
+            elif adm.size:
                 maxes = pf_max[spr[ptr0:pr[L]]]
-                firsts, lens = pr[:L][has] - ptr0, nb[:L][has]
+                firsts, lens = pr[adm] - ptr0, nb[adm]
                 tails = maxes[firsts]
-                for i in np.flatnonzero(lens > 1).tolist():
-                    f = firsts[i]
-                    tails[i] = np.add.accumulate(maxes[f:f + lens[i]])[-1]
-                step[has] += tails
+                for i in (lens > 1).nonzero()[0].tolist():
+                    f0 = firsts[i]
+                    tails[i] = np.add.accumulate(maxes[f0:f0 + lens[i]])[-1]
+                step[adm] += tails
             C = np.add.accumulate(np.concatenate(((now0,), step)))
-            # ---- validate: each boundary admits what has arrived -------
-            ok = arr.searchsorted(C[:L], side="right") == pr[1:L + 1]
-            Mv = L if ok.all() else int(ok.argmin())
-            if 2 * Mv >= L:  # held, or held for half the window
-                break
-            guess = dec
-        M, flush = Mv, False
-        if self.detector is not None:
-            c = int(np.searchsorted(C[1:Mv + 1], self.win_end, side="left"))
+            # ---- validate: each head is E_t, the exact rule's ----------
+            e = np.minimum(f, arr.searchsorted(C[:-1], "right"))
+            miss = e != pr[1:]
+            Mv = int(miss.argmax()) if miss.any() else L
+            M, flush = Mv, False
+            c = int(np.searchsorted(C[1:Mv + 1], win_end, side="left"))
             if c < Mv:
                 M, flush = c + 1, True  # poll right after the crossing
+            # a prefix short of half the schedule is guessed again from
+            # the steps just priced; rows not committed come off the ring
+            retry = 2 * Mv < L and tries < _TRIES - 1
+            keep = ptr0 if retry else int(pr[M])
+            if ptr - keep <= keep - ptr0:
+                self._ring_add(slots[keep - ptr0:], toks[keep:ptr], np.subtract)
+            else:  # fewer rows stay than go: the saved ring, plus them
+                r_cnt[span], r_tok[span] = saved
+                self._ring_add(slots[:keep - ptr0], toks[ptr0:keep])
+            if self.des:  # the decode unit the next guess prefills behind
+                self._dec_row = rows[min(Mv, L - 1)]
+            if not retry:
+                break
+            guess = dec
 
         # ---- commit M boundaries --------------------------------------
-        pm = int(pr[M])
-        if pm > ptr0:
-            slots = j0 + fin[:pm - ptr0]
-            self._ring_add(slots, toks[ptr0:pm])
-            self.adm_it[ptr0:pm] = it0 + t_adm[:pm - ptr0]
-            self.last_fin = max(self.last_fin, self.base + int(slots.max()))
+        if keep > ptr0:
+            self.adm_it[ptr0:keep] = it0 + t_adm[:keep - ptr0]
+            self.last_fin = max(
+                self.last_fin, self.base + int(slots[:keep - ptr0].max()))
         self.t_end[j0 + 1:j0 + M + 1] = C[1:M + 1]
         self.it = it0 + M
-        self.inflight_sum += int(b_bef[:M].sum()) + pm - ptr0
+        self.inflight_sum += int(b_bef[:M].sum()) + keep - ptr0
         self.now = float(C[M])
         self.b, self.ctx = int(b_aft[M - 1]), int(s_aft[M - 1])
-        self.held, self.ptr = int(held_aft[M - 1]), pm
-        self._win_dec = dec[M:] if M < L else dec[-1:]
+        self.held, self.ptr = int(held_aft[M - 1]), keep
+        self._steps = dec[M:] if M < L else dec[-1:]
+        self._k = min(_GROW * (Mv if 2 * Mv < L else self._k), _K_MAX)
         if self.detector is not None:
             self._observe(C[1:M + 1], held_aft[:M])
             if flush:
                 self._flush_and_poll()
-
-        if M < _WINDOW_MIN:
-            self._win_block = self.it + _WINDOW_PAUSE
         return M
-
-    # -- decode runs ----------------------------------------------------
-    def _decode_run(self, arrived: bool) -> None:
-        """Execute decode-only boundaries up to the next event.
-
-        With nobody admitted, the ring pins down the whole run: batch
-        size, context sum and KV slots at every future boundary are
-        running sums of the two ring columns.  The three truncation
-        conditions are each monotone within the run — the queue head's
-        arrival (the clock only moves forward), its KV fit (memory is
-        only released), and the concurrency cap (the group only shrinks)
-        — so the first admission boundary is a ``max`` of three
-        first-crossing indices, not a scan.  ``arrived``: the queue head
-        is waiting (blocked on slots or the cap).  A wave watches no head:
-        it runs until it drains.
-        """
-        arr = self.arr
-        b, held, it, cap = self.b, self.held, self.it, self.max_batch
-        j0 = it - self.base + 1  # ring / clock slot of the first boundary
-        horizon = min(self.last_fin - it, _BLOCK + 1 - j0)
-        cnt = self.r_cnt[j0:j0 + horizon]
-        tok = self.r_tok[j0:j0 + horizon]
-        head = self.ptr if self.ptr < self.n_req else None
-        if self.wave:
-            head, arrived = None, False
-        if head is not None:
-            # slots the in-flight group may keep for the head to fit
-            room = self.budget - int(self._toks[head])
-
-        # ---- fast path: the run is a single boundary ------------------
-        # Saturated steady state hits this almost every time: the queue
-        # head is waiting and fits as soon as this boundary's retirees
-        # release their KV (fit/cap are monotone, so checking boundary 1
-        # settles it).  Skips the running sums below.
-        if arrived or horizon == 1:
-            c1, t1 = int(cnt[0]), int(tok[0])
-            if horizon == 1 or (
-                held - t1 <= room and (cap is None or b - c1 < cap)
-            ):
-                dec = self._decode_row()
-                step = self._des_rows(dec[None, :])[0] if self.des else dec.sum()
-                self.now = float(self.now + step)
-                self.t_end[j0] = self.now
-                self.it = it + 1
-                self.inflight_sum += b
-                self.b = b - c1
-                self.ctx += b - t1
-                self.held = held - t1
-                self._observe_boundary()
-                return
-
-        # ---- the run's schedule: running sums over the ring -----------
-        left = cnt.cumsum()  # requests gone after boundary i
-        b_i = b - (left - cnt)  # batch size at boundary i
-        freed = tok.cumsum()  # KV slots released after boundary i
-        grow = b_i - tok  # every member gains a token, leavers take theirs
-        grown = grow.cumsum()
-        ctx_i = self.ctx + (grown - grow)  # context sum at boundary i
-
-        # ---- first boundary where the queue head could be admitted ----
-        fit_at = None  # first boundary with cap room and KV fit
-        if head is not None:
-            if held <= room and (cap is None or b < cap):
-                fit_at = 0
-            else:
-                okay = held - (freed - tok) <= room
-                if cap is not None:
-                    okay &= b_i < cap
-                k = int(okay.argmax())
-                if okay[k]:
-                    fit_at = k
-        t_run = horizon  # boundaries to execute barring timed events
-        if arrived and fit_at is not None:
-            # saturated case: admission timing is memory/cap-gated only
-            t_run = min(horizon, max(fit_at, 1))
-
-        # ---- price the run in growing chunks, watching timed events ---
-        t_end = self.t_end
-        carry = self.now
-        done = 0
-        watch_arrival = head is not None and not arrived
-        chunk = _CHUNK0
-        if self.detector is None:
-            chunk = t_run
-            if watch_arrival:
-                # size the first chunk to the arrival gap at the last
-                # run's pace, with slack to leave a priced row past the
-                # end; rows are a pure function of (b_i, ctx_i) and the
-                # clock the same left fold across chunks, so chunking
-                # moves speed only
-                est = (arr[head] - carry) / self._run_pace * 1.25 + 2
-                chunk = int(min(t_run, max(est, _CHUNK0)))
-        while done < t_run:
-            stop = min(t_run, done + chunk)
-            b_c = b_i[done:stop]
-            rows = self.scm.unit_decode_times_batch(b_c, ctx_i[done:stop] / b_c)
-            post_c = self._des_rows(rows) if self.des else rows.sum(axis=1)
-            post_c[0] += carry  # then the same left fold as ``now += step``
-            np.add.accumulate(post_c, out=post_c)
-            if watch_arrival:
-                # head arrives mid-run: admission at the first boundary
-                # past both the arrival and the memory/cap fit point
-                j = int(post_c.searchsorted(arr[head], side="left"))
-                if j < stop - done:
-                    watch_arrival = False
-                    if fit_at is not None:
-                        t_run = min(t_run, max(done + j + 1, fit_at))
-            if self.detector is not None:
-                j = int(post_c.searchsorted(self.win_end, side="left"))
-                if j < stop - done and done + j < t_run:
-                    t_run = done + j + 1  # poll right after this iteration
-            take = min(t_run, stop) - done
-            t_end[j0 + done:j0 + done + take] = post_c[:take]
-            carry = float(post_c[take - 1])
-            if t_run < stop:  # priced, not run: the row of the boundary after
-                self._kept = (b_i[t_run], ctx_i[t_run], rows[take])
-            done += take
-            chunk = min(chunk * _CHUNK_GROW, 65536)
-
-        self._run_pace = (carry - self.now) / done
-        self.now = carry
-        self.it = it + done
-        self.inflight_sum += int(b_i[:done].sum())
-        self.b = b - int(left[done - 1])
-        self.ctx += int(grown[done - 1])
-        self.held = held - int(freed[done - 1])
-        if self.detector is not None:
-            self._observe(t_end[j0:j0 + done], held - freed[:done])
-            if self.now >= self.win_end:
-                self._flush_and_poll()
 
     # -- drift detection / live replanning ------------------------------
     def _observe(self, times: np.ndarray, held: np.ndarray) -> None:
@@ -874,7 +682,7 @@ class _Engine:
         if self.des:
             pause = pause + float(self._des_one(list(self._pf_rows[prompts])))
         else:
-            pause = pause + self._units_price(None, prompts)
+            pause = pause + self._units_price(prompts)
         max_prod = int(prod.max())
         if max_prod > 1:
             cnt = np.bincount(prod, minlength=max_prod + 1)
@@ -929,8 +737,9 @@ class _Engine:
 
     # -- main loop ------------------------------------------------------
     def _step(self) -> None:
-        """Run one event: a stretch, an admission boundary, a decode run,
-        or the rejection of heads that can never fit."""
+        """Run one event: an advance while a group is in flight, else the
+        boundary that opens a busy period, or the rejection of heads that
+        can never fit."""
         arr = self.arr
         if self.it - self.base == _BLOCK or self.ptr - self.blk_ptr >= _BLOCK:
             self._close_block()
@@ -940,18 +749,12 @@ class _Engine:
                 self.now = float(arr[ptr])  # jump the idle gap
             if arr[ptr] <= self.now:
                 q = int(arr.searchsorted(self.now, side="right"))
-        p = self._admit_end(q) if q > ptr else ptr
-        if p < q and self.b and not self.des and self.it >= self._stretch_block:
-            # a real backlog: arrived requests stay queued behind this
-            # boundary's admission
-            self._stretch()
-        elif p == q and self.b and self.it >= self._win_block:
-            # below capacity: nothing arrived is left queued
-            self._window(q)
-        elif p > ptr:
+        if self.b:
+            self._advance(q)
+            return
+        p = self._admit_end(q)
+        if p > ptr:
             self._admission_iteration(p)
-        elif self.b:
-            self._decode_run(q > ptr)
         else:
             # alone in an empty system and still unfit: never fits —
             # drop the leading run of solo-unfit heads

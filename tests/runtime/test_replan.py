@@ -112,6 +112,18 @@ def test_drift_config_validation():
         DriftConfig(min_requests=0)
     with pytest.raises(ValueError, match="rebuild_seconds"):
         DriftConfig(rebuild_seconds=-0.1)
+    # NaN fails every comparison, so each float field would otherwise
+    # slip past its check and silently disable detection (or, for the
+    # rebuild pause, poison the clock); an infinite window never closes
+    nan, inf = float("nan"), float("inf")
+    for field in ("window", "threshold", "cooldown", "rebuild_seconds"):
+        with pytest.raises(ValueError, match=field):
+            DriftConfig(**{field: nan})
+    for field in ("window", "rebuild_seconds"):
+        with pytest.raises(ValueError, match=field):
+            DriftConfig(**{field: inf})
+    # the fleet autoscaler's estimate-only detector never fires
+    assert DriftConfig(threshold=inf).threshold == inf
 
 
 def test_detector_rate_drift_needs_hysteresis():

@@ -283,14 +283,44 @@ def test_never_fitting_head_rejected_only_once_empty(engine, kv_charge):
     assert res.mean_ttft > without.mean_ttft
 
 
+def _admissions(eng, it0: int, ptr0: int, now0: float, committed: int):
+    """How each boundary one advance committed admitted: ``fit`` where
+    the queue head stopped short of the rows arrived by the boundary's
+    start (KV slots or the cap bound it), ``arrival`` where it took
+    every one of them."""
+    j0 = it0 - eng.base
+    starts = np.r_[now0, eng.t_end[j0 + 1:j0 + committed]]
+    heads = ptr0 + np.searchsorted(
+        eng.adm_it[ptr0:eng.ptr], it0 + np.arange(1, committed + 1), "right"
+    )
+    admitting = heads > np.r_[ptr0, heads[:-1]]
+    arrived = eng.arr.searchsorted(starts, "right")
+    return admitting & (heads < arrived), admitting & (heads == arrived)
+
+
+def _spy_advances(monkeypatch) -> list:
+    """Record ``(committed, fit, arrival)`` for every advance."""
+    seen = []
+    advance = _Engine._advance
+
+    def spy(self, q):
+        it0, ptr0, now0 = self.it, self.ptr, self.now
+        committed = advance(self, q)
+        seen.append((committed, *_admissions(self, it0, ptr0, now0, committed)))
+        return committed
+
+    monkeypatch.setattr(_Engine, "_advance", spy)
+    return seen
+
+
 def test_overloaded_diurnal_trace_identical_with_replanning(
     kv_charge, monkeypatch
 ):
     """Sustained overload against the T4 stages' KV headroom keeps the
     queue ahead of the pipeline, so the engine commits most boundaries
-    through speculative stretches that drift windows and refit migrations
-    cut short — the regime the million-request replays live in, at a
-    size the spec can follow."""
+    through advances whose admissions KV slots bound, cut short by drift
+    windows and refit migrations — the regime the million-request
+    replays live in, at a size the spec can follow."""
     plan, cluster = PLANS["mixed"]
     trace = sample_diurnal_arrivals(
         80.0, 40.0, amplitude=0.35, period=10.0, seed=11,
@@ -300,116 +330,66 @@ def test_overloaded_diurnal_trace_identical_with_replanning(
         window=2.5, threshold=0.4, hysteresis=2, cooldown=5.0,
         rebuild_seconds=1.0,
     )
-    stretched = []
-    stretch = _Engine._stretch
-    monkeypatch.setattr(
-        _Engine, "_stretch",
-        lambda self: stretched.append(stretch(self)) or stretched[-1],
-    )
+    seen = _spy_advances(monkeypatch)
     res = _assert_identical(
         plan, cluster, trace, drift=drift, replanner=workload_refit_replanner,
         kv_charge=kv_charge,
     )
     assert res.mean_inflight > 50 and res.rejected == 0  # memory-bound backlog
-    assert sum(stretched) > res.iterations // 2
+    assert sum(m for m, fit, _ in seen if fit.any()) > res.iterations // 2
     assert res.migrations >= 1
 
 
 def test_underloaded_trace_never_stretches(monkeypatch):
     """Below capacity every arrived request is admitted at its first
-    boundary, so no backlog ever opens the stretch gate: the engine
-    commits nothing speculatively (the overloaded case above pins the
-    gate from the other side)."""
+    boundary: no admission the engine commits is bound by KV slots or
+    the cap (the overloaded case above pins the bound from the other
+    side)."""
     plan, cluster = PLANS["mixed"]
     trace = sample_poisson_arrivals(1.0, 120.0, seed=9, max_prompt=96, max_gen=24)
-    stretched = []
-    stretch = _Engine._stretch
-    monkeypatch.setattr(
-        _Engine, "_stretch",
-        lambda self: stretched.append(stretch(self)) or stretched[-1],
-    )
+    seen = _spy_advances(monkeypatch)
     res = _assert_identical(plan, cluster, trace)
     assert res.completed == len(trace) > 100 and res.mean_inflight < 8
-    assert sum(stretched) == 0
+    assert sum(arrival.sum() for _, _, arrival in seen) > 50
+    assert not any(fit.any() for _, fit, _ in seen)
 
 
 @pytest.mark.parametrize("engine", ["analytic", "des"])
 def test_below_capacity_prices_each_boundary_once(engine):
-    """Below capacity the analytic engine admits a window of arrivals per
-    pricing call: on this trace 12 decode pricing calls per 100
-    arrivals, where one decode run and one admission per arrival took 95
-    (bound: 16).  The DES engine has no windows: a decode run only
-    watches the queue head's arrival, its first pricing chunk is sized
-    to the arrival gap, so a run is one ``unit_decode_times_batch`` call
-    (not an 8/32/128 ladder), and the admitting boundary takes the row
-    its run priced past its end instead of a scalar lookup — only an
-    admission right behind another (no run in between) still pays one.
-    None of it can move a result."""
+    """Below capacity an advance admits a window of arrivals per pricing
+    call, on either engine: on this trace 12 (analytic) and 15 (DES)
+    decode pricing calls per 100 arrivals, where pricing a decode run
+    and an admission boundary per arrival takes about 95 (bound: 16).
+    The DES prices an advance's admitting boundaries as task graphs and
+    the rest through the batch makespan.  None of it can move a
+    result."""
     plan, cluster = PLANS["mixed"]
     trace = sample_poisson_arrivals(1.0, 120.0, seed=9, max_prompt=96, max_gen=24)
     calls = Counter()
     with pytest.MonkeyPatch.context() as mp:
-        for cls, name in (
-            (StageCostModel, "unit_decode_times"),
-            (StageCostModel, "unit_decode_times_batch"),
-            (_Engine, "_decode_run"),
-            (_Engine, "_admission_iteration"),
-        ):
+        for name in ("unit_decode_times", "unit_decode_times_batch"):
             mp.setattr(
-                cls, name,
-                lambda self, *a, _f=getattr(cls, name), _n=name:
+                StageCostModel, name,
+                lambda self, *a, _f=getattr(StageCostModel, name), _n=name:
                 calls.update([_n]) or _f(self, *a),
             )
         simulate_online(plan, cluster, trace, policy="continuous", engine=engine)
-    if engine == "analytic":
-        priced = calls["unit_decode_times"] + calls["unit_decode_times_batch"]
-        assert len(trace) > 100 and 100 * priced <= 16 * len(trace)
-    else:
-        assert calls["_decode_run"] > 50
-        assert calls["unit_decode_times_batch"] <= 1.01 * calls["_decode_run"]
-        assert calls["unit_decode_times"] < 0.4 * calls["_admission_iteration"]
+    priced = calls["unit_decode_times"] + calls["unit_decode_times_batch"]
+    assert len(trace) > 100 and 100 * priced <= 16 * len(trace)
     _assert_identical(plan, cluster, trace, engine=engine)
 
 
-def test_kept_row_dropped_at_rebind(monkeypatch):
-    """A migration that lands between a decode run and the admission its
-    spare row was priced for must not leak the old plan's price: binding
-    the new cost model drops the row, and the run equals the spec (which
-    prices that boundary under the new plan).  The control carries the
-    row across the rebind and diverges.  Runs on the DES engine, whose
-    decode runs still end below capacity with a kept row."""
-    plan, cluster, trace, kw = _recut_case()
-    kw["engine"] = "des"
-    live = []
-    bind = _Engine._bind_cost_model
-
-    def spy(self, scm):
-        kept = getattr(self, "_kept", None)
-        live.append(kept is not None and kept[:2] == (self.b, self.ctx))
-        bind(self, scm)
-        assert self._kept is None
-
-    monkeypatch.setattr(_Engine, "_bind_cost_model", spy)
-    res = _assert_identical(plan, cluster, trace, **kw)
-    assert res.migrations >= 1 and any(live)
-
-    def carry(self, scm):
-        kept = getattr(self, "_kept", None)
-        bind(self, scm)
-        self._kept = kept
-
-    monkeypatch.setattr(_Engine, "_bind_cost_model", carry)
-    assert simulate_online(plan, cluster, trace, policy="continuous", **kw) != res
-
-
-def _window_ends(monkeypatch) -> Counter:
-    """Spy on ``_Engine._window``: after each window, count which ways of
-    ending it the engine state shows — the group drained, the arrived
+def _advance_ends(monkeypatch) -> Counter:
+    """Spy on ``_Engine._advance``: after each advance, count which ways
+    of ending it the engine state shows — the group drained, the arrived
     queue head waits on KV slots (``fit``) or on the cap, a drift poll
-    migrated the plan, the block filled — and whether several arrivals
-    shared one boundary past the first, or the guess was priced again."""
+    migrated the plan, the block filled — whether several arrivals
+    shared one boundary past the first, the guess was priced again, a
+    backlog drained inside it (a KV-bound admission, then one that took
+    every arrival), the DES priced admissions inside it, or a wave ran to
+    its drain."""
     seen = Counter()
-    window, batch = _Engine._window, StageCostModel.unit_decode_times_batch
+    advance, batch = _Engine._advance, StageCostModel.unit_decode_times_batch
     priced = [0]
 
     def count(self, *a):
@@ -417,12 +397,14 @@ def _window_ends(monkeypatch) -> Counter:
         return batch(self, *a)
 
     def spy(self, q):
-        it0, ptr0, mig0, n0 = self.it, self.ptr, self.migrations, priced[0]
-        committed = window(self, q)
+        it0, ptr0, now0 = self.it, self.ptr, self.now
+        mig0, n0 = self.migrations, priced[0]
+        committed = advance(self, q)
         head = self.ptr
         waiting = self.b and head < self.n_req and self.arr[head] <= self.now
         later = self.adm_it[ptr0:head]
         later = later[later > it0 + 1]
+        fit, arrival = _admissions(self, it0, ptr0, now0, committed)
         seen.update(k for k, hit in {
             "drain": self.b == 0,
             "fit": waiting and self.held + self._toks[head] > self.budget,
@@ -431,16 +413,19 @@ def _window_ends(monkeypatch) -> Counter:
             "block": self.it - self.base == trace_engine._BLOCK,
             "shared": np.unique(later).size < later.size,
             "retry": priced[0] - n0 > 1,
+            "backlog": fit.any() and arrival[fit.argmax():].any(),
+            "des": self.des and (fit | arrival).any(),
+            "wave": self.wave and self.b == 0,
         }.items() if hit)
         return committed
 
     monkeypatch.setattr(StageCostModel, "unit_decode_times_batch", count)
-    monkeypatch.setattr(_Engine, "_window", spy)
+    monkeypatch.setattr(_Engine, "_advance", spy)
     return seen
 
 
-def _window_case(end: str, monkeypatch):
-    """A below-capacity run on which admission windows end by ``end``."""
+def _advance_case(end: str, monkeypatch):
+    """A run on which advances end by ``end``."""
     plan, cluster = PLANS["mixed"]
     rng = np.random.default_rng(1)
     poisson = sample_poisson_arrivals(1.0, 80.0, seed=4, max_prompt=96, max_gen=24)
@@ -468,13 +453,22 @@ def _window_case(end: str, monkeypatch):
             gen_lens=rng.integers(8, 24, 120),
         ), {}
     if end == "retry":  # every first guess takes a boundary for 1 ms
-        window = _Engine._window
+        advance = _Engine._advance
 
         def wrong_pace(self, q):
-            self._win_dec = np.array([1e-3])
-            return window(self, q)
+            self._steps = np.array([1e-3])
+            return advance(self, q)
 
-        monkeypatch.setattr(_Engine, "_window", wrong_pace)
+        monkeypatch.setattr(_Engine, "_advance", wrong_pace)
+    if end == "backlog":  # bursts a few times what the KV pool holds
+        return plan, cluster, sample_bursty_arrivals(
+            1.0, 60.0, burst_rate=60.0, burst_duration=2.0, burst_period=20.0,
+            seed=3, max_prompt=512, max_gen=48,
+        ), {}
+    if end == "des":
+        return plan, cluster, poisson, dict(engine="des")
+    if end == "wave":
+        return plan, cluster, poisson, dict(policy="wave")
     return plan, cluster, poisson, {}
 
 
@@ -482,14 +476,26 @@ def _window_case(end: str, monkeypatch):
     "end", ["fit", "cap", "migrate", "block", "drain", "shared", "retry"]
 )
 def test_admission_window_ends_identical(end, kv_charge, monkeypatch):
-    """Every way an admission window ends — KV fit or the cap binding,
-    a drift window closing on a migration, the block filling, the
-    group draining between arrivals, several arrivals landing inside one
-    boundary, a first guess so wrong it is priced again — commits only
-    what the one-boundary spec runs: each case equals it field for
-    field, and the spy sees that ending."""
-    plan, cluster, trace, kw = _window_case(end, monkeypatch)
-    seen = _window_ends(monkeypatch)
+    """Every way an advance below capacity (a window of arrivals) ends
+    — KV fit or the cap binding, a drift window closing on a migration,
+    the block filling, the group draining between arrivals, several
+    arrivals landing inside one boundary, a first guess so wrong it is
+    priced again — commits only what the one-boundary spec runs: each
+    case equals it field for field, and the spy sees that ending."""
+    plan, cluster, trace, kw = _advance_case(end, monkeypatch)
+    seen = _advance_ends(monkeypatch)
+    _assert_identical(plan, cluster, trace, kv_charge=kv_charge, **kw)
+    assert seen[end] > 0, dict(seen)
+
+
+@pytest.mark.parametrize("end", ["backlog", "des", "wave"])
+def test_advance_ends_identical(end, kv_charge, monkeypatch):
+    """The endings one advance adds to the window's: a backlog that
+    drains inside it (admissions KV slots bound, then ones that take
+    every arrival), the DES engine admitting inside it, a wave decoding
+    to its drain — each equals the spec field for field."""
+    plan, cluster, trace, kw = _advance_case(end, monkeypatch)
+    seen = _advance_ends(monkeypatch)
     _assert_identical(plan, cluster, trace, kv_charge=kv_charge, **kw)
     assert seen[end] > 0, dict(seen)
 
@@ -498,9 +504,9 @@ def test_admission_window_ends_identical(end, kv_charge, monkeypatch):
 @pytest.mark.parametrize("block", [3, 50])
 def test_samples_identical_across_block_boundaries(block, engine, monkeypatch):
     """Completions are ordered once per block; with the block shrunk to
-    a few boundaries a run crosses many block ends (inside stretches,
-    decode runs and a migration's wake) and the derived samples still
-    come out in the spec's append order."""
+    a few boundaries a run crosses many block ends (inside advances and
+    a migration's wake) and the derived samples still come out in the
+    spec's append order."""
     monkeypatch.setattr(trace_engine, "_BLOCK", block)
     closed = []
     close = _Engine._close_block
@@ -759,19 +765,17 @@ class RetireRingMachine(RuleBasedStateMachine):
 
     @precondition(
         lambda self: self.running() and self.eng.b
-        and not (self.eng.wave or self.eng.des)
         and self.eng.it - self.eng.base < trace_engine._BLOCK
     )
     @rule()
-    def window(self):
-        """An admission window wherever the engine could open one: a
-        group in flight and every arrived request fits."""
+    def advance(self):
+        """An advance wherever the engine could run one: a group in
+        flight, under either policy and either engine."""
         e = self.eng
         q = e.ptr
         if q < e.n_req and e.arr[q] <= e.now:
             q = int(e.arr.searchsorted(e.now, side="right"))
-        if q == e.ptr or e._admit_end(q) == q:
-            assert e._window(q) >= 1
+        assert e._advance(q) >= 1
 
     @precondition(lambda self: self.running() and not self.eng.wave)
     @rule(k=st.integers(0, 2))

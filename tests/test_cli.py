@@ -806,6 +806,14 @@ def test_algo_cost_source_model(tmp_path, capsys):
          "invalid autoscale settings: window must be positive and finite, got inf"),
         (["--autoscale", "--autoscale-cooldown", "nan"],
          "invalid autoscale settings: cooldown must be >= 0, got nan"),
+        (["--replan-on-drift", "--drift-window", "nan"],
+         "invalid drift settings: window must be positive and finite, got nan"),
+        (["--replan-on-drift", "--drift-window", "inf"],
+         "invalid drift settings: window must be positive and finite, got inf"),
+        (["--replan-on-drift", "--drift-threshold", "nan"],
+         "invalid drift settings: threshold must be positive, got nan"),
+        (["--replan-on-drift", "--drift-cooldown", "nan"],
+         "invalid drift settings: cooldown must be >= 0, got nan"),
     ],
 )
 def test_serve_malformed_flag_is_one_line(tiny_strategy_file, capsys, flags, message):
