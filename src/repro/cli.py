@@ -309,6 +309,10 @@ def dist_main(argv: list[str] | None = None) -> int:
         from .models.transformer import TinyDecoderLM
         from .runtime.engine import PipelineRuntime, SupervisionConfig
 
+        try:
+            cfg.check_positions(plan.workload.prompt_len, plan.workload.gen_len)
+        except ValueError as e:
+            return _fail(str(e))
         injector = None
         if args.fault_spec:
             try:
@@ -620,6 +624,13 @@ def serve_main(argv: list[str] | None = None) -> int:
         arrivals = _sample_trace(args, max_prompt, max_gen)
         if not arrivals:
             return _fail("trace is empty — raise --rate or --duration")
+        if args.trace_file:  # a replayed trace brings its own lengths
+            k = int(np.argmax(arrivals.prompt_lens + arrivals.gen_lens))
+            max_prompt, max_gen = arrivals.prompt_lens[k], arrivals.gen_lens[k]
+        try:
+            cfg.check_positions(int(max_prompt), int(max_gen))
+        except ValueError as e:
+            return _fail(str(e))
         work = requests_from_arrivals(arrivals, cfg.vocab_size, seed=args.seed)
         ref = TinyDecoderLM(cfg, seed=args.seed)
         try:

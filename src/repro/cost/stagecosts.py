@@ -25,8 +25,8 @@ produces every cost view the consumers need:
 * ``kv_token_charges`` / ``kv_token_budget`` — the same KV pool counted
   in token slots: what one slot costs per stage and how many fit, the one
   admission ledger of the trace engine, the fleet router and the runtime
-  scheduler — and :func:`wave_admits`, the wave policy's admission rule
-  on that ledger.
+  scheduler — and :func:`admit_run`, the one FIFO admission rule on that
+  ledger (its wave prefix is :func:`wave_admits`).
 
 The time source is selectable: ``source="kernels"`` prices with the
 ground-truth roofline kernels (the simulated hardware), ``source="model"``
@@ -64,7 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports, no cycles
 
 __all__ = [
     "StageCostModel", "StageRow", "planner_stage_row", "planner_time_tables",
-    "wave_admits",
+    "admit_run", "wave_admits",
 ]
 
 
@@ -941,11 +941,53 @@ def wave_admits(prompt_lens, gen_lens, budget: int) -> int:
     offline schedule's uniform ``(s, n)``), so ``k`` members hold ``k *
     (s_max + n_max)`` token slots of :meth:`StageCostModel.kv_token_budget`;
     the wave is the longest prefix within ``budget``.  That need only
-    grows with ``k``, so the prefix is one ``searchsorted``.  The trace
-    engine and :class:`~repro.runtime.scheduler.ContinuousScheduler` both
-    admit through this one rule.
+    grows with ``k``, so the prefix is one ``searchsorted``.
     """
     s_max = np.maximum.accumulate(np.asarray(prompt_lens, dtype=np.int64))
     n_max = np.maximum.accumulate(np.asarray(gen_lens, dtype=np.int64))
     need = np.arange(1, s_max.size + 1) * (s_max + n_max)
     return int(need.searchsorted(budget, side="right"))
+
+
+def admit_run(
+    cumq: np.ndarray, spr: np.ndarray, sgen: np.ndarray, ptr: int, arrived: int,
+    *, held: int, b: int, budget: int, cap: int, wave: bool = False,
+) -> tuple[int, int]:
+    """One token boundary's FIFO admission over the queue columns.
+
+    ``cumq`` is the prefix sum of the queue's ``prompt + gen`` token
+    slots (``cumq[0] = 0``), ``spr``/``sgen`` its prompt and generation
+    lengths; rows ``[ptr, arrived)`` have arrived, and ``b`` requests
+    holding ``held`` of ``budget`` slots are in flight under a cap of
+    ``cap``.  Returns ``(r, p)``: rows ``[ptr, r)`` are rejected — only
+    into an empty system, the leading run of heads that do not fit even
+    alone, so never will — and rows ``[r, p)`` are admitted: the longest
+    prefix within the ``budget - held`` free slots and ``cap - b`` free
+    places (head-of-line blocking), or for a ``wave``, only into an
+    empty system, the prefix :func:`wave_admits` takes.  Its members'
+    padded slots are at least their ``sum(s + n)``, so the continuous
+    fit end bounds that scan.
+
+    The trace engine's empty-system boundary and every
+    :class:`~repro.runtime.scheduler.ContinuousScheduler` boundary admit
+    through this function; the engine's speculative advance evaluates
+    the same bound vectorised over its schedule.
+    """
+    if ptr >= arrived:
+        return ptr, ptr
+    r = ptr
+    if not b:
+        if cumq[r + 1] - cumq[r] > budget:
+            fits = np.flatnonzero(np.diff(cumq[r:arrived + 1]) <= budget)
+            r += int(fits[0]) if fits.size else arrived - r
+    elif wave:
+        return ptr, ptr
+    p = min(
+        int(cumq.searchsorted(cumq[r] + (budget - held), side="right")) - 1,
+        arrived, r + cap - b,
+    )
+    if p <= r:
+        return r, r
+    if wave:
+        p = r + wave_admits(spr[r:p], sgen[r:p], budget)
+    return r, p

@@ -97,6 +97,19 @@ class ModelConfig:
         if self.hidden_size % self.num_heads != 0:
             raise ValueError(f"{self.name}: heads must divide hidden size")
 
+    def check_positions(self, prompt_len: int, gen_len: int) -> None:
+        """Raise ``ValueError`` unless a request fits the learned position
+        table: its last embedded position is ``prompt_len + gen_len - 2``,
+        so ``prompt_len + gen_len - 1 <= max_position_embeddings``.
+        ALiBi models (``max_position_embeddings == 0``) have no table."""
+        limit = self.max_position_embeddings
+        if limit > 0 and prompt_len + gen_len - 1 > limit:
+            raise ValueError(
+                f"{self.name} embeds at most {limit} positions: prompt_len "
+                f"+ gen_len - 1 must be <= {limit}, got {prompt_len} + "
+                f"{gen_len} - 1 = {prompt_len + gen_len - 1}"
+            )
+
     # ------------------------------------------------------------------
     # Parameter counts
     #

@@ -55,7 +55,13 @@ from ..ops import greedy_pick
 from .dequant_cache import DequantCache, DequantCacheStats
 from .faults import FaultInjector, KVAllocationError, PipelineStallError
 from .loader import StageLoad, load_stage_weights
-from .messages import ActivationMessage, FailureMessage, MergeMessage, ShutdownMessage
+from .messages import (
+    ActivationMessage,
+    FailureMessage,
+    MergeMessage,
+    ReleaseMessage,
+    ShutdownMessage,
+)
 from .microbatch import MicroBatchManager
 from .worker import StageWorker
 
@@ -445,18 +451,28 @@ class PipelineRuntime:
         self._restart_stages()
         return True
 
-    def _replan_without_stage(self, failed_stage: int) -> None:
-        """Degrade the plan: drop the dead stage's device, redistribute
-        its layers to the surviving neighbours, rebuild shards + workers."""
+    def _degraded_plan(self, err: StageFailureError) -> ExecutionPlan | None:
+        """The permanent-failure rung of both supervision ladders (offline
+        ``generate`` and the continuous scheduler's recovery): when
+        supervision allows another replan, the bit-preserving plan that
+        drops the dead stage's device and redistributes its layers to
+        the surviving neighbours, with the stage retired from fault
+        injection; ``None`` when the ladder is exhausted.  The caller
+        switches to it and counts the replan."""
+        sup = self.supervision
+        if not (
+            sup.replan_on_permanent_failure
+            and err.stage_idx is not None
+            and self.plan.num_stages > 1
+            and self.stats.replans < sup.max_replans
+        ):
+            return None
         from ..core.api import replan_after_failure
 
-        new_plan = replan_after_failure(self.plan, failed_stage)
+        new_plan = replan_after_failure(self.plan, err.stage_idx)
         if self.injector is not None:
-            self.injector.retire_stage(failed_stage)
-        keep = min(self._decode_microbatch, new_plan.decode_microbatch)
-        self.switch_plan(new_plan)
-        self._decode_microbatch = keep
-        self.stats.replans += 1
+            self.injector.retire_stage(err.stage_idx)
+        return new_plan
 
     def _halve_decode_group(self) -> bool:
         floor = min(self.plan.prefill_microbatch, self._decode_microbatch)
@@ -546,8 +562,8 @@ class PipelineRuntime:
         out: dict[int, ActivationMessage] = {}
         while len(out) < count:
             msg = self._next_message(f"activation {len(out) + 1}/{count}")
-            if isinstance(msg, MergeMessage):
-                continue  # merge acks surface here, ignore
+            if isinstance(msg, (MergeMessage, ReleaseMessage)):
+                continue  # stray control acks; not activations
             out[msg.microbatch_id] = msg
             if mbm is not None:
                 mbm.mark_done(msg.microbatch_id)
@@ -582,6 +598,7 @@ class PipelineRuntime:
         prompts = np.asarray(prompts)
         if num_tokens <= 0:
             raise ValueError("num_tokens must be positive")
+        self.cfg.check_positions(prompts.shape[-1], num_tokens)
         sup = self.supervision
         retries = 0
         while True:
@@ -607,16 +624,15 @@ class PipelineRuntime:
                 retries += 1
                 self.stats.retries += 1
                 if retries > sup.max_retries:
-                    if (
-                        sup.replan_on_permanent_failure
-                        and err.stage_idx is not None
-                        and self.plan.num_stages > 1
-                        and self.stats.replans < sup.max_replans
-                    ):
-                        self._replan_without_stage(err.stage_idx)
-                        retries = 0
-                        continue
-                    self._fail_cleanly(err)
+                    new_plan = self._degraded_plan(err)
+                    if new_plan is None:
+                        self._fail_cleanly(err)
+                    keep = min(self._decode_microbatch, new_plan.decode_microbatch)
+                    self.switch_plan(new_plan)
+                    self._decode_microbatch = keep
+                    self.stats.replans += 1
+                    retries = 0
+                    continue
                 self._restart_stages()
 
     def _serve_batch(

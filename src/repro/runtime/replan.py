@@ -124,12 +124,22 @@ class DriftEstimate:
         )
 
 
+def _merged(chunks: list, dtypes: tuple) -> tuple[np.ndarray, ...]:
+    """The column chunks as one chunk of aligned arrays (kept in place of
+    the chunks, so later merges concatenate only what came since)."""
+    if not chunks:
+        return tuple(np.empty(0, dtype=d) for d in dtypes)
+    if len(chunks) > 1:
+        chunks[:] = [tuple(np.concatenate(cols) for cols in zip(*chunks))]
+    return chunks[0]
+
+
 class DriftDetector:
     """Windowed drift detection over serving signals.
 
-    Feed it observations tagged with the caller's (virtual) clock —
-    :meth:`observe_arrival` for every request arrival,
-    :meth:`observe_occupancy` at token boundaries,
+    Feed it observations tagged with the caller's (virtual) clock, each
+    signal in one array form — :meth:`observe_arrivals` for request
+    arrivals, :meth:`observe_occupancies` for token boundaries,
     :meth:`observe_device_loss` from the fault path — and call
     :meth:`poll` at boundaries.  The first closed window with enough
     requests becomes the baseline; each later window scores the maximum
@@ -143,18 +153,9 @@ class DriftDetector:
 
     def __init__(self, config: DriftConfig | None = None) -> None:
         self.config = config or DriftConfig()
-        # pending observations as parallel columns: scalar observes append
-        # to Python tail lists, batch observes park whole arrays as chunks
-        # (no per-element conversion) — window maths then runs as array
-        # reductions over the same values in the same order either way,
-        # so closed-window statistics (and therefore triggers) are
-        # bit-identical
-        self._pending_t: list[float] = []
-        self._pending_s: list[int] = []
-        self._pending_g: list[int] = []
+        # pending observations as column chunks in observation order;
+        # window maths runs as array reductions over them
         self._arr_chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._occ_t: list[float] = []
-        self._occ_v: list[float] = []
         self._occ_chunks: list[tuple[np.ndarray, np.ndarray]] = []
         self._win_start = 0.0
         self._baseline: tuple[float, float, float, float] | None = None
@@ -169,95 +170,31 @@ class DriftDetector:
         self.device_losses = 0
 
     # -- observations ---------------------------------------------------
-    def observe_arrival(self, t: float, prompt_len: int, gen_len: int) -> None:
-        """Record one request arrival at virtual time ``t``."""
-        self._pending_t.append(t)
-        self._pending_s.append(prompt_len)
-        self._pending_g.append(gen_len)
-
     def observe_arrivals(self, times, prompt_lens, gen_lens) -> None:
-        """Batch form of :meth:`observe_arrival` (aligned arrays)."""
-        self._flush_arrival_tail()
+        """Record request arrivals: aligned arrays of virtual times and
+        prompt and generation lengths."""
         self._arr_chunks.append((
             np.asarray(times, dtype=np.float64),
             np.asarray(prompt_lens, dtype=np.int64),
             np.asarray(gen_lens, dtype=np.int64),
         ))
 
-    def observe_occupancy(self, t: float, fraction: float) -> None:
-        """Record the max per-stage KV usage fraction at time ``t``."""
-        self._occ_t.append(t)
-        self._occ_v.append(float(fraction))
-        self._last_occ = float(fraction)
-
     def observe_occupancies(self, times, fractions) -> None:
-        """Batch form of :meth:`observe_occupancy` (aligned arrays)."""
+        """Record the max per-stage KV usage fraction at token boundaries
+        (aligned arrays of virtual times and fractions)."""
         ts = np.asarray(times, dtype=np.float64)
         vs = np.asarray(fractions, dtype=np.float64)
         if vs.size:
-            self._flush_occupancy_tail()
             self._occ_chunks.append((ts, vs))
             self._last_occ = float(vs[-1])
 
-    def _flush_arrival_tail(self) -> None:
-        if self._pending_t:
-            self._arr_chunks.append((
-                np.array(self._pending_t, dtype=np.float64),
-                np.array(self._pending_s, dtype=np.int64),
-                np.array(self._pending_g, dtype=np.int64),
-            ))
-            self._pending_t = []
-            self._pending_s = []
-            self._pending_g = []
-
-    def _flush_occupancy_tail(self) -> None:
-        if self._occ_t:
-            self._occ_chunks.append((
-                np.array(self._occ_t, dtype=np.float64),
-                np.array(self._occ_v, dtype=np.float64),
-            ))
-            self._occ_t = []
-            self._occ_v = []
-
-    def _arrival_columns(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _arrival_columns(self) -> tuple[np.ndarray, ...]:
         """Pending arrivals as aligned arrays (observation order)."""
-        self._flush_arrival_tail()
-        ch = self._arr_chunks
-        if not ch:
-            return (
-                np.empty(0, dtype=np.float64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        if len(ch) == 1:
-            return ch[0]
-        merged = (
-            np.concatenate([c[0] for c in ch]),
-            np.concatenate([c[1] for c in ch]),
-            np.concatenate([c[2] for c in ch]),
-        )
-        self._arr_chunks = [merged]
-        return merged
+        return _merged(self._arr_chunks, (np.float64, np.int64, np.int64))
 
-    def _occupancy_columns(self) -> tuple[np.ndarray, np.ndarray]:
+    def _occupancy_columns(self) -> tuple[np.ndarray, ...]:
         """Pending occupancy samples as aligned arrays."""
-        self._flush_occupancy_tail()
-        ch = self._occ_chunks
-        if not ch:
-            return (
-                np.empty(0, dtype=np.float64),
-                np.empty(0, dtype=np.float64),
-            )
-        if len(ch) == 1:
-            return ch[0]
-        merged = (
-            np.concatenate([c[0] for c in ch]),
-            np.concatenate([c[1] for c in ch]),
-        )
-        self._occ_chunks = [merged]
-        return merged
+        return _merged(self._occ_chunks, (np.float64, np.float64))
 
     def observe_device_loss(self, t: float, stage_idx: int) -> None:
         """Record a permanent device loss (fires on the next poll)."""
@@ -279,12 +216,7 @@ class DriftDetector:
         if now is not None:
             self._win_start = now
             self._last_trigger = now
-        self._pending_t.clear()
-        self._pending_s.clear()
-        self._pending_g.clear()
         self._arr_chunks.clear()
-        self._occ_t.clear()
-        self._occ_v.clear()
         self._occ_chunks.clear()
 
     def estimate(self, now: float, *, reason: str = "estimate") -> DriftEstimate:
@@ -529,7 +461,9 @@ class MigrationController:
 
         if rebuilt:
             self._replay(rec)
-        self._retire_finished()
+        # a crash during the release handshake leaves finished requests
+        # in flight; decoding them again would corrupt the schedule
+        sched._retire()
 
         rec.quiesce_seconds = sched._now() - t0
         sched.migrations += 1
@@ -558,12 +492,13 @@ class MigrationController:
         self-consistent).
         """
         sched = self.sched
+        rt = sched.rt
         replaying = [a for a in sched._active if a.tokens]
         if not replaying:
             return
         for a in replaying:
             sched._send_prefill(a)
-        outs = sched._collect(len(replaying))
+        outs = rt._collect(len(replaying))
         for a in replaying:
             tok = sched._sample(a, outs[a.unit_id])
             rec.replayed_tokens += 1
@@ -576,33 +511,10 @@ class MigrationController:
                 break
             for a in round_:
                 sched._send_replay_decode(a, k)
-            outs = sched._collect(len(round_))
+            outs = rt._collect(len(round_))
             for a in round_:
                 tok = sched._sample(a, outs[a.unit_id])
                 rec.replayed_tokens += 1
                 if tok != a.tokens[k]:
                     rec.divergences += 1
             k += 1
-
-    def _retire_finished(self) -> None:
-        """Retire requests that finished but whose release was interrupted.
-
-        A crash during the release handshake leaves fully-generated
-        requests in the active set; decoding them again would corrupt
-        the schedule, so they are released and reported here instead.
-        """
-        sched = self.sched
-        done = [
-            a for a in sched._active
-            if a.decode_budget <= 0 and len(a.tokens) >= a.req.gen_len
-        ]
-        if not done:
-            return
-        sched._release(done)
-        now = sched._now()
-        for a in done:
-            sched._active.remove(a)
-            a.record.tokens = np.array(a.tokens, dtype=np.int64)
-            if a.record.finish_time == 0.0:  # pragma: no cover - guard
-                a.record.finish_time = now
-            sched._report.records.append(a.record)

@@ -12,6 +12,15 @@ immediately and the next queued request can take them over at the very
 next iteration.  This is the ORCA-style counterpart of the paper's
 offline two-phase schedule.
 
+The queue is the trace engine's state: arrival (times ``time_scale``),
+prompt and generation columns in ``(arrival, request_id)`` order, their
+token-slot prefix sums and a head index.  Every boundary admits through
+the engine's one rule, :func:`~repro.cost.stagecosts.admit_run`, with
+the rows arrived by ``now``; a request retires by boundary count, at the
+``fin`` its admission set, as on the engine's retire ring; and the drift
+detector gets the same column slices the engine feeds it.  Only the
+loop drivers differ: priced time there, pipeline I/O here.
+
 Decode is fused and batched: at each token boundary every in-flight
 decode request's single-token activation is stacked into one
 ``(B, 1, h)`` ragged batch, each stage runs one QKV/MLP GEMM per layer
@@ -39,15 +48,14 @@ execution path: admission only into an empty system, every member
 padded to the wave's maxima (KV reserved at ``s_max + n_max``, decode run
 for ``n_max`` tokens even for requests that finished early), memory
 freed only when the whole wave drains.  The policy is an admission rule
-only: admission sets each request's reservation and decode budget, and
-the iteration that runs them is the same for both policies.
+only: admission sets each request's reservation and ``fin``, and the
+iteration that runs them is the same for both policies.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
@@ -55,7 +63,7 @@ import numpy as np
 
 from .. import stats
 from ..core.plan import ExecutionPlan
-from ..cost.stagecosts import StageCostModel, wave_admits
+from ..cost.stagecosts import StageCostModel, admit_run
 from ..ops import greedy_pick
 from ..workload.traces import RequestArrival
 from .engine import PipelineRuntime, StageFailureError
@@ -232,8 +240,9 @@ class _Active:
     req: ServeRequest
     record: RequestRecord
     tokens: list[int] = field(default_factory=list)
-    #: decode passes still owed (wave mode pads this to the wave max)
-    decode_budget: int = 0
+    #: the boundary it retires after, set at admission: the admitting
+    #: boundary plus ``gen_len - 1`` (a wave member: the wave's ``n_max - 1``)
+    fin: int = 0
     #: KV token slots reserved past the prompt, set at admission; the
     #: request holds ``prompt_len + reserve`` slots and its prefill (and
     #: any replay) carries the reservation to the stages
@@ -294,8 +303,8 @@ class ContinuousScheduler:
             raise ValueError(f"unknown policy {policy!r}")
         if max_inflight is not None and max_inflight <= 0:
             raise ValueError("max_inflight must be positive")
-        if time_scale < 0:
-            raise ValueError("time_scale must be >= 0")
+        if not 0 <= time_scale < float("inf"):
+            raise ValueError(f"time_scale must be >= 0 and finite, got {time_scale}")
         if drift is not None and policy != "continuous":
             raise ValueError("drift replanning requires the continuous policy")
         self.rt = runtime
@@ -326,8 +335,8 @@ class ContinuousScheduler:
         self._crash_retries = 0
         self._active: list[_Active] = []
         self._report: ServeReport | None = None
-        self._arrival_schedule: list[tuple[float, int, int]] = []
-        self._arrival_ptr = 0
+        #: token boundaries whose results were collected
+        self.it = 0
 
     @property
     def detector(self) -> DriftDetector | None:
@@ -373,9 +382,6 @@ class ContinuousScheduler:
             self._offset += t - now
             now = t
         return now
-
-    def _eff_arrival(self, req: ServeRequest) -> float:
-        return req.arrival * self.time_scale
 
     # ------------------------------------------------------------------
     # Pipeline I/O (batch-1 prefill/replay; fused decode)
@@ -423,15 +429,6 @@ class ContinuousScheduler:
                 microbatch_id=a.unit_id, phase="decode", start=start, hidden=x
             )
         )
-
-    def _collect(self, count: int) -> dict[int, ActivationMessage]:
-        out: dict[int, ActivationMessage] = {}
-        while len(out) < count:
-            msg = self.rt._next_message(f"activation {len(out) + 1}/{count}")
-            if isinstance(msg, (MergeMessage, ReleaseMessage)):
-                continue  # stray control acks; not activations
-            out[msg.microbatch_id] = msg
-        return out
 
     def _collect_mixed(
         self, prefill_count: int, *, batched: bool
@@ -501,126 +498,36 @@ class ContinuousScheduler:
         return self._wsb
 
     # ------------------------------------------------------------------
-    # Admission
-    # ------------------------------------------------------------------
-    def _admit_continuous(
-        self, pending: deque, active: list[_Active], now: float,
-        report: ServeReport,
-    ) -> list[_Active]:
-        """FIFO head-of-line admission at a token boundary: a request
-        holds ``prompt_len + gen_len`` slots."""
-        newly: list[_Active] = []
-        while pending:
-            rec: RequestRecord = pending[0][1]
-            req: ServeRequest = pending[0][0]
-            if self._eff_arrival(req) > now:
-                break
-            if (
-                self.max_inflight is not None
-                and len(active) + len(newly) >= self.max_inflight
-            ):
-                break
-            if self.held + req.prompt_len + req.gen_len > self.budget:
-                if not active and not newly:
-                    # alone in an empty system and still does not fit:
-                    # it never will — reject gracefully instead of
-                    # wedging the queue forever
-                    pending.popleft()
-                    rec.rejected = True
-                    report.records.append(rec)
-                    continue
-                break  # head-of-line blocks until something retires
-            pending.popleft()
-            self.held += req.prompt_len + req.gen_len
-            rec.admit_time = now
-            newly.append(_Active(
-                unit_id=next(self._unit_ids), req=req, record=rec,
-                decode_budget=req.gen_len - 1, reserve=req.gen_len,
-            ))
-        return newly
-
-    def _admit_wave(
-        self, pending: deque, active: list[_Active], now: float,
-        report: ServeReport,
-    ) -> list[_Active]:
-        """Gang admission into an empty system, padded to wave maxima:
-        every member holds ``s_max + n_max`` slots — the offline uniform
-        ``(s, n)`` reservation — and decodes for ``n_max`` tokens.  The
-        wave is the arrived FIFO prefix :func:`wave_admits` takes, the
-        trace engine's rule."""
-        if active:
-            return []
-
-        def arrived(entry) -> bool:
-            return self._eff_arrival(entry[0]) <= now
-
-        while pending and arrived(pending[0]):
-            req, rec = pending[0]
-            if req.prompt_len + req.gen_len <= self.budget:
-                break
-            # does not fit even alone: it never will
-            pending.popleft()
-            rec.rejected = True
-            report.records.append(rec)
-        heads = list(itertools.islice(
-            itertools.takewhile(arrived, pending), self.max_inflight
-        ))
-        k = wave_admits(
-            [r.prompt_len for r, _ in heads], [r.gen_len for r, _ in heads],
-            self.budget,
-        )
-        s_max = max((r.prompt_len for r, _ in heads[:k]), default=0)
-        n_max = max((r.gen_len for r, _ in heads[:k]), default=0)
-        newly: list[_Active] = []
-        for _ in range(k):
-            req, rec = pending.popleft()
-            rec.admit_time = now
-            newly.append(_Active(
-                unit_id=next(self._unit_ids), req=req, record=rec,
-                decode_budget=n_max - 1,
-                reserve=(s_max - req.prompt_len) + n_max,
-            ))
-        self.held += k * (s_max + n_max)
-        return newly
-
-    # ------------------------------------------------------------------
-    # Main loop
+    # Queue and admission
     # ------------------------------------------------------------------
     def serve(self, requests: Sequence[ServeRequest]) -> ServeReport:
         """Replay a trace; returns per-request records + aggregates.
 
         A :class:`StageFailureError` anywhere fails the replay cleanly
         (online serving has no batch to retry — lost requests belong to
-        a higher-level retry policy), raising ``RuntimeError``.
+        a higher-level retry policy), raising ``RuntimeError``.  A
+        request whose positions overrun the model's position table
+        raises ``ValueError`` before any pipeline I/O.
         """
         report = ServeReport(policy=self.policy)
         if not requests:
             return report
-        ordered = sorted(requests, key=lambda r: (r.arrival, r.request_id))
-        pending: deque = deque(
-            (
-                req,
-                RequestRecord(
-                    request_id=req.request_id,
-                    prompt_len=req.prompt_len,
-                    gen_len=req.gen_len,
-                    arrival=self._eff_arrival(req),
-                ),
-            )
-            for req in ordered
-        )
-        active: list[_Active] = []
-        self._active = active
+        # the queue as the trace engine's columns, in FIFO order
+        self._queue = sorted(requests, key=lambda r: (r.arrival, r.request_id))
+        self._arr = np.array([r.arrival for r in self._queue]) * self.time_scale
+        self._spr = np.array([r.prompt_len for r in self._queue], dtype=np.int64)
+        self._sgen = np.array([r.gen_len for r in self._queue], dtype=np.int64)
+        self._cumq = np.concatenate(((0,), np.cumsum(self._spr + self._sgen)))
+        worst = int(np.argmax(self._spr + self._sgen))
+        self.rt.cfg.check_positions(int(self._spr[worst]), int(self._sgen[worst]))
+        self._ptr = self._obs = 0  # queue head; arrivals fed to the detector
+        self._active = []
         self._report = report
-        self._arrival_schedule = [
-            (self._eff_arrival(r), r.prompt_len, r.gen_len) for r in ordered
-        ]
-        self._arrival_ptr = 0
         self._crash_retries = 0
         self._t0 = time.perf_counter()
         self._offset = 0.0
         try:
-            self._loop(pending, active, report)
+            self._loop()
         except StageFailureError as err:
             self.rt._fail_cleanly(err)  # raises RuntimeError
         report.makespan = self._now()
@@ -635,42 +542,83 @@ class ContinuousScheduler:
         self._publish_stats(report)
         return report
 
-    def _loop(
-        self, pending: deque, active: list[_Active], report: ServeReport
-    ) -> None:
-        admit = (
-            self._admit_continuous
-            if self.policy == "continuous"
-            else self._admit_wave
+    def _record(self, k: int, **kw) -> RequestRecord:
+        req = self._queue[k]
+        return RequestRecord(
+            request_id=req.request_id, prompt_len=req.prompt_len,
+            gen_len=req.gen_len, arrival=float(self._arr[k]), **kw,
         )
-        while pending or active:
+
+    def _admit(self, now: float) -> list[_Active]:
+        """Admit at a token boundary through the trace engine's rule,
+        :func:`~repro.cost.stagecosts.admit_run`, and feed the arrivals
+        up to ``now`` to the drift detector.  A request holds ``prompt +
+        gen`` slots; a wave member the wave's ``s_max + n_max``."""
+        arr, spr, sgen = self._arr, self._spr, self._sgen
+        arrived = int(arr.searchsorted(now, side="right"))
+        if self._detector is not None and arrived > self._obs:
+            o = self._obs
+            self._detector.observe_arrivals(
+                arr[o:arrived], spr[o:arrived], sgen[o:arrived])
+            self._obs = arrived
+        ptr, wave = self._ptr, self.policy == "wave"
+        r, p = admit_run(
+            self._cumq, spr, sgen, ptr, arrived, held=self.held,
+            b=len(self._active), budget=self.budget,
+            cap=self.max_inflight or len(arr), wave=wave,
+        )
+        self._ptr = p
+        self._report.records.extend(
+            self._record(k, rejected=True) for k in range(ptr, r))
+        if wave and p > r:
+            s_max, n_max = int(spr[r:p].max()), int(sgen[r:p].max())
+            self.held += (p - r) * (s_max + n_max)
+            fin = [n_max] * (p - r)
+            reserve = (s_max + n_max - spr[r:p]).tolist()
+        else:
+            self.held += int(self._cumq[p] - self._cumq[r])
+            fin = reserve = sgen[r:p].tolist()
+        return [
+            _Active(
+                unit_id=next(self._unit_ids), req=self._queue[k],
+                record=self._record(k, admit_time=now),
+                fin=self.it + fin[i], reserve=reserve[i],
+            )
+            for i, k in enumerate(range(r, p))
+        ]
+
+    # ------------------------------------------------------------------
+    # Main loop
+    # ------------------------------------------------------------------
+    def _loop(self) -> None:
+        n = len(self._queue)
+        while self._ptr < n or self._active:
             now = self._now()
-            if not active and pending:
+            if not self._active:
                 # idle gap: jump the virtual clock to the next arrival
-                head_arrival = self._eff_arrival(pending[0][0])
-                now = self._jump_to(head_arrival)
-            self._feed_detector(now)
-            newly = admit(pending, active, now, report)
-            if not newly and not active:
+                now = self._jump_to(float(self._arr[self._ptr]))
+            newly = self._admit(now)
+            if not newly and not self._active:
                 continue  # everything at the head was rejected
             try:
-                self._iteration(active, newly, report)
+                self._iteration(newly)
                 self._boundary()
             except StageFailureError as err:
                 self._recover(err)
 
-    def _iteration(
-        self, active: list[_Active], newly: list[_Active],
-        report: ServeReport,
-    ) -> None:
+    def _iteration(self, newly: list[_Active]) -> None:
         """One token boundary: prefill the newcomers, decode everyone else.
 
-        Newly admitted requests join ``active`` *before* any pipeline
-        I/O, so a mid-iteration failure can never orphan them — the
-        recovery path sees every admitted request.  Requests with no
+        Newly admitted requests join the in-flight set *before* any
+        pipeline I/O, so a mid-iteration failure can never orphan them —
+        the recovery path sees every admitted request.  Requests with no
         tokens yet (fresh admissions, or admissions whose prefill was
-        lost to a crash) are prefilled; the rest decode.
+        lost to a crash) are prefilled; the rest decode.  The boundary
+        counts once its results are collected (a crash re-runs the same
+        boundary number); then every request whose ``fin`` it reached
+        retires, as on the trace engine's ring.
         """
+        active = self._active
         active.extend(newly)
         fresh = [a for a in active if not a.tokens]
         going = [a for a in active if a.tokens]
@@ -679,8 +627,8 @@ class ContinuousScheduler:
         if going:
             self._send_batched_decode(going)
         outs, fused = self._collect_mixed(len(fresh), batched=bool(going))
+        self.it += 1
         now = self._now()
-        finished: list[_Active] = []
         for a in fresh:
             tok = self._sample(a, outs[a.unit_id])
             a.tokens.append(tok)
@@ -701,38 +649,32 @@ class ContinuousScheduler:
             toks = greedy_pick(self.rt._logits_last(fused.hidden))
             row = {uid: i for i, uid in enumerate(fused.unit_ids)}
             for a in going:
-                a.decode_budget -= 1
                 stats.decode_tokens += 1
                 stats.tokens_generated += 1
                 if len(a.tokens) < a.req.gen_len:
                     a.tokens.append(int(toks[row[a.unit_id]]))
                     if len(a.tokens) == a.req.gen_len:
                         a.record.finish_time = now  # wave keeps padding past this
-        for a in active:
-            if a.decode_budget <= 0:
-                finished.append(a)
-        if finished:
-            self._release(finished)
-            for a in finished:
-                active.remove(a)
-                a.record.tokens = np.array(a.tokens, dtype=np.int64)
-                if a.record.finish_time == 0.0:  # pragma: no cover - guard
-                    a.record.finish_time = now
-                report.records.append(a.record)
+        self._retire()
+
+    def _retire(self) -> None:
+        """Release and report every request whose last boundary has run."""
+        active, it = self._active, self.it
+        done = [a for a in active if a.fin <= it]
+        if not done:
+            return
+        self._release(done)
+        active[:] = [a for a in active if a.fin > it]
+        now = self._now()
+        for a in done:
+            a.record.tokens = np.array(a.tokens, dtype=np.int64)
+            if a.record.finish_time == 0.0:  # pragma: no cover - guard
+                a.record.finish_time = now
+            self._report.records.append(a.record)
 
     # ------------------------------------------------------------------
     # Live replanning / recovery (all at token boundaries)
     # ------------------------------------------------------------------
-    def _feed_detector(self, now: float) -> None:
-        """Stream arrivals that have happened by ``now`` to the detector."""
-        if self._detector is None:
-            return
-        sched = self._arrival_schedule
-        while self._arrival_ptr < len(sched) and sched[self._arrival_ptr][0] <= now:
-            t, s, n = sched[self._arrival_ptr]
-            self._detector.observe_arrival(t, s, n)
-            self._arrival_ptr += 1
-
     def _occupancy(self) -> float:
         """Max per-stage KV usage fraction under the current headroom:
         ``held x slot bytes`` over the pool, the trace engine's product."""
@@ -755,7 +697,7 @@ class ContinuousScheduler:
         if self._detector is None:
             return
         now = self._now()
-        self._detector.observe_occupancy(now, self._occupancy())
+        self._detector.observe_occupancies((now,), (self._occupancy(),))
         est = self._detector.poll(now)
         if est is None:
             return
@@ -784,21 +726,13 @@ class ContinuousScheduler:
             raise err
         while True:
             self._crash_retries += 1
-            escalate = self._crash_retries > sup.max_retries
-            if escalate and not (
-                sup.replan_on_permanent_failure
-                and err.stage_idx is not None
-                and self.rt.plan.num_stages > 1
-                and self.rt.stats.replans < sup.max_replans
-            ):
-                raise err
+            new_plan = None
+            if self._crash_retries > sup.max_retries:
+                new_plan = self.rt._degraded_plan(err)
+                if new_plan is None:
+                    raise err
             try:
-                if escalate:
-                    from ..core.api import replan_after_failure
-
-                    new_plan = replan_after_failure(self.rt.plan, err.stage_idx)
-                    if self.rt.injector is not None:
-                        self.rt.injector.retire_stage(err.stage_idx)
+                if new_plan is not None:
                     if self._detector is not None:
                         self._detector.observe_device_loss(
                             self._now(), err.stage_idx

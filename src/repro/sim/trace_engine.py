@@ -4,20 +4,21 @@
 price one iteration, retire, poll the drift detector — runs here as
 array-based event processing over **boundary-indexed state**; nothing is
 kept per in-flight request.  Both scheduling policies are admission
-rules of this one engine:
+rules of this one engine, and both go through
+:func:`~repro.cost.stagecosts.admit_run` — the runtime
+:class:`~repro.runtime.scheduler.ContinuousScheduler`'s rule too:
 
 * ``"continuous"`` admits the FIFO prefix that fits the free token slots
   at every boundary (the rest of this docstring);
 * ``"wave"`` admits only into an empty system, the prefix
-  :func:`~repro.cost.stagecosts.wave_admits` takes — the runtime
-  scheduler's rule — and pads every member to the wave's maxima: each
-  goes on the ring at ``n_max`` with ``s_max + n_max`` slots, and the
-  context sum counts ``s_max`` per member, so ring, ``ctx`` and ``held``
-  stay one ledger.  While a wave is in flight its advances admit nothing
-  (the head bound is the head itself).  Samples need nothing new: TTFT
-  comes from ``adm_it`` and latency at each member's own ``gen_len``,
-  where the runtime stamps ``finish_time``; throughput counts useful
-  tokens.
+  :func:`~repro.cost.stagecosts.wave_admits` takes, and pads every
+  member to the wave's maxima: each goes on the ring at ``n_max`` with
+  ``s_max + n_max`` slots, and the context sum counts ``s_max`` per
+  member, so ring, ``ctx`` and ``held`` stay one ledger.  While a wave
+  is in flight its advances admit nothing (the head bound is the head
+  itself).  Samples need nothing new: TTFT comes from ``adm_it`` and
+  latency at each member's own ``gen_len``, where the runtime stamps
+  ``finish_time``; throughput counts useful tokens.
 
 State.  Request columns (``arrival`` / ``prompt_len`` / ``gen_len``)
 stay numpy arrays end to end.  The in-flight set is three integers —
@@ -38,6 +39,8 @@ clock after boundary ``i``.
   float bit for bit (the drift detector's occupancy).  Admission at a
   boundary is two ``searchsorted`` calls: the arrived candidates on the
   arrival column, the FIFO prefix that fits on the token prefix sums.
+  Heads that do not fit even alone are rejected, and only into an empty
+  system.
 * The context mean of a boundary is ``float(ctx) / float(b)``: the spec
   averages integers (an exact float64 sum below 2^53, divided once), so
   the integer running sum yields the same quotient bit for bit.
@@ -88,7 +91,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..cost.stagecosts import StageCostModel, wave_admits
+from ..cost.stagecosts import StageCostModel, admit_run
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..core.plan import ExecutionPlan
@@ -265,23 +268,6 @@ class _Engine:
         tail = np.cumsum(self._pf_rows[:, ::-1], axis=1)[:, ::-1]
         return (head + tail).max(axis=1) - head[-1] - self._pf_max
 
-    # -- admission ------------------------------------------------------
-    def _admit_end(self, q: int) -> int:
-        """End ``p`` of the arrived FIFO run ``[ptr, q)`` that opens a busy
-        period: the longest run whose token slots fit the budget (one
-        ``searchsorted`` on the token prefix sums), capped at
-        ``max_batch``.  A wave takes the prefix
-        :func:`~repro.cost.stagecosts.wave_admits` allows; its members'
-        padded ``k * (s_max + n_max)`` slots are at least their ``sum(s +
-        n)``, so the continuous fit end bounds the scan."""
-        ptr, cumq = self.ptr, self._cumq
-        p = min(int(cumq.searchsorted(cumq[ptr] + self.budget, side="right")) - 1, q)
-        if self.max_batch is not None:
-            p = min(p, ptr + self.max_batch)
-        if self.wave:
-            return ptr + wave_admits(self.spr[ptr:p], self.sgen[ptr:p], self.budget)
-        return p
-
     def _ring_add(self, slots: np.ndarray, toks: np.ndarray, add=np.add) -> None:
         """Put per-request retire contributions on the ring at ``slots``
         (``add=np.subtract`` takes them back off)."""
@@ -348,8 +334,10 @@ class _Engine:
 
         Only admission boundaries take a loop turn.  At boundary ``t``
         the queue head moves to ``min(F_t, A'_t)``: ``F_t`` is the
-        KV-slot/cap bound of the state entering ``t`` (for a wave, the
-        head itself), ``A'_t`` the rows arrived by ``t``'s guessed start
+        KV-slot/cap bound of the state entering ``t`` — the end
+        :func:`~repro.cost.stagecosts.admit_run` admits to, inlined here
+        per turn and vectorised in validation (for a wave, the head
+        itself) — ``A'_t`` the rows arrived by ``t``'s guessed start
         clock — the decode steps priced last, extended by the last one,
         plus the prefill units of the rows already placed.  While rows
         that arrived by ``now`` wait, or ``F_t`` binds, each turn admits
@@ -737,9 +725,10 @@ class _Engine:
 
     # -- main loop ------------------------------------------------------
     def _step(self) -> None:
-        """Run one event: an advance while a group is in flight, else the
-        boundary that opens a busy period, or the rejection of heads that
-        can never fit."""
+        """Run one event: an advance while a group is in flight, else
+        :func:`~repro.cost.stagecosts.admit_run` into the empty system —
+        the rejection of heads that can never fit, then the boundary that
+        opens a busy period."""
         arr = self.arr
         if self.it - self.base == _BLOCK or self.ptr - self.blk_ptr >= _BLOCK:
             self._close_block()
@@ -752,16 +741,14 @@ class _Engine:
         if self.b:
             self._advance(q)
             return
-        p = self._admit_end(q)
-        if p > ptr:
+        r, p = admit_run(
+            self._cumq, self.spr, self.sgen, ptr, q, held=self.held, b=0,
+            budget=self.budget, cap=self.max_batch or self.n_req, wave=self.wave,
+        )
+        self.ptr = r
+        self.rejected += r - ptr
+        if p > r:
             self._admission_iteration(p)
-        else:
-            # alone in an empty system and still unfit: never fits —
-            # drop the leading run of solo-unfit heads
-            fits = np.flatnonzero(self._toks[ptr:q] <= self.budget)
-            r = int(fits[0]) if fits.size else q - ptr
-            self.ptr += r
-            self.rejected += r
 
     def run(self):
         from ..stats import quantile

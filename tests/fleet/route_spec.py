@@ -170,5 +170,5 @@ def route_spec(arr, spr, sgen, reps, policy, autoscaler, prefix_keys=None):
             # one request's observation, as the autoscaler took it
             st = autoscaler._pools[name]
             st.demand += svc
-            st.detector.observe_arrival(t, s, g)
+            st.detector.observe_arrivals([t], [s], [g])
     return assign, int((assign < 0).sum())

@@ -93,10 +93,12 @@ class TriggerAfter(ContinuousScheduler):
 
 
 def _feed(det, t0, t1, rate, s=8, g=4):
+    times = []
     t = t0
     while t < t1:
-        det.observe_arrival(t, s, g)
+        times.append(t)
         t += 1.0 / rate
+    det.observe_arrivals(times, [s] * len(times), [g] * len(times))
 
 
 def test_drift_config_validation():

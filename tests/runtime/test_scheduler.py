@@ -1,6 +1,7 @@
 """Continuous-batching scheduler tests: byte-identity, eager KV release,
 admission edge cases, and wave-baseline equivalence."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -245,8 +246,10 @@ def test_constructor_and_request_validation(reference, workload12):
             ContinuousScheduler(rt, policy="orca")
         with pytest.raises(ValueError, match="max_inflight"):
             ContinuousScheduler(rt, max_inflight=0)
-        with pytest.raises(ValueError, match="time_scale"):
-            ContinuousScheduler(rt, time_scale=-1.0)
+        # NaN fails no ``< 0`` test, and ``0 x inf`` is a NaN arrival
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="time_scale"):
+                ContinuousScheduler(rt, time_scale=bad)
     with pytest.raises(ValueError, match="gen_len"):
         ServeRequest(request_id=0, prompt=np.array([1, 2]), gen_len=0)
     with pytest.raises(ValueError, match="prompt"):
@@ -255,6 +258,25 @@ def test_constructor_and_request_validation(reference, workload12):
         ServeRequest(
             request_id=0, prompt=np.array([1]), gen_len=1, arrival=-1.0
         )
+
+
+def test_positions_past_the_table_raise_before_any_io(reference, tiny8l, workload12):
+    """tiny-8l embeds 256 positions: a request's last embedded position
+    is ``s + n - 2``, so ``s + n - 1 = 257`` raises in ``generate`` and in
+    ``serve`` before anything enters the pipeline, and 256 serves."""
+    plan = _plan([(16,) * 4, (16,) * 4], workload=workload12)
+    prompt = np.random.default_rng(0).integers(
+        0, tiny8l.vocab_size, size=200, dtype=np.int64)
+    fits = [ServeRequest(request_id=0, prompt=prompt, gen_len=57)]
+    with PipelineRuntime(reference, plan) as rt:
+        with pytest.raises(ValueError, match=r"<= 256, got 200 \+ 58 - 1 = 257"):
+            rt.generate(prompt[None], 58)
+        too_long = [ServeRequest(request_id=0, prompt=prompt, gen_len=58)]
+        with pytest.raises(ValueError, match=r"<= 256, got 200 \+ 58 - 1 = 257"):
+            ContinuousScheduler(rt, time_scale=0.0).serve(fits + too_long)
+        assert rt.stats.prefill_tokens == 0  # no pipeline I/O
+        report = ContinuousScheduler(rt, time_scale=0.0).serve(fits)
+    _assert_streams_match(report, reference, fits)
 
 
 class LedgerProbe(ContinuousScheduler):
@@ -334,36 +356,45 @@ def test_token_ledger_invariants_every_boundary(
 
 
 class BoundaryLog(ContinuousScheduler):
-    """Records each request's admit and retire token boundary (1-based
-    count of iterations)."""
+    """Records each request's admit, retire and reject token boundary
+    (1-based count of iterations; a rejection at the count run before)."""
 
     def __init__(self, rt, **kw):
         super().__init__(rt, **kw)
-        self.boundary = 0
         self.admitted: dict[int, int] = {}
         self.retired: dict[int, int] = {}
+        self.rejected: dict[int, int] = {}
 
-    def _iteration(self, active, newly, report):
-        self.boundary += 1
+    def _admit(self, now):
+        newly = super()._admit(now)
+        for rec in self._report.records:
+            if rec.rejected:
+                self.rejected.setdefault(rec.request_id, self.it)
+        return newly
+
+    def _iteration(self, newly):
         for a in newly:
-            self.admitted[a.req.request_id] = self.boundary
-        super()._iteration(active, newly, report)
+            self.admitted[a.req.request_id] = self.it + 1
+        super()._iteration(newly)
 
     def _release(self, finished):
         super()._release(finished)
         for a in finished:
-            self.retired[a.req.request_id] = self.boundary
+            self.retired[a.req.request_id] = self.it
 
 
 @pytest.mark.parametrize("policy", ["continuous", "wave"])
 def test_sim_and_runtime_admit_and_retire_at_the_same_boundaries(
     reference, tiny8l, workload12, policy, monkeypatch
 ):
-    """One admission rule, two loops: 16 requests arrive at once under a
-    cap of 5 and a 60-slot budget that binds.  Per request, the real
-    runtime's (admit, retire) boundary equals the trace engine's
-    ``(adm_it, adm_it + retire - 1)``, where a request retires after its
-    own ``gen_len`` tokens, or a wave member after the wave's ``n_max``."""
+    """One admission rule, two loops: 18 requests arrive at once under a
+    cap of 5 and a 60-slot budget that binds.  Two never fit even alone:
+    one heads the queue, one waits mid-queue behind an in-flight group.
+    Both loops reject the same two, each only into an empty system, and
+    per request the real runtime's (admit, retire) boundary equals the
+    trace engine's ``(adm_it, adm_it + retire - 1)``, where a request
+    retires after its own ``gen_len`` tokens, or a wave member after the
+    wave's ``n_max``."""
     from repro.cost.stagecosts import StageCostModel
     from repro.hardware.cluster import cluster_from_devices
     from repro.sim.trace_engine import _Engine, trace_columns
@@ -374,17 +405,30 @@ def test_sim_and_runtime_admit_and_retire_at_the_same_boundaries(
         lambda self, dequant_cache_budgets=None: 60,
     )
     plan = _plan([(16,) * 4, (16,) * 4], workload=workload12)
-    requests = _mixed_requests(tiny8l, n=16, seed=41)
+    mixed = _mixed_requests(tiny8l, n=16, seed=41)
+    rng = np.random.default_rng(5)
+    giant = lambda: ServeRequest(
+        request_id=0, gen_len=12,
+        prompt=rng.integers(0, tiny8l.vocab_size, size=50, dtype=np.int64),
+    )
+    requests = [
+        dataclasses.replace(r, request_id=i)
+        for i, r in enumerate([giant(), *mixed[:7], giant(), *mixed[7:]])
+    ]
+    giants = {0, 8}
+    n = len(requests)
     with PipelineRuntime(reference, plan) as rt:
         sched = BoundaryLog(rt, policy=policy, max_inflight=5, time_scale=0.0)
         report = sched.serve(requests)
-    assert len(report.completed) == 16
+    assert len(report.completed) == n - 2
+    assert {r.request_id for r in report.rejected} == set(sched.rejected) == giants
+    assert sched.rejected[0] == 0 < sched.rejected[8]  # 8 waited for the drain
     _assert_streams_match(report, reference, requests)
 
     prompts = np.array([r.prompt_len for r in requests])
     gens = np.array([r.gen_len for r in requests])
-    assert prompts[:5].sum() + gens[:5].sum() > 60  # the budget binds first
-    trace = ArrivalTrace(arrivals=np.zeros(16), prompt_lens=prompts, gen_lens=gens)
+    assert prompts[1:6].sum() + gens[1:6].sum() > 60  # the budget binds first
+    trace = ArrivalTrace(arrivals=np.zeros(n), prompt_lens=prompts, gen_lens=gens)
     cluster = cluster_from_devices(st.device for st in plan.stages)
     eng = _Engine(
         trace_columns(trace), max_batch=5, engine="analytic",
@@ -393,10 +437,15 @@ def test_sim_and_runtime_admit_and_retire_at_the_same_boundaries(
     )
     eng.run()
     adm = eng.adm_it
+    assert eng.rejected == 2 and set(np.flatnonzero(adm == 0).tolist()) == giants
     retire = gens.copy()
     if policy == "wave":
         for it in np.unique(adm):
             retire[adm == it] = gens[adm == it].max()
-    assert sched.admitted == {i: int(adm[i]) for i in range(16)}
-    assert sched.retired == {i: int(adm[i] + retire[i] - 1) for i in range(16)}
+    kept = [i for i in range(n) if i not in giants]
+    assert sched.admitted == {i: int(adm[i]) for i in kept}
+    assert sched.retired == {i: int(adm[i] + retire[i] - 1) for i in kept}
+    # the mid-queue giant is rejected at the drain: right after the last
+    # retirement of the requests ahead of it
+    assert sched.rejected[8] == max(sched.retired[i] for i in range(1, 8))
     assert len(set(sched.admitted.values())) > 3  # several admission rounds

@@ -203,13 +203,19 @@ def spec_simulate_online(
 
         # ---- drift detection at the boundary (mirrors the runtime) ----
         if detector is not None:
-            while arrival_ptr < len(reqs) and reqs[arrival_ptr].arrival <= now:
-                r = reqs[arrival_ptr]
-                detector.observe_arrival(r.arrival, r.prompt_len, r.gen_len)
-                arrival_ptr += 1
+            k = arrival_ptr
+            while k < len(reqs) and reqs[k].arrival <= now:
+                k += 1
+            if k > arrival_ptr:
+                fed = reqs[arrival_ptr:k]
+                detector.observe_arrivals(
+                    [r.arrival for r in fed], [r.prompt_len for r in fed],
+                    [r.gen_len for r in fed],
+                )
+                arrival_ptr = k
             mask = headroom > 0
             occ = float(np.max(used[mask] / headroom[mask])) if mask.any() else 0.0
-            detector.observe_occupancy(now, occ)
+            detector.observe_occupancies([now], [occ])
             est = detector.poll(now)
             if est is None:
                 continue

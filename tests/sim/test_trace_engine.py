@@ -42,6 +42,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core.plan import ExecutionPlan
+from repro.cost import stagecosts
 from repro.cost.stagecosts import StageCostModel
 from repro.runtime.replan import DriftConfig, workload_refit_replanner
 from repro.runtime.scheduler import ServeReport
@@ -603,9 +604,9 @@ def test_wave_padding_binds_the_budget_identical(engine, kv_charge, monkeypatch)
         max_prompt=128, max_gen=64,
     )
     cut = []
-    admits = trace_engine.wave_admits
+    admits = stagecosts.wave_admits
     monkeypatch.setattr(
-        trace_engine, "wave_admits",
+        stagecosts, "wave_admits",
         lambda s, n, budget: cut.append(admits(s, n, budget) < len(s))
         or admits(s, n, budget),
     )

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import algo_main, dist_main
@@ -203,6 +204,55 @@ def test_bad_cluster_or_workload_is_one_line(
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: {message}"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command,trace,got",
+    [
+        ("dist", None, "100 + 30 - 1 = 129"),
+        ("serve", None, "100 + 30 - 1 = 129"),
+        ("serve", (120, 20), "120 + 20 - 1 = 139"),
+    ],
+)
+def test_tiny_plan_past_the_position_table_is_one_line(
+    tmp_path, capsys, command, trace, got
+):
+    """A tiny-model plan whose workload overruns the position table
+    (``s + n - 1 > max_position_embeddings``), or a replayed trace with
+    such a request, exits 2 with one ``error:`` line before serving
+    instead of an ``IndexError`` from the embedding."""
+    from repro.cli import serve_main
+    from repro.core.plan import StagePlan
+    from repro.hardware import Device, get_gpu
+    from repro.workload import Workload
+    from repro.workload.traces import ArrivalTrace, save_trace
+
+    dev = lambda i: Device(get_gpu("T4-16G"), node_id=0, local_rank=i)
+    plan = ExecutionPlan(
+        model_name="tiny-4l",
+        stages=(StagePlan(dev(0), (16, 16)), StagePlan(dev(1), (16, 16))),
+        prefill_microbatch=1, decode_microbatch=2,
+        workload=Workload(prompt_len=100, gen_len=30, global_batch=2),
+    )
+    path = tmp_path / "tiny.json"
+    plan.to_json(path)
+    argv = ["--strat-file-name", str(path)]
+    if command == "serve":
+        argv += ["--rate", "4", "--duration", "2", "--time-scale", "0"]
+    if trace is not None:
+        save_trace(ArrivalTrace(
+            arrivals=np.array([0.0, 0.5]), prompt_lens=np.array([8, trace[0]]),
+            gen_lens=np.array([4, trace[1]]),
+        ), tmp_path / "trace.json")
+        argv += ["--trace-file", str(tmp_path / "trace.json")]
+    rc = (dist_main if command == "dist" else serve_main)(argv)
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [
+        "error: tiny-4l embeds at most 128 positions: prompt_len + gen_len - 1 "
+        f"must be <= 128, got {got}"
+    ]
+    assert not out
 
 
 def test_dist_runs_tiny_model_for_real(tmp_path, capsys):
@@ -814,6 +864,9 @@ def test_algo_cost_source_model(tmp_path, capsys):
          "invalid drift settings: threshold must be positive, got nan"),
         (["--replan-on-drift", "--drift-cooldown", "nan"],
          "invalid drift settings: cooldown must be >= 0, got nan"),
+        (["--max-prompt", "100", "--max-gen", "30"],
+         "tiny-4l embeds at most 128 positions: prompt_len + gen_len - 1 "
+         "must be <= 128, got 100 + 30 - 1 = 129"),
     ],
 )
 def test_serve_malformed_flag_is_one_line(tiny_strategy_file, capsys, flags, message):
