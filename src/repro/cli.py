@@ -359,11 +359,11 @@ def dist_main(argv: list[str] | None = None) -> int:
         if st.fused_iterations:
             print(_fused_decode_line(st))
         print(_kv_slab_line(st))
-        if injector is not None or st.retries or st.replans or st.degrade_events:
+        if injector is not None or st.retries or st.replans:
             print(
                 f"recovery: {st.retries} retries, {st.stage_restarts} stage "
-                f"restarts, {st.degrade_events} degrades, {st.replans} replans, "
-                f"{st.recovery_seconds:.3f}s recovering"
+                f"restarts, {st.kv_alloc_failures} KV denials, {st.replans} "
+                f"replans, {st.recovery_seconds:.3f}s recovering"
             )
         if rt.plan is not rt.original_plan:
             print("downgraded plan after device loss:", file=sys.stderr)

@@ -73,6 +73,8 @@ def generate(
 
 
 def _pick(logits: np.ndarray, greedy: bool, rng: np.random.Generator) -> np.ndarray:
+    """Next-token ids per row: greedy, or sampled from ``rng`` — the one
+    sampler of this reference and the runtime's offline engine."""
     if greedy:
         # shared first-index tie-break rule (see repro.ops.greedy_pick)
         return greedy_pick(logits)

@@ -32,7 +32,6 @@ from .loader import (
 from .messages import (
     ActivationMessage,
     FailureMessage,
-    MergeMessage,
     ReleaseMessage,
     ShutdownMessage,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "LoadTimeline",
     "simulate_loading",
     "ActivationMessage",
-    "MergeMessage",
     "ReleaseMessage",
     "ShutdownMessage",
     "FailureMessage",

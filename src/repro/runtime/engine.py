@@ -5,8 +5,11 @@ ExecutionPlan` on actual NumPy compute: stage workers (threads) hold the
 plan's quantized shards, the master handles pre/post-processing
 (embedding lookup, final layer norm + logit projection, token sampling)
 and the hybrid micro-batch schedule — prefill micro-batches flow through
-the pipeline concurrently, then merge into larger decode groups exactly
-as the assigner planned.
+the pipeline concurrently, then decode in the larger groups the assigner
+planned: each group is the KV slab rows of its prefill units, and each
+decode step of a group is one fused
+:class:`~repro.runtime.messages.BatchedDecodeMessage` over them, so
+regrouping copies no KV and peak KV is the prefill units' charge.
 
 Because the computation is real, a runtime run on a tiny model can be
 checked token-for-token against the single-process reference
@@ -15,19 +18,14 @@ integration tests do.
 
 Fault tolerance (paper Sec. 5's recovery story, made concrete): every
 blocking wait is bounded, worker health is tracked through a shared
-:class:`PipelineControl`, and a stage failure triggers the degradation
-ladder
+:class:`PipelineControl`, and a stage failure — a crash, a stall, or a
+denied KV allocation — triggers the two-rung ladder
 
 1. **retry** — rebuild the dead workers from the *cached* quantized
    shards (no re-quantization — the point of the on-the-fly loader) and
    replay the batch.  Generation is seeded, so the replay is
    token-for-token identical to an undisturbed run.
-2. **shrink** — on KV-allocation pressure, halve the decode group
-   (:meth:`PipelineRuntime._halve_decode_group`, floored at one prefill
-   unit) and re-serve through a fresh
-   :class:`~repro.runtime.microbatch.MicroBatchManager` with more,
-   smaller groups instead of crashing.
-3. **replan** — on a permanent device loss (a stage that dies on every
+2. **replan** — on a permanent device loss (a stage that dies on every
    restart), call back into :func:`repro.core.api.replan_after_failure`
    to redistribute its layers over the surviving devices and serve the
    downgraded plan.
@@ -49,16 +47,16 @@ import numpy as np
 from .. import stats
 from ..core.plan import ExecutionPlan
 from ..cost.memory import dequant_cache_budget, stage_memory
+from ..models.generation import _pick
 from ..models.registry import get_model
 from ..models.transformer import TinyDecoderLM
-from ..ops import greedy_pick
 from .dequant_cache import DequantCache, DequantCacheStats
 from .faults import FaultInjector, KVAllocationError, PipelineStallError
 from .loader import StageLoad, load_stage_weights
 from .messages import (
     ActivationMessage,
+    BatchedDecodeMessage,
     FailureMessage,
-    MergeMessage,
     ReleaseMessage,
     ShutdownMessage,
 )
@@ -100,7 +98,6 @@ class RuntimeStats:
     # --- fault-tolerance counters -------------------------------------
     retries: int = 0             #: batch replays after a stage failure
     stage_restarts: int = 0      #: workers rebuilt from cached shards
-    degrade_events: int = 0      #: decode-group shrinks under KV pressure
     kv_alloc_failures: int = 0   #: KV allocations denied
     replans: int = 0             #: plans rebuilt after permanent device loss
     replayed_microbatches: int = 0  #: in-flight units lost to failures
@@ -186,7 +183,6 @@ class SupervisionConfig:
     max_retries: int = 3             #: batch replays before escalating
     max_replans: int = 2             #: device losses tolerated per runtime
     enable_recovery: bool = True     #: False = fail fast with RuntimeError
-    degrade_on_kv_pressure: bool = True
     replan_on_permanent_failure: bool = False
 
 
@@ -287,7 +283,6 @@ class PipelineRuntime:
         self.control = PipelineControl()
         self._build_pipeline()
         self._alive = True
-        self._decode_microbatch = plan.decode_microbatch
         self._mbm: MicroBatchManager | None = None
         self.stats = RuntimeStats()
         self._sync_cache_stats()
@@ -442,7 +437,6 @@ class PipelineRuntime:
             (s.num_layers, s.layer_bits, s.kv_bits) for s in self.plan.stages
         )
         self.plan = new_plan
-        self._decode_microbatch = new_plan.decode_microbatch
         if same_shards:
             return False
         t0 = time.perf_counter()
@@ -473,14 +467,6 @@ class PipelineRuntime:
         if self.injector is not None:
             self.injector.retire_stage(err.stage_idx)
         return new_plan
-
-    def _halve_decode_group(self) -> bool:
-        floor = min(self.plan.prefill_microbatch, self._decode_microbatch)
-        new = max(floor, self._decode_microbatch // 2)
-        if new == self._decode_microbatch:
-            return False
-        self._decode_microbatch = new
-        return True
 
     def _fail_cleanly(self, err: StageFailureError) -> None:
         """Stop everything and surface a clean RuntimeError (no deadlock)."""
@@ -558,23 +544,23 @@ class PipelineRuntime:
 
     def _collect(
         self, count: int, mbm: MicroBatchManager | None = None
-    ) -> dict[int, ActivationMessage]:
-        out: dict[int, ActivationMessage] = {}
+    ) -> dict[int, ActivationMessage | BatchedDecodeMessage]:
+        """Drain ``count`` results, keyed by unit id (a fused decode
+        message by its first unit)."""
+        out: dict[int, ActivationMessage | BatchedDecodeMessage] = {}
         while len(out) < count:
             msg = self._next_message(f"activation {len(out) + 1}/{count}")
-            if isinstance(msg, (MergeMessage, ReleaseMessage)):
-                continue  # stray control acks; not activations
-            out[msg.microbatch_id] = msg
+            if isinstance(msg, ReleaseMessage):
+                continue  # stray control ack; not an activation
+            ids = (
+                msg.unit_ids if isinstance(msg, BatchedDecodeMessage)
+                else (msg.microbatch_id,)
+            )
+            out[ids[0]] = msg
             if mbm is not None:
-                mbm.mark_done(msg.microbatch_id)
+                for uid in ids:
+                    mbm.mark_done(uid)
         return out
-
-    def _collect_merge_acks(self, count: int) -> None:
-        acks = 0
-        while acks < count:
-            msg = self._next_message(f"merge ack {acks + 1}/{count}")
-            if isinstance(msg, MergeMessage):
-                acks += 1
 
     def _logits_last(self, hidden: np.ndarray) -> np.ndarray:
         """Master post-processing: final LN + tied LM head, last position."""
@@ -586,12 +572,12 @@ class PipelineRuntime:
     ) -> np.ndarray:
         """Serve one offline batch; returns ``(batch, num_tokens)`` ids.
 
-        Supervised: stage crashes, stalls and KV pressure inside the
-        attempt are handled per the degradation ladder (retry → shrink
-        decode group → replan) within the configured bounds; only when
-        the ladder is exhausted — or recovery is disabled — does a
-        :class:`RuntimeError` escape, and it does so within the
-        configured timeouts rather than deadlocking.
+        Supervised: stage crashes, stalls and denied KV allocations
+        inside the attempt are handled per the ladder (retry → replan)
+        within the configured bounds; only when the ladder is exhausted
+        — or recovery is disabled — does a :class:`RuntimeError` escape,
+        and it does so within the configured timeouts rather than
+        deadlocking.
         """
         if not self._alive:
             raise RuntimeError("runtime already shut down")
@@ -610,26 +596,15 @@ class PipelineRuntime:
                     self.stats.replayed_microbatches += len(self._mbm.inflight_ids())
                 if not sup.enable_recovery:
                     self._fail_cleanly(err)
-                if (
-                    isinstance(err.cause, KVAllocationError)
-                    and sup.degrade_on_kv_pressure
-                ):
+                if isinstance(err.cause, KVAllocationError):
                     self.stats.kv_alloc_failures += 1
-                    if self._halve_decode_group():
-                        # shrinking is finitely repeatable (halving hits
-                        # the prefill floor), so it has its own budget
-                        self.stats.degrade_events += 1
-                        self._restart_stages()
-                        continue
                 retries += 1
                 self.stats.retries += 1
                 if retries > sup.max_retries:
                     new_plan = self._degraded_plan(err)
                     if new_plan is None:
                         self._fail_cleanly(err)
-                    keep = min(self._decode_microbatch, new_plan.decode_microbatch)
                     self.switch_plan(new_plan)
-                    self._decode_microbatch = keep
                     self.stats.replans += 1
                     retries = 0
                     continue
@@ -644,7 +619,7 @@ class PipelineRuntime:
         mbm = MicroBatchManager(
             batch,
             min(self.plan.prefill_microbatch, batch),
-            min(self._decode_microbatch, batch),
+            min(self.plan.decode_microbatch, batch),
         )
         self._mbm = mbm
 
@@ -671,28 +646,28 @@ class PipelineRuntime:
         self.stats.prefill_microbatches += mbm.num_prefill_microbatches
         self.stats.prefill_tokens += batch * s
 
-        # ---------------- regroup for decode ---------------------------
+        # ---------------- decode loop -----------------------------------
+        # one fused message per group and step, over its units' slab rows;
+        # every group of a step goes in before collecting, so stages overlap
         t1 = time.perf_counter()
         groups = mbm.decode_groups
-        for gid, members, _sl in groups:
-            self.head.put(MergeMessage(group_id=gid, member_ids=members))
-        self._collect_merge_acks(len(groups))
         self.stats.decode_groups = mbm.num_decode_groups
-
-        # ---------------- decode loop -----------------------------------
         for step in range(1, num_tokens):
             start = s + step - 1
-            for gid, _members, sl in groups:
+            for members, sl in groups:
                 x = self.reference._embed(current[sl].reshape(-1, 1), start)
-                mbm.mark_inflight(gid)
+                for uid in members:
+                    mbm.mark_inflight(uid)
                 self.head.put(
-                    ActivationMessage(
-                        microbatch_id=gid, phase="decode", start=start, hidden=x
+                    BatchedDecodeMessage(
+                        unit_ids=members,
+                        starts=np.full(len(x), start, dtype=np.int64),
+                        hidden=x,
                     )
                 )
             outs = self._collect(len(groups), mbm)
-            for gid, _members, sl in groups:
-                logits = self._logits_last(outs[gid].hidden)
+            for members, sl in groups:
+                logits = self._logits_last(outs[members[0]].hidden)
                 current[sl] = _pick(logits, greedy, rng)
             tokens[:, step] = current
         decode_elapsed = time.perf_counter() - t1
@@ -708,7 +683,7 @@ class PipelineRuntime:
         )
         self._sync_cache_stats()
 
-        # free decode groups for the next batch
+        # free the batch's units for the next batch
         for w in self.workers:
             w.kv.free_all()
         self._mbm = None
@@ -735,13 +710,3 @@ class PipelineRuntime:
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
-
-def _pick(logits: np.ndarray, greedy: bool, rng: np.random.Generator) -> np.ndarray:
-    if greedy:
-        # shared first-index tie-break (repro.ops.greedy_pick): the
-        # runtime and the reference model must resolve exact ties alike
-        return greedy_pick(logits)
-    z = logits - logits.max(axis=-1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=-1, keepdims=True)
-    return np.array([rng.choice(p.shape[1], p=row) for row in p])

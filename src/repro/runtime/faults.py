@@ -66,7 +66,7 @@ class StageCrash:
 
     ``repeat=True`` re-arms after every restart, modelling a *permanent*
     device fault (the stage dies again as soon as it does work) — the
-    trigger for the degrade-and-replan ladder.  ``repeat=False`` is a
+    trigger for the retry-and-replan ladder.  ``repeat=False`` is a
     transient fault: it fires once and is retired, so the restarted
     worker survives.
     """
@@ -109,11 +109,13 @@ class MessageCorruption:
 class KVAllocPressure:
     """Deny any KV allocation on ``stage`` larger than ``max_bytes``.
 
-    Mimics an allocator running out of head-room: per-unit prefill
-    allocations still fit but the big merged decode group does not,
-    which is exactly the situation the runtime degrades out of by
-    shrinking the decode group.  ``fail_count`` bounds how many times
-    the denial fires (``None`` = always).
+    Mimics an allocator running out of head-room.  The runtime allocates
+    KV only when a cache unit is prefilled — a decode group reads its
+    prefill units' rows in place — so a cap below one unit's charge
+    fails that prefill, and the engine's ladder retries the batch (the
+    denial counts in ``RuntimeStats.kv_alloc_failures``).
+    ``fail_count`` bounds how many times the denial fires (``None`` =
+    always).
     """
 
     stage: int

@@ -1,14 +1,15 @@
 """Per-stage KV-cache management, with optional KV4/KV8 packing.
 
-Each stage worker owns one cache unit per live prefill micro-batch or
-merged decode group, pre-allocated at ``s + n`` slots exactly like the
+Each stage worker owns one cache unit per live prefill micro-batch (or
+online request), pre-allocated at ``s + n`` slots exactly like the
 paper's runtime (Sec. 5: pre-allocated KV cache).  All units of a stage
 live in one *slab* — a single cache whose batch axis is the stage's
-rows — and a unit is a window of consecutive rows of it, so a fused
-decode step reads its whole batch as one slice of the slab instead of
-gathering per request.  The manager also keeps a byte ledger of the
-logical (per-unit) bytes so tests can assert the runtime's peak KV
-memory matches the analytical cost model.
+rows — and a unit is a window of consecutive rows of it.  Every decode
+step is one fused read over slab rows: an offline decode group is the
+rows of its prefill units, read as one slice of the slab with no copy,
+and an online step one row per request.  The manager also keeps a byte
+ledger of the logical (per-unit) bytes, so the runtime's peak KV memory
+equals the analytical cost model's charge.
 
 When a plan assigns a stage ``kv_bits`` below 16, the stage stores its
 keys/values *packed*: signed codes quantized with one scale per
@@ -36,11 +37,10 @@ Two reference paths pin the numerics:
   to produce single-process reference tokens for the runtime tests.
 
 An optional ``alloc_guard`` callable is consulted with the requested
-byte count before every allocation (including the transient copy a
-merge makes); it may raise
+byte count before every allocation; it may raise
 :class:`~repro.runtime.faults.KVAllocationError` to model memory
 pressure — the hook the fault injector uses to drive the runtime's
-degrade-and-replan ladder.
+retry-and-replan ladder.
 """
 
 from __future__ import annotations
@@ -255,8 +255,8 @@ class QuantizedKVCache:
     token row occupies exactly ``hidden * kv_bits / 8`` bytes
     (``hidden * kv_bits`` must be byte-aligned — true for KV4/KV8 with
     any even hidden size).  K and V share one array each for codes and
-    scales (leading axis: K at 0, V at 1), so every append, read, gather
-    and merge touches both in a single operation.  Implements the same
+    scales (leading axis: K at 0, V at 1), so every append, read and
+    gather touches both in a single operation.  Implements the same
     protocol as :class:`KVCache` (``append`` / ``read`` / ``max_len`` /
     ``kv_nbytes`` / ``length``), so attention and the stage manager use
     it interchangeably; ``read`` returns dense float64 arrays that are
@@ -378,26 +378,28 @@ def _blank(cache: KVCache) -> None:
 class BatchedKVView:
     """One fused decode step's window onto a multi-row cache (the slab).
 
-    The fused decode path stacks one token from every in-flight request
+    The fused decode path stacks one token per row of its cache units
     into a single ``(B, 1, h)`` activation; this view is the matching KV
-    adapter.  Request ``i`` of the message is batch-1 unit ``units[i]``,
-    row ``rows[i]`` of ``store``: :meth:`append` writes every request's
-    new K/V at its own position ``starts[i]`` with one indexed write and
-    :meth:`read_padded` is ``store[layer, idx, :Tmax]``.
+    adapter.  Each unit contributes all of its rows, in ``units`` order,
+    so row ``i`` of the message is row ``rows[i]`` of ``store`` (a unit
+    starting at ``row0[u]`` covers ``row0[u] .. row0[u] + batch``):
+    :meth:`append` writes every row's new K/V at its own position
+    ``starts[i]`` with one indexed write and :meth:`read_padded` is
+    ``store[layer, idx, :Tmax]``.
 
     ``idx`` is the slice covering the batch's rows when that is cheaper
     than copying them: a dense slice is a zero-copy view, so a
-    *passenger* row inside it (another request's, or a free one) costs
+    *passenger* row inside it (another unit's, or a free one) costs
     only its attention, and against one gather the slice wins up to
-    about 1.25x the batch (more on long contexts); a packed read
+    about 1.25x the rows read (more on long contexts); a packed read
     unpacks every row it covers, so it takes no passengers.
     Otherwise ``idx`` is the row array and the read one gather in
     message order.  A slice returns rows in slab order: ``pos[i]`` is
-    where request ``i`` sits in it (``None`` when that is ``i``), and
-    ``masked`` — the ragged attention mask, ``True`` past each request's
+    where message row ``i`` sits in it (``None`` when that is ``i``),
+    and ``masked`` — the ragged attention mask, ``True`` past each row's
     position and all along a passenger — is built once here in read
-    order.  Attention is row-independent, so only its per-request
-    operands move; the stacked GEMMs keep the message's order.
+    order.  Attention is row-independent, so only its per-row operands
+    move; the stacked GEMMs keep the message's order.
 
     Slots a row's tenant has not written hold exactly ``0.0`` (dense
     zeros; packed: the zero code at scale ``1.0``) — the manager blanks
@@ -421,19 +423,20 @@ class BatchedKVView:
         units: list[KVCache],
         starts: np.ndarray,
         store: KVCache | None = None,
-        rows: np.ndarray | None = None,
+        row0: list[int] | None = None,
     ) -> None:
         if not units:
             raise ValueError("batched view needs at least one cache unit")
+        sizes, slots = zip(*(_parts(c)[0].shape[-3:-1] for c in units))
+        n = sum(sizes)
         starts = np.asarray(starts, dtype=np.int64)
-        if starts.shape != (len(units),):
-            raise ValueError("starts must have one entry per cache unit")
-        for cache, start in zip(units, starts.tolist()):
-            batch, slots = _parts(cache)[0].shape[-3:-1]
-            if batch != 1:
-                raise ValueError("batched view expects batch-1 cache units")
-            if start >= slots:
-                raise ValueError("KV cache overflow: reserve s + n slots up front")
+        if starts.shape != (n,):
+            raise ValueError("starts must have one entry per cache unit row")
+        # each unit's first message row; per unit, its furthest position
+        first = np.cumsum(sizes) - sizes if n != len(units) else None
+        self.last = starts if first is None else np.maximum.reduceat(starts, first)
+        if any(last >= cap for last, cap in zip(self.last.tolist(), slots)):
+            raise ValueError("KV cache overflow: reserve s + n slots up front")
         if store is None:
             kind = type(units[0])
             if kind is FakeQuantKVCache or any(type(c) is not kind for c in units):
@@ -441,7 +444,10 @@ class BatchedKVView:
             store = _like(units[0], *(
                 np.concatenate(p, axis=-3) for p in zip(*map(_parts, units))
             ))
-            rows = np.arange(len(units))
+            row0 = np.cumsum(sizes) - sizes
+        rows = np.asarray(row0, dtype=np.int64)
+        if first is not None:  # expand each unit into its rows
+            rows = np.repeat(rows - first, sizes) + np.arange(n)
         self.store = store
         self.packed = isinstance(store, QuantizedKVCache)
         self._rows, self._starts = rows, starts
@@ -449,7 +455,7 @@ class BatchedKVView:
         low = int(rows.min())
         span = int(rows.max()) + 1 - low
         self.idx, self.pos = rows, None
-        if span <= len(units) + (0 if self.packed else len(units) // 4):
+        if span <= n + (0 if self.packed else n // 4):
             self.idx, self.pos = slice(low, low + span), rows - low
             starts = np.full(span, -1)
             starts[self.pos] = self._starts
@@ -497,7 +503,7 @@ class BatchedKVView:
 
 @dataclass
 class StageKVManager:
-    """Allocates, merges and frees KV caches for one pipeline stage.
+    """Allocates and frees KV caches for one pipeline stage.
 
     ``kv_bits`` below 16 switches every unit this stage allocates to the
     packed :class:`QuantizedKVCache`; the guard then sees the *packed*
@@ -618,55 +624,19 @@ class StageKVManager:
             raise KeyError(f"no KV cache for unit {unit_id}") from None
 
     def batch_view(self, unit_ids: tuple[int, ...], starts: np.ndarray) -> BatchedKVView:
-        """A :class:`BatchedKVView` over the given units for one fused
+        """A :class:`BatchedKVView` over every row of the given units
+        (``starts``: one entry per row, units in order) for one fused
         decode step, whose token is counted into each unit's ``length``
         here (a step that dies takes the stage's KV with it)."""
         units = [self.get(u) for u in unit_ids]
-        rows = np.array([self._row0[u] for u in unit_ids], dtype=np.int64)
-        view = BatchedKVView(units, starts, self.slab, rows)
-        for cache, start in zip(units, view._starts.tolist()):
-            cache.length = start + 1
+        view = BatchedKVView(units, starts, self.slab, [self._row0[u] for u in unit_ids])
+        for cache, last in zip(units, view.last.tolist()):
+            cache.length = last + 1
         if isinstance(view.idx, slice):
             self.view_steps += 1
         else:
             self.gather_steps += 1
         return view
-
-    def merge(self, group_id: int, member_ids: tuple[int, ...]) -> KVCache:
-        """Copy member units into one group of consecutive rows.
-
-        Members are laid out in ascending unit-id order regardless of
-        the order ``member_ids`` arrives in — unit ids are assigned in
-        global-batch order, so this keeps the merged rows aligned with
-        the master's batch slices even if control messages are reordered.
-
-        All members must be at the same fill ``length`` and capacity
-        (they are — the offline task pads prompts to a uniform ``s``).
-        Members are freed after merging, so peak memory is ~2x the group
-        transiently, which the ledger records faithfully.  Packed units
-        copy their code and scale bytes directly — no
-        dequantize/requantize, so merging never perturbs stored values.
-        """
-        members = [self.get(m) for m in sorted(member_ids)]
-        lengths = {m.length for m in members}
-        if len(lengths) != 1:
-            raise ValueError(f"cannot merge units at different lengths: {lengths}")
-        if len({m.max_len for m in members}) != 1:
-            raise ValueError("cannot merge units of different capacities")
-        self._check_guard(float(sum(m.kv_nbytes for m in members)))
-        batches = [_batch(m) for m in members]
-        row0, merged = self._place(sum(batches), members[0].max_len)
-        merged.length = members[0].length
-        at = 0
-        for m, b in zip(members, batches):
-            for dst, src in zip(_parts(merged), _parts(m)):
-                dst[..., at : at + b, :, :] = src
-            at += b
-        self.peak_bytes = max(self.peak_bytes, self.current_bytes + merged.kv_nbytes)
-        for m in member_ids:
-            self.free(m)
-        self.caches[group_id], self._row0[group_id] = merged, row0
-        return merged
 
     def release(self, unit_id: int) -> float:
         """Eagerly free a finished unit's rows; returns the bytes freed.

@@ -2,9 +2,12 @@
 
 The wire protocol mirrors the paper's runtime (Fig. 6): hidden-state
 activations flow stage to stage; the master injects embedded prompts and
-receives final hidden states to turn into logits; control messages merge
-prefill micro-batches into decode groups (hybrid micro-batch sizing) and
-shut the pipeline down.
+receives final hidden states to turn into logits.  A prefill crosses as
+an :class:`ActivationMessage` per cache unit; every decode step the
+master issues is one :class:`BatchedDecodeMessage` over KV slab rows — an
+offline decode group (hybrid micro-batch sizing) is the rows of its
+prefill units, an online step one row per in-flight request.  Control
+messages free finished units and shut the pipeline down.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import numpy as np
 __all__ = [
     "ActivationMessage",
     "BatchedDecodeMessage",
-    "MergeMessage",
     "ReleaseMessage",
     "ShutdownMessage",
     "FailureMessage",
@@ -28,11 +30,13 @@ __all__ = [
 class ActivationMessage:
     """A micro-batch's hidden states entering a stage.
 
+    The master prefills through it; a ``"decode"`` message is the
+    batch-1 reference drive of ``tests/runtime/per_request_spec.py``.
+
     Attributes
     ----------
     microbatch_id:
-        Cache-unit id (prefill micro-batch id, or merged group id after a
-        :class:`MergeMessage`).
+        Cache-unit id (prefill micro-batch id, or request id online).
     phase:
         ``"prefill"`` or ``"decode"``.
     start:
@@ -53,38 +57,31 @@ class ActivationMessage:
 
 @dataclass
 class BatchedDecodeMessage:
-    """One fused decode iteration for several independent requests.
+    """One fused decode step over the KV slab rows of several cache units.
 
-    The continuous scheduler stacks every in-flight request's next-token
-    hidden state into one ``(B, 1, hidden_size)`` tensor so each stage
-    runs a single GEMM per layer against the shared dequant-cached
-    weights instead of ``B`` batch-1 GEMVs.  Attention stays ragged:
-    ``starts[i]`` is request ``i``'s current context length, and each
-    stage reads/writes that request's own KV cache unit.
+    The master stacks each row's next-token hidden state into one
+    ``(R, 1, hidden_size)`` tensor so each stage runs a single GEMM per
+    layer against the shared dequant-cached weights instead of one per
+    unit.  A unit contributes all of its rows, in ``unit_ids`` order:
+    one row per request online, a prefill micro-batch's rows in an
+    offline decode group.  Attention stays ragged: ``starts[r]`` is row
+    ``r``'s current context length, and each stage reads/writes that
+    row of its unit's KV cache.
 
     Attributes
     ----------
     unit_ids:
-        Cache-unit id per batch row, length ``B``.
+        Cache-unit ids, in row order.
     starts:
-        ``(B,)`` int64 absolute position of each row's token (= tokens
-        already in that unit's KV cache).
+        ``(R,)`` int64 absolute position of each row's token (= tokens
+        already in that row of its unit's KV cache).
     hidden:
-        ``(B, 1, hidden_size)`` activations.
+        ``(R, 1, hidden_size)`` activations.
     """
 
     unit_ids: tuple[int, ...]
     starts: np.ndarray
     hidden: np.ndarray
-
-
-@dataclass
-class MergeMessage:
-    """Merge prefill cache units into one decode group (regrouping step
-    of the hybrid micro-batch sizing)."""
-
-    group_id: int
-    member_ids: tuple[int, ...]
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """Thread-safe micro-batch manager (paper Sec. 5).
 
 Owns the split of the global batch into prefill micro-batches (cache
-units) and their regrouping into decode groups, and tracks in-flight
-units so concurrent producers/consumers (the master's feeder and
-collector) stay consistent.  Online serving has no global batch: the
+units) and their regrouping into decode groups — a group is the rows of
+consecutive whole units, decoded as one fused message over those KV slab
+rows, so regrouping moves no KV — and tracks in-flight units so
+concurrent producers/consumers (the master's feeder and collector) stay
+consistent.  Online serving has no global batch: the
 continuous scheduler mints one cache unit per admitted request and
 counts its KV in token slots (:mod:`repro.runtime.scheduler`).
 """
@@ -41,13 +43,8 @@ class MicroBatchManager:
         ``prefill_microbatch * ceil(decode_microbatch / prefill_microbatch)``
         capped at the global batch — the closest realizable regrouping.
 
-    A manager covers one serving attempt: under KV memory pressure the
-    engine halves its decode group size
-    (:meth:`~repro.runtime.engine.PipelineRuntime._halve_decode_group`)
-    and builds a fresh manager for the retry.
+    A manager covers one serving attempt; a retry builds a fresh one.
     """
-
-    GROUP_ID_BASE = 10_000
 
     def __init__(
         self, global_batch: int, prefill_microbatch: int, decode_microbatch: int
@@ -67,15 +64,11 @@ class MicroBatchManager:
             for uid, lo in enumerate(range(0, global_batch, self.prefill_microbatch))
         ]
         per_group = max(1, self.decode_microbatch // self.prefill_microbatch)
-        self._groups: list[tuple[int, tuple[int, ...], slice]] = []
-        for g, lo_idx in enumerate(range(0, len(self._units), per_group)):
+        self._groups: list[tuple[tuple[int, ...], slice]] = []
+        for lo_idx in range(0, len(self._units), per_group):
             members = self._units[lo_idx : lo_idx + per_group]
             self._groups.append(
-                (
-                    self.GROUP_ID_BASE + g,
-                    tuple(u.unit_id for u in members),
-                    slice(members[0].lo, members[-1].hi),
-                )
+                (tuple(u.unit_id for u in members), slice(members[0].lo, members[-1].hi))
             )
 
     # ------------------------------------------------------------------
@@ -85,8 +78,8 @@ class MicroBatchManager:
         return [(u.unit_id, u.as_slice) for u in self._units]
 
     @property
-    def decode_groups(self) -> list[tuple[int, tuple[int, ...], slice]]:
-        """``(group_id, member_unit_ids, batch_slice)`` per decode group."""
+    def decode_groups(self) -> list[tuple[tuple[int, ...], slice]]:
+        """``(member_unit_ids, batch_slice)`` per decode group."""
         return list(self._groups)
 
     @property
@@ -96,7 +89,7 @@ class MicroBatchManager:
 
     @property
     def num_decode_groups(self) -> int:
-        """Merged groups in the decode phase."""
+        """Decode groups per decode step."""
         return len(self._groups)
 
     # ------------------------------------------------------------------
@@ -113,7 +106,7 @@ class MicroBatchManager:
             self._inflight.discard(unit_id)
 
     def inflight_ids(self) -> tuple[int, ...]:
-        """Snapshot of the in-flight ledger (sorted unit/group ids).
+        """Snapshot of the in-flight ledger (sorted unit ids).
 
         On a stage failure this is exactly the set of micro-batches the
         recovery path must replay."""

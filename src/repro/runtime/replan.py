@@ -26,13 +26,12 @@ one reconfiguration story:
   budget; the slots in-flight requests hold carry across), and — when
   the swap re-cut shards and therefore lost worker KV state — replays
   each in-flight request's recorded computation (batch-1 prefill at its
-  original prompt length, then per-token decode feeding the recorded
-  ids) so the rebuilt KV caches are bit-identical to the lost ones.
-  Replay mirrors the original kernel shapes exactly, which is what keeps
-  post-migration token streams byte-identical to an unmigrated run
-  whenever the new plan preserves per-layer bitwidths (repartitions and
-  workload refits do; :func:`~repro.core.api.replan_after_failure` does
-  by design).
+  original prompt length, then one fused decode message per replay
+  round feeding the recorded ids) to rebuild the KV caches.  Post-
+  migration token streams equal an unmigrated run's whenever the new
+  plan preserves per-layer bitwidths (repartitions and workload refits
+  do; :func:`~repro.core.api.replan_after_failure` does by design), at
+  the argmax level every fused decode is held to.
 
 Crash recovery, drift replanning, and manual replans all flow through
 the same controller — a crash is just a forced same-plan migration, and
@@ -47,6 +46,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
+from ..ops import greedy_pick
 from ..workload.spec import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -479,16 +479,17 @@ class MigrationController:
     def _replay(self, rec: MigrationRecord) -> None:
         """Rebuild lost KV state by replaying each request's computation.
 
-        Replay mirrors the original kernel shapes exactly — a batch-1
-        prefill over the original prompt, then one batch-1 decode per
-        recorded token feeding the recorded id — because a single fused
-        prefill over prompt+tokens would change GEMM shapes and hence
-        rounding, breaking the byte-identity contract.  Rounds are
-        pipelined across requests like a normal iteration.  Replayed
-        samples are compared against the recorded stream: under a
-        bit-preserving plan they match bit-for-bit; under changed
-        bitwidths mismatches are *counted* (the recorded, already-emitted
-        tokens stay authoritative so client-visible streams remain
+        Each request is prefilled batch-1 over its original prompt, as it
+        was admitted; replay round ``k`` is then one fused
+        :class:`~repro.runtime.messages.BatchedDecodeMessage` over every
+        request holding more than ``k`` tokens, feeding each its recorded
+        token ``k - 1`` — the batched decode unit the simulator prices a
+        replay round as.  A single prefill over prompt+tokens would
+        instead change the prompt's GEMM shapes and hence its KV.
+        Replayed samples are compared against the recorded stream: under
+        a bit-preserving plan they match; under changed bitwidths
+        mismatches are *counted* (the recorded, already-emitted tokens
+        stay authoritative so client-visible streams remain
         self-consistent).
         """
         sched = self.sched
@@ -509,11 +510,10 @@ class MigrationController:
             round_ = [a for a in replaying if len(a.tokens) > k]
             if not round_:
                 break
-            for a in round_:
-                sched._send_replay_decode(a, k)
-            outs = rt._collect(len(round_))
-            for a in round_:
-                tok = sched._sample(a, outs[a.unit_id])
+            sched._send_batched_decode(round_, k)
+            (fused,) = rt._collect(1).values()
+            toks = greedy_pick(rt._logits_last(fused.hidden)).tolist()
+            for a, tok in zip(round_, toks):
                 rec.replayed_tokens += 1
                 if tok != a.tokens[k]:
                     rec.divergences += 1

@@ -29,7 +29,9 @@ over the whole batch — the dominant decode cost), attention stays
 ragged over per-request KV units, and the master samples all ``B`` next
 tokens from one stacked logit GEMM.  Requests still own individual
 batch-1 cache units, which is what admission, retirement, migration and
-replay work on.
+replay work on.  The master's offline decode groups ride the same
+:class:`~repro.runtime.messages.BatchedDecodeMessage`, one message per
+group over its prefill units' slab rows.
 
 Equality contract: fused greedy *token streams* equal the
 single-process ``generate(model, prompt[None], n)`` reference and a
@@ -40,8 +42,8 @@ from rows of a batched matmul (~1e-14 relative drift), so logits can
 differ in their last bits while every argmax — and hence every token —
 agrees; ties are impossible to mis-break because all samplers share
 :func:`repro.ops.greedy_pick`'s first-index rule.  Migration KV replay
-sends batch-1 decode messages, the shapes of the single-process
-reference.
+prefills each request batch-1, then sends one fused message per replay
+round, so rebuilt KV equals the lost KV at the same argmax level.
 
 ``policy="wave"`` emulates the offline baseline on the same
 execution path: admission only into an empty system, every member
@@ -67,12 +69,7 @@ from ..cost.stagecosts import StageCostModel, admit_run
 from ..ops import greedy_pick
 from ..workload.traces import RequestArrival
 from .engine import PipelineRuntime, StageFailureError
-from .messages import (
-    ActivationMessage,
-    BatchedDecodeMessage,
-    MergeMessage,
-    ReleaseMessage,
-)
+from .messages import ActivationMessage, BatchedDecodeMessage, ReleaseMessage
 from .replan import DriftConfig, DriftDetector, MigrationController, Replanner
 
 __all__ = [
@@ -239,6 +236,7 @@ class _Active:
     unit_id: int
     req: ServeRequest
     record: RequestRecord
+    prompt_len: int  #: the queue's prompt column at admission
     tokens: list[int] = field(default_factory=list)
     #: the boundary it retires after, set at admission: the admitting
     #: boundary plus ``gen_len - 1`` (a wave member: the wave's ``n_max - 1``)
@@ -394,39 +392,27 @@ class ContinuousScheduler:
                 hidden=x, reserve=a.reserve,
             )
         )
-        self.rt.stats.prefill_tokens += a.req.prompt_len
+        self.rt.stats.prefill_tokens += a.prompt_len
 
-    def _send_batched_decode(self, going: list[_Active]) -> None:
-        """Stack every decoding request's next token into one message.
+    def _send_batched_decode(self, going: list[_Active], k: int | None = None) -> None:
+        """Stack one decode step of every request in ``going`` into one
+        message: its newest token, or — replaying step ``k`` — its
+        *recorded* token ``k - 1``.
 
         Row order is ``going`` order; the returned batched hidden states
         keep it, and tokens are scattered back by unit id.
         """
-        tokens = np.array([[a.tokens[-1]] for a in going], dtype=np.int64)
-        starts = np.array(
-            [a.req.prompt_len + len(a.tokens) - 1 for a in going], dtype=np.int64
-        )
-        x = self.rt.reference._embed_ragged(tokens, starts)
+        if k is None:
+            tokens = [[a.tokens[-1]] for a in going]
+            starts = [a.prompt_len + len(a.tokens) - 1 for a in going]
+        else:
+            tokens = [[a.tokens[k - 1]] for a in going]
+            starts = [a.prompt_len + k - 1 for a in going]
+        starts = np.array(starts, dtype=np.int64)
+        x = self.rt.reference._embed_ragged(np.array(tokens, dtype=np.int64), starts)
         self.rt.head.put(
             BatchedDecodeMessage(
                 unit_ids=tuple(a.unit_id for a in going), starts=starts, hidden=x
-            )
-        )
-
-    def _send_replay_decode(self, a: _Active, k: int) -> None:
-        """Replay decode step ``k``: feed the *recorded* token ``k-1``.
-
-        Mirrors the shapes of the original decode exactly (batch-1, same
-        position), which is what keeps a migration's rebuilt KV caches
-        bit-identical to the lost ones under a bit-preserving plan.
-        """
-        start = a.req.prompt_len + k - 1
-        x = self.rt.reference._embed(
-            np.array([[a.tokens[k - 1]]], dtype=np.int64), start
-        )
-        self.rt.head.put(
-            ActivationMessage(
-                microbatch_id=a.unit_id, phase="decode", start=start, hidden=x
             )
         )
 
@@ -441,8 +427,8 @@ class ContinuousScheduler:
         got = 0
         while got < need:
             msg = self.rt._next_message(f"iteration result {got + 1}/{need}")
-            if isinstance(msg, (MergeMessage, ReleaseMessage)):
-                continue  # stray control acks; not activations
+            if isinstance(msg, ReleaseMessage):
+                continue  # stray control ack; not an activation
             if isinstance(msg, BatchedDecodeMessage):
                 fused = msg
             else:
@@ -467,7 +453,7 @@ class ContinuousScheduler:
             msg = self.rt._next_message("release ack")
             if isinstance(msg, ReleaseMessage):
                 break
-        self.held -= sum(a.req.prompt_len + a.reserve for a in finished)
+        self.held -= sum(a.prompt_len + a.reserve for a in finished)
 
     def _sample(self, a: _Active, msg: ActivationMessage) -> int:
         """Greedy next token from this request's own logits.
@@ -545,7 +531,7 @@ class ContinuousScheduler:
     def _record(self, k: int, **kw) -> RequestRecord:
         req = self._queue[k]
         return RequestRecord(
-            request_id=req.request_id, prompt_len=req.prompt_len,
+            request_id=req.request_id, prompt_len=int(self._spr[k]),
             gen_len=req.gen_len, arrival=float(self._arr[k]), **kw,
         )
 
@@ -578,10 +564,11 @@ class ContinuousScheduler:
         else:
             self.held += int(self._cumq[p] - self._cumq[r])
             fin = reserve = sgen[r:p].tolist()
+        prompts = spr[r:p].tolist()
         return [
             _Active(
                 unit_id=next(self._unit_ids), req=self._queue[k],
-                record=self._record(k, admit_time=now),
+                record=self._record(k, admit_time=now), prompt_len=prompts[i],
                 fin=self.it + fin[i], reserve=reserve[i],
             )
             for i, k in enumerate(range(r, p))

@@ -22,7 +22,7 @@ stage's :class:`~repro.runtime.dequant_cache.DequantCache`, so
 steady-state decode never touches the packed codes while a cold (or
 zero-budget) cache rebuilds them per message.  Under KV-allocation
 pressure the worker sheds cached dense weights and retries the
-allocation once before letting the engine's degradation ladder fire.
+allocation once before letting the engine's recovery ladder fire.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .messages import (
     ActivationMessage,
     BatchedDecodeMessage,
     FailureMessage,
-    MergeMessage,
     ReleaseMessage,
     ShutdownMessage,
 )
@@ -122,7 +121,7 @@ class StageWorker(threading.Thread):
         Cached ``W_hat`` tensors are rebuildable from the resident packed
         codes, so under allocation pressure they are freed first and the
         allocation retried once; only if the guard still denies does the
-        :class:`KVAllocationError` escape to the degradation ladder.
+        :class:`KVAllocationError` escape to the recovery ladder.
         """
         if self.injector is None:
             return None
@@ -163,11 +162,11 @@ class StageWorker(threading.Thread):
         )
 
     def _process_batched(self, msg: BatchedDecodeMessage) -> BatchedDecodeMessage:
-        """One fused decode iteration: a single stacked GEMM per layer
-        shared by every in-flight request, ragged attention per request.
+        """One fused decode step: a single stacked GEMM per layer shared
+        by every row of the message's units, ragged attention per row.
 
         The batched KV view reads and writes the same slab rows the
-        batch-1 path sees through each unit's cache, so requests still
+        batch-1 path sees through each unit's cache, so units still
         retire, migrate and replay individually.
         """
         view = self.kv.batch_view(msg.unit_ids, msg.starts)
@@ -198,10 +197,6 @@ class StageWorker(threading.Thread):
                     return
                 if isinstance(msg, FailureMessage):
                     self.outbound.put(msg)  # forward toward the master
-                    continue
-                if isinstance(msg, MergeMessage):
-                    self.kv.merge(msg.group_id, msg.member_ids)
-                    self.outbound.put(msg)
                     continue
                 if isinstance(msg, ReleaseMessage):
                     # eager retirement: riding the data path means the

@@ -135,11 +135,27 @@ def test_kv_peak_matches_cost_model(reference, prompts, workload8, tiny8l):
         rt.generate(prompts, 6)
         for w in rt.workers:
             expected = 4 * 8 * (12 + 6) * 2 * tiny8l.hidden_size * 8
-            # merge transiently doubles the decode-group KV
-            assert w.kv.peak_bytes <= 2 * expected + 1
-            assert w.kv.peak_bytes >= expected
+            assert w.kv.peak_bytes == expected
     finally:
         rt.shutdown()
+
+
+def test_offline_decode_groups_read_slab_slices(reference, prompts, workload8):
+    """mb_p=2, mb_d=8: each decode step is one fused message over the
+    rows of four prefill units, which sit next to each other in the slab
+    — every fused read is a slice, none gathers.  Streams are sampled:
+    this model's greedy stream repeats each prompt's last token whatever
+    the KV holds, so only a sampled one shows a row reading another's."""
+    plan = _plan([(16,) * 4, (16,) * 4], 2, 8, workload=workload8)
+    with PipelineRuntime(reference, plan) as rt:
+        out = rt.generate(prompts, 6, greedy=False, seed=1)
+        stats = rt.stats
+    want = generate(reference, prompts, 6, greedy=False, seed=1).tokens
+    assert (want != prompts[:, -1:]).any()
+    np.testing.assert_array_equal(out, want)
+    assert stats.decode_groups == 1
+    assert stats.kv_view_steps == 2 * 5  # two stages, five decode steps
+    assert stats.kv_gather_steps == 0
 
 
 def test_supervised_recovery_after_stage_failure(reference, prompts, workload8):

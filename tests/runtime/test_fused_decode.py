@@ -387,8 +387,11 @@ def test_batched_view_validation():
     with pytest.raises(KeyError, match="unit 9"):
         m.batch_view((0, 9), np.array([1, 1], dtype=np.int64))
     m.allocate(1, 2, 4)
-    with pytest.raises(ValueError, match="batch-1"):
+    with pytest.raises(ValueError, match="one entry per cache unit row"):
         m.batch_view((0, 1), np.array([1, 1], dtype=np.int64))
+    with pytest.raises(ValueError, match="overflow"):  # unit 1's second row
+        m.batch_view((0, 1), np.array([1, 1, 4], dtype=np.int64))
+    m.batch_view((0, 1), np.array([1, 1, 3], dtype=np.int64))
     # loose units: one storage type, and never the fake-quant oracle
     dense = KVCache.allocate(1, 1, 4, 8)
     packed = QuantizedKVCache.allocate(1, 1, 4, 8, kv_bits=4, num_heads=2)

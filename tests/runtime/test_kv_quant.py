@@ -287,27 +287,30 @@ def test_kv3_padding_reads_exact_zero():
 
 
 @pytest.mark.parametrize("kv_bits", [4, 8])
-def test_merge_keeps_packed_bytes(kv_bits):
-    """Merging concatenates stored bytes and scales untouched, K and V,
-    in ascending unit-id order."""
+def test_decode_group_reads_its_units_rows_in_place(kv_bits):
+    """An offline decode group is its prefill units' slab rows: one fused
+    view over units of 2 and 1 rows reads them as one slice, allocates
+    nothing, and returns exactly what each unit's own read does."""
     rng = np.random.default_rng(2)
     m = StageKVManager(num_layers=2, hidden_size=8, kv_bits=kv_bits, num_heads=2)
-    members = [m.allocate(u, batch=1, max_len=5) for u in range(3)]
-    for unit in members:
+    units = [m.allocate(u, batch=b, max_len=5) for u, b in enumerate((2, 1))]
+    for unit, b in zip(units, (2, 1)):
         for li in range(2):
-            unit.append(li, rng.normal(size=(1, 4, 8)), rng.normal(size=(1, 4, 8)), 0)
+            unit.append(li, rng.normal(size=(b, 4, 8)), rng.normal(size=(b, 4, 8)), 0)
         unit.length = 4
-    reads = [unit.read(1, 4) for unit in members]
-    # copies: merging frees the members and blanks their slab rows
-    codes = np.concatenate([u.codes for u in members], axis=2)
-    scales = np.concatenate([u.scales for u in members], axis=2)
-    merged = m.merge(7, (2, 0, 1))
-    np.testing.assert_array_equal(merged.codes, codes)
-    np.testing.assert_array_equal(merged.scales, scales)
-    for got, axis in zip(merged.read(1, 4), (0, 1)):
+    before = m.current_bytes
+    view = m.batch_view((0, 1), np.full(3, 4, dtype=np.int64))
+    assert isinstance(view.idx, slice) and view.pos is None
+    assert (view.idx.start, view.idx.stop) == (0, 3)
+    view.append(1, *rng.normal(size=(2, 3, 1, 8)))
+    k_codes, v_codes, scales = view.read_padded(1)
+    for codes, s, axis in zip((k_codes, v_codes), scales, (0, 1)):
         np.testing.assert_array_equal(
-            got, np.concatenate([r[axis] for r in reads])
+            dequantize_kv(codes, s, 2),
+            np.concatenate([u.read(1, 5)[axis] for u in units]),
         )
+    assert [u.length for u in units] == [5, 5]
+    assert m.current_bytes == m.peak_bytes == before
 
 
 # ---------------------------------------------------------------------------
@@ -334,26 +337,13 @@ def test_manager_packed_bytes_and_guard():
     assert sizes[8] < sizes[16] and sizes[4] < sizes[8]
 
 
-def test_manager_packed_merge_release():
-    rng = np.random.default_rng(1)
+def test_manager_packed_release():
+    """Releasing a multi-row packed unit returns its packed bytes."""
     m = StageKVManager(num_layers=2, hidden_size=8, kv_bits=4, num_heads=2)
-    a = m.allocate(0, batch=1, max_len=6)
-    b = m.allocate(1, batch=1, max_len=6)
-    k = rng.normal(size=(1, 3, 8))
-    v = rng.normal(size=(1, 3, 8))
-    for li in range(2):
-        a.append(li, k, v, 0)
-        b.append(li, 2 * k, 2 * v, 0)
-    a.length = b.length = 3
-    merged = m.merge(100, (0, 1))
-    assert isinstance(merged, QuantizedKVCache)
-    assert merged.k_codes.shape[1] == 2
-    km, _ = merged.read(0, 3)
-    np.testing.assert_array_equal(km[0:1], kv_fake_quant(k, 4, 2))
-    np.testing.assert_array_equal(km[1:2], kv_fake_quant(2 * k, 4, 2))
-    freed = m.release(100)
-    assert freed == merged.kv_nbytes
-    assert m.current_bytes == 0.0
+    unit = m.allocate(0, batch=2, max_len=6)
+    m.allocate(1, batch=1, max_len=6)
+    assert m.release(0) == unit.kv_nbytes == packed_kv_nbytes(2, 2, 6, 8, 4, 2)
+    assert m.current_bytes == packed_kv_nbytes(2, 1, 6, 8, 4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +475,7 @@ def test_kv_peak_matches_packed_footprint(reference, prompts, workload8, tiny8l)
             expected = packed_kv_nbytes(
                 4, 8, 12 + 6, tiny8l.hidden_size, kv_bits, tiny8l.num_heads
             )
-            # merge transiently doubles the decode-group KV
-            assert expected <= w.kv.peak_bytes <= 2 * expected + 1
+            assert w.kv.peak_bytes == expected
 
 
 @pytest.mark.parametrize("kv_bits", [4, 8])

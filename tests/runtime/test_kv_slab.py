@@ -47,6 +47,7 @@ from repro.runtime.kvcache import (
     QuantizedKVCache,
     StageKVManager,
     _parts,
+    _window,
     _zero_code_row,
     kv_fake_quant,
 )
@@ -447,21 +448,29 @@ class SlabMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.model)
     @rule(data=st.data())
     def batch_append_and_read_padded(self, data):
-        fusable = sorted(
-            u for u, c in self.model.items()
-            if self._batch(c) == 1 and c.length < c.max_len
-        )
+        """A fused step over every row of the drawn units (an offline
+        decode group's units have several), against the spec view over
+        each row of their loose caches."""
+        fusable = sorted(u for u, c in self.model.items() if c.length < c.max_len)
         if not fusable:
             return
         ids = tuple(data.draw(st.permutations(fusable))[
             : data.draw(st.integers(1, len(fusable)))
         ])
-        starts = np.array([self.model[u].length for u in ids], dtype=np.int64)
+        rows = [
+            _window(spec, slice(r, r + 1), spec.max_len)
+            for spec in (self.model[u] for u in ids)
+            for r in range(self._batch(spec))
+        ]
+        starts = np.array(
+            [self.model[u].length for u in ids for _ in range(self._batch(self.model[u]))],
+            dtype=np.int64,
+        )
         view = self.mgr.batch_view(ids, starts)
-        spec_view = SpecBatchedKVView([self.model[u] for u in ids], starts)
-        pos = view.pos if view.pos is not None else np.arange(len(ids))
+        spec_view = SpecBatchedKVView(rows, starts)
+        pos = view.pos if view.pos is not None else np.arange(len(rows))
         for li in range(LAYERS):
-            k, v = self._new(1, len(ids))
+            k, v = self._new(1, len(rows))
             view.append(li, k, v)
             spec_view.append(li, k, v)
             *got, scales = view.read_padded(li)
@@ -473,7 +482,8 @@ class SlabMachine(RuleBasedStateMachine):
             for g, w in zip(got, want):
                 assert g[pos].tobytes() == w.tobytes()
                 assert np.isfinite(g).all()  # passengers too
-        spec_view.commit_lengths()
+        for u in ids:
+            self.model[u].length += 1
 
     @precondition(lambda self: self.model)
     @rule(data=st.data())
@@ -500,30 +510,6 @@ class SlabMachine(RuleBasedStateMachine):
             self.mgr.free(uid)
         with pytest.raises(KeyError):
             self.mgr.get(uid)
-
-    @precondition(lambda self: len(self.model) >= 2)
-    @rule(data=st.data())
-    def merge(self, data):
-        first = data.draw(st.sampled_from(sorted(self.model)))
-        alike = sorted(
-            u for u, c in self.model.items()
-            if (c.length, c.max_len) == (self.model[first].length, self.model[first].max_len)
-        )
-        members = data.draw(st.permutations(alike))[: data.draw(st.integers(1, len(alike)))]
-        if first not in members:
-            members.append(first)
-        gid, self.next_id = self.next_id, self.next_id + 1
-        merged = self.mgr.merge(gid, tuple(members))
-        specs = [self.model.pop(u) for u in sorted(members)]
-        arrays = [np.concatenate(p, axis=-3) for p in zip(*map(_parts, specs))]
-        spec = _loose(self.kv_bits, 1, 1)
-        names = ("codes", "scales") if self.kv_bits < 16 else ("k", "v")
-        for name, array in zip(names, arrays):
-            setattr(spec, name, array)
-        spec.length = specs[0].length
-        self.model[gid], self.handles[gid] = spec, merged
-        for u in members:
-            del self.handles[u]
 
     @rule()
     def free_all(self):

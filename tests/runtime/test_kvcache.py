@@ -1,6 +1,5 @@
 """Unit tests for the per-stage KV manager."""
 
-import numpy as np
 import pytest
 
 from repro.runtime import StageKVManager
@@ -30,55 +29,6 @@ def test_get_missing_raises(mgr):
         mgr.get(7)
 
 
-def test_merge_concatenates_and_frees(mgr):
-    a = mgr.allocate(0, batch=2, max_len=6)
-    b = mgr.allocate(1, batch=2, max_len=6)
-    a.k[:] = 1.0
-    b.k[:] = 2.0
-    a.length = b.length = 3
-    merged = mgr.merge(100, (0, 1))
-    assert merged.k.shape == (2, 4, 6, 8)
-    assert merged.length == 3
-    np.testing.assert_array_equal(merged.k[:, :2], 1.0)
-    np.testing.assert_array_equal(merged.k[:, 2:], 2.0)
-    # members freed
-    with pytest.raises(KeyError):
-        mgr.get(0)
-    assert mgr.get(100) is merged
-
-
-def test_merge_length_mismatch_rejected(mgr):
-    a = mgr.allocate(0, batch=1, max_len=4)
-    b = mgr.allocate(1, batch=1, max_len=4)
-    a.length, b.length = 2, 3
-    with pytest.raises(ValueError, match="different lengths"):
-        mgr.merge(100, (0, 1))
-
-
-def test_peak_tracks_transient_merge_doubling(mgr):
-    mgr.allocate(0, batch=2, max_len=4)
-    mgr.allocate(1, batch=2, max_len=4)
-    before = mgr.current_bytes
-    mgr.merge(100, (0, 1))
-    # transiently both members + merged existed
-    assert mgr.peak_bytes == pytest.approx(2 * before)
-    assert mgr.current_bytes == pytest.approx(before)
-
-
-def test_merge_out_of_order_member_ids_normalized(mgr):
-    """Merge must concatenate in ascending unit-id order regardless of
-    the order member ids arrive in, so the merged rows stay aligned
-    with the master's batch slices."""
-    a = mgr.allocate(0, batch=2, max_len=6)
-    b = mgr.allocate(1, batch=2, max_len=6)
-    a.k[:] = 1.0
-    b.k[:] = 2.0
-    a.length = b.length = 3
-    merged = mgr.merge(100, (1, 0))  # reversed control message
-    np.testing.assert_array_equal(merged.k[:, :2], 1.0)  # unit 0 first
-    np.testing.assert_array_equal(merged.k[:, 2:], 2.0)
-
-
 def test_alloc_guard_blocks_allocate():
     calls = []
 
@@ -93,28 +43,6 @@ def test_alloc_guard_blocks_allocate():
     assert mgr.current_bytes == 0  # nothing leaked into the ledger
     with pytest.raises(KeyError):
         mgr.get(0)
-
-
-def test_alloc_guard_blocks_merge_but_keeps_members():
-    denied = []
-
-    def guard(requested):
-        if denied:
-            raise MemoryError("over budget")
-
-    mgr = StageKVManager(num_layers=1, hidden_size=4, alloc_guard=guard)
-    mgr.allocate(0, batch=1, max_len=4).length = 2
-    mgr.allocate(1, batch=1, max_len=4).length = 2
-    denied.append(True)
-    with pytest.raises(MemoryError, match="over budget"):
-        mgr.merge(100, (0, 1))
-    # a denied merge must not have consumed its members
-    assert mgr.get(0) is not None and mgr.get(1) is not None
-    with pytest.raises(KeyError):
-        mgr.get(100)
-    denied.clear()
-    merged = mgr.merge(100, (0, 1))
-    assert merged.k.shape[1] == 2
 
 
 def test_release_drops_current_bytes_immediately(mgr):

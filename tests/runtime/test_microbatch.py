@@ -1,15 +1,10 @@
-"""Unit tests for the thread-safe micro-batch manager and the engine's
-decode-group halving rung."""
+"""Unit tests for the thread-safe micro-batch manager."""
 
 import threading
 
 import pytest
 
-from repro.core.plan import ExecutionPlan, StagePlan
-from repro.hardware import Device, get_gpu
-from repro.models import TinyDecoderLM
-from repro.runtime import MicroBatchManager, PipelineRuntime
-from repro.workload import Workload
+from repro.runtime import MicroBatchManager
 
 
 def test_prefill_units_cover_batch():
@@ -23,8 +18,7 @@ def test_decode_groups_regroup_units():
     m = MicroBatchManager(global_batch=16, prefill_microbatch=2, decode_microbatch=8)
     groups = m.decode_groups
     assert m.num_decode_groups == 2
-    gid, members, sl = groups[0]
-    assert gid >= MicroBatchManager.GROUP_ID_BASE
+    members, sl = groups[0]
     assert members == (0, 1, 2, 3)
     assert sl == slice(0, 8)
 
@@ -59,39 +53,15 @@ def test_inflight_tracking():
     assert m.inflight_ids() == ()
 
 
-def test_shrink_decode_halves_and_regroups(tiny8l):
-    """The engine's KV-pressure rung halves the decode group 8 -> 4 -> 2
-    and stops at the one-prefill-unit floor; each retry's fresh manager
-    regroups the batch at the shrunk size."""
-    plan = ExecutionPlan(
-        model_name="tiny-8l",
-        stages=(StagePlan(Device(get_gpu("T4-16G"), 0, 0), (16,) * 8),),
-        prefill_microbatch=2, decode_microbatch=8,
-        workload=Workload(prompt_len=8, gen_len=4, global_batch=16),
-    )
-    groups = lambda rt: MicroBatchManager(
-        16, rt.plan.prefill_microbatch, rt._decode_microbatch
-    ).num_decode_groups
-    with PipelineRuntime(TinyDecoderLM(tiny8l, seed=0), plan) as rt:
-        assert groups(rt) == 2
-        assert rt._halve_decode_group()
-        assert rt._decode_microbatch == 4 and groups(rt) == 4
-        assert rt._halve_decode_group()
-        assert rt._decode_microbatch == 2 and groups(rt) == 8
-        # floor: one prefill unit per group, cannot shrink further
-        assert not rt._halve_decode_group()
-        assert rt._decode_microbatch == 2
-
-
-def test_shrink_decode_reissues_group_ids():
-    """A manager rebuilt at a shrunk decode size issues group ids from
-    GROUP_ID_BASE again and still covers every unit once, in order."""
-    m = MicroBatchManager(global_batch=8, prefill_microbatch=2, decode_microbatch=4)
-    gids = [g[0] for g in m.decode_groups]
-    assert gids == [MicroBatchManager.GROUP_ID_BASE,
-                    MicroBatchManager.GROUP_ID_BASE + 1]
-    covered = [u for _g, members, _sl in m.decode_groups for u in members]
+def test_decode_groups_cover_every_unit_in_order():
+    """Groups are runs of whole prefill units: every unit once, in
+    order, and each group's batch slice spans exactly its units' rows."""
+    m = MicroBatchManager(global_batch=10, prefill_microbatch=2, decode_microbatch=4)
+    covered = [u for members, _sl in m.decode_groups for u in members]
     assert covered == [u for u, _sl in m.prefill_units]
+    units = dict(m.prefill_units)
+    for members, sl in m.decode_groups:
+        assert (sl.start, sl.stop) == (units[members[0]].start, units[members[-1]].stop)
 
 
 def test_inflight_ids_snapshot_and_clear():

@@ -334,21 +334,81 @@ def test_migration_racing_stage_crash(reference, tiny8l, workload12):
     plan3 = _plan([(16,) * 3, (16,) * 3, (16,) * 2], workload=workload12)
     plan2 = _plan([(16,) * 4, (16,) * 4], workload=workload12)
     requests = _uniform_requests(tiny8l)
-    # stage 1 sees 4 prefills (1-4) then 4 decodes (5-8) before the
-    # boundary-2 migration; activation 10 is the second replayed prefill
-    # of the migration itself.
-    inj = FaultInjector([StageCrash(stage=1, at=10)], seed=0)
-    with PipelineRuntime(reference, plan3, fault_injector=inj) as rt:
-        sched = TriggerAfter(rt, new_plan=plan2, after=2)
+    # the 2-stage plan has no stage 2, so stage 2's first work is the
+    # boundary-2 migration's replay into the 3-stage plan: 4 prefills
+    # (1-4), then the replay's one fused decode round (5)
+    inj = FaultInjector([StageCrash(stage=2, at=5)], seed=0)
+    with PipelineRuntime(reference, plan2, fault_injector=inj) as rt:
+        sched = TriggerAfter(rt, new_plan=plan3, after=2)
         report = sched.serve(requests)
-        assert rt.plan is plan2  # the interrupted migration still landed
-    assert inj.fired and inj.fired[0][0] == "crash"
+        assert rt.plan is plan3  # the interrupted migration still landed
+    assert inj.fired == [("crash", 2, 5)]
+    # the manual migration never completed: the crash hit its replay,
+    # and the crash ladder's forced migration is the only one logged
+    assert [r.reason for r in sched.controller.log] == ["crash-retry:stage2"]
     assert report.crash_recoveries == 1
     assert report.migrations >= 1
     assert report.replayed_tokens > 0
     assert report.replay_divergences == 0
     assert len(report.completed) == len(requests)
     assert report.rejected == []
+    _assert_streams_match(report, reference, requests)
+
+
+def _kv_rows(rt):
+    """Every stage's live KV, per unit, up to its fill length."""
+    return {
+        (j, uid): (c.length, c.k[:, :, : c.length].copy(), c.v[:, :, : c.length].copy())
+        for j, w in enumerate(rt.workers)
+        for uid, c in w.kv.caches.items()
+    }
+
+
+class RebuildAt(ContinuousScheduler):
+    """Force a same-plan migration (workers rebuilt, KV replayed) at the
+    N-th token boundary, keeping every stage's KV from just before and
+    just after it."""
+
+    def __init__(self, rt, *, at, **kw):
+        super().__init__(rt, **kw)
+        self._at, self._boundaries, self.kv = at, 0, None
+
+    def _boundary(self):
+        self._boundaries += 1
+        if self._boundaries == self._at:
+            before = _kv_rows(self.rt)
+            self.controller.migrate(None, force_restart=True)
+            self.kv = before, _kv_rows(self.rt)
+        super()._boundary()
+
+
+def test_replay_rebuilds_every_stages_kv(reference, tiny8l, workload12):
+    """Staggered admissions leave in-flight requests at different token
+    counts, so the replay's fused rounds cover shrinking request sets
+    that differ from the batches that first decoded them.  The rebuilt
+    KV of every unit on every stage equals what the rebuild lost, to
+    the rounding of a differently composed GEMM — a check the greedy
+    streams cannot make, as this model's greedy stream mostly repeats
+    each prompt's last token whatever the KV holds."""
+    requests = _uniform_requests(tiny8l, n=4, g=6, seed=19)
+    requests[0] = ServeRequest(request_id=0, prompt=requests[0].prompt, gen_len=2)
+    plan = _plan([(16,) * 4, (16,) * 4], workload=workload12)
+    with PipelineRuntime(reference, plan) as rt:
+        sched = RebuildAt(rt, at=4, max_inflight=2)
+        report = sched.serve(requests)
+    before, after = sched.kv
+    assert sorted(before) == sorted(after)
+    assert len({uid for _, uid in before}) == 2
+    # the two in-flight requests hold different token counts
+    assert len({n for n, _, _ in before.values()}) == 2
+    for key, (n, k, v) in before.items():
+        n2, k2, v2 = after[key]
+        assert n2 == n
+        np.testing.assert_allclose(k2, k, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(v2, v, rtol=1e-12, atol=1e-12)
+    assert report.replayed_tokens > 0
+    assert report.replay_divergences == 0
+    assert len(report.completed) == len(requests)
     _assert_streams_match(report, reference, requests)
 
 

@@ -7,7 +7,11 @@ import pytest
 
 from repro.models import TinyDecoderLM, get_model
 from repro.runtime.loader import load_stage_weights
-from repro.runtime.messages import ActivationMessage, MergeMessage, ShutdownMessage
+from repro.runtime.messages import (
+    ActivationMessage,
+    BatchedDecodeMessage,
+    ShutdownMessage,
+)
 from repro.runtime.worker import StageWorker
 
 
@@ -47,20 +51,30 @@ def test_worker_decode_continues_cache(worker_env, tiny4l):
     assert w.kv.get(7).length == 5
 
 
-def test_worker_merge_forwarded(worker_env, tiny4l):
+def test_worker_fused_decode_over_unit_rows(worker_env, tiny4l):
+    """An offline decode group: one fused message over every row of two
+    prefill units (2 rows + 1 row), read as one slab slice, agrees with
+    batch-1-message decodes of twin units holding the same KV."""
     model, w, inbound, outbound = worker_env
     rng = np.random.default_rng(2)
-    for uid in (0, 1):
-        inbound.put(
-            ActivationMessage(uid, "prefill", 0,
-                              rng.normal(size=(1, 3, tiny4l.hidden_size)),
-                              reserve=1)
-        )
+    h = tiny4l.hidden_size
+    prompts = [rng.normal(size=(2, 3, h)), rng.normal(size=(1, 3, h))]
+    for uid, x in enumerate(prompts + prompts):  # units 2, 3 are the twins
+        inbound.put(ActivationMessage(uid, "prefill", 0, x, reserve=1))
         outbound.get(timeout=5.0)
-    inbound.put(MergeMessage(group_id=100, member_ids=(0, 1)))
-    ack = outbound.get(timeout=5.0)
-    assert isinstance(ack, MergeMessage)
-    assert w.kv.get(100).k.shape[1] == 2  # merged batch
+    step = rng.normal(size=(3, 1, h))
+    inbound.put(BatchedDecodeMessage(
+        unit_ids=(0, 1), starts=np.full(3, 3, dtype=np.int64), hidden=step
+    ))
+    fused = outbound.get(timeout=5.0)
+    assert fused.unit_ids == (0, 1) and fused.hidden.shape == (3, 1, h)
+    assert (w.kv.view_steps, w.kv.gather_steps) == (1, 0)
+    assert w.kv.get(0).length == w.kv.get(1).length == 4
+    for uid, rows in ((2, slice(0, 2)), (3, slice(2, 3))):
+        inbound.put(ActivationMessage(uid, "decode", 3, step[rows]))
+        np.testing.assert_allclose(
+            fused.hidden[rows], outbound.get(timeout=5.0).hidden, rtol=1e-12
+        )
 
 
 def test_worker_shutdown_propagates(tiny4l):
