@@ -102,10 +102,6 @@ class RuntimeStats:
     replans: int = 0             #: plans rebuilt after permanent device loss
     replayed_microbatches: int = 0  #: in-flight units lost to failures
     recovery_seconds: float = 0.0   #: wall-clock spent rebuilding workers
-    # --- live-replanning counters --------------------------------------
-    migrations: int = 0          #: live plan switches (drift/crash/manual)
-    drift_triggers: int = 0      #: drift-detector firings observed
-    quiesce_seconds: float = 0.0  #: admission paused for migrations (virtual)
     # --- fused-decode counters ------------------------------------------
     fused_iterations: int = 0    #: decode iterations run as one ragged batch
     fused_batch_sum: int = 0     #: total requests across fused iterations

@@ -25,9 +25,10 @@ one reconfiguration story:
   plan's :class:`~repro.cost.stagecosts.StageCostModel` (a new token
   budget; the slots in-flight requests hold carry across), and — when
   the swap re-cut shards and therefore lost worker KV state — replays
-  each in-flight request's recorded computation (batch-1 prefill at its
-  original prompt length, then one fused decode message per replay
-  round feeding the recorded ids) to rebuild the KV caches.  Post-
+  the scheduler's live rows' recorded computation (batch-1 prefill at
+  the original prompt length, then one fused decode message per replay
+  round feeding the recorded ids from the token buffer) to rebuild the
+  KV caches.  Post-
   migration token streams equal an unmigrated run's whenever the new
   plan preserves per-layer bitwidths (repartitions and workload refits
   do; :func:`~repro.core.api.replan_after_failure` does by design), at
@@ -35,7 +36,10 @@ one reconfiguration story:
 
 Crash recovery, drift replanning, and manual replans all flow through
 the same controller — a crash is just a forced same-plan migration, and
-a permanent device loss escalates to a bit-preserving repartition.
+a permanent device loss escalates to a bit-preserving repartition.  The
+controller adds each migration to the running serve's
+:class:`~repro.runtime.scheduler.ServeReport` counters and keeps its
+own per-migration :class:`MigrationRecord` log.
 """
 
 from __future__ import annotations
@@ -444,7 +448,7 @@ class MigrationController:
         rec = MigrationRecord(
             reason=reason, rebuilt=False,
             stages_before=rt.plan.num_stages,
-            inflight=len(sched._active),
+            inflight=sched.live.size,
         )
         target = new_plan if new_plan is not None else rt.plan
         rebuilt = rt.switch_plan(target)
@@ -466,24 +470,24 @@ class MigrationController:
         sched._retire()
 
         rec.quiesce_seconds = sched._now() - t0
-        sched.migrations += 1
-        sched.quiesce_seconds += rec.quiesce_seconds
-        sched.replayed_tokens += rec.replayed_tokens
-        sched.replay_divergences += rec.divergences
-        rt.stats.migrations += 1
-        rt.stats.quiesce_seconds += rec.quiesce_seconds
+        report = sched._report
+        report.migrations += 1
+        report.quiesce_seconds += rec.quiesce_seconds
+        report.replayed_tokens += rec.replayed_tokens
+        report.replay_divergences += rec.divergences
         self.log.append(rec)
         return rec
 
     # -- state re-map ---------------------------------------------------
     def _replay(self, rec: MigrationRecord) -> None:
-        """Rebuild lost KV state by replaying each request's computation.
+        """Rebuild lost KV state by replaying each live row's computation.
 
-        Each request is prefilled batch-1 over its original prompt, as it
-        was admitted; replay round ``k`` is then one fused
-        :class:`~repro.runtime.messages.BatchedDecodeMessage` over every
-        request holding more than ``k`` tokens, feeding each its recorded
-        token ``k - 1`` — the batched decode unit the simulator prices a
+        Each live row with a token is prefilled batch-1 over its original
+        prompt, as it was admitted; replay round ``k`` is then one fused
+        :class:`~repro.runtime.messages.BatchedDecodeMessage` over the
+        rows that produced more than ``k`` tokens, feeding each its
+        recorded token ``k - 1`` (the scheduler's decode message with
+        ``pos = k``) — the batched decode unit the simulator prices a
         replay round as.  A single prefill over prompt+tokens would
         instead change the prompt's GEMM shapes and hence its KV.
         Replayed samples are compared against the recorded stream: under
@@ -494,27 +498,26 @@ class MigrationController:
         """
         sched = self.sched
         rt = sched.rt
-        replaying = [a for a in sched._active if a.tokens]
-        if not replaying:
+        live = sched.live
+        rows = live[sched.prod[live] > 0]
+        if not rows.size:
             return
-        for a in replaying:
-            sched._send_prefill(a)
-        outs = rt._collect(len(replaying))
-        for a in replaying:
-            tok = sched._sample(a, outs[a.unit_id])
-            rec.replayed_tokens += 1
-            if tok != a.tokens[0]:
-                rec.divergences += 1
+        for k in rows.tolist():
+            sched._send_prefill(k)
+        outs = rt._collect(rows.size)
+        first = [sched._sample(outs[k]) for k in rows.tolist()]
+        recorded = sched._tok[sched._off[rows]]
+        rec.replayed_tokens += rows.size
+        rec.divergences += int(np.count_nonzero(first != recorded))
         k = 1
         while True:
-            round_ = [a for a in replaying if len(a.tokens) > k]
-            if not round_:
+            rows = rows[sched.prod[rows] > k]
+            if not rows.size:
                 break
-            sched._send_batched_decode(round_, k)
+            sched._send_batched_decode(rows, k)
             (fused,) = rt._collect(1).values()
-            toks = greedy_pick(rt._logits_last(fused.hidden)).tolist()
-            for a, tok in zip(round_, toks):
-                rec.replayed_tokens += 1
-                if tok != a.tokens[k]:
-                    rec.divergences += 1
+            toks = greedy_pick(rt._logits_last(fused.hidden))
+            recorded = sched._tok[sched._off[rows] + k]
+            rec.replayed_tokens += rows.size
+            rec.divergences += int(np.count_nonzero(toks != recorded))
             k += 1

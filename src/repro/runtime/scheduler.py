@@ -12,26 +12,31 @@ immediately and the next queued request can take them over at the very
 next iteration.  This is the ORCA-style counterpart of the paper's
 offline two-phase schedule.
 
-The queue is the trace engine's state: arrival (times ``time_scale``),
-prompt and generation columns in ``(arrival, request_id)`` order, their
-token-slot prefix sums and a head index.  Every boundary admits through
-the engine's one rule, :func:`~repro.cost.stagecosts.admit_run`, with
-the rows arrived by ``now``; a request retires by boundary count, at the
-``fin`` its admission set, as on the engine's retire ring; and the drift
-detector gets the same column slices the engine feeds it.  Only the
-loop drivers differ: priced time there, pipeline I/O here.
+The serving state is the trace engine's: columns over the queue rows —
+arrival (times ``time_scale``), prompt and generation lengths in
+``(arrival, request_id)`` order, their token-slot prefix sums and a head
+index — plus, per row, the admitting boundary ``adm_it``, the retiring
+boundary ``fin``, the reservation, the tokens produced, the tokens in
+one flat buffer and three clocks; ``live`` is the in-flight rows in
+admission order.  Every boundary admits through the engine's one rule,
+:func:`~repro.cost.stagecosts.admit_run`, with the rows arrived by
+``now``; a row retires by boundary count at its ``fin``, as on the
+engine's retire ring; and the drift detector gets the same column slices
+the engine feeds it.  Only the loop drivers differ: priced time there,
+pipeline I/O here.  Per-request records are built from the columns once,
+when the serve ends.
 
-Decode is fused and batched: at each token boundary every in-flight
-decode request's single-token activation is stacked into one
-``(B, 1, h)`` ragged batch, each stage runs one QKV/MLP GEMM per layer
-against the shared dequant-cached weights (amortizing the weight stream
-over the whole batch — the dominant decode cost), attention stays
-ragged over per-request KV units, and the master samples all ``B`` next
-tokens from one stacked logit GEMM.  Requests still own individual
-batch-1 cache units, which is what admission, retirement, migration and
-replay work on.  The master's offline decode groups ride the same
-:class:`~repro.runtime.messages.BatchedDecodeMessage`, one message per
-group over its prefill units' slab rows.
+Decode is fused and batched: at each token boundary every live row with
+a token is stacked into one ``(B, 1, h)`` ragged batch, each stage runs
+one QKV/MLP GEMM per layer against the shared dequant-cached weights
+(amortizing the weight stream over the whole batch — the dominant decode
+cost), attention stays ragged over per-row KV slab rows, and the master
+samples all ``B`` next tokens from one stacked logit GEMM.  Each request
+owns one batch-1 KV unit, keyed by its queue row, which admission,
+retirement, migration and replay work on.  The master's offline decode
+groups ride the same :class:`~repro.runtime.messages
+.BatchedDecodeMessage`, one message per group over its prefill units'
+slab rows.
 
 Equality contract: fused greedy *token streams* equal the
 single-process ``generate(model, prompt[None], n)`` reference and a
@@ -56,7 +61,6 @@ iteration that runs them is the same for both policies.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
@@ -229,24 +233,6 @@ def requests_from_arrivals(
     return out
 
 
-@dataclass
-class _Active:
-    """In-flight request state (scheduler-internal)."""
-
-    unit_id: int
-    req: ServeRequest
-    record: RequestRecord
-    prompt_len: int  #: the queue's prompt column at admission
-    tokens: list[int] = field(default_factory=list)
-    #: the boundary it retires after, set at admission: the admitting
-    #: boundary plus ``gen_len - 1`` (a wave member: the wave's ``n_max - 1``)
-    fin: int = 0
-    #: KV token slots reserved past the prompt, set at admission; the
-    #: request holds ``prompt_len + reserve`` slots and its prefill (and
-    #: any replay) carries the reservation to the stages
-    reserve: int = 0
-
-
 class ContinuousScheduler:
     """Admission queue + iteration-level execution over a live runtime.
 
@@ -254,9 +240,9 @@ class ContinuousScheduler:
     ----------
     runtime:
         A started :class:`PipelineRuntime`.  The scheduler drives its
-        stage queues directly (per-request batch-1 activations); the
-        engine's offline ``generate`` path is untouched and can still be
-        used on the same runtime afterwards.
+        stage queues directly (batch-1 prefills, one fused decode
+        message per boundary); the engine's offline ``generate`` path is
+        untouched and can still be used on the same runtime afterwards.
     policy:
         ``"continuous"`` (iteration-level admission and eager
         retirement) or ``"wave"`` (the offline baseline: gang admission
@@ -311,10 +297,6 @@ class ContinuousScheduler:
         self.time_scale = time_scale
         self._wsb_plan: ExecutionPlan | None = None  # weight-bytes memo key
         self._wsb: float = 0.0
-        #: KV token slots the in-flight requests hold (admission adds
-        #: ``prompt_len + reserve``, release subtracts it)
-        self.held = 0
-        self._unit_ids = itertools.count()
         self._bind_cost_model()
         self._t0: float | None = None
         self._offset = 0.0
@@ -322,24 +304,54 @@ class ContinuousScheduler:
         self.replanner = replanner
         self._detector = DriftDetector(drift) if drift is not None else None
         self.controller = MigrationController(self)
-        self.drift_triggers = 0
-        self.migrations = 0
-        self.replans = 0
-        self.crash_recoveries = 0
-        self.quiesce_seconds = 0.0
-        self.replayed_tokens = 0
-        self.replay_divergences = 0
         self._pending_plan: ExecutionPlan | None = None
         self._crash_retries = 0
-        self._active: list[_Active] = []
+        #: the running serve's report; its reconfiguration counters are
+        #: written in place by the loop and the migration controller
         self._report: ServeReport | None = None
         #: token boundaries whose results were collected
         self.it = 0
+        self._columns([])
 
     @property
     def detector(self) -> DriftDetector | None:
         """The drift detector, when drift replanning is enabled."""
         return self._detector
+
+    @property
+    def held(self) -> int:
+        """KV token slots the in-flight rows hold: ``prompt + reserve``
+        each, the quantity admission prices against ``budget``."""
+        live = self.live
+        return int((self._spr[live] + self.reserve[live]).sum())
+
+    def _columns(self, requests: Sequence[ServeRequest]) -> None:
+        """The serving state as the trace engine's columns over the queue.
+
+        The queue is ``requests`` in ``(arrival, request_id)`` order:
+        arrival (times ``time_scale``), prompt and generation columns,
+        their token-slot prefix sums and a head index.  Per queue row the
+        scheduler keeps the boundary that admitted it (``adm_it``, 0 =
+        never), the boundary it retires after (``fin``), the KV slots it
+        reserves past its prompt, the tokens it has produced, its tokens
+        in one flat buffer (row ``k`` at ``_off[k]:_off[k + 1]``) and its
+        admit / first-token / finish clocks.  ``live`` is the in-flight
+        rows in admission order; a row's KV unit id is its queue row.
+        """
+        q = self._queue = sorted(requests, key=lambda r: (r.arrival, r.request_id))
+        n = len(q)
+        self._arr = np.array([r.arrival for r in q], dtype=np.float64) * self.time_scale
+        self._spr = np.array([r.prompt_len for r in q], dtype=np.int64)
+        self._sgen = np.array([r.gen_len for r in q], dtype=np.int64)
+        zero = np.zeros(1, dtype=np.int64)
+        self._cumq = np.concatenate((zero, np.cumsum(self._spr + self._sgen)))
+        self._off = np.concatenate((zero, np.cumsum(self._sgen)))
+        self._tok = np.zeros(int(self._off[-1]), dtype=np.int64)
+        self.adm_it, self.fin, self.reserve, self.prod = (
+            np.zeros(n, dtype=np.int64) for _ in range(4))
+        self._t_adm, self._t_first, self._t_fin = (np.zeros(n) for _ in range(3))
+        self.live = zero[:0]
+        self._ptr = self._obs = 0  # queue head; arrivals fed to the detector
 
     def _bind_cost_model(self) -> None:
         """Price admission under the runtime's current plan.
@@ -384,79 +396,51 @@ class ContinuousScheduler:
     # ------------------------------------------------------------------
     # Pipeline I/O (batch-1 prefill/replay; fused decode)
     # ------------------------------------------------------------------
-    def _send_prefill(self, a: _Active) -> None:
-        x = self.rt.reference._embed(np.asarray(a.req.prompt)[None, :], 0)
+    def _send_prefill(self, k: int) -> None:
+        x = self.rt.reference._embed(np.asarray(self._queue[k].prompt)[None, :], 0)
         self.rt.head.put(
             ActivationMessage(
-                microbatch_id=a.unit_id, phase="prefill", start=0,
-                hidden=x, reserve=a.reserve,
+                microbatch_id=k, phase="prefill", start=0,
+                hidden=x, reserve=int(self.reserve[k]),
             )
         )
-        self.rt.stats.prefill_tokens += a.prompt_len
+        self.rt.stats.prefill_tokens += int(self._spr[k])
 
-    def _send_batched_decode(self, going: list[_Active], k: int | None = None) -> None:
-        """Stack one decode step of every request in ``going`` into one
-        message: its newest token, or — replaying step ``k`` — its
-        *recorded* token ``k - 1``.
+    def _send_batched_decode(self, rows: np.ndarray, pos) -> None:
+        """Stack one decode step of queue rows ``rows`` into one message:
+        each row feeds its token ``pos - 1`` at position ``spr + pos - 1``.
 
-        Row order is ``going`` order; the returned batched hidden states
-        keep it, and tokens are scattered back by unit id.
+        Live decode passes the tokens each row has produced (its newest
+        token); replay round ``k`` passes ``k`` (its recorded token
+        ``k - 1``).  Row order is ``rows`` order, and the returned batched
+        hidden states keep it.
         """
-        if k is None:
-            tokens = [[a.tokens[-1]] for a in going]
-            starts = [a.prompt_len + len(a.tokens) - 1 for a in going]
-        else:
-            tokens = [[a.tokens[k - 1]] for a in going]
-            starts = [a.prompt_len + k - 1 for a in going]
-        starts = np.array(starts, dtype=np.int64)
-        x = self.rt.reference._embed_ragged(np.array(tokens, dtype=np.int64), starts)
+        starts = self._spr[rows] + (pos - 1)
+        tokens = self._tok[self._off[rows] + (pos - 1)]
+        x = self.rt.reference._embed_ragged(tokens[:, None], starts)
         self.rt.head.put(
             BatchedDecodeMessage(
-                unit_ids=tuple(a.unit_id for a in going), starts=starts, hidden=x
+                unit_ids=tuple(rows.tolist()), starts=starts, hidden=x
             )
         )
 
-    def _collect_mixed(
-        self, prefill_count: int, *, batched: bool
-    ) -> tuple[dict[int, ActivationMessage], BatchedDecodeMessage | None]:
-        """Drain one iteration's results: per-unit prefill activations
-        plus (optionally) the single fused decode message."""
-        outs: dict[int, ActivationMessage] = {}
-        fused: BatchedDecodeMessage | None = None
-        need = prefill_count + (1 if batched else 0)
-        got = 0
-        while got < need:
-            msg = self.rt._next_message(f"iteration result {got + 1}/{need}")
-            if isinstance(msg, ReleaseMessage):
-                continue  # stray control ack; not an activation
-            if isinstance(msg, BatchedDecodeMessage):
-                fused = msg
-            else:
-                outs[msg.microbatch_id] = msg
-            got += 1
-        return outs, fused
-
-    def _release(self, finished: Sequence[_Active]) -> None:
-        """Free finished units on every stage, wait for the ack, and
-        return their token slots.
+    def _release(self, rows: np.ndarray) -> None:
+        """Free finished rows' units on every stage and wait for the ack.
 
         Called at an iteration boundary (pipeline idle), so waiting for
         the release to come out the tail is deterministic — after this
         returns, every stage's ``current_bytes`` has already dropped.  A
-        failure before the ack leaves ``held`` untouched: the requests
-        stay in flight and a later release returns their slots once.
+        failure before the ack leaves ``live`` untouched: the rows stay
+        in flight, holding their slots, and a later release frees them.
         """
-        if not finished:
-            return
-        self.rt.head.put(ReleaseMessage(unit_ids=tuple(a.unit_id for a in finished)))
+        self.rt.head.put(ReleaseMessage(unit_ids=tuple(rows.tolist())))
         while True:
             msg = self.rt._next_message("release ack")
             if isinstance(msg, ReleaseMessage):
                 break
-        self.held -= sum(a.prompt_len + a.reserve for a in finished)
 
-    def _sample(self, a: _Active, msg: ActivationMessage) -> int:
-        """Greedy next token from this request's own logits.
+    def _sample(self, msg: ActivationMessage) -> int:
+        """Greedy next token from one request's own logits.
 
         Greedy-only by design: argmax is rng-free, so a request's stream
         cannot depend on how many co-batched neighbours consumed random
@@ -498,16 +482,9 @@ class ContinuousScheduler:
         report = ServeReport(policy=self.policy)
         if not requests:
             return report
-        # the queue as the trace engine's columns, in FIFO order
-        self._queue = sorted(requests, key=lambda r: (r.arrival, r.request_id))
-        self._arr = np.array([r.arrival for r in self._queue]) * self.time_scale
-        self._spr = np.array([r.prompt_len for r in self._queue], dtype=np.int64)
-        self._sgen = np.array([r.gen_len for r in self._queue], dtype=np.int64)
-        self._cumq = np.concatenate(((0,), np.cumsum(self._spr + self._sgen)))
+        self._columns(requests)
         worst = int(np.argmax(self._spr + self._sgen))
         self.rt.cfg.check_positions(int(self._spr[worst]), int(self._sgen[worst]))
-        self._ptr = self._obs = 0  # queue head; arrivals fed to the detector
-        self._active = []
         self._report = report
         self._crash_retries = 0
         self._t0 = time.perf_counter()
@@ -517,29 +494,36 @@ class ContinuousScheduler:
         except StageFailureError as err:
             self.rt._fail_cleanly(err)  # raises RuntimeError
         report.makespan = self._now()
-        report.records.sort(key=lambda r: r.request_id)
-        report.drift_triggers = self.drift_triggers
-        report.migrations = self.migrations
-        report.replans = self.replans
-        report.crash_recoveries = self.crash_recoveries
-        report.quiesce_seconds = self.quiesce_seconds
-        report.replayed_tokens = self.replayed_tokens
-        report.replay_divergences = self.replay_divergences
+        report.records = self._records()
         self._publish_stats(report)
         return report
 
-    def _record(self, k: int, **kw) -> RequestRecord:
-        req = self._queue[k]
-        return RequestRecord(
-            request_id=req.request_id, prompt_len=int(self._spr[k]),
-            gen_len=req.gen_len, arrival=float(self._arr[k]), **kw,
+    def _records(self) -> list[RequestRecord]:
+        """Every queue row's outcome, in ``request_id`` order: a row never
+        admitted is a rejection, any other carries its clocks and tokens."""
+        cols = zip(
+            self._queue, self._spr.tolist(), self._arr.tolist(),
+            self.adm_it.tolist(), self._t_adm.tolist(), self._t_first.tolist(),
+            self._t_fin.tolist(), np.split(self._tok, self._off[1:-1]),
         )
+        records = [
+            RequestRecord(
+                request_id=req.request_id, prompt_len=s, gen_len=req.gen_len,
+                arrival=arr, admit_time=t_adm, first_token_time=t_first,
+                finish_time=t_fin, rejected=not adm,
+                tokens=tokens if adm else None,
+            )
+            for req, s, arr, adm, t_adm, t_first, t_fin, tokens in cols
+        ]
+        records.sort(key=lambda r: r.request_id)
+        return records
 
-    def _admit(self, now: float) -> list[_Active]:
+    def _admit(self, now: float) -> None:
         """Admit at a token boundary through the trace engine's rule,
         :func:`~repro.cost.stagecosts.admit_run`, and feed the arrivals
         up to ``now`` to the drift detector.  A request holds ``prompt +
-        gen`` slots; a wave member the wave's ``s_max + n_max``."""
+        gen`` slots; a wave member the wave's ``s_max + n_max``.  Admitted
+        rows join ``live``; rejected ones keep ``adm_it`` 0."""
         arr, spr, sgen = self._arr, self._spr, self._sgen
         arrived = int(arr.searchsorted(now, side="right"))
         if self._detector is not None and arrived > self._obs:
@@ -547,117 +531,103 @@ class ContinuousScheduler:
             self._detector.observe_arrivals(
                 arr[o:arrived], spr[o:arrived], sgen[o:arrived])
             self._obs = arrived
-        ptr, wave = self._ptr, self.policy == "wave"
+        wave = self.policy == "wave"
         r, p = admit_run(
-            self._cumq, spr, sgen, ptr, arrived, held=self.held,
-            b=len(self._active), budget=self.budget,
+            self._cumq, spr, sgen, self._ptr, arrived, held=self.held,
+            b=self.live.size, budget=self.budget,
             cap=self.max_inflight or len(arr), wave=wave,
         )
         self._ptr = p
-        self._report.records.extend(
-            self._record(k, rejected=True) for k in range(ptr, r))
-        if wave and p > r:
+        if p == r:
+            return
+        self.adm_it[r:p] = self.it + 1
+        self._t_adm[r:p] = now
+        if wave:
             s_max, n_max = int(spr[r:p].max()), int(sgen[r:p].max())
-            self.held += (p - r) * (s_max + n_max)
-            fin = [n_max] * (p - r)
-            reserve = (s_max + n_max - spr[r:p]).tolist()
+            self.fin[r:p] = self.it + n_max
+            self.reserve[r:p] = s_max + n_max - spr[r:p]
         else:
-            self.held += int(self._cumq[p] - self._cumq[r])
-            fin = reserve = sgen[r:p].tolist()
-        prompts = spr[r:p].tolist()
-        return [
-            _Active(
-                unit_id=next(self._unit_ids), req=self._queue[k],
-                record=self._record(k, admit_time=now), prompt_len=prompts[i],
-                fin=self.it + fin[i], reserve=reserve[i],
-            )
-            for i, k in enumerate(range(r, p))
-        ]
+            self.fin[r:p] = self.it + sgen[r:p]
+            self.reserve[r:p] = sgen[r:p]
+        self.live = np.concatenate((self.live, np.arange(r, p)))
 
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def _loop(self) -> None:
         n = len(self._queue)
-        while self._ptr < n or self._active:
+        while self._ptr < n or self.live.size:
             now = self._now()
-            if not self._active:
+            if not self.live.size:
                 # idle gap: jump the virtual clock to the next arrival
                 now = self._jump_to(float(self._arr[self._ptr]))
-            newly = self._admit(now)
-            if not newly and not self._active:
+            self._admit(now)
+            if not self.live.size:
                 continue  # everything at the head was rejected
             try:
-                self._iteration(newly)
+                self._iteration()
                 self._boundary()
             except StageFailureError as err:
                 self._recover(err)
 
-    def _iteration(self, newly: list[_Active]) -> None:
-        """One token boundary: prefill the newcomers, decode everyone else.
+    def _iteration(self) -> None:
+        """One token boundary: prefill the rows with no token yet, decode
+        the rest of ``live``.
 
-        Newly admitted requests join the in-flight set *before* any
-        pipeline I/O, so a mid-iteration failure can never orphan them —
-        the recovery path sees every admitted request.  Requests with no
-        tokens yet (fresh admissions, or admissions whose prefill was
-        lost to a crash) are prefilled; the rest decode.  The boundary
+        Admission puts rows in ``live`` *before* any pipeline I/O, so a
+        mid-iteration failure can never orphan them — the recovery path
+        sees every admitted row.  Rows with no token yet (fresh
+        admissions, or admissions whose prefill was lost to a crash) are
+        prefilled; the rest decode as one fused message.  The boundary
         counts once its results are collected (a crash re-runs the same
-        boundary number); then every request whose ``fin`` it reached
-        retires, as on the trace engine's ring.
+        boundary number); then every row whose ``fin`` it reached
+        retires, as on the trace engine's ring.  A wave member that has
+        its ``gen_len`` tokens keeps decoding (padding) until its ``fin``.
         """
-        active = self._active
-        active.extend(newly)
-        fresh = [a for a in active if not a.tokens]
-        going = [a for a in active if a.tokens]
-        for a in fresh:
-            self._send_prefill(a)
-        if going:
-            self._send_batched_decode(going)
-        outs, fused = self._collect_mixed(len(fresh), batched=bool(going))
+        live, prod, sgen = self.live, self.prod, self._sgen
+        fresh = prod[live] == 0
+        pre, dec = live[fresh], live[~fresh]
+        for k in pre.tolist():
+            self._send_prefill(k)
+        if dec.size:
+            self._send_batched_decode(dec, prod[dec])
+        outs = self.rt._collect(pre.size + (dec.size > 0))
         self.it += 1
         now = self._now()
-        for a in fresh:
-            tok = self._sample(a, outs[a.unit_id])
-            a.tokens.append(tok)
-            a.record.first_token_time = now
-            if a.req.gen_len == 1:
-                a.record.finish_time = now
-            self.rt.stats.tokens_generated += 1
-        if fused is not None:
+        stats = self.rt.stats
+        for k in pre.tolist():
+            self._tok[self._off[k]] = self._sample(outs[k])
+        prod[pre] = 1
+        self._t_first[pre] = now
+        stats.tokens_generated += pre.size
+        made = pre
+        if dec.size:
             # one stacked logit GEMM for the whole decode batch, then a
-            # per-request scatter of the sampled tokens
-            stats = self.rt.stats
+            # scatter of the sampled tokens into the rows still generating
+            b = dec.size
             stats.fused_iterations += 1
-            stats.fused_batch_sum += len(going)
-            stats.fused_batch_max = max(stats.fused_batch_max, len(going))
-            stats.fused_weight_bytes_saved += (
-                (len(going) - 1) * self._weight_stream_bytes()
-            )
-            toks = greedy_pick(self.rt._logits_last(fused.hidden))
-            row = {uid: i for i, uid in enumerate(fused.unit_ids)}
-            for a in going:
-                stats.decode_tokens += 1
-                stats.tokens_generated += 1
-                if len(a.tokens) < a.req.gen_len:
-                    a.tokens.append(int(toks[row[a.unit_id]]))
-                    if len(a.tokens) == a.req.gen_len:
-                        a.record.finish_time = now  # wave keeps padding past this
+            stats.fused_batch_sum += b
+            stats.fused_batch_max = max(stats.fused_batch_max, b)
+            stats.fused_weight_bytes_saved += (b - 1) * self._weight_stream_bytes()
+            stats.decode_tokens += b
+            stats.tokens_generated += b
+            toks = greedy_pick(self.rt._logits_last(outs[int(dec[0])].hidden))
+            pos = prod[dec]
+            grow = pos < sgen[dec]
+            rows = dec[grow]
+            self._tok[self._off[rows] + pos[grow]] = toks[grow]
+            prod[rows] += 1
+            made = np.concatenate((pre, rows))
+        self._t_fin[made[prod[made] == sgen[made]]] = now
         self._retire()
 
     def _retire(self) -> None:
-        """Release and report every request whose last boundary has run."""
-        active, it = self._active, self.it
-        done = [a for a in active if a.fin <= it]
-        if not done:
-            return
-        self._release(done)
-        active[:] = [a for a in active if a.fin > it]
-        now = self._now()
-        for a in done:
-            a.record.tokens = np.array(a.tokens, dtype=np.int64)
-            if a.record.finish_time == 0.0:  # pragma: no cover - guard
-                a.record.finish_time = now
-            self._report.records.append(a.record)
+        """Release every live row whose last boundary has run."""
+        live = self.live
+        done = self.fin[live] <= self.it
+        if done.any():
+            self._release(live[done])
+            self.live = live[~done]
 
     # ------------------------------------------------------------------
     # Live replanning / recovery (all at token boundaries)
@@ -678,7 +648,7 @@ class ContinuousScheduler:
             before = self.rt.plan
             self.controller.migrate(plan, reason="manual")
             if self.rt.plan is not before:  # a new plan was adopted
-                self.replans += 1
+                self._report.replans += 1
             if self._detector is not None:
                 self._detector.rebaseline(self._now())
         if self._detector is None:
@@ -688,15 +658,14 @@ class ContinuousScheduler:
         est = self._detector.poll(now)
         if est is None:
             return
-        self.drift_triggers += 1
-        self.rt.stats.drift_triggers += 1
+        self._report.drift_triggers += 1
         if self.replanner is None:
             return
         new_plan = self.replanner(self.rt.plan, est)
         if new_plan is None:
             return
         self.controller.migrate(new_plan, reason=est.reason)
-        self.replans += 1
+        self._report.replans += 1
         self._detector.rebaseline(self._now())
 
     def _recover(self, err: StageFailureError) -> None:
@@ -730,7 +699,7 @@ class ContinuousScheduler:
                         force_restart=True,
                     )
                     self.rt.stats.replans += 1
-                    self.replans += 1
+                    self._report.replans += 1
                     self._crash_retries = 0
                 else:
                     self.rt.stats.retries += 1
@@ -743,7 +712,7 @@ class ContinuousScheduler:
                 # migration): charge another rung and go around
                 err = again
                 continue
-            self.crash_recoveries += 1
+            self._report.crash_recoveries += 1
             if self._detector is not None:
                 self._detector.rebaseline(self._now())
             return

@@ -53,6 +53,22 @@ def tiny8l():
 
 
 @pytest.fixture(scope="session")
+def sharp(tiny8l):
+    """tiny-8l (seed 3, the runtime tests' reference) with every layer's
+    linear weights x10.  The stock model's greedy streams mostly repeat
+    the prompt's last token, so a decode fed the wrong token or the wrong
+    KV history still matches ``generate()``; this one's streams move
+    (about four distinct tokens per stream of up to eight), so stream
+    equality sees such a fault."""
+    from repro.models import TinyDecoderLM
+
+    model = TinyDecoderLM(tiny8l, seed=3)
+    for i in range(tiny8l.num_layers):
+        model.apply_to_layer(i, lambda _n, w: w * 10.0)
+    return model
+
+
+@pytest.fixture(scope="session")
 def tiny4l():
     return get_model("tiny-4l")
 

@@ -241,12 +241,10 @@ def test_held_unchanged_across_migration(reference, tiny8l, workload12):
 
     class Probe(TriggerAfter):
         def _boundary(self):
-            before = (self.held, self.budget, [a.unit_id for a in self._active])
+            before = (self.held, self.budget, self.live.tolist())
             super()._boundary()
-            if self.migrations and not hasattr(self, "switch"):
-                self.switch = before, (
-                    self.held, self.budget, [a.unit_id for a in self._active]
-                )
+            if self.controller.log and not hasattr(self, "switch"):
+                self.switch = before, (self.held, self.budget, self.live.tolist())
 
     with PipelineRuntime(reference, plan3) as rt:
         sched = Probe(rt, new_plan=plan2, after=2)
@@ -265,13 +263,15 @@ def test_held_unchanged_across_migration(reference, tiny8l, workload12):
 # ---------------------------------------------------------------------------
 
 
-def test_manual_migration_streams_byte_identical(reference, tiny8l, workload12):
+@pytest.mark.parametrize("model", ["reference", "sharp"])
+def test_manual_migration_streams_byte_identical(request, model, tiny8l, workload12):
     """The headline contract: a mid-flight repartition (3 -> 2 stages,
     bit-preserving) must not change a single token of any stream."""
+    model = request.getfixturevalue(model)
     plan3 = _plan([(16,) * 3, (16,) * 3, (16,) * 2], workload=workload12)
     plan2 = _plan([(16,) * 4, (16,) * 4], workload=workload12)
     requests = _uniform_requests(tiny8l)
-    with PipelineRuntime(reference, plan3) as rt:
+    with PipelineRuntime(model, plan3) as rt:
         sched = TriggerAfter(rt, new_plan=plan2, after=2)
         report = sched.serve(requests)
         assert rt.plan is plan2
@@ -285,7 +285,7 @@ def test_manual_migration_streams_byte_identical(reference, tiny8l, workload12):
     assert rec.rebuilt and rec.reason == "manual"
     assert rec.stages_before == 3 and rec.stages_after == 2
     assert rec.inflight == len(requests)
-    _assert_streams_match(report, reference, requests)
+    _assert_streams_match(report, model, requests)
 
 
 def test_quantized_migration_preserves_streams(reference, tiny8l, workload12):
@@ -412,13 +412,15 @@ def test_replay_rebuilds_every_stages_kv(reference, tiny8l, workload12):
     _assert_streams_match(report, reference, requests)
 
 
-def test_crash_recovery_through_controller(reference, tiny8l, workload12):
+@pytest.mark.parametrize("model", ["reference", "sharp"])
+def test_crash_recovery_through_controller(request, model, tiny8l, workload12):
     """A transient crash with no migration requested is recovered as a
     forced same-plan migration: KV replayed, nothing dropped."""
+    model = request.getfixturevalue(model)
     plan = _plan([(16,) * 4, (16,) * 4], workload=workload12)
     requests = _uniform_requests(tiny8l, seed=13)
     inj = FaultInjector([StageCrash(stage=1, at=6)], seed=0)
-    with PipelineRuntime(reference, plan, fault_injector=inj) as rt:
+    with PipelineRuntime(model, plan, fault_injector=inj) as rt:
         sched = ContinuousScheduler(rt)
         report = sched.serve(requests)
         assert rt.stats.retries == 1
@@ -426,7 +428,7 @@ def test_crash_recovery_through_controller(reference, tiny8l, workload12):
     assert report.migrations == 1 and report.replans == 0
     assert sched.controller.log[0].reason == "crash-retry:stage1"
     assert len(report.completed) == len(requests)
-    _assert_streams_match(report, reference, requests)
+    _assert_streams_match(report, model, requests)
 
 
 def test_drift_refit_end_to_end(reference, tiny8l, workload12):

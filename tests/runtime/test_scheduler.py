@@ -68,16 +68,18 @@ def _assert_streams_match(report, model, requests):
         np.testing.assert_array_equal(rec.tokens, expected)
 
 
+@pytest.mark.parametrize("model", ["reference", "sharp"])
 def test_continuous_streams_byte_identical_to_reference(
-    reference, tiny8l, workload12
+    request, model, tiny8l, workload12
 ):
     """Co-batched requests must not perturb each other's token streams."""
+    model = request.getfixturevalue(model)
     plan = _plan([(16,) * 3, (16,) * 3, (16,) * 2], workload=workload12)
     requests = _mixed_requests(tiny8l)
-    with PipelineRuntime(reference, plan) as rt:
+    with PipelineRuntime(model, plan) as rt:
         report = ContinuousScheduler(rt, policy="continuous").serve(requests)
     assert len(report.completed) == len(requests)
-    _assert_streams_match(report, reference, requests)
+    _assert_streams_match(report, model, requests)
 
 
 def test_quantized_streams_match_fake_quant_reference(
@@ -98,13 +100,15 @@ def test_quantized_streams_match_fake_quant_reference(
     _assert_streams_match(report, fq, requests)
 
 
-def test_wave_and_continuous_streams_identical(reference, tiny8l, workload12):
+@pytest.mark.parametrize("model", ["reference", "sharp"])
+def test_wave_and_continuous_streams_identical(request, model, tiny8l, workload12):
     """Scheduling policy must never change what tokens a request gets."""
+    model = request.getfixturevalue(model)
     plan = _plan([(16,) * 4, (16,) * 4], workload=workload12)
     requests = _mixed_requests(tiny8l, seed=5)
     streams = {}
     for policy in ("continuous", "wave"):
-        with PipelineRuntime(reference, plan) as rt:
+        with PipelineRuntime(model, plan) as rt:
             report = ContinuousScheduler(rt, policy=policy).serve(requests)
         assert len(report.completed) == len(requests)
         streams[policy] = {r.request_id: r.tokens for r in report.completed}
@@ -297,16 +301,19 @@ class LedgerProbe(ContinuousScheduler):
         if self._migrate_to is not None and self.boundaries == self._migrate_at:
             self.request_migration(self._migrate_to)
         super()._boundary()
-        active = self._active
-        assert self.held == sum(a.req.prompt_len + a.reserve for a in active)
+        charges = [
+            (self._queue[k].prompt_len, int(self.reserve[k]))
+            for k in self.live.tolist()
+        ]
+        assert self.held == sum(s + r for s, r in charges)
         assert self.held <= self.budget
         # the byte ledger: one per-stage charge per request, summed
         used = np.zeros(self.rt.plan.num_stages)
-        for a in active:
-            used += self.cost.request_kv_bytes(a.req.prompt_len, a.reserve)
+        for s, r in charges:
+            used += self.cost.request_kv_bytes(s, r)
         pool = self.headroom > 0
         assert self._occupancy() == float(np.max(used[pool] / self.headroom[pool]))
-        self.log.append((self.held, self.budget, len(active)))
+        self.log.append((self.held, self.budget, len(charges)))
 
 
 @pytest.mark.parametrize("policy", ["continuous", "wave"])
@@ -355,32 +362,20 @@ def test_token_ledger_invariants_every_boundary(
     _assert_streams_match(report, reference, requests)
 
 
-class BoundaryLog(ContinuousScheduler):
-    """Records each request's admit, retire and reject token boundary
-    (1-based count of iterations; a rejection at the count run before)."""
+class RejectLog(ContinuousScheduler):
+    """Records the token boundary each queue row is rejected at (the
+    count of iterations run before it)."""
 
     def __init__(self, rt, **kw):
         super().__init__(rt, **kw)
-        self.admitted: dict[int, int] = {}
-        self.retired: dict[int, int] = {}
         self.rejected: dict[int, int] = {}
 
     def _admit(self, now):
-        newly = super()._admit(now)
-        for rec in self._report.records:
-            if rec.rejected:
-                self.rejected.setdefault(rec.request_id, self.it)
-        return newly
-
-    def _iteration(self, newly):
-        for a in newly:
-            self.admitted[a.req.request_id] = self.it + 1
-        super()._iteration(newly)
-
-    def _release(self, finished):
-        super()._release(finished)
-        for a in finished:
-            self.retired[a.req.request_id] = self.it
+        ptr = self._ptr
+        super()._admit(now)
+        for k in range(ptr, self._ptr):
+            if not self.adm_it[k]:
+                self.rejected[k] = self.it
 
 
 @pytest.mark.parametrize("policy", ["continuous", "wave"])
@@ -391,10 +386,10 @@ def test_sim_and_runtime_admit_and_retire_at_the_same_boundaries(
     cap of 5 and a 60-slot budget that binds.  Two never fit even alone:
     one heads the queue, one waits mid-queue behind an in-flight group.
     Both loops reject the same two, each only into an empty system, and
-    per request the real runtime's (admit, retire) boundary equals the
-    trace engine's ``(adm_it, adm_it + retire - 1)``, where a request
-    retires after its own ``gen_len`` tokens, or a wave member after the
-    wave's ``n_max``."""
+    the real runtime's ``adm_it`` and ``fin`` columns equal the trace
+    engine's ``adm_it`` and retire boundary ``adm_it + retire - 1`` (0
+    for a rejected row), where a request retires after its own
+    ``gen_len`` tokens, or a wave member after the wave's ``n_max``."""
     from repro.cost.stagecosts import StageCostModel
     from repro.hardware.cluster import cluster_from_devices
     from repro.sim.trace_engine import _Engine, trace_columns
@@ -418,7 +413,7 @@ def test_sim_and_runtime_admit_and_retire_at_the_same_boundaries(
     giants = {0, 8}
     n = len(requests)
     with PipelineRuntime(reference, plan) as rt:
-        sched = BoundaryLog(rt, policy=policy, max_inflight=5, time_scale=0.0)
+        sched = RejectLog(rt, policy=policy, max_inflight=5, time_scale=0.0)
         report = sched.serve(requests)
     assert len(report.completed) == n - 2
     assert {r.request_id for r in report.rejected} == set(sched.rejected) == giants
@@ -442,10 +437,10 @@ def test_sim_and_runtime_admit_and_retire_at_the_same_boundaries(
     if policy == "wave":
         for it in np.unique(adm):
             retire[adm == it] = gens[adm == it].max()
-    kept = [i for i in range(n) if i not in giants]
-    assert sched.admitted == {i: int(adm[i]) for i in kept}
-    assert sched.retired == {i: int(adm[i] + retire[i] - 1) for i in kept}
+    # the queue rows are the request ids (all arrive at 0)
+    np.testing.assert_array_equal(sched.adm_it, adm)
+    np.testing.assert_array_equal(sched.fin, np.where(adm > 0, adm + retire - 1, 0))
     # the mid-queue giant is rejected at the drain: right after the last
     # retirement of the requests ahead of it
-    assert sched.rejected[8] == max(sched.retired[i] for i in range(1, 8))
-    assert len(set(sched.admitted.values())) > 3  # several admission rounds
+    assert sched.rejected[8] == sched.fin[1:8].max()
+    assert np.unique(adm[adm > 0]).size > 3  # several admission rounds
