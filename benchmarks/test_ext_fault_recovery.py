@@ -99,5 +99,8 @@ def test_ext_fault_recovery(benchmark):
         assert by[k]["stage_restarts"] >= k
         assert by[k]["recovery_seconds"] > 0
         assert by[k]["overhead_pct"] >= 0.0
-    # more crashes never make recovery cheaper
-    assert by[3]["recovery_seconds"] >= by[1]["recovery_seconds"]
+    # more crashes never make recovery cheaper: counted in restarts and
+    # lost units, not in ~1 ms wall-clock samples
+    for k in (1, 2, 3):
+        for key in ("stage_restarts", "replayed_microbatches"):
+            assert by[k][key] >= by[k - 1][key]

@@ -116,6 +116,15 @@ def _kv_slab_line(st) -> str:
     )
 
 
+def _recovery_line(st) -> str:
+    """What the runtime's recovery ladder took and rebuilt."""
+    return (
+        f"recovery: {st.retries} retries, {st.stage_restarts} stage "
+        f"restarts, {st.kv_alloc_failures} KV denials, {st.replans} "
+        f"replans, {st.recovery_seconds:.3f}s recovering"
+    )
+
+
 def _paper_cluster(cluster_id: int) -> Cluster:
     """:func:`paper_cluster`, an unknown id raised as a one-line
     ``ValueError``."""
@@ -360,11 +369,7 @@ def dist_main(argv: list[str] | None = None) -> int:
             print(_fused_decode_line(st))
         print(_kv_slab_line(st))
         if injector is not None or st.retries or st.replans:
-            print(
-                f"recovery: {st.retries} retries, {st.stage_restarts} stage "
-                f"restarts, {st.kv_alloc_failures} KV denials, {st.replans} "
-                f"replans, {st.recovery_seconds:.3f}s recovering"
-            )
+            print(_recovery_line(st))
         if rt.plan is not rt.original_plan:
             print("downgraded plan after device loss:", file=sys.stderr)
             print(rt.plan.describe(), file=sys.stderr)
@@ -716,6 +721,8 @@ def serve_main(argv: list[str] | None = None) -> int:
                 f"{report.quiesce_seconds:.3f}s, {report.replayed_tokens} "
                 f"tokens replayed ({report.replay_divergences} divergences)"
             )
+        if st.retries or st.replans:
+            print(_recovery_line(st))
     return 0 if freport.completed else 1
 
 

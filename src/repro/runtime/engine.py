@@ -19,16 +19,22 @@ integration tests do.
 Fault tolerance (paper Sec. 5's recovery story, made concrete): every
 blocking wait is bounded, worker health is tracked through a shared
 :class:`PipelineControl`, and a stage failure — a crash, a stall, or a
-denied KV allocation — triggers the two-rung ladder
+denied KV allocation — takes one step of the recovery ladder, the same
+step for offline ``generate`` and the continuous scheduler
+(:meth:`PipelineRuntime._ladder`):
 
-1. **retry** — rebuild the dead workers from the *cached* quantized
-   shards (no re-quantization — the point of the on-the-fly loader) and
-   replay the batch.  Generation is seeded, so the replay is
-   token-for-token identical to an undisturbed run.
+1. **retry** — rebuild the workers from the *cached* quantized shards
+   (no re-quantization — the point of the on-the-fly loader).
 2. **replan** — on a permanent device loss (a stage that dies on every
    restart), call back into :func:`repro.core.api.replan_after_failure`
    to redistribute its layers over the surviving devices and serve the
    downgraded plan.
+
+One rebuild, :meth:`PipelineRuntime.recover`, restarts the workers
+under the plan the step returns.  Then ``generate`` re-serves the batch
+— generation is seeded, so the replay is token-for-token identical to
+an undisturbed run — and the scheduler replays its in-flight KV
+(:class:`~repro.runtime.replan.MigrationController`).
 
 Deterministic failures for all of this come from
 :class:`~repro.runtime.faults.FaultInjector`.
@@ -96,7 +102,7 @@ class RuntimeStats:
     #: time to first token (admission/arrival -> prefill token) per request
     request_ttfts: list[float] = field(default_factory=list)
     # --- fault-tolerance counters -------------------------------------
-    retries: int = 0             #: batch replays after a stage failure
+    retries: int = 0             #: stage failures the recovery ladder took
     stage_restarts: int = 0      #: workers rebuilt from cached shards
     kv_alloc_failures: int = 0   #: KV allocations denied
     replans: int = 0             #: plans rebuilt after permanent device loss
@@ -279,7 +285,7 @@ class PipelineRuntime:
         self.control = PipelineControl()
         self._build_pipeline()
         self._alive = True
-        self._mbm: MicroBatchManager | None = None
+        self._failures = 0  # ladder failures of the current run and plan
         self.stats = RuntimeStats()
         self._sync_cache_stats()
 
@@ -384,14 +390,35 @@ class PipelineRuntime:
     # ------------------------------------------------------------------
     # Recovery machinery
     # ------------------------------------------------------------------
-    def _restart_stages(self) -> None:
-        """Tear the pipeline down and rebuild it from the cached shards.
+    def _same_shards(self, plan: ExecutionPlan) -> bool:
+        """True when ``plan`` keeps the current layer split and per-layer
+        weight and KV bitwidths (its shards are the cached ones)."""
+        if plan.model_name != self.plan.model_name:
+            raise ValueError("a plan switch cannot change the model")
+        old, new = (
+            [(s.num_layers, s.layer_bits, s.kv_bits) for s in p.stages]
+            for p in (self.plan, plan)
+        )
+        return old == new
 
-        KV state is lost (the in-flight batch must be re-served), but
-        weight preparation is skipped, which is the recovery-speed win
-        the paper's loading plugin claims.
+    def recover(self, plan: ExecutionPlan | None = None) -> None:
+        """Switch to ``plan`` (default: the current one) and restart every
+        worker, even when the shards are unchanged.
+
+        The one rebuild behind ``generate``'s recovery, forced migrations
+        (:meth:`MigrationController.migrate`) and manual recovery.
+        Shards are re-cut from the full-precision reference only when
+        the plan changes them; otherwise weight preparation is skipped,
+        which is the recovery-speed win the paper's loading plugin
+        claims.  KV state is lost: the caller re-serves (offline) or
+        replays (online) what was in flight.
         """
+        plan = plan or self.plan
         t0 = time.perf_counter()
+        recut = not self._same_shards(plan)
+        self.plan = plan
+        if recut:
+            self._build_loads()
         crashed = sum(1 for w in self.workers if w.error is not None)
         stuck: list[str] = []
         for w in self.workers:
@@ -406,62 +433,64 @@ class PipelineRuntime:
         self._build_pipeline()
         self.stats.stage_restarts += max(crashed, 1)
         self.stats.recovery_seconds += time.perf_counter() - t0
-
-    def recover(self) -> None:
-        """Rebuild the pipeline after a stage failure (public, manual)."""
-        self._restart_stages()
         self._alive = True
 
     def switch_plan(self, new_plan: ExecutionPlan) -> bool:
         """Adopt ``new_plan`` on the running pipeline; True if rebuilt.
 
-        The universal reconfiguration primitive behind crash replans,
-        drift migrations, and manual replans.  When the new plan keeps
-        the same layer split and per-layer bitwidths (e.g. a workload
-        refit or a device re-labelling), the switch is metadata-only:
-        workers, shards, dequant caches, and KV state all survive.
-        Otherwise shards are re-cut from the full-precision reference
-        and the workers rebuilt — KV state is lost and the caller (the
-        :class:`~repro.runtime.replan.MigrationController`) must replay
-        in-flight requests to restore it.
+        The reconfiguration primitive behind drift migrations and manual
+        replans.  When the new plan keeps the same layer split and
+        per-layer bitwidths (e.g. a workload refit or a device
+        re-labelling), the switch is metadata-only: workers, shards,
+        dequant caches, and KV state all survive.  Otherwise it is
+        :meth:`recover` under the new plan — KV state is lost and the
+        caller (the :class:`~repro.runtime.replan.MigrationController`)
+        must replay in-flight requests to restore it.
         """
-        if new_plan.model_name != self.plan.model_name:
-            raise ValueError("switch_plan cannot change the model")
-        same_shards = tuple(
-            (s.num_layers, s.layer_bits, s.kv_bits) for s in new_plan.stages
-        ) == tuple(
-            (s.num_layers, s.layer_bits, s.kv_bits) for s in self.plan.stages
-        )
-        self.plan = new_plan
-        if same_shards:
+        if self._same_shards(new_plan):
+            self.plan = new_plan
             return False
-        t0 = time.perf_counter()
-        self._build_loads()  # new stage boundaries: shards must be re-cut
-        self.stats.recovery_seconds += time.perf_counter() - t0
-        self._restart_stages()
+        self.recover(new_plan)
         return True
 
-    def _degraded_plan(self, err: StageFailureError) -> ExecutionPlan | None:
-        """The permanent-failure rung of both supervision ladders (offline
-        ``generate`` and the continuous scheduler's recovery): when
-        supervision allows another replan, the bit-preserving plan that
-        drops the dead stage's device and redistributes its layers to
-        the surviving neighbours, with the stage retired from fault
-        injection; ``None`` when the ladder is exhausted.  The caller
-        switches to it and counts the replan."""
+    def _ladder(self, err: StageFailureError) -> ExecutionPlan:
+        """One step of the recovery ladder, shared by offline ``generate``
+        and the continuous scheduler: count ``err`` and return the plan
+        to rebuild under.
+
+        Every failure taken counts a retry (and a KV denial when that
+        was the cause).  Up to ``max_retries`` failures in a run the plan
+        is the current one; the next escalates to the bit-preserving
+        :func:`~repro.core.api.replan_after_failure` plan, which drops
+        the dead stage's device (retired from fault injection) and
+        redistributes its layers to the surviving neighbours — counted
+        as a replan, and the retry budget starts over on it.  Stops the
+        workers and raises ``RuntimeError`` when recovery is off or the
+        ladder is exhausted.
+        """
         sup = self.supervision
+        if not sup.enable_recovery:
+            self._fail_cleanly(err)
+        self.stats.retries += 1
+        if isinstance(err.cause, KVAllocationError):
+            self.stats.kv_alloc_failures += 1
+        self._failures += 1
+        if self._failures <= sup.max_retries:
+            return self.plan
         if not (
             sup.replan_on_permanent_failure
             and err.stage_idx is not None
             and self.plan.num_stages > 1
             and self.stats.replans < sup.max_replans
         ):
-            return None
+            self._fail_cleanly(err)
         from ..core.api import replan_after_failure
 
         new_plan = replan_after_failure(self.plan, err.stage_idx)
         if self.injector is not None:
             self.injector.retire_stage(err.stage_idx)
+        self.stats.replans += 1
+        self._failures = 0
         return new_plan
 
     def _fail_cleanly(self, err: StageFailureError) -> None:
@@ -539,7 +568,7 @@ class PipelineRuntime:
             return msg
 
     def _collect(
-        self, count: int, mbm: MicroBatchManager | None = None
+        self, count: int
     ) -> dict[int, ActivationMessage | BatchedDecodeMessage]:
         """Drain ``count`` results, keyed by unit id (a fused decode
         message by its first unit)."""
@@ -548,14 +577,10 @@ class PipelineRuntime:
             msg = self._next_message(f"activation {len(out) + 1}/{count}")
             if isinstance(msg, ReleaseMessage):
                 continue  # stray control ack; not an activation
-            ids = (
-                msg.unit_ids if isinstance(msg, BatchedDecodeMessage)
-                else (msg.microbatch_id,)
-            )
-            out[ids[0]] = msg
-            if mbm is not None:
-                for uid in ids:
-                    mbm.mark_done(uid)
+            if isinstance(msg, BatchedDecodeMessage):
+                out[msg.unit_ids[0]] = msg
+            else:
+                out[msg.microbatch_id] = msg
         return out
 
     def _logits_last(self, hidden: np.ndarray) -> np.ndarray:
@@ -581,91 +606,79 @@ class PipelineRuntime:
         if num_tokens <= 0:
             raise ValueError("num_tokens must be positive")
         self.cfg.check_positions(prompts.shape[-1], num_tokens)
-        sup = self.supervision
-        retries = 0
+        self._failures = 0
         while True:
             try:
                 return self._serve_batch(prompts, num_tokens, greedy, seed)
             except StageFailureError as err:
                 self._sync_cache_stats()
-                if self._mbm is not None:
-                    self.stats.replayed_microbatches += len(self._mbm.inflight_ids())
-                if not sup.enable_recovery:
-                    self._fail_cleanly(err)
-                if isinstance(err.cause, KVAllocationError):
-                    self.stats.kv_alloc_failures += 1
-                retries += 1
-                self.stats.retries += 1
-                if retries > sup.max_retries:
-                    new_plan = self._degraded_plan(err)
-                    if new_plan is None:
-                        self._fail_cleanly(err)
-                    self.switch_plan(new_plan)
-                    self.stats.replans += 1
-                    retries = 0
-                    continue
-                self._restart_stages()
+                self.recover(self._ladder(err))
 
     def _serve_batch(
         self, prompts: np.ndarray, num_tokens: int, greedy: bool, seed: int
     ) -> np.ndarray:
-        """One unsupervised serving attempt (raises StageFailureError)."""
+        """One unsupervised serving attempt (raises StageFailureError).
+
+        Each phase puts every unit in before collecting any, and only a
+        collect fails, so a failed attempt loses all its units in flight:
+        they count as replayed micro-batches.
+        """
         rng = np.random.default_rng(seed)
         batch, s = prompts.shape
-        mbm = MicroBatchManager(
+        split = MicroBatchManager(
             batch,
             min(self.plan.prefill_microbatch, batch),
             min(self.plan.decode_microbatch, batch),
         )
-        self._mbm = mbm
-
-        # ---------------- prefill (all units in flight at once) --------
-        t0 = time.perf_counter()
-        for uid, sl in mbm.prefill_units:
-            x = self.reference._embed(prompts[sl], 0)
-            mbm.mark_inflight(uid)
-            self.head.put(
-                ActivationMessage(
-                    microbatch_id=uid, phase="prefill", start=0,
-                    hidden=x, reserve=num_tokens,
-                )
-            )
-        outs = self._collect(mbm.num_prefill_microbatches, mbm)
-        tokens = np.empty((batch, num_tokens), dtype=np.int64)
-        current = np.empty(batch, dtype=np.int64)
-        for uid, sl in mbm.prefill_units:
-            logits = self._logits_last(outs[uid].hidden)
-            current[sl] = _pick(logits, greedy, rng)
-        tokens[:, 0] = current
-        prefill_elapsed = time.perf_counter() - t0
-        self.stats.prefill_seconds += prefill_elapsed
-        self.stats.prefill_microbatches += mbm.num_prefill_microbatches
-        self.stats.prefill_tokens += batch * s
-
-        # ---------------- decode loop -----------------------------------
-        # one fused message per group and step, over its units' slab rows;
-        # every group of a step goes in before collecting, so stages overlap
-        t1 = time.perf_counter()
-        groups = mbm.decode_groups
-        self.stats.decode_groups = mbm.num_decode_groups
-        for step in range(1, num_tokens):
-            start = s + step - 1
-            for members, sl in groups:
-                x = self.reference._embed(current[sl].reshape(-1, 1), start)
-                for uid in members:
-                    mbm.mark_inflight(uid)
+        units, groups = split.prefill_units, split.decode_groups
+        try:
+            # ---------------- prefill (all units in flight at once) ----
+            t0 = time.perf_counter()
+            for uid, sl in units:
+                x = self.reference._embed(prompts[sl], 0)
                 self.head.put(
-                    BatchedDecodeMessage(
-                        unit_ids=members,
-                        starts=np.full(len(x), start, dtype=np.int64),
-                        hidden=x,
+                    ActivationMessage(
+                        microbatch_id=uid, phase="prefill", start=0,
+                        hidden=x, reserve=num_tokens,
                     )
                 )
-            outs = self._collect(len(groups), mbm)
-            for members, sl in groups:
-                logits = self._logits_last(outs[members[0]].hidden)
+            outs = self._collect(len(units))
+            tokens = np.empty((batch, num_tokens), dtype=np.int64)
+            current = np.empty(batch, dtype=np.int64)
+            for uid, sl in units:
+                logits = self._logits_last(outs[uid].hidden)
                 current[sl] = _pick(logits, greedy, rng)
-            tokens[:, step] = current
+            tokens[:, 0] = current
+            prefill_elapsed = time.perf_counter() - t0
+            self.stats.prefill_seconds += prefill_elapsed
+            self.stats.prefill_microbatches += len(units)
+            self.stats.prefill_tokens += batch * s
+
+            # ---------------- decode loop -------------------------------
+            # one fused message per group and step, over its units' slab
+            # rows; every group of a step goes in before collecting, so
+            # stages overlap
+            t1 = time.perf_counter()
+            self.stats.decode_groups = len(groups)
+            for step in range(1, num_tokens):
+                start = s + step - 1
+                for members, sl in groups:
+                    x = self.reference._embed(current[sl].reshape(-1, 1), start)
+                    self.head.put(
+                        BatchedDecodeMessage(
+                            unit_ids=members,
+                            starts=np.full(len(x), start, dtype=np.int64),
+                            hidden=x,
+                        )
+                    )
+                outs = self._collect(len(groups))
+                for members, sl in groups:
+                    logits = self._logits_last(outs[members[0]].hidden)
+                    current[sl] = _pick(logits, greedy, rng)
+                tokens[:, step] = current
+        except StageFailureError:
+            self.stats.replayed_microbatches += len(units)
+            raise
         decode_elapsed = time.perf_counter() - t1
         self.stats.decode_seconds += decode_elapsed
         self.stats.tokens_generated += batch * num_tokens
@@ -682,7 +695,6 @@ class PipelineRuntime:
         # free the batch's units for the next batch
         for w in self.workers:
             w.kv.free_all()
-        self._mbm = None
         return tokens
 
     # ------------------------------------------------------------------

@@ -112,8 +112,9 @@ class KVAllocPressure:
     Mimics an allocator running out of head-room.  The runtime allocates
     KV only when a cache unit is prefilled — a decode group reads its
     prefill units' rows in place — so a cap below one unit's charge
-    fails that prefill, and the engine's ladder retries the batch (the
-    denial counts in ``RuntimeStats.kv_alloc_failures``).
+    fails that prefill, and the runtime's ladder retries — offline the
+    batch, online by KV replay (the denial counts in
+    ``RuntimeStats.kv_alloc_failures`` on both paths).
     ``fail_count`` bounds how many times the denial fires (``None`` =
     always).
     """

@@ -1,33 +1,18 @@
-"""Thread-safe micro-batch manager (paper Sec. 5).
+"""Micro-batch split of an offline batch (paper Sec. 5).
 
-Owns the split of the global batch into prefill micro-batches (cache
-units) and their regrouping into decode groups — a group is the rows of
+The split of the global batch into prefill micro-batches (cache units)
+and their regrouping into decode groups — a group is the rows of
 consecutive whole units, decoded as one fused message over those KV slab
-rows, so regrouping moves no KV — and tracks in-flight units so
-concurrent producers/consumers (the master's feeder and collector) stay
-consistent.  Online serving has no global batch: the
-continuous scheduler mints one cache unit per admitted request and
-counts its KV in token slots (:mod:`repro.runtime.scheduler`).
+rows, so regrouping moves no KV.  It is plain data: the master's
+``_serve_batch`` reads it on the one thread that both sends and collects
+the units.  Online serving has no global batch: the continuous
+scheduler mints one cache unit per admitted request and counts its KV in
+token slots (:mod:`repro.runtime.scheduler`).
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
-
 __all__ = ["MicroBatchManager"]
-
-
-@dataclass(frozen=True)
-class _Unit:
-    unit_id: int
-    lo: int
-    hi: int
-
-    @property
-    def as_slice(self) -> slice:
-        """Slice into the global batch."""
-        return slice(self.lo, self.hi)
 
 
 class MicroBatchManager:
@@ -42,8 +27,6 @@ class MicroBatchManager:
         from whole prefill units, so the effective decode size is
         ``prefill_microbatch * ceil(decode_microbatch / prefill_microbatch)``
         capped at the global batch — the closest realizable regrouping.
-
-    A manager covers one serving attempt; a retry builds a fresh one.
     """
 
     def __init__(
@@ -54,62 +37,30 @@ class MicroBatchManager:
         if prefill_microbatch <= 0 or decode_microbatch <= 0:
             raise ValueError("micro-batch sizes must be positive")
         self.global_batch = global_batch
-        self.prefill_microbatch = min(prefill_microbatch, global_batch)
+        self.prefill_microbatch = mb = min(prefill_microbatch, global_batch)
         self.decode_microbatch = min(decode_microbatch, global_batch)
-        self._lock = threading.Lock()
-        self._inflight: set[int] = set()
-
-        self._units = [
-            _Unit(uid, lo, min(lo + self.prefill_microbatch, global_batch))
-            for uid, lo in enumerate(range(0, global_batch, self.prefill_microbatch))
+        #: ``(unit_id, batch_slice)`` per prefill micro-batch
+        self.prefill_units = [
+            (uid, slice(lo, min(lo + mb, global_batch)))
+            for uid, lo in enumerate(range(0, global_batch, mb))
         ]
-        per_group = max(1, self.decode_microbatch // self.prefill_microbatch)
-        self._groups: list[tuple[tuple[int, ...], slice]] = []
-        for lo_idx in range(0, len(self._units), per_group):
-            members = self._units[lo_idx : lo_idx + per_group]
-            self._groups.append(
-                (tuple(u.unit_id for u in members), slice(members[0].lo, members[-1].hi))
-            )
-
-    # ------------------------------------------------------------------
-    @property
-    def prefill_units(self) -> list[tuple[int, slice]]:
-        """``(unit_id, batch_slice)`` per prefill micro-batch."""
-        return [(u.unit_id, u.as_slice) for u in self._units]
-
-    @property
-    def decode_groups(self) -> list[tuple[tuple[int, ...], slice]]:
-        """``(member_unit_ids, batch_slice)`` per decode group."""
-        return list(self._groups)
+        per_group = max(1, self.decode_microbatch // mb)
+        runs = (
+            self.prefill_units[i : i + per_group]
+            for i in range(0, len(self.prefill_units), per_group)
+        )
+        #: ``(member_unit_ids, batch_slice)`` per decode group
+        self.decode_groups = [
+            (tuple(uid for uid, _ in run), slice(run[0][1].start, run[-1][1].stop))
+            for run in runs
+        ]
 
     @property
     def num_prefill_microbatches(self) -> int:
         """Cache units in the prefill phase."""
-        return len(self._units)
+        return len(self.prefill_units)
 
     @property
     def num_decode_groups(self) -> int:
         """Decode groups per decode step."""
-        return len(self._groups)
-
-    # ------------------------------------------------------------------
-    def mark_inflight(self, unit_id: int) -> None:
-        """Record a unit entering the pipeline (errors on double entry)."""
-        with self._lock:
-            if unit_id in self._inflight:
-                raise ValueError(f"unit {unit_id} already in flight")
-            self._inflight.add(unit_id)
-
-    def mark_done(self, unit_id: int) -> None:
-        """Record a unit leaving the pipeline."""
-        with self._lock:
-            self._inflight.discard(unit_id)
-
-    def inflight_ids(self) -> tuple[int, ...]:
-        """Snapshot of the in-flight ledger (sorted unit ids).
-
-        On a stage failure this is exactly the set of micro-batches the
-        recovery path must replay."""
-        with self._lock:
-            return tuple(sorted(self._inflight))
-
+        return len(self.decode_groups)

@@ -35,9 +35,14 @@ one reconfiguration story:
   the argmax level every fused decode is held to.
 
 Crash recovery, drift replanning, and manual replans all flow through
-the same controller — a crash is just a forced same-plan migration, and
-a permanent device loss escalates to a bit-preserving repartition.  The
-controller adds each migration to the running serve's
+the same controller.  A crash takes the runtime's one recovery ladder
+step — the one offline ``generate`` takes — and the controller executes
+the plan it returns as a forced migration: the current plan for a
+retry, a bit-preserving repartition after a permanent device loss.  A
+forced migration rebuilds the workers through
+:meth:`PipelineRuntime.recover`, the rebuild ``generate`` uses, and then
+replays the in-flight KV.  The controller adds each migration to the
+running serve's
 :class:`~repro.runtime.scheduler.ServeReport` counters and keeps its
 own per-migration :class:`MigrationRecord` log.
 """
@@ -434,9 +439,10 @@ class MigrationController:
     ) -> MigrationRecord:
         """Switch the running pipeline to ``new_plan`` (or rebuild in place).
 
-        ``new_plan=None`` keeps the current plan — with
-        ``force_restart=True`` that is exactly a crash recovery: rebuild
-        the workers from cached shards and replay in-flight state.
+        ``new_plan=None`` keeps the current plan.  ``force_restart=True``
+        rebuilds the workers through :meth:`PipelineRuntime.recover` even
+        when the shards are unchanged and replays in-flight state — a
+        crash recovery.
         Pending requests stay queued and every in-flight request is
         carried across, so nothing is dropped.
         """
@@ -451,10 +457,11 @@ class MigrationController:
             inflight=sched.live.size,
         )
         target = new_plan if new_plan is not None else rt.plan
-        rebuilt = rt.switch_plan(target)
-        if force_restart and not rebuilt:
-            rt._restart_stages()
+        if force_restart:
+            rt.recover(target)
             rebuilt = True
+        else:
+            rebuilt = rt.switch_plan(target)
         rec.rebuilt = rebuilt
         rec.stages_after = rt.plan.num_stages
 

@@ -266,11 +266,12 @@ class ContinuousScheduler:
         .workload_refit_replanner` or :func:`~repro.runtime.replan
         .make_search_replanner`).
 
-    Stage failures under the continuous policy are recovered in-flight
-    through the same :class:`~repro.runtime.replan.MigrationController`
-    (crash is a forced same-plan migration; permanent losses escalate to
-    ``replan_after_failure`` when the runtime's supervision allows),
-    bounded by the runtime's ``SupervisionConfig``.
+    Stage failures under the continuous policy take the runtime's one
+    recovery ladder, the one offline ``generate`` takes (retry, then
+    ``replan_after_failure`` when the runtime's ``SupervisionConfig``
+    allows), and are recovered in flight by a forced migration through
+    the same :class:`~repro.runtime.replan.MigrationController`: the
+    runtime's one rebuild, then KV replay.
     """
 
     def __init__(
@@ -305,7 +306,6 @@ class ContinuousScheduler:
         self._detector = DriftDetector(drift) if drift is not None else None
         self.controller = MigrationController(self)
         self._pending_plan: ExecutionPlan | None = None
-        self._crash_retries = 0
         #: the running serve's report; its reconfiguration counters are
         #: written in place by the loop and the migration controller
         self._report: ServeReport | None = None
@@ -473,11 +473,11 @@ class ContinuousScheduler:
     def serve(self, requests: Sequence[ServeRequest]) -> ServeReport:
         """Replay a trace; returns per-request records + aggregates.
 
-        A :class:`StageFailureError` anywhere fails the replay cleanly
-        (online serving has no batch to retry — lost requests belong to
-        a higher-level retry policy), raising ``RuntimeError``.  A
-        request whose positions overrun the model's position table
-        raises ``ValueError`` before any pipeline I/O.
+        A stage failure the recovery ladder cannot absorb (the wave
+        policy, recovery off, the ladder exhausted) fails the replay
+        cleanly, raising ``RuntimeError``.  A request whose positions
+        overrun the model's position table raises ``ValueError`` before
+        any pipeline I/O.
         """
         report = ServeReport(policy=self.policy)
         if not requests:
@@ -486,7 +486,7 @@ class ContinuousScheduler:
         worst = int(np.argmax(self._spr + self._sgen))
         self.rt.cfg.check_positions(int(self._spr[worst]), int(self._sgen[worst]))
         self._report = report
-        self._crash_retries = 0
+        self.rt._failures = 0
         self._t0 = time.perf_counter()
         self._offset = 0.0
         try:
@@ -669,47 +669,27 @@ class ContinuousScheduler:
         self._detector.rebaseline(self._now())
 
     def _recover(self, err: StageFailureError) -> None:
-        """Crash ladder at a token boundary, through the migration path.
-
-        Retry (forced same-plan migration: rebuild workers from cached
-        shards, replay in-flight KV) up to ``max_retries``; then, when
-        supervision allows, adopt the bit-preserving
-        ``replan_after_failure`` plan for the surviving devices.  Every
-        rung carries the in-flight requests across — nothing is dropped.
+        """Recovery at a token boundary: the runtime's ladder step picks
+        the plan — the current one for a retry, the bit-preserving
+        ``replan_after_failure`` plan past ``max_retries`` — and a forced
+        migration rebuilds the workers under it and replays the
+        in-flight KV, so nothing is dropped.  A failure during that
+        replay takes the next step.
         """
-        sup = self.rt.supervision
-        if self.policy != "continuous" or not sup.enable_recovery:
+        if self.policy != "continuous":
             raise err
         while True:
-            self._crash_retries += 1
-            new_plan = None
-            if self._crash_retries > sup.max_retries:
-                new_plan = self.rt._degraded_plan(err)
-                if new_plan is None:
-                    raise err
+            plan = self.rt._ladder(err)  # raises once the ladder is exhausted
+            if plan is self.rt.plan:
+                reason = f"crash-retry:stage{err.stage_idx}"
+            else:
+                reason = f"crash:stage{err.stage_idx}"
+                self._report.replans += 1
+                if self._detector is not None:
+                    self._detector.observe_device_loss(self._now(), err.stage_idx)
             try:
-                if new_plan is not None:
-                    if self._detector is not None:
-                        self._detector.observe_device_loss(
-                            self._now(), err.stage_idx
-                        )
-                    self.controller.migrate(
-                        new_plan,
-                        reason=f"crash:stage{err.stage_idx}",
-                        force_restart=True,
-                    )
-                    self.rt.stats.replans += 1
-                    self._report.replans += 1
-                    self._crash_retries = 0
-                else:
-                    self.rt.stats.retries += 1
-                    self.controller.migrate(
-                        None, reason=f"crash-retry:stage{err.stage_idx}",
-                        force_restart=True,
-                    )
+                self.controller.migrate(plan, reason=reason, force_restart=True)
             except StageFailureError as again:
-                # the recovery replay itself was hit (crash racing the
-                # migration): charge another rung and go around
                 err = again
                 continue
             self._report.crash_recoveries += 1

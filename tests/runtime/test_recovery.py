@@ -58,19 +58,23 @@ def expected(reference, prompts):
     return generate(reference, prompts, GEN).tokens
 
 
+@pytest.mark.parametrize("model", ["reference", "sharp"])
 def test_mid_pipeline_crash_during_decode_recovers_exactly(
-    reference, prompts, workload8, expected
+    request, model, prompts, workload8
 ):
     """The headline acceptance test: a seeded injector kills the middle
     stage mid-decode; the runtime restarts it from the cached shard
     within the retry bound and the tokens match the reference
-    bit-for-bit."""
+    bit-for-bit (on ``sharp`` too, whose streams would show a replay
+    from the wrong KV history)."""
+    model = request.getfixturevalue(model)
+    expected = generate(model, prompts, GEN).tokens
     # 3 stages, mb_p=2 -> 4 prefill activations per stage; mb_d=4 -> 2
     # decode groups per step.  Message 6 at stage 1 is therefore the
     # second decode group of step 1: squarely mid-decode.
     plan = _plan([(16,) * 3, (16,) * 3, (16,) * 2], 2, 4, workload=workload8)
     inj = FaultInjector([StageCrash(stage=1, at=6)], seed=0)
-    with PipelineRuntime(reference, plan, fault_injector=inj) as rt:
+    with PipelineRuntime(model, plan, fault_injector=inj) as rt:
         out = rt.generate(prompts, GEN)
     np.testing.assert_array_equal(out, expected)
     assert inj.fired == [("crash", 1, 6)]
@@ -134,20 +138,19 @@ def test_kv_pressure_below_the_group_no_longer_denies_generate(
     assert inj.fired == []
 
 
-def test_permanent_stage_loss_triggers_replan(
-    reference, prompts, workload8, expected
-):
+@pytest.mark.parametrize("model", ["reference", "sharp"])
+def test_permanent_stage_loss_triggers_replan(request, model, prompts, workload8):
     """A stage that dies on every restart exhausts its retries; with
     replanning enabled the runtime drops the dead device, redistributes
     its layers to the neighbours and completes on the downgraded plan."""
+    model = request.getfixturevalue(model)
+    expected = generate(model, prompts, GEN).tokens
     plan = _plan([(16,) * 3, (16,) * 3, (16,) * 2], 2, 4, workload=workload8)
     inj = FaultInjector([StageCrash(stage=1, at=1, repeat=True)])
     sup = SupervisionConfig(
         replan_on_permanent_failure=True, max_retries=1, queue_timeout=5.0
     )
-    with PipelineRuntime(
-        reference, plan, fault_injector=inj, supervision=sup
-    ) as rt:
+    with PipelineRuntime(model, plan, fault_injector=inj, supervision=sup) as rt:
         out = rt.generate(prompts, GEN)
     np.testing.assert_array_equal(out, expected)  # per-layer bits preserved
     assert rt.stats.replans == 1

@@ -14,9 +14,11 @@ from repro.runtime import (
     DriftConfig,
     DriftDetector,
     FaultInjector,
+    KVAllocPressure,
     PipelineRuntime,
     ServeRequest,
     StageCrash,
+    SupervisionConfig,
     workload_refit_replanner,
 )
 from repro.workload import Workload
@@ -427,6 +429,80 @@ def test_crash_recovery_through_controller(request, model, tiny8l, workload12):
     assert report.crash_recoveries == 1
     assert report.migrations == 1 and report.replans == 0
     assert sched.controller.log[0].reason == "crash-retry:stage1"
+    assert len(report.completed) == len(requests)
+    _assert_streams_match(report, model, requests)
+
+
+def test_permanent_stage_loss_online_adopts_degraded_plan(sharp, tiny8l, workload12):
+    """A stage that dies on every restart under the continuous scheduler
+    climbs the runtime's ladder to its replan rung, as offline
+    ``generate`` does: the degraded plan is adopted mid-serve, the
+    in-flight KV is replayed onto it, nothing is dropped, and the
+    device loss reaches the drift detector."""
+    plan = _plan([(16,) * 3, (16,) * 3, (16,) * 2], workload=workload12)
+    requests = _uniform_requests(tiny8l, seed=13)
+    # stage 1 sees 4 prefills and then a decode per boundary: message 6
+    # is the second decode; after the retry's restart, the replay takes
+    # messages 1-5 and the next decode is message 6 again
+    inj = FaultInjector([StageCrash(stage=1, at=6, repeat=True)], seed=0)
+    sup = SupervisionConfig(
+        replan_on_permanent_failure=True, max_retries=1, queue_timeout=5.0
+    )
+    with PipelineRuntime(sharp, plan, fault_injector=inj, supervision=sup) as rt:
+        sched = ContinuousScheduler(rt, drift=DriftConfig())
+        report = sched.serve(requests)
+        assert rt.plan.num_stages == 2
+        assert rt.plan.meta.get("replanned_after_stage_failure") == 1
+        assert rt.stats.replans == report.replans == 1
+        assert rt.stats.retries == 2  # max_retries + the escalating one
+    assert [r.reason for r in sched.controller.log] == [
+        "crash-retry:stage1", "crash:stage1",
+    ]
+    assert report.crash_recoveries == 2
+    assert report.replayed_tokens > 0 and report.replay_divergences == 0
+    assert sched.detector.device_losses == 1
+    assert len(report.completed) == len(requests)
+    assert report.rejected == []
+    _assert_streams_match(report, sharp, requests)
+
+
+@pytest.mark.parametrize("model", ["reference", "sharp"])
+def test_kv_denial_online_recovers_by_replay(request, model, tiny8l, workload12):
+    """A KV allocation denied to a prefill mid-serve takes the same
+    ladder step as a crash: counted as a KV denial and a retry, and
+    recovered by a forced migration whose replay rebuilds the KV of the
+    request still decoding."""
+    model = request.getfixturevalue(model)
+    rng = np.random.default_rng(23)
+    requests = [
+        ServeRequest(
+            request_id=i,
+            prompt=rng.integers(0, tiny8l.vocab_size, size=s, dtype=np.int64),
+            gen_len=g,
+        )
+        for i, (s, g) in enumerate([(4, 2), (4, 6), (12, 6)])
+    ]
+    # two in flight: request 0 retires after boundary 2, so request 2's
+    # prefill (12 + 6 slots) goes in at boundary 3 beside request 1's
+    # decode; the cap (14 slots of a 4-layer stage) denies only it, once
+    slot = 2 * 4 * tiny8l.hidden_size * 8
+    inj = FaultInjector(
+        [KVAllocPressure(stage=0, max_bytes=14 * slot, fail_count=1)], seed=0
+    )
+    plan = _plan([(16,) * 4, (16,) * 4], workload=workload12)
+    # no dequant cache: the worker has nothing to shed before denying
+    with PipelineRuntime(
+        model, plan, fault_injector=inj, dequant_cache_mb=0
+    ) as rt:
+        sched = ContinuousScheduler(rt, max_inflight=2)
+        report = sched.serve(requests)
+        assert rt.stats.kv_alloc_failures == 1
+        assert rt.stats.retries == 1
+        assert rt.stats.replans == 0
+    assert [f[0] for f in inj.fired] == ["kvcap"]
+    assert report.crash_recoveries == 1
+    assert report.replayed_tokens == 2  # request 1's prefill token + 1 round
+    assert report.replay_divergences == 0
     assert len(report.completed) == len(requests)
     _assert_streams_match(report, model, requests)
 

@@ -544,6 +544,22 @@ def test_serve_tiny_wave_baseline(tiny_strategy_file, capsys):
     assert "[wave]" in capsys.readouterr().out
 
 
+def test_serve_tiny_reports_online_crash_recovery(tiny_strategy_file, capsys):
+    """An online stage crash recovers by KV replay, and ``llmpq-serve``
+    prints the runtime's recovery line beside the reconfig line."""
+    from repro.cli import serve_main
+
+    rc = serve_main([
+        "--strat-file-name", str(tiny_strategy_file),
+        "--rate", "4", "--duration", "2", "--time-scale", "0",
+        "--fault-spec", "crash:stage=1,at=12",
+    ])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "1 crash recoveries" in out and "(0 divergences)" in out
+    assert "recovery: 1 retries, 1 stage restarts, 0 KV denials, 0 replans" in out
+
+
 def test_serve_simulates_big_model(strategy_file, capsys):
     from repro.cli import serve_main
 
