@@ -433,10 +433,12 @@ def _emit_fleet(report) -> None:
     """Print the fleet outcome, a line per replica and scale event."""
     print(report.summary())
     for r in report.replica_results:
+        crashes = r.report.crash_recoveries if r.report is not None else 0
         print(
             f"  replica {r.replica_id} [{r.pool}]: {r.routed} routed, "
             f"{r.completed} completed, {r.rejected} rejected, "
             f"{r.gpu_seconds / 3600.0:.3f} GPU-h"
+            + (f", {crashes} crash recoveries" if crashes else "")
         )
     for e in report.scale_events:
         print(

@@ -11,8 +11,8 @@ sits behind it:
 * :class:`RuntimeReplica` — a real tiny-model pipeline: a
   :class:`~repro.runtime.scheduler.ContinuousScheduler` over a
   :class:`~repro.runtime.engine.PipelineRuntime`, with the scheduler's
-  admission ledger, headroom view, drift detector, and migration
-  controller all scoped to this replica.
+  admission ledger, headroom view, drift detector, and migration log
+  all scoped to this replica.
 
 Both expose the same *routing views* the router and autoscaler consult:
 the KV token budget (the cost model's, the integer the simulator admits
@@ -251,7 +251,7 @@ class RuntimeReplica(PipelineReplica):
     plan and drives it with a
     :class:`~repro.runtime.scheduler.ContinuousScheduler`, so the
     admission ledger, the dequant-aware headroom view, the drift
-    detector, and the migration controller all live inside the replica —
+    detector, and the migration log all live inside the replica —
     several replicas are safely constructible (and servable) in one
     process.  The shared reference model is read-only.
     """
@@ -290,7 +290,7 @@ class RuntimeReplica(PipelineReplica):
         self.fault_injector = fault_injector
         self.dequant_cache_mb = dequant_cache_mb
         #: the last serve's scheduler — exposes this replica's token
-        #: ledger, headroom, detector, and migration controller
+        #: ledger, headroom, detector, and migration log
         self.scheduler = None
         #: the last serve's runtime counters (``PipelineRuntime.stats``)
         self.runtime_stats = None

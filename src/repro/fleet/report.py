@@ -195,17 +195,30 @@ class FleetReport:
             "ttft_attainment": self.ttft_attainment,
             "tpot_attainment": self.tpot_attainment,
             "pools": per_pool,
-            "replicas": [
-                {
-                    "replica_id": r.replica_id,
-                    "pool": r.pool,
-                    "routed": r.routed,
-                    "completed": r.completed,
-                    "rejected": r.rejected,
-                    "generated_tokens": r.generated_tokens,
-                    "makespan": r.makespan,
-                    "gpu_seconds": r.gpu_seconds,
-                }
-                for r in self.replica_results
-            ],
+            "replicas": [_replica_json(r) for r in self.replica_results],
         }
+
+
+#: a runtime replica's reconfiguration counters, as ``ServeReport`` names them
+_RECONFIG_FIELDS = (
+    "crash_recoveries", "migrations", "replans",
+    "replayed_tokens", "replay_divergences",
+)
+
+
+def _replica_json(r: "ReplicaResult") -> dict:
+    """One replica's JSON record; a runtime replica adds its
+    reconfiguration counters."""
+    out = {
+        "replica_id": r.replica_id,
+        "pool": r.pool,
+        "routed": r.routed,
+        "completed": r.completed,
+        "rejected": r.rejected,
+        "generated_tokens": r.generated_tokens,
+        "makespan": r.makespan,
+        "gpu_seconds": r.gpu_seconds,
+    }
+    if r.report is not None:
+        out.update((f, getattr(r.report, f)) for f in _RECONFIG_FIELDS)
+    return out

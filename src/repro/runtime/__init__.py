@@ -40,13 +40,12 @@ from .replan import (
     DriftConfig,
     DriftDetector,
     DriftEstimate,
-    MigrationController,
-    MigrationRecord,
     make_search_replanner,
     workload_refit_replanner,
 )
 from .scheduler import (
     ContinuousScheduler,
+    MigrationRecord,
     RequestRecord,
     ServeReport,
     ServeRequest,
@@ -85,7 +84,6 @@ __all__ = [
     "DriftConfig",
     "DriftDetector",
     "DriftEstimate",
-    "MigrationController",
     "MigrationRecord",
     "workload_refit_replanner",
     "make_search_replanner",

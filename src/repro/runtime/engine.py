@@ -28,13 +28,15 @@ step for offline ``generate`` and the continuous scheduler
 2. **replan** — on a permanent device loss (a stage that dies on every
    restart), call back into :func:`repro.core.api.replan_after_failure`
    to redistribute its layers over the surviving devices and serve the
-   downgraded plan.
+   downgraded plan, at most :data:`MAX_REPLANS` times per runtime.
 
 One rebuild, :meth:`PipelineRuntime.recover`, restarts the workers
 under the plan the step returns.  Then ``generate`` re-serves the batch
 — generation is seeded, so the replay is token-for-token identical to
 an undisturbed run — and the scheduler replays its in-flight KV
-(:class:`~repro.runtime.replan.MigrationController`).
+(:meth:`~repro.runtime.scheduler.ContinuousScheduler.migrate`, which
+also adopts drift and manual plan switches, rebuilding through the same
+:meth:`~PipelineRuntime.recover` when they re-cut shards).
 
 Deterministic failures for all of this come from
 :class:`~repro.runtime.faults.FaultInjector`.
@@ -76,6 +78,9 @@ __all__ = [
     "StageFailureError",
     "PipelineRuntime",
 ]
+
+#: Device losses the recovery ladder's replan rung absorbs per runtime.
+MAX_REPLANS = 2
 
 
 @dataclass
@@ -183,7 +188,6 @@ class SupervisionConfig:
     heartbeat_interval: float = 0.05  #: worker poll / heartbeat granularity
     join_timeout: float = 5.0        #: per-worker stop() join bound
     max_retries: int = 3             #: batch replays before escalating
-    max_replans: int = 2             #: device losses tolerated per runtime
     enable_recovery: bool = True     #: False = fail fast with RuntimeError
     replan_on_permanent_failure: bool = False
 
@@ -405,8 +409,10 @@ class PipelineRuntime:
         """Switch to ``plan`` (default: the current one) and restart every
         worker, even when the shards are unchanged.
 
-        The one rebuild behind ``generate``'s recovery, forced migrations
-        (:meth:`MigrationController.migrate`) and manual recovery.
+        The one rebuild behind ``generate``'s recovery, the scheduler's
+        shard-changing and forced migrations
+        (:meth:`~repro.runtime.scheduler.ContinuousScheduler.migrate`)
+        and manual recovery.
         Shards are re-cut from the full-precision reference only when
         the plan changes them; otherwise weight preparation is skipped,
         which is the recovery-speed win the paper's loading plugin
@@ -434,24 +440,6 @@ class PipelineRuntime:
         self.stats.stage_restarts += max(crashed, 1)
         self.stats.recovery_seconds += time.perf_counter() - t0
         self._alive = True
-
-    def switch_plan(self, new_plan: ExecutionPlan) -> bool:
-        """Adopt ``new_plan`` on the running pipeline; True if rebuilt.
-
-        The reconfiguration primitive behind drift migrations and manual
-        replans.  When the new plan keeps the same layer split and
-        per-layer bitwidths (e.g. a workload refit or a device
-        re-labelling), the switch is metadata-only: workers, shards,
-        dequant caches, and KV state all survive.  Otherwise it is
-        :meth:`recover` under the new plan — KV state is lost and the
-        caller (the :class:`~repro.runtime.replan.MigrationController`)
-        must replay in-flight requests to restore it.
-        """
-        if self._same_shards(new_plan):
-            self.plan = new_plan
-            return False
-        self.recover(new_plan)
-        return True
 
     def _ladder(self, err: StageFailureError) -> ExecutionPlan:
         """One step of the recovery ladder, shared by offline ``generate``
@@ -481,7 +469,7 @@ class PipelineRuntime:
             sup.replan_on_permanent_failure
             and err.stage_idx is not None
             and self.plan.num_stages > 1
-            and self.stats.replans < sup.max_replans
+            and self.stats.replans < MAX_REPLANS
         ):
             self._fail_cleanly(err)
         from ..core.api import replan_after_failure

@@ -1,11 +1,9 @@
-"""Live replanning: drift detection + zero-downtime online migration.
+"""Live replanning: drift detection and the replanners.
 
 LLM-PQ's plan is chosen offline for one workload, but production traffic
 drifts — arrival rate, prompt-length mix, and the healthy device set all
 change — and a stale plan silently burns the latency/quality headroom the
-ILP fought for.  This module turns the repo's three existing subsystems
-(crash replanning, the warm planner stack, the continuous scheduler) into
-one reconfiguration story:
+ILP fought for.  This module decides *when* to switch and *to what*:
 
 * :class:`DriftDetector` watches windowed serving signals — arrival rate,
   prompt/generation length distribution, KV occupancy, device-loss
@@ -17,34 +15,12 @@ one reconfiguration story:
   declared workload, keeping partition and bitwidths — a metadata-only
   switch); :func:`make_search_replanner` is the full rung (re-solve
   through :func:`repro.core.api.plan_llmpq` on the observed workload).
-* :class:`MigrationController` executes the switch on a live
-  :class:`~repro.runtime.scheduler.ContinuousScheduler` **without
-  dropping traffic**: it runs at a token boundary (the pipeline is
-  quiesced by construction — no activation in flight), swaps the plan via
-  :meth:`PipelineRuntime.switch_plan`, re-prices admission under the new
-  plan's :class:`~repro.cost.stagecosts.StageCostModel` (a new token
-  budget; the slots in-flight requests hold carry across), and — when
-  the swap re-cut shards and therefore lost worker KV state — replays
-  the scheduler's live rows' recorded computation (batch-1 prefill at
-  the original prompt length, then one fused decode message per replay
-  round feeding the recorded ids from the token buffer) to rebuild the
-  KV caches.  Post-
-  migration token streams equal an unmigrated run's whenever the new
-  plan preserves per-layer bitwidths (repartitions and workload refits
-  do; :func:`~repro.core.api.replan_after_failure` does by design), at
-  the argmax level every fused decode is held to.
 
-Crash recovery, drift replanning, and manual replans all flow through
-the same controller.  A crash takes the runtime's one recovery ladder
-step — the one offline ``generate`` takes — and the controller executes
-the plan it returns as a forced migration: the current plan for a
-retry, a bit-preserving repartition after a permanent device loss.  A
-forced migration rebuilds the workers through
-:meth:`PipelineRuntime.recover`, the rebuild ``generate`` uses, and then
-replays the in-flight KV.  The controller adds each migration to the
-running serve's
-:class:`~repro.runtime.scheduler.ServeReport` counters and keeps its
-own per-migration :class:`MigrationRecord` log.
+The switch itself belongs to the scheduler:
+:meth:`~repro.runtime.scheduler.ContinuousScheduler.migrate` is the one
+live-reconfiguration path for drift, manual and crash-recovery switches
+alike.  The simulators' drift path consults the same detector and
+replanners.
 """
 
 from __future__ import annotations
@@ -55,20 +31,16 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from ..ops import greedy_pick
 from ..workload.spec import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..core.plan import ExecutionPlan
     from ..hardware.cluster import Cluster
-    from .scheduler import ContinuousScheduler
 
 __all__ = [
     "DriftConfig",
     "DriftEstimate",
     "DriftDetector",
-    "MigrationRecord",
-    "MigrationController",
     "workload_refit_replanner",
     "make_search_replanner",
 ]
@@ -393,138 +365,3 @@ def make_search_replanner(
         return result.plan
 
     return _replan
-
-
-# ---------------------------------------------------------------------------
-# Migration
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MigrationRecord:
-    """What one migration did (appended to the controller's log)."""
-
-    reason: str
-    rebuilt: bool               #: workers rebuilt (shards re-cut / restarted)
-    stages_before: int = 0
-    stages_after: int = 0
-    inflight: int = 0           #: requests carried across the switch
-    replayed_tokens: int = 0    #: tokens recomputed to rebuild KV state
-    divergences: int = 0        #: replayed samples that differed (bit changes)
-    quiesce_seconds: float = 0.0  #: admission-paused virtual seconds
-
-
-class MigrationController:
-    """Executes plan switches on a live scheduler without dropping traffic.
-
-    One controller per :class:`ContinuousScheduler`; crash recovery,
-    drift replanning, and manual :meth:`ContinuousScheduler
-    .request_migration` calls all land in :meth:`migrate`.  It must run
-    at a token boundary — the scheduler guarantees the pipeline is idle
-    there, which is the whole quiesce protocol: no draining dance is
-    needed because continuous batching already synchronizes every
-    iteration at the master.
-    """
-
-    def __init__(self, scheduler: "ContinuousScheduler") -> None:
-        self.sched = scheduler
-        self.log: list[MigrationRecord] = []
-
-    def migrate(
-        self,
-        new_plan: "Optional[ExecutionPlan]" = None,
-        *,
-        reason: str = "manual",
-        force_restart: bool = False,
-    ) -> MigrationRecord:
-        """Switch the running pipeline to ``new_plan`` (or rebuild in place).
-
-        ``new_plan=None`` keeps the current plan.  ``force_restart=True``
-        rebuilds the workers through :meth:`PipelineRuntime.recover` even
-        when the shards are unchanged and replays in-flight state — a
-        crash recovery.
-        Pending requests stay queued and every in-flight request is
-        carried across, so nothing is dropped.
-        """
-        sched = self.sched
-        rt = sched.rt
-        if sched.policy != "continuous":
-            raise ValueError("live migration requires the continuous policy")
-        t0 = sched._now()
-        rec = MigrationRecord(
-            reason=reason, rebuilt=False,
-            stages_before=rt.plan.num_stages,
-            inflight=sched.live.size,
-        )
-        target = new_plan if new_plan is not None else rt.plan
-        if force_restart:
-            rt.recover(target)
-            rebuilt = True
-        else:
-            rebuilt = rt.switch_plan(target)
-        rec.rebuilt = rebuilt
-        rec.stages_after = rt.plan.num_stages
-
-        # re-price admission under the new plan; in-flight units keep
-        # their ids (worker KV units are keyed by them) and ``held``
-        # carries across — a request's token count never changes
-        sched._bind_cost_model()
-
-        if rebuilt:
-            self._replay(rec)
-        # a crash during the release handshake leaves finished requests
-        # in flight; decoding them again would corrupt the schedule
-        sched._retire()
-
-        rec.quiesce_seconds = sched._now() - t0
-        report = sched._report
-        report.migrations += 1
-        report.quiesce_seconds += rec.quiesce_seconds
-        report.replayed_tokens += rec.replayed_tokens
-        report.replay_divergences += rec.divergences
-        self.log.append(rec)
-        return rec
-
-    # -- state re-map ---------------------------------------------------
-    def _replay(self, rec: MigrationRecord) -> None:
-        """Rebuild lost KV state by replaying each live row's computation.
-
-        Each live row with a token is prefilled batch-1 over its original
-        prompt, as it was admitted; replay round ``k`` is then one fused
-        :class:`~repro.runtime.messages.BatchedDecodeMessage` over the
-        rows that produced more than ``k`` tokens, feeding each its
-        recorded token ``k - 1`` (the scheduler's decode message with
-        ``pos = k``) — the batched decode unit the simulator prices a
-        replay round as.  A single prefill over prompt+tokens would
-        instead change the prompt's GEMM shapes and hence its KV.
-        Replayed samples are compared against the recorded stream: under
-        a bit-preserving plan they match; under changed bitwidths
-        mismatches are *counted* (the recorded, already-emitted tokens
-        stay authoritative so client-visible streams remain
-        self-consistent).
-        """
-        sched = self.sched
-        rt = sched.rt
-        live = sched.live
-        rows = live[sched.prod[live] > 0]
-        if not rows.size:
-            return
-        for k in rows.tolist():
-            sched._send_prefill(k)
-        outs = rt._collect(rows.size)
-        first = [sched._sample(outs[k]) for k in rows.tolist()]
-        recorded = sched._tok[sched._off[rows]]
-        rec.replayed_tokens += rows.size
-        rec.divergences += int(np.count_nonzero(first != recorded))
-        k = 1
-        while True:
-            rows = rows[sched.prod[rows] > k]
-            if not rows.size:
-                break
-            sched._send_batched_decode(rows, k)
-            (fused,) = rt._collect(1).values()
-            toks = greedy_pick(rt._logits_last(fused.hidden))
-            recorded = sched._tok[sched._off[rows] + k]
-            rec.replayed_tokens += rows.size
-            rec.divergences += int(np.count_nonzero(toks != recorded))
-            k += 1

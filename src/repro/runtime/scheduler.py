@@ -56,7 +56,17 @@ padded to the wave's maxima (KV reserved at ``s_max + n_max``, decode run
 for ``n_max`` tokens even for requests that finished early), memory
 freed only when the whole wave drains.  The policy is an admission rule
 only: admission sets each request's reservation and ``fin``, and the
-iteration that runs them is the same for both policies.
+iteration that runs them is the same for both policies — and so is
+recovery.  Only drift replanning needs the continuous policy.
+
+Live reconfiguration is the scheduler's own: :meth:`ContinuousScheduler
+.migrate` is the one plan switch for manual, drift and crash-recovery
+switches, at a token boundary (the pipeline is idle there by
+construction — the whole quiesce protocol).  It adopts a plan with the
+same shards in place, or rebuilds through :meth:`~repro.runtime.engine
+.PipelineRuntime.recover` and replays the live rows' KV; a crash first
+takes one step of the runtime's recovery ladder.  ``migration_log``
+keeps one :class:`MigrationRecord` per switch.
 """
 
 from __future__ import annotations
@@ -74,12 +84,13 @@ from ..ops import greedy_pick
 from ..workload.traces import RequestArrival
 from .engine import PipelineRuntime, StageFailureError
 from .messages import ActivationMessage, BatchedDecodeMessage, ReleaseMessage
-from .replan import DriftConfig, DriftDetector, MigrationController, Replanner
+from .replan import DriftConfig, DriftDetector, Replanner
 
 __all__ = [
     "ServeRequest",
     "RequestRecord",
     "ServeReport",
+    "MigrationRecord",
     "ContinuousScheduler",
     "requests_from_arrivals",
 ]
@@ -208,6 +219,20 @@ class ServeReport:
         return stats.percentile([r.ttft for r in self.completed], 95, empty=0.0)
 
 
+@dataclass
+class MigrationRecord:
+    """What one live plan switch did (one entry of ``migration_log``)."""
+
+    reason: str
+    rebuilt: bool               #: workers rebuilt (shards re-cut / restarted)
+    stages_before: int = 0
+    stages_after: int = 0
+    inflight: int = 0           #: requests carried across the switch
+    replayed_tokens: int = 0    #: tokens recomputed to rebuild KV state
+    divergences: int = 0        #: replayed samples that differed (bit changes)
+    quiesce_seconds: float = 0.0  #: admission-paused virtual seconds
+
+
 def requests_from_arrivals(
     arrivals: Iterable[RequestArrival],
     vocab_size: int,
@@ -266,12 +291,11 @@ class ContinuousScheduler:
         .workload_refit_replanner` or :func:`~repro.runtime.replan
         .make_search_replanner`).
 
-    Stage failures under the continuous policy take the runtime's one
-    recovery ladder, the one offline ``generate`` takes (retry, then
+    Stage failures under either policy take the runtime's one recovery
+    ladder, the one offline ``generate`` takes (retry, then
     ``replan_after_failure`` when the runtime's ``SupervisionConfig``
-    allows), and are recovered in flight by a forced migration through
-    the same :class:`~repro.runtime.replan.MigrationController`: the
-    runtime's one rebuild, then KV replay.
+    allows), and are recovered in flight by a forced :meth:`migrate`:
+    the runtime's one rebuild, then KV replay.
     """
 
     def __init__(
@@ -304,10 +328,11 @@ class ContinuousScheduler:
         # --- live replanning / recovery -------------------------------
         self.replanner = replanner
         self._detector = DriftDetector(drift) if drift is not None else None
-        self.controller = MigrationController(self)
         self._pending_plan: ExecutionPlan | None = None
+        #: one record per executed plan switch, in order
+        self.migration_log: list[MigrationRecord] = []
         #: the running serve's report; its reconfiguration counters are
-        #: written in place by the loop and the migration controller
+        #: written in place by the loop and :meth:`migrate`
         self._report: ServeReport | None = None
         #: token boundaries whose results were collected
         self.it = 0
@@ -374,8 +399,6 @@ class ContinuousScheduler:
         (the quiesce point), carries all in-flight requests across, and
         drops nothing.
         """
-        if self.policy != "continuous":
-            raise ValueError("live migration requires the continuous policy")
         self._pending_plan = new_plan
 
     # ------------------------------------------------------------------
@@ -473,11 +496,10 @@ class ContinuousScheduler:
     def serve(self, requests: Sequence[ServeRequest]) -> ServeReport:
         """Replay a trace; returns per-request records + aggregates.
 
-        A stage failure the recovery ladder cannot absorb (the wave
-        policy, recovery off, the ladder exhausted) fails the replay
-        cleanly, raising ``RuntimeError``.  A request whose positions
-        overrun the model's position table raises ``ValueError`` before
-        any pipeline I/O.
+        A stage failure the recovery ladder cannot absorb (recovery
+        off, the ladder exhausted) fails the replay cleanly, raising
+        ``RuntimeError``.  A request whose positions overrun the model's
+        position table raises ``ValueError`` before any pipeline I/O.
         """
         report = ServeReport(policy=self.policy)
         if not requests:
@@ -645,12 +667,7 @@ class ContinuousScheduler:
         """Quiesce point between iterations: migrations happen here."""
         if self._pending_plan is not None:
             plan, self._pending_plan = self._pending_plan, None
-            before = self.rt.plan
-            self.controller.migrate(plan, reason="manual")
-            if self.rt.plan is not before:  # a new plan was adopted
-                self._report.replans += 1
-            if self._detector is not None:
-                self._detector.rebaseline(self._now())
+            self._switch(plan, "manual")
         if self._detector is None:
             return
         now = self._now()
@@ -664,9 +681,7 @@ class ContinuousScheduler:
         new_plan = self.replanner(self.rt.plan, est)
         if new_plan is None:
             return
-        self.controller.migrate(new_plan, reason=est.reason)
-        self._report.replans += 1
-        self._detector.rebaseline(self._now())
+        self._switch(new_plan, est.reason)
 
     def _recover(self, err: StageFailureError) -> None:
         """Recovery at a token boundary: the runtime's ladder step picks
@@ -676,26 +691,123 @@ class ContinuousScheduler:
         in-flight KV, so nothing is dropped.  A failure during that
         replay takes the next step.
         """
-        if self.policy != "continuous":
-            raise err
         while True:
             plan = self.rt._ladder(err)  # raises once the ladder is exhausted
             if plan is self.rt.plan:
                 reason = f"crash-retry:stage{err.stage_idx}"
             else:
                 reason = f"crash:stage{err.stage_idx}"
-                self._report.replans += 1
                 if self._detector is not None:
                     self._detector.observe_device_loss(self._now(), err.stage_idx)
             try:
-                self.controller.migrate(plan, reason=reason, force_restart=True)
+                self._switch(plan, reason, force_restart=True)
             except StageFailureError as again:
                 err = again
                 continue
             self._report.crash_recoveries += 1
-            if self._detector is not None:
-                self._detector.rebaseline(self._now())
             return
+
+    def _switch(
+        self, plan: ExecutionPlan, reason: str, *, force_restart: bool = False
+    ) -> None:
+        """Migrate, then re-baseline the drift detector on the new regime:
+        the step the manual, drift and crash paths share."""
+        self.migrate(plan, reason=reason, force_restart=force_restart)
+        if self._detector is not None:
+            self._detector.rebaseline(self._now())
+
+    def migrate(
+        self,
+        new_plan: ExecutionPlan | None = None,
+        *,
+        reason: str = "manual",
+        force_restart: bool = False,
+    ) -> MigrationRecord:
+        """Switch the running pipeline to ``new_plan`` (or rebuild in place).
+
+        Must run at a token boundary.  ``new_plan=None`` keeps the
+        current plan.  A plan with the current shards is adopted in
+        place; a plan that re-cuts them, or ``force_restart=True`` (a
+        crash recovery), rebuilds the workers through
+        :meth:`PipelineRuntime.recover` and replays the live rows' KV.
+        Admission is re-priced under the new plan; queued requests stay
+        queued and every in-flight row is carried across under its unit
+        id, holding the slots it held, so nothing is dropped.  A switch
+        that adopts a different plan object counts as a replan.
+        """
+        rt, report = self.rt, self._report
+        t0 = self._now()
+        before = rt.plan
+        target = new_plan if new_plan is not None else before
+        rec = MigrationRecord(
+            reason=reason,
+            rebuilt=force_restart or not rt._same_shards(target),
+            stages_before=before.num_stages,
+            stages_after=target.num_stages,
+            inflight=self.live.size,
+        )
+        if rec.rebuilt:
+            rt.recover(target)
+        else:
+            rt.plan = target
+        if target is not before:
+            report.replans += 1
+        self._bind_cost_model()
+        if rec.rebuilt:
+            self._replay(rec)
+        # a crash during the release handshake leaves finished requests
+        # in flight; decoding them again would corrupt the schedule
+        self._retire()
+
+        rec.quiesce_seconds = self._now() - t0
+        report.migrations += 1
+        report.quiesce_seconds += rec.quiesce_seconds
+        report.replayed_tokens += rec.replayed_tokens
+        report.replay_divergences += rec.divergences
+        self.migration_log.append(rec)
+        return rec
+
+    def _replay(self, rec: MigrationRecord) -> None:
+        """Rebuild lost KV state by replaying each live row's computation.
+
+        Each live row with a token is prefilled batch-1 over its original
+        prompt, as it was admitted; replay round ``k`` is then one fused
+        :class:`~repro.runtime.messages.BatchedDecodeMessage` over the
+        rows that produced more than ``k`` tokens, feeding each its
+        recorded token ``k - 1`` — the batched decode unit the simulator
+        prices a replay round as.  A single prefill over prompt+tokens
+        would instead change the prompt's GEMM shapes and hence its KV.
+        A padding wave member has all its tokens, so its next padded
+        decode rewrites its one unreplayed slot before reading it.
+        Replayed samples are compared against the recorded stream: under
+        a bit-preserving plan they match; under changed bitwidths
+        mismatches are *counted* (the recorded, already-emitted tokens
+        stay authoritative so client-visible streams remain
+        self-consistent).
+        """
+        rt = self.rt
+        rows = self.live[self.prod[self.live] > 0]
+        if not rows.size:
+            return
+        for k in rows.tolist():
+            self._send_prefill(k)
+        outs = rt._collect(rows.size)
+        first = [self._sample(outs[k]) for k in rows.tolist()]
+        recorded = self._tok[self._off[rows]]
+        rec.replayed_tokens += rows.size
+        rec.divergences += int(np.count_nonzero(first != recorded))
+        k = 1
+        while True:
+            rows = rows[self.prod[rows] > k]
+            if not rows.size:
+                break
+            self._send_batched_decode(rows, k)
+            (fused,) = rt._collect(1).values()
+            toks = greedy_pick(rt._logits_last(fused.hidden))
+            recorded = self._tok[self._off[rows] + k]
+            rec.replayed_tokens += rows.size
+            rec.divergences += int(np.count_nonzero(toks != recorded))
+            k += 1
 
     def _publish_stats(self, report: ServeReport) -> None:
         """Mirror per-request metrics onto the runtime's ``RuntimeStats``."""

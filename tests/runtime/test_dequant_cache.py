@@ -243,7 +243,7 @@ def test_stats_fold_across_shard_recut(reference, prompts, workload8):
         rt.generate(prompts, 4)
         misses_before = rt.stats.dequant_cache_misses
         assert misses_before == 8
-        rt._build_loads()  # replaces caches, as a re-cutting switch_plan does
+        rt._build_loads()  # replaces caches, as a shard-re-cutting migration does
         rt.recover()
         rt.generate(prompts, 4)
         # fresh caches rebuild each layer once; old misses are retained

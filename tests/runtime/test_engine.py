@@ -39,28 +39,36 @@ def workload8():
     return Workload(prompt_len=12, gen_len=6, global_batch=8)
 
 
+_SCHEDULES = [(2, 4), (1, 8), (4, 4), (8, 8), (2, 2)]
+
+
 @pytest.mark.parametrize(
-    "mb_p,mb_d",
-    [(2, 4), (1, 8), (4, 4), (8, 8), (2, 2)],
-    ids=lambda v: str(v),
+    "model,mb_p,mb_d",
+    [pytest.param("reference", p, d, id=f"{p}-{d}") for p, d in _SCHEDULES]
+    + [pytest.param("sharp", p, d, id=f"sharp-{p}-{d}") for p, d in _SCHEDULES],
 )
 def test_fp16_pipeline_matches_reference_exactly(
-    reference, prompts, workload8, mb_p, mb_d
+    request, model, prompts, workload8, mb_p, mb_d
 ):
     """All-FP16 pipelined execution must be token-identical to the
-    single-process reference, regardless of micro-batch schedule."""
+    single-process reference, regardless of micro-batch schedule (on
+    ``sharp`` too, whose greedy streams would show a row reading another
+    row's KV)."""
+    model = request.getfixturevalue(model)
     plan = _plan([(16,) * 3, (16,) * 3, (16,) * 2], mb_p, mb_d, workload=workload8)
-    with PipelineRuntime(reference, plan) as rt:
+    with PipelineRuntime(model, plan) as rt:
         out = rt.generate(prompts, 6)
-    expected = generate(reference, prompts, 6).tokens
+    expected = generate(model, prompts, 6).tokens
     np.testing.assert_array_equal(out, expected)
 
 
-def test_single_stage_plan(reference, prompts, workload8):
+@pytest.mark.parametrize("model", ["reference", "sharp"])
+def test_single_stage_plan(request, model, prompts, workload8):
+    model = request.getfixturevalue(model)
     plan = _plan([(16,) * 8], 4, 8, workload=workload8)
-    with PipelineRuntime(reference, plan) as rt:
+    with PipelineRuntime(model, plan) as rt:
         out = rt.generate(prompts, 4)
-    expected = generate(reference, prompts, 4).tokens
+    expected = generate(model, prompts, 4).tokens
     np.testing.assert_array_equal(out, expected)
 
 
@@ -76,19 +84,21 @@ def test_quantized_pipeline_runs_and_stats(reference, prompts, workload8):
     assert stats.total_seconds > 0
 
 
-def test_quantized_matches_fake_quant_reference(reference, prompts, workload8, tiny8l):
+@pytest.mark.parametrize("model", ["reference", "sharp"])
+def test_quantized_matches_fake_quant_reference(request, model, prompts, workload8):
     """The runtime's quantized execution must equal a single-process model
     whose layers were fake-quantized with the same recipe."""
     from repro.quant import quantize_dequantize
 
+    model = request.getfixturevalue(model)
     layer_bits = [8, 8, 8, 4, 4, 4, 16, 16]
     plan = _plan([(8,) * 3, (4,) * 3, (16,) * 2], 2, 4, workload=workload8)
     # hand-build the equivalent single-process model
-    fq = reference.clone()
+    fq = model.clone()
     for i, b in enumerate(layer_bits):
         if b < 16:
             fq.apply_to_layer(i, lambda _n, w, b=b: quantize_dequantize(w, b))
-    with PipelineRuntime(reference, plan) as rt:
+    with PipelineRuntime(model, plan) as rt:
         out = rt.generate(prompts, 5)
     expected = generate(fq, prompts, 5).tokens
     np.testing.assert_array_equal(out, expected)

@@ -1,6 +1,7 @@
 """Drift detection + live migration tests: detector unit behaviour, the
-migration controller's byte-identity contract (including a migration
-racing an injected crash), and drift-driven refits end to end."""
+scheduler's migration byte-identity contract (including a migration
+racing an injected crash), wave-policy migration and crash recovery, and
+drift-driven refits end to end."""
 
 import numpy as np
 import pytest
@@ -245,7 +246,7 @@ def test_held_unchanged_across_migration(reference, tiny8l, workload12):
         def _boundary(self):
             before = (self.held, self.budget, self.live.tolist())
             super()._boundary()
-            if self.controller.log and not hasattr(self, "switch"):
+            if self.migration_log and not hasattr(self, "switch"):
                 self.switch = before, (self.held, self.budget, self.live.tolist())
 
     with PipelineRuntime(reference, plan3) as rt:
@@ -283,7 +284,7 @@ def test_manual_migration_streams_byte_identical(request, model, tiny8l, workloa
     assert report.replayed_tokens > 0
     assert report.replay_divergences == 0  # bit-preserving plan
     assert report.quiesce_seconds > 0
-    rec = sched.controller.log[0]
+    rec = sched.migration_log[0]
     assert rec.rebuilt and rec.reason == "manual"
     assert rec.stages_before == 3 and rec.stages_after == 2
     assert rec.inflight == len(requests)
@@ -324,7 +325,7 @@ def test_metadata_only_migration_skips_replay(reference, tiny8l, workload12):
         assert rt.plan is refit
     assert report.migrations == 1 and report.replans == 1
     assert report.replayed_tokens == 0
-    assert sched.controller.log[0].rebuilt is False
+    assert sched.migration_log[0].rebuilt is False
     assert len(report.completed) == len(requests)
     _assert_streams_match(report, reference, requests)
 
@@ -347,7 +348,7 @@ def test_migration_racing_stage_crash(reference, tiny8l, workload12):
     assert inj.fired == [("crash", 2, 5)]
     # the manual migration never completed: the crash hit its replay,
     # and the crash ladder's forced migration is the only one logged
-    assert [r.reason for r in sched.controller.log] == ["crash-retry:stage2"]
+    assert [r.reason for r in sched.migration_log] == ["crash-retry:stage2"]
     assert report.crash_recoveries == 1
     assert report.migrations >= 1
     assert report.replayed_tokens > 0
@@ -379,7 +380,7 @@ class RebuildAt(ContinuousScheduler):
         self._boundaries += 1
         if self._boundaries == self._at:
             before = _kv_rows(self.rt)
-            self.controller.migrate(None, force_restart=True)
+            self.migrate(None, force_restart=True)
             self.kv = before, _kv_rows(self.rt)
         super()._boundary()
 
@@ -428,7 +429,7 @@ def test_crash_recovery_through_controller(request, model, tiny8l, workload12):
         assert rt.stats.retries == 1
     assert report.crash_recoveries == 1
     assert report.migrations == 1 and report.replans == 0
-    assert sched.controller.log[0].reason == "crash-retry:stage1"
+    assert sched.migration_log[0].reason == "crash-retry:stage1"
     assert len(report.completed) == len(requests)
     _assert_streams_match(report, model, requests)
 
@@ -455,7 +456,7 @@ def test_permanent_stage_loss_online_adopts_degraded_plan(sharp, tiny8l, workloa
         assert rt.plan.meta.get("replanned_after_stage_failure") == 1
         assert rt.stats.replans == report.replans == 1
         assert rt.stats.retries == 2  # max_retries + the escalating one
-    assert [r.reason for r in sched.controller.log] == [
+    assert [r.reason for r in sched.migration_log] == [
         "crash-retry:stage1", "crash:stage1",
     ]
     assert report.crash_recoveries == 2
@@ -538,11 +539,75 @@ def test_drift_refit_end_to_end(reference, tiny8l, workload12):
     _assert_streams_match(report, reference, requests)
 
 
-def test_wave_policy_rejects_drift_and_migration(reference, workload12):
-    plan = _plan([(16,) * 4, (16,) * 4], workload=workload12)
-    with PipelineRuntime(reference, plan) as rt:
+def _wave_requests(cfg, *, seed=41):
+    """Six requests of mixed prompt and generation lengths: one wave
+    whose short members pad while the longest still generates."""
+    rng = np.random.default_rng(seed)
+    return [
+        ServeRequest(
+            request_id=i,
+            prompt=rng.integers(0, cfg.vocab_size, size=s, dtype=np.int64),
+            gen_len=g,
+        )
+        for i, (s, g) in enumerate([(4, 2), (8, 6), (6, 3), (10, 6), (5, 4), (7, 5)])
+    ]
+
+
+def test_wave_policy_rejects_drift_and_migration(sharp, tiny8l, workload12):
+    """Drift replanning needs the continuous policy; a manual migration
+    does not: a mid-wave repartition carries the wave across with its
+    streams intact."""
+    plan3 = _plan([(16,) * 3, (16,) * 3, (16,) * 2], workload=workload12)
+    plan2 = _plan([(16,) * 4, (16,) * 4], workload=workload12)
+    with PipelineRuntime(sharp, plan2) as rt:
         with pytest.raises(ValueError, match="continuous"):
             ContinuousScheduler(rt, policy="wave", drift=DriftConfig())
-        sched = ContinuousScheduler(rt, policy="wave")
-        with pytest.raises(ValueError, match="continuous"):
-            sched.request_migration(plan)
+    requests = _wave_requests(tiny8l)
+    with PipelineRuntime(sharp, plan3) as rt:
+        sched = TriggerAfter(rt, new_plan=plan2, after=3, policy="wave")
+        report = sched.serve(requests)
+        assert rt.plan is plan2
+    assert report.migrations == 1 and report.replans == 1
+    assert sched.migration_log[0].rebuilt
+    assert sched.migration_log[0].inflight == len(requests)
+    assert report.replayed_tokens > 0 and report.replay_divergences == 0
+    assert sched.held == 0 and len(report.completed) == len(requests)
+    _assert_streams_match(report, sharp, requests)
+
+
+class PaddingProbe(ContinuousScheduler):
+    """Record, at each recovery, whether a live wave member was padding
+    (had all its tokens but not yet reached the wave's last boundary)."""
+
+    def _recover(self, err):
+        live = self.live
+        self.padding_at_crash = bool((self.prod[live] >= self._sgen[live]).any())
+        super()._recover(err)
+
+
+@pytest.mark.parametrize("at", [3, 9])
+@pytest.mark.parametrize("model", ["reference", "sharp"])
+def test_wave_policy_recovers_from_stage_crash(request, model, at, tiny8l, workload12):
+    """The wave policy recovers from a stage crash as the continuous one
+    does: a forced migration replays the wave's KV.  Stage 1 takes the
+    wave's six prefills as messages 1-6 and one fused decode per
+    boundary after, so ``at=3`` crashes a prefill (nothing to replay) and
+    ``at=9`` the third decode, while the two-token member pads."""
+    model = request.getfixturevalue(model)
+    plan = _plan([(16,) * 4, (16,) * 4], workload=workload12)
+    requests = _wave_requests(tiny8l)
+    inj = FaultInjector([StageCrash(stage=1, at=at)], seed=0)
+    with PipelineRuntime(model, plan, fault_injector=inj) as rt:
+        sched = PaddingProbe(rt, policy="wave")
+        report = sched.serve(requests)
+        assert rt.stats.retries == 1
+    assert inj.fired == [("crash", 1, at)]
+    assert sched.padding_at_crash is (at == 9)
+    assert report.crash_recoveries == 1
+    assert report.migrations == 1 and report.replans == 0
+    assert [r.reason for r in sched.migration_log] == ["crash-retry:stage1"]
+    assert (report.replayed_tokens > 0) is (at == 9)
+    assert report.replay_divergences == 0
+    assert sched.held == 0
+    assert len(report.completed) == len(requests)
+    _assert_streams_match(report, model, requests)

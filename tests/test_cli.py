@@ -560,6 +560,23 @@ def test_serve_tiny_reports_online_crash_recovery(tiny_strategy_file, capsys):
     assert "recovery: 1 retries, 1 stage restarts, 0 KV denials, 0 replans" in out
 
 
+def test_serve_tiny_wave_recovers_online_crash(tiny_strategy_file, capsys):
+    """The wave policy recovers from the same online crash by KV replay
+    and prints the same reconfig and recovery lines."""
+    from repro.cli import serve_main
+
+    rc = serve_main([
+        "--strat-file-name", str(tiny_strategy_file), "--policy", "wave",
+        "--rate", "4", "--duration", "2", "--time-scale", "0",
+        "--fault-spec", "crash:stage=1,at=12",
+    ])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.startswith("[wave] ")
+    assert "1 crash recoveries" in out and "(0 divergences)" in out
+    assert "recovery: 1 retries, 1 stage restarts, 0 KV denials, 0 replans" in out
+
+
 def test_serve_simulates_big_model(strategy_file, capsys):
     from repro.cli import serve_main
 
@@ -680,6 +697,30 @@ def test_serve_tiny_fleet(tiny_strategy_file, capsys):
     ]
     routed = [int(ln.split(": ")[1].split(" routed")[0]) for ln in lines]
     assert sum(routed) == n and min(routed) > 0
+
+
+def test_serve_tiny_fleet_reports_crash_recoveries(tiny_strategy_file, tmp_path, capsys):
+    """Each runtime replica recovers its own crash, and fleet mode shows
+    it: a replica's line counts its crash recoveries, and --fleet-json
+    carries its reconfiguration counters."""
+    from repro.cli import serve_main
+
+    path = tmp_path / "fleet.json"
+    rc = serve_main([
+        "--strat-file-name", str(tiny_strategy_file),
+        "--rate", "4", "--duration", "2", "--time-scale", "0",
+        "--replicas", "2", "--fault-spec", "crash:stage=1,at=6",
+        "--fleet-json", str(path),
+    ])
+    assert rc == 0
+    _, *lines = capsys.readouterr().out.splitlines()
+    replicas = json.loads(path.read_text())["replicas"]
+    assert [r["crash_recoveries"] for r in replicas] == [1, 1]
+    for ln, r in zip(lines, replicas, strict=True):
+        assert ln.endswith(" GPU-h, 1 crash recoveries")
+        assert r["migrations"] == 1 and r["replans"] == 0
+        assert r["replayed_tokens"] > 0 and r["replay_divergences"] == 0
+        assert r["completed"] == r["routed"]
 
 
 def test_serve_sim_autoscaled_fleet_json(strategy_file, tmp_path, capsys):
