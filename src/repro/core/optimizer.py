@@ -35,7 +35,7 @@ import numpy as np
 from ..cost.latency import LatencyModel
 from ..cost.predictions import PredictionCache
 from ..cost.profiler import build_latency_model
-from ..cost.stagecosts import StageCostModel, StageRow, planner_stage_row
+from ..cost.stagecosts import StageCostModel, stage_row
 from ..hardware.cluster import Cluster, Device
 from ..hardware.gpu import SUPPORTED_BITS
 from ..models.registry import get_model
@@ -195,14 +195,13 @@ class LLMPQOptimizer:
         self.indicator = base_indicator.normalized()
         # hoisted per-run state shared by every candidate: the grouped
         # omega table (identical for all candidates), the cost-model
-        # prediction memo, the DP's range tables (one per layer-bytes
-        # row, so per KV level), Algorithm 2's per-plan evaluations and
-        # the per-stage rows candidates are scored from
+        # prediction memo (stage rows included), the DP's range tables
+        # (one per layer-bytes row, so per KV level) and Algorithm 2's
+        # per-plan evaluations
         self.grouped_indicator = self.indicator.grouped(self.config.group_size)
         self.prediction_cache = PredictionCache(self.latency_model)
         self.range_tables: dict = {}
         self.evaluations: dict = {}
-        self.stage_rows: dict[tuple, StageRow] = {}
         kv = self.config.kv_bits
         if kv != "auto" and kv not in KV_BITS_CHOICES:
             raise ValueError(
@@ -248,9 +247,8 @@ class LLMPQOptimizer:
     def simulate(self, plan: ExecutionPlan) -> PipelineResult:
         """The planner's view of ``plan``: the pipeline simulator priced
         by the fitted latency model through the run's shared memo, so a
-        plan that differs from an earlier one in a few layers re-derives
-        nothing (same floats as ``simulate_pipeline(...,
-        latency_model=...)``)."""
+        stage scored or simulated before is one row hit (same floats as
+        ``simulate_pipeline(..., latency_model=...)``)."""
         scm = StageCostModel(
             plan, self.cluster, prediction_cache=self.prediction_cache
         )
@@ -258,33 +256,23 @@ class LLMPQOptimizer:
 
     def score(self, stages: Stages, mb_p: int, mb_d: int) -> PipelineTotals:
         """The planner's view of a candidate without building it: the
-        pipeline composed from each stage's row, the rows memoised for the
-        run in :attr:`stage_rows` (counted in the prediction cache's
-        hits/misses, like its whole-stage memo).  A row is keyed by all it
-        reads — head/tail flags, device, the device it sends to, layer
-        bits, KV bits, both micro-batches — so a candidate that differs
-        from a scored one in a few stages prices only those.  Equals
-        :meth:`simulate` of the same plan bit for bit."""
-        cache, rows, n = self.prediction_cache, self.stage_rows, len(stages)
-        got = []
-        for j, (device, bits, kv) in enumerate(stages):
-            send_to = stages[j + 1 if j + 1 < n else 0][0]
-            key = (j == 0, j == n - 1, device.name, send_to.name, bits, kv, mb_p, mb_d)
-            row = rows.get(key)
-            if row is None:
-                cache.misses += 1
-                row = rows[key] = planner_stage_row(
-                    cache, self.cfg, self.cluster, self.workload,
-                    device, send_to, bits, kv, first=j == 0, last=j == n - 1,
-                    prefill_microbatch=mb_p, decode_microbatch=mb_d,
-                )
-            else:
-                cache.hits += 1
-            got.append(row)
+        pipeline composed from each stage's :func:`stage_row`, memoised
+        for the run in the prediction cache under all it reads, so a
+        candidate that differs from a scored one in a few stages prices
+        only those, and :meth:`simulate` of a scored plan reads the same
+        rows.  Equals :meth:`simulate` of the same plan bit for bit."""
+        cache, cluster, n = self.prediction_cache, self.cluster, len(stages)
+        rows = [
+            stage_row(
+                cache, self.cfg, self.workload, device.spec,
+                cluster.link_between(device, stages[(j + 1) % n][0]), bits, kv,
+                first=j == 0, last=j == n - 1,
+                prefill_microbatch=mb_p, decode_microbatch=mb_d,
+            )
+            for j, (device, bits, kv) in enumerate(stages)
+        ]
         return compose_pipeline(
-            np.array([r.prefill for r in got]),
-            None if got[0].decode is None else np.stack([r.decode for r in got]),
-            [r.fits for r in got],
+            rows, [device.spec.memory_bytes for device, _, _ in stages],
             global_batch=self.workload.global_batch,
             prefill_microbatch=mb_p,
             decode_microbatch=mb_d,

@@ -163,10 +163,10 @@ class PredictionCache:
         return row
 
     def stage(self, key: tuple, build):
-        """Memoized whole-stage result (prefill layer sum, decode-sweep
-        total, :class:`StageMemory`) under a key the caller makes complete;
-        ``build()`` runs on a miss.  Shared, so arrays come back read-only;
-        starts over at ``_MAX_STAGES`` like the sweeps."""
+        """Memoized stage row (:func:`~repro.cost.stagecosts.stage_row`)
+        under a key the caller makes complete; ``build()`` runs on a
+        miss.  Shared, so the row's arrays are read-only; starts over at
+        ``_MAX_STAGES`` like the sweeps."""
         hit = self._stages.get(key)
         if hit is not None:
             self.hits += 1
@@ -175,8 +175,6 @@ class PredictionCache:
         if len(self._stages) >= _MAX_STAGES:
             self._stages.clear()
         hit = self._stages[key] = build()
-        if isinstance(hit, np.ndarray):
-            hit.setflags(write=False)
         return hit
 
     # ------------------------------------------------------------------

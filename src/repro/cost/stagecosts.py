@@ -10,14 +10,18 @@ Given an :class:`~repro.core.plan.ExecutionPlan` (plus a
 :class:`~repro.hardware.cluster.Cluster` when comm times are needed) it
 produces every cost view the consumers need:
 
-* ``stage_prefill_times()`` / ``stage_decode_times(contexts)`` — the
-  offline pipeline's per-stage busy-time tables (embedding/logit work on
-  the head/tail stages and boundary comm folded in), vectorized over the
-  full ``s+1 .. s+n`` context sweep;
+* ``stage_rows()`` — one :class:`StageRow` per stage, built by
+  :func:`stage_row`, the only code that prices a stage's offline terms:
+  prefill busy time, the decode row over the full ``s+1 .. s+n`` context
+  sweep (embedding/logit work on the head/tail stages and boundary comm
+  folded in), the modelled peak memory and the outbound transfers.  The
+  closed-form simulator, the DES and the planner's scorer all compose
+  from these rows;
 * ``unit_prefill_times`` / ``unit_decode_times`` (and their ``_batch``
   forms) — the continuous (iteration-level) scheduler's batch-1 prefill
   unit and fused decode group, both evaluated as one vectorized roofline
-  against a precomputed per-(stage, bits) constant table;
+  against a precomputed per-(stage, bits) constant table (a single
+  decode unit is row 0 of the batch table);
 * ``stage_memory_views`` / ``max_admissible_batch`` / ``kv_headroom`` /
   ``request_kv_bytes`` — the planner's Sec.-4.1 memory accounting, shared
   verbatim by the online simulator and the real
@@ -31,8 +35,8 @@ produces every cost view the consumers need:
 The time source is selectable: ``source="kernels"`` prices with the
 ground-truth roofline kernels (the simulated hardware), ``source="model"``
 with a fitted :class:`~repro.cost.latency.LatencyModel` — the planner's
-view of the world — memoized through the existing
-:class:`~repro.cost.predictions.PredictionCache` so planner and evaluator
+view of the world — whose stage rows are memoised in the run's
+:class:`~repro.cost.predictions.PredictionCache`, so planner and evaluator
 literally share floats.  ``tests/sim/test_costview_equality.py`` pins
 every formula here bit for bit against committed goldens and the
 layer-at-a-time spec in ``tests/sim/costview_spec.py``.
@@ -57,13 +61,14 @@ from .predictions import PredictionCache
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports, no cycles
     from ..core.plan import ExecutionPlan
-    from ..hardware.cluster import Cluster, Device
+    from ..hardware.cluster import Cluster
     from ..hardware.gpu import GPUSpec
+    from ..hardware.interconnect import Link
     from ..models.config import ModelConfig
     from ..workload.spec import Workload
 
 __all__ = [
-    "StageCostModel", "StageRow", "planner_stage_row", "planner_time_tables",
+    "StageCostModel", "StageRow", "stage_row", "planner_time_tables",
     "admit_run", "wave_admits",
 ]
 
@@ -81,133 +86,59 @@ def _decode_batches(batches) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# one stage's offline terms: the pieces both StageCostModel's pipeline
-# tables and the planner's per-stage rows are built from
+# one stage's offline terms: the row every offline consumer composes from
 # ----------------------------------------------------------------------
-def _shared(cache: PredictionCache | None, key: tuple, build):
-    """``build()`` through the run's whole-stage memo (``source="model"``),
-    or directly (``cache`` is ``None``: the ground-truth kernels)."""
-    return build() if cache is None else cache.stage(key, build)
-
-
-def _prefill_layers(
+def _prefill_busy(
     cache: PredictionCache | None, cfg: "ModelConfig", gpu: "GPUSpec",
-    layer_bits: tuple[int, ...], kv_bits: int, batch: int, s: int,
-) -> float:
-    """A stage's layers' prefill time for one ``batch x s`` micro-batch,
-    summed in layer order, each distinct bitwidth priced once.  The memo
-    key — GPU type, layer bits, KV bits, shape — says nothing of where the
-    stage sits: embedding, logits and comm terms are added by the caller."""
+    link: "Link", layer_bits: tuple[int, ...], kv_bits: int, batch: int, s: int,
+    *, first: bool, last: bool,
+) -> tuple[float, float]:
+    """One ``batch x s`` prefill micro-batch on a stage: its busy time and
+    its outbound transfer.  The layers are summed in layer order, each
+    distinct bitwidth priced once (through ``cache`` with the fitted
+    model, else by the kernels); then the embedding lookup (head), the
+    logits of the last position (tail) and the transfer over ``link``
+    (every stage but the tail, whose transfer is 0) are added in turn."""
+    from ..sim.comm import stage_comm_time
+    from ..sim.kernels import embedding_exec_time, layer_exec_time
+
     if cache is None:
-        from ..sim.kernels import layer_exec_time
-
-        def price(bits):
-            return layer_exec_time(gpu, cfg, bits, batch, s, s, kv_bits=kv_bits)
+        per_bits = {
+            b: layer_exec_time(gpu, cfg, b, batch, s, s, kv_bits=kv_bits)
+            for b in dict.fromkeys(layer_bits)
+        }
     else:
-        def price(bits):
-            return cache.layer_time(gpu.name, bits, "prefill", batch, s, s, kv_bits)
-
-    def build():
-        per_bits = {b: price(b) for b in dict.fromkeys(layer_bits)}
-        return float(sum(per_bits[b] for b in layer_bits))
-
-    return _shared(cache, ("prefill", gpu.name, layer_bits, kv_bits, batch, s), build)
-
-
-def _decode_layers(
-    cache: PredictionCache | None, cfg: "ModelConfig", gpu: "GPUSpec",
-    layer_bits: tuple[int, ...], kv_bits: int, batch: int, contexts: np.ndarray,
-) -> np.ndarray:
-    """A stage's layers' decode time over a whole context sweep, one
-    sweep per distinct bitwidth in first-seen order (``StagePlan.bit_counts``)."""
-    if cache is None:
-        from ..sim.kernels import layer_exec_times_decode_sweep
-
-        def sweep(bits):
-            return layer_exec_times_decode_sweep(
-                gpu, cfg, bits, batch, contexts, kv_bits=kv_bits
-            )
-    else:
-        def sweep(bits):  # read-only rows shared through the memo
-            return cache.decode_sweep(gpu.name, bits, batch, contexts, kv_bits)
-
-    def build():
-        total = np.zeros_like(contexts)
-        for bits, count in Counter(layer_bits).items():
-            total += count * sweep(bits)
-        return total
-
-    key = ("decode", gpu.name, layer_bits, kv_bits, batch, contexts.tobytes())
-    return _shared(cache, key, build)
-
-
-def _memory(
-    cache: PredictionCache | None, cfg: "ModelConfig", gpu: "GPUSpec",
-    layer_bits: tuple[int, ...], kv_bits: int, first: bool, last: bool,
-    shape: tuple[int, int, int, int, int],
-) -> StageMemory:
-    """A stage's modelled peak at ``shape = (global batch, s, n, prefill
-    micro-batch, decode micro-batch)``.  Embedding and logits bytes sit
-    inside :class:`StageMemory`, so the two position flags are part of
-    the key."""
-    gb, s, n, mb_p, mb_d = shape
-    key = ("memory", gpu.name, layer_bits, kv_bits, first, last, *shape)
-    return _shared(cache, key, lambda: stage_memory(
-        cfg,
-        layer_bits,
-        global_batch=gb,
-        prompt_len=s,
-        gen_len=n,
-        prefill_microbatch=mb_p,
-        decode_microbatch=mb_d,
-        is_first=first,
-        is_last=last,
-        kv_bits=kv_bits,
-    ))
-
-
-def _prefill_busy(layers: float, head=None, tail=None, comm=None) -> float:
-    """Prefill busy time: the layers, then the embedding lookup (head
-    stage), the logits projection (tail stage) and the outbound transfer
-    (every stage but the tail), each added in turn; ``None`` is not
-    charged."""
-    t = layers
-    for extra in (head, tail, comm):
-        if extra is not None:
-            t += extra
-    return t
-
-
-def _decode_busy(layers: np.ndarray, head=None, tail=None, comm=None) -> np.ndarray:
-    """Decode busy-time row: the layers plus the head's embedding and the
-    tail's logits (summed first), then the outbound transfer — the tail's
-    is the token feedback to the head."""
-    extra = 0.0
-    for t in (head, tail):
-        if t is not None:
-            extra += t
-    row = layers + extra
-    if comm is not None:
-        row = row + comm
-    return row
+        per_bits = {
+            b: cache.layer_time(gpu.name, b, "prefill", batch, s, s, kv_bits)
+            for b in dict.fromkeys(layer_bits)
+        }
+    t = float(sum(per_bits[b] for b in layer_bits))
+    if first:
+        t += embedding_exec_time(gpu, cfg, batch, s, with_logits=False)
+    if last:
+        return t + embedding_exec_time(gpu, cfg, batch, 1, with_logits=True), 0.0
+    comm = stage_comm_time(link, cfg, batch, s)
+    return t + comm, comm
 
 
 class StageRow(NamedTuple):
     """One stage's complete terms in the offline pipeline at one plan
-    shape — what :func:`~repro.sim.pipeline.compose_pipeline` reads."""
+    shape — what :func:`~repro.sim.pipeline.compose_pipeline` and the
+    DES read."""
 
-    prefill: float  #: per-micro-batch prefill busy time, add-ons included
+    prefill: float  #: per-micro-batch prefill busy time, transfer included
     decode: np.ndarray | None  #: decode busy time per context (read-only)
-    fits: bool  #: modelled peak memory fits the device
+    memory: StageMemory  #: modelled peak memory
+    prefill_comm: float  #: outbound prefill transfer (0 on the tail)
+    decode_comm: float  #: outbound decode transfer (the tail's: feedback)
 
 
-def planner_stage_row(
-    cache: PredictionCache,
+def stage_row(
+    cache: PredictionCache | None,
     cfg: "ModelConfig",
-    cluster: "Cluster",
     workload: "Workload",
-    device: "Device",
-    send_to: "Device",
+    gpu: "GPUSpec",
+    link: "Link",
     layer_bits: tuple[int, ...],
     kv_bits: int,
     *,
@@ -216,40 +147,61 @@ def planner_stage_row(
     prefill_microbatch: int,
     decode_microbatch: int,
 ) -> StageRow:
-    """The stage row a ``source="model"`` :class:`StageCostModel` would put
-    in its pipeline tables for a stage on ``device`` holding
-    ``layer_bits`` at ``kv_bits``, sending to ``send_to`` (the tail sends
-    its tokens back to the head), at the head and/or tail of the pipeline
-    — the same float operations in the same order, without a plan."""
-    from ..sim.comm import stage_comm_time
-    from ..sim.kernels import embedding_exec_time
-    from ..sim.pipeline import decode_contexts
+    """The offline terms of a stage on ``gpu`` holding ``layer_bits`` at
+    ``kv_bits``, sending over ``link`` (the tail sends its tokens back to
+    the head), at the head and/or tail of the pipeline: prefill busy
+    time, the decode row over :func:`~repro.sim.pipeline.decode_contexts`
+    (``None`` without decode passes; the layers plus the head's embedding
+    and the tail's logits, then the transfer), the modelled peak memory
+    and both outbound transfers.
 
-    gpu, s = device.spec, workload.prompt_len
+    With a ``cache`` (the fitted model) the row is memoised in
+    :meth:`PredictionCache.stage` under everything it reads, so the
+    planner's scorer and every simulation of its plans share it; without
+    one it is priced by the kernels."""
     mb_p, mb_d = prefill_microbatch, decode_microbatch
-    link = cluster.link_between(device, send_to)
-    contexts = decode_contexts(workload)
+    gb, s, n = workload.global_batch, workload.prompt_len, workload.gen_len
 
-    pre = _prefill_busy(
-        _prefill_layers(cache, cfg, gpu, layer_bits, kv_bits, mb_p, s),
-        head=embedding_exec_time(gpu, cfg, mb_p, s, with_logits=False) if first else None,
-        tail=embedding_exec_time(gpu, cfg, mb_p, 1, with_logits=True) if last else None,
-        comm=None if last else stage_comm_time(link, cfg, mb_p, s),
-    )
-    dec = None
-    if contexts is not None:
-        dec = _decode_busy(
-            _decode_layers(cache, cfg, gpu, layer_bits, kv_bits, mb_d, contexts),
-            head=embedding_exec_time(gpu, cfg, mb_d, 1, with_logits=False) if first else None,
-            tail=embedding_exec_time(gpu, cfg, mb_d, 1, with_logits=True) if last else None,
-            comm=stage_comm_time(link, cfg, mb_d, 1),
+    def build() -> StageRow:
+        from ..sim.comm import stage_comm_time
+        from ..sim.kernels import embedding_exec_time, layer_exec_times_decode_sweep
+        from ..sim.pipeline import decode_contexts
+
+        pre, pre_comm = _prefill_busy(
+            cache, cfg, gpu, link, layer_bits, kv_bits, mb_p, s,
+            first=first, last=last,
         )
-        dec.setflags(write=False)
-    mem = _memory(
-        cache, cfg, gpu, layer_bits, kv_bits, first, last,
-        (workload.global_batch, s, workload.gen_len, mb_p, mb_d),
-    )
-    return StageRow(pre, dec, mem.fits(gpu.memory_bytes))
+        dec_comm = stage_comm_time(link, cfg, mb_d, 1)
+        contexts = decode_contexts(workload)
+        dec = None
+        if contexts is not None:
+            dec = np.zeros_like(contexts)
+            for bits, count in Counter(layer_bits).items():
+                dec += count * (
+                    layer_exec_times_decode_sweep(
+                        gpu, cfg, bits, mb_d, contexts, kv_bits=kv_bits
+                    ) if cache is None
+                    else cache.decode_sweep(gpu.name, bits, mb_d, contexts, kv_bits)
+                )
+            extra = 0.0
+            if first:
+                extra += embedding_exec_time(gpu, cfg, mb_d, 1, with_logits=False)
+            if last:
+                extra += embedding_exec_time(gpu, cfg, mb_d, 1, with_logits=True)
+            dec = dec + extra
+            dec += dec_comm
+            dec.setflags(write=False)
+        mem = stage_memory(
+            cfg, layer_bits, global_batch=gb, prompt_len=s, gen_len=n,
+            prefill_microbatch=mb_p, decode_microbatch=mb_d,
+            is_first=first, is_last=last, kv_bits=kv_bits,
+        )
+        return StageRow(pre, dec, mem, pre_comm, dec_comm)
+
+    if cache is None:
+        return build()
+    key = (first, last, gpu.name, link, layer_bits, kv_bits, mb_p, mb_d, gb, s, n)
+    return cache.stage(key, build)
 
 
 class StageCostModel:
@@ -261,7 +213,7 @@ class StageCostModel:
         The execution plan being priced.
     cluster:
         Required for any view that includes boundary comm times
-        (``stage_*_times``, ``unit_*_times``); memory-only consumers may
+        (``stage_rows``, ``unit_*_times``); memory-only consumers may
         omit it.
     source:
         ``"kernels"`` (default) prices layer times with the ground-truth
@@ -309,7 +261,7 @@ class StageCostModel:
         self.source = source
         self.model = latency_model
         self.prediction_cache = prediction_cache
-        # the run's whole-stage memo, model source only
+        # the run's stage-row memo, model source only
         self._stage_cache = prediction_cache if source == "model" else None
         self._kv = plan.kv_bits_per_stage
         self._gpus = [s.device.spec for s in plan.stages]
@@ -387,83 +339,26 @@ class StageCostModel:
 
         return layer_exec_time(gpu, self.cfg, bits, batch, q, context, kv_bits=kv_bits)
 
-    def _stage_layers_prefill(self, j: int, batch: int, s: int) -> float:
-        return _prefill_layers(
-            self._stage_cache, self.cfg, self._gpus[j],
-            self.plan.stages[j].layer_bits, self._kv[j], batch, s,
-        )
-
     # ------------------------------------------------------------------
-    # offline pipeline tables (analytic simulator + DES)
+    # offline pipeline rows (analytic simulator, DES, planner)
     # ------------------------------------------------------------------
-    def stage_prefill_times(self, *, include_comm: bool = True) -> np.ndarray:
-        """Per-micro-batch prefill busy time per stage, comm folded into
-        the sender for every boundary but the last (the closed form's
-        convention)."""
-        plan = self.plan
-        return self._prefill_row(
-            plan.prefill_microbatch, plan.workload.prompt_len, include_comm
+    def stage_rows(self) -> tuple[StageRow, ...]:
+        """One :func:`stage_row` per plan stage at the plan's own shape —
+        what the closed form, the DES and the planner's scorer compose
+        from; ``source="model"`` reads them through the run's
+        :class:`PredictionCache` row memo."""
+        plan, n = self.plan, self.plan.num_stages
+        links = self._require_links()
+        return tuple(
+            stage_row(
+                self._stage_cache, self.cfg, plan.workload, self._gpus[j],
+                links[j], stage.layer_bits, self._kv[j],
+                first=j == 0, last=j == n - 1,
+                prefill_microbatch=plan.prefill_microbatch,
+                decode_microbatch=plan.decode_microbatch,
+            )
+            for j, stage in enumerate(plan.stages)
         )
-
-    def _prefill_row(self, mb: int, s: int, include_comm: bool = True) -> np.ndarray:
-        """Per-stage prefill busy time of one ``mb x s`` micro-batch,
-        layer by layer under the active source."""
-        n = self.plan.num_stages
-        out = np.empty(n)
-        for j in range(n):
-            out[j] = _prefill_busy(
-                self._stage_layers_prefill(j, mb, s),
-                head=self._emb_time(j, mb, s, False) if j == 0 else None,
-                # only the last position's logits are needed out of prefill
-                tail=self._emb_time(j, mb, 1, True) if j == n - 1 else None,
-                comm=self.comm_time(j, mb, s) if include_comm and j < n - 1 else None,
-            )
-        return out
-
-    def stage_decode_times(
-        self, contexts: np.ndarray, *, include_comm: bool = True
-    ) -> np.ndarray:
-        """``(num_stages, len(contexts))`` decode busy-time table.
-
-        Row ``j`` prices every context in the sweep on stage ``j`` at the
-        plan's decode micro-batch; the tail->head token feedback rides the
-        last link, so comm is charged on every boundary.
-        """
-        contexts = np.asarray(contexts, dtype=np.float64)
-        plan = self.plan
-        mb = plan.decode_microbatch
-        n = plan.num_stages
-        out = np.empty((n, contexts.size))
-        for j in range(n):
-            out[j] = _decode_busy(
-                _decode_layers(
-                    self._stage_cache, self.cfg, self._gpus[j],
-                    plan.stages[j].layer_bits, self._kv[j], mb, contexts,
-                ),
-                head=self._emb_time(j, mb, 1, False) if j == 0 else None,
-                tail=self._emb_time(j, mb, 1, True) if j == n - 1 else None,
-                comm=self.comm_time(j, mb, 1) if include_comm else None,
-            )
-        return out
-
-    def prefill_comm_times(self) -> np.ndarray:
-        """Per-boundary prefill transfer times (0 on the last boundary) —
-        what the DES peels off the busy time under ``async_comm``."""
-        plan = self.plan
-        n = plan.num_stages
-        out = np.zeros(n)
-        for j in range(n - 1):
-            out[j] = self.comm_time(j, plan.prefill_microbatch, plan.workload.prompt_len)
-        return out
-
-    def decode_comm_times(self) -> np.ndarray:
-        """Per-boundary decode transfer times (every link, incl. feedback)."""
-        plan = self.plan
-        n = plan.num_stages
-        out = np.zeros(n)
-        for j in range(n):
-            out[j] = self.comm_time(j, plan.decode_microbatch, 1)
-        return out
 
     # ------------------------------------------------------------------
     # continuous-batching units (iteration-level scheduling)
@@ -501,8 +396,14 @@ class StageCostModel:
         n = self.plan.num_stages
         out = np.zeros((s.size, n))
         if self.source == "model":
+            links = self._require_links()
             for i, p in enumerate(s.tolist()):
-                out[i] = self._prefill_row(1, p)
+                for j, stage in enumerate(self.plan.stages):
+                    out[i, j] = _prefill_busy(
+                        self._stage_cache, self.cfg, self._gpus[j], links[j],
+                        stage.layer_bits, self._kv[j], 1, p,
+                        first=j == 0, last=j == n - 1,
+                    )[0]
             return out
         cfg = self.cfg
         h, f = cfg.hidden_size, cfg.ffn_dim
@@ -576,63 +477,16 @@ class StageCostModel:
 
     def unit_decode_times(self, batch: int, context: float) -> np.ndarray:
         """Per-stage busy time of one fused decode iteration at
-        ``context``: the whole batch shares each layer's weight stream
-        (charged once, in ``w_term``).
-
-        With the kernels source this is the shared-table fast path: one
-        row of :meth:`_decode_batch_table` plus one vectorized roofline
-        evaluation over all (stage, bits) pairs using the precomputed
-        constants — bit-identical to the scalar per-layer walk
-        (``tests/sim/costview_spec.py``), which ``source="model"`` still
-        takes through its latency model.
-        """
-        n = self.plan.num_stages
-        batch = int(_decode_batches(batch))
-        if self.source == "model":
-            ctx = np.array([context], dtype=np.float64)
-            out = np.zeros(n)
-            for j, stage in enumerate(self.plan.stages):
-                t = 0.0
-                # one (batch, context) point per call: priced directly, a
-                # memo keyed on it would only grow
-                for bits, count in stage.bit_counts.items():
-                    t += count * float(
-                        self.model.decode_step_times(
-                            self._gpus[j], bits, batch, ctx, kv_bits=self._kv[j]
-                        )[0]
-                    )
-                if j == 0:
-                    t += self._emb_time(j, batch, 1, False)
-                if j == n - 1:
-                    t += self._emb_time(j, batch, 1, True)
-                # the tail->head token feedback rides the last link
-                t += self.comm_time(j, batch, 1)
-                out[j] = t
-            return out
-        p = self._decode_pairs()
-        row = self._decode_batch_table(batch)[batch]
-        context = float(context)
-        k = n + 2
-        compute_t = (row[k] + row[k + 1] * context) / p.eff_flops
-        per_ctx = (
-            row[k + 2] * context * ACT_BYTES * 2
-            + row[k + 3] * context * p.kv_token
-        )
-        mem_t = p.w_term + (row[k + 4:] + per_ctx) / p.eff_bw
-        vals = np.maximum(compute_t, mem_t) + p.launch
-        out = np.zeros(n)
-        for i, j in enumerate(p.stage_of):
-            out[j] += p.counts[i] * float(vals[i])
-        out[0] += row[0]
-        out[n - 1] += row[1]
-        out += row[2:k]
-        return out
+        ``context``: row 0 of :meth:`unit_decode_times_batch`."""
+        return self.unit_decode_times_batch([batch], [context])[0]
 
     def unit_decode_times_batch(
         self, batches: np.ndarray, contexts: np.ndarray
     ) -> np.ndarray:
-        """``(k, num_stages)`` decode-unit table: row ``i`` equals
-        ``unit_decode_times(batches[i], contexts[i])`` bit-for-bit.
+        """``(k, num_stages)`` decode-unit table: row ``i`` is one fused
+        decode iteration of ``batches[i]`` requests at ``contexts[i]`` —
+        the whole batch shares each layer's weight stream (charged once,
+        in ``w_term``).
 
         The vectorized online engine prices whole decode runs through this
         one call.  With the kernels source the roofline is evaluated as a
@@ -640,8 +494,10 @@ class StageCostModel:
         constants; everything that depends on the batch size alone — the
         embedding/comm add-ons and the batch-only half of the roofline —
         is one row gather from :meth:`_decode_batch_table`.  Every
-        floating-point operation mirrors the scalar path's order, so
-        equality is exact, not approximate.
+        floating-point operation mirrors the per-layer walk's order
+        (``tests/sim/costview_spec.py``), so equality is exact, not
+        approximate.  ``source="model"`` prices row by row through its
+        latency model.
         """
         b = _decode_batches(batches)
         c = np.asarray(contexts, dtype=np.float64)
@@ -650,8 +506,24 @@ class StageCostModel:
         n = self.plan.num_stages
         if self.source == "model" or not b.size:  # row by row; no rows: (0, n)
             out = np.zeros((b.size, n))
-            for i in range(b.size):
-                out[i] = self.unit_decode_times(int(b[i]), float(c[i]))
+            for i, (batch, context) in enumerate(zip(b.tolist(), c.tolist())):
+                ctx = np.array([context])
+                for j, stage in enumerate(self.plan.stages):
+                    t = 0.0
+                    # one (batch, context) point per row: priced directly,
+                    # a memo keyed on it would only grow
+                    for bits, count in stage.bit_counts.items():
+                        t += count * float(
+                            self.model.decode_step_times(
+                                self._gpus[j], bits, batch, ctx, kv_bits=self._kv[j]
+                            )[0]
+                        )
+                    if j == 0:
+                        t += self._emb_time(j, batch, 1, False)
+                    if j == n - 1:
+                        t += self._emb_time(j, batch, 1, True)
+                    # the tail->head token feedback rides the last link
+                    out[i, j] = t + self.comm_time(j, batch, 1)
             return out
         p = self._decode_pairs()
         row = self._decode_batch_table(int(b.max())).take(b, axis=0)
@@ -731,10 +603,12 @@ class StageCostModel:
         key = (j, global_batch, prompt_len, gen_len, prefill_microbatch, decode_microbatch)
         m = self._mem_memo.get(key)
         if m is None:
-            m = self._mem_memo[key] = _memory(
-                self._stage_cache, self.cfg, self._gpus[j],
-                self.plan.stages[j].layer_bits, self._kv[j],
-                j == 0, j == self.plan.num_stages - 1, key[1:],
+            m = self._mem_memo[key] = stage_memory(
+                self.cfg, self.plan.stages[j].layer_bits,
+                global_batch=global_batch, prompt_len=prompt_len,
+                gen_len=gen_len, prefill_microbatch=prefill_microbatch,
+                decode_microbatch=decode_microbatch, is_first=j == 0,
+                is_last=j == self.plan.num_stages - 1, kv_bits=self._kv[j],
             )
         return m
 

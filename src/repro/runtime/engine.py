@@ -24,7 +24,10 @@ step for offline ``generate`` and the continuous scheduler
 (:meth:`PipelineRuntime._ladder`):
 
 1. **retry** — rebuild the workers from the *cached* quantized shards
-   (no re-quantization — the point of the on-the-fly loader).
+   (no re-quantization — the point of the on-the-fly loader), up to
+   ``max_retries`` consecutive failures (the scheduler ends a run of
+   failures at every completed token boundary).  A permanent KV denial
+   — one no retry can change — skips this rung.
 2. **replan** — on a permanent device loss (a stage that dies on every
    restart), call back into :func:`repro.core.api.replan_after_failure`
    to redistribute its layers over the surviving devices and serve the
@@ -289,7 +292,7 @@ class PipelineRuntime:
         self.control = PipelineControl()
         self._build_pipeline()
         self._alive = True
-        self._failures = 0  # ladder failures of the current run and plan
+        self._failures = 0  # consecutive ladder failures under the current plan
         self.stats = RuntimeStats()
         self._sync_cache_stats()
 
@@ -447,23 +450,26 @@ class PipelineRuntime:
         to rebuild under.
 
         Every failure taken counts a retry (and a KV denial when that
-        was the cause).  Up to ``max_retries`` failures in a run the plan
-        is the current one; the next escalates to the bit-preserving
-        :func:`~repro.core.api.replan_after_failure` plan, which drops
-        the dead stage's device (retired from fault injection) and
-        redistributes its layers to the surviving neighbours — counted
-        as a replan, and the retry budget starts over on it.  Stops the
-        workers and raises ``RuntimeError`` when recovery is off or the
-        ladder is exhausted.
+        was the cause).  Up to ``max_retries`` consecutive failures the
+        plan is the current one; the next — or at once, a permanent KV
+        denial, which no retry can change — escalates to the
+        bit-preserving :func:`~repro.core.api.replan_after_failure`
+        plan, which drops the dead stage's device (retired from fault
+        injection) and redistributes its layers to the surviving
+        neighbours — counted as a replan, and the retry budget starts
+        over on it.  Stops the workers and raises ``RuntimeError`` when
+        recovery is off or the ladder is exhausted.
         """
         sup = self.supervision
         if not sup.enable_recovery:
             self._fail_cleanly(err)
         self.stats.retries += 1
+        permanent = False
         if isinstance(err.cause, KVAllocationError):
             self.stats.kv_alloc_failures += 1
+            permanent = err.cause.permanent
         self._failures += 1
-        if self._failures <= sup.max_retries:
+        if self._failures <= sup.max_retries and not permanent:
             return self.plan
         if not (
             sup.replan_on_permanent_failure

@@ -50,7 +50,15 @@ class InjectedFault(RuntimeError):
 
 
 class KVAllocationError(MemoryError):
-    """KV-cache allocation denied (injected or real memory pressure)."""
+    """KV-cache allocation denied (injected or real memory pressure).
+
+    ``permanent`` marks a denial no retry can change: the same request
+    against the same cap is denied again, so the recovery ladder skips
+    its retry rung."""
+
+    def __init__(self, message: str, *, permanent: bool = False) -> None:
+        super().__init__(message)
+        self.permanent = permanent
 
 
 class PipelineStallError(RuntimeError):
@@ -116,7 +124,8 @@ class KVAllocPressure:
     batch, online by KV replay (the denial counts in
     ``RuntimeStats.kv_alloc_failures`` on both paths).
     ``fail_count`` bounds how many times the denial fires (``None`` =
-    always).
+    always: the denial is permanent, so the ladder replans at once or
+    fails cleanly instead of retrying).
     """
 
     stage: int
@@ -306,7 +315,8 @@ class FaultInjector:
                     self.fired.append(("kvcap", stage, self._counts.get(stage, 0)))
                     raise KVAllocationError(
                         f"injected KV allocation failure: stage {stage} "
-                        f"requested {requested_bytes:.0f} B > cap {p.max_bytes:.0f} B"
+                        f"requested {requested_bytes:.0f} B > cap {p.max_bytes:.0f} B",
+                        permanent=p.fail_count is None,
                     )
 
         return guard

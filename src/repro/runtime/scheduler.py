@@ -591,6 +591,10 @@ class ContinuousScheduler:
                 self._boundary()
             except StageFailureError as err:
                 self._recover(err)
+            else:
+                # a completed boundary ends a run of failures: the ladder's
+                # retry budget counts consecutive ones
+                self.rt._failures = 0
 
     def _iteration(self) -> None:
         """One token boundary: prefill the rows with no token yet, decode
@@ -686,7 +690,8 @@ class ContinuousScheduler:
     def _recover(self, err: StageFailureError) -> None:
         """Recovery at a token boundary: the runtime's ladder step picks
         the plan — the current one for a retry, the bit-preserving
-        ``replan_after_failure`` plan past ``max_retries`` — and a forced
+        ``replan_after_failure`` plan past ``max_retries`` consecutive
+        failures (a completed boundary ends the run) — and a forced
         migration rebuilds the workers under it and replays the
         in-flight KV, so nothing is dropped.  A failure during that
         replay takes the next step.

@@ -27,6 +27,12 @@ Stage times grow with the context (KV reads), so every one of the
 ``n - 1`` decode passes is costed at its true context length (vectorized
 over ``k``).
 
+Every per-stage term (``u_j``, ``u_jk``, the stage's modelled memory) is
+one :class:`~repro.cost.stagecosts.StageRow` per stage, from
+``StageCostModel.stage_rows()``; :func:`compose_pipeline` turns rows
+into the closed forms above, for this simulator and the planner's
+scorer alike.
+
 Setting ``latency_model`` swaps ground-truth kernel times for cost-model
 predictions — that is the planner's view of the world, and comparing the
 two is exactly the paper's Fig. 7 experiment.
@@ -40,7 +46,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from ..cost.memory import StageMemory
-from ..cost.stagecosts import StageCostModel
+from ..cost.stagecosts import StageCostModel, StageRow
 
 if TYPE_CHECKING:  # type-only: keeps repro.sim importable without repro.core
     from ..core.plan import ExecutionPlan
@@ -150,25 +156,24 @@ def decode_contexts(workload: Workload) -> np.ndarray | None:
 
 
 def compose_pipeline(
-    prefill_busy: np.ndarray,
-    decode_busy: np.ndarray | None,
-    fits: Sequence[bool],
+    rows: Sequence[StageRow],
+    capacities: Sequence[float],
     *,
     global_batch: int,
     prefill_microbatch: int,
     decode_microbatch: int,
 ) -> PipelineTotals:
-    """The pipeline's batch latency from its stages (the module docstring's
-    closed forms): ``prefill_busy`` per stage, ``decode_busy`` one row per
-    stage over the context sweep (``None`` without decode passes), and
-    whether each stage fits its device.  :func:`simulate_pipeline` and the
-    planner's per-stage-row scorer both compose through this one function,
-    so the two agree bit for bit."""
+    """The pipeline's batch latency from its stage rows (the module
+    docstring's closed forms) and each stage's device capacity.
+    :func:`simulate_pipeline` and the planner's scorer both compose
+    through this one function, so the two agree bit for bit."""
+    prefill_busy = np.array([r.prefill for r in rows])
     m_p = -(-global_batch // prefill_microbatch)  # ceil div
     prefill_latency = float(prefill_busy.sum() + (m_p - 1) * prefill_busy.max())
     decode_latency = 0.0
     dec_first = dec_last = np.zeros(prefill_busy.size)
-    if decode_busy is not None:
+    if rows[0].decode is not None:
+        decode_busy = np.stack([r.decode for r in rows])
         m_d = -(-global_batch // decode_microbatch)
         cycle = decode_busy.sum(axis=0) + (m_d - 1) * decode_busy.max(axis=0)
         decode_latency = float(cycle.sum())
@@ -176,7 +181,10 @@ def compose_pipeline(
         dec_last = decode_busy[:, -1]
     return PipelineTotals(
         prefill_latency, decode_latency, prefill_busy, dec_first, dec_last,
-        tuple(j for j, ok in enumerate(fits) if not ok),
+        tuple(
+            j for j, (r, cap) in enumerate(zip(rows, capacities))
+            if not r.memory.fits(cap)
+        ),
     )
 
 
@@ -185,12 +193,11 @@ def simulate_pipeline(
     cluster: Cluster,
     *,
     latency_model: LatencyModel | None = None,
-    check_memory: bool = True,
     cost_model: StageCostModel | None = None,
 ) -> PipelineResult:
     """Simulate ``plan`` end to end on ``cluster``.
 
-    All per-stage times and memory views come from one
+    Every per-stage time and memory view is a row of one
     :class:`StageCostModel`; pass ``cost_model`` to share its memos with
     other consumers (it must have been built for this plan and cluster),
     or ``latency_model`` to price with the planner's fitted cost model
@@ -198,15 +205,11 @@ def simulate_pipeline(
     """
     if cost_model is None:
         cost_model = StageCostModel(plan, cluster, latency_model=latency_model)
-    w = plan.workload
-    memory = cost_model.stage_memory_views()
+    rows = cost_model.stage_rows()
     caps = [stage.device.spec.memory_bytes for stage in plan.stages]
-    contexts = decode_contexts(w)
     totals = compose_pipeline(
-        cost_model.stage_prefill_times(),
-        None if contexts is None else cost_model.stage_decode_times(contexts),
-        [not check_memory or m.fits(c) for m, c in zip(memory, caps)],
-        global_batch=w.global_batch,
+        rows, caps,
+        global_batch=plan.workload.global_batch,
         prefill_microbatch=plan.prefill_microbatch,
         decode_microbatch=plan.decode_microbatch,
     )
@@ -217,7 +220,7 @@ def simulate_pipeline(
             prefill_time=float(totals.prefill_busy[j]),
             decode_time_first=float(totals.decode_first[j]),
             decode_time_last=float(totals.decode_last[j]),
-            memory=memory[j],
+            memory=rows[j].memory,
             capacity_bytes=caps[j],
         )
         for j, stage in enumerate(plan.stages)

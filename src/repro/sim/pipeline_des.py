@@ -3,7 +3,14 @@
 Builds the full serving task graph of a plan — every (stage, micro-batch)
 prefill task, every (stage, decode-group, token) decode task, with the
 token-feedback dependency from the last stage back to the first — and
-executes it with :func:`repro.sim.events.simulate_task_graph`.
+executes it with :func:`repro.sim.events.simulate_task_graph`.  Task
+durations are the closed form's own stage rows
+(``StageCostModel.stage_rows()``); under ``async_comm`` each row's
+outbound transfer is peeled off its busy time and becomes a link task.
+
+One continuous-batching iteration (:func:`iteration_makespan_des`) is a
+flow shop of units through the stages, priced by its completion-time
+recurrence instead of a task graph.
 
 The closed-form simulator costs decode with a per-token barrier
 (``sum + (m-1) * max``); the event-driven schedule lets micro-batches of
@@ -142,20 +149,16 @@ def simulate_pipeline_des(
     m_d = -(-w.global_batch // plan.decode_microbatch)
     if cost_model is None:
         cost_model = StageCostModel(plan, cluster, latency_model=latency_model)
-    pre = cost_model.stage_prefill_times()
-    contexts = w.prompt_len + np.arange(
-        1, max(w.decode_passes, 1) + 1, dtype=np.float64
-    )
-    dec = cost_model.stage_decode_times(contexts)
-
-    comm_pre = np.zeros(n_stages)
-    comm_dec = np.zeros(n_stages)
+    rows = cost_model.stage_rows()
+    pre = [r.prefill for r in rows]
+    dec = [r.decode for r in rows]
+    comm_pre = [r.prefill_comm for r in rows]
+    comm_dec = [r.decode_comm for r in rows]
     if async_comm:
-        comm_pre = cost_model.prefill_comm_times()
-        comm_dec = cost_model.decode_comm_times()
         # comm leaves the stage busy-time (it rides the link resource now)
-        pre = pre - comm_pre
-        dec = dec - comm_dec[:, None]
+        pre = [t - c for t, c in zip(pre, comm_pre)]
+        if w.decode_passes:
+            dec = [t - c for t, c in zip(dec, comm_dec)]
     link_keys = _link_resource_keys(plan, cluster)
 
     tasks: list[Task] = []
@@ -242,23 +245,22 @@ def iteration_makespan_des(unit_stage_times: "list[np.ndarray]") -> float:
     admitted request) flows through the stages in order; units overlap
     across stages exactly as micro-batches do in the offline pipeline.
     ``unit_stage_times[u][j]`` is unit ``u``'s busy time on stage ``j``
-    (comm folded into the sender).  The closed-form counterpart is
-    ``sum_j t_0j + sum_{u>0} max_j t_uj``; the DES schedule is its exact
-    lower bound, which the online simulator's ``engine="des"`` uses.
+    (comm folded into the sender).  That schedule is a permutation flow
+    shop in unit order, so its completion times follow the recurrence
+    ``C[u][j] = max(C[u-1][j], C[u][j-1]) + t[u][j]`` — the same floats
+    :func:`~repro.sim.events.simulate_task_graph` produces on the task
+    graph, without building it.  The closed-form counterpart is
+    ``sum_j t_0j + sum_{u>0} max_j t_uj``; this is its exact lower
+    bound, which the online simulator's ``engine="des"`` uses.
     """
-    tasks: list[Task] = []
-    for u, stage_times in enumerate(unit_stage_times):
+    done: list[float] = []  # C[u-1][j]: when stage j finished the last unit
+    for stage_times in unit_stage_times:
+        if not done:
+            done = [0.0] * len(stage_times)
+        c = 0.0
         for j, d in enumerate(stage_times):
-            tasks.append(
-                Task(
-                    task_id=("U", u, j),
-                    duration=float(d),
-                    resource=("dev", j),
-                    deps=(("U", u, j - 1),) if j else (),
-                    priority=(u, j),
-                )
-            )
-    return simulate_task_graph(tasks).makespan
+            c = done[j] = max(done[j], c) + float(d)
+    return done[-1] if done else 0.0
 
 
 def iteration_makespan_des_batch(stage_times: np.ndarray) -> np.ndarray:

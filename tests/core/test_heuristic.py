@@ -483,11 +483,11 @@ def test_stage_memo_is_position_independent(
     cache = opt.prediction_cache
     hits0, misses0 = cache.hits, cache.misses
     opt.simulate(plan)
-    assert cache.misses == misses0 and cache.hits - hits0 == 3 * plan.num_stages
+    assert cache.misses == misses0 and cache.hits - hits0 == plan.num_stages
     # shared arrays are read-only
     arrays = [
-        v for v in opt.prediction_cache._stages.values()
-        if isinstance(v, np.ndarray)
+        v.decode for v in opt.prediction_cache._stages.values()
+        if v.decode is not None
     ]
     assert arrays and not any(a.flags.writeable for a in arrays)
 

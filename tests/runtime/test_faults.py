@@ -139,6 +139,18 @@ def test_kv_guard_fail_count_heals():
     guard(10.0)  # healed after fail_count denials
 
 
+def test_kv_denial_is_permanent_only_without_fail_count():
+    """A cap with no ``fail_count`` denies the same request forever, so
+    its denial says so; a bounded one heals and does not."""
+    for fail_count, permanent in ((None, True), (3, False)):
+        inj = FaultInjector(
+            [KVAllocPressure(stage=0, max_bytes=1.0, fail_count=fail_count)]
+        )
+        with pytest.raises(KVAllocationError) as denied:
+            inj.kv_guard(0)(10.0)
+        assert denied.value.permanent is permanent
+
+
 def test_retire_stage_disables_policies():
     inj = FaultInjector([
         StageCrash(stage=1, at=1, repeat=True),

@@ -138,6 +138,73 @@ def test_kv_pressure_below_the_group_no_longer_denies_generate(
     assert inj.fired == []
 
 
+def _unit_bytes(cfg):
+    """KV bytes of one mb_p=2 prefill unit on a 4-layer stage: 2 (k+v) x
+    layers x batch x (s + n) x hidden x 8 bytes (float64)."""
+    return 2 * 4 * 2 * (12 + GEN) * cfg.hidden_size * 8
+
+
+def test_permanent_kv_denial_is_not_retried(reference, prompts, workload8, tiny8l):
+    """A cap below one prefill unit's charge with no ``fail_count``
+    denies the same request on every attempt: the ladder takes no retry
+    rung — one denial, no restart — and with replanning off fails
+    cleanly at once."""
+    plan = _plan([(16,) * 4, (16,) * 4], 2, 8, workload=workload8)
+    inj = FaultInjector(
+        [KVAllocPressure(stage=0, max_bytes=0.5 * _unit_bytes(tiny8l))]
+    )
+    rt = PipelineRuntime(reference, plan, fault_injector=inj)
+    try:
+        with pytest.raises(RuntimeError, match="stage 0 failed"):
+            rt.generate(prompts, GEN)
+        assert rt.stats.kv_alloc_failures == 1
+        assert rt.stats.stage_restarts == 0
+        assert rt.stats.replans == 0
+    finally:
+        rt.shutdown()
+
+
+@pytest.mark.parametrize("model", ["reference", "sharp"])
+def test_permanent_kv_denial_replans_at_once(request, model, prompts, workload8, tiny8l):
+    """With replanning on, a permanent KV denial skips the retry rung
+    and adopts the degraded plan straight away: the denying stage's
+    device leaves, its layers move to the survivor, and the tokens equal
+    ``generate()``."""
+    model = request.getfixturevalue(model)
+    expected = generate(model, prompts, GEN).tokens
+    plan = _plan([(16,) * 4, (16,) * 4], 2, 8, workload=workload8)
+    inj = FaultInjector(
+        [KVAllocPressure(stage=0, max_bytes=0.5 * _unit_bytes(tiny8l))]
+    )
+    sup = SupervisionConfig(replan_on_permanent_failure=True, queue_timeout=5.0)
+    with PipelineRuntime(model, plan, fault_injector=inj, supervision=sup) as rt:
+        out = rt.generate(prompts, GEN)
+    np.testing.assert_array_equal(out, expected)
+    assert rt.plan.num_stages == 1
+    assert rt.plan.meta.get("replanned_after_stage_failure") == 0
+    assert rt.stats.kv_alloc_failures == 1
+    assert rt.stats.replans == 1
+    assert rt.stats.stage_restarts == 1
+
+
+def test_transient_kv_denial_recovers_by_one_retry(
+    reference, prompts, workload8, expected, tiny8l
+):
+    """The same cap with ``fail_count=1`` denies once: the ladder's retry
+    rung re-serves the batch on the same plan."""
+    plan = _plan([(16,) * 4, (16,) * 4], 2, 8, workload=workload8)
+    inj = FaultInjector([
+        KVAllocPressure(stage=0, max_bytes=0.5 * _unit_bytes(tiny8l), fail_count=1)
+    ])
+    with PipelineRuntime(reference, plan, fault_injector=inj) as rt:
+        out = rt.generate(prompts, GEN)
+    np.testing.assert_array_equal(out, expected)
+    assert rt.stats.kv_alloc_failures == 1
+    assert rt.stats.retries == 1
+    assert rt.stats.replans == 0
+    assert rt.plan is rt.original_plan
+
+
 @pytest.mark.parametrize("model", ["reference", "sharp"])
 def test_permanent_stage_loss_triggers_replan(request, model, prompts, workload8):
     """A stage that dies on every restart exhausts its retries; with

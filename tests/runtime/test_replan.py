@@ -467,6 +467,34 @@ def test_permanent_stage_loss_online_adopts_degraded_plan(sharp, tiny8l, workloa
     _assert_streams_match(report, sharp, requests)
 
 
+def test_retry_budget_counts_consecutive_failures_online(sharp, tiny8l, workload12):
+    """Two transient crashes on different stages, boundaries apart, under
+    ``max_retries=1`` with replanning off: the boundaries served between
+    them end the first failure run, so each is recovered by its own
+    retry instead of the second exhausting a budget that spans the
+    serve."""
+    plan = _plan([(16,) * 4, (16,) * 4], workload=workload12)
+    requests = _uniform_requests(tiny8l, g=16, seed=13)
+    # stage 0 dies at the second decode; after the restart stage 1 counts
+    # afresh and dies at its 16th message, well past the replay
+    inj = FaultInjector(
+        [StageCrash(stage=0, at=6), StageCrash(stage=1, at=16)], seed=0
+    )
+    sup = SupervisionConfig(max_retries=1, queue_timeout=5.0)
+    with PipelineRuntime(sharp, plan, fault_injector=inj, supervision=sup) as rt:
+        sched = ContinuousScheduler(rt)
+        report = sched.serve(requests)
+        assert rt.stats.retries == 2
+        assert rt.stats.replans == 0
+    assert inj.fired == [("crash", 0, 6), ("crash", 1, 16)]
+    assert report.crash_recoveries == 2 and report.replans == 0
+    assert [r.reason for r in sched.migration_log] == [
+        "crash-retry:stage0", "crash-retry:stage1",
+    ]
+    assert len(report.completed) == len(requests)
+    _assert_streams_match(report, sharp, requests)
+
+
 @pytest.mark.parametrize("model", ["reference", "sharp"])
 def test_kv_denial_online_recovers_by_replay(request, model, tiny8l, workload12):
     """A KV allocation denied to a prefill mid-serve takes the same

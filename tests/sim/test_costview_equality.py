@@ -107,8 +107,9 @@ def test_model_source_stage_times_match_prerefactor_oracle(
     )
     scm = StageCostModel(plan, cluster, latency_model=latmodel_cluster3)
     assert scm.source == "model"
-    got_pre = scm.stage_prefill_times()
-    got_dec = scm.stage_decode_times(contexts)
+    rows = scm.stage_rows()
+    got_pre = np.array([r.prefill for r in rows])
+    got_dec = np.stack([r.decode for r in rows])
     assert np.array_equal(got_pre, oracle_pre)
     assert np.array_equal(got_dec, oracle_dec)
     # and the simulator consumes exactly these tables
@@ -246,7 +247,8 @@ def test_planner_tables_share_floats_with_cost_model(latmodel_cluster3):
         decode_microbatch=plan.decode_microbatch,
         prompt_len=w.prompt_len, avg_context=avg_ctx,
     )
-    for j in range(plan.num_stages):
+    rows, n = scm.stage_rows(), plan.num_stages
+    for j in range(n):
         for k, b in enumerate(bits):
             assert lp[j, k] == scm.layer_time(
                 j, b, "prefill", plan.prefill_microbatch, w.prompt_len, w.prompt_len
@@ -254,13 +256,17 @@ def test_planner_tables_share_floats_with_cost_model(latmodel_cluster3):
             assert ld[j, k] == scm.layer_time(
                 j, b, "decode", plan.decode_microbatch, 1, avg_ctx
             )
-        # a whole shard: the ILP's sum of table cells == the cost model's
-        # stage prefill-layers sum (same addition order over layer_bits)
+        # a whole shard: the ILP's sum of table cells is the stage row's
+        # prefill-layers sum (same addition order over layer_bits), to
+        # which the row adds the head/tail terms and the transfer
         cells = {b: lp[j, k] for k, b in enumerate(bits)}
         oracle = float(sum(cells[b] for b in plan.stages[j].layer_bits))
-        assert oracle == scm._stage_layers_prefill(
-            j, plan.prefill_microbatch, w.prompt_len
-        )
+        gpu, mb = plan.stages[j].device.spec, plan.prefill_microbatch
+        if j == 0:
+            oracle += embedding_exec_time(gpu, scm.cfg, mb, w.prompt_len, with_logits=False)
+        if j == n - 1:
+            oracle += embedding_exec_time(gpu, scm.cfg, mb, 1, with_logits=True)
+        assert oracle + rows[j].prefill_comm == rows[j].prefill
 
 
 def test_online_wrappers_delegate_to_cost_model():

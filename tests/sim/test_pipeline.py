@@ -93,12 +93,6 @@ def test_latency_model_view_close_to_ground_truth(
     assert pred.total_latency == pytest.approx(truth.total_latency, rel=0.08)
 
 
-def test_memory_check_can_be_disabled(cluster3, workload):
-    plan = ExecutionPlan.uniform("opt-30b", cluster3.devices, workload, bits=16)
-    res = simulate_pipeline(plan, cluster3, check_memory=False)
-    assert res.feasible  # OOM ignored
-
-
 def test_bottleneck_stage_identified(cluster3, workload):
     # pile layers onto the last (V100) stage
     devices = list(cluster3.devices)

@@ -266,3 +266,60 @@ def test_iteration_makespan_identical_units_closed_form():
         assert got == pytest.approx(want, rel=1e-9)
 
     check()
+
+
+def _units_task_graph_makespan(units):
+    """The iteration's task graph run through the event-driven scheduler:
+    unit ``u`` on stage ``j`` after itself on stage ``j - 1``, units
+    contending for each stage in unit order."""
+    from repro.sim.events import Task, simulate_task_graph
+
+    tasks = [
+        Task(
+            task_id=("U", u, j), duration=float(d), resource=("dev", j),
+            deps=(("U", u, j - 1),) if j else (), priority=(u, j),
+        )
+        for u, times in enumerate(units)
+        for j, d in enumerate(times)
+    ]
+    return simulate_task_graph(tasks).makespan
+
+
+def test_iteration_makespan_recurrence_equals_task_graph():
+    """The flow-shop recurrence ``C[u][j] = max(C[u-1][j], C[u][j-1]) +
+    t[u][j]`` gives exactly the event-driven scheduler's makespan on the
+    same graph — mixed units, tied durations and zero durations
+    included."""
+    import numpy as np
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    from repro.sim.pipeline_des import iteration_makespan_des
+
+    # a small menu of durations makes ties and zeros common
+    duration = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]),
+        st.floats(min_value=0.0, max_value=10.0,
+                  allow_nan=False, allow_infinity=False),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        n_units=st.integers(min_value=0, max_value=6),
+        n_stages=st.integers(min_value=1, max_value=5),
+    )
+    @example(data=None, n_units=3, n_stages=3)
+    def check(data, n_units, n_stages):
+        if data is None:  # ties across units and stages, zeros between
+            units = [np.array([1.0, 0.0, 1.0])] * n_units
+        else:
+            units = [
+                np.array(data.draw(st.lists(
+                    duration, min_size=n_stages, max_size=n_stages
+                )))
+                for _ in range(n_units)
+            ]
+        assert iteration_makespan_des(units) == _units_task_graph_makespan(units)
+
+    check()
