@@ -12,7 +12,6 @@ import numpy as np
 from repro.bench.tables import print_table, save_results
 from repro.cost.latency import LatencyModel
 from repro.cost.memory import stage_memory
-from repro.cost.profiler import build_latency_model
 from repro.hardware import get_gpu
 from repro.models import get_model
 from repro.sim.kernels import layer_exec_time

@@ -6,12 +6,11 @@ fall (weakly) and perplexity improve (weakly) — the knob the paper hands
 to the user.
 """
 
-import numpy as np
 import pytest
 
 from repro.bench.tables import print_table, save_results
 from repro.core.api import evaluate_plan, plan_llmpq
-from repro.hardware import PAPER_CLUSTERS, paper_cluster
+from repro.hardware import paper_cluster
 
 THETAS = (0.1, 1.0, 10.0, 100.0)
 CASES = {9: "opt-30b", 5: "opt-66b"}

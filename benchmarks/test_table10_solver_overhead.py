@@ -11,7 +11,6 @@ point (2x P100 + 2x V100 + 2x A100 serving OPT-66b with the heuristic).
 """
 
 import numpy as np
-import pytest
 
 from repro.bench.tables import print_table, save_results
 from repro.core.api import plan_llmpq

@@ -12,7 +12,6 @@ group sizes on small clusters, the bitwidth-transfer heuristic on the
 larger ones.
 """
 
-import numpy as np
 import pytest
 
 from repro.bench.tables import print_table, save_results

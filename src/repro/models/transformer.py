@@ -15,6 +15,15 @@ Weight layout per layer ``i`` (all ``float64`` for numeric headroom):
 ``ln2.g / ln2.b``       pre-MLP LayerNorm
 ``fc1 / fc2`` (+ bias)  MLP
 ======================  =========================
+
+Both phases mask attention through one in-place
+:func:`_masked_softmax`: the prompt pass with its causal ``(q, T)``
+mask, fused decode with its ragged per-request mask.  The prompt pass
+scores its queries in chunks of ``_QUERY_CHUNK`` rows, each against
+only the keys up to its last row, so key blocks wholly above the causal
+diagonal are never multiplied or exponentiated.  The block's
+elementwise work (scale, GELU, residual adds) runs in place on
+temporaries the block owns.
 """
 
 from __future__ import annotations
@@ -164,20 +173,54 @@ def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5) -
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 
+# query rows per causal-attention chunk of the prompt pass
+_QUERY_CHUNK = 32
+
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    # x * x * x instead of x**3: same tanh approximation, but npy pow on
-    # float64 arrays is ~10x the cost of two multiplies and this op sits
-    # on the per-token decode path
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * (x * x * x))))
+    """Tanh-approximated GELU, computed in place: ``x`` must be a
+    temporary the caller owns.
 
-
-def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax computed in place: ``x`` must be a temporary the caller owns."""
-    x -= x.max(axis=axis, keepdims=True)
-    np.exp(x, out=x)
-    x /= x.sum(axis=axis, keepdims=True)
+    The operation order of ``0.5 * x * (1.0 + tanh(C * (x + 0.044715 *
+    (x * x * x))))`` with one scratch array (x * x * x instead of x**3:
+    npy pow on float64 is ~10x the cost of two multiplies, and this op
+    sits on the per-token decode path).
+    """
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    t += 1.0
+    x *= 0.5
+    x *= t
     return x
+
+
+def _masked_softmax(scores: np.ndarray, masked: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis with the ``masked`` entries weighted
+    ``0.0``, computed in place: ``scores`` must be a temporary the caller
+    owns, and ``masked`` broadcasts against it.
+
+    Every row with a kept entry gets the floats ``-1e30`` masking gives:
+    the same row max, the same exps, exact zeros at the same places and
+    so the same sum.  The masked entries are zeroed before ``exp`` as
+    well as after it, so ``exp`` never takes its underflow slow path on
+    them.  A row masked end to end (a decode passenger) comes out all
+    zeros.
+    """
+    np.copyto(scores, -1e30, where=masked)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.copyto(scores, 0.0, where=masked)
+    np.exp(scores, out=scores)
+    np.copyto(scores, 0.0, where=masked)
+    total = scores.sum(axis=-1, keepdims=True)
+    # a row with a kept entry sums to >= 1 (its max contributes exp(0));
+    # only a row masked end to end sums to 0, and 0 / 1 keeps it finite
+    np.maximum(total, 1.0, out=total)
+    scores /= total
+    return scores
 
 
 def init_weights(cfg: ModelConfig, seed: int = 0) -> tuple[np.ndarray, np.ndarray, list[LayerWeights], np.ndarray, np.ndarray]:
@@ -249,6 +292,15 @@ def attention_forward(
     model) run the byte-identical computation as :class:`TinyDecoderLM`.
     Models with ``max_position_embeddings == 0`` (the BLOOM family) use
     ALiBi biases instead of learned positions.
+
+    Queries run in chunks of ``_QUERY_CHUNK`` rows: chunk ``[c0, c1)``
+    scores only keys ``[0, start + c1)``, so key blocks wholly above the
+    causal diagonal are never multiplied, scaled or exponentiated.  A prompt of at most
+    ``_QUERY_CHUNK`` tokens is one chunk, byte-identical to scoring the
+    whole ``q x total`` tile; a longer one agrees with it to ~1e-16, as
+    a chunk's softmax sums over fewer keys (and a 1-row tail chunk runs
+    as a GEMV).  The KV cache is written before any chunk runs, so it
+    is the same bytes either way.
     """
     batch, q, h = x.shape
     nh, hd = cfg.num_heads, cfg.hidden_size // cfg.num_heads
@@ -272,18 +324,25 @@ def attention_forward(
     qh = qp.reshape(batch, q, nh, hd).transpose(0, 2, 1, 3)
     kh = k_all.reshape(batch, total, nh, hd).transpose(0, 2, 3, 1)
     vh = v_all.reshape(batch, total, nh, hd).transpose(0, 2, 1, 3)
-    scores = (qh @ kh) / np.sqrt(hd)
-
     pos_q = start + np.arange(q)[:, None]
     pos_k = np.arange(total)[None, :]
-    if cfg.max_position_embeddings == 0:
-        # ALiBi: penalize attention linearly in key distance, per head
-        dist = (pos_q - pos_k).astype(np.float64)  # (q, total), >=0 causal
-        bias = -alibi_slopes(nh)[:, None, None] * dist[None]
-        scores = scores + bias[None]
-    scores = np.where(pos_k <= pos_q, scores, -1e30)
-    attn = _softmax(scores, axis=-1)
-    mixed = (attn @ vh).transpose(0, 2, 1, 3).reshape(batch, q, h)
+    masked = pos_k > pos_q
+    alibi = cfg.max_position_embeddings == 0
+    if alibi:
+        neg_slopes = -alibi_slopes(nh)[:, None, None]
+    mixed = np.empty((batch, q, nh, hd))
+    for c0 in range(0, q, _QUERY_CHUNK):
+        c1 = min(c0 + _QUERY_CHUNK, q)
+        t = start + c1
+        scores = qh[:, :, c0:c1] @ kh[..., :t]
+        scores /= np.sqrt(hd)
+        if alibi:
+            # ALiBi: penalize attention linearly in key distance, per head
+            dist = (pos_q[c0:c1] - pos_k[:, :t]).astype(np.float64)
+            scores += neg_slopes * dist
+        attn = _masked_softmax(scores, masked[c0:c1, :t])
+        np.matmul(attn, vh[:, :, :t], out=mixed[:, c0:c1].transpose(0, 2, 1, 3))
+    mixed = mixed.reshape(batch, q, h)
     if recorder is not None:
         recorder(cache_layer, "out_proj", mixed)
     out = mixed.reshape(batch * q, h) @ lw.wo
@@ -331,10 +390,10 @@ def batched_decode_attention(
     equality with batch-1 execution is therefore asserted at
     token-stream level (argmax), not on logit bytes.
 
-    Padding never leaks into the output: masked scores are ``-1e30`` so
-    their softmax weights underflow to exactly ``0.0``, and the padded
-    V rows those zero weights multiply are themselves exact zeros (at
-    scale ``1.0`` when packed).
+    Padding never leaks into the output: :func:`_masked_softmax` gives
+    masked scores weights of exactly ``0.0``, and the padded V rows
+    those zero weights multiply are themselves exact zeros (at scale
+    ``1.0`` when packed).
     """
     batch, q, h = x.shape
     if q != 1:
@@ -371,8 +430,7 @@ def batched_decode_attention(
         at[slice(None) if pos is None else pos] = starts
         dist = (at[:, None] - np.arange(total)[None, :]).astype(np.float64)
         scores += -alibi_slopes(nh)[None, :, None, None] * dist[:, None, None, :]
-    np.copyto(scores, -1e30, where=kv.masked)
-    attn = _softmax(scores)
+    attn = _masked_softmax(scores, kv.masked)
     if scales is not None:
         attn *= v_scales
     mixed = (attn @ vh).transpose(0, 2, 1, 3).reshape(rows, h)
@@ -399,7 +457,8 @@ def batched_decode_block(
     a = batched_decode_attention(
         cfg, lw, _layernorm(x, lw.ln1_g, lw.ln1_b), kv, cache_layer, starts
     )
-    x = x + a
+    a += x
+    x = a
     h1 = _layernorm(x, lw.ln2_g, lw.ln2_b)
     batch, q, h = x.shape
     z1 = h1.reshape(batch * q, h) @ lw.fc1
@@ -407,7 +466,9 @@ def batched_decode_block(
     h2 = _gelu(z1)
     m = h2 @ lw.fc2
     m += lw.bfc2
-    return x + m.reshape(batch, q, h)
+    m = m.reshape(batch, q, h)
+    m += x
+    return m
 
 
 def decoder_block(
@@ -423,7 +484,8 @@ def decoder_block(
     a = attention_forward(
         cfg, lw, _layernorm(x, lw.ln1_g, lw.ln1_b), cache, cache_layer, start, recorder
     )
-    x = x + a
+    a += x
+    x = a
     h1 = _layernorm(x, lw.ln2_g, lw.ln2_b)
     if recorder is not None:
         recorder(cache_layer, "fc1", h1)
@@ -435,7 +497,9 @@ def decoder_block(
         recorder(cache_layer, "fc2", h2.reshape(batch, q, -1))
     m = h2 @ lw.fc2
     m += lw.bfc2
-    return x + m.reshape(batch, q, h)
+    m = m.reshape(batch, q, h)
+    m += x
+    return m
 
 
 class TinyDecoderLM:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.api import ServingReport, compare_schemes, evaluate_plan, plan_llmpq
+from repro.core.api import compare_schemes, evaluate_plan, plan_llmpq
 from repro.core.plan import ExecutionPlan
 
 

@@ -12,8 +12,6 @@ from repro.core.heuristic import _as_plan, _layer_offsets, _stages
 from repro.core.heuristic import _neighbors as _neighbor_stages
 from repro.core.optimizer import LLMPQOptimizer, PlannerConfig
 from repro.core.plan import ExecutionPlan, StagePlan
-from repro.hardware import Device, get_gpu
-from repro.workload import Workload
 
 
 @pytest.fixture(scope="module")

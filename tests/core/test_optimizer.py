@@ -1,12 +1,10 @@
 """Unit tests for Algorithm 1 (the full planner)."""
 
-import numpy as np
 import pytest
 
 from repro.core.optimizer import LLMPQOptimizer, PlannerConfig, _microbatch_pairs
 from repro.core.plan import ExecutionPlan
 from repro.sim.pipeline import simulate_pipeline
-from repro.workload import Workload
 
 
 @pytest.fixture(scope="module")

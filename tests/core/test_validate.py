@@ -1,10 +1,8 @@
 """Unit tests for plan validation."""
 
-import pytest
-
 from repro.core.plan import ExecutionPlan, StagePlan
 from repro.core.validate import validate_plan
-from repro.hardware import Device, get_gpu, make_cluster, paper_cluster
+from repro.hardware import Device, get_gpu, make_cluster
 from repro.workload import Workload
 
 

@@ -1,6 +1,5 @@
 """Unit tests for the device profiler."""
 
-import numpy as np
 import pytest
 
 from repro.cost import ProfileGrid, build_latency_model, profile_cluster, profile_device

@@ -8,11 +8,12 @@ history into freshly zero-filled ``(B, Tmax, h)`` buffers per layer
 (dense, fake-quant and packed units; packed histories are unpacked by
 the codec, ``unpack_codes``, not the slab's byte table).
 ``spec_batched_decode_block`` is the block that ran on it, with the
-``mean``/``var`` layer norm, the per-layer ``arange`` mask and the
-out-of-place softmax; its attention folds packed scales into the scores
-and softmax weights the way ``src/`` does.  The slab view, the hoisted
-mask and the trimmed kernels in ``src/`` are pinned to these, byte for
-byte; they exist only for the tests.
+``mean``/``var`` layer norm, the per-layer ``arange`` mask, the
+out-of-place softmax and the out-of-place GELU (``spec_gelu``); its
+attention folds packed scales into the scores and softmax weights the
+way ``src/`` does.  The slab view, the hoisted mask and the trimmed
+kernels in ``src/`` are pinned to these, byte for byte; they exist only
+for the tests.
 """
 
 import numpy as np
@@ -21,7 +22,6 @@ from repro.models.config import ModelConfig
 from repro.models.transformer import (
     KVCache,
     LayerWeights,
-    _gelu,
     alibi_slopes,
     fused_qkv,
 )
@@ -149,6 +149,13 @@ def spec_layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-
     return (x - mu) / np.sqrt(var + eps) * g + b
 
 
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def spec_gelu(x: np.ndarray) -> np.ndarray:
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * (x * x * x))))
+
+
 def spec_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     x = x - x.max(axis=axis, keepdims=True)
     e = np.exp(x)
@@ -224,7 +231,7 @@ def spec_batched_decode_block(
     batch, q, h = x.shape
     z1 = h1.reshape(batch * q, h) @ lw.fc1
     z1 += lw.bfc1
-    h2 = _gelu(z1)
+    h2 = spec_gelu(z1)
     m = h2 @ lw.fc2
     m += lw.bfc2
     return x + m.reshape(batch, q, h)

@@ -8,8 +8,9 @@ What this file pins:
    passengers, rows far enough apart to gather, permuted ``unit_ids`` —
    and a packed step, which folds its scales into the attention, stays
    within 1e-12 of dequantize-then-attend;
-2. the trimmed kernels (``_layernorm``, in-place ``_softmax``, the mask
-   hoisted onto the view) equal the expressions they replaced;
+2. the trimmed kernels (``_layernorm``, in-place ``_gelu`` and
+   ``_masked_softmax``, the mask hoisted onto the view) equal the
+   expressions they replaced;
 3. a freed row never reaches its next tenant, even through the padding
    and passenger rows a fused batch reads without having written;
 4. a model-based state machine over every manager operation, against
@@ -37,8 +38,9 @@ from repro.hardware import Device, get_gpu
 from repro.models import TinyDecoderLM, generate, get_model
 from repro.models.transformer import (
     KVCache,
+    _gelu,
     _layernorm,
-    _softmax,
+    _masked_softmax,
     batched_decode_block,
 )
 from repro.ops import greedy_pick
@@ -59,6 +61,7 @@ from repro.workload import Workload
 from .kv_view_spec import (
     SpecBatchedKVView,
     spec_batched_decode_block,
+    spec_gelu,
     spec_layernorm,
     spec_softmax,
 )
@@ -289,17 +292,41 @@ def test_layernorm_bit_identical(shape, scale, seed, strided):
 
 
 @settings(max_examples=80, deadline=None)
-@given(shape=_shapes, seed=st.integers(0, 2**32 - 1), masked=st.booleans())
-def test_inplace_softmax_and_masked_fill_bit_identical(shape, seed, masked):
+@given(shape=_shapes, seed=st.integers(0, 2**32 - 1), causal=st.booleans())
+def test_inplace_softmax_and_masked_fill_bit_identical(shape, seed, causal):
+    """``_masked_softmax`` equals ``-1e30`` masking then the softmax on
+    every row a request reads, over both mask shapes it is handed: the
+    prompt pass's causal ``(q, T)`` and fused decode's ragged ``(R, 1,
+    1, T)`` with passengers masked end to end.  It never underflows, and
+    a passenger row stays finite."""
     rng = np.random.default_rng(seed)
-    scores = rng.normal(size=(shape[0], 2, 1, shape[2])) * 5.0
-    starts = rng.integers(0, shape[2], size=shape[0])
-    keep = (np.arange(shape[2])[None, :] <= starts[:, None])[:, None, None, :]
-    want = spec_softmax(np.where(keep, scores, -1e30) if masked else scores)
-    if masked:
-        np.copyto(scores, -1e30, where=~keep)
-    got = _softmax(scores)
-    assert got is scores and got.tobytes() == want.tobytes()
+    rows, t = shape[0], shape[2]
+    if causal:
+        q = int(rng.integers(1, t + 1))
+        scores = rng.normal(size=(shape[1], 2, q, t)) * 5.0
+        keep = np.arange(t)[None, :] <= t - q + np.arange(q)[:, None]
+        read = np.ones(scores.shape[:-1], dtype=bool)
+    else:
+        scores = rng.normal(size=(rows, 2, 1, t)) * 5.0
+        starts = rng.integers(0, t, size=rows)
+        read = rng.random(rows) < 0.7
+        keep = (np.arange(t)[None, :] <= starts[:, None]) & read[:, None]
+        keep = keep[:, None, None, :]
+        read = np.broadcast_to(read[:, None, None], scores.shape[:-1])
+    want = spec_softmax(np.where(keep, scores, -1e30))
+    with np.errstate(all="raise"):
+        got = _masked_softmax(scores, ~keep)
+    assert got is scores and np.isfinite(got).all()
+    assert got[read].tobytes() == want[read].tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=_shapes, scale=st.integers(-3, 3), seed=st.integers(0, 2**32 - 1))
+def test_inplace_gelu_bit_identical(shape, scale, seed):
+    x = np.random.default_rng(seed).normal(size=shape) * 10.0**scale
+    want = spec_gelu(x)
+    got = _gelu(x)
+    assert got is x and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.models import TinyDecoderLM, get_model
+from repro.models import TinyDecoderLM
 from repro.quant import quantize_dequantize
 from repro.runtime import load_stage_weights, simulate_loading
 

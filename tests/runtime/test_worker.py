@@ -5,7 +5,7 @@ import queue
 import numpy as np
 import pytest
 
-from repro.models import TinyDecoderLM, get_model
+from repro.models import TinyDecoderLM
 from repro.runtime.loader import load_stage_weights
 from repro.runtime.messages import (
     ActivationMessage,

@@ -1,10 +1,9 @@
 """Unit tests for the pipeline execution simulator."""
 
-import numpy as np
 import pytest
 
 from repro.core.plan import ExecutionPlan, StagePlan
-from repro.hardware import Device, get_gpu, make_cluster, paper_cluster
+from repro.hardware import make_cluster
 from repro.sim.pipeline import simulate_pipeline
 from repro.workload import Workload
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.plan import ExecutionPlan
-from repro.hardware import make_cluster, paper_cluster
+from repro.hardware import make_cluster
 from repro.sim.pipeline import simulate_pipeline
 from repro.sim.pipeline_des import simulate_pipeline_des
 from repro.workload import Workload

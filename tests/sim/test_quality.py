@@ -1,6 +1,5 @@
 """Unit tests for the quality surrogate and real tiny-model measurements."""
 
-import numpy as np
 import pytest
 
 from repro.models import get_model

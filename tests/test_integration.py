@@ -5,7 +5,6 @@ ground-truth kernels, score quality — and assert the *shape* of the
 paper's results rather than absolute numbers.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.api import compare_schemes, evaluate_plan, plan_llmpq

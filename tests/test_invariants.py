@@ -5,14 +5,12 @@ regression in any cost/simulation path that breaks monotonicity would
 silently corrupt the planner's decisions, so they are tested directly.
 """
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.plan import ExecutionPlan, StagePlan
 from repro.cost.memory import stage_memory
-from repro.hardware import Device, get_gpu, make_cluster
+from repro.hardware import get_gpu, make_cluster
 from repro.models import get_model
 from repro.sim.kernels import layer_exec_time
 from repro.sim.pipeline import simulate_pipeline
