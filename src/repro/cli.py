@@ -478,7 +478,7 @@ def serve_main(argv: list[str] | None = None) -> int:
                         "wave (offline-style gang) baseline")
     p.add_argument("--engine", choices=["analytic", "des"], default="analytic",
                    help="simulator iteration pricing: the closed form, or "
-                        "the event-driven task graph")
+                        "the event-driven flow-shop schedule")
     p.add_argument("--cost-source", choices=["kernels", "model"],
                    default="kernels",
                    help="stage-time source for the simulator path: "

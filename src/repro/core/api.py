@@ -28,7 +28,7 @@ from ..workload.spec import Workload
 from .baselines import BaselineOutcome, flexgen_run, pipeedge_plan, uniform_plan
 from .heuristic import adabits_plan, heuristic_optimize
 from .optimizer import LLMPQOptimizer, PlannerConfig, PlannerResult
-from .plan import ExecutionPlan
+from .plan import ExecutionPlan, StagePlan
 
 __all__ = [
     "ServingReport",
@@ -197,15 +197,7 @@ def _report_offload(out: BaselineOutcome, model_name: str) -> ServingReport:
     )
 
 
-def replan_after_failure(
-    plan: ExecutionPlan,
-    failed_stage: int,
-    *,
-    cluster: Cluster | None = None,
-    use_planner: bool = False,
-    theta: float = 1.0,
-    latency_model: LatencyModel | None = None,
-) -> ExecutionPlan:
+def replan_after_failure(plan: ExecutionPlan, failed_stage: int) -> ExecutionPlan:
     """Re-plan onto the surviving devices after a permanent stage loss.
 
     The runtime's last degradation rung: when a stage's device is gone
@@ -214,11 +206,6 @@ def replan_after_failure(
     upstream stage, trailing layers to the downstream one — preserving
     pipeline order and per-layer quantization so the degraded plan's
     outputs stay bit-identical to the original recipe.
-
-    With ``use_planner=True`` and a ``cluster``, a full LLM-PQ re-plan
-    is attempted on the surviving device set first (new partition *and*
-    new bitwidths for the shrunken cluster), falling back to the
-    deterministic redistribution if the planner finds nothing feasible.
     """
     if not 0 <= failed_stage < plan.num_stages:
         raise ValueError(f"failed_stage {failed_stage} out of range")
@@ -228,31 +215,6 @@ def replan_after_failure(
     meta = dict(plan.meta)
     meta["replanned_after_stage_failure"] = failed_stage
     meta["lost_device"] = plan.stages[failed_stage].device.name
-
-    if use_planner and cluster is not None:
-        from ..hardware.cluster import cluster_from_devices
-
-        survivors = cluster_from_devices(
-            (st.device for j, st in enumerate(plan.stages) if j != failed_stage),
-            name="degraded",
-        )
-        result = plan_llmpq(
-            plan.model_name, survivors, plan.workload,
-            theta=theta, latency_model=latency_model,
-        )
-        if result.plan is not None:
-            replanned = result.plan
-            meta.update(replanned.meta)
-            return ExecutionPlan(
-                model_name=replanned.model_name,
-                stages=replanned.stages,
-                prefill_microbatch=replanned.prefill_microbatch,
-                decode_microbatch=replanned.decode_microbatch,
-                workload=replanned.workload,
-                meta=meta,
-            )
-
-    from .plan import StagePlan
 
     stages = list(plan.stages)
     failed = stages.pop(failed_stage)

@@ -149,9 +149,6 @@ class FleetAutoscaler:
         st = self._pools[pool]
         return [r for r in st.active if not r.draining]
 
-    def pool_of(self, name: str) -> "list[PipelineReplica]":
-        return self._pools[name].slots
-
     def all_replicas(self) -> "list[PipelineReplica]":
         """Every slot across pools, including factory-built ones (id order)."""
         out = [r for st in self._pools.values() for r in st.slots]

@@ -77,11 +77,6 @@ class Node:
         spec = get_gpu(self.gpu_type)
         return tuple(Device(spec, self.node_id, r) for r in range(self.count))
 
-    @property
-    def intra_link(self) -> Link:
-        """The node's internal fabric (NVLink or PCIe)."""
-        return link_for(self.gpu_type)
-
 
 @dataclass(frozen=True)
 class Cluster:

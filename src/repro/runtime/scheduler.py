@@ -144,11 +144,6 @@ class RequestRecord:
         """Arrival -> first token (seconds)."""
         return self.first_token_time - self.arrival
 
-    @property
-    def queue_delay(self) -> float:
-        """Arrival -> admission (seconds)."""
-        return self.admit_time - self.arrival
-
 
 @dataclass
 class ServeReport:

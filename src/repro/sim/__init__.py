@@ -1,4 +1,12 @@
-"""Simulation substrate: kernels, pipeline, offloading, quality."""
+"""Simulation substrate: kernels, pipeline, offloading, quality.
+
+One offline pipeline simulator, the closed form the planner scores with
+(:func:`simulate_pipeline`), and one online engine
+(:func:`simulate_online`, run by :mod:`repro.sim.trace_engine` with an
+analytic or a flow-shop DES iteration price).  The event-driven task
+graph the closed form is checked against is a test reference
+(``tests/sim/des_spec.py``), not shipped code.
+"""
 
 from .kernels import (
     KERNELS_PER_LAYER,
@@ -9,15 +17,6 @@ from .kernels import (
 )
 from .comm import activation_bytes, boundary_links, stage_comm_time
 from .pipeline import PipelineResult, StageReport, simulate_pipeline
-from .events import ScheduleResult, Task, simulate_task_graph
-from .pipeline_des import (
-    DESResult,
-    FaultModel,
-    FaultyDESResult,
-    mtbf_sweep,
-    simulate_pipeline_des,
-    simulate_pipeline_des_with_faults,
-)
 from .online import (
     OnlineRequest,
     OnlineResult,
@@ -47,15 +46,6 @@ __all__ = [
     "PipelineResult",
     "StageReport",
     "simulate_pipeline",
-    "Task",
-    "ScheduleResult",
-    "simulate_task_graph",
-    "DESResult",
-    "simulate_pipeline_des",
-    "FaultModel",
-    "FaultyDESResult",
-    "simulate_pipeline_des_with_faults",
-    "mtbf_sweep",
     "OnlineRequest",
     "OnlineResult",
     "max_admissible_batch",

@@ -20,8 +20,9 @@ token-boundary engine in :mod:`repro.sim.trace_engine`:
   n_max`` slots, decoded for ``n_max`` tokens), and the whole wave
   retired together.
 
-``engine="des"`` prices each iteration with the event-driven task graph
-instead of the closed form.  Every time and memory figure comes from one
+``engine="des"`` prices each iteration with the event-driven flow-shop
+recurrence (the exact makespan of its units' task graph) instead of the
+closed form.  Every time and memory figure comes from one
 :class:`~repro.cost.stagecosts.StageCostModel` — the same view the
 planner and the real scheduler use — so the admission decisions here
 agree with the runtime's by construction.  Per-request latency =

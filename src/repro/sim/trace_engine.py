@@ -20,6 +20,12 @@ rules of this one engine, and both go through
   latency at each member's own ``gen_len``, where the runtime stamps
   ``finish_time``; throughput counts useful tokens.
 
+Both engines price an iteration from the same unit rows:
+``engine="analytic"`` with the closed form (the first unit's stage sum
+plus each later unit's slowest stage), ``engine="des"`` with the
+flow-shop recurrence of :func:`iteration_makespan_des`, which lives
+here because this engine is its only caller.
+
 State.  Request columns (``arrival`` / ``prompt_len`` / ``gen_len``)
 stay numpy arrays end to end.  The in-flight set is three integers —
 ``b`` requests, ``ctx`` = sum of (prompt + produced) over them, ``held``
@@ -55,8 +61,9 @@ clock after boundary ``i``.
   retirement, a breakpoint of the price) a run's clock is one closed
   form.  Every boundary is then priced in one
   :meth:`~repro.cost.stagecosts.StageCostModel.unit_decode_times_batch`
-  call (prefill tails folded left; the DES prices admitting boundaries
-  as task graphs and the rest through the batch makespan), the clock is
+  call (prefill tails folded left; the DES runs the flow-shop
+  recurrence :func:`iteration_makespan_des` on admitting boundaries and
+  :func:`iteration_makespan_des_batch` on the rest), the clock is
   ``np.add.accumulate`` — the same left fold as ``now += step`` — and
   the advance commits the longest prefix whose every head equals the
   exact rule's, ``E_t = max(pr[t-1], min(F_t, arr.searchsorted(C[t-1],
@@ -102,7 +109,12 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..core.plan import ExecutionPlan
     from ..runtime.replan import DriftConfig, Replanner
 
-__all__ = ["trace_columns", "simulate_continuous_vectorized"]
+__all__ = [
+    "trace_columns",
+    "simulate_continuous_vectorized",
+    "iteration_makespan_des",
+    "iteration_makespan_des_batch",
+]
 
 #: boundaries an advance schedules at most, and the largest admission
 #: whose rows the schedule tracks one by one: below capacity admissions
@@ -131,6 +143,51 @@ def _landing(clock: float, at: float, step: float, beta: float, i: int) -> int:
     while j > 1 and clock + ((j - 1) * step + beta * ((j - 1) * (j - 2) // 2)) >= at:
         j -= 1
     return j
+
+
+def iteration_makespan_des(unit_stage_times: "list[np.ndarray]") -> float:
+    """Event-driven makespan of one continuous-batching iteration.
+
+    Each unit (the fused decode group, plus one prefill unit per newly
+    admitted request) flows through the stages in order; units overlap
+    across stages exactly as micro-batches do in the offline pipeline.
+    ``unit_stage_times[u][j]`` is unit ``u``'s busy time on stage ``j``
+    (comm folded into the sender).  That schedule is a permutation flow
+    shop in unit order, so its completion times follow the recurrence
+    ``C[u][j] = max(C[u-1][j], C[u][j-1]) + t[u][j]`` — the same floats
+    an event-driven run of the task graph produces
+    (``tests/sim/des_spec.py``), without building it.  The closed-form
+    counterpart is ``sum_j t_0j + sum_{u>0} max_j t_uj``; this is its
+    exact lower bound, which ``engine="des"`` uses.
+    """
+    done: list[float] = []  # C[u-1][j]: when stage j finished the last unit
+    for stage_times in unit_stage_times:
+        if not done:
+            done = [0.0] * len(stage_times)
+        c = 0.0
+        for j, d in enumerate(stage_times):
+            c = done[j] = max(done[j], c) + float(d)
+    return done[-1] if done else 0.0
+
+
+def iteration_makespan_des_batch(stage_times: np.ndarray) -> np.ndarray:
+    """Vectorized DES makespans of single-unit (decode-only) iterations.
+
+    Row ``i`` of ``stage_times`` holds one iteration's per-stage busy
+    times.  With a single unit the event-driven schedule degenerates to
+    the sequential chain through the stages, so the makespan is the
+    left-fold sum ``((0 + t_0) + t_1) + ...`` — evaluated here as
+    column-wise adds, bit-identical to ``iteration_makespan_des([row])``
+    per row.  The engine prices whole decode runs through this instead
+    of one recurrence per token step.
+    """
+    st = np.asarray(stage_times, dtype=np.float64)
+    if st.ndim != 2:
+        raise ValueError("stage_times must be a (iterations, stages) matrix")
+    acc = np.zeros(st.shape[0])
+    for j in range(st.shape[1]):
+        acc = acc + st[:, j]
+    return acc
 
 
 def trace_columns(trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,14 +244,6 @@ class _Engine:
         self._cumspr = np.concatenate((zero, np.cumsum(self.spr)))
         self.max_batch = max_batch
         self.des = engine == "des"
-        if self.des:
-            from .pipeline_des import (
-                iteration_makespan_des,
-                iteration_makespan_des_batch,
-            )
-
-            self._des_one = iteration_makespan_des
-            self._des_rows = iteration_makespan_des_batch
         self.drift = drift
         self.replanner = replanner
 
@@ -293,7 +342,7 @@ class _Engine:
         n = p - p0
         prompts = self.spr[p0:p]
         if self.des:
-            step = float(self._des_one(list(self._pf_rows[prompts])))
+            step = float(iteration_makespan_des(list(self._pf_rows[prompts])))
         else:
             step = self._units_price(prompts)
         self.now += step
@@ -518,11 +567,11 @@ class _Engine:
         s_bef = np.concatenate(((ctx0,), s_aft[:-1]))
         # ---- price: one batch, prefill tails folded left ---------------
         rows = self.scm.unit_decode_times_batch(b_bef, s_bef / b_bef)
-        step = self._des_rows(rows) if self.des else rows.sum(axis=1)
+        step = iteration_makespan_des_batch(rows) if self.des else rows.sum(axis=1)
         adm = nb.nonzero()[0]
         if adm.size and self.des:
             for t in adm.tolist():
-                step[t] = self._des_one([rows[t], *self._pf_rows[spr[pr[t]:pr[t + 1]]]])
+                step[t] = iteration_makespan_des([rows[t], *self._pf_rows[spr[pr[t]:pr[t + 1]]]])
         elif adm.size:
             maxes = pf_max[spr[ptr0:ptr]]
             firsts, lens = pr[adm] - ptr0, nb[adm]
@@ -659,7 +708,7 @@ class _Engine:
         prompts = self.spr[live]
         prod = self.it + 1 - self.adm_it[live]  # tokens produced so far
         if self.des:
-            pause = pause + float(self._des_one(list(self._pf_rows[prompts])))
+            pause = pause + float(iteration_makespan_des(list(self._pf_rows[prompts])))
         else:
             pause = pause + self._units_price(prompts)
         max_prod = int(prod.max())
@@ -672,7 +721,7 @@ class _Engine:
             b_k = above[1:max_prod]
             ctx_k = (s_above[1:max_prod] + ks * b_k) / b_k
             rows = self.scm.unit_decode_times_batch(b_k, ctx_k)
-            prices = self._des_rows(rows) if self.des else rows.sum(axis=1)
+            prices = iteration_makespan_des_batch(rows) if self.des else rows.sum(axis=1)
             for v in prices.tolist():
                 pause = pause + v
         return pause

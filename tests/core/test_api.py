@@ -151,27 +151,6 @@ def test_replan_validation():
         replan_after_failure(single, 0)
 
 
-def test_replan_with_planner_falls_back_gracefully(
-    small_hetero_cluster, latmodel_13b
-):
-    """use_planner=True re-plans on the survivors, or falls back to the
-    deterministic redistribution — either way a valid degraded plan."""
-    from repro.core.api import replan_after_failure
-    from repro.workload import Workload
-
-    w = Workload(prompt_len=128, gen_len=8, global_batch=8)
-    plan = ExecutionPlan.uniform(
-        "opt-13b", small_hetero_cluster.devices, w, bits=8
-    )
-    new = replan_after_failure(
-        plan, 0, cluster=small_hetero_cluster, use_planner=True,
-        latency_model=latmodel_13b,
-    )
-    assert new.num_stages == 1
-    assert new.num_layers == plan.num_layers
-    assert new.meta["replanned_after_stage_failure"] == 0
-
-
 def test_serving_imports_leave_scipy_to_the_first_solve():
     """The runtime, the simulators, the fleet and the CLI all reach
     ``repro.core`` but never solve or fit anything at import: scipy loads

@@ -32,7 +32,7 @@ from repro.cost.memory import kv_cache_bytes
 from repro.cost.stagecosts import StageCostModel
 from repro.runtime.replan import DriftDetector
 from repro.sim.online import OnlineResult, _infeasible
-from repro.sim.pipeline_des import iteration_makespan_des
+from repro.sim.trace_engine import iteration_makespan_des
 from repro.stats import quantile
 
 

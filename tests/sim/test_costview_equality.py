@@ -30,10 +30,10 @@ from repro.cost.stagecosts import StageCostModel, planner_time_tables
 from repro.sim.comm import boundary_links, stage_comm_time
 from repro.sim.kernels import embedding_exec_time
 from repro.sim.pipeline import simulate_pipeline
-from repro.sim.pipeline_des import simulate_pipeline_des
 
 from .costview_cases import canned_trace, compute_snapshot, mb1_plan, mixed_plan
 from .costview_spec import spec_unit_decode_times, spec_unit_prefill_times
+from .des_spec import simulate_pipeline_des
 
 GOLDEN = Path(__file__).resolve().parents[1] / "data" / "costview_golden.json"
 

@@ -1,8 +1,8 @@
-"""Unit tests for the discrete-event task-graph scheduler."""
+"""Unit tests for the discrete-event task-graph scheduler of the DES spec."""
 
 import pytest
 
-from repro.sim.events import Task, simulate_task_graph
+from .des_spec import Task, simulate_task_graph
 
 
 def test_single_task():
