@@ -59,7 +59,11 @@ clock after boundary ``i``.
   :meth:`~repro.cost.stagecosts.StageCostModel.decode_price_pieces`, plus
   the prefill units it admits.  Between events (an arrival landing, a
   retirement, a breakpoint of the price) a run's clock is one closed
-  form.  Every boundary is then priced in one
+  form.  While the head stays inside the rows arrived before the
+  advance (``F_t <= q``) the clock cannot move it, so a backlog's heads
+  come in array steps, a chunk per ``searchsorted`` of the retirements
+  on the ring, exact through the first end at which a row the chunk
+  admits leaves.  Every boundary is then priced in one
   :meth:`~repro.cost.stagecosts.StageCostModel.unit_decode_times_batch`
   call (prefill tails folded left; the DES runs the flow-shop
   recurrence :func:`iteration_makespan_des` on admitting boundaries and
@@ -116,12 +120,12 @@ __all__ = [
     "iteration_makespan_des_batch",
 ]
 
-#: boundaries an advance schedules at most, and the largest admission
-#: whose rows the schedule tracks one by one: below capacity admissions
-#: take a few rows and the runs between their retirements are long; a
-#: backlog admits dozens a boundary and retires at nearly every one, so
-#: there every boundary is an event (DESIGN §13 has the sweep)
-_K, _FEW = 1024, 8
+#: boundaries an advance schedules at most; the largest admission whose
+#: rows the schedule tracks one by one (below capacity admissions take a
+#: few rows and the runs between their retirements are long); and the
+#: boundaries a backlog's array step reads at once, a little above the
+#: dozen it commits before a row it admitted leaves (DESIGN §13)
+_K, _FEW, _CHUNK = 1024, 8, 16
 
 #: boundaries per completion-ordering block: a block-relative finish
 #: boundary must fit the int16 key numpy radix-sorts
@@ -198,17 +202,16 @@ def trace_columns(trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sequence of arrival records becomes one first, so every trace is
     validated at one site.  The stable argsort matches ``sorted(trace,
     key=lambda r: r.arrival)`` tie for tie, so both engines see the same
-    FIFO order.
+    FIFO order; columns already in that order pass through uncopied.
     """
     from ..workload.traces import ArrivalTrace
 
     tr = ArrivalTrace.from_requests(trace)
-    order = np.argsort(tr.arrivals, kind="stable")
-    return (
-        np.ascontiguousarray(tr.arrivals[order]),
-        np.ascontiguousarray(tr.prompt_lens[order]),
-        np.ascontiguousarray(tr.gen_lens[order]),
-    )
+    cols = tr.arrivals, tr.prompt_lens, tr.gen_lens
+    if (tr.arrivals[1:] < tr.arrivals[:-1]).any():
+        order = np.argsort(tr.arrivals, kind="stable")
+        cols = tuple(c[order] for c in cols)
+    return tuple(np.ascontiguousarray(c) for c in cols)
 
 
 class _Engine:
@@ -397,10 +400,12 @@ class _Engine:
         retirement on the ring, a breakpoint of the decode price — the
         batch is fixed and the mean context rises one token per
         boundary, so a run's clock is one closed form and where an
-        arrival lands one quadratic (:func:`_landing`).  An admitting
-        boundary adds its prefill tail (a backlog's rows at the trace's
-        mean stage max until the backlog is in; the DES's first unit its
-        flow-shop lead).  The walk stops at the drain, after the
+        arrival lands one quadratic (:func:`_landing`).  While the head
+        is a row arrived before the advance and ``F_t <= q``, arrivals
+        cannot move it, and the heads ahead come in array steps (DESIGN
+        §13).  An admitting boundary adds its prefill tail (a backlog's
+        rows at the trace's mean stage max until the backlog is in; the
+        DES's first unit its flow-shop lead).  The walk stops at the drain, after the
         drift-window close or after ``_K`` boundaries; the batch price
         and the head validation then decide what commits.
         """
@@ -415,7 +420,7 @@ class _Engine:
         K = min(_K, _BLOCK - j0)
         # the decode price of the batch in flight, as pieces of lines in
         # the mean context (the fitted model's read the truncated context)
-        pieces = self.scm.decode_price_pieces
+        pieces, folds = self.scm.decode_price_pieces, self.scm._decode_price_folds
         floor = self.scm.source == "model"
         # boundaries whose end retires rows: a heap of the rows on the ring
         # (stale and repeated entries allowed), and up to `dense` any
@@ -455,6 +460,9 @@ class _Engine:
             step = al[k] + beta * c
             fits = held + h_tok <= budget and b < cap
             p = ptr
+            # bulk: the head arrived before the advance (ptr < q) and F_t <= q,
+            # as when it does not fit (F_t is the head while held <= budget)
+            bulk = not fits and h_arr <= now0 and held <= budget
             if fits and h_arr <= clock:  # the head is in and fits: min(F_t, A_t)
                 if ptr + 1 == n_req or ptr + 1 >= q and arr.item(ptr + 1) > clock:
                     p = ptr + 1
@@ -469,8 +477,79 @@ class _Engine:
                             pf_ptr = ptr
                         p = min(f, int(arr.searchsorted(clock, "right")))
                     else:
-                        p = f
-            if p > ptr:  # boundary t admits rows [ptr, p)
+                        p, bulk = f, True
+            if bulk:  # boundaries t..s-1 in array steps (DESIGN §13): the
+                # head after boundary x is min(cumq.searchsorted(A + RT) - 1,
+                # B + RC), RT and RC the slots and rows retired since t
+                A, B = h_cq + (budget - held), ptr + cap - b
+                n = (win_end - clock) / (step + (p - ptr) * pf_mean)
+                T = t + int(min(max(n, 0.0), K - t))  # about where the window closes
+                s, hs, heads = t, ptr, []
+                rc0, rt0 = -r_cnt.item(j0 + t - 1), -r_tok.item(j0 + t - 1)
+                while s <= T:  # a chunk s..e-1, from the retirements on the
+                    # ring: exact through m, the first end at which a row it
+                    # admits leaves, the backlog's end or the drain
+                    e = min(s + _CHUNK, T + 1)
+                    rc = np.add.accumulate(r_cnt[j0 + s - 1:j0 + e])
+                    rt = np.add.accumulate(r_tok[j0 + s - 1:j0 + e])
+                    f = np.minimum(
+                        cumq.searchsorted(rt[:-1] + (A + rt0), "right") - 1,
+                        rc[:-1] + (B + rc0),
+                    )
+                    u = int(f.searchsorted(q))
+                    stop = u < f.size  # the backlog is in by s + u
+                    if not stop or f.item(u) > q:
+                        u -= 1
+                    if u < 0:
+                        break
+                    nb = f[:u + 1] - np.concatenate(((hs,), f[:u]))  # rows admitted
+                    fin = np.repeat(np.arange(j0 + s - 1, j0 + s + u), nb) + sgen[hs:f.item(u)]
+                    m = int(fin.min()) - j0 - s if fin.size else u
+                    if m < u:
+                        u, stop = m, False
+                    if f.item(0) == hs:  # nothing admitted at s: it may drain
+                        d = np.flatnonzero(f[:u] - rc[1:u + 1] == rc0 + ptr - b)
+                        if d.size:
+                            u, stop = int(d[0]), True
+                    pu = f.item(u)
+                    self._ring_add(fin[:pu - hs], toks[hs:pu])
+                    if pu > hs:  # after it any boundary may retire rows
+                        dense = max(dense, s + u - 1 + gmax)
+                    heads.append(f[:u + 1])
+                    rc0, rt0 = rc0 + rc.item(u), rt0 + rt.item(u)
+                    s, hs = s + u + 1, pu
+                    if stop or rc0 + r_cnt.item(j0 + s - 1) == b - ptr + pu:  # or drained
+                        break
+                # the schedule's clock through s - 1: each boundary's decode
+                # price from the folded pieces, its rows at the mean stage max
+                pr = np.concatenate(heads)
+                nb = np.diff(pr, prepend=ptr)
+                pv = pr - nb  # the head entering t + i
+                rc = np.add.accumulate(r_cnt[j0 + t - 1:j0 + s - 1])
+                rt = np.add.accumulate(r_tok[j0 + t - 1:j0 + s - 1])
+                bi = pv - (rc - rc[0]) + (b - ptr)  # b, ctx entering t + i
+                add = bi + nb + (cumspr[pr] - cumspr[pv])
+                ci = (ctx + rt[0]) - rt + (np.cumsum(add) - add)
+                c = np.floor(ci / bi) if floor else ci / bi
+                fx, fa, fb, _ = folds(int(bi.max()))
+                k = (fx[bi] <= c[:, None]).sum(axis=1)
+                ends = fa[bi, k] + fb[bi, k] * c + nb * pf_mean
+                if lead_of is not None:
+                    ends += np.where(nb > 0, lead_of[spr[pv]], 0.0)
+                clock += float(ends.sum())
+                adm_t.extend(range(t, s))
+                adm_p.extend(pr.tolist())
+                i, nxt = s - t, s - 1
+                b, ctx = bi.item(-1) + nb.item(-1), ci.item(-1) + add.item(-1)
+                held += cumq.item(hs) - h_cq - (rt.item(-1) - rt.item(0))
+                ptr, h_cq, h_cs = hs, cumq.item(hs), cumspr.item(hs)
+                if ptr < q:
+                    h_tok = toks.item(ptr)
+                else:  # the backlog is in: exact units, and the clock decides
+                    clock += float(pf_max[spr[pf_ptr:ptr]].sum()) - (ptr - pf_ptr) * pf_mean
+                    pf_ptr = ptr
+                    h_arr, h_tok = (arr.item(ptr), toks.item(ptr)) if ptr < n_req else (math.inf, 0)
+            elif p > ptr:  # boundary t admits rows [ptr, p)
                 n = p - ptr
                 if n == 1:
                     ds = spr.item(ptr)
@@ -549,7 +628,6 @@ class _Engine:
             np.maximum.accumulate(pr, out=pr)
         nb = pr[1:] - pr[:-1]
         t_adm = np.repeat(np.arange(1, L + 1, dtype=np.int64), nb)
-        slots = j0 - 1 + t_adm + sgen[ptr0:ptr]
         b_aft = b0 + np.cumsum(nb - r_cnt[j0 + 1:j0 + L + 1])
         b_bef = np.concatenate(((b0,), b_aft[:-1]))
         cq = cumq[pr]
@@ -572,14 +650,11 @@ class _Engine:
         if adm.size and self.des:
             for t in adm.tolist():
                 step[t] = iteration_makespan_des([rows[t], *self._pf_rows[spr[pr[t]:pr[t + 1]]]])
-        elif adm.size:
-            maxes = pf_max[spr[ptr0:ptr]]
-            firsts, lens = pr[adm] - ptr0, nb[adm]
-            tails = maxes[firsts]
-            for i in (lens > 1).nonzero()[0].tolist():
-                f0 = firsts[i]
-                tails[i] = np.add.accumulate(maxes[f0:f0 + lens[i]])[-1]
-            step[adm] += tails
+        elif adm.size:  # each admitting boundary's stage maxes folded left
+            # along a row of a zero-padded matrix (adding 0.0 is exact)
+            lens, col = nb[adm, None], np.arange(int(nb.max()))
+            m = pf_max[spr[np.minimum(pr[adm, None] + col, ptr - 1)]]
+            step[adm] += np.add.accumulate(np.where(col < lens, m, 0.0), axis=1)[:, -1]
         C = np.add.accumulate(np.concatenate(((now0,), step)))
         # ---- validate: each head is E_t, the exact rule's --------------
         e = np.minimum(f, arr.searchsorted(C[:-1], "right"))
@@ -591,7 +666,8 @@ class _Engine:
             M, flush = c + 1, True  # poll right after the crossing
         keep = int(pr[M])
         if keep < ptr:  # rows placed past the cut come off the ring
-            self._ring_add(slots[keep - ptr0:], toks[keep:ptr], np.subtract)
+            slots = j0 - 1 + t_adm[keep - ptr0:] + sgen[keep:ptr]
+            self._ring_add(slots, toks[keep:ptr], np.subtract)
         if self.des:  # the decode unit the next advance's leads follow
             self._dec_row = rows[min(Mv, L - 1)]
 
@@ -735,17 +811,19 @@ class _Engine:
         p0, p1 = self.blk_ptr, self.ptr
         # admitted in this block, row (= FIFO admission) order; rejected
         # rows keep adm_it 0
-        a = self.adm_it[p0:p1]
-        k = np.flatnonzero(a)
-        n0, n1 = self.n_adm, self.n_adm + k.size
-        self.tt[n0:n1] = t_end[a[k] - base] - arr[p0 + k]
+        a, at = self.adm_it[p0:p1], arr[p0:p1]
+        if not a.all():
+            a, at = a[a > 0], at[a > 0]
+        n0, n1 = self.n_adm, self.n_adm + a.size
+        self.tt[n0:n1] = t_end[a - base] - at
         self.n_adm = n1
         # finished in this block: stable int16 radix order of the
         # block-relative last boundary = (boundary, admission) order
         lw = self.lw
         a = self.adm_it[lw:p1]
         fin = a + self.sgen[lw:p1] - 1
-        k = np.flatnonzero((a > 0) & (fin > base) & (fin <= it))
+        on = a > 0
+        k = np.flatnonzero(on & (fin > base) & (fin <= it))
         key = (fin[k] - base).astype(np.int16)
         o = np.argsort(key, kind="stable")
         key, idx = key[o], lw + k[o]
@@ -753,8 +831,8 @@ class _Engine:
         self.lat[n0:n1] = t_end[key] - arr[idx]
         self.lat_idx[n0:n1] = idx
         self.n_done = n1
-        live = self._in_flight()
-        self.lw = int(live[0]) if live.size else p1
+        live = np.flatnonzero(on & (fin > it))  # still in flight
+        self.lw = lw + int(live[0]) if live.size else p1
         self.blk_ptr = p1
         span = it - base
         if span:
@@ -810,17 +888,18 @@ class _Engine:
             self.sample_sink["lat_idx"] = lat_idx
             self.sample_sink["tt_idx"] = np.flatnonzero(self.adm_it)
         waves = np.unique(self.adm_it[self.adm_it > 0]).size if self.wave else 0
+        p50, p95, p99 = np.quantile(lat, (0.5, 0.95, 0.99)).tolist()
         return OnlineResult(
             completed=lat.size,
             makespan=self.now,
             mean_latency=float(lat.mean()),
-            p95_latency=quantile(lat, 0.95),
+            p95_latency=p95,
             throughput=int(self.sgen[lat_idx].sum()) / self.now,
             waves=waves,
             mean_wave_batch=self.n_adm / waves if waves else 0.0,
             policy=self.policy,
-            p50_latency=quantile(lat, 0.50),
-            p99_latency=quantile(lat, 0.99),
+            p50_latency=p50,
+            p99_latency=p99,
             mean_ttft=float(tt.mean()),
             p95_ttft=quantile(tt, 0.95),
             rejected=self.rejected,

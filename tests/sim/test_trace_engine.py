@@ -22,7 +22,10 @@ engines; deterministic cases pin the canned trace, migrations that
 change the stage cut or shrink the budget below the slots in flight,
 heads that can never fit, and the degenerate
 all-rejected/empty-percentile paths; the wave policy is replayed against
-the spec's wave rule the same way.  A rule-based machine steps the
+the spec's wave rule the same way.  A second sweep keeps a backlog, so
+the advance's array steps end in every way they can, and the
+benchmark's million-request overload replay is held to its goldens bit
+for bit.  A rule-based machine steps the
 engine one event at a time under either policy — with forced block
 closes and (continuous) migrations in between — and checks the retire
 ring against the three in-flight integers after every rule, and that
@@ -30,6 +33,7 @@ every arrival ends exactly once.
 """
 
 import dataclasses
+import json
 import warnings
 from bisect import bisect_right
 from collections import Counter
@@ -315,14 +319,10 @@ def _spy_advances(monkeypatch) -> list:
     return seen
 
 
-def test_overloaded_diurnal_trace_identical_with_replanning(
-    kv_charge, monkeypatch
-):
-    """Sustained overload against the T4 stages' KV headroom keeps the
-    queue ahead of the pipeline, so the engine commits most boundaries
-    through advances whose admissions KV slots bound, cut short by drift
-    windows and refit migrations — the regime the million-request
-    replays live in, at a size the spec can follow."""
+def _overload_case():
+    """A diurnal trace at several times what the T4 stages' KV headroom
+    serves, with a drift detector that closes a window every few
+    boundaries."""
     plan, cluster = PLANS["mixed"]
     trace = sample_diurnal_arrivals(
         80.0, 40.0, amplitude=0.35, period=10.0, seed=11,
@@ -332,6 +332,18 @@ def test_overloaded_diurnal_trace_identical_with_replanning(
         window=2.5, threshold=0.4, hysteresis=2, cooldown=5.0,
         rebuild_seconds=1.0,
     )
+    return plan, cluster, trace, drift
+
+
+def test_overloaded_diurnal_trace_identical_with_replanning(
+    kv_charge, monkeypatch
+):
+    """Sustained overload against the T4 stages' KV headroom keeps the
+    queue ahead of the pipeline, so the engine commits most boundaries
+    through advances whose admissions KV slots bound, cut short by drift
+    windows and refit migrations — the regime the million-request
+    replays live in, at a size the spec can follow."""
+    plan, cluster, trace, drift = _overload_case()
     seen = _spy_advances(monkeypatch)
     res = _assert_identical(
         plan, cluster, trace, drift=drift, replanner=workload_refit_replanner,
@@ -340,6 +352,117 @@ def test_overloaded_diurnal_trace_identical_with_replanning(
     assert res.mean_inflight > 50 and res.rejected == 0  # memory-bound backlog
     assert sum(m for m, fit, _ in seen if fit.any()) > res.iterations // 2
     assert res.migrations >= 1
+
+
+@pytest.mark.parametrize("engine", ["analytic", "des"])
+def test_backlog_heads_take_array_steps(engine):
+    """In the backlog an advance works out its queue heads in array
+    steps, not in one turn of its walk per boundary.  Each turn reads
+    the decode price's pieces once, so the calls count the turns: on the
+    overloaded trace above 0.22 per committed boundary (0.9 when every
+    admitting boundary took a turn), and the array step's clock reads
+    the folded pieces of all its batch sizes at once instead."""
+    plan, cluster, trace, drift = _overload_case()
+    seen = Counter()
+    pieces, advance = StageCostModel.decode_price_pieces, _Engine._advance
+
+    def turn(self, batch):
+        seen.update(turns=1)
+        return pieces(self, batch)
+
+    def spy(self, q):
+        committed = advance(self, q)
+        seen.update(committed=committed)
+        return committed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StageCostModel, "decode_price_pieces", turn)
+        mp.setattr(_Engine, "_advance", spy)
+        res = simulate_online(
+            plan, cluster, trace, policy="continuous", engine=engine,
+            drift=drift, replanner=workload_refit_replanner,
+        )
+    assert res.mean_inflight > 50 and seen["committed"] == res.iterations - 1
+    assert seen["turns"] <= 0.25 * seen["committed"], dict(seen)
+    assert _assert_identical(
+        plan, cluster, trace, engine=engine, drift=drift,
+        replanner=workload_refit_replanner,
+    ) == res
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(20, 90),
+    short=st.sampled_from([0.0, 0.2, 0.7]),
+    spacing=st.sampled_from([0.0, 0.05, 0.3]),
+    bursts=st.integers(1, 3),
+    max_batch=st.sampled_from([None, 3, 12]),
+    window=st.sampled_from([None, 0.3, 2.0]),
+    engine=st.sampled_from(["analytic", "des"]),
+    kv_charge=st.sampled_from([None, memory_model_charge]),
+)
+def test_backlog_array_steps_identical(
+    seed, n, short, spacing, bursts, max_batch, window, engine, kv_charge
+):
+    """Random traces that keep a backlog, through every way an array
+    step ends: rows with ``gen_len`` 1 or 2 (they leave inside the chunk
+    that admits them, so a chunk may commit one boundary), a cap that
+    binds before KV slots do, arrivals that keep landing while the
+    backlog is admitted (its head crosses ``q`` mid-chunk) and bursts
+    far enough apart that the group drains, and drift windows a few
+    boundaries long — on both engines.  Each equals the spec field for
+    field; read from the engine's own columns, no boundary holds more
+    KV slots than the budget and every arrival ends exactly once."""
+    plan, cluster = PLANS["mixed"]
+    rng = np.random.default_rng(seed)
+    gaps = rng.exponential(spacing, n) if spacing else np.zeros(n)
+    gaps[rng.choice(n, bursts - 1, replace=False)] += rng.uniform(5.0, 30.0, bursts - 1)
+    gen = rng.integers(3, 25, n)
+    few = rng.random(n) < short
+    gen[few] = rng.integers(1, 3, few.sum())
+    trace = ArrivalTrace(
+        arrivals=np.cumsum(gaps), prompt_lens=rng.integers(16, 900, n),
+        gen_lens=gen,
+    )
+    kw = {"engine": engine, "max_batch": max_batch}
+    if window is not None:  # windows close, but nothing migrates
+        kw["drift"] = DriftConfig(window=window, threshold=0.3, rebuild_seconds=0.25)
+    engines = []
+    run = _Engine.run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Engine, "run", lambda self: engines.append(self) or run(self))
+        res = _assert_identical(plan, cluster, trace, kv_charge=kv_charge, **kw)
+    eng, = engines
+    rows = np.flatnonzero(eng.adm_it)
+    a, toks = eng.adm_it[rows], eng._toks[rows]
+    held = np.zeros(eng.it + 2, dtype=np.int64)  # slots held in boundary i
+    np.add.at(held, a, toks)
+    np.add.at(held, a + eng.sgen[rows], -toks)
+    assert np.cumsum(held).max() <= eng.budget
+    assert rows.size + res.rejected == n and res.completed == rows.size
+    assert np.array_equal(np.sort(eng.sample_sink["lat_idx"]), rows)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_overload_benchmark_replay_equals_its_golden_exactly(seed):
+    """The benchmark's own ``sim_trace_overload`` replay (10^6 requests,
+    drift replanning, its set-up) equals its committed golden exactly:
+    floats by ``float.hex``, counts by ``==`` (the benchmark's own check
+    allows a relative 1e-9)."""
+    from bench.wl_sim import GOLDENS, TraceOverload
+
+    w = TraceOverload(seed, 1.0)
+    w.setup()
+    assert w.run_pass()["accounted"] == len(w.trace)
+    got = w.golden()
+    want = json.loads(GOLDENS.read_text())[w.name][str(seed)]
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert float(got[key]).hex() == value.hex(), key
+        else:
+            assert got[key] == value, key
 
 
 def test_underloaded_trace_never_stretches(monkeypatch):
